@@ -8,7 +8,8 @@ Five verbs over the text formats: ``query`` evaluates an expression,
 Every invocation produces one report; ``--format machine`` renders it as a
 single JSON document with stable field names.  Exit codes: 0 all checks
 hold, 1 a check or constraint is violated, 2 input error, 3 monitoring
-could not be established (no admissible support).
+could not be established (no admissible support), 4 internal error (the
+tool failed; no verdict was reached).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .monitor import (
     RecordStatus,
     RestrictedTrust,
     WarningOutcome,
-    register,
     run_session,
 )
 from .parser import (
@@ -59,6 +59,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNESTABLISHED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 class _InputError(Exception):
@@ -151,11 +152,11 @@ def cmd_deps(args) -> dict:
     verdicts = []
     violated = False
     for q in constraints:
-        got = check_constraint(state, q)
+        got = check_constraint(state, q, idx)
         entry: dict = {
             "id": q.id,
             "satisfied": got.satisfied,
-            "gamma": _role_names(gamma_expr(state, q.lhs).roles),
+            "gamma": _role_names(gamma_expr(state, q.lhs, idx).roles),
         }
         if got.satisfied:
             members = eval_expr(idx, q.lhs)
@@ -243,16 +244,14 @@ def cmd_monitor(args) -> dict:
 
     # Echo the registration outcome so a pre-violated constraint is visible
     # even when the log never touches it.
-    initial = []
-    for q in constraints:
-        rec = register(state, q, mode)
-        initial.append(
-            {
-                "id": q.id,
-                "status": rec.status.value,
-                "violators": _names(rec.violators),
-            }
-        )
+    initial = [
+        {
+            "id": rec.constraint.id,
+            "status": rec.status.value,
+            "violators": _names(rec.violators),
+        }
+        for rec in session.initial
+    ]
 
     warnings = []
     for w in session.warnings:
@@ -415,10 +414,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        return _run(args)
     except _InputError as exc:
         print(f"rtmon: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        # A crash must not exit 1, which means "violated".
+        print(f"rtmon: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+
+
+def _run(args) -> int:
+    report = args.func(args)
     if args.format == "machine":
         text = json.dumps(report, indent=2) + "\n"
     else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import evaluate
+from .engine import SemanticsIndex, evaluate, role_members
 from .model import (
     IntersectionInclusion,
     LinkingInclusion,
@@ -27,6 +27,7 @@ from .model import (
     Principal,
     PrincipalSet,
     Role,
+    RoleName,
     RoleRef,
     SimpleInclusion,
     SimpleMember,
@@ -134,11 +135,31 @@ def restrict(p: PolicyState, sigma: Iterable[Role]) -> PolicyState:
     return PolicyState(frozenset(s for s in p.statements if s.head in wanted))
 
 
-def _by_head(p: PolicyState) -> dict[Role, list[Statement]]:
+def _growth_roles(p: PolicyState, roots: Iterable[Role], idx: SemanticsIndex) -> frozenset[Role]:
+    """Close ``roots`` under the definitions reachable from them."""
     grouped: dict[Role, list[Statement]] = defaultdict(list)
-    for stmt in sorted(p.statements, key=str):
+    for stmt in p.statements:
         grouped[stmt.head].append(stmt)
-    return grouped
+    found: set[Role] = set(roots)
+    work = list(found)
+    while work:
+        role = work.pop()
+        for stmt in grouped.get(role, ()):
+            body = stmt.body
+            if isinstance(body, SimpleInclusion):
+                fresh = [body.source]
+            elif isinstance(body, LinkingInclusion):
+                fresh = [body.first]
+                fresh.extend(Role(x, body.second) for x in role_members(idx, body.first))
+            elif isinstance(body, IntersectionInclusion):
+                fresh = list(body.parts)
+            else:
+                continue
+            for r in fresh:
+                if r not in found:
+                    found.add(r)
+                    work.append(r)
+    return frozenset(found)
 
 
 def gamma(p: PolicyState, target: Role) -> GrowthSet:
@@ -148,113 +169,137 @@ def gamma(p: PolicyState, target: Role) -> GrowthSet:
     linked role pulls in its first component plus ``X.r2`` for every
     current member X of that component.
     """
-    idx = evaluate(p)
-    grouped = _by_head(p)
-    found: set[Role] = {target}
-    work = [target]
-    while work:
-        role = work.pop()
-        for stmt in grouped.get(role, ()):
-            body = stmt.body
-            if isinstance(body, SimpleInclusion):
-                fresh = [body.source]
-            elif isinstance(body, LinkingInclusion):
-                fresh = [body.first]
-                fresh.extend(
-                    Role(x, body.second)
-                    for x in idx.members.get(body.first, frozenset())
-                )
-            elif isinstance(body, IntersectionInclusion):
-                fresh = list(body.parts)
-            else:
-                continue
-            for r in fresh:
-                if r not in found:
-                    found.add(r)
-                    work.append(r)
-    return GrowthSet(target, frozenset(found))
+    return GrowthSet(target, _growth_roles(p, (target,), evaluate(p)))
 
 
-def gamma_expr(p: PolicyState, expr: PositiveRoleExpr) -> GrowthSet:
-    """Union of the growth sets of the expression's roles; empty when static."""
-    found: set[Role] = set()
-    for role in roles_of(expr):
-        found |= gamma(p, role).roles
-    return GrowthSet(expr, frozenset(found))
+def gamma_expr(
+    p: PolicyState, expr: PositiveRoleExpr, idx: Optional[SemanticsIndex] = None
+) -> GrowthSet:
+    """Union of the growth sets of the expression's roles; empty when static.
+
+    ``idx`` is ``evaluate(p)`` when the caller already holds it.
+    """
+    if idx is None:
+        idx = evaluate(p)
+    return GrowthSet(expr, _growth_roles(p, roles_of(expr), idx))
 
 
-# A worklist triple: (member, support tokens, derivation size).
-_Triple = tuple[Principal, frozenset, int]
+# One justification of a membership: (support tokens, derivation size).
+_Entry = tuple[frozenset, int]
 
 
-def _triple_sort_key(t: _Triple):
-    return (len(t[1]), sorted(str(x) for x in t[1]), t[2])
+def _entry_key(e: _Entry):
+    return (len(e[0]), sorted(str(x) for x in e[0]), e[1])
 
 
 def _worklist(
     p: PolicyState,
     token: Callable[[Statement], Hashable],
     cap: Optional[int],
-) -> tuple[dict[Role, set[_Triple]], bool]:
-    """Saturate per-role justification triples, with subsumption pruning.
+) -> tuple[dict[Role, dict[Principal, list[_Entry]]], bool]:
+    """Saturate justifications per role and member, with subsumption pruning.
 
-    A candidate is dropped when an existing entry for the same member has a
-    subset support; inserting a candidate evicts the entries it dominates.
+    A candidate is dropped when an entry for the same member has a subset
+    support; inserting a candidate evicts the entries it dominates.
     ``token(stmt)`` is what a fired statement contributes to a support (its
     head role, or the statement itself).  When ``cap`` is hit for one
     (role, member), the smallest supports are kept and the run is flagged.
+
+    Statements fire in a fixed order over insertion-ordered entries, so the
+    result does not depend on hash seeds even under the cap.  A statement
+    fires again only when one of its input roles changed since it last
+    fired (for a linked rule: its first role or any role carrying its
+    second name), or when a dominance eviction freed room under the cap in
+    its head, which may admit a candidate the cap dropped before.
     """
-    stmts = sorted(p.statements, key=str)
-    cur: dict[Role, set[_Triple]] = defaultdict(set)
+    rules = []
+    for stmt in sorted(p.statements, key=str):
+        body = stmt.body
+        if isinstance(body, SimpleInclusion):
+            inputs: tuple[Role, ...] = (body.source,)
+        elif isinstance(body, LinkingInclusion):
+            inputs = (body.first,)
+        elif isinstance(body, IntersectionInclusion):
+            inputs = tuple(sorted(body.part_set, key=str))
+        else:
+            inputs = ()
+        rules.append((stmt, frozenset((token(stmt),)), inputs))
+
+    cur: dict[Role, dict[Principal, list[_Entry]]] = defaultdict(dict)
+    # Logical clock: a role's stamp is the tick of its last change; a rule
+    # remembers the tick at which it last fired.
+    clock = 0
+    changed_at: dict[Role, int] = {}
+    name_changed_at: dict[RoleName, int] = {}
+    freed_at: dict[Role, int] = {}
+    fired_at: list[int] = [-1] * len(rules)
     truncated = False
 
-    def subsumed(role: Role, member: Principal, support: frozenset) -> bool:
-        return any(m == member and s <= support for m, s, _ in cur[role])
-
-    def insert(role: Role, cand: _Triple) -> None:
-        nonlocal truncated
-        member, support, _ = cand
-        bucket = cur[role]
-        dominated = [t for t in bucket if t[0] == member and support <= t[1]]
-        bucket.difference_update(dominated)
-        bucket.add(cand)
-        if cap is not None:
-            mine = sorted((t for t in bucket if t[0] == member), key=_triple_sort_key)
-            if len(mine) > cap:
-                bucket.difference_update(mine[cap:])
-                truncated = True
+    def offer(head: Role, member: Principal, support: frozenset, size: int) -> None:
+        nonlocal clock, truncated
+        by_member = cur[head]
+        entries = by_member.get(member, ())
+        for s, _ in entries:
+            if s <= support:
+                return
+        cand = (support, size)
+        kept = [e for e in entries if not support <= e[0]]
+        freed = len(kept) < len(entries)
+        kept.append(cand)
+        if cap is not None and len(kept) > cap:
+            truncated = True
+            kept.sort(key=_entry_key)
+            dropped = kept[cap:]
+            del kept[cap:]
+            # A cut candidate evicted nothing (it would sort before what it
+            # dominates), so the entries are unchanged.
+            if any(e is cand for e in dropped):
+                return
+        by_member[member] = kept
+        clock += 1
+        changed_at[head] = clock
+        name_changed_at[head.name] = clock
+        if freed and cap is not None:
+            freed_at[head] = clock
 
     while True:
-        old = {role: frozenset(bucket) for role, bucket in cur.items()}
-        for stmt in stmts:
-            head, body, tok = stmt.head, stmt.body, token(stmt)
+        start = clock
+        for n, (stmt, tok, inputs) in enumerate(rules):
+            head, body = stmt.head, stmt.body
+            last = fired_at[n]
+            if last >= 0 and freed_at.get(head, 0) <= last:
+                stamp = max((changed_at.get(r, 0) for r in inputs), default=0)
+                if isinstance(body, LinkingInclusion):
+                    stamp = max(stamp, name_changed_at.get(body.second, 0))
+                if stamp <= last:
+                    continue
+            fired_at[n] = clock
             if isinstance(body, SimpleMember):
-                insert(head, (body.member, frozenset((tok,)), 1))
+                offer(head, body.member, tok, 1)
             elif isinstance(body, SimpleInclusion):
-                for member, sup, i in list(cur[body.source]):
-                    cand = (member, sup | {tok}, i + 1)
-                    if not subsumed(head, cand[0], cand[1]):
-                        insert(head, cand)
+                for member, entries in list(cur[body.source].items()):
+                    for sup, i in entries:
+                        offer(head, member, sup | tok, i + 1)
             elif isinstance(body, LinkingInclusion):
-                for via, sup1, i1 in list(cur[body.first]):
-                    for member, sup2, i2 in list(cur[Role(via, body.second)]):
-                        cand = (member, sup1 | sup2 | {tok}, i1 + i2)
-                        if not subsumed(head, cand[0], cand[1]):
-                            insert(head, cand)
+                for via, entries1 in list(cur[body.first].items()):
+                    second = cur.get(Role(via, body.second))
+                    if not second:
+                        continue
+                    for sup1, i1 in entries1:
+                        for member, entries2 in list(second.items()):
+                            for sup2, i2 in entries2:
+                                offer(head, member, sup1 | sup2 | tok, i1 + i2)
             else:
-                parts = sorted(body.part_set, key=str)
-                buckets = [list(cur[part]) for part in parts]
-                shared = set.intersection(*(set(t[0] for t in b) for b in buckets))
-                for member in shared:
-                    pools = [[t for t in b if t[0] == member] for b in buckets]
-                    for combo in product(*pools):
-                        support = frozenset((tok,)).union(*(t[1] for t in combo))
-                        cand = (member, support, sum(t[2] for t in combo))
-                        if not subsumed(head, cand[0], cand[1]):
-                            insert(head, cand)
-        if all(frozenset(cur[role]) == old.get(role, frozenset()) for role in cur):
+                buckets = [cur[part] for part in inputs]
+                for member in list(buckets[0]):
+                    if not all(member in b for b in buckets[1:]):
+                        continue
+                    for combo in product(*(b[member] for b in buckets)):
+                        support = tok.union(*(e[0] for e in combo))
+                        offer(head, member, support, sum(e[1] for e in combo))
+        if clock == start:
             break
-    return dict(cur), truncated
+    return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 
 
 def justified_semantics(
@@ -263,9 +308,10 @@ def justified_semantics(
     """All minimal role-supports, per role and member, in one pass."""
     raw, truncated = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
     entries = {
-        role: frozenset(JustifiedEntry(m, sup, i) for m, sup, i in bucket)
-        for role, bucket in raw.items()
-        if bucket
+        role: frozenset(
+            JustifiedEntry(m, sup, i) for m, found in by_member.items() for sup, i in found
+        )
+        for role, by_member in raw.items()
     }
     return JustifiedSemantics(entries, truncated)
 
@@ -381,7 +427,7 @@ def credential_support_for_constraint(
         )
 
         def cred_supports_of(role: Role, who: Principal) -> list[frozenset]:
-            return [sup for m, sup, _ in replay.get(role, ()) if m == who]
+            return [sup for sup, _ in replay.get(role, {}).get(who, ())]
 
         got = _member_expr_support(member, rhs, cred_supports_of)
         if got is None:  # role support witnesses membership, so replay must too

@@ -1,21 +1,22 @@
 """Bottom-up fixpoint evaluation of policy states and constraint checking.
 
 Membership is the least model of the clauses induced by the four statement
-forms.  The evaluator iterates in rounds, refiring a rule only when one of
-the roles it reads changed in the previous round, so it reaches the
-fixpoint without recomputing quiescent rules.  Results are independent of
-statement order.
+forms.  The evaluator indexes the rules once per call by the roles they
+read (a linked rule ``A.r <- A.r1.r2`` under ``A.r1`` and under the role
+name ``r2``) and runs semi-naive rounds: a rule fires only on the members
+its inputs gained in the previous round, joined with what the other inputs
+already hold.  Results are independent of statement order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .model import (
     Constraint,
     IntersectionExpr,
-    IntersectionInclusion,
     LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
@@ -52,11 +53,12 @@ class MembershipAtom:
 
 @dataclass(frozen=True)
 class SemanticsIndex:
-    """Role membership for one state; one entry per role of the state.
+    """Role membership for one state, holding only the non-empty roles.
 
-    Roles of the state with empty definitions map to the empty set.
-    ``iteration_count`` is the number of rule passes the evaluator ran,
-    kept for diagnostics only.
+    Every role absent from ``members`` is empty; read it through
+    :func:`role_members` or ``members.get(role, frozenset())``.
+    ``iteration_count`` is the number of rounds the evaluator ran, kept for
+    diagnostics only.
     """
 
     members: Mapping[Role, frozenset[Principal]]
@@ -68,62 +70,62 @@ class SemanticsIndex:
                 yield MembershipAtom(role.owner, role.name, member)
 
 
-def _rule_inputs(stmt: Statement, members: dict[Role, set[Principal]]) -> set[Role]:
-    """The roles a rule currently reads; a rule refires when one changed."""
-    body = stmt.body
-    if isinstance(body, SimpleInclusion):
-        return {body.source}
-    if isinstance(body, LinkingInclusion):
-        reads = {body.first}
-        reads.update(Role(y, body.second) for y in members[body.first])
-        return reads
-    assert isinstance(body, IntersectionInclusion)
-    return set(body.parts)
-
-
-def _derive(stmt: Statement, members: dict[Role, set[Principal]]) -> set[Principal]:
-    body = stmt.body
-    if isinstance(body, SimpleInclusion):
-        return set(members[body.source])
-    if isinstance(body, LinkingInclusion):
-        out: set[Principal] = set()
-        for y in members[body.first]:
-            out |= members[Role(y, body.second)]
-        return out
-    assert isinstance(body, IntersectionInclusion)
-    parts = body.parts
-    out = set(members[parts[0]])
-    for part in parts[1:]:
-        out &= members[part]
-    return out
+_EMPTY: frozenset[Principal] = frozenset()
 
 
 def evaluate(p: PolicyState) -> SemanticsIndex:
-    """Compute role membership for every role of the state."""
-    members: dict[Role, set[Principal]] = {role: set() for role in p.roles}
-    rules: list[Statement] = []
-    for stmt in sorted(p.statements, key=str):
-        if isinstance(stmt.body, SimpleMember):
-            members[stmt.head].add(stmt.body.member)
+    """Compute role membership for every role with members in the state."""
+    members: dict[Role, set[Principal]] = {}
+    # Rules by input role, and linked rules by the name of their second role.
+    readers: dict[Role, list[Statement]] = defaultdict(list)
+    linked_by_name: dict[RoleName, list[Statement]] = defaultdict(list)
+    for stmt in p.statements:
+        body = stmt.body
+        if isinstance(body, SimpleMember):
+            members.setdefault(stmt.head, set()).add(body.member)
+        elif isinstance(body, SimpleInclusion):
+            readers[body.source].append(stmt)
+        elif isinstance(body, LinkingInclusion):
+            readers[body.first].append(stmt)
+            linked_by_name[body.second].append(stmt)
         else:
-            rules.append(stmt)
+            for part in body.part_set:
+                readers[part].append(stmt)
+    delta: dict[Role, set[Principal]] = {role: set(found) for role, found in members.items()}
 
-    iterations = 0
-    dirty: set[Role] = set(members) if rules else set()
-    while dirty:
-        iterations += 1
-        next_dirty: set[Role] = set()
-        for stmt in rules:
-            if not (_rule_inputs(stmt, members) & dirty):
-                continue
-            fresh = _derive(stmt, members) - members[stmt.head]
-            if fresh:
-                members[stmt.head] |= fresh
-                next_dirty.add(stmt.head)
-        dirty = next_dirty
+    def gain(head: Role, found: Iterable[Principal], fresh: dict[Role, set[Principal]]) -> None:
+        have = members.get(head)
+        if have is None:
+            have = members[head] = set()
+        new = [x for x in found if x not in have]
+        if new:
+            have.update(new)
+            fresh.setdefault(head, set()).update(new)
+
+    rounds = 0
+    while delta:
+        rounds += 1
+        fresh: dict[Role, set[Principal]] = {}
+        for role, added in delta.items():
+            for stmt in readers.get(role, ()):
+                body = stmt.body
+                if isinstance(body, SimpleInclusion):
+                    gain(stmt.head, added, fresh)
+                elif isinstance(body, LinkingInclusion):
+                    # ``role`` is the first component: walk the new members.
+                    for y in added:
+                        gain(stmt.head, members.get(Role(y, body.second), _EMPTY), fresh)
+                else:
+                    others = [members.get(part, _EMPTY) for part in body.parts if part != role]
+                    gain(stmt.head, (x for x in added if all(x in o for o in others)), fresh)
+            for stmt in linked_by_name.get(role.name, ()):
+                # ``role`` may be the second component, reached through its owner.
+                if role.owner in members.get(stmt.body.first, _EMPTY):
+                    gain(stmt.head, added, fresh)
+        delta = fresh
 
     return SemanticsIndex(
-        {role: frozenset(found) for role, found in members.items()}, iterations
+        {role: frozenset(found) for role, found in members.items() if found}, rounds
     )
 
 
@@ -151,9 +153,15 @@ class ConstraintCheck:
     violators: frozenset[Principal]
 
 
-def check_constraint(p: PolicyState, q: Constraint) -> ConstraintCheck:
-    """Does ``p`` satisfy ``q``?  Violators are lhs members missing from rhs."""
-    idx = evaluate(p)
+def check_constraint(
+    p: PolicyState, q: Constraint, idx: Optional[SemanticsIndex] = None
+) -> ConstraintCheck:
+    """Does ``p`` satisfy ``q``?  Violators are lhs members missing from rhs.
+
+    ``idx`` is ``evaluate(p)`` when the caller already holds it.
+    """
+    if idx is None:
+        idx = evaluate(p)
     lhs = eval_expr(idx, q.lhs)
     rhs = eval_expr(idx, q.rhs)
     violators = lhs - rhs

@@ -10,7 +10,7 @@ beyond their own invariants, and are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Union
@@ -49,7 +49,7 @@ __all__ = [
 RESERVED_PRINCIPAL = "TOP"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Principal:
     """A participant, identified by name (exact string equality).
 
@@ -59,10 +59,18 @@ class Principal:
     """
 
     name: str
+    # Principals, role names and roles are hashed on every set and dict
+    # access, so each computes its hash once.  The value is the dataclass
+    # field-tuple hash, which keeps set iteration orders as they were.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("principal name must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_reserved(self) -> bool:
@@ -76,30 +84,42 @@ class Principal:
 TOP = Principal(RESERVED_PRINCIPAL)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RoleName:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("role name must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Role:
     """A named set of principals administered by its owner, written ``A.r``."""
 
     owner: Principal
     name: RoleName
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.owner, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.owner.name}.{self.name.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleMember:
     """Body of ``A.r <- D``: the principal D is a member outright."""
 
@@ -109,7 +129,7 @@ class SimpleMember:
         return self.member.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleInclusion:
     """Body of ``A.r <- B.r1``: every member of B.r1 is a member of A.r."""
 
@@ -119,7 +139,7 @@ class SimpleInclusion:
         return str(self.source)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkingInclusion:
     """Body of ``A.r <- A.r1.r2``: members of Y.r2 for every Y in A.r1.
 
@@ -134,7 +154,7 @@ class LinkingInclusion:
         return f"{self.first}.{self.second.name}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class IntersectionInclusion:
     """Body of ``A.r <- B1.r1 & ... & Bn.rn``: members common to every part.
 
@@ -169,7 +189,7 @@ class IntersectionInclusion:
 StatementBody = Union[SimpleMember, SimpleInclusion, LinkingInclusion, IntersectionInclusion]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One policy statement ``head <- body``; a value object."""
 
@@ -229,10 +249,7 @@ class PolicyState:
         stmts = frozenset(self.statements)
         object.__setattr__(self, "statements", stmts)
         for stmt in stmts:
-            if any(p.is_reserved for p in statement_principals(stmt)):
-                raise ValueError(
-                    f"reserved principal {RESERVED_PRINCIPAL} cannot occur in a policy: {stmt}"
-                )
+            _check_unreserved(stmt)
 
     def __iter__(self) -> Iterator[Statement]:
         return iter(self.statements)
@@ -246,16 +263,13 @@ class PolicyState:
     def add(self, stmt: Statement) -> "PolicyState":
         if stmt in self.statements:
             return self
-        return PolicyState(self.statements | {stmt})
+        _check_unreserved(stmt)
+        return _checked_state(self.statements | {stmt})
 
     def remove(self, stmt: Statement) -> "PolicyState":
         if stmt not in self.statements:
             return self
-        return PolicyState(self.statements - {stmt})
-
-    def definition(self, role: Role) -> frozenset[Statement]:
-        """The statements whose head is ``role``."""
-        return frozenset(s for s in self.statements if s.head == role)
+        return _checked_state(self.statements - {stmt})
 
     @cached_property
     def principals(self) -> frozenset[Principal]:
@@ -283,12 +297,30 @@ class PolicyState:
         )
 
 
+def _check_unreserved(stmt: Statement) -> None:
+    if any(p.is_reserved for p in statement_principals(stmt)):
+        raise ValueError(
+            f"reserved principal {RESERVED_PRINCIPAL} cannot occur in a policy: {stmt}"
+        )
+
+
+def _checked_state(statements: frozenset[Statement]) -> PolicyState:
+    """A state over statements already known to be free of ``TOP``.
+
+    ``add`` and ``remove`` check only the statement they change, so they
+    skip the constructor's pass over every statement.
+    """
+    state = object.__new__(PolicyState)
+    object.__setattr__(state, "statements", statements)
+    return state
+
+
 def roles_of_state(p: PolicyState) -> frozenset[Role]:
     """All roles formable from the state's principals and role names."""
     return p.roles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrincipalSet:
     """A literal set of principals; evaluates to itself in any state."""
 
@@ -302,7 +334,7 @@ class PrincipalSet:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleRef:
     role: Role
 
@@ -310,13 +342,13 @@ class RoleRef:
         return str(self.role)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnionExpr:
     left: "PositiveRoleExpr"
     right: "PositiveRoleExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntersectionExpr:
     left: "PositiveRoleExpr"
     right: "PositiveRoleExpr"
@@ -348,7 +380,7 @@ def principals_of_expr(expr: PositiveRoleExpr) -> frozenset[Principal]:
     return principals_of_expr(expr.left) | principals_of_expr(expr.right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """Containment requirement ``lhs <= rhs`` registered by ``owner``."""
 
@@ -369,7 +401,7 @@ class Constraint:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleMonitor:
     """Trust declaration: which roles report growth, which report shrinkage.
 
@@ -411,7 +443,7 @@ class ChangeKind(Enum):
     REMOVE = "remove"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeEvent:
     """One discrete policy change: a statement added or removed."""
 

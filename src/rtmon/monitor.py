@@ -151,11 +151,12 @@ def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
     if isinstance(mode, RestrictedTrust):
         return _register_restricted(p, q, mode)
 
-    result = check_constraint(p, q)
+    idx = evaluate(p)
+    result = check_constraint(p, q, idx)
     if not result.satisfied:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
-    growth = gamma_expr(p, q.lhs)
-    members = eval_expr(evaluate(p), q.lhs)
+    growth = gamma_expr(p, q.lhs, idx)
+    members = eval_expr(idx, q.lhs)
     try:
         if isinstance(mode, FullTrustCredential):
             support: Union[RoleSupport, CredentialSupport] = (
@@ -268,9 +269,13 @@ def apply_change(rec: MonitorRecord, p: PolicyState, ev: ChangeEvent) -> ChangeR
 
 @dataclass(frozen=True)
 class SessionResult:
+    """Outcome of a replay; ``initial`` holds the records registered
+    against the starting state, before the first event."""
+
     final_state: PolicyState
     warnings: tuple[MonitorWarning, ...]
     records: tuple[MonitorRecord, ...]
+    initial: tuple[MonitorRecord, ...]
 
 
 def run_session(
@@ -283,7 +288,8 @@ def run_session(
     Each event mutates the state once; every record then reacts to the
     same transition, in registration order.
     """
-    records = [register(p, q, mode) for q, mode in registrations]
+    initial = tuple(register(p, q, mode) for q, mode in registrations)
+    records = list(initial)
     warnings: list[MonitorWarning] = []
     state = p
     for ev in log:
@@ -300,4 +306,4 @@ def run_session(
             if warning is not None:
                 warnings.append(warning)
             records[i] = fresh
-    return SessionResult(state, tuple(warnings), tuple(records))
+    return SessionResult(state, tuple(warnings), tuple(records), initial)

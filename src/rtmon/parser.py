@@ -93,12 +93,29 @@ class ParseError(Exception):
 
 
 class _Scanner:
-    """Single-line cursor with whitespace skipping and span reporting."""
+    """Single-line cursor with whitespace skipping and span reporting.
 
-    def __init__(self, text: str, line: int = 1):
+    ``names`` is shared by the scanners of one parse call, so every
+    occurrence of a principal, role name or role in that call is one
+    object.
+    """
+
+    def __init__(self, text: str, line: int = 1, names: dict | None = None):
         self.text = text
         self.line = line
         self.pos = 0
+        self.names = {} if names is None else names
+
+    def make(self, cls, *args):
+        """The one ``cls(*args)`` of this parse call."""
+        key = (cls, *args)
+        obj = self.names.get(key)
+        if obj is None:
+            obj = self.names[key] = cls(*args)
+        return obj
+
+    def role(self, owner: str, name: str) -> Role:
+        return self.make(Role, self.make(Principal, owner), self.make(RoleName, name))
 
     def fail(self, message: str, start: int | None = None, length: int = 1,
              kind: ParseErrorKind = ParseErrorKind.SYNTAX) -> None:
@@ -146,14 +163,14 @@ def _principal(sc: _Scanner, what: str = "principal name") -> Principal:
             length=len(name),
             kind=ParseErrorKind.RESERVED_PRINCIPAL,
         )
-    return Principal(name)
+    return sc.make(Principal, name)
 
 
 def _role(sc: _Scanner) -> Role:
     owner = _principal(sc)
     sc.expect(".")
     name, _ = sc.ident("role name")
-    return Role(owner, RoleName(name))
+    return sc.make(Role, owner, sc.make(RoleName, name))
 
 
 def _dotted(sc: _Scanner) -> list[tuple[str, int]]:
@@ -188,19 +205,19 @@ def _statement(sc: _Scanner) -> Statement:
         atoms.append(_dotted(sc))
     sc.end()
 
-    head = Role(Principal(owner_name), RoleName(head_name))
+    head = sc.role(owner_name, head_name)
 
     def as_role(parts: list[tuple[str, int]]) -> Role:
         (oname, ostart), (rname, _) = parts
         _reserved_check(sc, oname, ostart)
-        return Role(Principal(oname), RoleName(rname))
+        return sc.role(oname, rname)
 
     if len(atoms) == 1:
         parts = atoms[0]
         if len(parts) == 1:
             name, start = parts[0]
             _reserved_check(sc, name, start)
-            return Statement(head, SimpleMember(Principal(name)))
+            return Statement(head, SimpleMember(sc.make(Principal, name)))
         if len(parts) == 2:
             return Statement(head, SimpleInclusion(as_role(parts)))
         (oname, ostart), (n1, _), (n2, _) = parts
@@ -213,7 +230,7 @@ def _statement(sc: _Scanner) -> Statement:
                 kind=ParseErrorKind.LINKED_ROLE_OWNER_MISMATCH,
             )
         return Statement(
-            head, LinkingInclusion(Role(Principal(oname), RoleName(n1)), RoleName(n2))
+            head, LinkingInclusion(sc.role(oname, n1), sc.make(RoleName, n2))
         )
 
     roles = []
@@ -244,8 +261,9 @@ def parse_statement(text: str, line: int = 1) -> Statement:
 def parse_policy(text: str) -> PolicyState:
     """Parse a policy document; duplicate statements are an error."""
     seen: dict[Statement, int] = {}
+    names: dict = {}
     for line_no, code in _code_lines(text):
-        stmt = _statement(_Scanner(code, line_no))
+        stmt = _statement(_Scanner(code, line_no, names))
         if stmt in seen:
             raise ParseError(
                 SourceSpan(line_no, 1, max(len(code.rstrip()), 1)),
@@ -287,7 +305,7 @@ def _atom(sc: _Scanner) -> PositiveRoleExpr:
     owner = _principal(sc, "role or principal set")
     sc.expect(".")
     name, _ = sc.ident("role name")
-    return RoleRef(Role(owner, RoleName(name)))
+    return RoleRef(sc.make(Role, owner, sc.make(RoleName, name)))
 
 
 def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
@@ -300,7 +318,10 @@ def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
 
 def parse_constraint(text: str, line: int = 1) -> Constraint:
     """Parse one constraint line."""
-    sc = _Scanner(text.split("#", 1)[0], line)
+    return _constraint(_Scanner(text.split("#", 1)[0], line))
+
+
+def _constraint(sc: _Scanner) -> Constraint:
     kw, start = sc.ident("keyword 'constraint'")
     if kw != "constraint":
         sc.fail("expected keyword 'constraint'", start=start, length=len(kw))
@@ -321,8 +342,9 @@ def parse_constraints(text: str) -> list[Constraint]:
     """Parse a constraints document, one constraint per line."""
     out: list[Constraint] = []
     seen: dict[str, int] = {}
+    names: dict = {}
     for line_no, code in _code_lines(text):
-        q = parse_constraint(code, line_no)
+        q = _constraint(_Scanner(code, line_no, names))
         if q.id in seen:
             raise ParseError(
                 SourceSpan(line_no, 1, max(len(code.rstrip()), 1)),
@@ -338,6 +360,7 @@ def parse_monitor(text: str) -> RoleMonitor:
     """Parse a role-monitor document; ``*`` stays symbolic until bound."""
     growth: tuple[frozenset[Role], bool] | None = None
     shrink: tuple[frozenset[Role], bool] | None = None
+    names: dict = {}
     for line_no, code in _code_lines(text):
         m = _SECTION.match(code)
         if not m:
@@ -346,7 +369,7 @@ def parse_monitor(text: str) -> RoleMonitor:
                 "expected 'growth-trusted:' or 'shrink-trusted:'",
             )
         section = m.group(1)
-        sc = _Scanner(code, line_no)
+        sc = _Scanner(code, line_no, names)
         sc.pos = m.end()
         if sc.try_literal("*"):
             sc.end()
@@ -384,8 +407,9 @@ def parse_monitor(text: str) -> RoleMonitor:
 def parse_changelog(text: str) -> list[ChangeEvent]:
     """Parse a change log into an ordered event list."""
     events: list[ChangeEvent] = []
+    names: dict = {}
     for line_no, code in _code_lines(text):
-        sc = _Scanner(code, line_no)
+        sc = _Scanner(code, line_no, names)
         if sc.try_literal("+"):
             kind = ChangeKind.ADD
         elif sc.try_literal("-"):

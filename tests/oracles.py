@@ -3,14 +3,18 @@
 These deliberately avoid the code paths they validate: minimal supports
 are found by exhaustive restriction instead of the justification worklist,
 and reachable states are enumerated explicitly instead of being reasoned
-about through bounds.
+about through bounds.  ``dense_evaluate`` and ``round_robin_worklist`` keep
+the plain evaluator and support worklist the library used before its
+indexed, change-driven ones, as slow references for differential tests.
 """
 
-from itertools import combinations
+from collections import defaultdict
+from itertools import combinations, product
 
 from rtmon.deps import restrict
 from rtmon.engine import evaluate
 from rtmon.model import (
+    LinkingInclusion,
     PolicyState,
     Principal,
     Role,
@@ -90,3 +94,109 @@ def reachable_states(
                 for added in combinations(pool, a):
                     states.append(PolicyState(base | set(added)))
     return states
+
+
+def dense_evaluate(p: PolicyState) -> dict[Role, frozenset[Principal]]:
+    """Membership of every role in ``p.roles``, by re-firing every rule
+    whose inputs changed in the previous round over all of their members."""
+    members: dict[Role, set[Principal]] = {role: set() for role in p.roles}
+    rules: list[Statement] = []
+    for stmt in sorted(p.statements, key=str):
+        if isinstance(stmt.body, SimpleMember):
+            members[stmt.head].add(stmt.body.member)
+        else:
+            rules.append(stmt)
+
+    def inputs(stmt: Statement) -> set[Role]:
+        body = stmt.body
+        if isinstance(body, SimpleInclusion):
+            return {body.source}
+        if isinstance(body, LinkingInclusion):
+            return {body.first} | {Role(y, body.second) for y in members[body.first]}
+        return set(body.parts)
+
+    def derive(stmt: Statement) -> set[Principal]:
+        body = stmt.body
+        if isinstance(body, SimpleInclusion):
+            return set(members[body.source])
+        if isinstance(body, LinkingInclusion):
+            out: set[Principal] = set()
+            for y in members[body.first]:
+                out |= members[Role(y, body.second)]
+            return out
+        out = set(members[body.parts[0]])
+        for part in body.parts[1:]:
+            out &= members[part]
+        return out
+
+    dirty: set[Role] = set(members) if rules else set()
+    while dirty:
+        next_dirty: set[Role] = set()
+        for stmt in rules:
+            if not (inputs(stmt) & dirty):
+                continue
+            fresh = derive(stmt) - members[stmt.head]
+            if fresh:
+                members[stmt.head] |= fresh
+                next_dirty.add(stmt.head)
+        dirty = next_dirty
+    return {role: frozenset(found) for role, found in members.items()}
+
+
+def round_robin_worklist(p: PolicyState, token, cap=None):
+    """Justification triples ``(member, support, size)`` per role, by firing
+    every statement over every entry each round until no bucket changes.
+
+    Returns ``(entries, truncated)``.  Without a cap the supports are the
+    minimal ones; with a cap the result depends on set iteration order.
+    """
+    stmts = sorted(p.statements, key=str)
+    cur: dict[Role, set] = defaultdict(set)
+    truncated = False
+
+    def sort_key(t):
+        return (len(t[1]), sorted(str(x) for x in t[1]), t[2])
+
+    def subsumed(role, member, support) -> bool:
+        return any(m == member and s <= support for m, s, _ in cur[role])
+
+    def insert(role, cand) -> None:
+        nonlocal truncated
+        member, support, _ = cand
+        bucket = cur[role]
+        bucket.difference_update([t for t in bucket if t[0] == member and support <= t[1]])
+        bucket.add(cand)
+        if cap is not None:
+            mine = sorted((t for t in bucket if t[0] == member), key=sort_key)
+            if len(mine) > cap:
+                bucket.difference_update(mine[cap:])
+                truncated = True
+
+    def offer(role, cand) -> None:
+        if not subsumed(role, cand[0], cand[1]):
+            insert(role, cand)
+
+    while True:
+        old = {role: frozenset(bucket) for role, bucket in cur.items()}
+        for stmt in stmts:
+            head, body, tok = stmt.head, stmt.body, token(stmt)
+            if isinstance(body, SimpleMember):
+                insert(head, (body.member, frozenset((tok,)), 1))
+            elif isinstance(body, SimpleInclusion):
+                for member, sup, i in list(cur[body.source]):
+                    offer(head, (member, sup | {tok}, i + 1))
+            elif isinstance(body, LinkingInclusion):
+                for via, sup1, i1 in list(cur[body.first]):
+                    for member, sup2, i2 in list(cur[Role(via, body.second)]):
+                        offer(head, (member, sup1 | sup2 | {tok}, i1 + i2))
+            else:
+                buckets = [list(cur[part]) for part in sorted(body.part_set, key=str)]
+                shared = set.intersection(*(set(t[0] for t in b) for b in buckets))
+                for member in shared:
+                    pools = [[t for t in b if t[0] == member] for b in buckets]
+                    for combo in product(*pools):
+                        support = frozenset((tok,)).union(*(t[1] for t in combo))
+                        offer(head, (member, support, sum(t[2] for t in combo)))
+        if all(frozenset(cur[role]) == old.get(role, frozenset()) for role in cur):
+            break
+    return {role: bucket for role, bucket in cur.items() if bucket}, truncated

@@ -109,3 +109,23 @@ def random_monitor(rng, state: PolicyState, g_density: float = 0.8, s_density: f
         growth_trusted=random_role_subset(rng, state, g_density),
         shrink_trusted=random_role_subset(rng, state, s_density),
     )
+
+
+def random_fan_state(rng: random.Random) -> PolicyState:
+    """An intersection of 2-4 roles, each fed by 2-3 alternative inclusion
+    sources drawn from a shared pool, so members have many overlapping
+    minimal supports and small caps bind."""
+    head = Role(Principal("Top"), RoleName("r"))
+    members = [Principal(f"M{i}") for i in range(rng.randint(1, 3))]
+    pool = [Role(Principal(f"S{i}"), RoleName(rng.choice(("r", "s")))) for i in range(6)]
+    parts = [Role(Principal(f"P{i}"), RoleName("r")) for i in range(rng.randint(2, 4))]
+    statements = {Statement(head, IntersectionInclusion(tuple(parts)))}
+    for part in parts:
+        for source in rng.sample(pool, rng.randint(2, 3)):
+            statements.add(Statement(part, SimpleInclusion(source)))
+    for i, source in enumerate(pool):
+        for member in rng.sample(members, rng.randint(0, len(members))):
+            statements.add(Statement(source, SimpleMember(member)))
+        if i and rng.random() < 0.5:
+            statements.add(Statement(source, SimpleInclusion(rng.choice(pool[:i]))))
+    return PolicyState(frozenset(statements))

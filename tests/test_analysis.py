@@ -12,7 +12,7 @@ from rtmon.analysis import (
     upper_bound,
 )
 from rtmon.deps import gamma, justified_semantics, restrict
-from rtmon.engine import check_constraint, evaluate
+from rtmon.engine import check_constraint, evaluate, role_members
 from rtmon.model import (
     Constraint,
     PrincipalSet,
@@ -65,14 +65,16 @@ class TestLowerBound:
     def test_full_shrink_set_gives_exact_semantics(self):
         p = self_link_policy()
         lb = lower_bound(p, RoleMonitor(shrink_all=True))
-        assert lb == dict(evaluate(p).members)
+        idx = evaluate(p)
+        assert lb == {r: role_members(idx, r) for r in p.roles}
 
 
 class TestUpperBound:
     def test_full_growth_set_gives_exact_semantics(self):
         p = self_link_policy()
         ub = upper_bound(p, RoleMonitor(growth_all=True))
-        assert ub == dict(evaluate(p).members)
+        idx = evaluate(p)
+        assert ub == {r: role_members(idx, r) for r in p.roles}
 
     def test_untrusted_link_target_floods_to_the_universe(self):
         p = hazmat_policy()

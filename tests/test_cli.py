@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import rtmon.monitor
 from rtmon.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -172,6 +173,44 @@ class TestMonitor:
         assert report["result"]["mode"] == "restricted-trust"
         assert report["result"]["initial"][0]["status"] == "holding"
         assert rc == report["exit_code"]
+
+
+    def test_registers_each_constraint_once(self, in_fixtures, capsys, tmp_path, monkeypatch):
+        real = rtmon.monitor.register
+        calls = []
+
+        def counted(p, q, mode):
+            calls.append(q.id)
+            return real(p, q, mode)
+
+        monkeypatch.setattr(rtmon.monitor, "register", counted)
+        constraints = tmp_path / "two.cst"
+        constraints.write_text(
+            "constraint c1 owner Emergency: Emergency.hazmatPersonnel <= ATF.hazmatDB\n"
+            "constraint c2 owner ATF: ATF.hazmatDB <= ATF.hazmatTraining\n"
+        )
+        log = tmp_path / "empty.changes"
+        log.write_text("")
+        rc, out = run(capsys, "monitor", "hazmat.rt", str(constraints), str(log))
+        assert rc == 0
+        assert out.startswith("c1: holding\nc2: holding\n")
+        assert calls == ["c1", "c2"]
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "expr",
+        [" | ".join(["ATF.hazmatDB"] * 1500), "(" * 1200 + "ATF.hazmatDB" + ")" * 1200],
+        ids=["long-union", "deep-parentheses"],
+    )
+    def test_crash_exits_4_not_1(self, in_fixtures, capsys, expr):
+        rc = main(["query", "hazmat.rt", expr])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("rtmon: internal error: RecursionError")
 
 
 class TestReports:

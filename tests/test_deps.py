@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from rtmon.deps import (
     minimal_supports,
     restrict,
     support_for_constraint,
+    _worklist,
 )
 from rtmon.engine import evaluate, role_members
 from rtmon.model import (
@@ -31,8 +37,8 @@ from helpers import (
     stmt,
     support_shift_policy,
 )
-from oracles import brute_minimal_supports
-from randgen import random_state, random_statement_for_state
+from oracles import brute_minimal_supports, round_robin_worklist
+from randgen import random_fan_state, random_state, random_statement_for_state
 
 
 class TestRestrict:
@@ -338,3 +344,81 @@ class TestSupportStability:
                 p2 = p2.add(random_statement_for_state(rng, p, fresh_principal="E"))
             assert entry.member in role_members(evaluate(p2), target)
             done += 1
+
+
+def _by_head(stmt):
+    return stmt.head
+
+
+def _by_statement(stmt):
+    return stmt
+
+
+class TestWorklistAgainstRoundRobin:
+    """The change-driven worklist against the round-robin reference."""
+
+    @pytest.mark.parametrize("token", [_by_head, _by_statement])
+    def test_uncapped_supports_match(self, token):
+        rng = random.Random(2024)
+        for k in range(240):
+            p = random_fan_state(rng) if k % 3 == 0 else random_state(rng, max_statements=10)
+            got, truncated = _worklist(p, token, None)
+            want, _ = round_robin_worklist(p, token)
+            assert not truncated
+            # size_index is diagnostic only, so pairs are compared.
+            assert {
+                r: {(m, s) for m, found in by_member.items() for s, _ in found}
+                for r, by_member in got.items()
+            } == {r: {(m, s) for m, s, _ in bucket} for r, bucket in want.items()}
+
+    def test_capped_entries_are_real_supports(self):
+        rng = random.Random(2025)
+        truncated = 0
+        for _ in range(60):
+            p = random_fan_state(rng)
+            for cap in (1, 2, 3):
+                js = justified_semantics(p, max_entries_per_member=cap)
+                truncated += js.truncated
+                for target, entries in js.entries.items():
+                    per_member: dict = {}
+                    for e in entries:
+                        per_member[e.member] = per_member.get(e.member, 0) + 1
+                        assert e.member in role_members(evaluate(restrict(p, e.support)), target)
+                    assert max(per_member.values()) <= cap
+        assert truncated
+
+
+_HASH_SEED_PROBE = """
+import json, random
+from randgen import random_fan_state
+from rtmon.deps import justified_semantics
+rng = random.Random(4242)
+out = []
+for _ in range(150):
+    p = random_fan_state(rng)
+    for cap in (1, 2, 3, 8):
+        js = justified_semantics(p, max_entries_per_member=cap)
+        entries = sorted(
+            (str(r), e.member.name, sorted(map(str, e.support)), e.size_index)
+            for r, found in js.entries.items()
+            for e in found
+        )
+        out.append([entries, js.truncated])
+print(json.dumps(out))
+"""
+
+
+def test_capped_supports_do_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = []
+    for seed in ("0", "1", "2", "3"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert any(truncated for _, truncated in runs[0])
+    assert all(run == runs[0] for run in runs[1:])

@@ -26,7 +26,8 @@ from helpers import (
     self_link_policy,
     stmt,
 )
-from randgen import random_state, random_statement_for_state
+from oracles import dense_evaluate
+from randgen import random_fan_state, random_state, random_statement_for_state
 
 
 def members(idx, role_text):
@@ -157,3 +158,38 @@ def test_index_atoms_enumeration():
     atoms = list(idx.atoms())
     assert len(atoms) == 1
     assert atoms[0].member == prin("B")
+
+
+class TestIndexedEvaluator:
+    """The indexed semi-naive evaluator against the dense reference."""
+
+    def assert_agrees(self, p):
+        idx = evaluate(p)
+        dense = dense_evaluate(p)
+        for r in p.roles:
+            assert role_members(idx, r) == dense[r], r
+        assert all(idx.members.values())
+
+    def test_random_states(self):
+        rng = random.Random(1701)
+        for _ in range(400):
+            self.assert_agrees(random_state(rng, max_statements=12))
+
+    def test_intersection_fans(self):
+        rng = random.Random(1702)
+        for _ in range(60):
+            self.assert_agrees(random_fan_state(rng))
+
+    def test_deep_chain_with_linked_roles(self):
+        lines = [f"P{i}.r <- P{i + 1}.r" for i in range(200)]
+        lines += ["P200.r <- X", "P200.r <- Y", "A.r <- A.s.r", "A.s <- P0", "A.s <- P150"]
+        lines += ["B.r <- P0.r & P199.r", "P100.r <- A.r"]
+        self.assert_agrees(parse_policy("\n".join(lines) + "\n"))
+
+    def test_index_holds_only_non_empty_roles(self):
+        p = hazmat_policy()
+        idx = evaluate(p)
+        assert role("Emergency.hazmatPersonnel") not in idx.members
+        assert role("Fire.responsePersonnel") not in idx.members
+        # The principals x role names cross product is never built.
+        assert "roles" not in vars(p)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from rtmon.model import (
@@ -23,7 +25,7 @@ from rtmon.model import (
     roles_of_state,
 )
 
-from helpers import hazmat_policy, prin, role, role_strs, self_link_policy, stmt
+from helpers import HAZMAT_ADD_9, hazmat_policy, prin, role, role_strs, self_link_policy, stmt
 
 
 def test_value_equality_is_structural():
@@ -86,6 +88,44 @@ def test_top_cannot_enter_a_policy_state():
         PolicyState(frozenset({Statement(role("A.r"), SimpleMember(TOP))}))
     with pytest.raises(ValueError):
         PolicyState(frozenset({Statement(Role(TOP, RoleName("r")), SimpleMember(prin("B")))}))
+
+
+def test_top_cannot_be_added_to_a_policy_state():
+    p = PolicyState(frozenset({stmt("A.r <- B")}))
+    with pytest.raises(ValueError):
+        p.add(Statement(role("A.r"), SimpleMember(TOP)))
+    with pytest.raises(ValueError):
+        p.add(Statement(role("A.r"), IntersectionInclusion((role("B.r"), Role(TOP, RoleName("r"))))))
+
+
+def test_constructor_checks_every_statement():
+    clean = [stmt(f"A.r <- B{i}") for i in range(50)]
+    PolicyState(frozenset(clean))
+    with pytest.raises(ValueError):
+        PolicyState(frozenset(clean + [Statement(role("C.r"), SimpleMember(TOP))]))
+
+
+def test_add_and_remove_match_a_constructed_state():
+    p = hazmat_policy()
+    extra = stmt(HAZMAT_ADD_9)
+    grown = p.add(extra)
+    assert grown == PolicyState(p.statements | {extra})
+    assert grown.principals == p.principals
+    assert role("Police.responsePersonnel") in grown.roles
+    shrunk = grown.remove(extra)
+    assert shrunk == p
+    assert hash(shrunk) == hash(p)
+
+
+def test_names_hash_once_to_the_field_tuple_hash():
+    a, r = Principal("A"), RoleName("r")
+    assert hash(a) == hash(("A",))
+    assert hash(r) == hash(("r",))
+    assert hash(Role(a, r)) == hash((a, r))
+    assert sorted([Principal("B"), a]) == [a, Principal("B")]
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        a.name = "B"
 
 
 def test_top_cannot_enter_a_constraint():

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+import rtmon.engine
 from rtmon.deps import restrict
 from rtmon.engine import check_constraint, eval_expr, evaluate
 from rtmon.model import (
@@ -380,3 +382,40 @@ def test_warning_violators_match_the_post_state():
         assert got.warning.violators
         done += 1
     assert done >= 40, f"generator starved: only {done} violating cases"
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Count ``evaluate`` calls, under every name the modules look it up by."""
+    real = rtmon.engine.evaluate
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "rtmon" or name.startswith("rtmon."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [FullTrust(), FullTrustCredential()], ids=["role", "credential"])
+def test_full_trust_register_evaluates_once(evaluations, mode):
+    p = hazmat_policy()
+    rec = register(p, hazmat_constraint(), mode)
+    assert rec.status is RecordStatus.HOLDING
+    assert evaluations == [p]
+    # The principals x role names cross product is never built.
+    assert "roles" not in vars(p)
+
+
+def test_session_keeps_the_initial_records():
+    p = hazmat_policy()
+    q = hazmat_constraint()
+    log = [ChangeEvent(ChangeKind.ADD, stmt(text)) for text in (HAZMAT_ADD_9, HAZMAT_ADD_10)]
+    session = run_session(p, [(q, FullTrust())], log)
+    assert session.initial == (register(p, q, FullTrust()),)
+    assert session.records[0].status is RecordStatus.VIOLATED

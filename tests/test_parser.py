@@ -175,6 +175,30 @@ class TestChangelogs:
         assert err.value.kind is ParseErrorKind.SYNTAX
 
 
+class TestInterning:
+    def test_one_object_per_name_within_a_parse(self):
+        events = parse_changelog("+ A.r <- B\n+ C.r <- A.r\n- B.s <- A\n")
+        first, second, third = (ev.statement for ev in events)
+        assert first.head is second.body.source
+        assert first.head.owner is third.body.member
+        assert first.body.member is third.head.owner
+        assert first.head.name is second.head.name
+
+    def test_policy_parse_shares_names_across_lines(self):
+        p = parse_policy("A.r <- B\nC.r <- A.r\n")
+        by_head = {str(s.head): s for s in p}
+        assert by_head["A.r"].head is by_head["C.r"].body.source
+
+    def test_separate_parses_share_nothing(self):
+        first = parse_changelog("+ A.r <- B\n")[0].statement
+        second = parse_changelog("+ A.r <- B\n")[0].statement
+        assert first == second
+        assert first.head is not second.head
+        assert first.head.owner is not second.head.owner
+        assert first.head.name is not second.head.name
+        assert first.body.member is not second.body.member
+
+
 class TestSerialization:
     def test_policy_round_trip(self):
         p = hazmat_policy()
