@@ -28,7 +28,6 @@ from .model import (
     UnionExpr,
     is_static,
     roles_of,
-    roles_of_state,
 )
 from .engine import (
     ConstraintCheck,

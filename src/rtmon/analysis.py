@@ -7,6 +7,9 @@ what survives any unobserved shrinkage (only shrink-trusted definitions
 count), the upper bound is what any unobserved growth could produce (roles
 outside the growth-trusted set are assumed to contain everyone, including
 the reserved ``TOP`` principal standing for principals not seen yet).
+Both bounds come from the evaluator of :mod:`rtmon.engine` and are sparse:
+they hold only roles with members, the upper bound only growth-trusted
+ones, and :class:`BoundIndex` supplies the bound of every other role.
 
 The trusted core strips from the growth-trusted set those roles whose
 upper bound is forced to the full universe by an untrusted dependency;
@@ -16,12 +19,11 @@ add-side frontier it can actually observe.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .deps import restrict
-from .engine import evaluate
+from .deps import _growth_roles, restrict
+from .engine import _saturate, _walk_expr, evaluate
 from .model import (
     Constraint,
     IntersectionInclusion,
@@ -29,14 +31,11 @@ from .model import (
     PolicyState,
     PositiveRoleExpr,
     Principal,
-    PrincipalSet,
     Role,
     RoleMonitor,
     RoleRef,
     SimpleInclusion,
-    SimpleMember,
     TOP,
-    UnionExpr,
     roles_of,
 )
 
@@ -56,18 +55,24 @@ __all__ = [
     "check_bounded_containment",
 ]
 
+#: A sparse bound: roles absent from the map take their default bound.
+Bound = Mapping[Role, frozenset[Principal]]
+
 
 @dataclass(frozen=True)
 class BoundIndex:
-    """Lower/upper membership bounds for every role of one state.
+    """Lower/upper membership bounds of one state, held sparsely.
 
-    Roles absent from the maps fall back to the bounds their trust status
-    dictates: empty below, and above either empty (growth-trusted, so no
-    unobserved statements can appear) or the full universe.
+    ``lower`` holds the roles with a non-empty lower bound and ``upper`` the
+    growth-trusted roles with a non-empty upper bound.  Read any role
+    through :meth:`lower_of` and :meth:`upper_of`: an absent role takes the
+    bound its trust status dictates, empty below, and above either empty
+    (growth-trusted, so no unobserved statements can appear) or the full
+    universe.
     """
 
-    lower: Mapping[Role, frozenset[Principal]]
-    upper: Mapping[Role, frozenset[Principal]]
+    lower: Bound
+    upper: Bound
     universe: frozenset[Principal]
     monitor: RoleMonitor
 
@@ -110,66 +115,32 @@ class RestrictedGrowthSet:
         return iter(self.roles)
 
 
-def lower_bound(p: PolicyState, r: RoleMonitor) -> dict[Role, frozenset[Principal]]:
+def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     """Membership provable from shrink-trusted definitions alone.
 
     Statements heading an untrusted role may vanish unobserved, so only the
     restriction of the state to shrink-trusted heads counts; roles outside
     the shrink-trusted set therefore bound to the empty set.
     """
-    m = r.bind(p)
-    idx = evaluate(restrict(p, m.shrink_trusted))
-    return {role: idx.members.get(role, frozenset()) for role in p.roles}
+    return evaluate(restrict(p, r.bind(p).shrink_trusted)).members
 
 
-def upper_bound(p: PolicyState, r: RoleMonitor) -> dict[Role, frozenset[Principal]]:
-    """Largest membership reachable through unobserved additions.
+def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
+    """Largest membership reachable through unobserved additions, for the
+    growth-trusted roles that have members.
 
-    Roles outside the growth-trusted set seed with the full universe
-    (current principals plus ``TOP``); every role of the form ``TOP.x``
-    implicitly holds the universe as well, which matters when a linked
-    role walks through an untrusted first component.
+    Roles outside the growth-trusted set hold the full universe (current
+    principals plus ``TOP``), and so does every role of the form ``TOP.x``,
+    which a linked role reaches when it walks through an untrusted first
+    component.  The evaluator holds both at the universe without storing
+    them.
     """
-    m = r.bind(p)
-    universe = frozenset(p.principals) | {TOP}
-    members: dict[Role, set[Principal]] = {
-        role: set(universe) if role not in m.growth_trusted else set()
-        for role in p.roles
-    }
-    rules = []
-    for stmt in sorted(p.statements, key=str):
-        if isinstance(stmt.body, SimpleMember):
-            members[stmt.head].add(stmt.body.member)
-        else:
-            rules.append(stmt)
+    g = r.bind(p).growth_trusted
 
-    def derive(stmt) -> set[Principal]:
-        body = stmt.body
-        if isinstance(body, SimpleInclusion):
-            return set(members[body.source])
-        if isinstance(body, LinkingInclusion):
-            out: set[Principal] = set()
-            for y in members[body.first]:
-                if y == TOP:
-                    out |= universe
-                else:
-                    out |= members[Role(y, body.second)]
-            return out
-        parts = body.parts
-        out = set(members[parts[0]])
-        for part in parts[1:]:
-            out &= members[part]
-        return out
+    def fixed(role: Role) -> bool:
+        return role.owner == TOP or role not in g
 
-    changed = True
-    while changed:
-        changed = False
-        for stmt in rules:
-            fresh = derive(stmt) - members[stmt.head]
-            if fresh:
-                members[stmt.head] |= fresh
-                changed = True
-    return {role: frozenset(found) for role, found in members.items()}
+    return _saturate(p, fixed, p.principals | {TOP}).members
 
 
 def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
@@ -178,32 +149,20 @@ def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
     return BoundIndex(
         lower=lower_bound(p, m),
         upper=upper_bound(p, m),
-        universe=frozenset(p.principals) | {TOP},
+        universe=p.principals | {TOP},
         monitor=m,
     )
 
 
 def eval_lower(idx: BoundIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
-    if isinstance(expr, PrincipalSet):
-        return expr.members
-    if isinstance(expr, RoleRef):
-        return idx.lower_of(expr.role)
-    if isinstance(expr, UnionExpr):
-        return eval_lower(idx, expr.left) | eval_lower(idx, expr.right)
-    return eval_lower(idx, expr.left) & eval_lower(idx, expr.right)
+    return _walk_expr(expr, idx.lower_of)
 
 
 def eval_upper(idx: BoundIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
-    if isinstance(expr, PrincipalSet):
-        return expr.members
-    if isinstance(expr, RoleRef):
-        return idx.upper_of(expr.role)
-    if isinstance(expr, UnionExpr):
-        return eval_upper(idx, expr.left) | eval_upper(idx, expr.right)
-    return eval_upper(idx, expr.left) & eval_upper(idx, expr.right)
+    return _walk_expr(expr, idx.upper_of)
 
 
-def core(p: PolicyState, g: Iterable[Role]) -> CoreSet:
+def core(p: PolicyState, g: Iterable[Role], ub: Optional[Bound] = None) -> CoreSet:
     """The growth-trusted roles whose upper bounds stay informative.
 
     Computed by closing the complement: a trusted role is expelled when it
@@ -211,10 +170,14 @@ def core(p: PolicyState, g: Iterable[Role]) -> CoreSet:
     from one, when the walk can land on one (judged against the upper bound
     of the first component, where ``TOP`` always lands outside), or when
     every part of an intersection it reads is out.
+
+    ``ub`` is ``upper_bound(p, RoleMonitor(growth_trusted=g))`` when the
+    caller already holds it.
     """
     g = frozenset(g)
-    ub = upper_bound(p, RoleMonitor(growth_trusted=g))
-    expelled: set[Role] = set(p.roles) - g
+    if ub is None:
+        ub = upper_bound(p, RoleMonitor(growth_trusted=g))
+    expelled: set[Role] = set()
 
     def outside(role: Role) -> bool:
         return role.owner == TOP or role not in g or role in expelled
@@ -239,46 +202,7 @@ def core(p: PolicyState, g: Iterable[Role]) -> CoreSet:
             if out:
                 expelled.add(stmt.head)
                 changed = True
-    return CoreSet(frozenset(role for role in g if role not in expelled))
-
-
-def _gamma_restricted_roles(
-    p: PolicyState,
-    coreset: CoreSet,
-    ub: Mapping[Role, frozenset[Principal]],
-    target: Role,
-) -> frozenset[Role]:
-    if target not in coreset:
-        return frozenset()
-    grouped: dict[Role, list] = defaultdict(list)
-    for stmt in sorted(p.statements, key=str):
-        grouped[stmt.head].append(stmt)
-    found: set[Role] = {target}
-    work = [target]
-    while work:
-        role = work.pop()
-        for stmt in grouped.get(role, ()):
-            body = stmt.body
-            if isinstance(body, SimpleInclusion):
-                fresh = [body.source]
-            elif isinstance(body, LinkingInclusion):
-                fresh = [body.first]
-                # TOP cannot occur here: it would have expelled the head
-                # from the core, and growth sets never leave the core.
-                fresh.extend(
-                    Role(x, body.second)
-                    for x in ub.get(body.first, frozenset())
-                    if x != TOP
-                )
-            elif isinstance(body, IntersectionInclusion):
-                fresh = [part for part in body.parts if part in coreset]
-            else:
-                continue
-            for r in fresh:
-                if r not in found:
-                    found.add(r)
-                    work.append(r)
-    return frozenset(found)
+    return CoreSet(g - expelled)
 
 
 def gamma_restricted(p: PolicyState, g: Iterable[Role], target: Role) -> RestrictedGrowthSet:
@@ -287,23 +211,29 @@ def gamma_restricted(p: PolicyState, g: Iterable[Role], target: Role) -> Restric
     A target outside the core gets the empty set: its upper bound is the
     full universe already, so no observable addition frontier exists.
     """
-    g = frozenset(g)
-    coreset = core(p, g)
-    ub = upper_bound(p, RoleMonitor(growth_trusted=g))
-    return RestrictedGrowthSet(target, _gamma_restricted_roles(p, coreset, ub, target))
+    return RestrictedGrowthSet(target, gamma_restricted_expr(p, g, RoleRef(target)).roles)
 
 
 def gamma_restricted_expr(
-    p: PolicyState, g: Iterable[Role], expr: PositiveRoleExpr
+    p: PolicyState,
+    g: Iterable[Role],
+    expr: PositiveRoleExpr,
+    ub: Optional[Bound] = None,
+    coreset: Optional[CoreSet] = None,
 ) -> RestrictedGrowthSet:
-    """Union of restricted growth sets over the expression's roles."""
+    """Union of restricted growth sets over the expression's roles.
+
+    ``ub`` and ``coreset`` are ``upper_bound(p, RoleMonitor(growth_trusted=g))``
+    and ``core(p, g, ub)`` when the caller already holds them.
+    """
     g = frozenset(g)
-    coreset = core(p, g)
-    ub = upper_bound(p, RoleMonitor(growth_trusted=g))
-    found: set[Role] = set()
-    for role in roles_of(expr):
-        found |= _gamma_restricted_roles(p, coreset, ub, role)
-    return RestrictedGrowthSet(expr, frozenset(found))
+    if ub is None:
+        ub = upper_bound(p, RoleMonitor(growth_trusted=g))
+    if coreset is None:
+        coreset = core(p, g, ub)
+    # A core role's simple and linked inputs lie in the core themselves, so
+    # staying inside it drops only intersection parts.
+    return RestrictedGrowthSet(expr, _growth_roles(p, roles_of(expr), ub, coreset.roles))
 
 
 @dataclass(frozen=True)
@@ -321,8 +251,12 @@ class BoundedCheck:
     rhs_lower: frozenset[Principal]
 
 
-def check_bounded_containment(p: PolicyState, r: RoleMonitor, q: Constraint) -> BoundedCheck:
-    idx = bounds(p, r)
+def check_bounded_containment(
+    p: PolicyState, r: RoleMonitor, q: Constraint, idx: Optional[BoundIndex] = None
+) -> BoundedCheck:
+    """``idx`` is ``bounds(p, r)`` when the caller already holds it."""
+    if idx is None:
+        idx = bounds(p, r)
     lhs_upper = eval_upper(idx, q.lhs)
     rhs_lower = eval_lower(idx, q.rhs)
     witnesses = lhs_upper - rhs_lower

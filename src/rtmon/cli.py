@@ -21,6 +21,7 @@ import sys
 from typing import Optional
 
 from .analysis import (
+    bounds,
     check_bounded_containment,
     core,
     gamma_restricted_expr,
@@ -188,19 +189,20 @@ def cmd_analyze(args) -> dict:
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
     monitor = _load(args.monitor, parse_monitor, inputs, "monitor").bind(state)
-    coreset = core(state, monitor.growth_trusted)
+    g = monitor.growth_trusted
+    idx = bounds(state, monitor)
+    coreset = core(state, g, idx.upper)
     verdicts = []
     violated = False
     unestablished = False
     for q in constraints:
-        chk = check_bounded_containment(state, monitor, q)
+        chk = check_bounded_containment(state, monitor, q, idx)
+        growth = gamma_restricted_expr(state, g, q.lhs, idx.upper, coreset)
         entry: dict = {
             "id": q.id,
             "holds": chk.holds,
             "witnesses": _names(chk.witnesses),
-            "gamma_restricted": _role_names(
-                gamma_restricted_expr(state, monitor.growth_trusted, q.lhs).roles
-            ),
+            "gamma_restricted": _role_names(growth.roles),
         }
         try:
             support = support_for_constraint(

@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import SemanticsIndex, evaluate, role_members
+from .engine import SemanticsIndex, evaluate
 from .model import (
     IntersectionInclusion,
     LinkingInclusion,
@@ -135,12 +135,21 @@ def restrict(p: PolicyState, sigma: Iterable[Role]) -> PolicyState:
     return PolicyState(frozenset(s for s in p.statements if s.head in wanted))
 
 
-def _growth_roles(p: PolicyState, roots: Iterable[Role], idx: SemanticsIndex) -> frozenset[Role]:
-    """Close ``roots`` under the definitions reachable from them."""
+def _growth_roles(
+    p: PolicyState,
+    roots: Iterable[Role],
+    members: Mapping[Role, frozenset[Principal]],
+    within: Optional[Container[Role]] = None,
+) -> frozenset[Role]:
+    """Close ``roots`` under the definitions reachable from them.
+
+    ``members`` gives the members a linked role walks (absent roles are
+    empty); with ``within`` given, only roles inside it are kept.
+    """
     grouped: dict[Role, list[Statement]] = defaultdict(list)
     for stmt in p.statements:
         grouped[stmt.head].append(stmt)
-    found: set[Role] = set(roots)
+    found: set[Role] = {r for r in roots if within is None or r in within}
     work = list(found)
     while work:
         role = work.pop()
@@ -150,13 +159,13 @@ def _growth_roles(p: PolicyState, roots: Iterable[Role], idx: SemanticsIndex) ->
                 fresh = [body.source]
             elif isinstance(body, LinkingInclusion):
                 fresh = [body.first]
-                fresh.extend(Role(x, body.second) for x in role_members(idx, body.first))
+                fresh.extend(Role(x, body.second) for x in members.get(body.first, ()))
             elif isinstance(body, IntersectionInclusion):
                 fresh = list(body.parts)
             else:
                 continue
             for r in fresh:
-                if r not in found:
+                if r not in found and (within is None or r in within):
                     found.add(r)
                     work.append(r)
     return frozenset(found)
@@ -169,7 +178,7 @@ def gamma(p: PolicyState, target: Role) -> GrowthSet:
     linked role pulls in its first component plus ``X.r2`` for every
     current member X of that component.
     """
-    return GrowthSet(target, _growth_roles(p, (target,), evaluate(p)))
+    return GrowthSet(target, _growth_roles(p, (target,), evaluate(p).members))
 
 
 def gamma_expr(
@@ -181,11 +190,13 @@ def gamma_expr(
     """
     if idx is None:
         idx = evaluate(p)
-    return GrowthSet(expr, _growth_roles(p, roles_of(expr), idx))
+    return GrowthSet(expr, _growth_roles(p, roles_of(expr), idx.members))
 
 
 # One justification of a membership: (support tokens, derivation size).
 _Entry = tuple[frozenset, int]
+# Worklist output: role -> member -> justifications.
+_Saturated = dict[Role, dict[Principal, list[_Entry]]]
 
 
 def _entry_key(e: _Entry):
@@ -196,7 +207,7 @@ def _worklist(
     p: PolicyState,
     token: Callable[[Statement], Hashable],
     cap: Optional[int],
-) -> tuple[dict[Role, dict[Principal, list[_Entry]]], bool]:
+) -> tuple[_Saturated, bool]:
     """Saturate justifications per role and member, with subsumption pruning.
 
     A candidate is dropped when an entry for the same member has a subset
@@ -225,7 +236,7 @@ def _worklist(
             inputs = ()
         rules.append((stmt, frozenset((token(stmt),)), inputs))
 
-    cur: dict[Role, dict[Principal, list[_Entry]]] = defaultdict(dict)
+    cur: _Saturated = defaultdict(dict)
     # Logical clock: a role's stamp is the tick of its last change; a rule
     # remembers the tick at which it last fired.
     clock = 0
@@ -324,10 +335,13 @@ def minimal_supports(
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
 ) -> frozenset[RoleSupport]:
     """Minimal supports of ``member`` in ``target``; empty iff not a member."""
-    js = justified_semantics(p, max_entries_per_member=max_entries_per_member)
-    return frozenset(
-        RoleSupport(e.support) for e in js.for_role(target) if e.member == member
-    )
+    raw, _ = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
+    return frozenset(RoleSupport(sup) for sup in _supports(raw, target, member))
+
+
+def _supports(raw: _Saturated, role: Role, member: Principal) -> list[frozenset]:
+    """The supports ``_worklist`` kept for one role and member."""
+    return [sup for sup, _ in raw.get(role, {}).get(member, ())]
 
 
 def _best(candidates: list[frozenset]) -> frozenset:
@@ -336,9 +350,7 @@ def _best(candidates: list[frozenset]) -> frozenset:
 
 
 def _member_expr_support(
-    member: Principal,
-    expr: PositiveRoleExpr,
-    supports_of: Callable[[Role, Principal], list[frozenset]],
+    member: Principal, expr: PositiveRoleExpr, raw: _Saturated
 ) -> Optional[frozenset]:
     """One support witnessing ``member``'s membership in ``expr``.
 
@@ -349,20 +361,20 @@ def _member_expr_support(
     if isinstance(expr, PrincipalSet):
         return frozenset() if member in expr.members else None
     if isinstance(expr, RoleRef):
-        candidates = supports_of(expr.role, member)
+        candidates = _supports(raw, expr.role, member)
         return _best(candidates) if candidates else None
     if isinstance(expr, UnionExpr):
         branches = [
             got
             for got in (
-                _member_expr_support(member, expr.left, supports_of),
-                _member_expr_support(member, expr.right, supports_of),
+                _member_expr_support(member, expr.left, raw),
+                _member_expr_support(member, expr.right, raw),
             )
             if got is not None
         ]
         return _best(branches) if branches else None
-    left = _member_expr_support(member, expr.left, supports_of)
-    right = _member_expr_support(member, expr.right, supports_of)
+    left = _member_expr_support(member, expr.left, raw)
+    right = _member_expr_support(member, expr.right, raw)
     if left is None or right is None:
         return None
     return left | right
@@ -384,14 +396,10 @@ def support_for_constraint(
     :class:`NoSupport` when some member has no qualifying support.
     """
     base = restrict(p, admissible) if admissible is not None else p
-    js = justified_semantics(base, max_entries_per_member=max_entries_per_member)
-
-    def supports_of(role: Role, member: Principal) -> list[frozenset]:
-        return [e.support for e in js.for_role(role) if e.member == member]
-
+    raw, _ = _worklist(base, token=lambda s: s.head, cap=max_entries_per_member)
     total: set[Role] = set()
     for member in sorted(set(members), key=str):
-        got = _member_expr_support(member, rhs, supports_of)
+        got = _member_expr_support(member, rhs, raw)
         if got is None:
             raise NoSupport(member)
         total |= got
@@ -412,24 +420,16 @@ def credential_support_for_constraint(
     re-running the worklist over the state restricted to that role support,
     so every collected statement's head lies inside the role support.
     """
-    js = justified_semantics(p, max_entries_per_member=max_entries_per_member)
-
-    def role_supports_of(role: Role, member: Principal) -> list[frozenset]:
-        return [e.support for e in js.for_role(role) if e.member == member]
-
+    raw, _ = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
     total: set[Statement] = set()
     for member in sorted(set(members), key=str):
-        role_support = _member_expr_support(member, rhs, role_supports_of)
+        role_support = _member_expr_support(member, rhs, raw)
         if role_support is None:
             raise NoSupport(member)
         replay, _ = _worklist(
             restrict(p, role_support), token=lambda s: s, cap=max_entries_per_member
         )
-
-        def cred_supports_of(role: Role, who: Principal) -> list[frozenset]:
-            return [sup for sup, _ in replay.get(role, {}).get(who, ())]
-
-        got = _member_expr_support(member, rhs, cred_supports_of)
+        got = _member_expr_support(member, rhs, replay)
         if got is None:  # role support witnesses membership, so replay must too
             raise NoSupport(member)
         total |= got

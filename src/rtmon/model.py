@@ -30,7 +30,6 @@ __all__ = [
     "statement_principals",
     "statement_role_names",
     "PolicyState",
-    "roles_of_state",
     "PrincipalSet",
     "RoleRef",
     "UnionExpr",
@@ -313,11 +312,6 @@ def _checked_state(statements: frozenset[Statement]) -> PolicyState:
     state = object.__new__(PolicyState)
     object.__setattr__(state, "statements", statements)
     return state
-
-
-def roles_of_state(p: PolicyState) -> frozenset[Role]:
-    """All roles formable from the state's principals and role names."""
-    return p.roles
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .analysis import (
     RestrictedGrowthSet,
+    bounds,
     check_bounded_containment,
     core,
     gamma_restricted_expr,
@@ -172,12 +173,14 @@ def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
 def _register_restricted(p: PolicyState, q: Constraint, mode: RestrictedTrust) -> MonitorRecord:
     bound_monitor = mode.monitor.bind(p)
     mode = RestrictedTrust(bound_monitor)
-    chk = check_bounded_containment(p, bound_monitor, q)
+    idx = bounds(p, bound_monitor)
+    chk = check_bounded_containment(p, bound_monitor, q, idx)
     if not chk.holds:
         return MonitorRecord(q, mode, None, None, RecordStatus.BOUND_VIOLATED, chk.witnesses)
-    coreset = core(p, bound_monitor.growth_trusted)
+    g = bound_monitor.growth_trusted
+    coreset = core(p, g, idx.upper)
     gamma_total = roles_of(q.lhs) <= coreset.roles
-    growth = gamma_restricted_expr(p, bound_monitor.growth_trusted, q.lhs)
+    growth = gamma_restricted_expr(p, g, q.lhs, idx.upper, coreset)
     try:
         support = support_for_constraint(
             p, chk.lhs_upper, q.rhs, admissible=bound_monitor.shrink_trusted

@@ -1,5 +1,7 @@
 """Shared builders and canonical scenario states used across the suite."""
 
+import sys
+
 from rtmon.model import Principal, Role, RoleName
 from rtmon.parser import parse_constraint, parse_policy, parse_statement
 
@@ -102,3 +104,20 @@ def names(principals) -> set[str]:
 
 def role_strs(roles) -> set[str]:
     return {str(r) for r in roles}
+
+
+def count_calls(monkeypatch, real) -> list:
+    """Record the first argument of every call to ``real``, under every
+    name the ``rtmon`` modules look it up by."""
+    calls = []
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return real(p, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "rtmon" or name.startswith("rtmon."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -5,7 +5,10 @@ are found by exhaustive restriction instead of the justification worklist,
 and reachable states are enumerated explicitly instead of being reasoned
 about through bounds.  ``dense_evaluate`` and ``round_robin_worklist`` keep
 the plain evaluator and support worklist the library used before its
-indexed, change-driven ones, as slow references for differential tests.
+indexed, change-driven ones, and ``round_robin_upper_bound``, ``dense_core``
+and ``reference_gamma_restricted`` the restricted-trust passes it used
+before they ran on that evaluator, as slow references for differential
+tests.
 """
 
 from collections import defaultdict
@@ -14,6 +17,7 @@ from itertools import combinations, product
 from rtmon.deps import restrict
 from rtmon.engine import evaluate
 from rtmon.model import (
+    IntersectionInclusion,
     LinkingInclusion,
     PolicyState,
     Principal,
@@ -23,6 +27,7 @@ from rtmon.model import (
     SimpleInclusion,
     SimpleMember,
     Statement,
+    TOP,
 )
 
 FRESH_PRINCIPAL = Principal("Xfresh")
@@ -200,3 +205,119 @@ def round_robin_worklist(p: PolicyState, token, cap=None):
         if all(frozenset(cur[role]) == old.get(role, frozenset()) for role in cur):
             break
     return {role: bucket for role, bucket in cur.items() if bucket}, truncated
+
+
+def round_robin_upper_bound(p: PolicyState, monitor: RoleMonitor) -> dict[Role, frozenset[Principal]]:
+    """Upper bound of every role in ``p.roles``: roles outside the
+    growth-trusted set seed with the universe (principals plus ``TOP``),
+    ``TOP.x`` reads as the universe, and every rule re-fires each round."""
+    m = monitor.bind(p)
+    universe = frozenset(p.principals) | {TOP}
+    members: dict[Role, set[Principal]] = {
+        role: set(universe) if role not in m.growth_trusted else set()
+        for role in p.roles
+    }
+    rules = []
+    for stmt in sorted(p.statements, key=str):
+        if isinstance(stmt.body, SimpleMember):
+            members[stmt.head].add(stmt.body.member)
+        else:
+            rules.append(stmt)
+
+    def derive(stmt) -> set[Principal]:
+        body = stmt.body
+        if isinstance(body, SimpleInclusion):
+            return set(members[body.source])
+        if isinstance(body, LinkingInclusion):
+            out: set[Principal] = set()
+            for y in members[body.first]:
+                if y == TOP:
+                    out |= universe
+                else:
+                    out |= members[Role(y, body.second)]
+            return out
+        parts = body.parts
+        out = set(members[parts[0]])
+        for part in parts[1:]:
+            out &= members[part]
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for stmt in rules:
+            fresh = derive(stmt) - members[stmt.head]
+            if fresh:
+                members[stmt.head] |= fresh
+                changed = True
+    return {role: frozenset(found) for role, found in members.items()}
+
+
+def dense_core(p: PolicyState, g) -> frozenset[Role]:
+    """Trusted core, expelling from a start of every untrusted role in
+    ``p.roles`` against the dense upper bound."""
+    g = frozenset(g)
+    ub = round_robin_upper_bound(p, RoleMonitor(growth_trusted=g))
+    expelled: set[Role] = set(p.roles) - g
+
+    def outside(role: Role) -> bool:
+        return role.owner == TOP or role not in g or role in expelled
+
+    changed = True
+    while changed:
+        changed = False
+        for stmt in p:
+            if outside(stmt.head):
+                continue
+            body = stmt.body
+            if isinstance(body, SimpleInclusion):
+                out = outside(body.source)
+            elif isinstance(body, LinkingInclusion):
+                out = outside(body.first) or any(
+                    outside(Role(x, body.second)) for x in ub.get(body.first, ())
+                )
+            elif isinstance(body, IntersectionInclusion):
+                out = all(outside(part) for part in body.parts)
+            else:
+                continue
+            if out:
+                expelled.add(stmt.head)
+                changed = True
+    return frozenset(role for role in g if role not in expelled)
+
+
+def reference_gamma_restricted(p: PolicyState, g, target: Role) -> frozenset[Role]:
+    """Restricted growth set of ``target`` by its own closure: simple and
+    linked inputs unfiltered, intersection parts kept only inside the core."""
+    g = frozenset(g)
+    coreset = dense_core(p, g)
+    ub = round_robin_upper_bound(p, RoleMonitor(growth_trusted=g))
+    if target not in coreset:
+        return frozenset()
+    grouped: dict[Role, list] = defaultdict(list)
+    for stmt in sorted(p.statements, key=str):
+        grouped[stmt.head].append(stmt)
+    found: set[Role] = {target}
+    work = [target]
+    while work:
+        role = work.pop()
+        for stmt in grouped.get(role, ()):
+            body = stmt.body
+            if isinstance(body, SimpleInclusion):
+                fresh = [body.source]
+            elif isinstance(body, LinkingInclusion):
+                fresh = [body.first]
+                fresh.extend(
+                    Role(x, body.second)
+                    for x in ub.get(body.first, frozenset())
+                    if x != TOP
+                )
+            elif isinstance(body, IntersectionInclusion):
+                fresh = [part for part in body.parts if part in coreset]
+            else:
+                continue
+            for r in fresh:
+                if r not in found:
+                    found.add(r)
+                    work.append(r)
+    return frozenset(found)

@@ -111,6 +111,23 @@ def random_monitor(rng, state: PolicyState, g_density: float = 0.8, s_density: f
     )
 
 
+def random_untrusted_link_monitor(
+    rng, state: PolicyState, g_density: float = 0.8, s_density: float = 0.8
+) -> RoleMonitor:
+    """A random monitor that leaves the first component of one linked role
+    untrusted, when the state has one, so ``TOP`` can flow through the walk."""
+    m = random_monitor(rng, state, g_density, s_density)
+    firsts = sorted(
+        {s.body.first for s in state if isinstance(s.body, LinkingInclusion)}, key=str
+    )
+    if not firsts:
+        return m
+    return RoleMonitor(
+        growth_trusted=m.growth_trusted - {rng.choice(firsts)},
+        shrink_trusted=m.shrink_trusted,
+    )
+
+
 def random_fan_state(rng: random.Random) -> PolicyState:
     """An intersection of 2-4 roles, each fed by 2-3 alternative inclusion
     sources drawn from a shared pool, so members have many overlapping

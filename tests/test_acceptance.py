@@ -11,11 +11,10 @@ import random
 import time
 
 from rtmon.analysis import (
+    bounds,
     check_bounded_containment,
     core,
     gamma_restricted,
-    lower_bound,
-    upper_bound,
 )
 from rtmon.cli import main
 from rtmon.deps import (
@@ -320,8 +319,8 @@ def test_a08e_restricted_growth_set_shields_upper_bounds():
         p = random_state(rng)
         g = random_monitor(rng, p, g_density=0.85).growth_trusted
         monitor = RoleMonitor(growth_trusted=g)
-        ub = upper_bound(p, monitor)
-        targets = [r for r in sorted(p.roles, key=str) if TOP not in ub[r]]
+        idx = bounds(p, monitor)
+        targets = [r for r in sorted(p.roles, key=str) if TOP not in idx.upper_of(r)]
         if not targets:
             return False
         target = rng.choice(targets)
@@ -330,7 +329,7 @@ def test_a08e_restricted_growth_set_shields_upper_bounds():
         if extra.head in frontier or extra in p:
             return False
         p2 = p.add(extra)
-        assert upper_bound(p2, monitor)[target] == ub[target]
+        assert bounds(p2, monitor).upper_of(target) == idx.upper_of(target)
         assert gamma_restricted(p2, g, target).roles == frontier
         return True
 
@@ -354,14 +353,14 @@ def test_a08f_shrink_trusted_supports_pin_lower_bounds():
             return False
         target, entry = rng.choice(pairs)
         assert entry.support <= monitor.shrink_trusted
-        assert entry.member in lower_bound(p, monitor)[target]
+        assert entry.member in bounds(p, monitor).lower_of(target)
         p2 = p
         for victim in sorted(p.statements, key=str):
             if victim.head not in entry.support and rng.random() < 0.5:
                 p2 = p2.remove(victim)
         for _ in range(rng.randint(0, 3)):
             p2 = p2.add(random_statement_for_state(rng, p, fresh_principal="E"))
-        assert entry.member in lower_bound(p2, monitor).get(target, frozenset())
+        assert entry.member in bounds(p2, monitor).lower_of(target)
         return True
 
     done = _cases(1007, 1000, build)
@@ -372,14 +371,14 @@ def test_a08g_untrusted_roles_bound_to_the_extremes():
     def build(rng):
         p = random_state(rng)
         monitor = random_monitor(rng, p)
-        lb = lower_bound(p, monitor)
-        ub = upper_bound(p, monitor)
+        idx = bounds(p, monitor)
         universe = frozenset(p.principals) | {TOP}
         for r in p.roles:
             if r not in monitor.shrink_trusted:
-                assert lb[r] == frozenset()
+                assert idx.lower_of(r) == frozenset()
             if r not in monitor.growth_trusted:
-                assert ub[r] == universe
+                assert r not in idx.upper
+                assert idx.upper_of(r) == universe
         return True
 
     done = _cases(1008, 1000, build)
@@ -392,16 +391,15 @@ def test_a08h_non_core_roles_have_maximal_upper_bounds_and_bounds_sandwich():
         monitor = random_monitor(rng, p)
         g = monitor.growth_trusted
         exact = evaluate(p).members
-        lb = lower_bound(p, monitor)
-        ub = upper_bound(p, monitor)
+        idx = bounds(p, monitor)
         universe = frozenset(p.principals) | {TOP}
         coreset = core(p, g)
         for r in p.roles:
             got = exact.get(r, frozenset())
-            assert lb[r] <= got
-            assert got <= ub[r] - {TOP}
+            assert idx.lower_of(r) <= got
+            assert got <= idx.upper_of(r) - {TOP}
             if r not in coreset.roles:
-                assert ub[r] == universe
+                assert idx.upper_of(r) == universe
         return True
 
     done = _cases(1009, 1000, build)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from rtmon.analysis import (
     bounds,
     check_bounded_containment,
@@ -15,10 +17,18 @@ from rtmon.deps import gamma, justified_semantics, restrict
 from rtmon.engine import check_constraint, evaluate, role_members
 from rtmon.model import (
     Constraint,
+    PolicyState,
+    Principal,
     PrincipalSet,
+    Role,
     RoleMonitor,
+    RoleName,
     RoleRef,
+    SimpleInclusion,
+    SimpleMember,
+    Statement,
     TOP,
+    roles_of,
 )
 from rtmon.parser import parse_constraint, parse_policy
 
@@ -30,10 +40,13 @@ from helpers import (
     role_strs,
     self_link_policy,
 )
+from oracles import dense_core, reference_gamma_restricted, round_robin_upper_bound
 from randgen import (
+    random_expr,
     random_monitor,
     random_state,
     random_statement_for_state,
+    random_untrusted_link_monitor,
 )
 
 
@@ -51,40 +64,41 @@ def universe_of(p):
 class TestLowerBound:
     def test_only_shrink_trusted_definitions_count(self):
         p = hazmat_policy()
-        lb = lower_bound(p, RoleMonitor(shrink_trusted=frozenset({role("ATF.hazmatDB")})))
-        assert lb[role("ATF.hazmatDB")] == frozenset({prin("Rollins")})
-        for r, got in lb.items():
+        idx = bounds(p, RoleMonitor(shrink_trusted=frozenset({role("ATF.hazmatDB")})))
+        assert idx.lower_of(role("ATF.hazmatDB")) == frozenset({prin("Rollins")})
+        for r in p.roles:
             if r != role("ATF.hazmatDB"):
-                assert got == frozenset()
+                assert idx.lower_of(r) == frozenset()
 
     def test_empty_shrink_set_gives_empty_bounds(self):
         p = self_link_policy()
-        lb = lower_bound(p, RoleMonitor())
-        assert all(v == frozenset() for v in lb.values())
+        idx = bounds(p, RoleMonitor())
+        assert all(idx.lower_of(r) == frozenset() for r in p.roles)
 
     def test_full_shrink_set_gives_exact_semantics(self):
         p = self_link_policy()
-        lb = lower_bound(p, RoleMonitor(shrink_all=True))
+        got = bounds(p, RoleMonitor(shrink_all=True))
         idx = evaluate(p)
-        assert lb == {r: role_members(idx, r) for r in p.roles}
+        assert {r: got.lower_of(r) for r in p.roles} == {r: role_members(idx, r) for r in p.roles}
 
 
 class TestUpperBound:
     def test_full_growth_set_gives_exact_semantics(self):
         p = self_link_policy()
-        ub = upper_bound(p, RoleMonitor(growth_all=True))
+        got = bounds(p, RoleMonitor(growth_all=True))
         idx = evaluate(p)
-        assert ub == {r: role_members(idx, r) for r in p.roles}
+        assert {r: got.upper_of(r) for r in p.roles} == {r: role_members(idx, r) for r in p.roles}
 
     def test_untrusted_link_target_floods_to_the_universe(self):
         p = hazmat_policy()
-        ub = upper_bound(p, dept_excluded_monitor(p))
-        assert ub[role("Emergency.responsePersonnel")] == universe_of(p)
+        idx = bounds(p, dept_excluded_monitor(p))
+        assert idx.upper_of(role("Emergency.responsePersonnel")) == universe_of(p)
 
     def test_untrusted_role_is_the_universe(self):
         p = hazmat_policy()
-        ub = upper_bound(p, dept_excluded_monitor(p))
-        assert ub[role("Emergency.dept")] == universe_of(p)
+        idx = bounds(p, dept_excluded_monitor(p))
+        assert role("Emergency.dept") not in idx.upper
+        assert idx.upper_of(role("Emergency.dept")) == universe_of(p)
 
 
 class TestCore:
@@ -173,13 +187,13 @@ class TestBoundDefaults:
         for _ in range(100):
             p = random_state(rng)
             monitor = random_monitor(rng, p)
-            lb = lower_bound(p, monitor)
-            ub = upper_bound(p, monitor)
+            idx = bounds(p, monitor)
             for r in p.roles:
                 if r not in monitor.shrink_trusted:
-                    assert lb[r] == frozenset()
+                    assert idx.lower_of(r) == frozenset()
                 if r not in monitor.growth_trusted:
-                    assert ub[r] == universe_of(p)
+                    assert r not in idx.upper
+                    assert idx.upper_of(r) == universe_of(p)
 
 
 class TestBoundSandwich:
@@ -189,12 +203,11 @@ class TestBoundSandwich:
             p = random_state(rng)
             monitor = random_monitor(rng, p)
             exact = evaluate(p).members
-            lb = lower_bound(p, monitor)
-            ub = upper_bound(p, monitor)
+            idx = bounds(p, monitor)
             for r in p.roles:
                 got = exact.get(r, frozenset())
-                assert lb[r] <= got
-                assert got <= ub[r] - {TOP}
+                assert idx.lower_of(r) <= got
+                assert got <= idx.upper_of(r) - {TOP}
 
 
 class TestNonCoreUpperBounds:
@@ -203,11 +216,11 @@ class TestNonCoreUpperBounds:
         for _ in range(100):
             p = random_state(rng)
             g = random_monitor(rng, p).growth_trusted
-            ub = upper_bound(p, RoleMonitor(growth_trusted=g))
+            idx = bounds(p, RoleMonitor(growth_trusted=g))
             coreset = core(p, g)
             for r in p.roles:
                 if r not in coreset.roles:
-                    assert ub[r] == universe_of(p)
+                    assert idx.upper_of(r) == universe_of(p)
 
     def test_core_is_sandwiched(self):
         rng = random.Random(605)
@@ -228,8 +241,8 @@ class TestRestrictedGrowthStability:
         while done < 120:
             p = random_state(rng)
             g = random_monitor(rng, p, g_density=0.85).growth_trusted
-            ub = upper_bound(p, RoleMonitor(growth_trusted=g))
-            targets = [r for r in sorted(p.roles, key=str) if TOP not in ub[r]]
+            idx = bounds(p, RoleMonitor(growth_trusted=g))
+            targets = [r for r in sorted(p.roles, key=str) if TOP not in idx.upper_of(r)]
             if not targets:
                 continue
             target = rng.choice(targets)
@@ -243,8 +256,8 @@ class TestRestrictedGrowthStability:
             if extra is None:
                 continue
             p2 = p.add(extra)
-            ub2 = upper_bound(p2, RoleMonitor(growth_trusted=g))
-            assert ub2[target] == ub[target]
+            idx2 = bounds(p2, RoleMonitor(growth_trusted=g))
+            assert idx2.upper_of(target) == idx.upper_of(target)
             assert gamma_restricted(p2, g, target).roles == gg.roles
             done += 1
 
@@ -268,15 +281,14 @@ class TestLowerBoundSupportStability:
                 continue
             target, entry = rng.choice(pairs)
             assert entry.support <= monitor.shrink_trusted
-            assert entry.member in lower_bound(p, monitor)[target]
+            assert entry.member in bounds(p, monitor).lower_of(target)
             p2 = p
             for victim in sorted(p.statements, key=str):
                 if victim.head not in entry.support and rng.random() < 0.5:
                     p2 = p2.remove(victim)
             for _ in range(rng.randint(0, 3)):
                 p2 = p2.add(random_statement_for_state(rng, p, fresh_principal="E"))
-            lb2 = lower_bound(p2, monitor)
-            assert entry.member in lb2.get(target, frozenset())
+            assert entry.member in bounds(p2, monitor).lower_of(target)
             done += 1
 
 
@@ -292,15 +304,15 @@ def test_bounds_hold_across_enumerated_reachable_states():
     while instances < 30:
         p = random_state(rng, max_principals=3, max_names=2, max_statements=5)
         monitor = random_monitor(rng, p, 0.7, 0.7)
-        lb = lower_bound(p, monitor)
-        ub = upper_bound(p, monitor)
+        idx = bounds(p, monitor)
         for p2 in reachable_states(p, monitor, max_removals=3, max_adds=2, pool_cap=8):
             got = evaluate(p2).members
             for r in p.roles:
                 actual = got.get(r, frozenset())
-                assert lb[r] <= actual
+                assert idx.lower_of(r) <= actual
+                upper = idx.upper_of(r)
                 for m in actual:
-                    assert m in ub[r] or (m not in p.principals and TOP in ub[r])
+                    assert m in upper or (m not in p.principals and TOP in upper)
         instances += 1
 
 
@@ -317,6 +329,13 @@ def test_expression_bounds_follow_the_structure():
     assert eval_upper(idx, static) == eval_lower(idx, static) == static.members
 
 
+def test_bound_walkers_reject_unknown_nodes():
+    idx = bounds(hazmat_policy(), RoleMonitor())
+    for walk in (eval_lower, eval_upper):
+        with pytest.raises(TypeError):
+            walk(idx, object())
+
+
 def test_gamma_restricted_expr_unions_roles():
     p = self_link_policy()
     q = parse_constraint("constraint q owner A: A.r | E.r <= {}")
@@ -324,3 +343,67 @@ def test_gamma_restricted_expr_unions_roles():
     assert got.roles == gamma_restricted(p, p.roles, role("A.r")).roles | gamma_restricted(
         p, p.roles, role("E.r")
     ).roles
+
+
+def restricted_cases(seed, n):
+    """Random states with monitors that often leave a linked role's first
+    component untrusted."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        p = random_state(rng, max_statements=12)
+        yield rng, p, random_untrusted_link_monitor(rng, p)
+
+
+class TestSharedEvaluatorMatchesReferences:
+    def test_upper_bound(self):
+        flowed = 0
+        for _, p, monitor in restricted_cases(610, 400):
+            ref = round_robin_upper_bound(p, monitor)
+            idx = bounds(p, monitor)
+            assert {r: idx.upper_of(r) for r in p.roles} == ref
+            flowed += any(TOP in ref[r] for r in p.roles & monitor.growth_trusted)
+        # TOP reached a growth-trusted role in enough cases to matter.
+        assert flowed >= 100
+
+    def test_core(self):
+        shrunk = 0
+        for _, p, monitor in restricted_cases(611, 400):
+            g = monitor.growth_trusted
+            got = core(p, g).roles
+            assert got == dense_core(p, g)
+            shrunk += got != g
+        assert shrunk >= 100
+
+    def test_restricted_closure(self):
+        for rng, p, monitor in restricted_cases(612, 200):
+            g = monitor.growth_trusted
+            for target in sorted(p.roles, key=str):
+                assert gamma_restricted(p, g, target).roles == reference_gamma_restricted(
+                    p, g, target
+                )
+            expr = random_expr(rng, p)
+            want = frozenset().union(
+                *(reference_gamma_restricted(p, g, r) for r in roles_of(expr))
+            )
+            assert gamma_restricted_expr(p, g, expr).roles == want
+
+
+def test_upper_bound_stores_only_growth_trusted_heads_with_members():
+    for _, p, monitor in restricted_cases(613, 300):
+        ub = upper_bound(p, monitor)
+        assert set(ub) <= monitor.growth_trusted & {s.head for s in p}
+        assert all(ub.values())
+
+
+def test_upper_bound_never_builds_the_cross_product():
+    # 2000 principals under one role name: nothing growth-trusted has
+    # members, so the bound is empty however many principals there are.
+    hub = Role(Principal("Hub"), RoleName("staff"))
+    p = PolicyState(
+        frozenset(Statement(hub, SimpleMember(Principal(f"P{i}"))) for i in range(2000))
+        | {Statement(Role(Principal("Org"), RoleName("staff")), SimpleInclusion(hub))}
+    )
+    assert upper_bound(p, RoleMonitor()) == {}
+    assert lower_bound(p, RoleMonitor()) == {}
+    assert core(p, frozenset()).roles == frozenset()
+    assert "roles" not in vars(p)

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
+import rtmon.analysis
 import rtmon.monitor
 from rtmon.cli import main
+
+from helpers import count_calls
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -82,6 +85,19 @@ class TestAnalyze:
         rc, out = run(capsys, "analyze", "support_shift.rt", "support_shift.cst", str(mon))
         assert rc == 3
         assert "unestablished" in out
+
+    def test_bounds_and_core_once_per_state(self, in_fixtures, capsys, tmp_path, monkeypatch):
+        cst = tmp_path / "two.cst"
+        cst.write_text(
+            "constraint c1 owner Emergency: Emergency.hazmatPersonnel <= ATF.hazmatDB\n"
+            "constraint c2 owner Emergency: Emergency.responsePersonnel <= ATF.hazmatTraining\n"
+        )
+        upper = count_calls(monkeypatch, rtmon.analysis.upper_bound)
+        cores = count_calls(monkeypatch, rtmon.analysis.core)
+        rc, out = run(capsys, "analyze", "hazmat.rt", str(cst), "hazmat.mon")
+        assert rc == 0
+        assert "c1: bound holds" in out and "c2: bound holds" in out
+        assert len(upper) == 1 and len(cores) == 1
 
     def test_fully_trusted_monitor_collapses_to_check(self, in_fixtures, capsys, tmp_path):
         mon = tmp_path / "star.mon"

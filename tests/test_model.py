@@ -22,7 +22,6 @@ from rtmon.model import (
     UnionExpr,
     is_static,
     roles_of,
-    roles_of_state,
 )
 
 from helpers import HAZMAT_ADD_9, hazmat_policy, prin, role, role_strs, self_link_policy, stmt
@@ -64,18 +63,18 @@ def test_intersection_compares_as_a_set():
 
 
 def test_roles_of_state_empty():
-    assert roles_of_state(PolicyState()) == frozenset()
+    assert PolicyState().roles == frozenset()
 
 
 def test_roles_of_state_is_cross_product():
     p = self_link_policy()
     # six principals, one role name
-    assert role_strs(roles_of_state(p)) == {f"{x}.r" for x in "ABCDEF"}
+    assert role_strs(p.roles) == {f"{x}.r" for x in "ABCDEF"}
 
 
 def test_roles_of_state_hazmat():
     p = hazmat_policy()
-    rs = roles_of_state(p)
+    rs = p.roles
     assert len(p.principals) == 7
     assert len(p.role_names) == 5
     assert len(rs) == 35

@@ -1,8 +1,8 @@
 import random
-import sys
 
 import pytest
 
+import rtmon.analysis
 import rtmon.engine
 from rtmon.deps import restrict
 from rtmon.engine import check_constraint, eval_expr, evaluate
@@ -30,6 +30,7 @@ from rtmon.analysis import check_bounded_containment
 from helpers import (
     HAZMAT_ADD_10,
     HAZMAT_ADD_9,
+    count_calls,
     hazmat_constraint,
     hazmat_policy,
     hazmat_policy_extended,
@@ -386,20 +387,7 @@ def test_warning_violators_match_the_post_state():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Count ``evaluate`` calls, under every name the modules look it up by."""
-    real = rtmon.engine.evaluate
-    calls = []
-
-    def counted(p):
-        calls.append(p)
-        return real(p)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "rtmon" or name.startswith("rtmon."):
-            for attr, value in list(vars(mod).items()):
-                if value is real:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
+    return count_calls(monkeypatch, rtmon.engine.evaluate)
 
 
 @pytest.mark.parametrize("mode", [FullTrust(), FullTrustCredential()], ids=["role", "credential"])
@@ -408,6 +396,21 @@ def test_full_trust_register_evaluates_once(evaluations, mode):
     rec = register(p, hazmat_constraint(), mode)
     assert rec.status is RecordStatus.HOLDING
     assert evaluations == [p]
+    # The principals x role names cross product is never built.
+    assert "roles" not in vars(p)
+
+
+def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
+    monitor = RoleMonitor(
+        growth_trusted=hazmat_policy().roles, shrink_trusted=frozenset({role("ATF.hazmatDB")})
+    )
+    upper = count_calls(monkeypatch, rtmon.analysis.upper_bound)
+    cores = count_calls(monkeypatch, rtmon.analysis.core)
+    p = hazmat_policy()
+    rec = register(p, hazmat_constraint(), RestrictedTrust(monitor))
+    assert rec.status is RecordStatus.HOLDING
+    assert upper == [p]
+    assert cores == [p]
     # The principals x role names cross product is never built.
     assert "roles" not in vars(p)
 
