@@ -56,7 +56,6 @@ from .analysis import (
     BoundIndex,
     BoundedCheck,
     CoreSet,
-    RestrictedGrowthSet,
     bounds,
     check_bounded_containment,
     core,

@@ -2,39 +2,38 @@
 
 A role monitor splits the world into roles whose growth is observable and
 roles whose shrinkage is observable.  Everything else may drift silently,
-so exact membership is replaced by a pair of bounds: the lower bound is
-what survives any unobserved shrinkage (only shrink-trusted definitions
-count), the upper bound is what any unobserved growth could produce (roles
-outside the growth-trusted set are assumed to contain everyone, including
-the reserved ``TOP`` principal standing for principals not seen yet).
-Both bounds come from the evaluator of :mod:`rtmon.engine` and are sparse:
-they hold only roles with members, the upper bound only growth-trusted
-ones, and :class:`BoundIndex` supplies the bound of every other role.
+so exact membership is replaced by a pair of bounds, both seeded runs of
+the evaluator of :mod:`rtmon.engine`: the lower bound holds roles outside
+the shrink-trusted set at the empty set, so only shrink-trusted definitions
+count; the upper bound holds roles outside the growth-trusted set at the
+universe, current principals plus the reserved ``TOP`` for principals not
+seen yet.  Both are sparse, and :class:`BoundIndex` supplies the bound of
+every role they leave out.
 
-The trusted core strips from the growth-trusted set those roles whose
-upper bound is forced to the full universe by an untrusted dependency;
-restricted growth sets then stay inside the core, giving the monitor an
+The trusted core strips from the growth-trusted set the roles whose upper
+bound an untrusted dependency forces to the universe, propagating each
+expulsion to the rules that read the expelled role through the shared rule
+index.  Restricted growth sets stay inside the core, giving the monitor an
 add-side frontier it can actually observe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
-from .deps import _growth_roles, restrict
-from .engine import _saturate, _walk_expr, evaluate
+from .deps import GrowthSet, _growth_roles, _RoleSet
+from .engine import _reads, _rule_index, _saturate, _walk_expr
 from .model import (
     Constraint,
     IntersectionInclusion,
-    LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
     Principal,
     Role,
     RoleMonitor,
     RoleRef,
-    SimpleInclusion,
+    Statement,
     TOP,
     roles_of,
 )
@@ -42,7 +41,6 @@ from .model import (
 __all__ = [
     "BoundIndex",
     "CoreSet",
-    "RestrictedGrowthSet",
     "BoundedCheck",
     "lower_bound",
     "upper_bound",
@@ -89,40 +87,21 @@ class BoundIndex:
 
 
 @dataclass(frozen=True)
-class CoreSet:
+class CoreSet(_RoleSet):
     """Growth-trusted roles not undermined by untrusted dependencies."""
 
     roles: frozenset[Role]
-
-    def __contains__(self, role: object) -> bool:
-        return role in self.roles
-
-    def __iter__(self) -> Iterator[Role]:
-        return iter(self.roles)
-
-
-@dataclass(frozen=True)
-class RestrictedGrowthSet:
-    """Growth frontier limited to roles inside the trusted core."""
-
-    target: Union[Role, PositiveRoleExpr]
-    roles: frozenset[Role]
-
-    def __contains__(self, role: object) -> bool:
-        return role in self.roles
-
-    def __iter__(self) -> Iterator[Role]:
-        return iter(self.roles)
 
 
 def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     """Membership provable from shrink-trusted definitions alone.
 
-    Statements heading an untrusted role may vanish unobserved, so only the
-    restriction of the state to shrink-trusted heads counts; roles outside
-    the shrink-trusted set therefore bound to the empty set.
+    Statements heading an untrusted role may vanish unobserved, so the
+    evaluator skips them and holds every role outside the shrink-trusted
+    set at the empty set.
     """
-    return evaluate(restrict(p, r.bind(p).shrink_trusted)).members
+    s = r.bind(p).shrink_trusted
+    return _saturate(p, lambda role: role not in s).members
 
 
 def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
@@ -169,7 +148,8 @@ def core(p: PolicyState, g: Iterable[Role], ub: Optional[Bound] = None) -> CoreS
     simply includes an expelled/untrusted role, when its linked role walks
     from one, when the walk can land on one (judged against the upper bound
     of the first component, where ``TOP`` always lands outside), or when
-    every part of an intersection it reads is out.
+    every part of an intersection it reads is out.  Each statement is
+    checked once, and again only when a role it reads is expelled.
 
     ``ub`` is ``upper_bound(p, RoleMonitor(growth_trusted=g))`` when the
     caller already holds it.
@@ -177,41 +157,34 @@ def core(p: PolicyState, g: Iterable[Role], ub: Optional[Bound] = None) -> CoreS
     g = frozenset(g)
     if ub is None:
         ub = upper_bound(p, RoleMonitor(growth_trusted=g))
+    index = _rule_index(p.statements, lambda head: head not in g)
     expelled: set[Role] = set()
 
     def outside(role: Role) -> bool:
         return role.owner == TOP or role not in g or role in expelled
 
-    changed = True
-    while changed:
-        changed = False
-        for stmt in p:
-            if outside(stmt.head):
-                continue
-            body = stmt.body
-            if isinstance(body, SimpleInclusion):
-                out = outside(body.source)
-            elif isinstance(body, LinkingInclusion):
-                out = outside(body.first) or any(
-                    outside(Role(x, body.second)) for x in ub.get(body.first, ())
-                )
-            elif isinstance(body, IntersectionInclusion):
-                out = all(outside(part) for part in body.parts)
-            else:
-                continue
-            if out:
-                expelled.add(stmt.head)
-                changed = True
+    def undermined(stmt: Statement) -> bool:
+        out = map(outside, _reads(stmt, ub))
+        return all(out) if isinstance(stmt.body, IntersectionInclusion) else any(out)
+
+    work = [stmt for rules in index.heads.values() for stmt in rules]
+    while work:
+        stmt = work.pop()
+        if stmt.head in expelled or not undermined(stmt):
+            continue
+        expelled.add(stmt.head)
+        work += index.readers.get(stmt.head, ())
+        work += index.linked.get(stmt.head.name, ())
     return CoreSet(g - expelled)
 
 
-def gamma_restricted(p: PolicyState, g: Iterable[Role], target: Role) -> RestrictedGrowthSet:
+def gamma_restricted(p: PolicyState, g: Iterable[Role], target: Role) -> GrowthSet:
     """Growth frontier of ``target`` kept inside the trusted core.
 
     A target outside the core gets the empty set: its upper bound is the
     full universe already, so no observable addition frontier exists.
     """
-    return RestrictedGrowthSet(target, gamma_restricted_expr(p, g, RoleRef(target)).roles)
+    return GrowthSet(target, gamma_restricted_expr(p, g, RoleRef(target)).roles)
 
 
 def gamma_restricted_expr(
@@ -220,7 +193,7 @@ def gamma_restricted_expr(
     expr: PositiveRoleExpr,
     ub: Optional[Bound] = None,
     coreset: Optional[CoreSet] = None,
-) -> RestrictedGrowthSet:
+) -> GrowthSet:
     """Union of restricted growth sets over the expression's roles.
 
     ``ub`` and ``coreset`` are ``upper_bound(p, RoleMonitor(growth_trusted=g))``
@@ -233,7 +206,7 @@ def gamma_restricted_expr(
         coreset = core(p, g, ub)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return RestrictedGrowthSet(expr, _growth_roles(p, roles_of(expr), ub, coreset.roles))
+    return GrowthSet(expr, _growth_roles(p, roles_of(expr), ub, coreset.roles))
 
 
 @dataclass(frozen=True)

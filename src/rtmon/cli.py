@@ -29,7 +29,7 @@ from .analysis import (
 from .deps import (
     NoSupport,
     gamma_expr,
-    minimal_supports,
+    justified_semantics,
     support_for_constraint,
 )
 from .engine import check_constraint, eval_expr, evaluate
@@ -165,15 +165,14 @@ def cmd_deps(args) -> dict:
                 support_for_constraint(state, members, q.rhs).roles
             )
             if args.all_supports:
-                per_member = {}
-                for member in sorted(members, key=str):
-                    role_sets = set()
-                    for role in sorted(roles_of(q.rhs), key=str):
-                        role_sets |= minimal_supports(state, member, role)
-                    per_member[member.name] = sorted(
-                        (_role_names(s.roles) for s in role_sets)
-                    )
-                entry["all_supports"] = per_member
+                js = justified_semantics(state)
+                found: dict = {}
+                for role in roles_of(q.rhs):
+                    for e in js.for_role(role):
+                        found.setdefault(e.member, set()).add(tuple(_role_names(e.support)))
+                entry["all_supports"] = {
+                    m.name: sorted(found.get(m, ())) for m in sorted(members, key=str)
+                }
         else:
             violated = True
             entry["support"] = None

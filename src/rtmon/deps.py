@@ -2,13 +2,14 @@
 
 Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
-frontier.  Supports answer "which roles (or which exact statements)
-currently prove the memberships the constraint needs" -- the remove-side
-frontier.  The worklist here computes, per role and member, all minimal
-supports simultaneously, pruning dominated entries as it goes; a
-configurable cap keeps the entry count per (role, member) from blowing up
-on pathological states at the cost of possibly keeping non-minimal (but
-still valid) supports.
+frontier, a closure over the rules by head of :func:`rtmon.engine._rule_index`.
+Supports answer "which roles (or which exact statements) currently prove
+the memberships the constraint needs" -- the remove-side frontier.  The
+worklist here computes, per role and member, all minimal supports at once,
+re-firing a statement only when a role :func:`rtmon.engine._reads` names for
+it changed and pruning dominated entries; a cap per (role, member) bounds
+pathological states at the cost of possibly non-minimal (still valid)
+supports.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import SemanticsIndex, evaluate
+from .engine import SemanticsIndex, _reads, _rule_index, evaluate
 from .model import (
-    IntersectionInclusion,
     LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
@@ -32,7 +32,7 @@ from .model import (
     SimpleInclusion,
     SimpleMember,
     Statement,
-    UnionExpr,
+    fold_expr,
     roles_of,
 )
 
@@ -57,31 +57,31 @@ __all__ = [
 DEFAULT_SUPPORT_CAP = 8
 
 
+class _RoleSet:
+    """Membership tests and iteration over a frontier's ``roles``."""
+
+    roles: frozenset[Role]
+
+    def __contains__(self, role: object) -> bool:
+        return role in self.roles
+
+    def __iter__(self) -> Iterator[Role]:
+        return iter(self.roles)
+
+
 @dataclass(frozen=True)
-class GrowthSet:
+class GrowthSet(_RoleSet):
     """Roles whose new statements could enlarge the target's membership."""
 
     target: Union[Role, PositiveRoleExpr]
     roles: frozenset[Role]
 
-    def __contains__(self, role: object) -> bool:
-        return role in self.roles
-
-    def __iter__(self) -> Iterator[Role]:
-        return iter(self.roles)
-
 
 @dataclass(frozen=True)
-class RoleSupport:
+class RoleSupport(_RoleSet):
     """A set of roles whose statements alone prove the needed memberships."""
 
     roles: frozenset[Role]
-
-    def __contains__(self, role: object) -> bool:
-        return role in self.roles
-
-    def __iter__(self) -> Iterator[Role]:
-        return iter(self.roles)
 
 
 @dataclass(frozen=True)
@@ -146,25 +146,12 @@ def _growth_roles(
     ``members`` gives the members a linked role walks (absent roles are
     empty); with ``within`` given, only roles inside it are kept.
     """
-    grouped: dict[Role, list[Statement]] = defaultdict(list)
-    for stmt in p.statements:
-        grouped[stmt.head].append(stmt)
+    heads = _rule_index(p.statements).heads
     found: set[Role] = {r for r in roots if within is None or r in within}
     work = list(found)
     while work:
-        role = work.pop()
-        for stmt in grouped.get(role, ()):
-            body = stmt.body
-            if isinstance(body, SimpleInclusion):
-                fresh = [body.source]
-            elif isinstance(body, LinkingInclusion):
-                fresh = [body.first]
-                fresh.extend(Role(x, body.second) for x in members.get(body.first, ()))
-            elif isinstance(body, IntersectionInclusion):
-                fresh = list(body.parts)
-            else:
-                continue
-            for r in fresh:
+        for stmt in heads.get(work.pop(), ()):
+            for r in _reads(stmt, members):
                 if r not in found and (within is None or r in within):
                     found.add(r)
                     work.append(r)
@@ -172,12 +159,8 @@ def _growth_roles(
 
 
 def gamma(p: PolicyState, target: Role) -> GrowthSet:
-    """Close ``{target}`` under the definitions reachable from it.
-
-    Simple and intersection inclusions pull in the roles they read; a
-    linked role pulls in its first component plus ``X.r2`` for every
-    current member X of that component.
-    """
+    """Close ``{target}`` under the roles the statements heading each found
+    role read, a linked role walking its first role's current members."""
     return GrowthSet(target, _growth_roles(p, (target,), evaluate(p).members))
 
 
@@ -218,24 +201,12 @@ def _worklist(
 
     Statements fire in a fixed order over insertion-ordered entries, so the
     result does not depend on hash seeds even under the cap.  A statement
-    fires again only when one of its input roles changed since it last
-    fired (for a linked rule: its first role or any role carrying its
-    second name), or when a dominance eviction freed room under the cap in
-    its head, which may admit a candidate the cap dropped before.
+    fires again only when a role it reads changed since it last fired (for
+    a linked rule: its first role or any role carrying its second name), or
+    when a dominance eviction freed room under the cap in its head, which
+    may admit a candidate the cap dropped before.
     """
-    rules = []
-    for stmt in sorted(p.statements, key=str):
-        body = stmt.body
-        if isinstance(body, SimpleInclusion):
-            inputs: tuple[Role, ...] = (body.source,)
-        elif isinstance(body, LinkingInclusion):
-            inputs = (body.first,)
-        elif isinstance(body, IntersectionInclusion):
-            inputs = tuple(sorted(body.part_set, key=str))
-        else:
-            inputs = ()
-        rules.append((stmt, frozenset((token(stmt),)), inputs))
-
+    rules = [(s, frozenset((token(s),)), _reads(s)) for s in sorted(p.statements, key=str)]
     cur: _Saturated = defaultdict(dict)
     # Logical clock: a role's stamp is the tick of its last change; a rule
     # remembers the tick at which it last fired.
@@ -344,9 +315,10 @@ def _supports(raw: _Saturated, role: Role, member: Principal) -> list[frozenset]
     return [sup for sup, _ in raw.get(role, {}).get(member, ())]
 
 
-def _best(candidates: list[frozenset]) -> frozenset:
-    """Deterministic pick: smallest support, ties lexicographic."""
-    return min(candidates, key=lambda s: (len(s), sorted(str(x) for x in s)))
+def _best(candidates: list[frozenset]) -> Optional[frozenset]:
+    """Deterministic pick: smallest support, ties lexicographic; ``None``
+    when there is no candidate."""
+    return min(candidates, key=lambda s: (len(s), sorted(str(x) for x in s)), default=None)
 
 
 def _member_expr_support(
@@ -358,26 +330,19 @@ def _member_expr_support(
     the member (preferring the smaller support); an intersection unions
     the supports of both branches.  ``None`` means not witnessable.
     """
-    if isinstance(expr, PrincipalSet):
-        return frozenset() if member in expr.members else None
-    if isinstance(expr, RoleRef):
-        candidates = _supports(raw, expr.role, member)
-        return _best(candidates) if candidates else None
-    if isinstance(expr, UnionExpr):
-        branches = [
-            got
-            for got in (
-                _member_expr_support(member, expr.left, raw),
-                _member_expr_support(member, expr.right, raw),
-            )
-            if got is not None
-        ]
-        return _best(branches) if branches else None
-    left = _member_expr_support(member, expr.left, raw)
-    right = _member_expr_support(member, expr.right, raw)
-    if left is None or right is None:
-        return None
-    return left | right
+
+    def leaf(e: Union[PrincipalSet, RoleRef]) -> Optional[frozenset]:
+        if isinstance(e, PrincipalSet):
+            return frozenset() if member in e.members else None
+        return _best(_supports(raw, e.role, member))
+
+    def either(left: Optional[frozenset], right: Optional[frozenset]) -> Optional[frozenset]:
+        return _best([got for got in (left, right) if got is not None])
+
+    def both(left: Optional[frozenset], right: Optional[frozenset]) -> Optional[frozenset]:
+        return None if left is None or right is None else left | right
+
+    return fold_expr(expr, leaf, either, both)
 
 
 def support_for_constraint(

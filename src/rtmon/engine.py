@@ -1,36 +1,38 @@
 """Bottom-up fixpoint evaluation of policy states and constraint checking.
 
 Membership is the least model of the clauses induced by the four statement
-forms.  The evaluator indexes the rules once per call by the roles they
-read (a linked rule ``A.r <- A.r1.r2`` under ``A.r1`` and under the role
-name ``r2``) and runs semi-naive rounds: a rule fires only on the members
-its inputs gained in the previous round, joined with what the other inputs
-already hold.  Results are independent of statement order.  The same loop
-computes the upper bound of restricted trust, with the roles nobody
-observes held at the universe of principals.
+forms.  :func:`_reads` is the one place that says which roles a statement
+reads, and :func:`_rule_index` the one builder of the index every fixpoint
+pass shares: rules by the roles they read, linked rules by the name of
+their second role, rules by head, and the member facts.  The evaluator
+builds it once per call and runs semi-naive rounds: a rule fires only on
+the members its inputs gained in the previous round, joined with what the
+other inputs already hold.  Results are independent of statement order.
+Seeded with fixed roles, the same loop gives both bounds of restricted
+trust.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .model import (
     Constraint,
-    IntersectionExpr,
+    IntersectionInclusion,
     LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
     Principal,
-    PrincipalSet,
     Role,
     RoleName,
     RoleRef,
     SimpleInclusion,
     SimpleMember,
     Statement,
-    UnionExpr,
+    fold_expr,
 )
 
 __all__ = [
@@ -80,6 +82,59 @@ def evaluate(p: PolicyState) -> SemanticsIndex:
     return _saturate(p)
 
 
+def _reads(
+    stmt: Statement, walk: Optional[Mapping[Role, Iterable[Principal]]] = None
+) -> tuple[Role, ...]:
+    """The roles ``stmt`` reads: the source of a simple inclusion, the first
+    role of a linked one, the parts of an intersection (in name order),
+    none for a member fact.  With ``walk`` given, ``A.r <- A.r1.r2`` also
+    reads ``Y.r2`` for every ``Y`` that ``walk`` holds for ``A.r1``."""
+    body = stmt.body
+    if isinstance(body, SimpleInclusion):
+        return (body.source,)
+    if isinstance(body, LinkingInclusion):
+        walked = walk.get(body.first, ()) if walk is not None else ()
+        return (body.first, *(Role(y, body.second) for y in walked))
+    if isinstance(body, IntersectionInclusion):
+        return tuple(sorted(body.part_set, key=str))
+    return ()
+
+
+@dataclass(frozen=True)
+class _RuleIndex:
+    """Statements indexed for fixpoint passes: member facts and rules (the
+    other statements) by head, rules by each role they read, and linked
+    rules by the name of their second role."""
+
+    facts: Mapping[Role, list[Principal]]
+    heads: Mapping[Role, list[Statement]]
+    readers: Mapping[Role, list[Statement]]
+    linked: Mapping[RoleName, list[Statement]]
+
+
+def _rule_index(
+    statements: Iterable[Statement], skip: Optional[Callable[[Role], bool]] = None
+) -> _RuleIndex:
+    """Index ``statements``, leaving out those whose head ``skip`` selects."""
+    facts: dict[Role, list[Principal]] = defaultdict(list)
+    heads: dict[Role, list[Statement]] = defaultdict(list)
+    readers: dict[Role, list[Statement]] = defaultdict(list)
+    linked: dict[RoleName, list[Statement]] = defaultdict(list)
+    for stmt in statements:
+        if skip is not None and skip(stmt.head):
+            continue
+        body = stmt.body
+        if isinstance(body, SimpleMember):
+            facts[stmt.head].append(body.member)
+            continue
+        heads[stmt.head].append(stmt)
+        for role in _reads(stmt):
+            readers[role].append(stmt)
+        if isinstance(body, LinkingInclusion):
+            linked[body.second].append(stmt)
+    return _RuleIndex(facts, heads, readers, linked)
+
+
 def _saturate(
     p: PolicyState,
     fixed: Optional[Callable[[Role], bool]] = None,
@@ -91,29 +146,15 @@ def _saturate(
     A fixed role is never stored and never gains: statements heading it are
     skipped, reading it returns ``universe``, and it enters the first round
     as new members for every rule that reads it by name.  Without ``fixed``
-    this is exact membership.
+    this is exact membership; with an empty ``universe`` it is membership
+    in the state restricted to the heads ``fixed`` leaves out.
     """
-    members: dict[Role, set[Principal]] = {}
-    # Rules by input role, and linked rules by the name of their second role.
-    readers: dict[Role, list[Statement]] = defaultdict(list)
-    linked_by_name: dict[RoleName, list[Statement]] = defaultdict(list)
-    for stmt in p.statements:
-        if fixed is not None and fixed(stmt.head):
-            continue
-        body = stmt.body
-        if isinstance(body, SimpleMember):
-            members.setdefault(stmt.head, set()).add(body.member)
-        elif isinstance(body, SimpleInclusion):
-            readers[body.source].append(stmt)
-        elif isinstance(body, LinkingInclusion):
-            readers[body.first].append(stmt)
-            linked_by_name[body.second].append(stmt)
-        else:
-            for part in body.part_set:
-                readers[part].append(stmt)
-    delta: dict[Role, AbstractSet[Principal]] = {
-        role: set(found) for role, found in members.items()
+    index = _rule_index(p.statements, fixed)
+    readers, linked = index.readers, index.linked
+    members: dict[Role, set[Principal]] = {
+        role: set(found) for role, found in index.facts.items()
     }
+    delta: dict[Role, Iterable[Principal]] = dict(index.facts)
     if fixed is not None:
         # A fixed second component ``Y.r2`` needs no seed: the walk from the
         # first component reads it at ``universe`` when ``Y`` arrives there.
@@ -149,7 +190,7 @@ def _saturate(
                 else:
                     others = [read(part) for part in body.parts if part != role]
                     gain(stmt.head, (x for x in added if all(x in o for o in others)), fresh)
-            for stmt in linked_by_name.get(role.name, ()):
+            for stmt in linked.get(role.name, ()):
                 # ``role`` may be the second component, reached through its owner.
                 if role.owner in read(stmt.body.first):
                     gain(stmt.head, added, fresh)
@@ -174,15 +215,12 @@ def _walk_expr(
     expr: PositiveRoleExpr, members_of: Callable[[Role], frozenset[Principal]]
 ) -> frozenset[Principal]:
     """Evaluate ``expr`` with each role read through ``members_of``."""
-    if isinstance(expr, PrincipalSet):
-        return expr.members
-    if isinstance(expr, RoleRef):
-        return members_of(expr.role)
-    if isinstance(expr, UnionExpr):
-        return _walk_expr(expr.left, members_of) | _walk_expr(expr.right, members_of)
-    if isinstance(expr, IntersectionExpr):
-        return _walk_expr(expr.left, members_of) & _walk_expr(expr.right, members_of)
-    raise TypeError(f"unknown expression node: {expr!r}")
+    return fold_expr(
+        expr,
+        lambda e: members_of(e.role) if isinstance(e, RoleRef) else e.members,
+        operator.or_,
+        operator.and_,
+    )
 
 
 @dataclass(frozen=True)

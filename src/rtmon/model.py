@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 __all__ = [
     "RESERVED_PRINCIPAL",
@@ -35,6 +35,7 @@ __all__ = [
     "UnionExpr",
     "IntersectionExpr",
     "PositiveRoleExpr",
+    "fold_expr",
     "roles_of",
     "is_static",
     "principals_of_expr",
@@ -43,6 +44,8 @@ __all__ = [
     "ChangeKind",
     "ChangeEvent",
 ]
+
+_T = TypeVar("_T")
 
 #: Name reserved for the "any principal" placeholder used by bound analysis.
 RESERVED_PRINCIPAL = "TOP"
@@ -351,13 +354,48 @@ class IntersectionExpr:
 PositiveRoleExpr = Union[PrincipalSet, RoleRef, UnionExpr, IntersectionExpr]
 
 
+def fold_expr(
+    expr: PositiveRoleExpr,
+    leaf: Callable[[Union[PrincipalSet, RoleRef]], _T],
+    union: Callable[[_T, _T], _T],
+    intersection: Callable[[_T, _T], _T],
+) -> _T:
+    """Fold ``expr`` bottom-up: ``leaf`` maps each principal set and role
+    reference, ``union`` and ``intersection`` combine the results of a
+    node's two sides.  An explicit stack replaces recursion, so any nesting
+    depth folds.  Raises ``TypeError`` on a node of unknown type."""
+    done: list[_T] = []
+    todo: list[tuple[PositiveRoleExpr, bool]] = [(expr, False)]
+    while todo:
+        node, sides_done = todo.pop()
+        if isinstance(node, (UnionExpr, IntersectionExpr)):
+            if sides_done:
+                right = done.pop()
+                combine = union if isinstance(node, UnionExpr) else intersection
+                done.append(combine(done.pop(), right))
+            else:
+                todo += ((node, True), (node.right, False), (node.left, False))
+        elif isinstance(node, (PrincipalSet, RoleRef)):
+            done.append(leaf(node))
+        else:
+            raise TypeError(f"unknown expression node: {node!r}")
+    return done[0]
+
+
+def _merge(a: set, b: set) -> set:
+    """Union of two fresh sets, copying the smaller into the larger, so a
+    fold over n leaves copies O(n log n) elements, not O(n^2)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
 def roles_of(expr: PositiveRoleExpr) -> frozenset[Role]:
     """The finite set of roles occurring in the expression."""
-    if isinstance(expr, PrincipalSet):
-        return frozenset()
-    if isinstance(expr, RoleRef):
-        return frozenset((expr.role,))
-    return roles_of(expr.left) | roles_of(expr.right)
+    return frozenset(
+        fold_expr(expr, lambda e: {e.role} if isinstance(e, RoleRef) else set(), _merge, _merge)
+    )
 
 
 def is_static(expr: PositiveRoleExpr) -> bool:
@@ -367,11 +405,11 @@ def is_static(expr: PositiveRoleExpr) -> bool:
 
 def principals_of_expr(expr: PositiveRoleExpr) -> frozenset[Principal]:
     """Every principal occurring in the expression, role owners included."""
-    if isinstance(expr, PrincipalSet):
-        return expr.members
-    if isinstance(expr, RoleRef):
-        return frozenset((expr.role.owner,))
-    return principals_of_expr(expr.left) | principals_of_expr(expr.right)
+
+    def leaf(e: Union[PrincipalSet, RoleRef]) -> set[Principal]:
+        return {e.role.owner} if isinstance(e, RoleRef) else set(e.members)
+
+    return frozenset(fold_expr(expr, leaf, _merge, _merge))
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
 from .analysis import (
-    RestrictedGrowthSet,
     bounds,
     check_bounded_containment,
     core,
@@ -125,7 +124,7 @@ class MonitorRecord:
 
     constraint: Constraint
     mode: MonitorMode
-    gamma_cache: Optional[Union[GrowthSet, RestrictedGrowthSet]]
+    gamma_cache: Optional[GrowthSet]
     support_cache: Optional[Union[RoleSupport, CredentialSupport]]
     status: RecordStatus
     violators: frozenset[Principal] = frozenset()
@@ -256,17 +255,15 @@ class ChangeResult:
     record: MonitorRecord
 
 
+def _apply(p: PolicyState, ev: ChangeEvent) -> PolicyState:
+    """The state after ``ev``: ``p`` itself when the event is a no-op."""
+    return p.add(ev.statement) if ev.kind is ChangeKind.ADD else p.remove(ev.statement)
+
+
 def apply_change(rec: MonitorRecord, p: PolicyState, ev: ChangeEvent) -> ChangeResult:
     """Apply one event for one record; no-ops are always ignorable."""
-    if ev.kind is ChangeKind.ADD:
-        noop = ev.statement in p
-        new_state = p.add(ev.statement)
-    else:
-        noop = ev.statement not in p
-        new_state = p.remove(ev.statement)
-    if rec.status is RecordStatus.HOLDING and noop:
-        return ChangeResult(new_state, None, rec)
-    warning, fresh = _react(rec, new_state, ev, noop)
+    new_state = _apply(p, ev)
+    warning, fresh = _react(rec, new_state, ev, new_state is p)
     return ChangeResult(new_state, warning, fresh)
 
 
@@ -296,17 +293,10 @@ def run_session(
     warnings: list[MonitorWarning] = []
     state = p
     for ev in log:
-        if ev.kind is ChangeKind.ADD:
-            noop = ev.statement in state
-            state = state.add(ev.statement)
-        else:
-            noop = ev.statement not in state
-            state = state.remove(ev.statement)
+        new_state = _apply(state, ev)
+        noop, state = new_state is state, new_state
         for i, rec in enumerate(records):
-            if rec.status is RecordStatus.HOLDING and noop:
-                continue
-            warning, fresh = _react(rec, state, ev, noop)
+            warning, records[i] = _react(rec, state, ev, noop)
             if warning is not None:
                 warnings.append(warning)
-            records[i] = fresh
     return SessionResult(state, tuple(warnings), tuple(records), initial)

@@ -42,6 +42,7 @@ from .model import (
     SimpleMember,
     Statement,
     UnionExpr,
+    fold_expr,
 )
 
 __all__ = [
@@ -429,25 +430,19 @@ def serialize_policy(p: PolicyState) -> str:
     return "".join(line + "\n" for line in sorted(str(s) for s in p.statements))
 
 
-def _prec(expr: PositiveRoleExpr) -> int:
-    if isinstance(expr, UnionExpr):
-        return 0
-    if isinstance(expr, IntersectionExpr):
-        return 1
-    return 2
-
-
 def serialize_expr(expr: PositiveRoleExpr) -> str:
-    if isinstance(expr, (PrincipalSet, RoleRef)):
-        return str(expr)
-    op, prec = (" | ", 0) if isinstance(expr, UnionExpr) else (" & ", 1)
-    left = serialize_expr(expr.left)
-    if _prec(expr.left) < prec:
-        left = f"({left})"
-    right = serialize_expr(expr.right)
-    if _prec(expr.right) <= prec:
-        right = f"({right})"
-    return left + op + right
+    """Render ``expr`` in the syntax :func:`parse_expr` reads, with only the
+    parentheses that precedence and left association need."""
+
+    def join(op: str, prec: int):
+        def combine(left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+            text_l = left[0] if left[1] >= prec else f"({left[0]})"
+            text_r = right[0] if right[1] > prec else f"({right[0]})"
+            return text_l + op + text_r, prec
+
+        return combine
+
+    return fold_expr(expr, lambda e: (str(e), 2), join(" | ", 0), join(" & ", 1))[0]
 
 
 def serialize_constraint(q: Constraint) -> str:

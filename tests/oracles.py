@@ -5,15 +5,17 @@ are found by exhaustive restriction instead of the justification worklist,
 and reachable states are enumerated explicitly instead of being reasoned
 about through bounds.  ``dense_evaluate`` and ``round_robin_worklist`` keep
 the plain evaluator and support worklist the library used before its
-indexed, change-driven ones, and ``round_robin_upper_bound``, ``dense_core``
+indexed, change-driven ones, ``round_robin_upper_bound``, ``dense_core``
 and ``reference_gamma_restricted`` the restricted-trust passes it used
-before they ran on that evaluator, as slow references for differential
-tests.
+before they ran on that evaluator, and ``round_robin_core`` the trusted
+core it rescanned every statement for before core became a propagation, as
+slow references for differential tests.
 """
 
 from collections import defaultdict
 from itertools import combinations, product
 
+from rtmon.analysis import upper_bound
 from rtmon.deps import restrict
 from rtmon.engine import evaluate
 from rtmon.model import (
@@ -321,3 +323,36 @@ def reference_gamma_restricted(p: PolicyState, g, target: Role) -> frozenset[Rol
                     found.add(r)
                     work.append(r)
     return frozenset(found)
+
+
+def round_robin_core(p: PolicyState, g) -> frozenset[Role]:
+    """Trusted core against the library's sparse upper bound, rescanning
+    every statement until a pass expels nothing."""
+    g = frozenset(g)
+    ub = upper_bound(p, RoleMonitor(growth_trusted=g))
+    expelled: set[Role] = set()
+
+    def outside(role: Role) -> bool:
+        return role.owner == TOP or role not in g or role in expelled
+
+    changed = True
+    while changed:
+        changed = False
+        for stmt in p:
+            if outside(stmt.head):
+                continue
+            body = stmt.body
+            if isinstance(body, SimpleInclusion):
+                out = outside(body.source)
+            elif isinstance(body, LinkingInclusion):
+                out = outside(body.first) or any(
+                    outside(Role(x, body.second)) for x in ub.get(body.first, ())
+                )
+            elif isinstance(body, IntersectionInclusion):
+                out = all(outside(part) for part in body.parts)
+            else:
+                continue
+            if out:
+                expelled.add(stmt.head)
+                changed = True
+    return g - expelled

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rtmon.engine
 from rtmon.analysis import (
     bounds,
     check_bounded_containment,
@@ -33,6 +34,7 @@ from rtmon.model import (
 from rtmon.parser import parse_constraint, parse_policy
 
 from helpers import (
+    count_calls,
     hazmat_constraint,
     hazmat_policy,
     prin,
@@ -40,7 +42,12 @@ from helpers import (
     role_strs,
     self_link_policy,
 )
-from oracles import dense_core, reference_gamma_restricted, round_robin_upper_bound
+from oracles import (
+    dense_core,
+    reference_gamma_restricted,
+    round_robin_core,
+    round_robin_upper_bound,
+)
 from randgen import (
     random_expr,
     random_monitor,
@@ -386,6 +393,49 @@ class TestSharedEvaluatorMatchesReferences:
                 *(reference_gamma_restricted(p, g, r) for r in roles_of(expr))
             )
             assert gamma_restricted_expr(p, g, expr).roles == want
+
+
+class TestPropagatedCoreMatchesRoundRobin:
+    @pytest.mark.parametrize("make_monitor", [random_monitor, random_untrusted_link_monitor])
+    def test_random_states(self, make_monitor):
+        rng = random.Random(614)
+        shrunk = 0
+        for _ in range(400):
+            p = random_state(rng, max_statements=12)
+            g = make_monitor(rng, p).growth_trusted
+            got = core(p, g).roles
+            assert got == round_robin_core(p, g)
+            shrunk += got != g
+        assert shrunk >= 100
+
+    def test_deep_chain_expelled_from_its_untrusted_end(self, monkeypatch):
+        # R0 <- R1 <- ... <- R300 with R300 untrusted: every role of the
+        # chain goes, the last link first.
+        chain = [Role(Principal(f"P{i}"), RoleName("r")) for i in range(301)]
+        p = PolicyState(
+            frozenset(Statement(a, SimpleInclusion(b)) for a, b in zip(chain, chain[1:]))
+            | {Statement(chain[-1], SimpleMember(Principal("M")))}
+        )
+        g = frozenset(chain[:-1]) | {role("Other.r")}
+        ub = upper_bound(p, RoleMonitor(growth_trusted=g))
+        reads = count_calls(monkeypatch, rtmon.engine._reads)
+        got = core(p, g, ub).roles
+        # One read per statement to index it, one to check it, and one more
+        # per expelled input; rescanning until stable would read ~300
+        # statements 300 times.
+        assert len(reads) <= 3 * len(p)
+        assert got == {role("Other.r")} == round_robin_core(p, g)
+
+
+def test_lower_bound_is_evaluation_of_the_shrink_trusted_restriction():
+    rng = random.Random(615)
+    for n in range(400):
+        p = random_state(rng, max_statements=12)
+        monitor = random_untrusted_link_monitor(rng, p) if n % 2 else random_monitor(rng, p)
+        if n % 10 == 0:
+            monitor = RoleMonitor(shrink_all=True)
+        want = evaluate(restrict(p, monitor.bind(p).shrink_trusted)).members
+        assert lower_bound(p, monitor) == want
 
 
 def test_upper_bound_stores_only_growth_trusted_heads_with_members():

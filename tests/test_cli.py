@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import rtmon.analysis
+import rtmon.deps
 import rtmon.monitor
 from rtmon.cli import main
 
@@ -71,6 +72,31 @@ class TestCheck:
         rc, out = run(capsys, "check", "hazmat.rt", str(empty))
         assert rc == 0
         assert out == ""
+
+
+class TestDeps:
+    @pytest.mark.parametrize("n_members", [1, 6])
+    def test_all_supports_saturate_once_per_constraint(
+        self, capsys, tmp_path, monkeypatch, n_members
+    ):
+        policy = tmp_path / "members.rt"
+        policy.write_text(
+            "A.r <- B.r\nA.r <- C.r\n"
+            + "".join(f"B.r <- M{i}\nC.r <- M{i}\n" for i in range(n_members))
+        )
+        constraints = tmp_path / "members.cst"
+        constraints.write_text("constraint q owner A: A.r <= A.r | B.r\n")
+        runs = count_calls(monkeypatch, rtmon.deps._worklist)
+        rc, out = run(
+            capsys, "--format", "machine", "deps", str(policy), str(constraints), "--all-supports"
+        )
+        assert rc == 0
+        supports = json.loads(out)["result"]["constraints"][0]["all_supports"]
+        assert supports == {
+            f"M{i}": [["A.r", "B.r"], ["A.r", "C.r"], ["B.r"]] for i in range(n_members)
+        }
+        # One run for the support and one for every member's supports.
+        assert len(runs) == 2
 
 
 class TestAnalyze:
@@ -216,8 +242,8 @@ class TestMonitor:
 class TestInternalErrors:
     @pytest.mark.parametrize(
         "expr",
-        [" | ".join(["ATF.hazmatDB"] * 1500), "(" * 1200 + "ATF.hazmatDB" + ")" * 1200],
-        ids=["long-union", "deep-parentheses"],
+        ["(" * 1200 + "ATF.hazmatDB" + ")" * 1200],
+        ids=["deep-parentheses"],
     )
     def test_crash_exits_4_not_1(self, in_fixtures, capsys, expr):
         rc = main(["query", "hazmat.rt", expr])
@@ -227,6 +253,37 @@ class TestInternalErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("rtmon: internal error: RecursionError")
+
+
+class TestLongExpressions:
+    @pytest.mark.parametrize("verb", ["query", "check", "deps", "monitor"])
+    def test_verbs_answer_on_a_1500_term_union(self, in_fixtures, capsys, tmp_path, verb):
+        lhs = " | ".join(["ATF.hazmatDB"] * 1500)
+        rhs = " | ".join(["ATF.hazmatTraining"] * 1500)
+        constraints = tmp_path / "long.cst"
+        constraints.write_text(f"constraint long owner ATF: {lhs} <= {rhs}\n")
+        args = {
+            "query": ["query", "hazmat.rt", lhs],
+            "check": ["check", "hazmat.rt", str(constraints)],
+            "deps": ["deps", "hazmat.rt", str(constraints), "--all-supports"],
+            "monitor": ["monitor", "hazmat.rt", str(constraints), "hazmat.changes"],
+        }[verb]
+        rc, out = run(capsys, "--format", "machine", *args)
+        assert rc == 0
+        result = json.loads(out)["result"]
+        if verb == "query":
+            assert result["members"] == ["Rollins"]
+            assert result["expr"] == lhs
+        elif verb == "monitor":
+            assert result["initial"][0]["status"] == "holding"
+            assert result["final_records"][0]["support"] == ["ATF.hazmatTraining"]
+        else:
+            assert result["constraints"][0]["satisfied"]
+        if verb == "deps":
+            assert result["constraints"][0]["gamma"] == ["ATF.hazmatDB"]
+            assert result["constraints"][0]["all_supports"] == {
+                "Rollins": [["ATF.hazmatTraining"]]
+            }
 
 
 class TestReports:

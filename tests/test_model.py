@@ -2,6 +2,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from rtmon.deps import support_for_constraint
+from rtmon.engine import eval_expr, evaluate
 from rtmon.model import (
     ChangeEvent,
     ChangeKind,
@@ -20,9 +22,12 @@ from rtmon.model import (
     Statement,
     TOP,
     UnionExpr,
+    fold_expr,
     is_static,
+    principals_of_expr,
     roles_of,
 )
+from rtmon.parser import parse_expr, serialize_expr
 
 from helpers import HAZMAT_ADD_9, hazmat_policy, prin, role, role_strs, self_link_policy, stmt
 
@@ -140,6 +145,46 @@ def test_expression_static_and_roles():
     assert not is_static(compound)
     assert role_strs(roles_of(compound)) == {"A.r", "B.s"}
     assert is_static(compound) == (not roles_of(compound))
+
+
+def test_fold_visits_sides_left_to_right():
+    expr = UnionExpr(
+        IntersectionExpr(RoleRef(role("A.r")), PrincipalSet(frozenset({prin("B")}))),
+        RoleRef(role("C.s")),
+    )
+    got = fold_expr(expr, str, lambda a, b: f"({a} | {b})", lambda a, b: f"({a} & {b})")
+    assert got == "((A.r & {B}) | C.s)"
+    with pytest.raises(TypeError):
+        fold_expr(UnionExpr(RoleRef(role("A.r")), "A.r"), str, max, max)
+
+
+def chain(n: int, right: bool):
+    """A union of ``n`` terms nested ``n - 1`` deep to the left or right:
+    roles ``Pi.r`` for i < n - 1 and a principal set ``{Q}`` at the end."""
+    leaves = [RoleRef(role(f"P{i}.r")) for i in range(n - 1)]
+    leaves.append(PrincipalSet(frozenset({prin("Q")})))
+    node = leaves.pop() if right else leaves.pop(0)
+    while leaves:
+        node = UnionExpr(leaves.pop(), node) if right else UnionExpr(node, leaves.pop(0))
+    return node
+
+
+@pytest.mark.parametrize("right", [False, True], ids=["left-nested", "right-nested"])
+def test_expression_walkers_fold_a_1500_deep_union(right):
+    expr = chain(1500, right)
+    wanted = {f"P{i}.r" for i in range(1499)}
+    assert role_strs(roles_of(expr)) == wanted
+    owners = {f"P{i}" for i in range(1499)}
+    assert {p.name for p in principals_of_expr(expr)} == owners | {"Q"}
+    p = PolicyState(frozenset({stmt("P7.r <- M")}))
+    assert eval_expr(evaluate(p), expr) == {prin("M"), prin("Q")}
+    assert support_for_constraint(p, {prin("M"), prin("Q")}, expr).roles == {role("P7.r")}
+    text = serialize_expr(expr)
+    if right:
+        assert text.count("(") == 1498
+    else:
+        assert text == " | ".join([f"P{i}.r" for i in range(1499)] + ["{Q}"])
+        assert serialize_expr(parse_expr(text)) == text
 
 
 def test_monitor_bind_expands_wildcards():

@@ -422,3 +422,47 @@ def test_session_keeps_the_initial_records():
     session = run_session(p, [(q, FullTrust())], log)
     assert session.initial == (register(p, q, FullTrust()),)
     assert session.records[0].status is RecordStatus.VIOLATED
+
+
+def test_session_steps_each_record_like_apply_change():
+    # run_session and apply_change share one event step, no-ops included.
+    rng = random.Random(703)
+    modes = [
+        lambda p: FullTrust(),
+        lambda p: FullTrustCredential(),
+        lambda p: RestrictedTrust(random_monitor(rng, p, 0.85, 0.85)),
+    ]
+    noops = 0
+    for n in range(90):
+        p = random_state(rng)
+        regs = [(biased_satisfied_constraint(rng, p, f"q{i}"), modes[n % 3](p)) for i in range(2)]
+        log = []
+        state = p
+        for _ in range(6):
+            if rng.random() < 0.5 or not state.statements:
+                ev = ChangeEvent(ChangeKind.ADD, random_statement_for_state(rng, state, "E"))
+            else:
+                ev = ChangeEvent(ChangeKind.REMOVE, rng.choice(sorted(state.statements, key=str)))
+            log.append(ev)
+            if rng.random() < 0.3:
+                log.append(ev)  # the same event again is a no-op
+                noops += 1
+            if ev.kind is ChangeKind.ADD:
+                state = state.add(ev.statement)
+            else:
+                state = state.remove(ev.statement)
+        session = run_session(p, regs, log)
+        records = [register(p, q, mode) for q, mode in regs]
+        warnings = []
+        state = p
+        for ev in log:
+            for i, rec in enumerate(records):
+                got = apply_change(rec, state, ev)
+                if got.warning is not None:
+                    warnings.append(got.warning)
+                records[i] = got.record
+            state = got.new_state
+        assert session.final_state == state
+        assert session.warnings == tuple(warnings)
+        assert session.records == tuple(records)
+    assert noops >= 50
