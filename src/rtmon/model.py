@@ -339,16 +339,67 @@ class RoleRef:
         return str(self.role)
 
 
-@dataclass(frozen=True, slots=True)
-class UnionExpr:
-    left: "PositiveRoleExpr"
-    right: "PositiveRoleExpr"
+class _BinaryExpr:
+    """Equality, hash and repr of a union or intersection node, without
+    recursion, so expressions of any depth compare, hash and print.
+
+    The hash is computed once, from the children's cached hashes, and equals
+    the field-tuple hash a generated ``__hash__`` would give.
+    """
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, _BinaryExpr):
+                if a._hash != b._hash:
+                    return False
+                todo += ((a.right, b.right), (a.left, b.left))
+            elif a != b:
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        todo: list[object] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, _BinaryExpr):
+                name = item.__class__.__qualname__
+                todo += (")", item.right, ", right=", item.left, f"{name}(left=")
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
-class IntersectionExpr:
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class UnionExpr(_BinaryExpr):
     left: "PositiveRoleExpr"
     right: "PositiveRoleExpr"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class IntersectionExpr(_BinaryExpr):
+    left: "PositiveRoleExpr"
+    right: "PositiveRoleExpr"
+    _hash: int = field(init=False, repr=False, compare=False)
 
 
 PositiveRoleExpr = Union[PrincipalSet, RoleRef, UnionExpr, IntersectionExpr]

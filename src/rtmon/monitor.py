@@ -8,6 +8,14 @@ set, or a removed statement outside the support -- and in that case the
 constraint (or its conservative bound) provably still holds without
 re-evaluation.  A crossing change triggers a full re-check and a cache
 rebuild, and the owner is warned either way.
+
+``_frontier`` is the one definition of crossing: ``classify`` reads it per
+record, and ``run_session`` indexes it by key, so a session routes each
+event straight to the records whose frontier it crosses.  The session keeps
+the live statements in one mutable set and builds a ``PolicyState`` only
+when some record re-registers, so an event outside every frontier costs a
+set update and a few dictionary lookups, whatever the policy size and the
+number of constraints.
 """
 
 from __future__ import annotations
@@ -38,7 +46,11 @@ from .model import (
     Constraint,
     PolicyState,
     Principal,
+    Role,
     RoleMonitor,
+    Statement,
+    _check_unreserved,
+    _checked_state,
     roles_of,
 )
 
@@ -193,21 +205,45 @@ def _register_restricted(p: PolicyState, q: Constraint, mode: RestrictedTrust) -
     )
 
 
+_FrontierKey = Union[Role, Statement]
+
+
+def _frontier(
+    rec: MonitorRecord,
+) -> Optional[tuple[frozenset[_FrontierKey], frozenset[_FrontierKey]]]:
+    """The keys an event must hit to trigger ``rec``: growth roles for an
+    addition, support roles (or, under credential supports, support
+    statements) for a removal.  None when every event reaches the record:
+    it is not holding, or it is restricted without a total growth set."""
+    if rec.status is not RecordStatus.HOLDING or (
+        isinstance(rec.mode, RestrictedTrust) and not rec.gamma_total
+    ):
+        return None
+    if isinstance(rec.mode, FullTrustCredential):
+        return rec.gamma_cache.roles, rec.support_cache.statements
+    return rec.gamma_cache.roles, rec.support_cache.roles
+
+
+def _event_keys(ev: ChangeEvent) -> tuple[_FrontierKey, ...]:
+    """What the event is looked up by: an addition by its statement's head,
+    a removal by its head and by the statement itself.  A role never equals
+    a statement, so each removal key can only hit its own kind of support."""
+    stmt = ev.statement
+    return (stmt.head,) if ev.kind is ChangeKind.ADD else (stmt.head, stmt)
+
+
 def classify(rec: MonitorRecord, ev: ChangeEvent) -> Classification:
     """Is the event provably harmless for this holding record?"""
     if rec.status is not RecordStatus.HOLDING:
         raise StaleRecord(f"record for {rec.constraint.id} is {rec.status.value}")
-    if isinstance(rec.mode, RestrictedTrust) and not rec.gamma_total:
+    front = _frontier(rec)
+    if front is None:
         return Classification.TRIGGERING
-    if ev.kind is ChangeKind.ADD:
-        if ev.statement.head in rec.gamma_cache.roles:
+    watched = front[0] if ev.kind is ChangeKind.ADD else front[1]
+    for key in _event_keys(ev):
+        if key in watched:
             return Classification.TRIGGERING
-        return Classification.IGNORABLE
-    if isinstance(rec.mode, FullTrustCredential):
-        triggering = ev.statement in rec.support_cache.statements
-    else:
-        triggering = ev.statement.head in rec.support_cache.roles
-    return Classification.TRIGGERING if triggering else Classification.IGNORABLE
+    return Classification.IGNORABLE
 
 
 _OUTCOME_BY_STATUS = {
@@ -255,16 +291,63 @@ class ChangeResult:
     record: MonitorRecord
 
 
-def _apply(p: PolicyState, ev: ChangeEvent) -> PolicyState:
-    """The state after ``ev``: ``p`` itself when the event is a no-op."""
-    return p.add(ev.statement) if ev.kind is ChangeKind.ADD else p.remove(ev.statement)
-
-
 def apply_change(rec: MonitorRecord, p: PolicyState, ev: ChangeEvent) -> ChangeResult:
     """Apply one event for one record; no-ops are always ignorable."""
-    new_state = _apply(p, ev)
+    new_state = p.add(ev.statement) if ev.kind is ChangeKind.ADD else p.remove(ev.statement)
     warning, fresh = _react(rec, new_state, ev, new_state is p)
     return ChangeResult(new_state, warning, fresh)
+
+
+class _FrontierIndex:
+    """The records of a session by the ``_frontier`` keys they watch.
+
+    Records are named by their registration position.  ``every`` holds the
+    records without a frontier, which every event reaches.
+    """
+
+    def __init__(self, records: Sequence[MonitorRecord]):
+        self.tables: dict[ChangeKind, dict[_FrontierKey, set[int]]] = {
+            ChangeKind.ADD: {},
+            ChangeKind.REMOVE: {},
+        }
+        self.every: set[int] = set()
+        self.fronts: dict[int, tuple[frozenset[_FrontierKey], frozenset[_FrontierKey]]] = {}
+        for i, rec in enumerate(records):
+            self.put(i, rec)
+
+    def put(self, i: int, rec: MonitorRecord) -> None:
+        """Index record ``i`` as ``rec``, replacing its earlier entries."""
+        old = self.fronts.pop(i, None)
+        if old is not None:
+            for kind, keys in zip(self.tables, old):
+                table = self.tables[kind]
+                for key in keys:
+                    watchers = table[key]
+                    watchers.discard(i)
+                    if not watchers:
+                        del table[key]
+        self.every.discard(i)
+        front = _frontier(rec)
+        if front is None:
+            self.every.add(i)
+            return
+        self.fronts[i] = front
+        for kind, keys in zip(self.tables, front):
+            table = self.tables[kind]
+            for key in keys:
+                table.setdefault(key, set()).add(i)
+
+    def reached(self, ev: ChangeEvent, noop: bool) -> list[int]:
+        """The records ``ev`` reaches, in registration order.  A no-op
+        crosses no frontier, so it reaches only the records in ``every``."""
+        due = self.every
+        if not noop:
+            table = self.tables[ev.kind]
+            for key in _event_keys(ev):
+                hit = table.get(key)
+                if hit:
+                    due = due | hit
+        return sorted(due)
 
 
 @dataclass(frozen=True)
@@ -285,18 +368,41 @@ def run_session(
 ) -> SessionResult:
     """Replay a change log against every registered constraint in order.
 
-    Each event mutates the state once; every record then reacts to the
-    same transition, in registration order.
+    The live statements sit in one mutable set; an added statement gets the
+    same ``TOP`` check as in ``PolicyState.add``.  Each event reaches, in
+    registration order, the records whose ``_frontier`` it crosses and the
+    records without one; every other record provably ignores it and is not
+    visited.  The records reached react to one ``PolicyState`` snapshot of
+    the live set, built at most once per event and only when some record
+    re-registers; ``final_state`` is ``p`` itself when nothing changed.
     """
     initial = tuple(register(p, q, mode) for q, mode in registrations)
     records = list(initial)
+    index = _FrontierIndex(records)
     warnings: list[MonitorWarning] = []
-    state = p
+    live = set(p.statements)
+    snapshot: Optional[PolicyState] = p
     for ev in log:
-        new_state = _apply(state, ev)
-        noop, state = new_state is state, new_state
-        for i, rec in enumerate(records):
-            warning, records[i] = _react(rec, state, ev, noop)
+        stmt = ev.statement
+        if ev.kind is ChangeKind.ADD:
+            noop = stmt in live
+            if not noop:
+                _check_unreserved(stmt)
+                live.add(stmt)
+        else:
+            noop = stmt not in live
+            live.discard(stmt)
+        if not noop:
+            snapshot = None
+        for i in index.reached(ev, noop):
+            if snapshot is None:
+                snapshot = _checked_state(frozenset(live))
+            warning, fresh = _react(records[i], snapshot, ev, noop)
             if warning is not None:
                 warnings.append(warning)
-    return SessionResult(state, tuple(warnings), tuple(records), initial)
+            if fresh is not records[i]:
+                records[i] = fresh
+                index.put(i, fresh)
+    if snapshot is None:
+        snapshot = _checked_state(frozenset(live))
+    return SessionResult(snapshot, tuple(warnings), tuple(records), initial)

@@ -276,24 +276,36 @@ def parse_policy(text: str) -> PolicyState:
 
 
 def _expr(sc: _Scanner) -> PositiveRoleExpr:
-    node = _term(sc)
-    while sc.try_literal("|"):
-        node = UnionExpr(node, _term(sc))
-    return node
+    """``expr := term ('|' term)*``, ``term := atom ('&' atom)*`` and
+    ``atom := '(' expr ')' | set | role``, read without recursion: each
+    open parenthesis pushes the union and the term read so far around it,
+    so any nesting depth parses."""
+    enclosing: list[tuple[PositiveRoleExpr | None, PositiveRoleExpr | None]] = []
+    union: PositiveRoleExpr | None = None
+    term: PositiveRoleExpr | None = None
+    while True:
+        if sc.try_literal("("):
+            enclosing.append((union, term))
+            union = term = None
+            continue
+        node = _operand(sc)
+        while True:
+            term = node if term is None else IntersectionExpr(term, node)
+            if sc.try_literal("&"):
+                break
+            union = term if union is None else UnionExpr(union, term)
+            term = None
+            if sc.try_literal("|"):
+                break
+            if not enclosing:
+                return union
+            sc.expect(")")
+            node = union
+            union, term = enclosing.pop()
 
 
-def _term(sc: _Scanner) -> PositiveRoleExpr:
-    node = _atom(sc)
-    while sc.try_literal("&"):
-        node = IntersectionExpr(node, _atom(sc))
-    return node
-
-
-def _atom(sc: _Scanner) -> PositiveRoleExpr:
-    if sc.try_literal("("):
-        node = _expr(sc)
-        sc.expect(")")
-        return node
+def _operand(sc: _Scanner) -> PositiveRoleExpr:
+    """A principal set literal or a role reference."""
     if sc.try_literal("{"):
         members: list[Principal] = []
         if sc.try_literal("}"):

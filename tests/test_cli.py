@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import rtmon.analysis
+import rtmon.cli
 import rtmon.deps
 import rtmon.monitor
 from rtmon.cli import main
@@ -240,13 +241,12 @@ class TestMonitor:
 
 
 class TestInternalErrors:
-    @pytest.mark.parametrize(
-        "expr",
-        ["(" * 1200 + "ATF.hazmatDB" + ")" * 1200],
-        ids=["deep-parentheses"],
-    )
-    def test_crash_exits_4_not_1(self, in_fixtures, capsys, expr):
-        rc = main(["query", "hazmat.rt", expr])
+    def test_crash_exits_4_not_1(self, in_fixtures, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(rtmon.cli, "evaluate", crash)
+        rc = main(["query", "hazmat.rt", "ATF.hazmatDB"])
         captured = capsys.readouterr()
         assert rc == 4
         assert captured.out == ""
@@ -284,6 +284,25 @@ class TestLongExpressions:
             assert result["constraints"][0]["all_supports"] == {
                 "Rollins": [["ATF.hazmatTraining"]]
             }
+
+
+    @pytest.mark.parametrize("verb", ["query", "check"])
+    def test_verbs_answer_on_1200_nested_parentheses(self, in_fixtures, capsys, tmp_path, verb):
+        lhs = "(" * 1200 + "ATF.hazmatDB" + ")" * 1200
+        constraints = tmp_path / "deep.cst"
+        constraints.write_text(f"constraint deep owner ATF: {lhs} <= ATF.hazmatTraining\n")
+        args = {
+            "query": ["query", "hazmat.rt", lhs],
+            "check": ["check", "hazmat.rt", str(constraints)],
+        }[verb]
+        rc, out = run(capsys, "--format", "machine", *args)
+        assert rc == 0
+        result = json.loads(out)["result"]
+        if verb == "query":
+            assert result["members"] == ["Rollins"]
+            assert result["expr"] == "ATF.hazmatDB"
+        else:
+            assert result["constraints"][0]["satisfied"]
 
 
 class TestReports:

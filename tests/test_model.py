@@ -187,6 +187,39 @@ def test_expression_walkers_fold_a_1500_deep_union(right):
         assert serialize_expr(parse_expr(text)) == text
 
 
+def test_deep_unions_compare_hash_and_print_without_recursion():
+    from rtmon.monitor import FullTrust, register
+    from rtmon.parser import parse_constraint
+
+    text = " | ".join(f"P{i}.r" for i in range(1500))
+    a, b = parse_expr(text), parse_expr(text)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != parse_expr(text + " | Q.r")
+    assert a != parse_expr(text.replace("P700.r |", "P700.r &"))
+    assert repr(a).startswith("UnionExpr(left=UnionExpr(left=")
+    assert repr(a).count("RoleRef(") == 1500
+    line = f"constraint deep owner Q: {text} <= Q.r"
+    qa, qb = parse_constraint(line), parse_constraint(line)
+    assert qa == qb and hash(qa) == hash(qb) and repr(qa) == repr(qb)
+    p = PolicyState(frozenset({stmt("P7.r <- M"), stmt("Q.r <- M")}))
+    ra, rb = register(p, qa, FullTrust()), register(p, qb, FullTrust())
+    assert ra == rb and hash(ra) == hash(rb) and repr(ra) == repr(rb)
+
+
+def test_expression_dunders_match_the_generated_ones():
+    x, y = RoleRef(role("A.r")), PrincipalSet(frozenset({prin("B")}))
+    u, i = UnionExpr(x, y), IntersectionExpr(x, y)
+    assert hash(u) == hash((x, y)) == hash(i)
+    assert u != i and i != u and u == UnionExpr(x, y)
+    assert UnionExpr(x, y) != UnionExpr(y, x)
+    assert repr(u) == f"UnionExpr(left={x!r}, right={y!r})"
+    assert repr(IntersectionExpr(u, x)) == f"IntersectionExpr(left={u!r}, right={x!r})"
+    assert not hasattr(u, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        u.left = y
+
+
 def test_monitor_bind_expands_wildcards():
     p = self_link_policy()
     m = RoleMonitor(growth_all=True, shrink_trusted=frozenset({role("A.r")}))

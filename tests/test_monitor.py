@@ -1,15 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 
 import rtmon.analysis
 import rtmon.engine
+import rtmon.model
+import rtmon.monitor
 from rtmon.deps import restrict
 from rtmon.engine import check_constraint, eval_expr, evaluate
 from rtmon.model import (
+    TOP,
     ChangeEvent,
     ChangeKind,
+    PolicyState,
     RoleMonitor,
+    SimpleMember,
+    Statement,
 )
 from rtmon.monitor import (
     Classification,
@@ -30,6 +37,7 @@ from rtmon.analysis import check_bounded_containment
 from helpers import (
     HAZMAT_ADD_10,
     HAZMAT_ADD_9,
+    HAZMAT_POLICY_TEXT,
     count_calls,
     hazmat_constraint,
     hazmat_policy,
@@ -42,12 +50,14 @@ from helpers import (
     support_shift_constraint,
     support_shift_policy,
 )
-from rtmon.parser import parse_constraint
+from rtmon.parser import parse_constraint, parse_policy
 from randgen import (
     biased_satisfied_constraint,
+    random_constraint,
     random_monitor,
     random_state,
     random_statement_for_state,
+    random_untrusted_link_monitor,
 )
 
 
@@ -424,45 +434,239 @@ def test_session_keeps_the_initial_records():
     assert session.records[0].status is RecordStatus.VIOLATED
 
 
-def test_session_steps_each_record_like_apply_change():
-    # run_session and apply_change share one event step, no-ops included.
-    rng = random.Random(703)
+def _random_log(rng, p, n_events, repeat=0.3):
+    """``n_events`` random changes to ``p``, each repeated (a no-op) with
+    probability ``repeat``; also returns the number of repeats."""
+    log, state, noops = [], p, 0
+    for _ in range(n_events):
+        if rng.random() < 0.5 or not state.statements:
+            ev = ChangeEvent(ChangeKind.ADD, random_statement_for_state(rng, state, "E"))
+        else:
+            ev = ChangeEvent(ChangeKind.REMOVE, rng.choice(sorted(state.statements, key=str)))
+        log.append(ev)
+        if rng.random() < repeat:
+            log.append(ev)
+            noops += 1
+        state = state.add(ev.statement) if ev.kind is ChangeKind.ADD else state.remove(ev.statement)
+    return log, noops
+
+
+def _assert_index_agrees(index, records, ev):
+    """Every record the index routes ``ev`` to is one ``classify`` calls
+    triggering, or one without a frontier, and no other."""
+    routed = set(index.reached(ev, noop=False))
+    for i, rec in enumerate(records):
+        blind = rec.status is not RecordStatus.HOLDING or (
+            isinstance(rec.mode, RestrictedTrust) and not rec.gamma_total
+        )
+        assert (i in index.every) == blind
+        if rec.status is RecordStatus.HOLDING:
+            triggering = classify(rec, ev) is Classification.TRIGGERING
+            assert (i in routed) == triggering
+            assert triggering or not blind
+        else:
+            assert i in routed
+    assert index.reached(ev, noop=True) == sorted(index.every)
+
+
+def _supports_fail_on_sizes_divisible_by(monkeypatch, k):
+    """Make support establishment fail on every state of ``k * n``
+    statements: generated policies never reach UNESTABLISHED on their own."""
+    for name in ("support_for_constraint", "credential_support_for_constraint"):
+        real = getattr(rtmon.monitor, name)
+
+        def flaky(p, members, *args, real=real, **kwargs):
+            if members and len(p) % k == 0:
+                raise rtmon.monitor.NoSupport(min(members))
+            return real(p, members, *args, **kwargs)
+
+        monkeypatch.setattr(rtmon.monitor, name, flaky)
+
+
+def test_session_steps_each_record_like_apply_change(monkeypatch):
+    # 300 seeded sessions of 5-6 constraints over 20+ events in mixed modes:
+    # the session's routed replay equals stepping every record through
+    # apply_change, and the frontier index routes exactly what classify
+    # calls triggering, after every record replacement.
+    _supports_fail_on_sizes_divisible_by(monkeypatch, 5)
+    rng = random.Random(705)
     modes = [
         lambda p: FullTrust(),
         lambda p: FullTrustCredential(),
-        lambda p: RestrictedTrust(random_monitor(rng, p, 0.85, 0.85)),
+        lambda p: RestrictedTrust(random_monitor(rng, p, 0.85, 0.6)),
+        lambda p: RestrictedTrust(random_untrusted_link_monitor(rng, p, 0.85, 0.85)),
     ]
-    noops = 0
-    for n in range(90):
+    moves: Counter = Counter()
+    noops = blind = 0
+    for n in range(300):
         p = random_state(rng)
-        regs = [(biased_satisfied_constraint(rng, p, f"q{i}"), modes[n % 3](p)) for i in range(2)]
-        log = []
-        state = p
-        for _ in range(6):
-            if rng.random() < 0.5 or not state.statements:
-                ev = ChangeEvent(ChangeKind.ADD, random_statement_for_state(rng, state, "E"))
-            else:
-                ev = ChangeEvent(ChangeKind.REMOVE, rng.choice(sorted(state.statements, key=str)))
-            log.append(ev)
-            if rng.random() < 0.3:
-                log.append(ev)  # the same event again is a no-op
-                noops += 1
-            if ev.kind is ChangeKind.ADD:
-                state = state.add(ev.statement)
-            else:
-                state = state.remove(ev.statement)
+        regs = []
+        for i in range(5 + n % 2):
+            make = biased_satisfied_constraint if rng.random() < 0.6 else random_constraint
+            regs.append((make(rng, p, f"q{i}"), modes[(n + i) % 4](p)))
+        log, repeats = _random_log(rng, p, 20)
+        noops += repeats
         session = run_session(p, regs, log)
+
         records = [register(p, q, mode) for q, mode in regs]
+        index = rtmon.monitor._FrontierIndex(records)
         warnings = []
         state = p
         for ev in log:
+            _assert_index_agrees(index, records, ev)
             for i, rec in enumerate(records):
                 got = apply_change(rec, state, ev)
                 if got.warning is not None:
                     warnings.append(got.warning)
+                moves[rec.status, got.record.status] += 1
+                blind += rec.status is RecordStatus.HOLDING and not rec.gamma_total
+                if got.record is not rec:
+                    index.put(i, got.record)
                 records[i] = got.record
             state = got.new_state
         assert session.final_state == state
         assert session.warnings == tuple(warnings)
         assert session.records == tuple(records)
-    assert noops >= 50
+    assert noops >= 1000
+    assert blind >= 100
+    for status in (RecordStatus.VIOLATED, RecordStatus.BOUND_VIOLATED, RecordStatus.UNESTABLISHED):
+        assert moves[RecordStatus.HOLDING, status] >= 20
+        assert moves[status, RecordStatus.HOLDING] >= 20
+
+
+def test_index_routes_what_classify_triggers_on_random_states():
+    rng = random.Random(706)
+    modes = [
+        lambda p: FullTrust(),
+        lambda p: FullTrustCredential(),
+        lambda p: RestrictedTrust(random_untrusted_link_monitor(rng, p, 0.85, 0.85)),
+    ]
+    checked = 0
+    for n in range(200):
+        p = random_state(rng)
+        records = [
+            register(p, biased_satisfied_constraint(rng, p, f"q{i}"), modes[i % 3](p))
+            for i in range(6)
+        ]
+        index = rtmon.monitor._FrontierIndex(records)
+        events = [ChangeEvent(ChangeKind.REMOVE, s) for s in sorted(p.statements, key=str)]
+        events += [
+            ChangeEvent(ChangeKind.ADD, random_statement_for_state(rng, p, "E")) for _ in range(8)
+        ]
+        for ev in events:
+            _assert_index_agrees(index, records, ev)
+            checked += 1
+    assert checked >= 2000
+
+
+def _big_policy():
+    """The hazmat policy beside 10^4 statements no constraint reads."""
+    filler = "".join(f"F{i}.r <- G{i}\n" for i in range(10_000))
+    return parse_policy(HAZMAT_POLICY_TEXT + filler)
+
+
+def _hazmat_registrations(k):
+    """``k`` copies of the hazmat constraint, in the three modes in turn."""
+    trusted = RoleMonitor(
+        growth_trusted=hazmat_policy().roles,
+        shrink_trusted=frozenset({role("ATF.hazmatDB")}),
+    )
+    modes = [FullTrust(), FullTrustCredential(), RestrictedTrust(trusted)]
+    return [
+        (
+            parse_constraint(
+                f"constraint c{i} owner Emergency: Emergency.hazmatPersonnel <= ATF.hazmatDB"
+            ),
+            modes[i % 3],
+        )
+        for i in range(k)
+    ]
+
+
+def test_quiet_events_build_no_state_and_classify_nothing(monkeypatch):
+    p = _big_policy()
+    assert len(p) > 10_000
+    regs = _hazmat_registrations(6)
+    log = []
+    for i in range(0, 400, 2):
+        log.append(add(f"F{i}.r <- H"))
+        log.append(remove(f"F{i + 1}.r <- G{i + 1}"))
+        log.append(add(f"F{i}.r <- H"))  # a no-op
+        log.append(remove(f"F{i}.r <- Nobody"))  # a no-op
+
+    built = count_calls(monkeypatch, rtmon.model._checked_state)
+    constructed = []
+    post_init = PolicyState.__post_init__
+    monkeypatch.setattr(
+        PolicyState, "__post_init__", lambda self: constructed.append(self) or post_init(self)
+    )
+    updates = []
+    for name in ("add", "remove"):
+        real = getattr(PolicyState, name)
+        monkeypatch.setattr(
+            PolicyState, name, lambda self, stmt, real=real: updates.append(stmt) or real(self, stmt)
+        )
+    classified = count_calls(monkeypatch, rtmon.monitor.classify)
+    marks = []
+
+    def counts():
+        return len(built), len(constructed), len(updates), len(classified)
+
+    def quiet_log():
+        marks.append(counts())
+        yield from log
+        marks.append(counts())
+
+    session = run_session(p, regs, quiet_log())
+    assert all(rec.status is RecordStatus.HOLDING for rec in session.initial)
+    assert marks[0] == marks[1]
+    assert updates == [] and classified == []
+    assert session.warnings == ()
+    assert session.records == session.initial
+    # The final state is the one snapshot of the session.
+    assert len(built) == marks[1][0] + 1 and len(constructed) == marks[1][1]
+    assert len(session.final_state) == len(p)
+    assert stmt("F0.r <- H") in session.final_state
+    assert stmt("F1.r <- G1") not in session.final_state
+
+
+def test_final_state_is_the_start_state_when_nothing_changed():
+    p = hazmat_policy()
+    log = [add(HAZMAT_ADD_9), remove(HAZMAT_ADD_9)]
+    session = run_session(p, [(hazmat_constraint(), FullTrust())], [log[1], log[1]])
+    assert session.final_state is p
+    session = run_session(p, [(hazmat_constraint(), FullTrust())], log)
+    assert session.final_state == p
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_an_event_shares_one_snapshot_among_its_records(monkeypatch, k):
+    p = hazmat_policy()
+    snapshots = []
+    real = rtmon.monitor._checked_state
+    monkeypatch.setattr(
+        rtmon.monitor, "_checked_state", lambda stmts: snapshots.append(stmts) or real(stmts)
+    )
+    session = run_session(p, _hazmat_registrations(k), [add(HAZMAT_ADD_9), add("Navy.fleet <- Kim")])
+    assert [w.constraint_id for w in session.warnings] == [f"c{i}" for i in range(k)]
+    assert all(w.event == add(HAZMAT_ADD_9) for w in session.warnings)
+    # One for the warned event, one for the final state.
+    assert len(snapshots) == 2
+
+
+def test_session_rejects_top_like_policy_state_add():
+    p = hazmat_policy()
+    bad = Statement(role("Navy.fleet"), SimpleMember(TOP))
+    with pytest.raises(ValueError) as direct:
+        p.add(bad)
+    pulled = []
+
+    def log():
+        for ev in [add(HAZMAT_ADD_9), ChangeEvent(ChangeKind.ADD, bad), add(HAZMAT_ADD_10)]:
+            pulled.append(ev)
+            yield ev
+
+    with pytest.raises(ValueError) as replayed:
+        run_session(p, [(hazmat_constraint(), FullTrust())], log())
+    assert str(replayed.value) == str(direct.value)
+    assert len(pulled) == 2

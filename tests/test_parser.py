@@ -29,6 +29,7 @@ from rtmon.parser import (
     parse_constraint,
     parse_constraints,
     parse_monitor,
+    parse_expr,
     parse_policy,
     parse_statement,
     serialize_changelog,
@@ -124,6 +125,31 @@ class TestConstraints:
         assert isinstance(q.lhs.right, IntersectionExpr)
         assert isinstance(q.rhs, IntersectionExpr)
         assert isinstance(q.rhs.left, UnionExpr)
+
+    def test_deep_parentheses_parse_without_recursion(self):
+        deep = "(" * 5000 + "A.r | (B.r & {C})" + ")" * 5000
+        q = parse_constraint(f"constraint q owner O: {deep} <= {deep} & D.r")
+        inner = parse_expr("A.r | B.r & {C}")
+        assert q.lhs == inner
+        assert q.rhs == IntersectionExpr(inner, RoleRef(role("D.r")))
+
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            ("(" * 3000 + "A.r" + ")" * 2999, 6003, "expected ')'"),
+            ("(" * 3000 + "A.r" + ")" * 3001, 6004, "unexpected trailing input"),
+            ("(" * 3000 + "A.r |" + ")" * 3000, 3006, "expected role or principal set"),
+            ("((A.r & ) | B.r)", 9, "expected role or principal set"),
+            ("(A.r B.r)", 6, "expected ')'"),
+        ],
+        ids=["unclosed", "overclosed", "dangling-union", "dangling-and", "missing-operator"],
+    )
+    def test_nesting_errors_keep_their_spans(self, text, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.span.column == column
+        assert err.value.message == message
+        assert err.value.kind is ParseErrorKind.SYNTAX
 
     def test_duplicate_ids_rejected(self):
         text = "constraint a owner O: {} <= {}\nconstraint a owner O: {} <= {}\n"
