@@ -7,6 +7,7 @@ falls back to sound lower/upper-bound reasoning.
 """
 
 from .model import (
+    EVERY_ROLE,
     TOP,
     ChangeEvent,
     ChangeKind,
@@ -26,7 +27,6 @@ from .model import (
     SimpleMember,
     Statement,
     UnionExpr,
-    is_static,
     roles_of,
 )
 from .engine import (

@@ -10,6 +10,10 @@ universe, current principals plus the reserved ``TOP`` for principals not
 seen yet.  Both are sparse, and :class:`BoundIndex` supplies the bound of
 every role they leave out.
 
+Every pass asks the monitor's trusted sets only ``role in ...``, so a set
+may be :data:`~rtmon.model.EVERY_ROLE` and is never expanded to the roles
+of a state.
+
 The trusted core strips from the growth-trusted set the roles whose upper
 bound an untrusted dependency forces to the universe, propagating each
 expulsion to the rules that read the expelled role through the shared rule
@@ -20,9 +24,9 @@ add-side frontier it can actually observe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Container, Mapping, Optional
 
-from .deps import GrowthSet, _growth_roles, _RoleSet
+from .deps import GrowthSet, _growth_roles
 from .engine import _reads, _rule_index, _saturate, _walk_expr
 from .model import (
     Constraint,
@@ -87,10 +91,15 @@ class BoundIndex:
 
 
 @dataclass(frozen=True)
-class CoreSet(_RoleSet):
-    """Growth-trusted roles not undermined by untrusted dependencies."""
+class CoreSet:
+    """Growth-trusted roles not undermined by untrusted dependencies: the
+    roles in ``trusted`` and not in ``expelled``."""
 
-    roles: frozenset[Role]
+    trusted: Container[Role]
+    expelled: frozenset[Role]
+
+    def __contains__(self, role: object) -> bool:
+        return role in self.trusted and role not in self.expelled
 
 
 def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
@@ -100,7 +109,7 @@ def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     evaluator skips them and holds every role outside the shrink-trusted
     set at the empty set.
     """
-    s = r.bind(p).shrink_trusted
+    s = r.shrink_trusted
     return _saturate(p, lambda role: role not in s).members
 
 
@@ -114,7 +123,7 @@ def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     component.  The evaluator holds both at the universe without storing
     them.
     """
-    g = r.bind(p).growth_trusted
+    g = r.growth_trusted
 
     def fixed(role: Role) -> bool:
         return role.owner == TOP or role not in g
@@ -124,12 +133,11 @@ def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
 
 def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
     """Both bounds for one state under one monitor."""
-    m = r.bind(p)
     return BoundIndex(
-        lower=lower_bound(p, m),
-        upper=upper_bound(p, m),
+        lower=lower_bound(p, r),
+        upper=upper_bound(p, r),
         universe=p.principals | {TOP},
-        monitor=m,
+        monitor=r,
     )
 
 
@@ -141,7 +149,7 @@ def eval_upper(idx: BoundIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
     return _walk_expr(expr, idx.upper_of)
 
 
-def core(p: PolicyState, g: Iterable[Role], ub: Optional[Bound] = None) -> CoreSet:
+def core(p: PolicyState, g: Container[Role], ub: Optional[Bound] = None) -> CoreSet:
     """The growth-trusted roles whose upper bounds stay informative.
 
     Computed by closing the complement: a trusted role is expelled when it
@@ -154,7 +162,6 @@ def core(p: PolicyState, g: Iterable[Role], ub: Optional[Bound] = None) -> CoreS
     ``ub`` is ``upper_bound(p, RoleMonitor(growth_trusted=g))`` when the
     caller already holds it.
     """
-    g = frozenset(g)
     if ub is None:
         ub = upper_bound(p, RoleMonitor(growth_trusted=g))
     index = _rule_index(p.statements, lambda head: head not in g)
@@ -175,10 +182,10 @@ def core(p: PolicyState, g: Iterable[Role], ub: Optional[Bound] = None) -> CoreS
         expelled.add(stmt.head)
         work += index.readers.get(stmt.head, ())
         work += index.linked.get(stmt.head.name, ())
-    return CoreSet(g - expelled)
+    return CoreSet(g, frozenset(expelled))
 
 
-def gamma_restricted(p: PolicyState, g: Iterable[Role], target: Role) -> GrowthSet:
+def gamma_restricted(p: PolicyState, g: Container[Role], target: Role) -> GrowthSet:
     """Growth frontier of ``target`` kept inside the trusted core.
 
     A target outside the core gets the empty set: its upper bound is the
@@ -189,7 +196,7 @@ def gamma_restricted(p: PolicyState, g: Iterable[Role], target: Role) -> GrowthS
 
 def gamma_restricted_expr(
     p: PolicyState,
-    g: Iterable[Role],
+    g: Container[Role],
     expr: PositiveRoleExpr,
     ub: Optional[Bound] = None,
     coreset: Optional[CoreSet] = None,
@@ -199,14 +206,13 @@ def gamma_restricted_expr(
     ``ub`` and ``coreset`` are ``upper_bound(p, RoleMonitor(growth_trusted=g))``
     and ``core(p, g, ub)`` when the caller already holds them.
     """
-    g = frozenset(g)
     if ub is None:
         ub = upper_bound(p, RoleMonitor(growth_trusted=g))
     if coreset is None:
         coreset = core(p, g, ub)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return GrowthSet(expr, _growth_roles(p, roles_of(expr), ub, coreset.roles))
+    return GrowthSet(expr, _growth_roles(p, roles_of(expr), ub, coreset))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ Five verbs over the text formats: ``query`` evaluates an expression,
 
 Every invocation produces one report; ``--format machine`` renders it as a
 single JSON document with stable field names.  Exit codes: 0 all checks
-hold, 1 a check or constraint is violated, 2 input error, 3 monitoring
-could not be established (no admissible support), 4 internal error (the
-tool failed; no verdict was reached).
+hold, 1 a check or constraint is violated, 2 input error, 3 (``analyze``
+only) monitoring could not be established (no admissible support), 4
+internal error (the tool failed; no verdict was reached).
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from .deps import (
     support_for_constraint,
 )
 from .engine import check_constraint, eval_expr, evaluate
-from .model import roles_of
+from .model import EVERY_ROLE, roles_of
 from .monitor import (
     FullTrust,
     FullTrustCredential,
     MonitorMode,
-    RecordStatus,
     RestrictedTrust,
     WarningOutcome,
     run_session,
@@ -107,7 +106,7 @@ def _support_payload(support) -> Optional[list[str]]:
     return sorted(str(s) for s in support.statements)
 
 
-def _exit_code(violated: bool, unestablished: bool) -> int:
+def _exit_code(violated: bool, unestablished: bool = False) -> int:
     # Unestablished monitoring outranks a plain violation: the former means
     # the tool cannot even promise to notice future violations.
     if unestablished:
@@ -140,9 +139,7 @@ def cmd_check(args) -> dict:
             {"id": q.id, "satisfied": got.satisfied, "violators": _names(got.violators)}
         )
     violated = any(not v["satisfied"] for v in verdicts)
-    return _report(
-        "check", inputs, {"constraints": verdicts}, _exit_code(violated, False)
-    )
+    return _report("check", inputs, {"constraints": verdicts}, _exit_code(violated))
 
 
 def cmd_deps(args) -> dict:
@@ -178,16 +175,14 @@ def cmd_deps(args) -> dict:
             entry["support"] = None
             entry["violators"] = _names(got.violators)
         verdicts.append(entry)
-    return _report(
-        "deps", inputs, {"constraints": verdicts}, _exit_code(violated, False)
-    )
+    return _report("deps", inputs, {"constraints": verdicts}, _exit_code(violated))
 
 
 def cmd_analyze(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
-    monitor = _load(args.monitor, parse_monitor, inputs, "monitor").bind(state)
+    monitor = _load(args.monitor, parse_monitor, inputs, "monitor")
     g = monitor.growth_trusted
     idx = bounds(state, monitor)
     coreset = core(state, g, idx.upper)
@@ -217,7 +212,8 @@ def cmd_analyze(args) -> dict:
         if not chk.holds:
             violated = True
         verdicts.append(entry)
-    result = {"core": _role_names(coreset.roles), "constraints": verdicts}
+    listed = state.roles if g is EVERY_ROLE else g
+    result = {"core": _role_names(listed - coreset.expelled), "constraints": verdicts}
     return _report("analyze", inputs, result, _exit_code(violated, unestablished))
 
 
@@ -274,9 +270,6 @@ def cmd_monitor(args) -> dict:
         w.outcome in (WarningOutcome.NOW_VIOLATED, WarningOutcome.BOUND_NOW_VIOLATED)
         for w in session.warnings
     ) or any(e["status"] in ("violated", "bound-violated") for e in initial)
-    unestablished = any(
-        rec.status is RecordStatus.UNESTABLISHED for rec in session.records
-    ) or any(e["status"] == "unestablished" for e in initial)
 
     result = {
         "mode": mode_name,
@@ -295,7 +288,7 @@ def cmd_monitor(args) -> dict:
             for rec in session.records
         ],
     }
-    report = _report("monitor", inputs, result, _exit_code(violated, unestablished))
+    report = _report("monitor", inputs, result, _exit_code(violated))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(serialize_policy(session.final_state))

@@ -129,10 +129,9 @@ class NoSupport(Exception):
         self.member = member
 
 
-def restrict(p: PolicyState, sigma: Iterable[Role]) -> PolicyState:
+def restrict(p: PolicyState, sigma: Container[Role]) -> PolicyState:
     """Keep exactly the statements whose head lies in ``sigma``."""
-    wanted = frozenset(sigma)
-    return PolicyState(frozenset(s for s in p.statements if s.head in wanted))
+    return PolicyState(frozenset(s for s in p.statements if s.head in sigma))
 
 
 def _growth_roles(
@@ -349,7 +348,7 @@ def support_for_constraint(
     p: PolicyState,
     members: Iterable[Principal],
     rhs: PositiveRoleExpr,
-    admissible: Optional[Iterable[Role]] = None,
+    admissible: Optional[Container[Role]] = None,
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
 ) -> RoleSupport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .model import (
     Constraint,
@@ -36,7 +36,6 @@ from .model import (
 )
 
 __all__ = [
-    "MembershipAtom",
     "SemanticsIndex",
     "evaluate",
     "role_members",
@@ -44,15 +43,6 @@ __all__ = [
     "ConstraintCheck",
     "check_constraint",
 ]
-
-
-@dataclass(frozen=True)
-class MembershipAtom:
-    """Ground membership fact: ``member`` belongs to ``owner.role_name``."""
-
-    owner: Principal
-    role_name: RoleName
-    member: Principal
 
 
 @dataclass(frozen=True)
@@ -67,11 +57,6 @@ class SemanticsIndex:
 
     members: Mapping[Role, frozenset[Principal]]
     iteration_count: int = 0
-
-    def atoms(self) -> Iterator[MembershipAtom]:
-        for role in sorted(self.members, key=str):
-            for member in sorted(self.members[role], key=str):
-                yield MembershipAtom(role.owner, role.name, member)
 
 
 _EMPTY: frozenset[Principal] = frozenset()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, Container, Iterator, TypeVar, Union
 
 __all__ = [
     "RESERVED_PRINCIPAL",
@@ -37,9 +37,9 @@ __all__ = [
     "PositiveRoleExpr",
     "fold_expr",
     "roles_of",
-    "is_static",
     "principals_of_expr",
     "Constraint",
+    "EVERY_ROLE",
     "RoleMonitor",
     "ChangeKind",
     "ChangeEvent",
@@ -291,8 +291,9 @@ class PolicyState:
     def roles(self) -> frozenset[Role]:
         """Cross product of the state's principals and role names.
 
-        Roles in here may have empty definitions; consumers must treat an
-        undefined role as having no statements (never as an error).
+        Roles in here may have empty definitions.  Only the ``analyze``
+        report (to list the core of a ``*`` monitor) and tests read it; no
+        analysis or monitoring pass builds it.
         """
         return frozenset(
             Role(owner, name) for owner in self.principals for name in self.role_names
@@ -449,11 +450,6 @@ def roles_of(expr: PositiveRoleExpr) -> frozenset[Role]:
     )
 
 
-def is_static(expr: PositiveRoleExpr) -> bool:
-    """True when the expression mentions no roles (principal sets only)."""
-    return not roles_of(expr)
-
-
 def principals_of_expr(expr: PositiveRoleExpr) -> frozenset[Principal]:
     """Every principal occurring in the expression, role owners included."""
 
@@ -484,41 +480,52 @@ class Constraint:
             )
 
 
+class _EveryRole:
+    """The container of every role not owned by ``TOP``: the symbolic ``*``
+    of a monitor.  Compares equal only to itself; copy and pickle return
+    the module's one instance."""
+
+    __slots__ = ()
+
+    def __contains__(self, role: object) -> bool:
+        return isinstance(role, Role) and not role.owner.is_reserved
+
+    def __reduce__(self) -> str:
+        return "EVERY_ROLE"
+
+    def __repr__(self) -> str:
+        return "EVERY_ROLE"
+
+
+#: Every role, including roles of principals that appear later.
+EVERY_ROLE = _EveryRole()
+
+
 @dataclass(frozen=True, slots=True)
 class RoleMonitor:
     """Trust declaration: which roles report growth, which report shrinkage.
 
-    ``growth_all`` / ``shrink_all`` record a symbolic "every role" wildcard;
-    ``bind`` expands the wildcard against a concrete policy state.  The two
-    sets may overlap and either may be empty.
+    Each side is a finite set of roles or :data:`EVERY_ROLE`, the ``*`` of
+    a monitor document, which trusts every role of every state, including
+    roles of principals that appear later.  A role is trusted exactly when
+    it is ``in`` its side.  The two sides may overlap and either may be
+    empty.
     """
 
-    growth_trusted: frozenset[Role] = frozenset()
-    shrink_trusted: frozenset[Role] = frozenset()
-    growth_all: bool = False
-    shrink_all: bool = False
+    growth_trusted: Container[Role] = frozenset()
+    shrink_trusted: Container[Role] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "growth_trusted", frozenset(self.growth_trusted))
-        object.__setattr__(self, "shrink_trusted", frozenset(self.shrink_trusted))
-        for role in self.growth_trusted | self.shrink_trusted:
-            if role.owner.is_reserved:
+        for side in ("growth_trusted", "shrink_trusted"):
+            roles = getattr(self, side)
+            if roles is EVERY_ROLE:
+                continue
+            roles = frozenset(roles)
+            object.__setattr__(self, side, roles)
+            if any(role.owner.is_reserved for role in roles):
                 raise ValueError(
                     f"reserved principal {RESERVED_PRINCIPAL} cannot own a monitored role"
                 )
-
-    @property
-    def is_bound(self) -> bool:
-        return not (self.growth_all or self.shrink_all)
-
-    def bind(self, state: PolicyState) -> "RoleMonitor":
-        """Expand wildcards against the state's roles; identity when bound."""
-        if self.is_bound:
-            return self
-        return RoleMonitor(
-            growth_trusted=state.roles if self.growth_all else self.growth_trusted,
-            shrink_trusted=state.roles if self.shrink_all else self.shrink_trusted,
-        )
 
 
 class ChangeKind(Enum):

@@ -33,7 +33,6 @@ from .analysis import (
 from .deps import (
     CredentialSupport,
     GrowthSet,
-    NoSupport,
     RoleSupport,
     credential_support_for_constraint,
     gamma_expr,
@@ -99,7 +98,6 @@ class RecordStatus(Enum):
     HOLDING = "holding"
     VIOLATED = "violated"
     BOUND_VIOLATED = "bound-violated"
-    UNESTABLISHED = "unestablished"
 
 
 class WarningCause(Enum):
@@ -157,8 +155,10 @@ class MonitorWarning:
 def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
     """Check the constraint and, if it holds, build the monitoring caches.
 
-    A missing admissible support surfaces as status UNESTABLISHED, never as
-    an exception.
+    A check that passes always has a support: under full trust every
+    left-side member is a right-side member, and under restricted trust the
+    lower bound is membership in the state restricted to the shrink-trusted
+    heads, the state the support is sought in.
     """
     if isinstance(mode, RestrictedTrust):
         return _register_restricted(p, q, mode)
@@ -169,37 +169,25 @@ def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
     growth = gamma_expr(p, q.lhs, idx)
     members = eval_expr(idx, q.lhs)
-    try:
-        if isinstance(mode, FullTrustCredential):
-            support: Union[RoleSupport, CredentialSupport] = (
-                credential_support_for_constraint(p, members, q.rhs)
-            )
-        else:
-            support = support_for_constraint(p, members, q.rhs)
-    except NoSupport:
-        return MonitorRecord(q, mode, growth, None, RecordStatus.UNESTABLISHED)
+    if isinstance(mode, FullTrustCredential):
+        support: Union[RoleSupport, CredentialSupport] = (
+            credential_support_for_constraint(p, members, q.rhs)
+        )
+    else:
+        support = support_for_constraint(p, members, q.rhs)
     return MonitorRecord(q, mode, growth, support, RecordStatus.HOLDING)
 
 
 def _register_restricted(p: PolicyState, q: Constraint, mode: RestrictedTrust) -> MonitorRecord:
-    bound_monitor = mode.monitor.bind(p)
-    mode = RestrictedTrust(bound_monitor)
-    idx = bounds(p, bound_monitor)
-    chk = check_bounded_containment(p, bound_monitor, q, idx)
+    monitor = mode.monitor
+    idx = bounds(p, monitor)
+    chk = check_bounded_containment(p, monitor, q, idx)
     if not chk.holds:
         return MonitorRecord(q, mode, None, None, RecordStatus.BOUND_VIOLATED, chk.witnesses)
-    g = bound_monitor.growth_trusted
-    coreset = core(p, g, idx.upper)
-    gamma_total = roles_of(q.lhs) <= coreset.roles
-    growth = gamma_restricted_expr(p, g, q.lhs, idx.upper, coreset)
-    try:
-        support = support_for_constraint(
-            p, chk.lhs_upper, q.rhs, admissible=bound_monitor.shrink_trusted
-        )
-    except NoSupport:
-        return MonitorRecord(
-            q, mode, growth, None, RecordStatus.UNESTABLISHED, gamma_total=gamma_total
-        )
+    coreset = core(p, monitor.growth_trusted, idx.upper)
+    growth = gamma_restricted_expr(p, monitor.growth_trusted, q.lhs, idx.upper, coreset)
+    support = support_for_constraint(p, chk.lhs_upper, q.rhs, admissible=monitor.shrink_trusted)
+    gamma_total = all(r in coreset for r in roles_of(q.lhs))
     return MonitorRecord(
         q, mode, growth, support, RecordStatus.HOLDING, gamma_total=gamma_total
     )
@@ -250,8 +238,6 @@ _OUTCOME_BY_STATUS = {
     RecordStatus.HOLDING: WarningOutcome.STILL_HOLDS,
     RecordStatus.VIOLATED: WarningOutcome.NOW_VIOLATED,
     RecordStatus.BOUND_VIOLATED: WarningOutcome.BOUND_NOW_VIOLATED,
-    # The check itself passed; only cache establishment failed.
-    RecordStatus.UNESTABLISHED: WarningOutcome.STILL_HOLDS,
 }
 
 

@@ -9,7 +9,7 @@ blank lines are ignored, identifiers match ``[A-Za-z_][A-Za-z0-9_]*``):
   where expressions combine ``{A, B}`` literals and roles with ``&`` and
   ``|`` (``&`` binds tighter) and parentheses
 * monitor document -- optional ``growth-trusted:`` / ``shrink-trusted:``
-  sections, each a comma-separated role list or ``*`` for "all roles"
+  sections, each a comma-separated role list or ``*`` for every role
 * change log -- one event per line: ``+ <statement>`` or ``- <statement>``
 
 Every parse either returns a value or raises :class:`ParseError` with a
@@ -21,8 +21,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Container
 
 from .model import (
+    EVERY_ROLE,
     ChangeEvent,
     ChangeKind,
     Constraint,
@@ -370,9 +372,11 @@ def parse_constraints(text: str) -> list[Constraint]:
 
 
 def parse_monitor(text: str) -> RoleMonitor:
-    """Parse a role-monitor document; ``*`` stays symbolic until bound."""
-    growth: tuple[frozenset[Role], bool] | None = None
-    shrink: tuple[frozenset[Role], bool] | None = None
+    """Parse a role-monitor document.  A ``*`` section becomes
+    :data:`~rtmon.model.EVERY_ROLE`, which stays symbolic: it is never
+    expanded against a state, so it covers roles of principals that appear
+    later."""
+    sections: dict[str, Container[Role]] = {}
     names: dict = {}
     for line_no, code in _code_lines(text):
         m = _SECTION.match(code)
@@ -381,39 +385,27 @@ def parse_monitor(text: str) -> RoleMonitor:
                 SourceSpan(line_no, 1, max(len(code.rstrip()), 1)),
                 "expected 'growth-trusted:' or 'shrink-trusted:'",
             )
-        section = m.group(1)
         sc = _Scanner(code, line_no, names)
         sc.pos = m.end()
+        value: Container[Role]
         if sc.try_literal("*"):
             sc.end()
-            value = (frozenset(), True)
+            value = EVERY_ROLE
         elif sc.at_end():
-            value = (frozenset(), False)
+            value = frozenset()
         else:
             roles = [_role(sc)]
             while sc.try_literal(","):
                 roles.append(_role(sc))
             sc.end()
-            value = (frozenset(roles), False)
-        if section == "growth-trusted":
-            if growth is not None:
-                raise ParseError(
-                    SourceSpan(line_no, 1, 1), "duplicate growth-trusted section"
-                )
-            growth = value
-        else:
-            if shrink is not None:
-                raise ParseError(
-                    SourceSpan(line_no, 1, 1), "duplicate shrink-trusted section"
-                )
-            shrink = value
-    growth = growth or (frozenset(), False)
-    shrink = shrink or (frozenset(), False)
+            value = frozenset(roles)
+        section = m.group(1)
+        if section in sections:
+            raise ParseError(SourceSpan(line_no, 1, 1), f"duplicate {section} section")
+        sections[section] = value
     return RoleMonitor(
-        growth_trusted=growth[0],
-        shrink_trusted=shrink[0],
-        growth_all=growth[1],
-        shrink_all=shrink[1],
+        growth_trusted=sections.get("growth-trusted", frozenset()),
+        shrink_trusted=sections.get("shrink-trusted", frozenset()),
     )
 
 
@@ -466,14 +458,12 @@ def serialize_constraint(q: Constraint) -> str:
 
 def serialize_monitor(m: RoleMonitor) -> str:
     lines = []
-    if m.growth_all:
-        lines.append("growth-trusted: *")
-    elif m.growth_trusted:
-        lines.append("growth-trusted: " + ", ".join(sorted(str(r) for r in m.growth_trusted)))
-    if m.shrink_all:
-        lines.append("shrink-trusted: *")
-    elif m.shrink_trusted:
-        lines.append("shrink-trusted: " + ", ".join(sorted(str(r) for r in m.shrink_trusted)))
+    sections = (("growth-trusted", m.growth_trusted), ("shrink-trusted", m.shrink_trusted))
+    for section, roles in sections:
+        if roles is EVERY_ROLE:
+            lines.append(f"{section}: *")
+        elif roles:
+            lines.append(f"{section}: " + ", ".join(sorted(str(r) for r in roles)))
     return "".join(line + "\n" for line in lines)
 
 

@@ -106,6 +106,11 @@ def role_strs(roles) -> set[str]:
     return {str(r) for r in roles}
 
 
+def core_roles(coreset) -> frozenset:
+    """The roles of a core over a finite trusted set."""
+    return coreset.trusted - coreset.expelled
+
+
 def count_calls(monkeypatch, real) -> list:
     """Record the first argument of every call to ``real``, under every
     name the ``rtmon`` modules look it up by."""

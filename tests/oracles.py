@@ -9,7 +9,9 @@ indexed, change-driven ones, ``round_robin_upper_bound``, ``dense_core``
 and ``reference_gamma_restricted`` the restricted-trust passes it used
 before they ran on that evaluator, and ``round_robin_core`` the trusted
 core it rescanned every statement for before core became a propagation, as
-slow references for differential tests.
+slow references for differential tests.  ``expand_wildcards`` turns a
+monitor's symbolic ``*`` back into the finite role set it used to be
+expanded to.
 """
 
 from collections import defaultdict
@@ -19,6 +21,8 @@ from rtmon.analysis import upper_bound
 from rtmon.deps import restrict
 from rtmon.engine import evaluate
 from rtmon.model import (
+    EVERY_ROLE,
+    Constraint,
     IntersectionInclusion,
     LinkingInclusion,
     PolicyState,
@@ -30,6 +34,7 @@ from rtmon.model import (
     SimpleMember,
     Statement,
     TOP,
+    roles_of,
 )
 
 FRESH_PRINCIPAL = Principal("Xfresh")
@@ -213,10 +218,9 @@ def round_robin_upper_bound(p: PolicyState, monitor: RoleMonitor) -> dict[Role, 
     """Upper bound of every role in ``p.roles``: roles outside the
     growth-trusted set seed with the universe (principals plus ``TOP``),
     ``TOP.x`` reads as the universe, and every rule re-fires each round."""
-    m = monitor.bind(p)
     universe = frozenset(p.principals) | {TOP}
     members: dict[Role, set[Principal]] = {
-        role: set(universe) if role not in m.growth_trusted else set()
+        role: set(universe) if role not in monitor.growth_trusted else set()
         for role in p.roles
     }
     rules = []
@@ -356,3 +360,15 @@ def round_robin_core(p: PolicyState, g) -> frozenset[Role]:
                 expelled.add(stmt.head)
                 changed = True
     return g - expelled
+
+
+def expand_wildcards(p: PolicyState, q: Constraint, monitor: RoleMonitor) -> RoleMonitor:
+    """``monitor`` with each ``*`` side replaced by every role of ``p`` and
+    of the constraint ``q``: the principals x role names cross product plus
+    the roles ``q`` names, which no statement need mention."""
+    roles = p.roles | roles_of(q.lhs) | roles_of(q.rhs)
+
+    def expand(side):
+        return roles if side is EVERY_ROLE else side
+
+    return RoleMonitor(expand(monitor.growth_trusted), expand(monitor.shrink_trusted))

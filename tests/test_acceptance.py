@@ -398,7 +398,7 @@ def test_a08h_non_core_roles_have_maximal_upper_bounds_and_bounds_sandwich():
             got = exact.get(r, frozenset())
             assert idx.lower_of(r) <= got
             assert got <= idx.upper_of(r) - {TOP}
-            if r not in coreset.roles:
+            if r not in coreset:
                 assert idx.upper_of(r) == universe
         return True
 

@@ -153,13 +153,6 @@ def test_violating_change_has_fresh_witnesses():
         assert after.violators.isdisjoint(before.violators)
 
 
-def test_index_atoms_enumeration():
-    idx = evaluate(parse_policy("A.r <- B\n"))
-    atoms = list(idx.atoms())
-    assert len(atoms) == 1
-    assert atoms[0].member == prin("B")
-
-
 class TestIndexedEvaluator:
     """The indexed semi-naive evaluator against the dense reference."""
 

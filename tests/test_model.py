@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -20,10 +22,10 @@ from rtmon.model import (
     RoleRef,
     SimpleMember,
     Statement,
+    EVERY_ROLE,
     TOP,
     UnionExpr,
     fold_expr,
-    is_static,
     principals_of_expr,
     roles_of,
 )
@@ -139,12 +141,9 @@ def test_top_cannot_enter_a_constraint():
 
 def test_expression_static_and_roles():
     static = PrincipalSet(frozenset({prin("A")}))
-    assert is_static(static)
     assert roles_of(static) == frozenset()
     compound = UnionExpr(RoleRef(role("A.r")), IntersectionExpr(static, RoleRef(role("B.s"))))
-    assert not is_static(compound)
     assert role_strs(roles_of(compound)) == {"A.r", "B.s"}
-    assert is_static(compound) == (not roles_of(compound))
 
 
 def test_fold_visits_sides_left_to_right():
@@ -220,14 +219,23 @@ def test_expression_dunders_match_the_generated_ones():
         u.left = y
 
 
-def test_monitor_bind_expands_wildcards():
+def test_every_role_contains_every_unreserved_role():
     p = self_link_policy()
-    m = RoleMonitor(growth_all=True, shrink_trusted=frozenset({role("A.r")}))
-    bound = m.bind(p)
-    assert bound.growth_trusted == p.roles
-    assert bound.shrink_trusted == frozenset({role("A.r")})
-    assert bound.is_bound
-    assert bound.bind(p) is bound
+    assert all(r in EVERY_ROLE for r in p.roles)
+    # Roles of principals and names no state has seen yet are in too.
+    assert role("Zed.fresh") in EVERY_ROLE
+    assert Role(TOP, RoleName("r")) not in EVERY_ROLE
+    assert prin("A") not in EVERY_ROLE and "A.r" not in EVERY_ROLE
+    m = RoleMonitor(growth_trusted=EVERY_ROLE, shrink_trusted=frozenset({role("A.r")}))
+    assert m.growth_trusted is EVERY_ROLE
+    assert m.shrink_trusted == frozenset({role("A.r")})
+    # One symbolic value: equal only to itself, kept by copy and pickle.
+    assert EVERY_ROLE != p.roles and EVERY_ROLE != frozenset()
+    assert copy.copy(EVERY_ROLE) is EVERY_ROLE and copy.deepcopy(EVERY_ROLE) is EVERY_ROLE
+    assert pickle.loads(pickle.dumps(EVERY_ROLE)) is EVERY_ROLE
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert copy.deepcopy(m).growth_trusted is EVERY_ROLE
+    assert m != RoleMonitor(growth_trusted=p.roles, shrink_trusted=frozenset({role("A.r")}))
 
 
 def test_change_event_rendering():

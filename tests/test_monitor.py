@@ -7,16 +7,30 @@ import rtmon.analysis
 import rtmon.engine
 import rtmon.model
 import rtmon.monitor
-from rtmon.deps import restrict
+from rtmon.deps import (
+    DEFAULT_SUPPORT_CAP,
+    credential_support_for_constraint,
+    justified_semantics,
+    restrict,
+    support_for_constraint,
+)
 from rtmon.engine import check_constraint, eval_expr, evaluate
 from rtmon.model import (
+    EVERY_ROLE,
     TOP,
     ChangeEvent,
     ChangeKind,
+    Constraint,
+    IntersectionExpr,
     PolicyState,
+    Role,
     RoleMonitor,
+    RoleName,
+    RoleRef,
     SimpleMember,
     Statement,
+    UnionExpr,
+    roles_of,
 )
 from rtmon.monitor import (
     Classification,
@@ -43,6 +57,7 @@ from helpers import (
     hazmat_policy,
     hazmat_policy_extended,
     names,
+    prin,
     redundant_support_policy,
     role,
     role_strs,
@@ -51,9 +66,12 @@ from helpers import (
     support_shift_policy,
 )
 from rtmon.parser import parse_constraint, parse_policy
+from oracles import expand_wildcards
 from randgen import (
     biased_satisfied_constraint,
     random_constraint,
+    random_expr,
+    random_fan_state,
     random_monitor,
     random_state,
     random_statement_for_state,
@@ -67,6 +85,13 @@ def add(s):
 
 def remove(s):
     return ChangeEvent(ChangeKind.REMOVE, stmt(s))
+
+
+def _hazmat_wildcard_mode():
+    """Restricted trust as ``hazmat.mon`` declares it: ``*`` grows, only the
+    database shrinks."""
+    monitor = RoleMonitor(EVERY_ROLE, frozenset({role("ATF.hazmatDB")}))
+    return RestrictedTrust(monitor)
 
 
 class TestRegister:
@@ -91,12 +116,10 @@ class TestRegister:
 
     def test_restricted_with_wildcard_growth_holds(self):
         p = hazmat_policy()
-        mode = RestrictedTrust(
-            RoleMonitor(growth_all=True, shrink_trusted=frozenset({role("ATF.hazmatDB")}))
-        )
+        mode = _hazmat_wildcard_mode()
         rec = register(p, hazmat_constraint(), mode)
         assert rec.status is RecordStatus.HOLDING
-        assert rec.mode.monitor.is_bound
+        assert rec.mode == mode
         assert rec.gamma_total
         # empty upper bound on the left side means nothing needs support
         assert rec.support_cache.roles == frozenset()
@@ -114,12 +137,14 @@ class TestRegister:
         assert names(rec.violators) == {"Burke", "OConnel"}
 
     def test_restricted_unestablished_without_shrink_trust(self):
-        # the bound holds (lhs upper bound = {E} via the support-shift state)
-        # but no admissible support exists when nothing is shrink-trusted
+        # With nothing shrink-trusted the right side's lower bound is empty,
+        # so the left side's member E is a witness: the bound check fails
+        # before any support is sought.
         p = support_shift_policy()
-        mode = RestrictedTrust(RoleMonitor(growth_all=True))
+        mode = RestrictedTrust(RoleMonitor(growth_trusted=EVERY_ROLE))
         rec = register(p, support_shift_constraint(), mode)
-        assert rec.status in (RecordStatus.BOUND_VIOLATED, RecordStatus.UNESTABLISHED)
+        assert rec.status is RecordStatus.BOUND_VIOLATED
+        assert names(rec.violators) == {"E"}
 
 
 class TestClassify:
@@ -469,26 +494,11 @@ def _assert_index_agrees(index, records, ev):
     assert index.reached(ev, noop=True) == sorted(index.every)
 
 
-def _supports_fail_on_sizes_divisible_by(monkeypatch, k):
-    """Make support establishment fail on every state of ``k * n``
-    statements: generated policies never reach UNESTABLISHED on their own."""
-    for name in ("support_for_constraint", "credential_support_for_constraint"):
-        real = getattr(rtmon.monitor, name)
-
-        def flaky(p, members, *args, real=real, **kwargs):
-            if members and len(p) % k == 0:
-                raise rtmon.monitor.NoSupport(min(members))
-            return real(p, members, *args, **kwargs)
-
-        monkeypatch.setattr(rtmon.monitor, name, flaky)
-
-
-def test_session_steps_each_record_like_apply_change(monkeypatch):
+def test_session_steps_each_record_like_apply_change():
     # 300 seeded sessions of 5-6 constraints over 20+ events in mixed modes:
     # the session's routed replay equals stepping every record through
     # apply_change, and the frontier index routes exactly what classify
     # calls triggering, after every record replacement.
-    _supports_fail_on_sizes_divisible_by(monkeypatch, 5)
     rng = random.Random(705)
     modes = [
         lambda p: FullTrust(),
@@ -529,7 +539,7 @@ def test_session_steps_each_record_like_apply_change(monkeypatch):
         assert session.records == tuple(records)
     assert noops >= 1000
     assert blind >= 100
-    for status in (RecordStatus.VIOLATED, RecordStatus.BOUND_VIOLATED, RecordStatus.UNESTABLISHED):
+    for status in (RecordStatus.VIOLATED, RecordStatus.BOUND_VIOLATED):
         assert moves[RecordStatus.HOLDING, status] >= 20
         assert moves[status, RecordStatus.HOLDING] >= 20
 
@@ -670,3 +680,170 @@ def test_session_rejects_top_like_policy_state_add():
         run_session(p, [(hazmat_constraint(), FullTrust())], log())
     assert str(replayed.value) == str(direct.value)
     assert len(pulled) == 2
+
+
+def _wildcard_monitor(rng, p):
+    """A random monitor with ``*`` on its growth side, its shrink side, or
+    both."""
+    m = random_untrusted_link_monitor(rng, p, 0.85, 0.7)
+    kind = rng.randrange(3)
+    return RoleMonitor(
+        EVERY_ROLE if kind != 1 else m.growth_trusted,
+        EVERY_ROLE if kind != 0 else m.shrink_trusted,
+    )
+
+
+def _constraint_naming_a_fresh_role(rng, p, ident):
+    """A constraint that names a role no statement of ``p`` mentions, on one
+    side or both, beside the roles of a random constraint."""
+    q = biased_satisfied_constraint(rng, p, ident)
+    owner = sorted(p.principals)[0]
+    fresh = RoleRef(rng.choice([role("Zed.q"), Role(owner, RoleName("fresh"))]))
+    combine = UnionExpr if rng.random() < 0.6 else IntersectionExpr
+    side = rng.randrange(3)
+    lhs = combine(q.lhs, fresh) if side != 1 else q.lhs
+    rhs = combine(q.rhs, fresh) if side != 0 else q.rhs
+    return Constraint(q.owner, lhs, rhs, ident)
+
+
+def _outcome(rec):
+    return rec.status, rec.violators, rec.gamma_cache, rec.support_cache, rec.gamma_total
+
+
+def test_wildcard_records_equal_the_explicit_expansion():
+    # A symbolic ``*`` gives the record that expanding it to every role of
+    # the state and of the constraint gives, but keeps the mode as written.
+    rng = random.Random(730)
+    statuses = Counter()
+    fresh_named = 0
+    for n in range(400):
+        p = random_state(rng, max_statements=12)
+        if n % 3 == 0:
+            q = _constraint_naming_a_fresh_role(rng, p, f"q{n}")
+            fresh_named += not (roles_of(q.lhs) | roles_of(q.rhs)) <= p.roles
+        else:
+            q = biased_satisfied_constraint(rng, p, f"q{n}")
+        mode = RestrictedTrust(_wildcard_monitor(rng, p))
+        got = register(p, q, mode)
+        want = register(p, q, RestrictedTrust(expand_wildcards(p, q, mode.monitor)))
+        assert got.mode == mode
+        assert _outcome(got) == _outcome(want)
+        statuses[got.status, got.gamma_total] += 1
+    assert fresh_named >= 100
+    assert statuses[RecordStatus.HOLDING, True] >= 100
+    assert statuses[RecordStatus.HOLDING, False] >= 20
+    assert statuses[RecordStatus.BOUND_VIOLATED, True] >= 50
+
+
+def test_wildcard_trusts_a_role_the_policy_never_mentions():
+    q = parse_constraint("constraint z owner Zed: Zed.q <= ATF.hazmatDB")
+    mode = _hazmat_wildcard_mode()
+    rec = register(hazmat_policy(), q, mode)
+    assert rec.status is RecordStatus.HOLDING
+    assert rec.gamma_total and role_strs(rec.gamma_cache.roles) == {"Zed.q"}
+
+
+def test_wildcard_session_covers_principals_that_appear_later():
+    # EMS appears only after registration.  Under ``*`` its empty
+    # responsePersonnel role is growth-trusted like every other, so the bound
+    # still holds, as a fresh registration on the final state finds.
+    p = hazmat_policy()
+    q = hazmat_constraint()
+    mode = _hazmat_wildcard_mode()
+    session = run_session(p, [(q, mode)], [add("Emergency.dept <- EMS")])
+    fresh = register(session.final_state, q, mode)
+    assert fresh.status is RecordStatus.HOLDING
+    assert session.records == (fresh,)
+    assert [w.outcome for w in session.warnings] == [WarningOutcome.STILL_HOLDS]
+
+
+def test_wildcard_sessions_match_a_fresh_register_at_every_step():
+    # Every step's records reach the verdict a fresh registration on that
+    # step's state reaches.  A record re-registered at the step equals the
+    # fresh one; a holding record that ignored the event keeps its caches,
+    # which stay sound but need not be the ones a fresh registration picks.
+    rng = random.Random(731)
+    moves: Counter = Counter()
+    for n in range(100):
+        p = random_state(rng)
+        regs = []
+        for i in range(3):
+            make = _constraint_naming_a_fresh_role if i == 2 else biased_satisfied_constraint
+            regs.append((make(rng, p, f"q{i}"), RestrictedTrust(_wildcard_monitor(rng, p))))
+        log, _ = _random_log(rng, p, 20)
+        records = [register(p, q, mode) for q, mode in regs]
+        state = p
+        for ev in log:
+            for i, rec in enumerate(records):
+                got = apply_change(rec, state, ev)
+                records[i] = got.record
+                moves[rec.status, got.record.status] += 1
+            state = got.new_state
+            for rec, (q, mode) in zip(records, regs):
+                fresh = register(state, q, mode)
+                assert rec.mode == mode
+                assert (rec.status, rec.violators) == (fresh.status, fresh.violators)
+                if rec.status is not RecordStatus.HOLDING or not rec.gamma_total:
+                    assert rec == fresh
+        assert run_session(p, regs, log).records == tuple(records)
+    assert moves[RecordStatus.HOLDING, RecordStatus.BOUND_VIOLATED] >= 20
+    assert moves[RecordStatus.BOUND_VIOLATED, RecordStatus.HOLDING] >= 20
+
+
+def test_wildcard_register_and_session_never_build_the_cross_product(monkeypatch):
+    p = _big_policy()
+    mode = RestrictedTrust(RoleMonitor(growth_trusted=EVERY_ROLE, shrink_trusted=EVERY_ROLE))
+    snapshots = [p]
+    real = rtmon.monitor._checked_state
+    monkeypatch.setattr(
+        rtmon.monitor,
+        "_checked_state",
+        lambda stmts: snapshots.append(real(stmts)) or snapshots[-1],
+    )
+    assert register(p, hazmat_constraint(), mode).status is RecordStatus.HOLDING
+    log = [add("Emergency.dept <- EMS"), add(HAZMAT_ADD_9)]
+    session = run_session(p, [(hazmat_constraint(), mode)], log)
+    assert [w.event for w in session.warnings] == log
+    assert len(snapshots) == 3
+    assert all("roles" not in vars(s) for s in snapshots)
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_SUPPORT_CAP, 1])
+def test_a_passing_check_always_has_a_support(cap):
+    # Why ``register`` has no "unestablished" outcome.  Under full trust
+    # every left-side member is a right-side member, and the worklist keeps
+    # at least one support of every membership under any cap of 1 or more.
+    # Under restricted trust the right side's lower bound is membership in
+    # the state restricted to the shrink-trusted heads, the state the
+    # support worklist runs on, and it covers the left side's upper bound.
+    rng = random.Random(740 + cap)
+    passed: Counter = Counter()
+    for n in range(400):
+        if n % 2:
+            p = random_fan_state(rng)
+            top = RoleRef(role("Top.r"))
+            q = Constraint(prin("Top"), top, top if n % 4 == 1 else random_expr(rng, p), f"q{n}")
+            passed["truncated"] += justified_semantics(p, max_entries_per_member=cap).truncated
+        else:
+            p = random_state(rng, max_statements=12)
+            q = biased_satisfied_constraint(rng, p, f"q{n}")
+        idx = evaluate(p)
+        if check_constraint(p, q, idx).satisfied:
+            members = eval_expr(idx, q.lhs)
+            support_for_constraint(p, members, q.rhs, max_entries_per_member=cap)
+            credential_support_for_constraint(p, members, q.rhs, max_entries_per_member=cap)
+            for mode in (FullTrust(), FullTrustCredential()):
+                assert register(p, q, mode).status is RecordStatus.HOLDING
+            passed["full"] += 1
+        monitor = _wildcard_monitor(rng, p) if n % 3 == 0 else random_monitor(rng, p, 0.8, 0.8)
+        chk = check_bounded_containment(p, monitor, q)
+        if chk.holds:
+            support_for_constraint(
+                p, chk.lhs_upper, q.rhs, admissible=monitor.shrink_trusted,
+                max_entries_per_member=cap,
+            )
+            assert register(p, q, RestrictedTrust(monitor)).status is RecordStatus.HOLDING
+            passed["restricted"] += 1
+    assert passed["full"] >= 200 and passed["restricted"] >= 100
+    if cap == 1:
+        assert passed["truncated"] >= 50

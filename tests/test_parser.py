@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rtmon.model import (
+    EVERY_ROLE,
     ChangeEvent,
     ChangeKind,
     IntersectionExpr,
@@ -160,21 +161,18 @@ class TestConstraints:
 class TestMonitors:
     def test_star_sections(self):
         m = parse_monitor("growth-trusted: *\nshrink-trusted: *\n")
-        assert m.growth_all and m.shrink_all
-        assert not m.is_bound
+        assert m.growth_trusted is EVERY_ROLE and m.shrink_trusted is EVERY_ROLE
 
     def test_explicit_roles(self):
         m = parse_monitor("shrink-trusted: ATF.hazmatDB\n")
         assert m.shrink_trusted == frozenset({role("ATF.hazmatDB")})
         assert m.growth_trusted == frozenset()
-        assert not m.growth_all
 
     def test_all_but_one_role_listing(self):
         p = hazmat_policy()
         keep = sorted(str(r) for r in p.roles if r != role("Emergency.dept"))
         m = parse_monitor("growth-trusted: " + ", ".join(keep) + "\n")
-        bound = m.bind(p)
-        assert bound.growth_trusted == p.roles - {role("Emergency.dept")}
+        assert m.growth_trusted == p.roles - {role("Emergency.dept")}
 
     def test_duplicate_section_rejected(self):
         with pytest.raises(ParseError):
@@ -315,13 +313,8 @@ def test_round_trip_random_constraints(lhs, rhs, cid):
     st.booleans(),
 )
 def test_round_trip_random_monitors(growth, shrink, g_all, s_all):
-    m = RoleMonitor(growth, shrink, g_all, s_all)
-    reparsed = parse_monitor(serialize_monitor(m))
-    # sections serialize only when non-empty, so compare the effective form
-    assert reparsed.growth_all == m.growth_all
-    assert reparsed.shrink_all == m.shrink_all
-    assert reparsed.growth_trusted == (frozenset() if m.growth_all else m.growth_trusted)
-    assert reparsed.shrink_trusted == (frozenset() if m.shrink_all else m.shrink_trusted)
+    m = RoleMonitor(EVERY_ROLE if g_all else growth, EVERY_ROLE if s_all else shrink)
+    assert parse_monitor(serialize_monitor(m)) == m
 
 
 @given(st.text(max_size=200))
