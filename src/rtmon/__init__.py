@@ -76,6 +76,7 @@ from .monitor import (
     RestrictedTrust,
     SessionResult,
     StaleRecord,
+    StateAnalysis,
     WarningCause,
     WarningOutcome,
     apply_change,

@@ -20,12 +20,7 @@ import json
 import sys
 from typing import Optional
 
-from .analysis import (
-    bounds,
-    check_bounded_containment,
-    core,
-    gamma_restricted_expr,
-)
+from .analysis import check_bounded_containment, gamma_restricted_expr
 from .deps import (
     NoSupport,
     gamma_expr,
@@ -39,6 +34,7 @@ from .monitor import (
     FullTrustCredential,
     MonitorMode,
     RestrictedTrust,
+    StateAnalysis,
     WarningOutcome,
     run_session,
 )
@@ -132,9 +128,10 @@ def cmd_check(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
+    idx = evaluate(state)
     verdicts = []
     for q in constraints:
-        got = check_constraint(state, q)
+        got = check_constraint(state, q, idx)
         verdicts.append(
             {"id": q.id, "satisfied": got.satisfied, "violators": _names(got.violators)}
         )
@@ -146,7 +143,9 @@ def cmd_deps(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
-    idx = evaluate(state)
+    analysis = StateAnalysis(state)
+    idx = analysis.semantics
+    js = justified_semantics(state) if args.all_supports else None
     verdicts = []
     violated = False
     for q in constraints:
@@ -154,15 +153,16 @@ def cmd_deps(args) -> dict:
         entry: dict = {
             "id": q.id,
             "satisfied": got.satisfied,
-            "gamma": _role_names(gamma_expr(state, q.lhs, idx).roles),
+            "gamma": _role_names(gamma_expr(state, q.lhs, idx, analysis.index).roles),
         }
         if got.satisfied:
             members = eval_expr(idx, q.lhs)
             entry["support"] = _role_names(
-                support_for_constraint(state, members, q.rhs).roles
+                support_for_constraint(
+                    state, members, q.rhs, saturated=analysis.worklist()
+                ).roles
             )
-            if args.all_supports:
-                js = justified_semantics(state)
+            if js is not None:
                 found: dict = {}
                 for role in roles_of(q.rhs):
                     for e in js.for_role(role):
@@ -184,14 +184,15 @@ def cmd_analyze(args) -> dict:
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
     monitor = _load(args.monitor, parse_monitor, inputs, "monitor")
     g = monitor.growth_trusted
-    idx = bounds(state, monitor)
-    coreset = core(state, g, idx.upper)
+    analysis = StateAnalysis(state)
+    idx = analysis.bounds(monitor)
+    coreset = analysis.core(monitor)
     verdicts = []
     violated = False
     unestablished = False
     for q in constraints:
         chk = check_bounded_containment(state, monitor, q, idx)
-        growth = gamma_restricted_expr(state, g, q.lhs, idx.upper, coreset)
+        growth = gamma_restricted_expr(state, g, q.lhs, idx.upper, coreset, analysis.index)
         entry: dict = {
             "id": q.id,
             "holds": chk.holds,
@@ -199,8 +200,9 @@ def cmd_analyze(args) -> dict:
             "gamma_restricted": _role_names(growth.roles),
         }
         try:
+            shrink = monitor.shrink_trusted
             support = support_for_constraint(
-                state, chk.lhs_upper, q.rhs, admissible=monitor.shrink_trusted
+                state, chk.lhs_upper, q.rhs, shrink, saturated=analysis.worklist(shrink)
             )
             entry["support"] = _role_names(support.roles)
             entry["established"] = True

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import SemanticsIndex, _reads, _rule_index, evaluate
+from .engine import SemanticsIndex, _reads, _rule_index, _RuleIndex, evaluate
 from .model import (
+    EVERY_ROLE,
     LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
@@ -32,6 +33,7 @@ from .model import (
     SimpleInclusion,
     SimpleMember,
     Statement,
+    _checked_state,
     fold_expr,
     roles_of,
 )
@@ -130,22 +132,25 @@ class NoSupport(Exception):
 
 
 def restrict(p: PolicyState, sigma: Container[Role]) -> PolicyState:
-    """Keep exactly the statements whose head lies in ``sigma``."""
-    return PolicyState(frozenset(s for s in p.statements if s.head in sigma))
+    """Keep exactly the statements whose head lies in ``sigma``; ``p``
+    itself when ``sigma`` is :data:`~rtmon.model.EVERY_ROLE`."""
+    if sigma is EVERY_ROLE:
+        return p
+    return _checked_state(frozenset(s for s in p.statements if s.head in sigma))
 
 
 def _growth_roles(
-    p: PolicyState,
+    heads: Mapping[Role, Iterable[Statement]],
     roots: Iterable[Role],
     members: Mapping[Role, frozenset[Principal]],
     within: Optional[Container[Role]] = None,
 ) -> frozenset[Role]:
     """Close ``roots`` under the definitions reachable from them.
 
+    ``heads`` holds the rules by head, as in :func:`rtmon.engine._rule_index`;
     ``members`` gives the members a linked role walks (absent roles are
     empty); with ``within`` given, only roles inside it are kept.
     """
-    heads = _rule_index(p.statements).heads
     found: set[Role] = {r for r in roots if within is None or r in within}
     work = list(found)
     while work:
@@ -160,19 +165,25 @@ def _growth_roles(
 def gamma(p: PolicyState, target: Role) -> GrowthSet:
     """Close ``{target}`` under the roles the statements heading each found
     role read, a linked role walking its first role's current members."""
-    return GrowthSet(target, _growth_roles(p, (target,), evaluate(p).members))
+    return GrowthSet(target, gamma_expr(p, RoleRef(target)).roles)
 
 
 def gamma_expr(
-    p: PolicyState, expr: PositiveRoleExpr, idx: Optional[SemanticsIndex] = None
+    p: PolicyState,
+    expr: PositiveRoleExpr,
+    idx: Optional[SemanticsIndex] = None,
+    index: Optional[_RuleIndex] = None,
 ) -> GrowthSet:
     """Union of the growth sets of the expression's roles; empty when static.
 
-    ``idx`` is ``evaluate(p)`` when the caller already holds it.
+    ``idx`` and ``index`` are ``evaluate(p)`` and ``_rule_index(p.statements)``
+    when the caller already holds them.
     """
+    if index is None:
+        index = _rule_index(p.statements)
     if idx is None:
-        idx = evaluate(p)
-    return GrowthSet(expr, _growth_roles(p, roles_of(expr), idx.members))
+        idx = evaluate(p, index)
+    return GrowthSet(expr, _growth_roles(index.heads, roles_of(expr), idx.members))
 
 
 # One justification of a membership: (support tokens, derivation size).
@@ -283,6 +294,15 @@ def _worklist(
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 
 
+def _role_worklist(
+    p: PolicyState, admissible: Optional[Container[Role]], cap: Optional[int]
+) -> _Saturated:
+    """Role supports per role and member, over the statements of ``p``
+    heading a role in ``admissible`` (every statement when it is ``None``)."""
+    base = restrict(p, admissible) if admissible is not None else p
+    return _worklist(base, token=lambda s: s.head, cap=cap)[0]
+
+
 def justified_semantics(
     p: PolicyState, *, max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP
 ) -> JustifiedSemantics:
@@ -305,7 +325,7 @@ def minimal_supports(
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
 ) -> frozenset[RoleSupport]:
     """Minimal supports of ``member`` in ``target``; empty iff not a member."""
-    raw, _ = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
+    raw = _role_worklist(p, None, max_entries_per_member)
     return frozenset(RoleSupport(sup) for sup in _supports(raw, target, member))
 
 
@@ -351,6 +371,7 @@ def support_for_constraint(
     admissible: Optional[Container[Role]] = None,
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
+    saturated: Optional[_Saturated] = None,
 ) -> RoleSupport:
     """One role support proving every member's membership in ``rhs``.
 
@@ -358,12 +379,15 @@ def support_for_constraint(
     running the worklist on the state restricted to admissible heads, which
     yields exactly the supports contained in ``admissible``).  Raises
     :class:`NoSupport` when some member has no qualifying support.
+
+    ``saturated`` is ``_role_worklist(p, admissible, max_entries_per_member)``
+    when the caller already holds it.
     """
-    base = restrict(p, admissible) if admissible is not None else p
-    raw, _ = _worklist(base, token=lambda s: s.head, cap=max_entries_per_member)
+    if saturated is None:
+        saturated = _role_worklist(p, admissible, max_entries_per_member)
     total: set[Role] = set()
     for member in sorted(set(members), key=str):
-        got = _member_expr_support(member, rhs, raw)
+        got = _member_expr_support(member, rhs, saturated)
         if got is None:
             raise NoSupport(member)
         total |= got
@@ -376,6 +400,7 @@ def credential_support_for_constraint(
     rhs: PositiveRoleExpr,
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
+    saturated: Optional[_Saturated] = None,
 ) -> CredentialSupport:
     """Statement-level support: the statements one derivation actually uses.
 
@@ -383,11 +408,15 @@ def credential_support_for_constraint(
     :func:`support_for_constraint`; the statements are then collected by
     re-running the worklist over the state restricted to that role support,
     so every collected statement's head lies inside the role support.
+
+    ``saturated`` is ``_role_worklist(p, None, max_entries_per_member)`` when
+    the caller already holds it.
     """
-    raw, _ = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
+    if saturated is None:
+        saturated = _role_worklist(p, None, max_entries_per_member)
     total: set[Statement] = set()
     for member in sorted(set(members), key=str):
-        role_support = _member_expr_support(member, rhs, raw)
+        role_support = _member_expr_support(member, rhs, saturated)
         if role_support is None:
             raise NoSupport(member)
         replay, _ = _worklist(

@@ -5,11 +5,11 @@ forms.  :func:`_reads` is the one place that says which roles a statement
 reads, and :func:`_rule_index` the one builder of the index every fixpoint
 pass shares: rules by the roles they read, linked rules by the name of
 their second role, rules by head, and the member facts.  The evaluator
-builds it once per call and runs semi-naive rounds: a rule fires only on
-the members its inputs gained in the previous round, joined with what the
-other inputs already hold.  Results are independent of statement order.
-Seeded with fixed roles, the same loop gives both bounds of restricted
-trust.
+takes the index from its caller or builds it, and runs semi-naive rounds:
+a rule fires only on the members its inputs gained in the previous round,
+joined with what the other inputs already hold.  Results are independent
+of statement order.  Seeded with fixed roles, the same loop gives both
+bounds of restricted trust.
 """
 
 from __future__ import annotations
@@ -62,9 +62,12 @@ class SemanticsIndex:
 _EMPTY: frozenset[Principal] = frozenset()
 
 
-def evaluate(p: PolicyState) -> SemanticsIndex:
-    """Compute role membership for every role with members in the state."""
-    return _saturate(p)
+def evaluate(p: PolicyState, index: Optional[_RuleIndex] = None) -> SemanticsIndex:
+    """Compute role membership for every role with members in the state.
+
+    ``index`` is ``_rule_index(p.statements)`` when the caller already holds it.
+    """
+    return _saturate(p, index=index)
 
 
 def _reads(
@@ -124,6 +127,7 @@ def _saturate(
     p: PolicyState,
     fixed: Optional[Callable[[Role], bool]] = None,
     universe: frozenset[Principal] = _EMPTY,
+    index: Optional[_RuleIndex] = None,
 ) -> SemanticsIndex:
     """Least model of the state with the roles ``fixed`` selects held at
     ``universe``.
@@ -133,8 +137,12 @@ def _saturate(
     as new members for every rule that reads it by name.  Without ``fixed``
     this is exact membership; with an empty ``universe`` it is membership
     in the state restricted to the heads ``fixed`` leaves out.
+
+    ``index`` is ``_rule_index(p.statements, fixed)`` when the caller
+    already holds it.
     """
-    index = _rule_index(p.statements, fixed)
+    if index is None:
+        index = _rule_index(p.statements, fixed)
     readers, linked = index.readers, index.linked
     members: dict[Role, set[Principal]] = {
         role: set(found) for role, found in index.facts.items()

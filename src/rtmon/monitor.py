@@ -16,29 +16,42 @@ the live statements in one mutable set and builds a ``PolicyState`` only
 when some record re-registers, so an event outside every frontier costs a
 set update and a few dictionary lookups, whatever the policy size and the
 number of constraints.
+
+The whole-state part of a registration -- membership, the rule index, the
+support worklist, and the bounds and core of a monitor -- lives in one
+:class:`StateAnalysis`, shared across the records of a snapshot: the
+initial registrations share one, and so do the records one event
+re-registers.  Each record adds only its check, growth closure walk and
+support picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Container, Iterable, Optional, Sequence, TypeVar, Union
 
 from .analysis import (
+    BoundIndex,
+    CoreSet,
     bounds,
     check_bounded_containment,
     core,
     gamma_restricted_expr,
 )
 from .deps import (
+    DEFAULT_SUPPORT_CAP,
     CredentialSupport,
     GrowthSet,
     RoleSupport,
+    _role_worklist,
+    _Saturated,
     credential_support_for_constraint,
     gamma_expr,
     support_for_constraint,
 )
-from .engine import check_constraint, eval_expr, evaluate
+from .engine import SemanticsIndex, _rule_index, _RuleIndex, check_constraint, eval_expr, evaluate
 from .model import (
     ChangeEvent,
     ChangeKind,
@@ -65,6 +78,7 @@ __all__ = [
     "MonitorWarning",
     "Classification",
     "StaleRecord",
+    "StateAnalysis",
     "register",
     "classify",
     "ChangeResult",
@@ -72,6 +86,8 @@ __all__ = [
     "SessionResult",
     "run_session",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -152,41 +168,104 @@ class MonitorWarning:
     noop: bool = False
 
 
-def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
+class StateAnalysis:
+    """The whole-state work every record registered against ``p`` shares.
+
+    Each part is computed on first use and then kept: the rule index,
+    membership, the role-support worklist per admissible set and cap, and
+    per role monitor the bounds and the trusted core.  A record then runs
+    only its own check, growth closure walk and support picks.  Build one
+    for a batch of registrations against one state and drop it with the
+    batch: it holds results of the size of the state.
+    """
+
+    def __init__(self, p: PolicyState):
+        self.p = p
+        self._done: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, compute: Callable[[], _T]) -> _T:
+        if key not in self._done:
+            self._done[key] = compute()
+        return self._done[key]
+
+    @cached_property
+    def index(self) -> _RuleIndex:
+        return _rule_index(self.p.statements)
+
+    @cached_property
+    def semantics(self) -> SemanticsIndex:
+        return evaluate(self.p, self.index)
+
+    def worklist(
+        self,
+        admissible: Optional[Container[Role]] = None,
+        cap: Optional[int] = DEFAULT_SUPPORT_CAP,
+    ) -> _Saturated:
+        """The role supports over the statements heading admissible roles;
+        ``admissible`` is hashable, like either side of a monitor."""
+        return self._once(
+            ("worklist", admissible, cap), lambda: _role_worklist(self.p, admissible, cap)
+        )
+
+    def bounds(self, monitor: RoleMonitor) -> BoundIndex:
+        return self._once(("bounds", monitor), lambda: bounds(self.p, monitor))
+
+    def core(self, monitor: RoleMonitor) -> CoreSet:
+        return self._once(
+            ("core", monitor),
+            lambda: core(self.p, monitor.growth_trusted, self.bounds(monitor).upper),
+        )
+
+
+def register(
+    p: PolicyState, q: Constraint, mode: MonitorMode, analysis: Optional[StateAnalysis] = None
+) -> MonitorRecord:
     """Check the constraint and, if it holds, build the monitoring caches.
 
     A check that passes always has a support: under full trust every
     left-side member is a right-side member, and under restricted trust the
     lower bound is membership in the state restricted to the shrink-trusted
     heads, the state the support is sought in.
-    """
-    if isinstance(mode, RestrictedTrust):
-        return _register_restricted(p, q, mode)
 
-    idx = evaluate(p)
+    ``analysis`` is ``StateAnalysis(p)`` when the caller already holds it.
+    """
+    if analysis is None:
+        analysis = StateAnalysis(p)
+    if isinstance(mode, RestrictedTrust):
+        return _register_restricted(p, q, mode, analysis)
+
+    idx = analysis.semantics
     result = check_constraint(p, q, idx)
     if not result.satisfied:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
-    growth = gamma_expr(p, q.lhs, idx)
+    growth = gamma_expr(p, q.lhs, idx, analysis.index)
     members = eval_expr(idx, q.lhs)
+    saturated = analysis.worklist()
     if isinstance(mode, FullTrustCredential):
         support: Union[RoleSupport, CredentialSupport] = (
-            credential_support_for_constraint(p, members, q.rhs)
+            credential_support_for_constraint(p, members, q.rhs, saturated=saturated)
         )
     else:
-        support = support_for_constraint(p, members, q.rhs)
+        support = support_for_constraint(p, members, q.rhs, saturated=saturated)
     return MonitorRecord(q, mode, growth, support, RecordStatus.HOLDING)
 
 
-def _register_restricted(p: PolicyState, q: Constraint, mode: RestrictedTrust) -> MonitorRecord:
+def _register_restricted(
+    p: PolicyState, q: Constraint, mode: RestrictedTrust, analysis: StateAnalysis
+) -> MonitorRecord:
     monitor = mode.monitor
-    idx = bounds(p, monitor)
+    idx = analysis.bounds(monitor)
     chk = check_bounded_containment(p, monitor, q, idx)
     if not chk.holds:
         return MonitorRecord(q, mode, None, None, RecordStatus.BOUND_VIOLATED, chk.witnesses)
-    coreset = core(p, monitor.growth_trusted, idx.upper)
-    growth = gamma_restricted_expr(p, monitor.growth_trusted, q.lhs, idx.upper, coreset)
-    support = support_for_constraint(p, chk.lhs_upper, q.rhs, admissible=monitor.shrink_trusted)
+    coreset = analysis.core(monitor)
+    growth = gamma_restricted_expr(
+        p, monitor.growth_trusted, q.lhs, idx.upper, coreset, analysis.index
+    )
+    shrink = monitor.shrink_trusted
+    support = support_for_constraint(
+        p, chk.lhs_upper, q.rhs, shrink, saturated=analysis.worklist(shrink)
+    )
     gamma_total = all(r in coreset for r in roles_of(q.lhs))
     return MonitorRecord(
         q, mode, growth, support, RecordStatus.HOLDING, gamma_total=gamma_total
@@ -242,9 +321,14 @@ _OUTCOME_BY_STATUS = {
 
 
 def _react(
-    rec: MonitorRecord, new_state: PolicyState, ev: ChangeEvent, noop: bool
+    rec: MonitorRecord,
+    new_state: PolicyState,
+    ev: ChangeEvent,
+    noop: bool,
+    analysis: Optional[StateAnalysis] = None,
 ) -> tuple[Optional[MonitorWarning], MonitorRecord]:
-    """One record's reaction to an already-applied event."""
+    """One record's reaction to an already-applied event; ``analysis`` is
+    ``StateAnalysis(new_state)`` when the caller already holds it."""
     if rec.status is RecordStatus.HOLDING:
         if noop or classify(rec, ev) is Classification.IGNORABLE:
             return None, rec
@@ -257,7 +341,7 @@ def _react(
         # Outside the holding regime nothing is provably ignorable; every
         # event forces a re-check, which doubles as recovery.
         cause = WarningCause.RECHECK
-    fresh = register(new_state, rec.constraint, rec.mode)
+    fresh = register(new_state, rec.constraint, rec.mode, analysis)
     warning = MonitorWarning(
         constraint_id=rec.constraint.id,
         cause=cause,
@@ -360,9 +444,12 @@ def run_session(
     records without one; every other record provably ignores it and is not
     visited.  The records reached react to one ``PolicyState`` snapshot of
     the live set, built at most once per event and only when some record
-    re-registers; ``final_state`` is ``p`` itself when nothing changed.
+    re-registers, and share one :class:`StateAnalysis` of it, dropped when
+    the event is done; ``final_state`` is ``p`` itself when nothing changed.
     """
-    initial = tuple(register(p, q, mode) for q, mode in registrations)
+    shared: Optional[StateAnalysis] = StateAnalysis(p)
+    initial = tuple(register(p, q, mode, shared) for q, mode in registrations)
+    shared = None
     records = list(initial)
     index = _FrontierIndex(records)
     warnings: list[MonitorWarning] = []
@@ -383,12 +470,16 @@ def run_session(
         for i in index.reached(ev, noop):
             if snapshot is None:
                 snapshot = _checked_state(frozenset(live))
-            warning, fresh = _react(records[i], snapshot, ev, noop)
+            if shared is None:
+                shared = StateAnalysis(snapshot)
+            warning, fresh = _react(records[i], snapshot, ev, noop, shared)
             if warning is not None:
                 warnings.append(warning)
             if fresh is not records[i]:
                 records[i] = fresh
                 index.put(i, fresh)
+        # Freed within this event, so the next event does not pay for it.
+        shared = None
     if snapshot is None:
         snapshot = _checked_state(frozenset(live))
     return SessionResult(snapshot, tuple(warnings), tuple(records), initial)

@@ -6,6 +6,7 @@ import pytest
 import rtmon.analysis
 import rtmon.cli
 import rtmon.deps
+import rtmon.engine
 import rtmon.monitor
 from rtmon.cli import main
 
@@ -67,6 +68,13 @@ class TestCheck:
         assert rc == 1
         assert "c1: violated [Burke]" in out
 
+    def test_evaluates_once_for_every_constraint(self, in_fixtures, capsys, monkeypatch):
+        evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
+        rc, out = run(capsys, "check", "multi.rt", "multi.cst")
+        assert rc == 1
+        assert out.count(": satisfied") == 3
+        assert len(evaluations) == 1
+
     def test_empty_constraints_file(self, in_fixtures, capsys, tmp_path):
         empty = tmp_path / "none.cst"
         empty.write_text("")
@@ -98,6 +106,16 @@ class TestDeps:
         }
         # One run for the support and one for every member's supports.
         assert len(runs) == 2
+
+    def test_all_supports_saturate_once_per_run(self, in_fixtures, capsys, monkeypatch):
+        runs = count_calls(monkeypatch, rtmon.deps._worklist)
+        evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
+        rc, out = run(capsys, "deps", "multi.rt", "multi.cst", "--all-supports")
+        assert rc == 1
+        assert out.count(": satisfied") == 3
+        # One shared run for every support, one for every member's supports.
+        assert len(runs) == 2
+        assert len(evaluations) == 1
 
 
 class TestAnalyze:
@@ -222,9 +240,9 @@ class TestMonitor:
         real = rtmon.monitor.register
         calls = []
 
-        def counted(p, q, mode):
+        def counted(p, q, mode, *shared):
             calls.append(q.id)
-            return real(p, q, mode)
+            return real(p, q, mode, *shared)
 
         monkeypatch.setattr(rtmon.monitor, "register", counted)
         constraints = tmp_path / "two.cst"
@@ -336,6 +354,9 @@ GOLDEN_CASES = [
         "monitor_support_shift.json",
         ["monitor", "support_shift.rt", "support_shift.cst", "support_shift.changes"],
     ),
+    ("check_multi.json", ["check", "multi.rt", "multi.cst"]),
+    ("deps_multi.json", ["deps", "multi.rt", "multi.cst", "--all-supports"]),
+    ("monitor_multi.json", ["monitor", "multi.rt", "multi.cst", "multi.changes"]),
 ]
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import rtmon.model
 from rtmon.deps import (
     NoSupport,
     credential_support_for_constraint,
@@ -20,6 +21,7 @@ from rtmon.deps import (
 )
 from rtmon.engine import evaluate, role_members
 from rtmon.model import (
+    EVERY_ROLE,
     PolicyState,
     PrincipalSet,
     RoleRef,
@@ -28,6 +30,7 @@ from rtmon.model import (
 from rtmon.parser import parse_policy
 
 from helpers import (
+    count_calls,
     hazmat_policy,
     prin,
     redundant_support_policy,
@@ -55,6 +58,20 @@ class TestRestrict:
     def test_full_restriction_is_identity(self):
         p = hazmat_policy()
         assert restrict(p, p.roles) == p
+
+    def test_every_role_keeps_the_state_itself(self):
+        p = hazmat_policy()
+        assert restrict(p, EVERY_ROLE) is p
+
+    def test_explicit_sets_give_equal_states_without_rechecking(self, monkeypatch):
+        p = hazmat_policy()
+        checks = count_calls(monkeypatch, rtmon.model._check_unreserved)
+        every = restrict(p, p.roles)
+        assert every == p and every is not p
+        some = frozenset({role("ATF.hazmatTraining"), role("Emergency.dept")})
+        assert restrict(p, some).statements == frozenset(s for s in p if s.head in some)
+        # Statements of a state passed the ``TOP`` check when it was built.
+        assert checks == []
 
 
 class TestGamma:

@@ -1,9 +1,11 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import rtmon.analysis
+import rtmon.deps
 import rtmon.engine
 import rtmon.model
 import rtmon.monitor
@@ -39,6 +41,7 @@ from rtmon.monitor import (
     RecordStatus,
     RestrictedTrust,
     StaleRecord,
+    StateAnalysis,
     WarningCause,
     WarningOutcome,
     apply_change,
@@ -65,7 +68,7 @@ from helpers import (
     support_shift_constraint,
     support_shift_policy,
 )
-from rtmon.parser import parse_constraint, parse_policy
+from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
 from oracles import expand_wildcards
 from randgen import (
     biased_satisfied_constraint,
@@ -847,3 +850,156 @@ def test_a_passing_check_always_has_a_support(cap):
     assert passed["full"] >= 200 and passed["restricted"] >= 100
     if cap == 1:
         assert passed["truncated"] >= 50
+
+
+MULTI_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _multi_policy():
+    return parse_policy((MULTI_FIXTURES / "multi.rt").read_text())
+
+
+def _multi_constraints():
+    return parse_constraints((MULTI_FIXTURES / "multi.cst").read_text())
+
+
+def _holding_multi_constraints():
+    """Four constraints that all hold on the multi-constraint fixture."""
+    held = [q for q in _multi_constraints() if q.id != "c4"]
+    held.append(parse_constraint("constraint c5 owner Org: Org.cleared <= Org.vpn"))
+    return held
+
+
+def test_full_trust_registrations_share_one_evaluation_and_one_worklist(monkeypatch):
+    p = _multi_policy()
+    saturations = count_calls(monkeypatch, rtmon.engine._saturate)
+    worklists = count_calls(monkeypatch, rtmon.deps._worklist)
+    session = run_session(p, [(q, FullTrust()) for q in _holding_multi_constraints()], [])
+    assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 4
+    assert saturations == [p]
+    assert worklists == [p]
+
+
+def test_restricted_registrations_under_one_monitor_share_bounds_and_core(monkeypatch):
+    p = _multi_policy()
+    monitor = RoleMonitor(
+        growth_trusted=EVERY_ROLE,
+        shrink_trusted=frozenset({role("Org.badge"), role("Sec.vetted")}),
+    )
+    lower = count_calls(monkeypatch, rtmon.analysis.lower_bound)
+    upper = count_calls(monkeypatch, rtmon.analysis.upper_bound)
+    cores = count_calls(monkeypatch, rtmon.analysis.core)
+    worklists = count_calls(monkeypatch, rtmon.deps._worklist)
+    regs = [(q, RestrictedTrust(monitor)) for q in _multi_constraints()[:2]]
+    session = run_session(p, regs, [])
+    assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 2
+    assert lower == [p] and upper == [p] and cores == [p]
+    assert len(worklists) == 1
+
+
+def _shared_modes(rng, p):
+    """Modes for one state's constraints: two restricted ones share a
+    monitor, a third has its own, and the rest are full trust."""
+    shared = RestrictedTrust(random_monitor(rng, p, 0.85, 0.6))
+    own = RestrictedTrust(random_untrusted_link_monitor(rng, p, 0.85, 0.85))
+    return [FullTrust(), shared, FullTrustCredential(), shared, own, FullTrust()]
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_SUPPORT_CAP, 1])
+def test_shared_analysis_equals_independent_registration(cap):
+    # Records registered against one StateAnalysis equal records registered
+    # alone; at either cap, supports taken from the shared worklist equal
+    # supports computed from scratch.
+    rng = random.Random(750 + cap)
+    seen: Counter = Counter()
+    for n in range(240):
+        if n % 3 == 2:
+            p = random_fan_state(rng)
+            top = RoleRef(role("Top.r"))
+            make = lambda i: Constraint(prin("Top"), top, random_expr(rng, p), f"q{i}")  # noqa: E731
+            seen["truncated"] += justified_semantics(p, max_entries_per_member=cap).truncated
+        else:
+            p = random_state(rng)
+            make = lambda i: (  # noqa: E731
+                biased_satisfied_constraint if rng.random() < 0.6 else random_constraint
+            )(rng, p, f"q{i}")
+        shared = StateAnalysis(p)
+        for i, mode in enumerate(_shared_modes(rng, p)):
+            q = make(i)
+            got = register(p, q, mode, shared)
+            assert got == register(p, q, mode)
+            seen[got.status] += 1
+            if got.status is not RecordStatus.HOLDING:
+                continue
+            if isinstance(mode, RestrictedTrust):
+                admissible = mode.monitor.shrink_trusted
+                members = check_bounded_containment(p, mode.monitor, q).lhs_upper
+            else:
+                admissible = None
+                members = eval_expr(evaluate(p), q.lhs)
+                alone = credential_support_for_constraint(
+                    p, members, q.rhs, max_entries_per_member=cap
+                )
+                assert alone == credential_support_for_constraint(
+                    p, members, q.rhs, max_entries_per_member=cap,
+                    saturated=shared.worklist(None, cap),
+                )
+            alone = support_for_constraint(
+                p, members, q.rhs, admissible, max_entries_per_member=cap
+            )
+            assert alone == support_for_constraint(
+                p, members, q.rhs, admissible, max_entries_per_member=cap,
+                saturated=shared.worklist(admissible, cap),
+            )
+            seen["support"] += 1
+    assert seen[RecordStatus.HOLDING] >= 500
+    assert seen[RecordStatus.VIOLATED] >= 50 and seen[RecordStatus.BOUND_VIOLATED] >= 50
+    if cap == 1:
+        assert seen["truncated"] >= 30
+
+
+_MULTI_MODES = [
+    FullTrust(),
+    FullTrustCredential(),
+    RestrictedTrust(
+        RoleMonitor(
+            growth_trusted=EVERY_ROLE,
+            shrink_trusted=frozenset(
+                {role("Org.badge"), role("Sec.vetted"), role("Org.staff")}
+            ),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("mode", _MULTI_MODES, ids=["role", "credential", "restricted"])
+def test_an_event_reregistering_several_records_matches_apply_change(monkeypatch, mode):
+    p = _multi_policy()
+    regs = [(q, mode) for q in _multi_constraints()]
+    log = parse_changelog((MULTI_FIXTURES / "multi.changes").read_text())
+    built = []
+    real = rtmon.monitor.StateAnalysis.__init__
+    monkeypatch.setattr(
+        rtmon.monitor.StateAnalysis,
+        "__init__",
+        lambda self, state: built.append(state) or real(self, state),
+    )
+    session = run_session(p, regs, log)
+    # One analysis for the initial registrations and one per warned event.
+    warned = {id(w.event) for w in session.warnings}
+    assert len(built) == 1 + len(warned)
+    assert max(Counter(id(w.event) for w in session.warnings).values()) >= 2
+
+    records = [register(p, q, m) for q, m in regs]
+    warnings = []
+    state = p
+    for ev in log:
+        for i, rec in enumerate(records):
+            got = apply_change(rec, state, ev)
+            if got.warning is not None:
+                warnings.append(got.warning)
+            records[i] = got.record
+        state = got.new_state
+    assert session.warnings == tuple(warnings)
+    assert session.records == tuple(records)
+    assert session.final_state == state
