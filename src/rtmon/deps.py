@@ -407,21 +407,26 @@ def credential_support_for_constraint(
     Per member, the role support is chosen exactly as in
     :func:`support_for_constraint`; the statements are then collected by
     re-running the worklist over the state restricted to that role support,
-    so every collected statement's head lies inside the role support.
+    so every collected statement's head lies inside the role support.  The
+    worklist runs once per distinct role support, and the members sharing
+    it pick their statements from that one run.
 
     ``saturated`` is ``_role_worklist(p, None, max_entries_per_member)`` when
     the caller already holds it.
     """
     if saturated is None:
         saturated = _role_worklist(p, None, max_entries_per_member)
+    replays: dict[frozenset, _Saturated] = {}
     total: set[Statement] = set()
     for member in sorted(set(members), key=str):
         role_support = _member_expr_support(member, rhs, saturated)
         if role_support is None:
             raise NoSupport(member)
-        replay, _ = _worklist(
-            restrict(p, role_support), token=lambda s: s, cap=max_entries_per_member
-        )
+        replay = replays.get(role_support)
+        if replay is None:
+            replay = replays[role_support] = _worklist(
+                restrict(p, role_support), token=lambda s: s, cap=max_entries_per_member
+            )[0]
         got = _member_expr_support(member, rhs, replay)
         if got is None:  # role support witnesses membership, so replay must too
             raise NoSupport(member)

@@ -1,7 +1,9 @@
 """Parsing and serialization of the textual policy formats.
 
-Four line-oriented formats share one lexical layer (``#`` starts a comment,
-blank lines are ignored, identifiers match ``[A-Za-z_][A-Za-z0-9_]*``):
+Four line-oriented formats share one lexical layer: ``#`` starts a comment,
+blank lines are ignored, and one compiled pattern splits a line into tokens
+(identifiers ``[A-Za-z_][A-Za-z0-9_]*``, ``<-``, ``<=``, single characters)
+separated by spaces and tabs only.  Every grammar below reads those tokens:
 
 * policy document -- one statement per line: ``Head <- Body`` with Body one
   of ``D`` | ``B.r1`` | ``A.r1.r2`` | ``B1.r1 & B2.r2 [& ...]``
@@ -14,6 +16,9 @@ blank lines are ignored, identifiers match ``[A-Za-z_][A-Za-z0-9_]*``):
 
 Every parse either returns a value or raises :class:`ParseError` with a
 position; serializers are exact inverses (``parse(serialize(x)) == x``).
+Within one parse call each principal, role name, role and statement is one
+object (a statement per token sequence, so a reordered intersection keeps
+its written order); separate calls share nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container
+from typing import Container, Iterator, NoReturn
 
 from .model import (
     EVERY_ROLE,
@@ -44,6 +49,7 @@ from .model import (
     SimpleMember,
     Statement,
     UnionExpr,
+    _checked_state,
     fold_expr,
 )
 
@@ -67,7 +73,11 @@ __all__ = [
     "lint_conventions",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One token: an identifier, an arrow, or any other single character.  Only
+# spaces and tabs separate tokens; any other character, whitespace or not,
+# is a token of its own that no grammar accepts.
+_TOKEN = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|<[-=]|[^ \t])")
+_IDENT_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _SECTION = re.compile(r"\s*(growth-trusted|shrink-trusted)\s*:")
 
 
@@ -95,189 +105,188 @@ class ParseError(Exception):
         self.kind = kind
 
 
-class _Scanner:
-    """Single-line cursor with whitespace skipping and span reporting.
+class _Table(dict):
+    """A dict that makes a missing value once, as ``make(key)``."""
 
-    ``names`` is shared by the scanners of one parse call, so every
-    occurrence of a principal, role name or role in that call is one
-    object.
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(key)
+        return got
+
+
+class _Names:
+    """What one parse call has built, each made once and keyed by its
+    source text: principals and role names by name, roles by their
+    ``(owner, name)`` strings, statements by their token sequence."""
+
+    def __init__(self) -> None:
+        self.principals = _Table(Principal)
+        self.role_names = _Table(RoleName)
+        self.roles = _Table(lambda key: Role(self.principals[key[0]], self.role_names[key[1]]))
+        self.statements: dict[tuple[str, ...], Statement] = {}
+
+
+class _Tokens:
+    """The tokens of one line, with a cursor ``i``.
+
+    The list ends with ``""``, which no grammar accepts, so reading stops
+    there.  Token columns are recovered only to report an error.
     """
 
-    def __init__(self, text: str, line: int = 1, names: dict | None = None):
-        self.text = text
-        self.line = line
-        self.pos = 0
-        self.names = {} if names is None else names
+    __slots__ = ("code", "line", "toks", "i", "names")
 
-    def make(self, cls, *args):
-        """The one ``cls(*args)`` of this parse call."""
-        key = (cls, *args)
-        obj = self.names.get(key)
-        if obj is None:
-            obj = self.names[key] = cls(*args)
-        return obj
+    def __init__(self, code: str, line: int, names: _Names):
+        self.code, self.line, self.names = code, line, names
+        self.toks = _TOKEN.findall(code)
+        self.toks.append("")
+        self.i = 0
 
-    def role(self, owner: str, name: str) -> Role:
-        return self.make(Role, self.make(Principal, owner), self.make(RoleName, name))
+    def fail(self, message: str, at: int | None = None, length: int = 1,
+             kind: ParseErrorKind = ParseErrorKind.SYNTAX, offset: int = 0) -> NoReturn:
+        """Raise at token ``at`` (the current one by default), ``offset``
+        characters into it; the end of the line is its last column + 1."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.code)]
+        starts.append(len(self.code))
+        pos = starts[self.i if at is None else at] + offset
+        raise ParseError(SourceSpan(self.line, pos + 1, length), message, kind)
 
-    def fail(self, message: str, start: int | None = None, length: int = 1,
-             kind: ParseErrorKind = ParseErrorKind.SYNTAX) -> None:
-        pos = self.pos if start is None else start
-        raise ParseError(SourceSpan(self.line, pos + 1, max(length, 1)), message, kind)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def try_literal(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
+    def take(self, tok: str) -> bool:
+        if self.toks[self.i] == tok:
+            self.i += 1
             return True
         return False
 
-    def expect(self, lit: str) -> None:
-        if not self.try_literal(lit):
-            self.fail(f"expected '{lit}'")
+    def need(self, tok: str) -> None:
+        if not self.take(tok):
+            self.fail(f"expected '{tok}'")
 
-    def ident(self, what: str = "identifier") -> tuple[str, int]:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
+    def name(self, what: str) -> str:
+        tok = self.toks[self.i]
+        if tok[:1] not in _IDENT_START:
             self.fail(f"expected {what}")
-        self.pos = m.end()
-        return m.group(), m.start()
+        self.i += 1
+        return tok
 
-    def end(self) -> None:
-        if not self.at_end():
+    def unreserved(self, at: int) -> str:
+        """Token ``at``, a principal name, which must not be ``TOP``."""
+        tok = self.toks[at]
+        if tok == RESERVED_PRINCIPAL:
+            self.fail(
+                f"'{RESERVED_PRINCIPAL}' is reserved and cannot be used as a principal",
+                at, len(tok), ParseErrorKind.RESERVED_PRINCIPAL,
+            )
+        return tok
+
+    def principal_name(self, what: str = "principal name") -> str:
+        self.name(what)
+        return self.unreserved(self.i - 1)
+
+    def done(self) -> None:
+        if self.toks[self.i]:
             self.fail("unexpected trailing input")
 
 
-def _principal(sc: _Scanner, what: str = "principal name") -> Principal:
-    name, start = sc.ident(what)
-    if name == RESERVED_PRINCIPAL:
-        sc.fail(
-            f"'{RESERVED_PRINCIPAL}' is reserved and cannot be used as a principal",
-            start=start,
-            length=len(name),
-            kind=ParseErrorKind.RESERVED_PRINCIPAL,
-        )
-    return sc.make(Principal, name)
+def _role(tk: _Tokens, what: str = "principal name") -> Role:
+    owner = tk.principal_name(what)
+    tk.need(".")
+    return tk.names.roles[owner, tk.name("role name")]
 
 
-def _role(sc: _Scanner) -> Role:
-    owner = _principal(sc)
-    sc.expect(".")
-    name, _ = sc.ident("role name")
-    return sc.make(Role, owner, sc.make(RoleName, name))
-
-
-def _dotted(sc: _Scanner) -> list[tuple[str, int]]:
-    """An identifier chain ``a``, ``a.b``, or ``a.b.c``."""
-    parts = [sc.ident("principal name")]
-    while sc.try_literal("."):
-        parts.append(sc.ident("role name"))
+def _dotted(tk: _Tokens) -> list[int]:
+    """Token indexes of an identifier chain ``a``, ``a.b``, or ``a.b.c``."""
+    parts = [tk.i]
+    tk.name("principal name")
+    while tk.take("."):
+        parts.append(tk.i)
+        last = tk.name("role name")
         if len(parts) > 3:
-            sc.fail("too many role components (at most A.r1.r2)")
+            tk.fail("too many role components (at most A.r1.r2)", tk.i - 1, offset=len(last))
     return parts
 
 
-def _reserved_check(sc: _Scanner, name: str, start: int) -> None:
-    if name == RESERVED_PRINCIPAL:
-        sc.fail(
-            f"'{RESERVED_PRINCIPAL}' is reserved and cannot be used as a principal",
-            start=start,
-            length=len(name),
-            kind=ParseErrorKind.RESERVED_PRINCIPAL,
-        )
+def _statement(tk: _Tokens) -> Statement:
+    """The rest of the line's statement, one object per token sequence."""
+    key = tuple(tk.toks[tk.i:])
+    stmt = tk.names.statements.get(key)
+    if stmt is None:
+        stmt = tk.names.statements[key] = _new_statement(tk)
+    return stmt
 
 
-def _statement(sc: _Scanner) -> Statement:
-    owner_name, owner_start = sc.ident("principal name")
-    _reserved_check(sc, owner_name, owner_start)
-    sc.expect(".")
-    head_name, _ = sc.ident("role name")
-    sc.expect("<-")
-
-    atoms = [_dotted(sc)]
-    while sc.try_literal("&"):
-        atoms.append(_dotted(sc))
-    sc.end()
-
-    head = sc.role(owner_name, head_name)
-
-    def as_role(parts: list[tuple[str, int]]) -> Role:
-        (oname, ostart), (rname, _) = parts
-        _reserved_check(sc, oname, ostart)
-        return sc.role(oname, rname)
+def _new_statement(tk: _Tokens) -> Statement:
+    toks, names = tk.toks, tk.names
+    owner = tk.principal_name()
+    tk.need(".")
+    head = names.roles[owner, tk.name("role name")]
+    tk.need("<-")
+    atoms = [_dotted(tk)]
+    while tk.take("&"):
+        atoms.append(_dotted(tk))
+    tk.done()
 
     if len(atoms) == 1:
         parts = atoms[0]
+        source = tk.unreserved(parts[0])
         if len(parts) == 1:
-            name, start = parts[0]
-            _reserved_check(sc, name, start)
-            return Statement(head, SimpleMember(sc.make(Principal, name)))
+            return Statement(head, SimpleMember(names.principals[source]))
+        first = names.roles[source, toks[parts[1]]]
         if len(parts) == 2:
-            return Statement(head, SimpleInclusion(as_role(parts)))
-        (oname, ostart), (n1, _), (n2, _) = parts
-        _reserved_check(sc, oname, ostart)
-        if oname != owner_name:
-            sc.fail(
-                f"linked role must start from a role owned by {owner_name}",
-                start=ostart,
-                length=len(oname),
-                kind=ParseErrorKind.LINKED_ROLE_OWNER_MISMATCH,
+            return Statement(head, SimpleInclusion(first))
+        if source != owner:
+            tk.fail(
+                f"linked role must start from a role owned by {owner}",
+                parts[0], len(source), ParseErrorKind.LINKED_ROLE_OWNER_MISMATCH,
             )
-        return Statement(
-            head, LinkingInclusion(sc.role(oname, n1), sc.make(RoleName, n2))
-        )
+        return Statement(head, LinkingInclusion(first, names.role_names[toks[parts[2]]]))
 
     roles = []
     for parts in atoms:
         if len(parts) != 2:
-            sc.fail(
-                "intersection parts must be roles (B.r)",
-                start=parts[0][1],
-                length=len(parts[0][0]),
-            )
-        roles.append(as_role(parts))
+            tk.fail("intersection parts must be roles (B.r)", parts[0], len(toks[parts[0]]))
+        roles.append(names.roles[tk.unreserved(parts[0]), toks[parts[1]]])
     return Statement(head, IntersectionInclusion(tuple(roles)))
 
 
-def _code_lines(text: str):
+def _lines(text: str) -> Iterator[_Tokens]:
+    """The tokens of each line that holds more than a comment."""
+    names = _Names()
     for line_no, raw in enumerate(text.splitlines(), 1):
         code = raw.split("#", 1)[0]
         if code.strip():
-            yield line_no, code
+            yield _Tokens(code, line_no, names)
+
+
+def _whole_line(tk: _Tokens) -> SourceSpan:
+    return SourceSpan(tk.line, 1, max(len(tk.code.rstrip()), 1))
 
 
 def parse_statement(text: str, line: int = 1) -> Statement:
     """Parse one statement line (comments allowed)."""
-    code = text.split("#", 1)[0]
-    return _statement(_Scanner(code, line))
+    return _statement(_Tokens(text.split("#", 1)[0], line, _Names()))
 
 
 def parse_policy(text: str) -> PolicyState:
     """Parse a policy document; duplicate statements are an error."""
     seen: dict[Statement, int] = {}
-    names: dict = {}
-    for line_no, code in _code_lines(text):
-        stmt = _statement(_Scanner(code, line_no, names))
+    for tk in _lines(text):
+        stmt = _statement(tk)
         if stmt in seen:
             raise ParseError(
-                SourceSpan(line_no, 1, max(len(code.rstrip()), 1)),
+                _whole_line(tk),
                 f"duplicate statement (first occurrence at line {seen[stmt]})",
                 ParseErrorKind.DUPLICATE_STATEMENT,
             )
-        seen[stmt] = line_no
-    return PolicyState(frozenset(seen))
+        seen[stmt] = tk.line
+    # The grammar has rejected ``TOP``: skip the constructor's rescan.
+    return _checked_state(frozenset(seen))
 
 
-def _expr(sc: _Scanner) -> PositiveRoleExpr:
+def _expr(tk: _Tokens) -> PositiveRoleExpr:
     """``expr := term ('|' term)*``, ``term := atom ('&' atom)*`` and
     ``atom := '(' expr ')' | set | role``, read without recursion: each
     open parenthesis pushes the union and the term read so far around it,
@@ -286,70 +295,69 @@ def _expr(sc: _Scanner) -> PositiveRoleExpr:
     union: PositiveRoleExpr | None = None
     term: PositiveRoleExpr | None = None
     while True:
-        if sc.try_literal("("):
+        if tk.take("("):
             enclosing.append((union, term))
             union = term = None
             continue
-        node = _operand(sc)
+        node = _operand(tk)
         while True:
             term = node if term is None else IntersectionExpr(term, node)
-            if sc.try_literal("&"):
+            if tk.take("&"):
                 break
             union = term if union is None else UnionExpr(union, term)
             term = None
-            if sc.try_literal("|"):
+            if tk.take("|"):
                 break
             if not enclosing:
                 return union
-            sc.expect(")")
+            tk.need(")")
             node = union
             union, term = enclosing.pop()
 
 
-def _operand(sc: _Scanner) -> PositiveRoleExpr:
+def _operand(tk: _Tokens) -> PositiveRoleExpr:
     """A principal set literal or a role reference."""
-    if sc.try_literal("{"):
-        members: list[Principal] = []
-        if sc.try_literal("}"):
-            return PrincipalSet(frozenset())
-        while True:
-            members.append(_principal(sc))
-            if sc.try_literal("}"):
-                return PrincipalSet(frozenset(members))
-            sc.expect(",")
-    owner = _principal(sc, "role or principal set")
-    sc.expect(".")
-    name, _ = sc.ident("role name")
-    return RoleRef(sc.make(Role, owner, sc.make(RoleName, name)))
+    if not tk.take("{"):
+        return RoleRef(_role(tk, "role or principal set"))
+    members: list[Principal] = []
+    if tk.take("}"):
+        return PrincipalSet(frozenset())
+    while True:
+        members.append(tk.names.principals[tk.principal_name()])
+        if tk.take("}"):
+            return PrincipalSet(frozenset(members))
+        tk.need(",")
 
 
 def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
     """Parse a positive role expression on its own (used by query)."""
-    sc = _Scanner(text.split("#", 1)[0], line)
-    node = _expr(sc)
-    sc.end()
+    tk = _Tokens(text.split("#", 1)[0], line, _Names())
+    node = _expr(tk)
+    tk.done()
     return node
 
 
 def parse_constraint(text: str, line: int = 1) -> Constraint:
     """Parse one constraint line."""
-    return _constraint(_Scanner(text.split("#", 1)[0], line))
+    return _constraint(_Tokens(text.split("#", 1)[0], line, _Names()))
 
 
-def _constraint(sc: _Scanner) -> Constraint:
-    kw, start = sc.ident("keyword 'constraint'")
-    if kw != "constraint":
-        sc.fail("expected keyword 'constraint'", start=start, length=len(kw))
-    cid, _ = sc.ident("constraint id")
-    kw, start = sc.ident("keyword 'owner'")
-    if kw != "owner":
-        sc.fail("expected keyword 'owner'", start=start, length=len(kw))
-    owner = _principal(sc)
-    sc.expect(":")
-    lhs = _expr(sc)
-    sc.expect("<=")
-    rhs = _expr(sc)
-    sc.end()
+def _keyword(tk: _Tokens, word: str) -> None:
+    kw = tk.name(f"keyword '{word}'")
+    if kw != word:
+        tk.fail(f"expected keyword '{word}'", tk.i - 1, len(kw))
+
+
+def _constraint(tk: _Tokens) -> Constraint:
+    _keyword(tk, "constraint")
+    cid = tk.name("constraint id")
+    _keyword(tk, "owner")
+    owner = tk.names.principals[tk.principal_name()]
+    tk.need(":")
+    lhs = _expr(tk)
+    tk.need("<=")
+    rhs = _expr(tk)
+    tk.done()
     return Constraint(owner, lhs, rhs, cid)
 
 
@@ -357,16 +365,15 @@ def parse_constraints(text: str) -> list[Constraint]:
     """Parse a constraints document, one constraint per line."""
     out: list[Constraint] = []
     seen: dict[str, int] = {}
-    names: dict = {}
-    for line_no, code in _code_lines(text):
-        q = _constraint(_Scanner(code, line_no, names))
+    for tk in _lines(text):
+        q = _constraint(tk)
         if q.id in seen:
             raise ParseError(
-                SourceSpan(line_no, 1, max(len(code.rstrip()), 1)),
+                _whole_line(tk),
                 f"duplicate constraint id '{q.id}' (first at line {seen[q.id]})",
                 ParseErrorKind.DUPLICATE_STATEMENT,
             )
-        seen[q.id] = line_no
+        seen[q.id] = tk.line
         out.append(q)
     return out
 
@@ -377,31 +384,26 @@ def parse_monitor(text: str) -> RoleMonitor:
     expanded against a state, so it covers roles of principals that appear
     later."""
     sections: dict[str, Container[Role]] = {}
-    names: dict = {}
-    for line_no, code in _code_lines(text):
-        m = _SECTION.match(code)
+    for tk in _lines(text):
+        m = _SECTION.match(tk.code)
         if not m:
-            raise ParseError(
-                SourceSpan(line_no, 1, max(len(code.rstrip()), 1)),
-                "expected 'growth-trusted:' or 'shrink-trusted:'",
-            )
-        sc = _Scanner(code, line_no, names)
-        sc.pos = m.end()
+            raise ParseError(_whole_line(tk), "expected 'growth-trusted:' or 'shrink-trusted:'")
+        tk.i = len(_TOKEN.findall(tk.code, 0, m.end()))  # the tokens after the colon
         value: Container[Role]
-        if sc.try_literal("*"):
-            sc.end()
+        if tk.take("*"):
+            tk.done()
             value = EVERY_ROLE
-        elif sc.at_end():
+        elif not tk.toks[tk.i]:
             value = frozenset()
         else:
-            roles = [_role(sc)]
-            while sc.try_literal(","):
-                roles.append(_role(sc))
-            sc.end()
+            roles = [_role(tk)]
+            while tk.take(","):
+                roles.append(_role(tk))
+            tk.done()
             value = frozenset(roles)
         section = m.group(1)
         if section in sections:
-            raise ParseError(SourceSpan(line_no, 1, 1), f"duplicate {section} section")
+            raise ParseError(SourceSpan(tk.line, 1, 1), f"duplicate {section} section")
         sections[section] = value
     return RoleMonitor(
         growth_trusted=sections.get("growth-trusted", frozenset()),
@@ -412,16 +414,14 @@ def parse_monitor(text: str) -> RoleMonitor:
 def parse_changelog(text: str) -> list[ChangeEvent]:
     """Parse a change log into an ordered event list."""
     events: list[ChangeEvent] = []
-    names: dict = {}
-    for line_no, code in _code_lines(text):
-        sc = _Scanner(code, line_no, names)
-        if sc.try_literal("+"):
+    for tk in _lines(text):
+        if tk.take("+"):
             kind = ChangeKind.ADD
-        elif sc.try_literal("-"):
+        elif tk.take("-"):
             kind = ChangeKind.REMOVE
         else:
-            sc.fail("expected '+' or '-'")
-        events.append(ChangeEvent(kind, _statement(sc)))
+            tk.fail("expected '+' or '-'")
+        events.append(ChangeEvent(kind, _statement(tk)))
     return events
 
 

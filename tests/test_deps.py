@@ -9,6 +9,7 @@ import pytest
 
 import rtmon.model
 from rtmon.deps import (
+    DEFAULT_SUPPORT_CAP,
     NoSupport,
     credential_support_for_constraint,
     gamma,
@@ -17,9 +18,11 @@ from rtmon.deps import (
     minimal_supports,
     restrict,
     support_for_constraint,
+    _member_expr_support,
+    _role_worklist,
     _worklist,
 )
-from rtmon.engine import evaluate, role_members
+from rtmon.engine import eval_expr, evaluate, role_members
 from rtmon.model import (
     EVERY_ROLE,
     PolicyState,
@@ -41,7 +44,7 @@ from helpers import (
     support_shift_policy,
 )
 from oracles import brute_minimal_supports, round_robin_worklist
-from randgen import random_fan_state, random_state, random_statement_for_state
+from randgen import random_expr, random_fan_state, random_state, random_statement_for_state
 
 
 class TestRestrict:
@@ -287,6 +290,55 @@ class TestCredentialSupport:
             cred = credential_support_for_constraint(p, members, RoleRef(target))
             assert {s.head for s in cred.statements} <= roles_sigma
             done += 1
+
+
+    def test_members_sharing_a_role_support_replay_once(self, monkeypatch):
+        p = parse_policy("A.r <- B.r\nB.r <- C\nB.r <- D\nB.r <- E\n")
+        saturated = _role_worklist(p, None, DEFAULT_SUPPORT_CAP)
+        runs = count_calls(monkeypatch, rtmon.deps._worklist)
+        got = credential_support_for_constraint(
+            p, {prin("C"), prin("D"), prin("E")}, RoleRef(role("A.r")), saturated=saturated
+        )
+        assert len(runs) == 1
+        assert got.statements == frozenset(
+            stmt(t) for t in ("A.r <- B.r", "B.r <- C", "B.r <- D", "B.r <- E")
+        )
+
+    @pytest.mark.parametrize("cap", [DEFAULT_SUPPORT_CAP, 1])
+    def test_one_replay_per_role_support_matches_a_replay_per_member(self, cap):
+        rng = random.Random(808 + cap)
+        shared = 0
+        for n in range(400):
+            p = random_fan_state(rng) if n % 2 else random_state(rng)
+            rhs = random_expr(rng, p)
+            members = set(eval_expr(evaluate(p), rhs))
+            if rng.random() < 0.2:
+                members.add(prin(rng.choice("ABCDM")))
+            try:
+                got = credential_support_for_constraint(
+                    p, members, rhs, max_entries_per_member=cap
+                ).statements
+            except NoSupport as err:
+                got = err.member
+            want, supports = _credential_per_member(p, members, rhs, cap)
+            assert got == want
+            shared += len(supports) < len(members)
+        assert shared >= 100
+
+
+def _credential_per_member(p, members, rhs, cap):
+    """A worklist replay per member: the statements (or the first member
+    without a support) and the role supports chosen."""
+    saturated = _worklist(p, token=lambda s: s.head, cap=cap)[0]
+    total, supports = set(), set()
+    for member in sorted(members, key=str):
+        role_support = _member_expr_support(member, rhs, saturated)
+        if role_support is None:
+            return member, supports
+        supports.add(role_support)
+        replay = _worklist(restrict(p, role_support), token=lambda s: s, cap=cap)[0]
+        total |= _member_expr_support(member, rhs, replay)
+    return frozenset(total), supports
 
 
 class TestGrowthSetStability:

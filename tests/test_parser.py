@@ -1,4 +1,7 @@
+import json
+import random
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +28,7 @@ from rtmon.model import (
 from rtmon.parser import (
     ParseError,
     ParseErrorKind,
+    SourceSpan,
     lint_conventions,
     parse_changelog,
     parse_constraint,
@@ -47,6 +51,9 @@ from helpers import (
     role,
     stmt,
 )
+from randgen import random_fan_state, random_state
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestStatements:
@@ -213,6 +220,40 @@ class TestInterning:
         by_head = {str(s.head): s for s in p}
         assert by_head["A.r"].head is by_head["C.r"].body.source
 
+    def test_repeated_statement_is_one_object_whatever_its_spacing(self):
+        events = parse_changelog(
+            "+ A.r <- B.s & C.t\n- A.r<-B.s&C.t\n+\tA . r  <-  B.s\t& C.t  # again\n"
+        )
+        first, second, third = (ev.statement for ev in events)
+        assert first is second and second is third
+        assert [ev.kind for ev in events] == [ChangeKind.ADD, ChangeKind.REMOVE, ChangeKind.ADD]
+
+    def test_reordered_intersection_keeps_its_written_order(self):
+        first, second = (
+            ev.statement for ev in parse_changelog("+ A.r <- B.s & C.t\n+ A.r <- C.t & B.s\n")
+        )
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert str(first) == "A.r <- B.s & C.t"
+        assert str(second) == "A.r <- C.t & B.s"
+
+    def test_repeated_policy_line_is_still_a_duplicate(self):
+        with pytest.raises(ParseError) as err:
+            parse_policy("A.r <- B.s\nC.r <- D\nA.r  <-\tB.s\n")
+        assert err.value.kind is ParseErrorKind.DUPLICATE_STATEMENT
+        assert err.value.span == SourceSpan(3, 1, len("A.r  <-\tB.s"))
+        assert err.value.message == "duplicate statement (first occurrence at line 1)"
+
+    def test_policy_equals_the_checking_constructor(self):
+        rng = random.Random(808)
+        for n in range(300):
+            p = random_fan_state(rng) if n % 3 == 0 else random_state(rng, 4, 2, 12)
+            parsed = parse_policy(serialize_policy(p))
+            built = PolicyState(frozenset(p.statements))
+            assert parsed == built
+            assert parsed.principals == built.principals
+            assert parsed.roles == built.roles
+
     def test_separate_parses_share_nothing(self):
         first = parse_changelog("+ A.r <- B\n")[0].statement
         second = parse_changelog("+ A.r <- B\n")[0].statement
@@ -221,6 +262,40 @@ class TestInterning:
         assert first.head.owner is not second.head.owner
         assert first.head.name is not second.head.name
         assert first.body.member is not second.body.member
+
+
+_PARSERS = {
+    "statement": parse_statement,
+    "policy": parse_policy,
+    "expr": parse_expr,
+    "constraint": parse_constraint,
+    "constraints": parse_constraints,
+    "monitor": parse_monitor,
+    "changelog": parse_changelog,
+}
+# Malformed inputs of every format: dropped, doubled and swapped tokens,
+# TOP in each principal position, shapes, whitespace, sets, parentheses.
+_PARSE_ERRORS = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
+
+
+def test_parse_error_golden_covers_every_format():
+    assert len(_PARSE_ERRORS) >= 150
+    assert {case["format"] for case in _PARSE_ERRORS} == set(_PARSERS)
+    assert {case["kind"] for case in _PARSE_ERRORS} == {kind.value for kind in ParseErrorKind}
+
+
+def test_parse_errors_match_the_golden():
+    """Each entry's span, kind and message, as the character scanner that
+    preceded the token reader reported them."""
+    wrong = []
+    for case in _PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            _PARSERS[case["format"]](case["text"])
+        got = err.value
+        found = (got.span.line, got.span.column, got.span.length, got.kind.value, got.message)
+        if found != tuple(case[k] for k in ("line", "column", "length", "kind", "message")):
+            wrong.append((case["format"], case["text"], found))
+    assert wrong == []
 
 
 class TestSerialization:
