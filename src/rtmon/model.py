@@ -10,7 +10,7 @@ beyond their own invariants, and are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Container, Iterator, TypeVar, Union
@@ -51,6 +51,13 @@ _T = TypeVar("_T")
 RESERVED_PRINCIPAL = "TOP"
 
 
+def _rebuilt(self) -> tuple:
+    """``__reduce__`` of a type that computes its hash once: copy and pickle
+    call the constructor, so the hash is recomputed where the object is
+    loaded (string hashes differ between processes)."""
+    return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Principal:
     """A participant, identified by name (exact string equality).
@@ -61,9 +68,10 @@ class Principal:
     """
 
     name: str
-    # Principals, role names and roles are hashed on every set and dict
-    # access, so each computes its hash once.  The value is the dataclass
-    # field-tuple hash, which keeps set iteration orders as they were.
+    # Principals, role names, roles and statements are hashed on every set
+    # and dict access, so each computes its hash once, when it is built.
+    # The value is the dataclass field-tuple hash, which keeps set and dict
+    # iteration orders as they were.
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -73,6 +81,8 @@ class Principal:
 
     def __hash__(self) -> int:
         return self._hash
+
+    __reduce__ = _rebuilt
 
     @property
     def is_reserved(self) -> bool:
@@ -99,6 +109,8 @@ class RoleName:
     def __hash__(self) -> int:
         return self._hash
 
+    __reduce__ = _rebuilt
+
     def __str__(self) -> str:
         return self.name
 
@@ -116,6 +128,8 @@ class Role:
 
     def __hash__(self) -> int:
         return self._hash
+
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return f"{self.owner.name}.{self.name.name}"
@@ -197,30 +211,40 @@ class Statement:
 
     head: Role
     body: StatementBody
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.body, LinkingInclusion) and self.body.first.owner != self.head.owner:
             raise ValueError(
                 f"linked role {self.body} must start from a role owned by {self.head.owner.name}"
             )
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return f"{self.head} <- {self.body}"
 
 
+def _principal_positions(stmt: Statement) -> tuple[Principal, ...]:
+    """The principal in each principal position of the statement, head
+    owner first, repeats kept."""
+    head_owner, body = stmt.head.owner, stmt.body
+    if isinstance(body, SimpleMember):
+        return head_owner, body.member
+    if isinstance(body, SimpleInclusion):
+        return head_owner, body.source.owner
+    if isinstance(body, LinkingInclusion):
+        return head_owner, body.first.owner
+    return (head_owner, *[part.owner for part in body.parts])
+
+
 def statement_principals(stmt: Statement) -> frozenset[Principal]:
     """Every principal occurring in the statement (head owner included)."""
-    found = {stmt.head.owner}
-    body = stmt.body
-    if isinstance(body, SimpleMember):
-        found.add(body.member)
-    elif isinstance(body, SimpleInclusion):
-        found.add(body.source.owner)
-    elif isinstance(body, LinkingInclusion):
-        found.add(body.first.owner)
-    else:
-        found.update(part.owner for part in body.parts)
-    return frozenset(found)
+    return frozenset(_principal_positions(stmt))
 
 
 def statement_role_names(stmt: Statement) -> frozenset[RoleName]:
@@ -301,10 +325,14 @@ class PolicyState:
 
 
 def _check_unreserved(stmt: Statement) -> None:
-    if any(p.is_reserved for p in statement_principals(stmt)):
-        raise ValueError(
-            f"reserved principal {RESERVED_PRINCIPAL} cannot occur in a policy: {stmt}"
-        )
+    """Reject ``TOP`` in any principal position of the statement.  Every
+    statement added in a session passes here, so the principals are read
+    in place, with no set built and nothing hashed."""
+    for principal in _principal_positions(stmt):
+        if principal.name == RESERVED_PRINCIPAL:
+            raise ValueError(
+                f"reserved principal {RESERVED_PRINCIPAL} cannot occur in a policy: {stmt}"
+            )
 
 
 def _checked_state(statements: frozenset[Statement]) -> PolicyState:
@@ -355,6 +383,8 @@ class _BinaryExpr:
 
     def __hash__(self) -> int:
         return self._hash
+
+    __reduce__ = _rebuilt
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -125,9 +125,11 @@ class _Names:
     ``(owner, name)`` strings, statements by their token sequence."""
 
     def __init__(self) -> None:
-        self.principals = _Table(Principal)
-        self.role_names = _Table(RoleName)
-        self.roles = _Table(lambda key: Role(self.principals[key[0]], self.role_names[key[1]]))
+        # The role maker closes over the two tables, not over ``self``, so
+        # the tables form no reference cycle and are freed with the call.
+        principals = self.principals = _Table(Principal)
+        role_names = self.role_names = _Table(RoleName)
+        self.roles = _Table(lambda key: Role(principals[key[0]], role_names[key[1]]))
         self.statements: dict[tuple[str, ...], Statement] = {}
 
 
@@ -265,9 +267,16 @@ def _whole_line(tk: _Tokens) -> SourceSpan:
     return SourceSpan(tk.line, 1, max(len(tk.code.rstrip()), 1))
 
 
+def _one_line(text: str, line: int) -> _Tokens:
+    """The tokens of a line given on its own.  Like a document line, it may
+    carry a comment and end in one line terminator: LF, CR LF or CR."""
+    code = text.removesuffix("\n").removesuffix("\r").split("#", 1)[0]
+    return _Tokens(code, line, _Names())
+
+
 def parse_statement(text: str, line: int = 1) -> Statement:
     """Parse one statement line (comments allowed)."""
-    return _statement(_Tokens(text.split("#", 1)[0], line, _Names()))
+    return _statement(_one_line(text, line))
 
 
 def parse_policy(text: str) -> PolicyState:
@@ -331,7 +340,7 @@ def _operand(tk: _Tokens) -> PositiveRoleExpr:
 
 def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
     """Parse a positive role expression on its own (used by query)."""
-    tk = _Tokens(text.split("#", 1)[0], line, _Names())
+    tk = _one_line(text, line)
     node = _expr(tk)
     tk.done()
     return node
@@ -339,7 +348,7 @@ def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
 
 def parse_constraint(text: str, line: int = 1) -> Constraint:
     """Parse one constraint line."""
-    return _constraint(_Tokens(text.split("#", 1)[0], line, _Names()))
+    return _constraint(_one_line(text, line))
 
 
 def _keyword(tk: _Tokens, word: str) -> None:

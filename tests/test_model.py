@@ -1,6 +1,11 @@
 import copy
+import os
 import pickle
+import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from rtmon.model import (
     RoleMonitor,
     RoleName,
     RoleRef,
+    SimpleInclusion,
     SimpleMember,
     Statement,
     EVERY_ROLE,
@@ -29,9 +35,11 @@ from rtmon.model import (
     principals_of_expr,
     roles_of,
 )
-from rtmon.parser import parse_expr, serialize_expr
+from rtmon.monitor import FullTrust, run_session
+from rtmon.parser import parse_constraint, parse_expr, parse_statement, serialize_expr
 
 from helpers import HAZMAT_ADD_9, hazmat_policy, prin, role, role_strs, self_link_policy, stmt
+from randgen import random_state
 
 
 def test_value_equality_is_structural():
@@ -132,6 +140,114 @@ def test_names_hash_once_to_the_field_tuple_hash():
     assert not hasattr(a, "__dict__")
     with pytest.raises(FrozenInstanceError):
         a.name = "B"
+
+
+def test_statements_hash_once_to_the_field_tuple_hash():
+    rng = random.Random(9)
+    forms = set()
+    for _ in range(300):
+        for s in random_state(rng, max_statements=10):
+            forms.add(type(s.body))
+            assert hash(s) == s._hash == hash((s.head, s.body))
+    assert forms == {SimpleMember, SimpleInclusion, LinkingInclusion, IntersectionInclusion}
+    s = stmt("A.r <- B")
+    assert not hasattr(s, "__dict__")
+    assert "_hash" not in repr(s)
+    with pytest.raises(FrozenInstanceError):
+        s.head = role("C.r")
+
+
+@pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
+def test_statements_of_separate_parses_are_equal_and_hash_equal(text):
+    a, b = parse_statement(text), parse_statement(text)
+    assert a is not b and a.head is not b.head
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and a in {b}
+
+
+def test_a_reordered_intersection_hashes_like_the_written_one():
+    a, b = parse_statement("A.r <- B.s & C.t"), parse_statement("A.r <- C.t & B.s")
+    assert str(a) != str(b)
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
+def test_copy_and_pickle_keep_statement_equality_and_hash(text):
+    s = parse_statement(text)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s)
+        assert str(twin) == str(s)
+
+
+_LOAD_PICKLED = """
+import pickle, sys
+from rtmon.parser import parse_statement, parse_expr
+stmts, expr = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = [parse_statement(str(s)) for s in stmts]
+assert stmts == fresh and set(stmts) == set(fresh)
+assert all(s.head in {f.head} and s.head.owner in {f.head.owner} for s, f in zip(stmts, fresh))
+assert expr in {parse_expr("A.r | (B.s & {C})")}
+print("ok")
+"""
+
+
+def test_pickled_values_rehash_under_another_hash_seed():
+    """The hash a value computed once is not carried into a process whose
+    string hashes differ: loading rebuilds it."""
+    stmts = [parse_statement(t) for t in ("A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t")]
+    data = pickle.dumps((stmts, parse_expr("A.r | (B.s & {C})"))).hex()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONHASHSEED"] = "12345" if os.environ.get("PYTHONHASHSEED") != "12345" else "54321"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PICKLED],
+        input=data, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def _top_in_every_position():
+    """A statement with ``TOP`` in each principal position of each form."""
+    a, top = prin("A"), TOP
+    r, s, t = RoleName("r"), RoleName("s"), RoleName("t")
+    return [
+        Statement(Role(top, r), SimpleMember(a)),
+        Statement(Role(a, r), SimpleMember(top)),
+        Statement(Role(top, r), SimpleInclusion(Role(a, s))),
+        Statement(Role(a, r), SimpleInclusion(Role(top, s))),
+        Statement(Role(top, r), LinkingInclusion(Role(top, s), t)),
+        Statement(Role(top, r), IntersectionInclusion((Role(a, s), Role(a, t)))),
+        Statement(Role(a, r), IntersectionInclusion((Role(top, s), Role(a, t)))),
+        Statement(Role(a, r), IntersectionInclusion((Role(a, s), Role(top, t)))),
+        Statement(Role(a, r), IntersectionInclusion((Role(a, s), Role(a, t), Role(top, r)))),
+    ]
+
+
+@pytest.mark.parametrize("bad", _top_in_every_position(), ids=str)
+def test_top_in_any_principal_position_is_rejected_everywhere(bad):
+    message = f"reserved principal TOP cannot occur in a policy: {bad}"
+    good = stmt("A.r <- B")
+    with pytest.raises(ValueError) as err:
+        PolicyState(frozenset({good, bad}))
+    assert str(err.value) == message
+    p = PolicyState(frozenset({good}))
+    with pytest.raises(ValueError) as err:
+        p.add(bad)
+    assert str(err.value) == message
+    pulled = []
+
+    def log():
+        for ev in [ChangeEvent(ChangeKind.ADD, stmt("A.r <- C")), ChangeEvent(ChangeKind.ADD, bad),
+                   ChangeEvent(ChangeKind.ADD, stmt("A.r <- D"))]:
+            pulled.append(ev)
+            yield ev
+
+    q = parse_constraint("constraint q owner A: A.r <= A.r")
+    with pytest.raises(ValueError) as err:
+        run_session(p, [(q, FullTrust())], log())
+    assert str(err.value) == message
+    assert len(pulled) == 2
 
 
 def test_top_cannot_enter_a_constraint():

@@ -643,6 +643,39 @@ def test_quiet_events_build_no_state_and_classify_nothing(monkeypatch):
     assert stmt("F1.r <- G1") not in session.final_state
 
 
+def test_quiet_events_hash_no_principal_and_collect_no_principal_set(monkeypatch):
+    """A quiet event reads statement hashes cached at parse time: neither
+    the set lookups nor the ``TOP`` check of an addition reach a principal's
+    hash or build a statement's principal set."""
+    p = _big_policy()
+    assert len(p) > 10_000
+    bodies = ("H{i}", "G{i}.s", "F{i}.s.t", "G{i}.s & H{i}.t")
+    text = "".join(f"+ F{i}.r <- {bodies[i % 4].format(i=i)}\n" for i in range(250))
+    text += "".join(f"- F{i}.r <- {bodies[i % 4].format(i=i)}\n" for i in range(250))
+    text += "".join(f"- F{i}.r <- G{i}\n+ F{i}.r <- G{i}\n" for i in range(250))
+    log = parse_changelog(text)
+    assert len(log) == 1000
+
+    hashed = []
+    real_hash = rtmon.model.Principal.__hash__
+    monkeypatch.setattr(
+        rtmon.model.Principal, "__hash__", lambda self: hashed.append(self) or real_hash(self)
+    )
+    collected = count_calls(monkeypatch, rtmon.model.statement_principals)
+    marks = []
+
+    def quiet_log():
+        marks.append((len(hashed), len(collected)))
+        yield from log
+        marks.append((len(hashed), len(collected)))
+
+    session = run_session(p, _hazmat_registrations(6), quiet_log())
+    assert session.warnings == ()
+    assert min(marks[0]) > 0  # the registrations reach both counters
+    assert marks[0] == marks[1]
+    assert session.final_state == p
+
+
 def test_final_state_is_the_start_state_when_nothing_changed():
     p = hazmat_policy()
     log = [add(HAZMAT_ADD_9), remove(HAZMAT_ADD_9)]

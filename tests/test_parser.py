@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import string
@@ -46,6 +47,7 @@ from rtmon.parser import (
 
 from helpers import (
     HAZMAT_CONSTRAINT_TEXT,
+    HAZMAT_POLICY_TEXT,
     hazmat_policy,
     prin,
     role,
@@ -99,6 +101,30 @@ class TestStatements:
             with pytest.raises(ParseError) as err:
                 parse_statement(text)
             assert err.value.kind is ParseErrorKind.RESERVED_PRINCIPAL
+
+    # "A.r <- B\n" and "A.r <- B\r" were parse-error golden entries
+    # ("unexpected trailing input" at column 9) until a lone line, like a
+    # document line, could end in a line terminator.
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", " # note\n", "\t\r\n"])
+    def test_lone_lines_accept_one_line_terminator(self, end):
+        for text in ("A.r <- B", "A.r <- A.s.t"):
+            [in_document] = parse_policy(text + end)
+            assert parse_statement(text + end) == in_document == parse_statement(text)
+        line = "constraint q owner O: A.r | {B} <= C.s"
+        assert parse_constraint(line + end) == parse_constraint(line)
+        assert parse_expr("A.r & (B.s | {C})" + end) == parse_expr("A.r & (B.s | {C})")
+
+    @pytest.mark.parametrize("end", ["\n\n", "\r\r", "\n\r", "\r\n\n", "\x0b", "\u2028"])
+    def test_lone_lines_reject_a_second_or_other_terminator(self, end):
+        for parse, text in (
+            (parse_statement, "A.r <- B"),
+            (parse_expr, "A.r | B.s"),
+            (parse_constraint, "constraint q owner O: A.r <= B.s"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text + end)
+            assert err.value.span.column == len(text) + 1
+            assert err.value.message == "unexpected trailing input"
 
     def test_error_spans_point_into_the_line(self):
         with pytest.raises(ParseError) as err:
@@ -296,6 +322,27 @@ def test_parse_errors_match_the_golden():
         if found != tuple(case[k] for k in ("line", "column", "length", "kind", "message")):
             wrong.append((case["format"], case["text"], found))
     assert wrong == []
+
+
+def test_a_parse_leaves_no_reference_cycles():
+    """What a parse call builds is freed by reference counting alone."""
+    cases = [
+        (parse_policy, HAZMAT_POLICY_TEXT),
+        (parse_constraints, HAZMAT_CONSTRAINT_TEXT + "\nconstraint c2 owner O: {B} & A.r <= (C.s | D.t)\n"),
+        (parse_monitor, "growth-trusted: A.r, B.s\nshrink-trusted: *\n"),
+        (parse_changelog, "+ A.r <- B\n- A.r <- B.s & C.t\n+ A.r <- A.s.t\n+ C.r <- A.r\n"),
+        (parse_statement, "A.r <- B.s & C.t"),
+        (parse_expr, "A.r & {B} | (C.s | D.t)"),
+        (parse_constraint, HAZMAT_CONSTRAINT_TEXT),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for parse, text in cases:
+            assert parse(text) is not None
+            assert gc.collect() == 0, parse.__name__
+    finally:
+        gc.enable()
 
 
 class TestSerialization:
