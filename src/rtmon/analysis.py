@@ -14,11 +14,13 @@ Every pass asks the monitor's trusted sets only ``role in ...``, so a set
 may be :data:`~rtmon.model.EVERY_ROLE` and is never expanded to the roles
 of a state.
 
-The trusted core strips from the growth-trusted set the roles whose upper
-bound an untrusted dependency forces to the universe, propagating each
-expulsion to the rules that read the expelled role through the shared rule
-index.  Restricted growth sets stay inside the core, giving the monitor an
-add-side frontier it can actually observe.
+The trusted core is read off the upper bound: it is the growth-trusted
+roles whose bound lacks ``TOP``.  ``TOP`` enters the upper bound only
+through a role held at the universe, and a trusted role that gains ``TOP``
+through one gains the whole universe, so these are exactly the roles that
+no untrusted dependency forces to the universe.  Restricted growth sets
+stay inside the core, giving the monitor an add-side frontier it can
+actually observe.
 """
 
 from __future__ import annotations
@@ -27,17 +29,15 @@ from dataclasses import dataclass
 from typing import Container, Mapping, Optional
 
 from .deps import GrowthSet, _growth_roles
-from .engine import _reads, _rule_index, _RuleIndex, _saturate, _walk_expr
+from .engine import _rule_index, _RuleIndex, _saturate, _walk_expr
 from .model import (
     Constraint,
-    IntersectionInclusion,
     PolicyState,
     PositiveRoleExpr,
     Principal,
     Role,
     RoleMonitor,
     RoleRef,
-    Statement,
     TOP,
     roles_of,
 )
@@ -152,37 +152,16 @@ def eval_upper(idx: BoundIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
 def core(p: PolicyState, g: Container[Role], ub: Optional[Bound] = None) -> CoreSet:
     """The growth-trusted roles whose upper bounds stay informative.
 
-    Computed by closing the complement: a trusted role is expelled when it
-    simply includes an expelled/untrusted role, when its linked role walks
-    from one, when the walk can land on one (judged against the upper bound
-    of the first component, where ``TOP`` always lands outside), or when
-    every part of an intersection it reads is out.  Each statement is
-    checked once, and again only when a role it reads is expelled.
+    A role is expelled when its upper bound holds ``TOP``.  ``TOP`` enters
+    the bound only through a role held at the universe, and a trusted role
+    that gains ``TOP`` gains the whole universe with it.
 
     ``ub`` is ``upper_bound(p, RoleMonitor(growth_trusted=g))`` when the
     caller already holds it.
     """
     if ub is None:
         ub = upper_bound(p, RoleMonitor(growth_trusted=g))
-    index = _rule_index(p.statements, lambda head: head not in g)
-    expelled: set[Role] = set()
-
-    def outside(role: Role) -> bool:
-        return role.owner == TOP or role not in g or role in expelled
-
-    def undermined(stmt: Statement) -> bool:
-        out = map(outside, _reads(stmt, ub))
-        return all(out) if isinstance(stmt.body, IntersectionInclusion) else any(out)
-
-    work = [stmt for rules in index.heads.values() for stmt in rules]
-    while work:
-        stmt = work.pop()
-        if stmt.head in expelled or not undermined(stmt):
-            continue
-        expelled.add(stmt.head)
-        work += index.readers.get(stmt.head, ())
-        work += index.linked.get(stmt.head.name, ())
-    return CoreSet(g, frozenset(expelled))
+    return CoreSet(g, frozenset(role for role, found in ub.items() if TOP in found))
 
 
 def gamma_restricted(p: PolicyState, g: Container[Role], target: Role) -> GrowthSet:

@@ -7,9 +7,10 @@ Five verbs over the text formats: ``query`` evaluates an expression,
 
 Every invocation produces one report; ``--format machine`` renders it as a
 single JSON document with stable field names.  Exit codes: 0 all checks
-hold, 1 a check or constraint is violated, 2 input error, 3 (``analyze``
-only) monitoring could not be established (no admissible support), 4
-internal error (the tool failed; no verdict was reached).
+hold, 1 a check or constraint is violated, 2 input error (an input that
+cannot be read or parsed, or an ``--out`` file that cannot be written), 3
+(``analyze`` only) monitoring could not be established (no admissible
+support), 4 internal error (the tool failed; no verdict was reached).
 """
 
 from __future__ import annotations
@@ -75,6 +76,16 @@ def _read(path: str) -> tuple[str, str]:
     except UnicodeDecodeError as exc:
         raise _InputError(path, f"not valid UTF-8 ({exc.reason})") from exc
     return text, hashlib.sha256(raw).hexdigest()
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``--out``; a path that cannot be written is an
+    input error, like a file that cannot be read."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(path, exc.strerror or str(exc)) from exc
 
 
 def _load(path: str, parse, inputs: dict, label: str):
@@ -292,8 +303,7 @@ def cmd_monitor(args) -> dict:
     }
     report = _report("monitor", inputs, result, _exit_code(violated))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_policy(session.final_state))
+        _write(args.out, serialize_policy(session.final_state))
     return report
 
 
@@ -427,8 +437,7 @@ def _run(args) -> int:
     else:
         text = _render_human(report)
     if args.out and report["command"] != "monitor":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return report["exit_code"]

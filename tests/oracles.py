@@ -5,13 +5,14 @@ are found by exhaustive restriction instead of the justification worklist,
 and reachable states are enumerated explicitly instead of being reasoned
 about through bounds.  ``dense_evaluate`` and ``round_robin_worklist`` keep
 the plain evaluator and support worklist the library used before its
-indexed, change-driven ones, ``round_robin_upper_bound``, ``dense_core``
-and ``reference_gamma_restricted`` the restricted-trust passes it used
-before they ran on that evaluator, and ``round_robin_core`` the trusted
-core it rescanned every statement for before core became a propagation, as
-slow references for differential tests.  ``expand_wildcards`` turns a
-monitor's symbolic ``*`` back into the finite role set it used to be
-expanded to.
+indexed, change-driven ones, ``round_robin_upper_bound`` and
+``reference_gamma_restricted`` the restricted-trust passes it used before
+they ran on that evaluator, as slow references for differential tests.
+``dense_core`` and ``round_robin_core`` close the expulsions of untrusted
+dependencies statement by statement, against the dense and the library's
+upper bound; they are the references for the trusted core the library
+reads off the upper bound.  ``expand_wildcards`` turns a monitor's
+symbolic ``*`` back into the finite role set it used to be expanded to.
 """
 
 from collections import defaultdict

@@ -39,6 +39,7 @@ from helpers import (
     count_calls,
     hazmat_constraint,
     hazmat_policy,
+    hazmat_policy_extended,
     prin,
     role,
     role_strs,
@@ -52,6 +53,7 @@ from oracles import (
 )
 from randgen import (
     random_expr,
+    random_fan_state,
     random_monitor,
     random_state,
     random_statement_for_state,
@@ -231,6 +233,26 @@ class TestNonCoreUpperBounds:
                 if r not in coreset:
                     assert idx.upper_of(r) == universe_of(p)
 
+    def test_expelled_roles_hold_the_universe_and_core_roles_lack_top(self):
+        # The core is read off the upper bound; this pins the argument
+        # behind it: an expelled role is forced to the whole universe, and
+        # no core role's bound holds TOP.
+        rng = random.Random(618)
+        expelled = 0
+        for n in range(300):
+            p = random_fan_state(rng) if n % 3 == 0 else random_state(rng, max_statements=12)
+            monitor = random_untrusted_link_monitor(rng, p)
+            g = monitor.growth_trusted
+            idx = bounds(p, RoleMonitor(growth_trusted=g))
+            coreset = core(p, g, idx.upper)
+            for r in coreset.expelled:
+                assert idx.upper_of(r) == universe_of(p)
+            for r in p.roles:
+                if r in coreset:
+                    assert TOP not in idx.upper_of(r)
+            expelled += len(coreset.expelled)
+        assert expelled >= 100
+
     def test_core_is_sandwiched(self):
         rng = random.Random(605)
         for _ in range(60):
@@ -383,6 +405,35 @@ class TestSharedEvaluatorMatchesReferences:
             shrunk += got != g
         assert shrunk >= 100
 
+    @pytest.mark.parametrize(
+        "make_state",
+        [
+            random_fan_state,
+            lambda rng: hazmat_policy(),
+            lambda rng: hazmat_policy_extended(),
+            lambda rng: self_link_policy(),
+        ],
+        ids=["fan", "hazmat", "hazmat-extended", "self-link"],
+    )
+    def test_core_under_untrusted_link_monitors(self, make_state):
+        rng = random.Random(616)
+        shrunk = 0
+        for _ in range(150):
+            p = make_state(rng)
+            g = random_untrusted_link_monitor(rng, p).growth_trusted
+            got = core_roles(core(p, g))
+            assert got == dense_core(p, g) == round_robin_core(p, g)
+            shrunk += got != g
+        assert shrunk >= 20
+
+    def test_core_under_every_role(self):
+        rng = random.Random(617)
+        fixed = [hazmat_policy(), hazmat_policy_extended(), self_link_policy()]
+        states = fixed + [random_state(rng, max_statements=12) for _ in range(200)]
+        states += [random_fan_state(rng) for _ in range(100)]
+        for p in states:
+            assert core(p, EVERY_ROLE).expelled == p.roles - dense_core(p, p.roles)
+
     def test_restricted_closure(self):
         for rng, p, monitor in restricted_cases(612, 200):
             g = monitor.growth_trusted
@@ -412,7 +463,8 @@ class TestPropagatedCoreMatchesRoundRobin:
 
     def test_deep_chain_expelled_from_its_untrusted_end(self, monkeypatch):
         # R0 <- R1 <- ... <- R300 with R300 untrusted: every role of the
-        # chain goes, the last link first.
+        # chain goes.  The core is read off the upper bound the caller
+        # holds, so it reads no statement at all.
         chain = [Role(Principal(f"P{i}"), RoleName("r")) for i in range(301)]
         p = PolicyState(
             frozenset(Statement(a, SimpleInclusion(b)) for a, b in zip(chain, chain[1:]))
@@ -422,10 +474,7 @@ class TestPropagatedCoreMatchesRoundRobin:
         ub = upper_bound(p, RoleMonitor(growth_trusted=g))
         reads = count_calls(monkeypatch, rtmon.engine._reads)
         got = core_roles(core(p, g, ub))
-        # One read per statement to index it, one to check it, and one more
-        # per expelled input; rescanning until stable would read ~300
-        # statements 300 times.
-        assert len(reads) <= 3 * len(p)
+        assert reads == []
         assert got == {role("Other.r")} == round_robin_core(p, g)
 
 

@@ -273,6 +273,30 @@ class TestInternalErrors:
         assert lines[0].startswith("rtmon: internal error: RecursionError")
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["check", "hazmat.rt", "hazmat.cst"],
+            ["monitor", "hazmat.rt", "hazmat.cst", "hazmat.changes"],
+        ],
+        ids=["check", "monitor"],
+    )
+    def test_missing_out_directory_is_an_input_error(self, in_fixtures, capsys, tmp_path, verb):
+        out = tmp_path / "no_such_dir" / "out.txt"
+        rc = main(["--out", str(out), *verb])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"rtmon: error: {out}: No such file or directory\n"
+
+    def test_directory_as_out_is_an_input_error(self, in_fixtures, capsys, tmp_path):
+        rc = main(["--out", str(tmp_path), "check", "hazmat.rt", "hazmat.cst"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"rtmon: error: {tmp_path}: ")
+
+
 class TestLongExpressions:
     @pytest.mark.parametrize("verb", ["query", "check", "deps", "monitor"])
     def test_verbs_answer_on_a_1500_term_union(self, in_fixtures, capsys, tmp_path, verb):

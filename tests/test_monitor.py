@@ -453,6 +453,19 @@ def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
     assert "roles" not in vars(p)
 
 
+def test_restricted_register_builds_one_index_per_bound_and_one_for_growth(monkeypatch):
+    monitor = RoleMonitor(
+        growth_trusted=hazmat_policy().roles, shrink_trusted=frozenset({role("ATF.hazmatDB")})
+    )
+    indexes = count_calls(monkeypatch, rtmon.engine._rule_index)
+    p = hazmat_policy()
+    rec = register(p, hazmat_constraint(), RestrictedTrust(monitor))
+    assert rec.status is RecordStatus.HOLDING
+    # The lower bound, the upper bound and the restricted growth walk; the
+    # core is read off the upper bound and builds none.
+    assert len(indexes) == 3
+
+
 def test_session_keeps_the_initial_records():
     p = hazmat_policy()
     q = hazmat_constraint()
