@@ -7,16 +7,17 @@ Supports answer "which roles (or which exact statements) currently prove
 the memberships the constraint needs" -- the remove-side frontier.  The
 worklist here computes, per role and member, all minimal supports at once,
 re-firing a statement only when a role :func:`rtmon.engine._reads` names for
-it changed and pruning dominated entries; a cap per (role, member) bounds
-pathological states at the cost of possibly non-minimal (still valid)
-supports.
+it changed and pruning dominated entries.  An intersection joins its parts
+one at a time and keeps only the minimal unions, so its cost grows with the
+number of minimal unions, not with the product of the parts' entries.  A
+cap per (role, member) bounds pathological states at the cost of possibly
+non-minimal (still valid) supports.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
 from .engine import SemanticsIndex, _reads, _rule_index, _RuleIndex, evaluate
@@ -113,8 +114,9 @@ class JustifiedEntry:
 @dataclass(frozen=True)
 class JustifiedSemantics:
     """Per-role minimal supports; ``truncated`` is set when the entry cap
-    dropped candidates somewhere (kept entries are then still valid
-    supports but minimality is no longer guaranteed)."""
+    dropped a support that no kept entry is a subset of (kept entries are
+    then still valid supports but minimality is no longer guaranteed).
+    When it is clear, the entries are exactly the minimal supports."""
 
     entries: Mapping[Role, frozenset[JustifiedEntry]]
     truncated: bool = False
@@ -196,6 +198,36 @@ def _entry_key(e: _Entry):
     return (len(e[0]), sorted(str(x) for x in e[0]), e[1])
 
 
+def _join(tok: frozenset, parts: list[list[_Entry]]) -> list[_Entry]:
+    """The minimal unions of ``tok`` with one entry of every part.
+
+    The parts are joined one at a time, and after each join only the unions
+    with no other union as a subset are kept: an extension of a dominated
+    union is dominated by the same extension of its dominator, so this
+    equals the minimal elements of the whole product.  Each step is
+    quadratic in the unions it forms, never exponential in the number of
+    parts, unless the minimal unions themselves are that many.
+    """
+    joined: list[_Entry] = [(tok, 0)]
+    for entries in parts:
+        joined = [(s | t, i + j) for s, i in joined for t, j in entries]
+        if len(joined) > 1:
+            # Smaller first, so every subset of a union is met before it.
+            joined.sort(key=_support_size)
+            unions, joined = joined, []
+            for union in unions:
+                for kept, _ in joined:
+                    if kept <= union[0]:
+                        break
+                else:
+                    joined.append(union)
+    return joined
+
+
+def _support_size(e: _Entry) -> int:
+    return len(e[0])
+
+
 def _worklist(
     p: PolicyState,
     token: Callable[[Statement], Hashable],
@@ -207,7 +239,11 @@ def _worklist(
     support; inserting a candidate evicts the entries it dominates.
     ``token(stmt)`` is what a fired statement contributes to a support (its
     head role, or the statement itself).  When ``cap`` is hit for one
-    (role, member), the smallest supports are kept and the run is flagged.
+    (role, member), the smallest supports are kept.  The run is flagged
+    truncated when some cut support contains no support kept at the end:
+    otherwise every candidate the cap cut was dominated anyway, the kept
+    entries are closed under the rules up to dominance, and they are
+    exactly the minimal supports.
 
     Statements fire in a fixed order over insertion-ordered entries, so the
     result does not depend on hash seeds even under the cap.  A statement
@@ -225,10 +261,10 @@ def _worklist(
     name_changed_at: dict[RoleName, int] = {}
     freed_at: dict[Role, int] = {}
     fired_at: list[int] = [-1] * len(rules)
-    truncated = False
+    cut: list[tuple[Role, Principal, frozenset]] = []
 
     def offer(head: Role, member: Principal, support: frozenset, size: int) -> None:
-        nonlocal clock, truncated
+        nonlocal clock
         by_member = cur[head]
         entries = by_member.get(member, ())
         for s, _ in entries:
@@ -239,10 +275,10 @@ def _worklist(
         freed = len(kept) < len(entries)
         kept.append(cand)
         if cap is not None and len(kept) > cap:
-            truncated = True
             kept.sort(key=_entry_key)
             dropped = kept[cap:]
             del kept[cap:]
+            cut.extend((head, member, e[0]) for e in dropped)
             # A cut candidate evicted nothing (it would sort before what it
             # dominates), so the entries are unchanged.
             if any(e is cand for e in dropped):
@@ -286,11 +322,13 @@ def _worklist(
                 for member in list(buckets[0]):
                     if not all(member in b for b in buckets[1:]):
                         continue
-                    for combo in product(*(b[member] for b in buckets)):
-                        support = tok.union(*(e[0] for e in combo))
-                        offer(head, member, support, sum(e[1] for e in combo))
+                    for support, size in _join(tok, [b[member] for b in buckets]):
+                        offer(head, member, support, size)
         if clock == start:
             break
+    truncated = any(
+        not any(s <= support for s, _ in cur[head][member]) for head, member, support in cut
+    )
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 
 
@@ -306,7 +344,12 @@ def _role_worklist(
 def justified_semantics(
     p: PolicyState, *, max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP
 ) -> JustifiedSemantics:
-    """All minimal role-supports, per role and member, in one pass."""
+    """All minimal role-supports, per role and member, in one pass.
+
+    With ``max_entries_per_member=None`` the result is exact, and it can be
+    exponential in the size of the policy: an intersection of ``w`` parts
+    with two disjoint alternatives each has ``2**w`` minimal supports.
+    """
     raw, truncated = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
     entries = {
         role: frozenset(

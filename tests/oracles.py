@@ -156,6 +156,16 @@ def dense_evaluate(p: PolicyState) -> dict[Role, frozenset[Principal]]:
     return {role: frozenset(found) for role, found in members.items()}
 
 
+def product_join(tok: frozenset, parts: list) -> list:
+    """Every union of ``tok`` with one entry ``(support, size)`` of every
+    part, dominated ones included: the enumeration the worklist's
+    intersection join replaced."""
+    return [
+        (tok.union(*(e[0] for e in combo)), sum(e[1] for e in combo))
+        for combo in product(*parts)
+    ]
+
+
 def round_robin_worklist(p: PolicyState, token, cap=None):
     """Justification triples ``(member, support, size)`` per role, by firing
     every statement over every entry each round until no bucket changes.

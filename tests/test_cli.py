@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -390,3 +393,29 @@ def test_machine_reports_match_goldens(in_fixtures, capsys, golden_name, args):
     expected = (GOLDEN / golden_name).read_text()
     assert out == expected
     assert rc == json.loads(expected)["exit_code"]
+
+
+def _python_m(module, *args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        cwd=FIXTURES, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("module", ["rtmon", "rtmon.cli"])
+def test_python_m_missing_input_exits_2(module):
+    proc = _python_m(module, "check", "missing.rt", "hazmat.cst")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "missing.rt" in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["rtmon", "rtmon.cli"])
+def test_python_m_check_matches_golden(module):
+    proc = _python_m(module, "--format", "machine", "check", "hazmat.rt", "hazmat.cst")
+    assert proc.stdout == (GOLDEN / "check_hazmat.json").read_text()
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -3,10 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import rtmon.deps
 import rtmon.model
 from rtmon.deps import (
     DEFAULT_SUPPORT_CAP,
@@ -43,7 +46,7 @@ from helpers import (
     stmt,
     support_shift_policy,
 )
-from oracles import brute_minimal_supports, round_robin_worklist
+from oracles import brute_minimal_supports, product_join, round_robin_worklist
 from randgen import random_expr, random_fan_state, random_state, random_statement_for_state
 
 
@@ -455,6 +458,69 @@ class TestWorklistAgainstRoundRobin:
                         assert e.member in role_members(evaluate(restrict(p, e.support)), target)
                     assert max(per_member.values()) <= cap
         assert truncated
+
+
+def _pairs(js):
+    return {r: {(e.member, e.support) for e in entries} for r, entries in js.entries.items()}
+
+
+def _random_support_states(rng, n):
+    """``n`` seeded states, every other one an intersection fan."""
+    return [
+        random_fan_state(rng) if k % 2 else random_state(rng, max_statements=12)
+        for k in range(n)
+    ]
+
+
+class TestIntersectionJoin:
+    """The part-by-part intersection join against the product enumeration."""
+
+    @pytest.mark.parametrize("cap", [None, 8, 2, 1])
+    def test_supports_match_the_product_enumeration(self, monkeypatch, cap):
+        states = _random_support_states(random.Random(2026), 400)
+        truncated = 0
+        for p in states:
+            folded = justified_semantics(p, max_entries_per_member=cap)
+            with monkeypatch.context() as m:
+                m.setattr(rtmon.deps, "_join", product_join)
+                enumerated = justified_semantics(p, max_entries_per_member=cap)
+            assert _pairs(folded) == _pairs(enumerated)
+            truncated += folded.truncated
+        if cap in (2, 1):
+            assert truncated >= 20
+
+    def test_truncated_only_when_some_member_has_more_minimal_supports_than_the_cap(self):
+        # A dominated union offered before the union dominating it used to
+        # overflow the cap for a moment and set the flag.
+        flagged = Counter()
+        for p in _random_support_states(random.Random(2027), 1500):
+            full = justified_semantics(p, max_entries_per_member=None)
+            counts = Counter((r, e.member) for r, entries in full.entries.items() for e in entries)
+            most = max(counts.values(), default=0)
+            for cap in (8, 2, 1):
+                capped = justified_semantics(p, max_entries_per_member=cap)
+                assert capped.truncated == (most > cap)
+                assert capped.truncated or _pairs(capped) == _pairs(full)
+                flagged[cap, capped.truncated] += 1
+        assert flagged[2, True] >= 50 and flagged[2, False] >= 50
+
+    def test_a_wide_intersection_joins_in_polynomial_time(self):
+        # Every part has the same 8 alternatives, so 8 of the 8^20 unions
+        # are minimal; enumerating the product would not finish.
+        width = 20
+        text = f"A.w <- {' & '.join(f'A.p{k}' for k in range(width))}\n"
+        text += "".join(f"A.p{k} <- S{i}.x\n" for k in range(width) for i in range(8))
+        text += "".join(f"S{i}.x <- M\n" for i in range(8))
+        p = parse_policy(text)
+        start = time.perf_counter()
+        js = justified_semantics(p)
+        elapsed = time.perf_counter() - start
+        parts = {role("A.w")} | {role(f"A.p{k}") for k in range(width)}
+        assert {e.support for e in js.for_role(role("A.w"))} == {
+            frozenset(parts | {role(f"S{i}.x")}) for i in range(8)
+        }
+        assert not js.truncated
+        assert elapsed < 1.0
 
 
 _HASH_SEED_PROBE = """

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -711,6 +713,74 @@ def test_an_event_shares_one_snapshot_among_its_records(monkeypatch, k):
     assert all(w.event == add(HAZMAT_ADD_9) for w in session.warnings)
     # One for the warned event, one for the final state.
     assert len(snapshots) == 2
+
+
+@pytest.mark.parametrize(
+    "make_mode",
+    [
+        lambda rng, p: FullTrust(),
+        lambda rng, p: FullTrustCredential(),
+        lambda rng, p: RestrictedTrust(random_monitor(rng, p, 0.9, 0.9)),
+    ],
+    ids=["full", "credential", "restricted"],
+)
+def test_quiet_events_free_no_snapshot(monkeypatch, make_mode):
+    """Every snapshot the session builds is released during an event that
+    reaches a record, or after the last event, never during a quiet one."""
+    rng = random.Random(711)
+    position: list = [None]  # the event being replayed, None outside the log
+    reached_at: set[int] = set()
+    released: list = []
+    built: list = []
+    real_state = rtmon.monitor._checked_state
+
+    def tracked(stmts):
+        state = real_state(stmts)
+        built.append(weakref.finalize(state, lambda: released.append(position[0])))
+        return state
+
+    real_reached = rtmon.monitor._FrontierIndex.reached
+
+    def reached(self, ev, noop):
+        due = real_reached(self, ev, noop)
+        if due:
+            reached_at.add(position[0])
+        return due
+
+    monkeypatch.setattr(rtmon.monitor, "_checked_state", tracked)
+    monkeypatch.setattr(rtmon.monitor._FrontierIndex, "reached", reached)
+
+    def replay(log):
+        for n, ev in enumerate(log):
+            position[0] = n
+            yield ev
+        position[0] = None
+
+    quiet_after_reached = 0
+    # A collector pass may run during any event; this pins the frees the
+    # session itself makes.
+    gc.disable()
+    try:
+        for _ in range(60):
+            p = random_state(rng)
+            regs = [
+                (biased_satisfied_constraint(rng, p, f"q{i}"), make_mode(rng, p))
+                for i in range(3)
+            ]
+            log, _ = _random_log(rng, p, 20)
+            reached_at.clear()
+            released.clear()
+            built.clear()
+            session = run_session(p, regs, replay(log))
+            quiet = set(range(len(log))) - reached_at
+            assert not quiet & set(released)
+            quiet_after_reached += sum(n in quiet and n - 1 in reached_at for n in range(len(log)))
+            del session
+            gc.collect()
+            assert len(released) == len(built)
+    finally:
+        gc.enable()
+    assert quiet_after_reached >= 100
 
 
 def test_session_rejects_top_like_policy_state_add():
