@@ -1,9 +1,9 @@
 """Parsing and serialization of the textual policy formats.
 
-Four line-oriented formats share one lexical layer: ``#`` starts a comment,
-blank lines are ignored, and one compiled pattern splits a line into tokens
-(identifiers ``[A-Za-z_][A-Za-z0-9_]*``, ``<-``, ``<=``, single characters)
-separated by spaces and tabs only.  Every grammar below reads those tokens:
+Four line-oriented formats share one lexical layer: lines end at LF, CR LF
+or CR, ``#`` starts a comment, a line of spaces and tabs only is blank, and
+tokens (identifiers ``[A-Za-z_][A-Za-z0-9_]*``, ``<-``, ``<=``, single
+characters) are separated by spaces and tabs only.  The grammars:
 
 * policy document -- one statement per line: ``Head <- Body`` with Body one
   of ``D`` | ``B.r1`` | ``A.r1.r2`` | ``B1.r1 & B2.r2 [& ...]``
@@ -14,11 +14,18 @@ separated by spaces and tabs only.  Every grammar below reads those tokens:
   sections, each a comma-separated role list or ``*`` for every role
 * change log -- one event per line: ``+ <statement>`` or ``- <statement>``
 
+A statement line, signed or not, is matched whole by one compiled pattern
+and built from the identifiers it captures.  Tokens serve constraints,
+expressions and monitors, and the diagnosis of a statement line that the
+pattern rejects or whose statement is refused (``TOP`` in a principal
+position, a linked role of another owner): that walk finds the error and
+builds nothing.
+
 Every parse either returns a value or raises :class:`ParseError` with a
 position; serializers are exact inverses (``parse(serialize(x)) == x``).
 Within one parse call each principal, role name, role and statement is one
-object (a statement per token sequence, so a reordered intersection keeps
-its written order); separate calls share nothing.
+object (a statement per sequence of identifiers, so a reordered
+intersection keeps its written order); separate calls share nothing.
 """
 
 from __future__ import annotations
@@ -73,10 +80,26 @@ __all__ = [
     "lint_conventions",
 ]
 
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One token: an identifier, an arrow, or any other single character.  Only
 # spaces and tabs separate tokens; any other character, whitespace or not,
 # is a token of its own that no grammar accepts.
-_TOKEN = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|<[-=]|[^ \t])")
+_TOKEN = re.compile(rf"[ \t]*({_IDENT.pattern}|<[-=]|[^ \t])")
+# A whole statement line, the same language as the token grammar.  Groups:
+# the sign, the head's owner and name, the body's first, second and third
+# identifier (``D``, ``B.r1``, ``A.r1.r2``), and, in an intersection, the
+# text of the parts after the first, ``& B2.r2 [& ...]``.
+_STATEMENT = re.compile(
+    r"""
+    [ \t]* (?: ([+-]) [ \t]* )?
+    (ID) [ \t]* \. [ \t]* (ID) [ \t]* <- [ \t]*
+    (ID) (?: [ \t]* \. [ \t]* (ID)
+             (?: [ \t]* \. [ \t]* (ID)
+               | ( (?: [ \t]* & [ \t]* ID [ \t]* \. [ \t]* ID )+ ) )? )?
+    [ \t]*
+    """.replace("ID", _IDENT.pattern),
+    re.VERBOSE,
+)
 _IDENT_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _SECTION = re.compile(r"\s*(growth-trusted|shrink-trusted)\s*:")
 
@@ -122,7 +145,7 @@ class _Table(dict):
 class _Names:
     """What one parse call has built, each made once and keyed by its
     source text: principals and role names by name, roles by their
-    ``(owner, name)`` strings, statements by their token sequence."""
+    ``(owner, name)`` strings, statements by their identifiers."""
 
     def __init__(self) -> None:
         # The role maker closes over the two tables, not over ``self``, so
@@ -130,7 +153,7 @@ class _Names:
         principals = self.principals = _Table(Principal)
         role_names = self.role_names = _Table(RoleName)
         self.roles = _Table(lambda key: Role(principals[key[0]], role_names[key[1]]))
-        self.statements: dict[tuple[str, ...], Statement] = {}
+        self.statements: dict[tuple[str | None, ...], Statement] = {}
 
 
 class _Tokens:
@@ -211,86 +234,123 @@ def _dotted(tk: _Tokens) -> list[int]:
     return parts
 
 
-def _statement(tk: _Tokens) -> Statement:
-    """The rest of the line's statement, one object per token sequence."""
-    key = tuple(tk.toks[tk.i:])
-    stmt = tk.names.statements.get(key)
-    if stmt is None:
-        stmt = tk.names.statements[key] = _new_statement(tk)
+def _statement(code: str, line: int, names: _Names,
+               signed: bool) -> tuple[str | None, Statement]:
+    """The sign (``None`` unless ``signed``) and the statement of one line,
+    one statement object per sequence of identifiers.  A line that the
+    pattern rejects, or whose statement is refused, is diagnosed on its
+    tokens."""
+    m = _STATEMENT.fullmatch(code)
+    if m is not None:
+        sign, owner, name, source, first, second, more = m.groups()
+        if (sign is not None) is signed:
+            # Five slots, ``None`` where a shorter body ends; an
+            # intersection lists the identifiers of every part instead.
+            if more is None:
+                key: tuple[str | None, ...] = (owner, name, source, first, second)
+            else:
+                key = (owner, name, source, first, *_IDENT.findall(more))
+            stmt = names.statements.get(key) or _new_statement(names, key)
+            if stmt is not None:
+                return sign, stmt
+    _diagnose(_Tokens(code, line, names), signed)
+
+
+def _new_statement(names: _Names, key: tuple[str | None, ...]) -> Statement | None:
+    """Build and keep the statement of ``key``; ``None`` when a principal
+    position holds ``TOP`` or a linked role starts from a role of another
+    owner."""
+    owner, name, source, first = key[:4]
+    if owner == RESERVED_PRINCIPAL or source == RESERVED_PRINCIPAL:
+        return None
+    roles = names.roles
+    if len(key) > 5:
+        owners = key[4::2]
+        if RESERVED_PRINCIPAL in owners:
+            return None
+        body = IntersectionInclusion(
+            (roles[source, first], *map(roles.__getitem__, zip(owners, key[5::2])))
+        )
+    elif first is None:
+        body = SimpleMember(names.principals[source])
+    elif key[4] is None:
+        body = SimpleInclusion(roles[source, first])
+    elif source != owner:
+        return None
+    else:
+        body = LinkingInclusion(roles[source, first], names.role_names[key[4]])
+    stmt = names.statements[key] = Statement(roles[owner, name], body)
     return stmt
 
 
-def _new_statement(tk: _Tokens) -> Statement:
-    toks, names = tk.toks, tk.names
+def _diagnose(tk: _Tokens, signed: bool) -> NoReturn:
+    """Raise the first error of a statement line, as the token grammar
+    finds it.  Builds nothing."""
+    if signed and not (tk.take("+") or tk.take("-")):
+        tk.fail("expected '+' or '-'")
     owner = tk.principal_name()
     tk.need(".")
-    head = names.roles[owner, tk.name("role name")]
+    tk.name("role name")
     tk.need("<-")
     atoms = [_dotted(tk)]
     while tk.take("&"):
         atoms.append(_dotted(tk))
     tk.done()
-
     if len(atoms) == 1:
-        parts = atoms[0]
+        [parts] = atoms
         source = tk.unreserved(parts[0])
-        if len(parts) == 1:
-            return Statement(head, SimpleMember(names.principals[source]))
-        first = names.roles[source, toks[parts[1]]]
-        if len(parts) == 2:
-            return Statement(head, SimpleInclusion(first))
-        if source != owner:
+        if len(parts) == 3 and source != owner:
             tk.fail(
                 f"linked role must start from a role owned by {owner}",
                 parts[0], len(source), ParseErrorKind.LINKED_ROLE_OWNER_MISMATCH,
             )
-        return Statement(head, LinkingInclusion(first, names.role_names[toks[parts[2]]]))
-
-    roles = []
-    for parts in atoms:
-        if len(parts) != 2:
-            tk.fail("intersection parts must be roles (B.r)", parts[0], len(toks[parts[0]]))
-        roles.append(names.roles[tk.unreserved(parts[0]), toks[parts[1]]])
-    return Statement(head, IntersectionInclusion(tuple(roles)))
+    else:
+        for parts in atoms:
+            if len(parts) != 2:
+                tk.fail("intersection parts must be roles (B.r)", parts[0], len(tk.toks[parts[0]]))
+            tk.unreserved(parts[0])
+    raise AssertionError(f"line {tk.line}: the statement pattern rejected a legal statement")
 
 
-def _lines(text: str) -> Iterator[_Tokens]:
-    """The tokens of each line that holds more than a comment."""
-    names = _Names()
-    for line_no, raw in enumerate(text.splitlines(), 1):
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """The number and the code (the text before any ``#``) of each line
+    that holds more than a comment.  Lines end at LF, CR LF or CR only; a
+    line of spaces and tabs only is blank."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, 1):
         code = raw.split("#", 1)[0]
-        if code.strip():
-            yield _Tokens(code, line_no, names)
+        if code.strip(" \t"):
+            yield line_no, code
 
 
-def _whole_line(tk: _Tokens) -> SourceSpan:
-    return SourceSpan(tk.line, 1, max(len(tk.code.rstrip()), 1))
+def _whole_line(line: int, code: str) -> SourceSpan:
+    return SourceSpan(line, 1, max(len(code.rstrip()), 1))
 
 
-def _one_line(text: str, line: int) -> _Tokens:
-    """The tokens of a line given on its own.  Like a document line, it may
+def _one_line(text: str) -> str:
+    """The code of a line given on its own.  Like a document line, it may
     carry a comment and end in one line terminator: LF, CR LF or CR."""
-    code = text.removesuffix("\n").removesuffix("\r").split("#", 1)[0]
-    return _Tokens(code, line, _Names())
+    return text.removesuffix("\n").removesuffix("\r").split("#", 1)[0]
 
 
 def parse_statement(text: str, line: int = 1) -> Statement:
     """Parse one statement line (comments allowed)."""
-    return _statement(_one_line(text, line))
+    return _statement(_one_line(text), line, _Names(), False)[1]
 
 
 def parse_policy(text: str) -> PolicyState:
     """Parse a policy document; duplicate statements are an error."""
+    names = _Names()
     seen: dict[Statement, int] = {}
-    for tk in _lines(text):
-        stmt = _statement(tk)
+    for line, code in _lines(text):
+        stmt = _statement(code, line, names, False)[1]
         if stmt in seen:
             raise ParseError(
-                _whole_line(tk),
+                _whole_line(line, code),
                 f"duplicate statement (first occurrence at line {seen[stmt]})",
                 ParseErrorKind.DUPLICATE_STATEMENT,
             )
-        seen[stmt] = tk.line
+        seen[stmt] = line
     # The grammar has rejected ``TOP``: skip the constructor's rescan.
     return _checked_state(frozenset(seen))
 
@@ -340,7 +400,7 @@ def _operand(tk: _Tokens) -> PositiveRoleExpr:
 
 def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
     """Parse a positive role expression on its own (used by query)."""
-    tk = _one_line(text, line)
+    tk = _Tokens(_one_line(text), line, _Names())
     node = _expr(tk)
     tk.done()
     return node
@@ -348,7 +408,7 @@ def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
 
 def parse_constraint(text: str, line: int = 1) -> Constraint:
     """Parse one constraint line."""
-    return _constraint(_one_line(text, line))
+    return _constraint(_Tokens(_one_line(text), line, _Names()))
 
 
 def _keyword(tk: _Tokens, word: str) -> None:
@@ -372,17 +432,18 @@ def _constraint(tk: _Tokens) -> Constraint:
 
 def parse_constraints(text: str) -> list[Constraint]:
     """Parse a constraints document, one constraint per line."""
+    names = _Names()
     out: list[Constraint] = []
     seen: dict[str, int] = {}
-    for tk in _lines(text):
-        q = _constraint(tk)
+    for line, code in _lines(text):
+        q = _constraint(_Tokens(code, line, names))
         if q.id in seen:
             raise ParseError(
-                _whole_line(tk),
+                _whole_line(line, code),
                 f"duplicate constraint id '{q.id}' (first at line {seen[q.id]})",
                 ParseErrorKind.DUPLICATE_STATEMENT,
             )
-        seen[q.id] = tk.line
+        seen[q.id] = line
         out.append(q)
     return out
 
@@ -392,12 +453,16 @@ def parse_monitor(text: str) -> RoleMonitor:
     :data:`~rtmon.model.EVERY_ROLE`, which stays symbolic: it is never
     expanded against a state, so it covers roles of principals that appear
     later."""
+    names = _Names()
     sections: dict[str, Container[Role]] = {}
-    for tk in _lines(text):
-        m = _SECTION.match(tk.code)
+    for line, code in _lines(text):
+        m = _SECTION.match(code)
         if not m:
-            raise ParseError(_whole_line(tk), "expected 'growth-trusted:' or 'shrink-trusted:'")
-        tk.i = len(_TOKEN.findall(tk.code, 0, m.end()))  # the tokens after the colon
+            raise ParseError(
+                _whole_line(line, code), "expected 'growth-trusted:' or 'shrink-trusted:'"
+            )
+        tk = _Tokens(code, line, names)
+        tk.i = len(_TOKEN.findall(code, 0, m.end()))  # the tokens after the colon
         value: Container[Role]
         if tk.take("*"):
             tk.done()
@@ -412,7 +477,7 @@ def parse_monitor(text: str) -> RoleMonitor:
             value = frozenset(roles)
         section = m.group(1)
         if section in sections:
-            raise ParseError(SourceSpan(tk.line, 1, 1), f"duplicate {section} section")
+            raise ParseError(SourceSpan(line, 1, 1), f"duplicate {section} section")
         sections[section] = value
     return RoleMonitor(
         growth_trusted=sections.get("growth-trusted", frozenset()),
@@ -422,15 +487,12 @@ def parse_monitor(text: str) -> RoleMonitor:
 
 def parse_changelog(text: str) -> list[ChangeEvent]:
     """Parse a change log into an ordered event list."""
+    names = _Names()
+    add, remove = ChangeKind.ADD, ChangeKind.REMOVE
     events: list[ChangeEvent] = []
-    for tk in _lines(text):
-        if tk.take("+"):
-            kind = ChangeKind.ADD
-        elif tk.take("-"):
-            kind = ChangeKind.REMOVE
-        else:
-            tk.fail("expected '+' or '-'")
-        events.append(ChangeEvent(kind, _statement(tk)))
+    for line, code in _lines(text):
+        sign, stmt = _statement(code, line, names, True)
+        events.append(ChangeEvent(add if sign == "+" else remove, stmt))
     return events
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import string
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from rtmon.model import (
     Statement,
     UnionExpr,
 )
+from rtmon import parser
 from rtmon.parser import (
     ParseError,
     ParseErrorKind,
@@ -56,6 +58,7 @@ from helpers import (
 from randgen import random_fan_state, random_state
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestStatements:
@@ -131,6 +134,219 @@ class TestStatements:
             parse_policy("A.r <- B\nA.r <-\n")
         assert err.value.span.line == 2
         assert err.value.span.column >= 7
+
+
+# One line of each document format, a second one, and the format's parser.
+_DOCUMENTS = {
+    "policy": (parse_policy, "A.r <- B", "A.s <- C.t & D.u"),
+    "constraints": (
+        parse_constraints, "constraint a owner O: A.r <= B.s", "constraint b owner O: {} <= {}"
+    ),
+    "monitor": (parse_monitor, "growth-trusted: A.r", "shrink-trusted: *"),
+    "changelog": (parse_changelog, "+ A.r <- B", "- A.s <- A.t.u"),
+}
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("fmt", _DOCUMENTS)
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_end_at_lf_crlf_and_cr(self, fmt, end):
+        parse, first, second = _DOCUMENTS[fmt]
+        assert parse(first + end + second + end) == parse(first + "\n" + second + "\n")
+        with pytest.raises(ParseError) as err:
+            parse(first + end + end + second + end + "!" + end)
+        assert err.value.span.line == 4
+
+    # Only LF, CR LF and CR end a line.  The other line boundaries that
+    # ``str.splitlines`` knows are characters inside it, in a document as in
+    # a lone line.
+    @pytest.mark.parametrize("fmt", _DOCUMENTS)
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_other_line_separators_are_syntax_errors(self, fmt, sep):
+        parse, first, second = _DOCUMENTS[fmt]
+        with pytest.raises(ParseError) as err:
+            parse(first + sep + second + "\n")
+        assert (err.value.span.line, err.value.span.column) == (1, len(first) + 1)
+        assert err.value.message == "unexpected trailing input"
+
+    @pytest.mark.parametrize("fmt", _DOCUMENTS)
+    def test_lines_of_spaces_tabs_and_comments_are_blank(self, fmt):
+        parse, first, second = _DOCUMENTS[fmt]
+        padded = first + "\n \t\n\t# note\n\n" + second + "  \t\n \n"
+        assert parse(padded) == parse(first + "\n" + second + "\n")
+
+    # Only spaces and tabs make a line blank; other whitespace, which
+    # ``str.strip`` would remove, is a syntax error like any other character.
+    @pytest.mark.parametrize("fmt", _DOCUMENTS)
+    @pytest.mark.parametrize("blank", ["\xa0", " \xa0\t", "\u3000", "\x0b"])
+    def test_other_whitespace_is_not_blank(self, fmt, blank):
+        parse, first, second = _DOCUMENTS[fmt]
+        with pytest.raises(ParseError) as err:
+            parse(first + "\n" + blank + "\n" + second + "\n")
+        assert err.value.span.line == 2
+        assert err.value.kind is ParseErrorKind.SYNTAX
+
+
+def _token_statement(code: str, signed: bool):
+    """Reference reader of one statement line: its sign and statement read
+    off the tokenizer's tokens with plain string splits, or ``None`` where
+    the token grammar rejects the line.  Builds fresh, unshared values."""
+    toks = parser._TOKEN.findall(code)
+    sign = None
+    if signed:
+        if toks[:1] not in (["+"], ["-"]):
+            return None
+        sign = toks.pop(0)
+    head, body = toks[:4], toks[4:]
+    ident = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").fullmatch
+    if len(head) < 4 or head[1::2] != [".", "<-"] or not (ident(head[0]) and ident(head[2])):
+        return None
+    if len(body) % 2 == 0 or not all(map(ident, body[0::2])) or not set(body[1::2]) <= {".", "&"}:
+        return None
+    atoms = [atom.split(".") for atom in "".join(body).split("&")]
+    owner = head[0]
+    if "TOP" in (owner, *(atom[0] for atom in atoms)):
+        return None
+
+    def role_of(pair):
+        return Role(Principal(pair[0]), RoleName(pair[1]))
+
+    if len(atoms) > 1:
+        if any(len(atom) != 2 for atom in atoms):
+            return None
+        stmt_body = IntersectionInclusion(tuple(map(role_of, atoms)))
+    elif len(atoms[0]) == 1:
+        stmt_body = SimpleMember(Principal(atoms[0][0]))
+    elif len(atoms[0]) == 2:
+        stmt_body = SimpleInclusion(role_of(atoms[0]))
+    elif len(atoms[0]) == 3 and atoms[0][0] == owner:
+        stmt_body = LinkingInclusion(role_of(atoms[0]), RoleName(atoms[0][2]))
+    else:
+        return None
+    return sign, Statement(role_of(head[::2]), stmt_body)
+
+
+def _respaced(rng: random.Random, line: str) -> str:
+    """``line`` with random spaces and tabs around its tokens and, at
+    times, a comment."""
+    gaps = ["", "", " ", "\t", "  ", " \t "]
+    toks = parser._TOKEN.findall(line.split("#", 1)[0])
+    text = rng.choice(gaps) + "".join(tok + rng.choice(gaps) for tok in toks)
+    return text + rng.choice(["", "", " # note", "\t#& A.r <- B", "#"])
+
+
+def _as_parsed(code: str, signed: bool):
+    """What the parser makes of one line, as ``_token_statement`` does, or
+    ``None`` where it raises."""
+    try:
+        if signed:
+            [ev] = parse_changelog(code)
+            return ("+" if ev.kind is ChangeKind.ADD else "-"), ev.statement
+        return None, parse_statement(code)
+    except ParseError:
+        return None
+
+
+def _same_statement(got: Statement, want: Statement) -> bool:
+    """Equal, with the same body type and parts in the same written order."""
+    return got == want and type(got.body) is type(want.body) and str(got) == str(want)
+
+
+class TestStatementPattern:
+    """The full-line pattern against the token grammar it replaces."""
+
+    def test_fixture_lines_read_as_the_token_grammar_reads_them(self):
+        rng = random.Random(1212)
+        checked = 0
+        for path in sorted(FIXTURES.iterdir()):
+            signed = path.suffix == ".changes"
+            for line in path.read_text(encoding="utf-8").splitlines():
+                for text in (line, _respaced(rng, line), _respaced(rng, line)):
+                    code = text.split("#", 1)[0]
+                    if not code.strip(" \t"):
+                        continue
+                    want, got = _token_statement(code, signed), _as_parsed(text, signed)
+                    assert (got is None) == (want is None), text
+                    if want is not None:
+                        assert got[0] == want[0] and _same_statement(got[1], want[1]), text
+                        checked += 1
+        assert checked >= 60
+
+    def test_random_policies_and_logs_read_as_the_token_grammar_reads_them(self):
+        rng = random.Random(1213)
+        for n in range(300):
+            p = random_fan_state(rng) if n % 3 == 0 else random_state(rng, 4, 2, 12)
+            texts = sorted(str(s) for s in p)
+            # Each intersection also in another written order: equal, but
+            # its own object.
+            for s in p:
+                if isinstance(s.body, IntersectionInclusion):
+                    parts = list(s.body.parts)
+                    rng.shuffle(parts)
+                    texts.append(str(Statement(s.head, IntersectionInclusion(tuple(parts)))))
+            end = rng.choice(["\n", "\r\n", "\r\n", "\r"])
+            lines = [rng.choice("+-") + " " + rng.choice(texts) for _ in range(3 * len(texts))]
+            written = [_respaced(rng, line) for line in lines]
+            padding = ["", " \t", "# comment"]
+            document = "".join(
+                text + end + (rng.choice(padding) + end if rng.random() < 0.2 else "")
+                for text in written
+            )
+            events = parse_changelog(document)
+            assert len(events) == len(written)
+            by_text: dict[str, Statement] = {}
+            for ev, text in zip(events, written):
+                sign, want = _token_statement(text.split("#", 1)[0], True)
+                assert ev.kind is (ChangeKind.ADD if sign == "+" else ChangeKind.REMOVE)
+                assert _same_statement(ev.statement, want), text
+                assert ev.statement is by_text.setdefault(str(want), ev.statement), text
+            assert len({id(s) for s in by_text.values()}) == len(by_text)
+
+            policy = "".join(_respaced(rng, line) + end for line in sorted(str(s) for s in p))
+            assert parse_policy(policy) == p
+            for line in policy.split(end):
+                if line:
+                    _, want = _token_statement(line.split("#", 1)[0], False)
+                    assert _same_statement(parse_statement(line), want), line
+
+    def test_a_legal_line_the_pattern_rejects_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(parser, "_STATEMENT", re.compile("(?!)"))
+        legal = ((parse_statement, "A.r <- B"), (parse_changelog, "+ A.r <- B.s & C.t\n"))
+        for parse, text in legal:
+            with pytest.raises(AssertionError):
+                parse(text)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["A.r <- B.", "A.r <- TOP", "A.r <- B.s.t", "A.r <- B.s & TOP.t", "A.r <- B.s & C", "A.r"],
+    )
+    def test_only_a_rejected_line_is_read_as_tokens(self, monkeypatch, bad):
+        made = []
+
+        class Counted(parser._Tokens):
+            def __init__(self, code, line, names):
+                made.append(line)
+                super().__init__(code, line, names)
+
+        monkeypatch.setattr(parser, "_Tokens", Counted)
+        forms = [
+            "A.r <- B", "A.s <- B.r", "A.t <- A.r.s", "A.u <- B.r & C.s & A.r",
+            "TOP_.TOP <- TOP_.TOP.TOP",
+        ]
+        policy = "".join(line + "\n" for line in forms)
+        log = "".join(f"{sign} {line}\n" for line in forms for sign in "+-")
+        assert len(parse_policy(policy)) == len(forms)
+        assert len(parse_changelog(log)) == 2 * len(forms)
+        for line in forms:
+            parse_statement(line)
+        assert made == []
+
+        for parse, text in ((parse_policy, policy + bad), (parse_changelog, log + "+ " + bad)):
+            with pytest.raises(ParseError):
+                parse(text)
+        with pytest.raises(ParseError):
+            parse_statement(bad)
+        assert made == [len(forms) + 1, 2 * len(forms) + 1, 1]
 
 
 class TestConstraints:
