@@ -23,6 +23,7 @@ from typing import Optional
 
 from .analysis import check_bounded_containment, gamma_restricted_expr
 from .deps import (
+    DEFAULT_SUPPORT_CAP,
     NoSupport,
     gamma_expr,
     justified_semantics,
@@ -186,7 +187,10 @@ def cmd_deps(args) -> dict:
             entry["support"] = None
             entry["violators"] = _names(got.violators)
         verdicts.append(entry)
-    return _report("deps", inputs, {"constraints": verdicts}, _exit_code(violated))
+    result: dict = {"constraints": verdicts}
+    if js is not None:
+        result["all_supports_truncated"] = js.truncated
+    return _report("deps", inputs, result, _exit_code(violated))
 
 
 def cmd_analyze(args) -> dict:
@@ -337,6 +341,12 @@ def _render_human(report: dict) -> str:
             for member, supports in v.get("all_supports", {}).items():
                 rendered = ", ".join("{" + ", ".join(s) + "}" for s in supports)
                 lines.append(f"  supports for {member}: {rendered}")
+        if "all_supports_truncated" in result:
+            lines.append(
+                f"all supports: truncated at {DEFAULT_SUPPORT_CAP} per role and member"
+                if result["all_supports_truncated"]
+                else "all supports: complete"
+            )
     elif command == "analyze":
         lines.append(f"core: {', '.join(result['core']) or '(empty)'}")
         for v in result["constraints"]:

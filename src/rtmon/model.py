@@ -190,13 +190,15 @@ class IntersectionInclusion:
     def part_set(self) -> frozenset[Role]:
         return frozenset(self.parts)
 
+    # Equality and hash build the part sets in place, not through
+    # ``part_set``: comparing statements calls nothing but ``__eq__``.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntersectionInclusion):
             return NotImplemented
-        return self.part_set == other.part_set
+        return frozenset(self.parts) == frozenset(other.parts)
 
     def __hash__(self) -> int:
-        return hash(self.part_set)
+        return hash(frozenset(self.parts))
 
     def __str__(self) -> str:
         return " & ".join(str(p) for p in self.parts)
@@ -326,13 +328,22 @@ class PolicyState:
 
 def _check_unreserved(stmt: Statement) -> None:
     """Reject ``TOP`` in any principal position of the statement.  Every
-    statement added in a session passes here, so the principals are read
-    in place, with no set built and nothing hashed."""
-    for principal in _principal_positions(stmt):
-        if principal.name == RESERVED_PRINCIPAL:
-            raise ValueError(
-                f"reserved principal {RESERVED_PRINCIPAL} cannot occur in a policy: {stmt}"
-            )
+    statement added in a session passes here, so the body is read in place:
+    nothing is built, nothing hashed and no other function called."""
+    reserved = stmt.head.owner.name == RESERVED_PRINCIPAL
+    body = stmt.body
+    if isinstance(body, SimpleMember):
+        reserved = reserved or body.member.name == RESERVED_PRINCIPAL
+    elif isinstance(body, SimpleInclusion):
+        reserved = reserved or body.source.owner.name == RESERVED_PRINCIPAL
+    elif isinstance(body, IntersectionInclusion):
+        for part in body.parts:
+            reserved = reserved or part.owner.name == RESERVED_PRINCIPAL
+    # A linked role starts from a role of the head's owner, checked above.
+    if reserved:
+        raise ValueError(
+            f"reserved principal {RESERVED_PRINCIPAL} cannot occur in a policy: {stmt}"
+        )
 
 
 def _checked_state(statements: frozenset[Statement]) -> PolicyState:

@@ -13,14 +13,24 @@ rebuild, and the owner is warned either way.
 record, and ``run_session`` indexes it by key, so a session routes each
 event straight to the records whose frontier it crosses.  The session keeps
 the live statements in one mutable set and builds a ``PolicyState`` only
-when some record re-registers, so an event outside every frontier costs a
-set update, the ``TOP`` check of an addition and two or three dictionary
-lookups, whatever the policy size and the number of constraints.  Every
-lookup reads the hash its statement or role computed when it was built, so
-nothing on that path rehashes a statement or hashes a principal: ~2.8 us
-per quiet event on the benchmark's ``org_churn`` workload (host-adjusted
-median on a 2-core Xeon VM under Python 3.11), ~5.4 us when each lookup
-rehashed its statement.
+when some record re-registers.  An event outside every frontier costs the
+same, whatever the policy size and the number of constraints:
+
+* on the live set, a membership probe and then the insertion for an
+  addition, or a discard and a size comparison for a removal;
+* for an addition of a statement not yet live, the ``TOP`` check, which
+  reads the statement's body in place;
+* one ``_FrontierIndex.reached`` call: one dictionary probe per key (the
+  head of an addition; the head and the statement of a removal), and an
+  empty list returned without a sort.
+
+Every probe reads the hash its statement or role computed when it was
+built, so nothing on that path rehashes a statement or hashes a principal.
+Quiet p50 on the benchmark's workloads: 1.82 us on ``org_churn``, 1.57 us
+on ``chain_fan`` and 1.42 us on ``org_restricted``, against 2.60, 2.30 and
+2.20 us before the path was cut down to these steps (host-adjusted medians
+of ten runs on a 2-core Xeon VM under Python 3.11, ``BENCH_13.json``);
+~5.4 us on ``org_churn`` when each lookup rehashed its statement.
 
 Nor does such an event free anything of the size of the policy.  A change
 only marks the session's snapshot stale; the next event that reaches a
@@ -28,8 +38,8 @@ record drops the stale snapshot and builds the new one inside its own
 re-registration, and the final state is built only if the snapshot is
 still stale.  Freeing the snapshot on the first quiet event after a warned
 one made that event the slowest quiet event of a session: quiet p99 on
-``org_churn`` is 21.3 us, against 45.7 us when that event freed it (same
-host and adjustment, medians of ten runs).
+``org_churn`` is now 11.8 us (``BENCH_13.json``), and was 45.7 us when that
+event freed it, against 21.3 us when it did not (``BENCH_11.json``).
 
 The whole-state part of a registration -- membership, the rule index, the
 support worklist, and the bounds and core of a monitor -- lives in one
@@ -287,6 +297,9 @@ def _register_restricted(
 
 
 _FrontierKey = Union[Role, Statement]
+# Bound once: an enum member read off its class costs more than the rest
+# of a quiet event's kind test.
+_ADD = ChangeKind.ADD
 
 
 def _frontier(
@@ -418,23 +431,24 @@ class _FrontierIndex:
 
     def reached(self, ev: ChangeEvent, noop: bool) -> list[int]:
         """The records ``ev`` reaches, in registration order.  A no-op
-        crosses no frontier, so it reaches only the records in ``every``."""
+        crosses no frontier, so it reaches only the records in ``every``.
+        An event that reaches no record probes each of its keys once and
+        builds nothing but the empty list."""
         due = self.every
-        if noop:
-            return sorted(due)
-        stmt = ev.statement
-        if ev.kind is ChangeKind.ADD:
-            hit = self.added.get(stmt.head)
-            if hit:
-                due = due | hit
-        else:
-            hit = self.removed.get(stmt.head)
-            if hit:
-                due = due | hit
-            hit = self.removed.get(stmt)
-            if hit:
-                due = due | hit
-        return sorted(due)
+        if not noop:
+            stmt = ev.statement
+            if ev.kind is _ADD:
+                hit = self.added.get(stmt.head)
+                if hit:
+                    due = due | hit
+            else:
+                hit = self.removed.get(stmt.head)
+                if hit:
+                    due = due | hit
+                hit = self.removed.get(stmt)
+                if hit:
+                    due = due | hit
+        return sorted(due) if due else []
 
 
 @dataclass(frozen=True)
@@ -467,8 +481,11 @@ def run_session(
     A snapshot lives until the first event that reaches a record after the
     live set changed: that event drops it and builds the next one, so an
     event that reaches no record neither builds nor frees anything of the
-    size of the policy (quiet p99 on ``org_churn`` 21.3 us, against
-    45.7 us when the first quiet event after a change freed it).
+    size of the policy.  Such an event makes one set operation on the live
+    statements (a probe before an addition), the ``TOP`` check of an
+    addition that changes them, and one ``reached`` call, which probes the
+    index once per key and returns an empty list: quiet p50 on
+    ``org_churn`` 1.82 us and p99 11.8 us (``BENCH_13.json``).
     ``final_state`` is the last snapshot when no change followed it, and
     ``p`` itself when nothing changed.
     """
@@ -481,19 +498,21 @@ def run_session(
     live = set(p.statements)
     snapshot: Optional[PolicyState] = p
     stale = False
+    reached = index.reached
     for ev in log:
         stmt = ev.statement
-        if ev.kind is ChangeKind.ADD:
+        if ev.kind is _ADD:
             noop = stmt in live
             if not noop:
                 _check_unreserved(stmt)
                 live.add(stmt)
         else:
-            noop = stmt not in live
+            size = len(live)
             live.discard(stmt)
+            noop = len(live) == size
         if not noop:
             stale = True
-        for i in index.reached(ev, noop):
+        for i in reached(ev, noop):
             if stale:
                 # Freed before the rebuild, so the two never coexist.
                 snapshot = None

@@ -11,9 +11,10 @@ import rtmon.cli
 import rtmon.deps
 import rtmon.engine
 import rtmon.monitor
+import rtmon.parser
 from rtmon.cli import main
 
-from helpers import count_calls
+from helpers import count_calls, role
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -119,6 +120,50 @@ class TestDeps:
         # One shared run for every support, one for every member's supports.
         assert len(runs) == 2
         assert len(evaluations) == 1
+
+    def test_all_supports_report_a_truncation_by_the_cap(self, capsys, tmp_path):
+        # A width-4 intersection whose parts have two disjoint alternatives
+        # each: 16 minimal supports for M, twice the default cap.
+        policy = tmp_path / "wide.rt"
+        policy.write_text(
+            "A.w <- A.p0 & A.p1 & A.p2 & A.p3\n"
+            + "".join(f"A.p{k} <- S{k}{j}.x\nS{k}{j}.x <- M\n" for k in range(4) for j in range(2))
+        )
+        constraints = tmp_path / "wide.cst"
+        constraints.write_text("constraint q owner A: A.w <= A.w\n")
+        exact = rtmon.deps.justified_semantics(
+            rtmon.parser.parse_policy(policy.read_text()), max_entries_per_member=None
+        )
+        assert not exact.truncated
+        assert len(exact.for_role(role("A.w"))) == 16
+
+        rc, out = run(
+            capsys, "--format", "machine", "deps", str(policy), str(constraints), "--all-supports"
+        )
+        assert rc == 0
+        result = json.loads(out)["result"]
+        assert result["all_supports_truncated"] is True
+        kept = result["constraints"][0]["all_supports"]["M"]
+        assert len(kept) == rtmon.deps.DEFAULT_SUPPORT_CAP
+        for support in kept:
+            chosen = [[f"S{k}{j}.x" in support for j in range(2)] for k in range(4)]
+            assert all(sum(picks) == 1 for picks in chosen)
+            assert set(support) - {f"S{k}{j}.x" for k in range(4) for j in range(2)} == {
+                "A.w", "A.p0", "A.p1", "A.p2", "A.p3"
+            }
+
+        rc, out = run(capsys, "deps", str(policy), str(constraints), "--all-supports")
+        assert rc == 0
+        assert out.splitlines()[-1] == "all supports: truncated at 8 per role and member"
+
+    def test_all_supports_say_when_nothing_was_cut(self, in_fixtures, capsys):
+        rc, out = run(capsys, "deps", "redundant.rt", "redundant.cst", "--all-supports")
+        assert rc == 0
+        assert out.splitlines()[-1] == "all supports: complete"
+        rc, out = run(capsys, "deps", "redundant.rt", "redundant.cst")
+        assert "all supports" not in out
+        rc, out = run(capsys, "--format", "machine", "deps", "redundant.rt", "redundant.cst")
+        assert "all_supports_truncated" not in json.loads(out)["result"]
 
 
 class TestAnalyze:

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -783,6 +784,110 @@ def test_quiet_events_free_no_snapshot(monkeypatch, make_mode):
     assert quiet_after_reached >= 100
 
 
+#: The value types whose hash and equality a quiet event may call.
+_VALUE_TYPES = (
+    rtmon.model.Principal,
+    rtmon.model.RoleName,
+    rtmon.model.Role,
+    rtmon.model.SimpleMember,
+    rtmon.model.SimpleInclusion,
+    rtmon.model.LinkingInclusion,
+    rtmon.model.IntersectionInclusion,
+    rtmon.model.Statement,
+)
+
+
+def _quiet_log(rng, p, index, n_events):
+    """Seeded events that reach no record of ``index`` in any state, with
+    no-op additions and removals among them, each statement parsed again
+    from its text so that lookups meet equal values, not the same objects;
+    also returns whether each event changes the live statements."""
+    candidates, _ = _random_log(rng, p, n_events)
+    candidates += [ChangeEvent(ChangeKind.ADD, s) for s in sorted(p.statements, key=str)]
+    candidates += [ChangeEvent(ChangeKind.REMOVE, s) for s in sorted(p.statements, key=str)]
+    rng.shuffle(candidates)
+    log, changes, live = [], [], set(p.statements)
+    for ev in candidates:
+        if index.reached(ev, False):
+            continue
+        ev = ChangeEvent(ev.kind, stmt(str(ev.statement)))
+        if ev.kind is ChangeKind.ADD:
+            changes.append(ev.statement not in live)
+            live.add(ev.statement)
+        else:
+            changes.append(ev.statement in live)
+            live.discard(ev.statement)
+        log.append(ev)
+    return log, changes
+
+
+@pytest.mark.parametrize(
+    "make_mode",
+    [
+        lambda rng, p: FullTrust(),
+        lambda rng, p: FullTrustCredential(),
+        lambda rng, p: RestrictedTrust(random_monitor(rng, p, 1.0, 0.9)),
+    ],
+    ids=["full", "credential", "restricted"],
+)
+def test_quiet_events_call_only_value_hashes_the_top_check_and_the_router(make_mode):
+    """During an event that reaches no record, the only Python-level calls
+    into ``rtmon`` are the hash and equality of value types, the ``TOP``
+    check of an addition that changes the live statements, and one
+    ``_FrontierIndex.reached``."""
+    rng = random.Random(713)
+    position: list = [None]  # the event being replayed, None outside the log
+    calls: list = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("rtmon"):
+            name = frame.f_code.co_name
+            owner = type(frame.f_locals["self"]) if name in ("__hash__", "__eq__") else None
+            calls.append((position[0], name, owner))
+
+    def replay(log):
+        for n, ev in enumerate(log):
+            position[0] = n
+            yield ev
+        position[0] = None
+
+    seen: Counter = Counter()
+    sessions = 0
+    while sessions < 40:
+        p = random_state(rng)
+        regs = [
+            (biased_satisfied_constraint(rng, p, f"q{i}"), make_mode(rng, p)) for i in range(3)
+        ]
+        index = rtmon.monitor._FrontierIndex([register(p, q, mode) for q, mode in regs])
+        if index.every:
+            continue  # every event reaches a record without a frontier
+        sessions += 1
+        log, changes = _quiet_log(rng, p, index, 20)
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            session = run_session(p, regs, replay(log))
+        finally:
+            sys.setprofile(None)
+        assert session.warnings == () and session.records == session.initial
+        per_event: dict = {n: Counter() for n in range(len(log))}
+        for n, name, owner in calls:
+            if n is not None:
+                per_event[n][name] += 1
+                assert name in ("__hash__", "__eq__", "_check_unreserved", "reached"), name
+                assert owner is None or owner in _VALUE_TYPES, owner
+        for n, ev in enumerate(log):
+            adding = ev.kind is ChangeKind.ADD
+            assert per_event[n]["reached"] == 1
+            assert per_event[n]["_check_unreserved"] == (adding and changes[n])
+            seen[ev.kind, changes[n]] += 1
+            seen["__eq__"] += per_event[n]["__eq__"] > 0
+    for kind in ChangeKind:
+        for changed in (True, False):
+            assert seen[kind, changed] >= 50, (kind, changed)
+    assert seen["__eq__"] >= 100
+
+
 def test_session_rejects_top_like_policy_state_add():
     p = hazmat_policy()
     bad = Statement(role("Navy.fleet"), SimpleMember(TOP))
@@ -799,6 +904,17 @@ def test_session_rejects_top_like_policy_state_add():
         run_session(p, [(hazmat_constraint(), FullTrust())], log())
     assert str(replayed.value) == str(direct.value)
     assert len(pulled) == 2
+
+
+def test_removing_an_absent_statement_that_holds_top_is_a_noop():
+    p = hazmat_policy()
+    bad = Statement(role("Navy.fleet"), SimpleMember(TOP))
+    assert p.remove(bad) is p
+    regs = _hazmat_registrations(3)
+    session = run_session(p, regs, [ChangeEvent(ChangeKind.REMOVE, bad)])
+    assert session.warnings == ()
+    assert session.records == session.initial
+    assert session.final_state is p
 
 
 def _wildcard_monitor(rng, p):
