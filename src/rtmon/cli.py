@@ -25,11 +25,12 @@ from .analysis import check_bounded_containment, gamma_restricted_expr
 from .deps import (
     DEFAULT_SUPPORT_CAP,
     NoSupport,
+    evaluate_cone,
     gamma_expr,
     justified_semantics,
     support_for_constraint,
 )
-from .engine import check_constraint, eval_expr, evaluate
+from .engine import check_constraint, eval_expr
 from .model import EVERY_ROLE, roles_of
 from .monitor import (
     FullTrust,
@@ -124,6 +125,11 @@ def _exit_code(violated: bool, unestablished: bool = False) -> int:
     return EXIT_OK
 
 
+def _constraint_roles(constraints) -> frozenset:
+    """The roles of both sides of every constraint."""
+    return frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in constraints))
+
+
 def cmd_query(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
@@ -131,7 +137,7 @@ def cmd_query(args) -> dict:
         expr = parse_expr(args.expr)
     except ParseError as exc:
         raise _InputError("<expr>", str(exc)) from exc
-    members = eval_expr(evaluate(state), expr)
+    members = eval_expr(evaluate_cone(state, roles_of(expr)), expr)
     result = {"expr": serialize_expr(expr), "members": _names(members)}
     return _report("query", inputs, result, EXIT_OK)
 
@@ -140,7 +146,7 @@ def cmd_check(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
-    idx = evaluate(state)
+    idx = evaluate_cone(state, _constraint_roles(constraints))
     verdicts = []
     for q in constraints:
         got = check_constraint(state, q, idx)
@@ -155,8 +161,8 @@ def cmd_deps(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
-    analysis = StateAnalysis(state)
-    idx = analysis.semantics
+    analysis = StateAnalysis(state, _constraint_roles(constraints))
+    idx = analysis.cone
     js = justified_semantics(state) if args.all_supports else None
     verdicts = []
     violated = False
@@ -182,15 +188,15 @@ def cmd_deps(args) -> dict:
                 entry["all_supports"] = {
                     m.name: sorted(found.get(m, ())) for m in sorted(members, key=str)
                 }
+                # The right side's supports are built from its cone alone.
+                rhs_cone = gamma_expr(state, q.rhs, idx, analysis.index).roles
+                entry["all_supports_truncated"] = not js.truncated_roles.isdisjoint(rhs_cone)
         else:
             violated = True
             entry["support"] = None
             entry["violators"] = _names(got.violators)
         verdicts.append(entry)
-    result: dict = {"constraints": verdicts}
-    if js is not None:
-        result["all_supports_truncated"] = js.truncated
-    return _report("deps", inputs, result, _exit_code(violated))
+    return _report("deps", inputs, {"constraints": verdicts}, _exit_code(violated))
 
 
 def cmd_analyze(args) -> dict:
@@ -341,12 +347,12 @@ def _render_human(report: dict) -> str:
             for member, supports in v.get("all_supports", {}).items():
                 rendered = ", ".join("{" + ", ".join(s) + "}" for s in supports)
                 lines.append(f"  supports for {member}: {rendered}")
-        if "all_supports_truncated" in result:
-            lines.append(
-                f"all supports: truncated at {DEFAULT_SUPPORT_CAP} per role and member"
-                if result["all_supports_truncated"]
-                else "all supports: complete"
-            )
+            if "all_supports_truncated" in v:
+                lines.append(
+                    f"  all supports: truncated at {DEFAULT_SUPPORT_CAP} per role and member"
+                    if v["all_supports_truncated"]
+                    else "  all supports: complete"
+                )
     elif command == "analyze":
         lines.append(f"core: {', '.join(result['core']) or '(empty)'}")
         for v in result["constraints"]:

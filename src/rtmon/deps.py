@@ -1,5 +1,12 @@
 """Dependency analysis for constraint monitoring under full cooperation.
 
+The portion of a state a constraint depends on is its cone: the roles of
+its two sides, closed under the rules heading each role found, where a
+linked role ``A.r1.r2`` reads ``Y.r2`` only for the ``Y`` that reach
+``A.r1``.  :func:`evaluate_cone` finds it goal-directed, as RT credential
+chain discovery searches backwards from a role (Li, Winsborough &
+Mitchell, JCS 2003), and evaluates only the statements heading its roles.
+
 Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
 frontier, a closure over the rules by head of :func:`rtmon.engine._rule_index`.
@@ -20,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import SemanticsIndex, _reads, _rule_index, _RuleIndex, evaluate
+from .engine import SemanticsIndex, _reads, _require_cone, _rule_index, _RuleIndex, evaluate
 from .model import (
     EVERY_ROLE,
     LinkingInclusion,
@@ -48,6 +55,7 @@ __all__ = [
     "JustifiedSemantics",
     "NoSupport",
     "restrict",
+    "evaluate_cone",
     "gamma",
     "gamma_expr",
     "justified_semantics",
@@ -113,13 +121,19 @@ class JustifiedEntry:
 
 @dataclass(frozen=True)
 class JustifiedSemantics:
-    """Per-role minimal supports; ``truncated`` is set when the entry cap
-    dropped a support that no kept entry is a subset of (kept entries are
-    then still valid supports but minimality is no longer guaranteed).
-    When it is clear, the entries are exactly the minimal supports."""
+    """Per-role minimal supports.  ``truncated_roles`` holds the roles at
+    which the entry cap dropped a support that no kept entry is a subset
+    of; the entries of those roles and of the roles they feed are still
+    valid supports, but minimality is no longer guaranteed.  When it is
+    empty, the entries are exactly the minimal supports."""
 
     entries: Mapping[Role, frozenset[JustifiedEntry]]
-    truncated: bool = False
+    truncated_roles: frozenset[Role] = frozenset()
+
+    @property
+    def truncated(self) -> bool:
+        """Did the cap lose a support anywhere?"""
+        return bool(self.truncated_roles)
 
     def for_role(self, role: Role) -> frozenset[JustifiedEntry]:
         return self.entries.get(role, frozenset())
@@ -164,6 +178,38 @@ def _growth_roles(
     return frozenset(found)
 
 
+def evaluate_cone(
+    p: PolicyState, roots: Iterable[Role], index: Optional[_RuleIndex] = None
+) -> SemanticsIndex:
+    """Membership of every role in the cone of ``roots``, goal-directed.
+
+    The cone is first closed with no members known, so linked roles walk
+    nothing; only the statements heading its roles are evaluated; and the
+    closure is taken again with the members found.  The two steps repeat
+    until the closure stops growing.  The last evaluation is then exact on
+    every role of the cone: a rule heading a cone role reads only cone
+    roles, and a linked one reads ``Y.r2`` only for a ``Y`` its first role
+    holds, which the closure already walked.  The result raises on a role
+    outside the cone (see :class:`~rtmon.engine.SemanticsIndex`), and the
+    closure of any roles in the cone, walked with its members, stays inside
+    it: this is the growth set of :func:`gamma_expr`.
+
+    ``index`` is ``_rule_index(p.statements)`` when the caller already holds it.
+    """
+    if index is None:
+        index = _rule_index(p.statements)
+    roots = frozenset(roots)
+    roles = _growth_roles(index.heads, roots, {})
+    while True:
+        idx = evaluate(p, index.select(roles))
+        # Members only grow from one round to the next, so the closure can
+        # only grow: an unchanged size means an unchanged cone.
+        grown = _growth_roles(index.heads, roots, idx.members)
+        if len(grown) == len(roles):
+            return SemanticsIndex(idx.members, idx.iteration_count, roles)
+        roles = grown
+
+
 def gamma(p: PolicyState, target: Role) -> GrowthSet:
     """Close ``{target}`` under the roles the statements heading each found
     role read, a linked role walking its first role's current members."""
@@ -178,14 +224,17 @@ def gamma_expr(
 ) -> GrowthSet:
     """Union of the growth sets of the expression's roles; empty when static.
 
-    ``idx`` and ``index`` are ``evaluate(p)`` and ``_rule_index(p.statements)``
-    when the caller already holds them.
+    ``idx`` is ``evaluate(p)`` or a cone of ``p`` holding the expression's
+    roles, and ``index`` is ``_rule_index(p.statements)``, when the caller
+    already holds them; the walk reads only roles of the cone.
     """
     if index is None:
         index = _rule_index(p.statements)
+    roots = roles_of(expr)
     if idx is None:
-        idx = evaluate(p, index)
-    return GrowthSet(expr, _growth_roles(index.heads, roles_of(expr), idx.members))
+        idx = evaluate_cone(p, roots, index)
+    _require_cone(idx, roots)
+    return GrowthSet(expr, _growth_roles(index.heads, roots, idx.members))
 
 
 # One justification of a membership: (support tokens, derivation size).
@@ -232,18 +281,20 @@ def _worklist(
     p: PolicyState,
     token: Callable[[Statement], Hashable],
     cap: Optional[int],
-) -> tuple[_Saturated, bool]:
+) -> tuple[_Saturated, frozenset[Role]]:
     """Saturate justifications per role and member, with subsumption pruning.
 
     A candidate is dropped when an entry for the same member has a subset
     support; inserting a candidate evicts the entries it dominates.
     ``token(stmt)`` is what a fired statement contributes to a support (its
     head role, or the statement itself).  When ``cap`` is hit for one
-    (role, member), the smallest supports are kept.  The run is flagged
-    truncated when some cut support contains no support kept at the end:
-    otherwise every candidate the cap cut was dominated anyway, the kept
-    entries are closed under the rules up to dominance, and they are
-    exactly the minimal supports.
+    (role, member), the smallest supports are kept.  A role is returned as
+    truncated when some support cut there contains no support kept at the
+    end: otherwise every candidate the cap cut was dominated anyway, the
+    kept entries are closed under the rules up to dominance, and they are
+    exactly the minimal supports.  A role's entries are built from the
+    entries of the roles in its cone alone, so they are exact when no
+    truncated role lies in that cone.
 
     Statements fire in a fixed order over insertion-ordered entries, so the
     result does not depend on hash seeds even under the cap.  A statement
@@ -326,8 +377,10 @@ def _worklist(
                         offer(head, member, support, size)
         if clock == start:
             break
-    truncated = any(
-        not any(s <= support for s, _ in cur[head][member]) for head, member, support in cut
+    truncated = frozenset(
+        head
+        for head, member, support in cut
+        if not any(s <= support for s, _ in cur[head][member])
     )
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 

@@ -4,12 +4,13 @@ Membership is the least model of the clauses induced by the four statement
 forms.  :func:`_reads` is the one place that says which roles a statement
 reads, and :func:`_rule_index` the one builder of the index every fixpoint
 pass shares: rules by the roles they read, linked rules by the name of
-their second role, rules by head, and the member facts.  The evaluator
-takes the index from its caller or builds it, and runs semi-naive rounds:
-a rule fires only on the members its inputs gained in the previous round,
-joined with what the other inputs already hold.  Results are independent
-of statement order.  Seeded with fixed roles, the same loop gives both
-bounds of restricted trust.
+their second role, rules by head, and the member facts.
+:meth:`_RuleIndex.select` cuts it down to the statements heading some
+roles.  The evaluator takes the index from its caller or builds it, and
+runs semi-naive rounds: a rule fires only on the members its inputs
+gained in the previous round, joined with what the other inputs already
+hold.  Results are independent of statement order.  Seeded with fixed
+roles, the same loop gives both bounds of restricted trust.
 """
 
 from __future__ import annotations
@@ -49,14 +50,20 @@ __all__ = [
 class SemanticsIndex:
     """Role membership for one state, holding only the non-empty roles.
 
-    Every role absent from ``members`` is empty; read it through
-    :func:`role_members` or ``members.get(role, frozenset())``.
-    ``iteration_count`` is the number of rounds the evaluator ran, kept for
-    diagnostics only.
+    ``cone`` is ``None`` when every statement of the state was evaluated:
+    then every role absent from ``members`` is empty.  Otherwise only the
+    statements heading a role in ``cone`` were, and ``cone`` is closed
+    under the roles those statements read (see
+    :func:`rtmon.deps.evaluate_cone`): a role in it that is absent from
+    ``members`` is empty, and a role outside it is unknown.  Read roles
+    through :func:`role_members`, which raises ``LookupError`` for an
+    unknown role instead of reading it as empty.  ``iteration_count`` is the
+    number of rounds the evaluator ran, kept for diagnostics only.
     """
 
     members: Mapping[Role, frozenset[Principal]]
     iteration_count: int = 0
+    cone: Optional[frozenset[Role]] = None
 
 
 _EMPTY: frozenset[Principal] = frozenset()
@@ -99,6 +106,12 @@ class _RuleIndex:
     readers: Mapping[Role, list[Statement]]
     linked: Mapping[RoleName, list[Statement]]
 
+    def select(self, roles: Iterable[Role]) -> _RuleIndex:
+        """The index of just the statements heading ``roles``."""
+        facts = {r: self.facts[r] for r in roles if r in self.facts}
+        heads = {r: self.heads[r] for r in roles if r in self.heads}
+        return _index_rules(facts, heads)
+
 
 def _rule_index(
     statements: Iterable[Statement], skip: Optional[Callable[[Role], bool]] = None
@@ -106,20 +119,29 @@ def _rule_index(
     """Index ``statements``, leaving out those whose head ``skip`` selects."""
     facts: dict[Role, list[Principal]] = defaultdict(list)
     heads: dict[Role, list[Statement]] = defaultdict(list)
-    readers: dict[Role, list[Statement]] = defaultdict(list)
-    linked: dict[RoleName, list[Statement]] = defaultdict(list)
     for stmt in statements:
         if skip is not None and skip(stmt.head):
             continue
         body = stmt.body
         if isinstance(body, SimpleMember):
             facts[stmt.head].append(body.member)
-            continue
-        heads[stmt.head].append(stmt)
-        for role in _reads(stmt):
-            readers[role].append(stmt)
-        if isinstance(body, LinkingInclusion):
-            linked[body.second].append(stmt)
+        else:
+            heads[stmt.head].append(stmt)
+    return _index_rules(facts, heads)
+
+
+def _index_rules(
+    facts: Mapping[Role, list[Principal]], heads: Mapping[Role, list[Statement]]
+) -> _RuleIndex:
+    """Complete the index of the given facts and rules by head."""
+    readers: dict[Role, list[Statement]] = defaultdict(list)
+    linked: dict[RoleName, list[Statement]] = defaultdict(list)
+    for rules in heads.values():
+        for stmt in rules:
+            for role in _reads(stmt):
+                readers[role].append(stmt)
+            if isinstance(stmt.body, LinkingInclusion):
+                linked[stmt.body.second].append(stmt)
     return _RuleIndex(facts, heads, readers, linked)
 
 
@@ -195,8 +217,22 @@ def _saturate(
 
 
 def role_members(idx: SemanticsIndex, role: Role) -> frozenset[Principal]:
-    """Members of ``role``; empty for roles absent from the index."""
-    return idx.members.get(role, frozenset())
+    """Members of ``role``; empty for roles absent from the index, and a
+    ``LookupError`` for roles outside the index's cone."""
+    got = idx.members.get(role)
+    if got is None:
+        _require_cone(idx, (role,))
+        return _EMPTY
+    return got
+
+
+def _require_cone(idx: SemanticsIndex, roles: Iterable[Role]) -> None:
+    """Raise ``LookupError`` when ``idx`` is exact only on a cone that
+    leaves out one of ``roles``."""
+    if idx.cone is not None:
+        for role in roles:
+            if role not in idx.cone:
+                raise LookupError(f"role {role} lies outside the evaluated cone")
 
 
 def eval_expr(idx: SemanticsIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
@@ -227,7 +263,8 @@ def check_constraint(
 ) -> ConstraintCheck:
     """Does ``p`` satisfy ``q``?  Violators are lhs members missing from rhs.
 
-    ``idx`` is ``evaluate(p)`` when the caller already holds it.
+    ``idx`` is ``evaluate(p)``, or a cone of ``p`` holding the roles of both
+    sides, when the caller already holds it.
     """
     if idx is None:
         idx = evaluate(p)

@@ -41,12 +41,15 @@ one made that event the slowest quiet event of a session: quiet p99 on
 ``org_churn`` is now 11.8 us (``BENCH_13.json``), and was 45.7 us when that
 event freed it, against 21.3 us when it did not (``BENCH_11.json``).
 
-The whole-state part of a registration -- membership, the rule index, the
-support worklist, and the bounds and core of a monitor -- lives in one
-:class:`StateAnalysis`, shared across the records of a snapshot: the
-initial registrations share one, and so do the records one event
-re-registers.  Each record adds only its check, growth closure walk and
-support picks.
+The shared part of a registration lives in one :class:`StateAnalysis` per
+snapshot: the initial registrations share one, and so do the records one
+event re-registers.  Under full trust, membership is evaluated only on the
+cone of the constraints the snapshot registers -- the roles of both sides
+closed under the rules heading them -- in one batch for all of them, by
+:func:`~rtmon.deps.evaluate_cone`; the rule index and the support worklist
+still cover the whole snapshot.  Under restricted trust, the bounds and
+core of a monitor are whole-state passes.  Each record adds only its
+check, growth closure walk and support picks.
 """
 
 from __future__ import annotations
@@ -72,10 +75,11 @@ from .deps import (
     _role_worklist,
     _Saturated,
     credential_support_for_constraint,
+    evaluate_cone,
     gamma_expr,
     support_for_constraint,
 )
-from .engine import SemanticsIndex, _rule_index, _RuleIndex, check_constraint, eval_expr, evaluate
+from .engine import SemanticsIndex, _rule_index, _RuleIndex, check_constraint, eval_expr
 from .model import (
     ChangeEvent,
     ChangeKind,
@@ -193,18 +197,22 @@ class MonitorWarning:
 
 
 class StateAnalysis:
-    """The whole-state work every record registered against ``p`` shares.
+    """The work every record registered against ``p`` shares.
 
     Each part is computed on first use and then kept: the rule index,
-    membership, the role-support worklist per admissible set and cap, and
-    per role monitor the bounds and the trusted core.  A record then runs
-    only its own check, growth closure walk and support picks.  Build one
-    for a batch of registrations against one state and drop it with the
-    batch: it holds results of the size of the state.
+    membership on the cone of ``demand``, the role-support worklist per
+    admissible set and cap, and per role monitor the bounds and the trusted
+    core.  ``demand`` holds the roles of both sides of every full-trust
+    constraint registered against it; reading membership outside their
+    cone raises ``LookupError``.  A record then runs only its own check,
+    growth closure walk and support picks.  Build one for a batch of
+    registrations against one state and drop it with the batch: it holds
+    results of the size of the state.
     """
 
-    def __init__(self, p: PolicyState):
+    def __init__(self, p: PolicyState, demand: Iterable[Role] = ()):
         self.p = p
+        self.demand = frozenset(demand)
         self._done: dict[tuple, object] = {}
 
     def _once(self, key: tuple, compute: Callable[[], _T]) -> _T:
@@ -217,8 +225,9 @@ class StateAnalysis:
         return _rule_index(self.p.statements)
 
     @cached_property
-    def semantics(self) -> SemanticsIndex:
-        return evaluate(self.p, self.index)
+    def cone(self) -> SemanticsIndex:
+        """Membership, exact on the cone of ``demand``."""
+        return evaluate_cone(self.p, self.demand, self.index)
 
     def worklist(
         self,
@@ -251,14 +260,15 @@ def register(
     lower bound is membership in the state restricted to the shrink-trusted
     heads, the state the support is sought in.
 
-    ``analysis`` is ``StateAnalysis(p)`` when the caller already holds it.
+    ``analysis`` is ``StateAnalysis(p, _demand(q, mode))``, or one whose
+    demand holds that one, when the caller already holds it.
     """
     if analysis is None:
-        analysis = StateAnalysis(p)
+        analysis = StateAnalysis(p, _demand(q, mode))
     if isinstance(mode, RestrictedTrust):
         return _register_restricted(p, q, mode, analysis)
 
-    idx = analysis.semantics
+    idx = analysis.cone
     result = check_constraint(p, q, idx)
     if not result.satisfied:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
@@ -272,6 +282,15 @@ def register(
     else:
         support = support_for_constraint(p, members, q.rhs, saturated=saturated)
     return MonitorRecord(q, mode, growth, support, RecordStatus.HOLDING)
+
+
+def _demand(q: Constraint, mode: MonitorMode) -> frozenset[Role]:
+    """The roles whose membership registering ``q`` under ``mode`` reads
+    off :attr:`StateAnalysis.cone`: both sides' under full trust, none
+    under restricted trust, which reads the bounds instead."""
+    if isinstance(mode, RestrictedTrust):
+        return frozenset()
+    return roles_of(q.lhs) | roles_of(q.rhs)
 
 
 def _register_restricted(
@@ -352,7 +371,8 @@ def _react(
     analysis: Optional[StateAnalysis] = None,
 ) -> tuple[Optional[MonitorWarning], MonitorRecord]:
     """One record's reaction to an already-applied event; ``analysis`` is
-    ``StateAnalysis(new_state)`` when the caller already holds it."""
+    ``StateAnalysis(new_state, _demand(rec.constraint, rec.mode))``, or one
+    whose demand holds that one, when the caller already holds it."""
     if rec.status is RecordStatus.HOLDING:
         if noop or classify(rec, ev) is Classification.IGNORABLE:
             return None, rec
@@ -475,8 +495,9 @@ def run_session(
     records without one; every other record provably ignores it and is not
     visited.  The records reached react to one ``PolicyState`` snapshot of
     the live set, built at most once per event and only when some record
-    re-registers, and share one :class:`StateAnalysis` of it, dropped when
-    the event is done.
+    re-registers, and share one :class:`StateAnalysis` of it: its demand is
+    the roles of the records reached, and it is dropped when the event is
+    done.
 
     A snapshot lives until the first event that reaches a record after the
     live set changed: that event drops it and builds the next one, so an
@@ -489,9 +510,10 @@ def run_session(
     ``final_state`` is the last snapshot when no change followed it, and
     ``p`` itself when nothing changed.
     """
-    shared: Optional[StateAnalysis] = StateAnalysis(p)
+    demands = [_demand(q, mode) for q, mode in registrations]
+    shared = StateAnalysis(p, frozenset().union(*demands))
     initial = tuple(register(p, q, mode, shared) for q, mode in registrations)
-    shared = None
+    del shared
     records = list(initial)
     index = _FrontierIndex(records)
     warnings: list[MonitorWarning] = []
@@ -512,14 +534,16 @@ def run_session(
             noop = len(live) == size
         if not noop:
             stale = True
-        for i in reached(ev, noop):
-            if stale:
-                # Freed before the rebuild, so the two never coexist.
-                snapshot = None
-                snapshot = _checked_state(frozenset(live))
-                stale = False
-            if shared is None:
-                shared = StateAnalysis(snapshot)
+        due = reached(ev, noop)
+        if not due:
+            continue
+        if stale:
+            # Freed before the rebuild, so the two never coexist.
+            snapshot = None
+            snapshot = _checked_state(frozenset(live))
+            stale = False
+        shared = StateAnalysis(snapshot, frozenset().union(*(demands[i] for i in due)))
+        for i in due:
             warning, fresh = _react(records[i], snapshot, ev, noop, shared)
             if warning is not None:
                 warnings.append(warning)
@@ -527,7 +551,7 @@ def run_session(
                 records[i] = fresh
                 index.put(i, fresh)
         # Freed within this event, so the next event does not pay for it.
-        shared = None
+        del shared
     if stale:
         snapshot = None
         snapshot = _checked_state(frozenset(live))

@@ -73,11 +73,15 @@ class TestCheck:
         assert "c1: violated [Burke]" in out
 
     def test_evaluates_once_for_every_constraint(self, in_fixtures, capsys, monkeypatch):
+        cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
         evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
         rc, out = run(capsys, "check", "multi.rt", "multi.cst")
         assert rc == 1
         assert out.count(": satisfied") == 3
-        assert len(evaluations) == 1
+        # One cone for every constraint.  Its closure takes two rounds: the
+        # second walks Org.staff <- Org.dept.member to Sales and Labs.
+        assert len(cones) == 1
+        assert len(evaluations) == 2
 
     def test_empty_constraints_file(self, in_fixtures, capsys, tmp_path):
         empty = tmp_path / "none.cst"
@@ -113,13 +117,16 @@ class TestDeps:
 
     def test_all_supports_saturate_once_per_run(self, in_fixtures, capsys, monkeypatch):
         runs = count_calls(monkeypatch, rtmon.deps._worklist)
+        cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
         evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
         rc, out = run(capsys, "deps", "multi.rt", "multi.cst", "--all-supports")
         assert rc == 1
         assert out.count(": satisfied") == 3
         # One shared run for every support, one for every member's supports.
         assert len(runs) == 2
-        assert len(evaluations) == 1
+        # One cone for every constraint, evaluated in two closure rounds.
+        assert len(cones) == 1
+        assert len(evaluations) == 2
 
     def test_all_supports_report_a_truncation_by_the_cap(self, capsys, tmp_path):
         # A width-4 intersection whose parts have two disjoint alternatives
@@ -142,7 +149,7 @@ class TestDeps:
         )
         assert rc == 0
         result = json.loads(out)["result"]
-        assert result["all_supports_truncated"] is True
+        assert result["constraints"][0]["all_supports_truncated"] is True
         kept = result["constraints"][0]["all_supports"]["M"]
         assert len(kept) == rtmon.deps.DEFAULT_SUPPORT_CAP
         for support in kept:
@@ -154,16 +161,51 @@ class TestDeps:
 
         rc, out = run(capsys, "deps", str(policy), str(constraints), "--all-supports")
         assert rc == 0
-        assert out.splitlines()[-1] == "all supports: truncated at 8 per role and member"
+        assert out.splitlines()[-1] == "  all supports: truncated at 8 per role and member"
+
+    def test_all_supports_flag_each_constraint_whose_right_side_was_cut(
+        self, capsys, tmp_path
+    ):
+        # The intersection above beside a role with one support: only the
+        # constraints whose right side reads the intersection were cut.
+        policy = tmp_path / "wide.rt"
+        policy.write_text(
+            "A.w <- A.p0 & A.p1 & A.p2 & A.p3\n"
+            + "".join(f"A.p{k} <- S{k}{j}.x\nS{k}{j}.x <- M\n" for k in range(4) for j in range(2))
+            + "B.r <- N\nC.r <- A.w\n"
+        )
+        constraints = tmp_path / "wide.cst"
+        constraints.write_text(
+            "constraint b owner B: B.r <= B.r\n"
+            "constraint w owner A: A.w <= A.w\n"
+            "constraint c owner C: B.r <= B.r | C.r\n"
+        )
+        rc, out = run(
+            capsys, "--format", "machine", "deps", str(policy), str(constraints), "--all-supports"
+        )
+        assert rc == 0
+        result = json.loads(out)["result"]
+        assert "all_supports_truncated" not in result
+        flags = {v["id"]: v["all_supports_truncated"] for v in result["constraints"]}
+        assert flags == {"b": False, "w": True, "c": True}
+        assert result["constraints"][0]["all_supports"] == {"N": [["B.r"]]}
+
+        rc, out = run(capsys, "deps", str(policy), str(constraints), "--all-supports")
+        assert rc == 0
+        assert [line for line in out.splitlines() if "all supports" in line] == [
+            "  all supports: complete",
+            "  all supports: truncated at 8 per role and member",
+            "  all supports: truncated at 8 per role and member",
+        ]
 
     def test_all_supports_say_when_nothing_was_cut(self, in_fixtures, capsys):
         rc, out = run(capsys, "deps", "redundant.rt", "redundant.cst", "--all-supports")
         assert rc == 0
-        assert out.splitlines()[-1] == "all supports: complete"
+        assert out.splitlines()[-1] == "  all supports: complete"
         rc, out = run(capsys, "deps", "redundant.rt", "redundant.cst")
         assert "all supports" not in out
         rc, out = run(capsys, "--format", "machine", "deps", "redundant.rt", "redundant.cst")
-        assert "all_supports_truncated" not in json.loads(out)["result"]
+        assert "all_supports_truncated" not in json.loads(out)["result"]["constraints"][0]
 
 
 class TestAnalyze:
@@ -311,7 +353,7 @@ class TestInternalErrors:
         def crash(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(rtmon.cli, "evaluate", crash)
+        monkeypatch.setattr(rtmon.cli, "evaluate_cone", crash)
         rc = main(["query", "hazmat.rt", "ATF.hazmatDB"])
         captured = capsys.readouterr()
         assert rc == 4

@@ -14,7 +14,9 @@ import rtmon.model
 from rtmon.deps import (
     DEFAULT_SUPPORT_CAP,
     NoSupport,
+    _growth_roles,
     credential_support_for_constraint,
+    evaluate_cone,
     gamma,
     gamma_expr,
     justified_semantics,
@@ -25,15 +27,18 @@ from rtmon.deps import (
     _role_worklist,
     _worklist,
 )
-from rtmon.engine import eval_expr, evaluate, role_members
+from rtmon.engine import _rule_index, check_constraint, eval_expr, evaluate, role_members
 from rtmon.model import (
     EVERY_ROLE,
+    ChangeKind,
+    LinkingInclusion,
     PolicyState,
     PrincipalSet,
     RoleRef,
     UnionExpr,
+    roles_of,
 )
-from rtmon.parser import parse_policy
+from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
 
 from helpers import (
     count_calls,
@@ -47,7 +52,14 @@ from helpers import (
     support_shift_policy,
 )
 from oracles import brute_minimal_supports, product_join, round_robin_worklist
-from randgen import random_expr, random_fan_state, random_state, random_statement_for_state
+from randgen import (
+    biased_satisfied_constraint,
+    random_constraint,
+    random_expr,
+    random_fan_state,
+    random_state,
+    random_statement_for_state,
+)
 
 
 class TestRestrict:
@@ -117,6 +129,105 @@ class TestGammaExpr:
         p = hazmat_policy()
         target = role("Emergency.hazmatPersonnel")
         assert gamma_expr(p, RoleRef(target)).roles == gamma(p, target).roles
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _constraint_roles(q):
+    return roles_of(q.lhs) | roles_of(q.rhs)
+
+
+def _fixture_cases():
+    """Every fixture policy with its constraints, and every state its change
+    log passes through."""
+    for name in sorted(path.stem for path in FIXTURES.glob("*.rt")):
+        p = parse_policy((FIXTURES / f"{name}.rt").read_text())
+        constraints = parse_constraints((FIXTURES / f"{name}.cst").read_text())
+        yield p, constraints
+        for ev in parse_changelog((FIXTURES / f"{name}.changes").read_text()):
+            p = p.add(ev.statement) if ev.kind is ChangeKind.ADD else p.remove(ev.statement)
+            yield p, constraints
+
+
+def _random_cases(n):
+    rng = random.Random(1414)
+    for k in range(n):
+        if k % 4 == 3:
+            p = random_fan_state(rng)
+        else:
+            p = random_state(rng, max_statements=rng.choice((8, 16, 30)))
+        make = biased_satisfied_constraint if rng.random() < 0.5 else random_constraint
+        yield p, [make(rng, p, f"q{i}") for i in range(rng.randint(1, 3))]
+
+
+class TestCone:
+    """Goal-directed membership against the whole-state evaluation."""
+
+    def test_cone_equals_the_whole_state_on_its_roles_and_growth_sets(self):
+        seen: Counter = Counter()
+        cases = [*_fixture_cases(), *_random_cases(400)]
+        for p, constraints in cases:
+            index = _rule_index(p.statements)
+            full = evaluate(p, index)
+            roots = frozenset().union(*map(_constraint_roles, constraints))
+            cone = evaluate_cone(p, roots, index)
+            # The cone is the closure of the roots under the exact members.
+            assert cone.cone == _growth_roles(index.heads, roots, full.members)
+            for r in cone.cone:
+                assert role_members(cone, r) == role_members(full, r)
+            for q in constraints:
+                assert check_constraint(p, q, cone) == check_constraint(p, q, full)
+                for side in (q.lhs, q.rhs):
+                    assert gamma_expr(p, side, cone, index) == gamma_expr(p, side, full, index)
+            heads = [s for s in p.statements if s.head in cone.cone]
+            seen["cases"] += 1
+            seen["outside"] += len(heads) < len(p.statements)
+            seen.update(type(s.body).__name__ for s in heads)
+            seen["walked"] += any(
+                isinstance(s.body, LinkingInclusion) and role_members(full, s.body.first)
+                for s in heads
+            )
+        assert seen["cases"] >= 300 + len(list(_fixture_cases()))
+        assert seen["outside"] >= 100
+        assert seen["walked"] >= 50
+        for form in ("SimpleMember", "SimpleInclusion", "LinkingInclusion", "IntersectionInclusion"):
+            assert seen[form] >= 100, form
+
+    def test_a_role_outside_the_cone_raises(self):
+        p = parse_policy("A.r <- B.r\nB.r <- C\nD.s <- E\nD.t <- A.r\n")
+        cone = evaluate_cone(p, [role("A.r")])
+        assert cone.cone == {role("A.r"), role("B.r")}
+        assert role_members(cone, role("A.r")) == {prin("C")}
+        for outside in (role("D.s"), role("D.t"), role("Z.z")):
+            with pytest.raises(LookupError, match="outside the evaluated cone"):
+                role_members(cone, outside)
+            with pytest.raises(LookupError):
+                eval_expr(cone, UnionExpr(RoleRef(role("A.r")), RoleRef(outside)))
+            with pytest.raises(LookupError):
+                gamma_expr(p, RoleRef(outside), cone)
+        with pytest.raises(LookupError):
+            check_constraint(p, parse_constraint("constraint q owner A: A.r <= D.s"), cone)
+        # An empty role inside the cone reads as empty.
+        empty = evaluate_cone(p, [role("Z.z")])
+        assert role_members(empty, role("Z.z")) == frozenset()
+
+    def test_200_nested_linked_roles(self):
+        # A{i}.r reads A{i+1}.r only through A{i}.l, so each closure round
+        # reaches one level deeper.
+        depth = 200
+        p = parse_policy(
+            "".join(f"A{i}.r <- A{i}.l.r\nA{i}.l <- A{i + 1}\n" for i in range(depth))
+            + f"A{depth}.r <- M\nA{depth}.r <- A{depth}.l.r\n"
+        )
+        start = time.perf_counter()
+        cone = evaluate_cone(p, [role("A0.r")])
+        elapsed = time.perf_counter() - start
+        full = evaluate(p)
+        assert len(cone.cone) == 2 * depth + 2
+        assert all(role_members(cone, r) == role_members(full, r) for r in cone.cone)
+        assert role_members(cone, role("A0.r")) == {prin("M")}
+        assert elapsed < 1.0
 
 
 class TestJustifiedSemantics:

@@ -426,19 +426,82 @@ def test_warning_violators_match_the_post_state():
     assert done >= 40, f"generator starved: only {done} violating cases"
 
 
-@pytest.fixture
-def evaluations(monkeypatch):
-    return count_calls(monkeypatch, rtmon.engine.evaluate)
+def _saturated_statements(monkeypatch) -> list:
+    """The statements indexed by each ``_saturate`` call, in call order."""
+    seen = []
+    real = rtmon.engine._saturate
+
+    def spy(p, fixed=None, universe=frozenset(), index=None):
+        if index is None:
+            index = rtmon.engine._rule_index(p.statements, fixed)
+        facts = {Statement(r, SimpleMember(m)) for r, found in index.facts.items() for m in found}
+        seen.append(frozenset(facts).union(*index.heads.values()))
+        return real(p, fixed, universe, index)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "rtmon" or name.startswith("rtmon."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, spy)
+    return seen
+
+
+def _cone_statements(p, constraints) -> frozenset:
+    """The statements heading a role of the constraints' cone, found on the
+    whole state."""
+    roots = frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in constraints))
+    cone = rtmon.deps._growth_roles(
+        rtmon.engine._rule_index(p.statements).heads, roots, evaluate(p).members
+    )
+    return frozenset(s for s in p.statements if s.head in cone)
+
+
+# Outside the cone of the hazmat constraint and of the multi constraints:
+# nothing they read reads Guest.pass.
+_GUESTS = "Guest.pass <- ATF.hazmatDB\nGuest.pass <- Org.badge\nGuest.pass <- Dan\n"
 
 
 @pytest.mark.parametrize("mode", [FullTrust(), FullTrustCredential()], ids=["role", "credential"])
-def test_full_trust_register_evaluates_once(evaluations, mode):
-    p = hazmat_policy()
-    rec = register(p, hazmat_constraint(), mode)
+def test_full_trust_register_evaluates_once(monkeypatch, mode):
+    p = parse_policy(HAZMAT_POLICY_TEXT + _GUESTS)
+    q = hazmat_constraint()
+    cone = _cone_statements(p, [q])
+    cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
+    indexed = _saturated_statements(monkeypatch)
+    rec = register(p, q, mode)
     assert rec.status is RecordStatus.HOLDING
-    assert evaluations == [p]
+    # One cone batch.  Its closure takes two rounds, the second walking
+    # Emergency.dept to Fire and Police, and each round evaluates only the
+    # statements heading cone roles.
+    assert cones == [p]
+    assert indexed == [cone] * 2
+    assert not any(s.head == role("Guest.pass") for s in indexed[-1])
     # The principals x role names cross product is never built.
     assert "roles" not in vars(p)
+
+
+def test_unrelated_statements_leave_the_evaluated_statements_unchanged(monkeypatch):
+    # 10^4 statements of every body form that head no role of the hazmat
+    # constraint's cone; some read cone roles, and some link through
+    # principals the cone holds.
+    noise = "".join(
+        f"N{i}.r <- N{i + 1}.r\nN{i}.s <- ATF.hazmatDB & N{i}.r\n"
+        f"N{i}.t <- N{i}.r.responsePersonnel\nN{i}.r <- Police\n"
+        for i in range(2500)
+    )
+    small = hazmat_policy()
+    big = parse_policy(HAZMAT_POLICY_TEXT + noise)
+    assert len(big.statements) == len(small.statements) + 10**4
+    q = hazmat_constraint()
+    indexed = _saturated_statements(monkeypatch)
+    for mode in (FullTrust(), FullTrustCredential()):
+        want = register(small, q, mode)
+        evaluated = list(indexed)
+        del indexed[:]
+        assert register(big, q, mode) == want
+        assert indexed == evaluated
+        assert len(evaluated) == 2 and evaluated[-1] == small.statements
+        del indexed[:]
 
 
 def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
@@ -1103,13 +1166,22 @@ def _holding_multi_constraints():
 
 
 def test_full_trust_registrations_share_one_evaluation_and_one_worklist(monkeypatch):
-    p = _multi_policy()
-    saturations = count_calls(monkeypatch, rtmon.engine._saturate)
+    p = parse_policy((MULTI_FIXTURES / "multi.rt").read_text() + _GUESTS)
+    held = _holding_multi_constraints()
+    cone = _cone_statements(p, held)
+    cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
+    indexed = _saturated_statements(monkeypatch)
     worklists = count_calls(monkeypatch, rtmon.deps._worklist)
-    session = run_session(p, [(q, FullTrust()) for q in _holding_multi_constraints()], [])
+    session = run_session(p, [(q, FullTrust()) for q in held], [])
     assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 4
-    assert saturations == [p]
+    # One cone batch for the four constraints, one worklist over the whole
+    # state.  The cone's second closure round adds Sales.member and
+    # Labs.member, which Org.dept's members name.
+    assert cones == [p]
     assert worklists == [p]
+    assert len(indexed) == 2
+    assert indexed[0] < indexed[1] == cone
+    assert cone == p.statements - parse_policy(_GUESTS).statements
 
 
 def test_restricted_registrations_under_one_monitor_share_bounds_and_core(monkeypatch):
@@ -1155,9 +1227,12 @@ def test_shared_analysis_equals_independent_registration(cap):
             make = lambda i: (  # noqa: E731
                 biased_satisfied_constraint if rng.random() < 0.6 else random_constraint
             )(rng, p, f"q{i}")
-        shared = StateAnalysis(p)
-        for i, mode in enumerate(_shared_modes(rng, p)):
-            q = make(i)
+        modes = _shared_modes(rng, p)
+        queries = [make(i) for i in range(len(modes))]
+        shared = StateAnalysis(
+            p, frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in queries))
+        )
+        for q, mode in zip(queries, modes):
             got = register(p, q, mode, shared)
             assert got == register(p, q, mode)
             seen[got.status] += 1
@@ -1214,7 +1289,7 @@ def test_an_event_reregistering_several_records_matches_apply_change(monkeypatch
     monkeypatch.setattr(
         rtmon.monitor.StateAnalysis,
         "__init__",
-        lambda self, state: built.append(state) or real(self, state),
+        lambda self, state, demand: built.append(state) or real(self, state, demand),
     )
     session = run_session(p, regs, log)
     # One analysis for the initial registrations and one per warned event.
