@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Container, Mapping, Optional
 
 from .deps import GrowthSet, _growth_roles
-from .engine import _rule_index, _RuleIndex, _saturate, _walk_expr
+from .engine import _by_head, _HeadIndex, _saturate, _walk_expr
 from .model import (
     Constraint,
     PolicyState,
@@ -179,20 +179,20 @@ def gamma_restricted_expr(
     expr: PositiveRoleExpr,
     ub: Optional[Bound] = None,
     coreset: Optional[CoreSet] = None,
-    index: Optional[_RuleIndex] = None,
+    index: Optional[_HeadIndex] = None,
 ) -> GrowthSet:
     """Union of restricted growth sets over the expression's roles.
 
     ``ub``, ``coreset`` and ``index`` are
     ``upper_bound(p, RoleMonitor(growth_trusted=g))``, ``core(p, g, ub)`` and
-    ``_rule_index(p.statements)`` when the caller already holds them.
+    ``_by_head(p.statements)`` when the caller already holds them.
     """
     if ub is None:
         ub = upper_bound(p, RoleMonitor(growth_trusted=g))
     if coreset is None:
         coreset = core(p, g, ub)
     if index is None:
-        index = _rule_index(p.statements)
+        index = _by_head(p.statements)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
     return GrowthSet(expr, _growth_roles(index.heads, roles_of(expr), ub, coreset))

@@ -9,7 +9,7 @@ Mitchell, JCS 2003), and evaluates only the statements heading its roles.
 
 Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
-frontier, a closure over the rules by head of :func:`rtmon.engine._rule_index`.
+frontier, a closure over the rules by head of :func:`rtmon.engine._by_head`.
 Supports answer "which roles (or which exact statements) currently prove
 the memberships the constraint needs" -- the remove-side frontier.  The
 worklist here computes, per role and member, all minimal supports at once,
@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import SemanticsIndex, _reads, _require_cone, _rule_index, _RuleIndex, evaluate
+from .engine import SemanticsIndex, _by_head, _HeadIndex, _reads, _require_cone, evaluate
 from .model import (
     EVERY_ROLE,
     LinkingInclusion,
@@ -163,7 +163,7 @@ def _growth_roles(
 ) -> frozenset[Role]:
     """Close ``roots`` under the definitions reachable from them.
 
-    ``heads`` holds the rules by head, as in :func:`rtmon.engine._rule_index`;
+    ``heads`` holds the rules by head, as in :func:`rtmon.engine._by_head`;
     ``members`` gives the members a linked role walks (absent roles are
     empty); with ``within`` given, only roles inside it are kept.
     """
@@ -179,7 +179,7 @@ def _growth_roles(
 
 
 def evaluate_cone(
-    p: PolicyState, roots: Iterable[Role], index: Optional[_RuleIndex] = None
+    p: PolicyState, roots: Iterable[Role], index: Optional[_HeadIndex] = None
 ) -> SemanticsIndex:
     """Membership of every role in the cone of ``roots``, goal-directed.
 
@@ -194,10 +194,10 @@ def evaluate_cone(
     closure of any roles in the cone, walked with its members, stays inside
     it: this is the growth set of :func:`gamma_expr`.
 
-    ``index`` is ``_rule_index(p.statements)`` when the caller already holds it.
+    ``index`` is ``_by_head(p.statements)`` when the caller already holds it.
     """
     if index is None:
-        index = _rule_index(p.statements)
+        index = _by_head(p.statements)
     roots = frozenset(roots)
     roles = _growth_roles(index.heads, roots, {})
     while True:
@@ -220,16 +220,16 @@ def gamma_expr(
     p: PolicyState,
     expr: PositiveRoleExpr,
     idx: Optional[SemanticsIndex] = None,
-    index: Optional[_RuleIndex] = None,
+    index: Optional[_HeadIndex] = None,
 ) -> GrowthSet:
     """Union of the growth sets of the expression's roles; empty when static.
 
     ``idx`` is ``evaluate(p)`` or a cone of ``p`` holding the expression's
-    roles, and ``index`` is ``_rule_index(p.statements)``, when the caller
+    roles, and ``index`` is ``_by_head(p.statements)``, when the caller
     already holds them; the walk reads only roles of the cone.
     """
     if index is None:
-        index = _rule_index(p.statements)
+        index = _by_head(p.statements)
     roots = roles_of(expr)
     if idx is None:
         idx = evaluate_cone(p, roots, index)
@@ -296,8 +296,11 @@ def _worklist(
     entries of the roles in its cone alone, so they are exact when no
     truncated role lies in that cone.
 
-    Statements fire in a fixed order over insertion-ordered entries, so the
-    result does not depend on hash seeds even under the cap.  A statement
+    Statements fire in the order of their rendered text over
+    insertion-ordered entries, so the result does not depend on hash seeds
+    even under the cap; each statement renders its text once and keeps it,
+    so the sort reads cached text for every statement rendered before, on
+    this snapshot or an earlier one.  ``cap`` is at least 1.  A statement
     fires again only when a role it reads changed since it last fired (for
     a linked rule: its first role or any role carrying its second name), or
     when a dominance eviction freed room under the cap in its head, which
@@ -317,24 +320,29 @@ def _worklist(
     def offer(head: Role, member: Principal, support: frozenset, size: int) -> None:
         nonlocal clock
         by_member = cur[head]
-        entries = by_member.get(member, ())
-        for s, _ in entries:
-            if s <= support:
-                return
-        cand = (support, size)
-        kept = [e for e in entries if not support <= e[0]]
-        freed = len(kept) < len(entries)
-        kept.append(cand)
-        if cap is not None and len(kept) > cap:
-            kept.sort(key=_entry_key)
-            dropped = kept[cap:]
-            del kept[cap:]
-            cut.extend((head, member, e[0]) for e in dropped)
-            # A cut candidate evicted nothing (it would sort before what it
-            # dominates), so the entries are unchanged.
-            if any(e is cand for e in dropped):
-                return
-        by_member[member] = kept
+        entries = by_member.get(member)
+        if entries is None:
+            # Nothing to dominate, evict or cut: ``cap`` is at least 1.
+            by_member[member] = [(support, size)]
+            freed = False
+        else:
+            for s, _ in entries:
+                if s <= support:
+                    return
+            cand = (support, size)
+            kept = [e for e in entries if not support <= e[0]]
+            freed = len(kept) < len(entries)
+            kept.append(cand)
+            if cap is not None and len(kept) > cap:
+                kept.sort(key=_entry_key)
+                dropped = kept[cap:]
+                del kept[cap:]
+                cut.extend((head, member, e[0]) for e in dropped)
+                # A cut candidate evicted nothing (it would sort before what
+                # it dominates), so the entries are unchanged.
+                if any(e is cand for e in dropped):
+                    return
+            by_member[member] = kept
         clock += 1
         changed_at[head] = clock
         name_changed_at[head.name] = clock
@@ -385,6 +393,12 @@ def _worklist(
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 
 
+def _check_cap(cap: Optional[int]) -> None:
+    """Reject a support cap that would keep no support at all."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"max_entries_per_member must be None or at least 1, got {cap}")
+
+
 def _role_worklist(
     p: PolicyState, admissible: Optional[Container[Role]], cap: Optional[int]
 ) -> _Saturated:
@@ -402,7 +416,9 @@ def justified_semantics(
     With ``max_entries_per_member=None`` the result is exact, and it can be
     exponential in the size of the policy: an intersection of ``w`` parts
     with two disjoint alternatives each has ``2**w`` minimal supports.
+    Raises ``ValueError`` for a cap below 1.
     """
+    _check_cap(max_entries_per_member)
     raw, truncated = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
     entries = {
         role: frozenset(
@@ -420,7 +436,9 @@ def minimal_supports(
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
 ) -> frozenset[RoleSupport]:
-    """Minimal supports of ``member`` in ``target``; empty iff not a member."""
+    """Minimal supports of ``member`` in ``target``; empty iff not a member.
+    Raises ``ValueError`` for a cap below 1."""
+    _check_cap(max_entries_per_member)
     raw = _role_worklist(p, None, max_entries_per_member)
     return frozenset(RoleSupport(sup) for sup in _supports(raw, target, member))
 
@@ -474,11 +492,13 @@ def support_for_constraint(
     With ``admissible`` given, only supports inside it qualify (achieved by
     running the worklist on the state restricted to admissible heads, which
     yields exactly the supports contained in ``admissible``).  Raises
-    :class:`NoSupport` when some member has no qualifying support.
+    :class:`NoSupport` when some member has no qualifying support, and
+    ``ValueError`` for a cap below 1.
 
     ``saturated`` is ``_role_worklist(p, admissible, max_entries_per_member)``
     when the caller already holds it.
     """
+    _check_cap(max_entries_per_member)
     if saturated is None:
         saturated = _role_worklist(p, admissible, max_entries_per_member)
     total: set[Role] = set()
@@ -505,11 +525,13 @@ def credential_support_for_constraint(
     re-running the worklist over the state restricted to that role support,
     so every collected statement's head lies inside the role support.  The
     worklist runs once per distinct role support, and the members sharing
-    it pick their statements from that one run.
+    it pick their statements from that one run.  Raises ``ValueError`` for a
+    cap below 1.
 
     ``saturated`` is ``_role_worklist(p, None, max_entries_per_member)`` when
     the caller already holds it.
     """
+    _check_cap(max_entries_per_member)
     if saturated is None:
         saturated = _role_worklist(p, None, max_entries_per_member)
     replays: dict[frozenset, _Saturated] = {}

@@ -2,15 +2,17 @@
 
 Membership is the least model of the clauses induced by the four statement
 forms.  :func:`_reads` is the one place that says which roles a statement
-reads, and :func:`_rule_index` the one builder of the index every fixpoint
-pass shares: rules by the roles they read, linked rules by the name of
-their second role, rules by head, and the member facts.
-:meth:`_RuleIndex.select` cuts it down to the statements heading some
-roles.  The evaluator takes the index from its caller or builds it, and
-runs semi-naive rounds: a rule fires only on the members its inputs
-gained in the previous round, joined with what the other inputs already
-hold.  Results are independent of statement order.  Seeded with fixed
-roles, the same loop gives both bounds of restricted trust.
+reads.  :func:`_by_head` indexes statements by head, as member facts and
+rules, which is all a walk over the rules heading some roles reads; and
+:func:`_rule_index` completes that into the index every fixpoint pass
+shares, adding rules by the roles they read and linked rules by the name
+of their second role.  :meth:`_HeadIndex.select` builds the index of just
+the statements heading some roles.  The evaluator takes the index from
+its caller or builds it, and runs semi-naive rounds: a rule fires only on
+the members its inputs gained in the previous round, joined with what the
+other inputs already hold.  Results are independent of statement order.
+Seeded with fixed roles, the same loop gives both bounds of restricted
+trust.
 """
 
 from __future__ import annotations
@@ -96,27 +98,34 @@ def _reads(
 
 
 @dataclass(frozen=True)
-class _RuleIndex:
-    """Statements indexed for fixpoint passes: member facts and rules (the
-    other statements) by head, rules by each role they read, and linked
-    rules by the name of their second role."""
+class _HeadIndex:
+    """Statements by head: member facts and rules (the other statements).
+    Walks over the rules heading some roles need no more than this."""
 
     facts: Mapping[Role, list[Principal]]
     heads: Mapping[Role, list[Statement]]
-    readers: Mapping[Role, list[Statement]]
-    linked: Mapping[RoleName, list[Statement]]
 
     def select(self, roles: Iterable[Role]) -> _RuleIndex:
-        """The index of just the statements heading ``roles``."""
+        """The rule index of just the statements heading ``roles``."""
         facts = {r: self.facts[r] for r in roles if r in self.facts}
         heads = {r: self.heads[r] for r in roles if r in self.heads}
         return _index_rules(facts, heads)
 
 
-def _rule_index(
+@dataclass(frozen=True)
+class _RuleIndex(_HeadIndex):
+    """Statements indexed for fixpoint passes: by head, rules by each role
+    they read, and linked rules by the name of their second role."""
+
+    readers: Mapping[Role, list[Statement]]
+    linked: Mapping[RoleName, list[Statement]]
+
+
+def _by_head(
     statements: Iterable[Statement], skip: Optional[Callable[[Role], bool]] = None
-) -> _RuleIndex:
-    """Index ``statements``, leaving out those whose head ``skip`` selects."""
+) -> _HeadIndex:
+    """Index ``statements`` by head, leaving out those whose head ``skip``
+    selects."""
     facts: dict[Role, list[Principal]] = defaultdict(list)
     heads: dict[Role, list[Statement]] = defaultdict(list)
     for stmt in statements:
@@ -127,7 +136,15 @@ def _rule_index(
             facts[stmt.head].append(body.member)
         else:
             heads[stmt.head].append(stmt)
-    return _index_rules(facts, heads)
+    return _HeadIndex(facts, heads)
+
+
+def _rule_index(
+    statements: Iterable[Statement], skip: Optional[Callable[[Role], bool]] = None
+) -> _RuleIndex:
+    """Index ``statements``, leaving out those whose head ``skip`` selects."""
+    by_head = _by_head(statements, skip)
+    return _index_rules(by_head.facts, by_head.heads)
 
 
 def _index_rules(

@@ -209,11 +209,19 @@ StatementBody = Union[SimpleMember, SimpleInclusion, LinkingInclusion, Intersect
 
 @dataclass(frozen=True, slots=True)
 class Statement:
-    """One policy statement ``head <- body``; a value object."""
+    """One policy statement ``head <- body``; a value object.
+
+    Its text is rendered lazily, once, and kept in ``_text``, which takes no
+    part in equality, hashing, ``repr``, copy or pickle: a copy renders its
+    own.  Two threads may both render a cold statement; that is benign,
+    because each stores an equal string.
+    """
 
     head: Role
     body: StatementBody
     _hash: int = field(init=False, repr=False, compare=False)
+    # Unset until the first ``str``: building a statement stores nothing.
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.body, LinkingInclusion) and self.body.first.owner != self.head.owner:
@@ -228,7 +236,12 @@ class Statement:
     __reduce__ = _rebuilt
 
     def __str__(self) -> str:
-        return f"{self.head} <- {self.body}"
+        try:
+            return self._text
+        except AttributeError:
+            text = f"{self.head} <- {self.body}"
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 def _principal_positions(stmt: Statement) -> tuple[Principal, ...]:

@@ -46,10 +46,11 @@ snapshot: the initial registrations share one, and so do the records one
 event re-registers.  Under full trust, membership is evaluated only on the
 cone of the constraints the snapshot registers -- the roles of both sides
 closed under the rules heading them -- in one batch for all of them, by
-:func:`~rtmon.deps.evaluate_cone`; the rule index and the support worklist
-still cover the whole snapshot.  Under restricted trust, the bounds and
-core of a monitor are whole-state passes.  Each record adds only its
-check, growth closure walk and support picks.
+:func:`~rtmon.deps.evaluate_cone`, which finds the cone on a by-head map
+of the snapshot and builds a rule index only for the cone's statements;
+the support worklist still covers the whole snapshot.  Under restricted
+trust, the bounds and core of a monitor are whole-state passes.  Each
+record adds only its check, growth closure walk and support picks.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .deps import (
     gamma_expr,
     support_for_constraint,
 )
-from .engine import SemanticsIndex, _rule_index, _RuleIndex, check_constraint, eval_expr
+from .engine import SemanticsIndex, _by_head, _HeadIndex, check_constraint, eval_expr
 from .model import (
     ChangeEvent,
     ChangeKind,
@@ -199,10 +200,10 @@ class MonitorWarning:
 class StateAnalysis:
     """The work every record registered against ``p`` shares.
 
-    Each part is computed on first use and then kept: the rule index,
-    membership on the cone of ``demand``, the role-support worklist per
-    admissible set and cap, and per role monitor the bounds and the trusted
-    core.  ``demand`` holds the roles of both sides of every full-trust
+    Each part is computed on first use and then kept: the statements by
+    head, membership on the cone of ``demand``, the role-support worklist
+    per admissible set and cap, and per role monitor the bounds and the
+    trusted core.  ``demand`` holds the roles of both sides of every full-trust
     constraint registered against it; reading membership outside their
     cone raises ``LookupError``.  A record then runs only its own check,
     growth closure walk and support picks.  Build one for a batch of
@@ -221,8 +222,9 @@ class StateAnalysis:
         return self._done[key]
 
     @cached_property
-    def index(self) -> _RuleIndex:
-        return _rule_index(self.p.statements)
+    def index(self) -> _HeadIndex:
+        """The statements by head, which the cone and growth walks read."""
+        return _by_head(self.p.statements)
 
     @cached_property
     def cone(self) -> SemanticsIndex:

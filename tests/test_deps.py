@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -13,7 +14,9 @@ import rtmon.deps
 import rtmon.model
 from rtmon.deps import (
     DEFAULT_SUPPORT_CAP,
+    CredentialSupport,
     NoSupport,
+    RoleSupport,
     _growth_roles,
     credential_support_for_constraint,
     evaluate_cone,
@@ -282,6 +285,68 @@ class TestJustifiedSemantics:
                 for e in entries:
                     restricted = evaluate(restrict(p, e.support))
                     assert e.member in role_members(restricted, r)
+
+
+    def test_rendered_and_cold_statement_texts_give_the_same_supports(self):
+        # The worklist fires statements in the order of their text, which a
+        # statement renders once and keeps.  A deep copy renders afresh, so
+        # it checks that a kept text orders exactly as a fresh one does.
+        seen = 0
+        for p in [p for p, _ in _fixture_cases()] + [p for p, _ in _random_cases(300)]:
+            for s in p.statements:
+                str(s)
+            for cap in (1, 2, 8, None):
+                cold = copy.deepcopy(p)
+                assert cold == p
+                assert not any(hasattr(s, "_text") for s in cold.statements)
+                got = justified_semantics(cold, max_entries_per_member=cap)
+                want = justified_semantics(p, max_entries_per_member=cap)
+                assert got.entries == want.entries
+                assert got.truncated_roles == want.truncated_roles
+                assert all(hasattr(s, "_text") for s in cold.statements)
+            seen += 1
+        assert seen >= 300 + len(list(_fixture_cases()))
+
+
+class TestSupportCap:
+    """A cap below 1 would keep no support at all."""
+
+    POLICY = "A.r <- B\nA.r <- C.s\nC.s <- B\n"
+
+    @staticmethod
+    def _calls(p, cap):
+        member, rhs = prin("B"), RoleRef(role("A.r"))
+        return {
+            "justified_semantics": lambda: justified_semantics(p, max_entries_per_member=cap),
+            "minimal_supports": lambda: minimal_supports(
+                p, member, role("A.r"), max_entries_per_member=cap
+            ),
+            "support_for_constraint": lambda: support_for_constraint(
+                p, [member], rhs, max_entries_per_member=cap
+            ),
+            "credential_support_for_constraint": lambda: credential_support_for_constraint(
+                p, [member], rhs, max_entries_per_member=cap
+            ),
+        }
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_is_rejected_by_name(self, cap):
+        p = parse_policy(self.POLICY)
+        for name, call in self._calls(p, cap).items():
+            with pytest.raises(ValueError, match=f"max_entries_per_member .* got {cap}$"):
+                call()
+
+    def test_a_cap_of_one_keeps_one_support(self):
+        p = parse_policy(self.POLICY)
+        got = self._calls(p, 1)
+        js = got["justified_semantics"]()
+        assert {e.support for e in js.for_role(role("A.r"))} == {frozenset({role("A.r")})}
+        assert not js.truncated
+        assert got["minimal_supports"]() == {RoleSupport(frozenset({role("A.r")}))}
+        assert got["support_for_constraint"]() == RoleSupport(frozenset({role("A.r")}))
+        assert got["credential_support_for_constraint"]() == CredentialSupport(
+            frozenset({stmt("A.r <- B")})
+        )
 
 
 class TestMinimalSupports:

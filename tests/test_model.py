@@ -4,7 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -174,15 +174,35 @@ def test_a_reordered_intersection_hashes_like_the_written_one():
 @pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
 def test_copy_and_pickle_keep_statement_equality_and_hash(text):
     s = parse_statement(text)
+    rendered = str(s)
     for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert twin == s and hash(twin) == hash(s)
-        assert str(twin) == str(s)
+        # The kept text is not carried: the twin renders its own.
+        assert not hasattr(twin, "_text")
+        assert twin == s and hash(twin) == hash(s) == hash(parse_statement(text))
+        assert str(twin) == rendered == text
+
+
+@pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
+def test_statements_render_their_text_once(text):
+    a, b = parse_statement(text), parse_statement(text)
+    assert not hasattr(a, "_text")
+    assert str(a) == str(b) == text
+    # The second render reads the kept string.
+    assert str(a) is str(a) and a._text is str(a)
+    # The text takes no part in equality, hashing, repr or rebuilding.
+    c = parse_statement(text)
+    assert a == c and hash(a) == hash(c) and repr(a) == repr(c)
+    assert "_text" not in repr(a) and text not in repr(a)
+    assert {f.name for f in fields(Statement) if f.init} == {"head", "body"}
+    assert a.__reduce__() == (Statement, (a.head, a.body))
 
 
 _LOAD_PICKLED = """
 import pickle, sys
 from rtmon.parser import parse_statement, parse_expr
-stmts, expr = pickle.loads(bytes.fromhex(sys.stdin.read()))
+stmts, texts, expr = pickle.loads(bytes.fromhex(sys.stdin.read()))
+assert not any(hasattr(s, "_text") for s in stmts)
+assert [str(s) for s in stmts] == texts
 fresh = [parse_statement(str(s)) for s in stmts]
 assert stmts == fresh and set(stmts) == set(fresh)
 assert all(s.head in {f.head} and s.head.owner in {f.head.owner} for s, f in zip(stmts, fresh))
@@ -195,7 +215,8 @@ def test_pickled_values_rehash_under_another_hash_seed():
     """The hash a value computed once is not carried into a process whose
     string hashes differ: loading rebuilds it."""
     stmts = [parse_statement(t) for t in ("A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t")]
-    data = pickle.dumps((stmts, parse_expr("A.r | (B.s & {C})"))).hex()
+    texts = [str(s) for s in stmts]
+    data = pickle.dumps((stmts, texts, parse_expr("A.r | (B.s & {C})"))).hex()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONHASHSEED"] = "12345" if os.environ.get("PYTHONHASHSEED") != "12345" else "54321"

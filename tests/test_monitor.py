@@ -480,17 +480,19 @@ def test_full_trust_register_evaluates_once(monkeypatch, mode):
     assert "roles" not in vars(p)
 
 
+# 10^4 statements of every body form that head no role of the hazmat
+# constraint's cone; some read cone roles, and some link through principals
+# the cone holds.
+_NOISE = "".join(
+    f"N{i}.r <- N{i + 1}.r\nN{i}.s <- ATF.hazmatDB & N{i}.r\n"
+    f"N{i}.t <- N{i}.r.responsePersonnel\nN{i}.r <- Police\n"
+    for i in range(2500)
+)
+
+
 def test_unrelated_statements_leave_the_evaluated_statements_unchanged(monkeypatch):
-    # 10^4 statements of every body form that head no role of the hazmat
-    # constraint's cone; some read cone roles, and some link through
-    # principals the cone holds.
-    noise = "".join(
-        f"N{i}.r <- N{i + 1}.r\nN{i}.s <- ATF.hazmatDB & N{i}.r\n"
-        f"N{i}.t <- N{i}.r.responsePersonnel\nN{i}.r <- Police\n"
-        for i in range(2500)
-    )
     small = hazmat_policy()
-    big = parse_policy(HAZMAT_POLICY_TEXT + noise)
+    big = parse_policy(HAZMAT_POLICY_TEXT + _NOISE)
     assert len(big.statements) == len(small.statements) + 10**4
     q = hazmat_constraint()
     indexed = _saturated_statements(monkeypatch)
@@ -502,6 +504,30 @@ def test_unrelated_statements_leave_the_evaluated_statements_unchanged(monkeypat
         assert indexed == evaluated
         assert len(evaluated) == 2 and evaluated[-1] == small.statements
         del indexed[:]
+
+
+@pytest.mark.parametrize("mode", [FullTrust(), FullTrustCredential()], ids=["role", "credential"])
+def test_full_trust_register_indexes_the_rules_of_cone_statements_only(monkeypatch, mode):
+    p = parse_policy(HAZMAT_POLICY_TEXT + _NOISE)
+    q = hazmat_constraint()
+    cone = _cone_statements(p, [q])
+    indexed = []
+    real = rtmon.engine._index_rules
+
+    def spy(facts, heads):
+        found = {Statement(r, SimpleMember(m)) for r, members in facts.items() for m in members}
+        indexed.append(frozenset(found).union(*heads.values()))
+        return real(facts, heads)
+
+    monkeypatch.setattr(rtmon.engine, "_index_rules", spy)
+    whole = count_calls(monkeypatch, rtmon.engine._rule_index)
+    rec = register(p, q, mode)
+    assert rec.status is RecordStatus.HOLDING
+    # Readers and linked rules are built for the cone's statements alone:
+    # the by-head map that finds the cone builds neither.
+    assert indexed and all(got <= cone for got in indexed)
+    assert indexed[-1] == cone
+    assert whole == []
 
 
 def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
@@ -524,12 +550,16 @@ def test_restricted_register_builds_one_index_per_bound_and_one_for_growth(monke
         growth_trusted=hazmat_policy().roles, shrink_trusted=frozenset({role("ATF.hazmatDB")})
     )
     indexes = count_calls(monkeypatch, rtmon.engine._rule_index)
+    by_head = count_calls(monkeypatch, rtmon.engine._by_head)
     p = hazmat_policy()
     rec = register(p, hazmat_constraint(), RestrictedTrust(monitor))
     assert rec.status is RecordStatus.HOLDING
-    # The lower bound, the upper bound and the restricted growth walk; the
-    # core is read off the upper bound and builds none.
-    assert len(indexes) == 3
+    # A rule index for the lower bound and one for the upper bound, each
+    # built on its own by-head map; the restricted growth walk reads one
+    # more by-head map and no rule index.  The core is read off the upper
+    # bound and builds none.
+    assert len(indexes) == 2
+    assert len(by_head) == len(indexes) + 1
 
 
 def test_session_keeps_the_initial_records():
