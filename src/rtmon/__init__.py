@@ -45,7 +45,6 @@ from .deps import (
     NoSupport,
     RoleSupport,
     credential_support_for_constraint,
-    evaluate_cone,
     gamma,
     gamma_expr,
     justified_semantics,

@@ -106,11 +106,11 @@ def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     """Membership provable from shrink-trusted definitions alone.
 
     Statements heading an untrusted role may vanish unobserved, so the
-    evaluator skips them and holds every role outside the shrink-trusted
-    set at the empty set.
+    evaluator reads only the statements heading a shrink-trusted role, and
+    every other role stays empty.
     """
     s = r.shrink_trusted
-    return _saturate(p, lambda role: role not in s).members
+    return _saturate(_by_head(st for st in p.statements if st.head in s)).members
 
 
 def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
@@ -128,7 +128,7 @@ def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     def fixed(role: Role) -> bool:
         return role.owner == TOP or role not in g
 
-    return _saturate(p, fixed, p.principals | {TOP}).members
+    return _saturate(_by_head(p.statements), fixed=fixed, universe=p.principals | {TOP}).members
 
 
 def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:

@@ -25,12 +25,11 @@ from .analysis import check_bounded_containment, gamma_restricted_expr
 from .deps import (
     DEFAULT_SUPPORT_CAP,
     NoSupport,
-    evaluate_cone,
     gamma_expr,
     justified_semantics,
     support_for_constraint,
 )
-from .engine import check_constraint, eval_expr
+from .engine import check_constraint, eval_expr, evaluate
 from .model import EVERY_ROLE, roles_of
 from .monitor import (
     FullTrust,
@@ -137,7 +136,7 @@ def cmd_query(args) -> dict:
         expr = parse_expr(args.expr)
     except ParseError as exc:
         raise _InputError("<expr>", str(exc)) from exc
-    members = eval_expr(evaluate_cone(state, roles_of(expr)), expr)
+    members = eval_expr(evaluate(state, roles_of(expr)), expr)
     result = {"expr": serialize_expr(expr), "members": _names(members)}
     return _report("query", inputs, result, EXIT_OK)
 
@@ -146,7 +145,7 @@ def cmd_check(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
-    idx = evaluate_cone(state, _constraint_roles(constraints))
+    idx = evaluate(state, _constraint_roles(constraints))
     verdicts = []
     for q in constraints:
         got = check_constraint(state, q, idx)

@@ -3,9 +3,8 @@
 The portion of a state a constraint depends on is its cone: the roles of
 its two sides, closed under the rules heading each role found, where a
 linked role ``A.r1.r2`` reads ``Y.r2`` only for the ``Y`` that reach
-``A.r1``.  :func:`evaluate_cone` finds it goal-directed, as RT credential
-chain discovery searches backwards from a role (Li, Winsborough &
-Mitchell, JCS 2003), and evaluates only the statements heading its roles.
+``A.r1``.  :func:`rtmon.engine.evaluate` with ``roots`` finds it while it
+evaluates, and the growth sets here walk inside it.
 
 Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
@@ -55,7 +54,6 @@ __all__ = [
     "JustifiedSemantics",
     "NoSupport",
     "restrict",
-    "evaluate_cone",
     "gamma",
     "gamma_expr",
     "justified_semantics",
@@ -178,38 +176,6 @@ def _growth_roles(
     return frozenset(found)
 
 
-def evaluate_cone(
-    p: PolicyState, roots: Iterable[Role], index: Optional[_HeadIndex] = None
-) -> SemanticsIndex:
-    """Membership of every role in the cone of ``roots``, goal-directed.
-
-    The cone is first closed with no members known, so linked roles walk
-    nothing; only the statements heading its roles are evaluated; and the
-    closure is taken again with the members found.  The two steps repeat
-    until the closure stops growing.  The last evaluation is then exact on
-    every role of the cone: a rule heading a cone role reads only cone
-    roles, and a linked one reads ``Y.r2`` only for a ``Y`` its first role
-    holds, which the closure already walked.  The result raises on a role
-    outside the cone (see :class:`~rtmon.engine.SemanticsIndex`), and the
-    closure of any roles in the cone, walked with its members, stays inside
-    it: this is the growth set of :func:`gamma_expr`.
-
-    ``index`` is ``_by_head(p.statements)`` when the caller already holds it.
-    """
-    if index is None:
-        index = _by_head(p.statements)
-    roots = frozenset(roots)
-    roles = _growth_roles(index.heads, roots, {})
-    while True:
-        idx = evaluate(p, index.select(roles))
-        # Members only grow from one round to the next, so the closure can
-        # only grow: an unchanged size means an unchanged cone.
-        grown = _growth_roles(index.heads, roots, idx.members)
-        if len(grown) == len(roles):
-            return SemanticsIndex(idx.members, idx.iteration_count, roles)
-        roles = grown
-
-
 def gamma(p: PolicyState, target: Role) -> GrowthSet:
     """Close ``{target}`` under the roles the statements heading each found
     role read, a linked role walking its first role's current members."""
@@ -232,7 +198,7 @@ def gamma_expr(
         index = _by_head(p.statements)
     roots = roles_of(expr)
     if idx is None:
-        idx = evaluate_cone(p, roots, index)
+        idx = evaluate(p, roots, index)
     _require_cone(idx, roots)
     return GrowthSet(expr, _growth_roles(index.heads, roots, idx.members))
 

@@ -2,15 +2,14 @@
 
 Membership is the least model of the clauses induced by the four statement
 forms.  :func:`_reads` is the one place that says which roles a statement
-reads.  :func:`_by_head` indexes statements by head, as member facts and
-rules, which is all a walk over the rules heading some roles reads; and
-:func:`_rule_index` completes that into the index every fixpoint pass
-shares, adding rules by the roles they read and linked rules by the name
-of their second role.  :meth:`_HeadIndex.select` builds the index of just
-the statements heading some roles.  The evaluator takes the index from
-its caller or builds it, and runs semi-naive rounds: a rule fires only on
+reads, and :func:`_by_head` indexes statements by head, as member facts and
+rules: the one map every membership pass and growth walk reads.
+:func:`_saturate` is the one membership loop.  It indexes rules by the
+roles they read as it goes and runs semi-naive rounds: a rule fires only on
 the members its inputs gained in the previous round, joined with what the
-other inputs already hold.  Results are independent of statement order.
+other inputs already hold.  :func:`evaluate` runs it on the whole state, or
+goal-directed on the cone of some roots, indexing a role's rules only when
+the role is found to matter.  Results are independent of statement order.
 Seeded with fixed roles, the same loop gives both bounds of restricted
 trust.
 """
@@ -55,9 +54,10 @@ class SemanticsIndex:
     ``cone`` is ``None`` when every statement of the state was evaluated:
     then every role absent from ``members`` is empty.  Otherwise only the
     statements heading a role in ``cone`` were, and ``cone`` is closed
-    under the roles those statements read (see
-    :func:`rtmon.deps.evaluate_cone`): a role in it that is absent from
-    ``members`` is empty, and a role outside it is unknown.  Read roles
+    under the roles those statements read, a linked role ``A.r1.r2``
+    reading ``Y.r2`` for each ``Y`` in ``A.r1`` (see :func:`evaluate` with
+    ``roots``): a role in it that is absent from ``members`` is empty, and
+    a role outside it is unknown.  Read roles
     through :func:`role_members`, which raises ``LookupError`` for an
     unknown role instead of reading it as empty.  ``iteration_count`` is the
     number of rounds the evaluator ran, kept for diagnostics only.
@@ -71,12 +71,18 @@ class SemanticsIndex:
 _EMPTY: frozenset[Principal] = frozenset()
 
 
-def evaluate(p: PolicyState, index: Optional[_RuleIndex] = None) -> SemanticsIndex:
-    """Compute role membership for every role with members in the state.
+def evaluate(
+    p: PolicyState, roots: Optional[Iterable[Role]] = None, index: Optional[_HeadIndex] = None
+) -> SemanticsIndex:
+    """Role membership in ``p``: of every role with members, or with
+    ``roots`` given, of every role in their cone, whose result raises
+    ``LookupError`` on a role outside it (see :class:`SemanticsIndex`).
 
-    ``index`` is ``_rule_index(p.statements)`` when the caller already holds it.
+    ``index`` is ``_by_head(p.statements)`` when the caller already holds it.
     """
-    return _saturate(p, index=index)
+    if index is None:
+        index = _by_head(p.statements)
+    return _saturate(index, roots)
 
 
 def _reads(
@@ -100,37 +106,17 @@ def _reads(
 @dataclass(frozen=True)
 class _HeadIndex:
     """Statements by head: member facts and rules (the other statements).
-    Walks over the rules heading some roles need no more than this."""
+    Every membership pass and growth walk reads this map."""
 
     facts: Mapping[Role, list[Principal]]
     heads: Mapping[Role, list[Statement]]
 
-    def select(self, roles: Iterable[Role]) -> _RuleIndex:
-        """The rule index of just the statements heading ``roles``."""
-        facts = {r: self.facts[r] for r in roles if r in self.facts}
-        heads = {r: self.heads[r] for r in roles if r in self.heads}
-        return _index_rules(facts, heads)
 
-
-@dataclass(frozen=True)
-class _RuleIndex(_HeadIndex):
-    """Statements indexed for fixpoint passes: by head, rules by each role
-    they read, and linked rules by the name of their second role."""
-
-    readers: Mapping[Role, list[Statement]]
-    linked: Mapping[RoleName, list[Statement]]
-
-
-def _by_head(
-    statements: Iterable[Statement], skip: Optional[Callable[[Role], bool]] = None
-) -> _HeadIndex:
-    """Index ``statements`` by head, leaving out those whose head ``skip``
-    selects."""
+def _by_head(statements: Iterable[Statement]) -> _HeadIndex:
+    """Index ``statements`` by head."""
     facts: dict[Role, list[Principal]] = defaultdict(list)
     heads: dict[Role, list[Statement]] = defaultdict(list)
     for stmt in statements:
-        if skip is not None and skip(stmt.head):
-            continue
         body = stmt.body
         if isinstance(body, SimpleMember):
             facts[stmt.head].append(body.member)
@@ -139,97 +125,137 @@ def _by_head(
     return _HeadIndex(facts, heads)
 
 
-def _rule_index(
-    statements: Iterable[Statement], skip: Optional[Callable[[Role], bool]] = None
-) -> _RuleIndex:
-    """Index ``statements``, leaving out those whose head ``skip`` selects."""
-    by_head = _by_head(statements, skip)
-    return _index_rules(by_head.facts, by_head.heads)
-
-
-def _index_rules(
-    facts: Mapping[Role, list[Principal]], heads: Mapping[Role, list[Statement]]
-) -> _RuleIndex:
-    """Complete the index of the given facts and rules by head."""
-    readers: dict[Role, list[Statement]] = defaultdict(list)
-    linked: dict[RoleName, list[Statement]] = defaultdict(list)
-    for rules in heads.values():
-        for stmt in rules:
-            for role in _reads(stmt):
-                readers[role].append(stmt)
-            if isinstance(stmt.body, LinkingInclusion):
-                linked[stmt.body.second].append(stmt)
-    return _RuleIndex(facts, heads, readers, linked)
-
-
 def _saturate(
-    p: PolicyState,
+    index: _HeadIndex,
+    roots: Optional[Iterable[Role]] = None,
     fixed: Optional[Callable[[Role], bool]] = None,
     universe: frozenset[Principal] = _EMPTY,
-    index: Optional[_RuleIndex] = None,
 ) -> SemanticsIndex:
-    """Least model of the state with the roles ``fixed`` selects held at
-    ``universe``.
+    """Least model of the statements of ``index`` with the roles ``fixed``
+    selects held at ``universe``, on every role or on the cone of ``roots``.
 
     A fixed role is never stored and never gains: statements heading it are
-    skipped, reading it returns ``universe``, and it enters the first round
-    as new members for every rule that reads it by name.  Without ``fixed``
-    this is exact membership; with an empty ``universe`` it is membership
-    in the state restricted to the heads ``fixed`` leaves out.
+    skipped, reading it returns ``universe``, and it enters the next round
+    as new members for every rule indexed as reading it by name.  Without
+    ``fixed`` this is exact membership; with an empty ``universe`` it is
+    membership in the state restricted to the heads ``fixed`` leaves out.
 
-    ``index`` is ``_rule_index(p.statements, fixed)`` when the caller
-    already holds it.
+    Rules are indexed by the roles they read, and linked rules also by the
+    name of their second role; the facts are the first round's new members.
+    Without ``roots`` every head is indexed up front.  With ``roots``, a
+    role's facts are passed on and its rules indexed when the role enters
+    the cone: when it is a root, when a cone rule reads it, or, for
+    ``Y.r2``, once ``Y`` reaches ``A.r1`` under ``A.r <- A.r1.r2``.  A rule
+    indexed after the rounds began has what its inputs already hold passed
+    to it as new, so it fires on that once in the next round, and from then
+    on on what they gain: the result is exact on every role of the cone it
+    returns.  This is the backward search of RT credential chain discovery
+    (Li, Winsborough & Mitchell, JCS 2003) inside one semi-naive loop.
     """
-    if index is None:
-        index = _rule_index(p.statements, fixed)
-    readers, linked = index.readers, index.linked
-    members: dict[Role, set[Principal]] = {
-        role: set(found) for role, found in index.facts.items()
-    }
-    delta: dict[Role, Iterable[Principal]] = dict(index.facts)
-    if fixed is not None:
-        # A fixed second component ``Y.r2`` needs no seed: the walk from the
-        # first component reads it at ``universe`` when ``Y`` arrives there.
-        delta.update((role, universe) for role in readers if fixed(role))
+    facts, heads = index.facts, index.heads
+    readers: dict[Role, list[Statement]] = defaultdict(list)
+    linked: dict[RoleName, list[Statement]] = defaultdict(list)
+    members: dict[Role, set[Principal]] = {}
+    fresh: dict[Role, Iterable[Principal]] = {}
+    cone: Optional[set[Role]] = None
 
     def read(role: Role) -> frozenset[Principal]:
         if fixed is not None and fixed(role):
             return universe
         return members.get(role, _EMPTY)
 
-    def gain(head: Role, found: Iterable[Principal], fresh: dict[Role, set[Principal]]) -> None:
+    def gain(head: Role, found: Iterable[Principal]) -> None:
+        # Set operations reuse the hashes a set holds: a candidate is hashed
+        # at most once, and not at all when ``found`` is a set.
+        new = set(found)
         have = members.get(head)
         if have is None:
             have = members[head] = set()
-        new = [x for x in found if x not in have]
+        new -= have
         if new:
-            have.update(new)
+            have |= new
             fresh.setdefault(head, set()).update(new)
 
+    def put(stmt: Statement) -> tuple[Role, ...]:
+        """Index ``stmt`` and pass it, as new, what the roles it reads by
+        name already hold, so that it fires on them in the next round (the
+        other rules reading those roles get them again and derive nothing
+        new)."""
+        reads = _reads(stmt)
+        for role in reads:
+            readers[role].append(stmt)
+            if fixed is not None and fixed(role):
+                # The shared object: a fixed role never gains, so its entry
+                # is never updated in place.
+                fresh[role] = universe
+            elif role in members:
+                fresh.setdefault(role, set()).update(members[role])
+        if isinstance(stmt.body, LinkingInclusion):
+            # A fixed second component ``Y.r2`` is read at ``universe``
+            # when the walk from the first component reaches ``Y``.
+            linked[stmt.body.second].append(stmt)
+        return reads
+
+    def enter(root: Role) -> None:
+        """Add ``root`` to the cone, and every role the rules heading a role
+        added read; pass on the facts of each and index its rules."""
+        cone.add(root)
+        work = [root]
+        while work:
+            role = work.pop()
+            if fixed is not None and fixed(role):
+                continue
+            found = facts.get(role)
+            if found:
+                gain(role, found)
+            for stmt in heads.get(role, ()):
+                for read_role in put(stmt):
+                    if read_role not in cone:
+                        cone.add(read_role)
+                        work.append(read_role)
+
+    if roots is None:
+        for head, rules in heads.items():
+            if fixed is None or not fixed(head):
+                for stmt in rules:
+                    put(stmt)
+        for role, found in facts.items():
+            if fixed is None or not fixed(role):
+                gain(role, found)
+    else:
+        cone = set()
+        for root in roots:
+            if root not in cone:
+                enter(root)
+
     rounds = 0
-    while delta:
+    while fresh:
         rounds += 1
-        fresh: dict[Role, set[Principal]] = {}
+        delta, fresh = fresh, {}
         for role, added in delta.items():
             for stmt in readers.get(role, ()):
                 body = stmt.body
                 if isinstance(body, SimpleInclusion):
-                    gain(stmt.head, added, fresh)
+                    gain(stmt.head, added)
                 elif isinstance(body, LinkingInclusion):
                     # ``role`` is the first component: walk the new members.
                     for y in added:
-                        gain(stmt.head, read(Role(y, body.second)), fresh)
+                        second = Role(y, body.second)
+                        if cone is not None and second not in cone:
+                            enter(second)
+                        gain(stmt.head, read(second))
                 else:
                     others = [read(part) for part in body.parts if part != role]
-                    gain(stmt.head, (x for x in added if all(x in o for o in others)), fresh)
+                    gain(stmt.head, (x for x in added if all(x in o for o in others)))
             for stmt in linked.get(role.name, ()):
                 # ``role`` may be the second component, reached through its owner.
                 if role.owner in read(stmt.body.first):
-                    gain(stmt.head, added, fresh)
-        delta = fresh
+                    gain(stmt.head, added)
 
     return SemanticsIndex(
-        {role: frozenset(found) for role, found in members.items() if found}, rounds
+        {role: frozenset(found) for role, found in members.items() if found},
+        rounds,
+        None if cone is None else frozenset(cone),
     )
 
 

@@ -27,30 +27,28 @@ same, whatever the policy size and the number of constraints:
 Every probe reads the hash its statement or role computed when it was
 built, so nothing on that path rehashes a statement or hashes a principal.
 Quiet p50 on the benchmark's workloads: 1.82 us on ``org_churn``, 1.57 us
-on ``chain_fan`` and 1.42 us on ``org_restricted``, against 2.60, 2.30 and
-2.20 us before the path was cut down to these steps (host-adjusted medians
-of ten runs on a 2-core Xeon VM under Python 3.11, ``BENCH_13.json``);
-~5.4 us on ``org_churn`` when each lookup rehashed its statement.
+on ``chain_fan`` and 1.42 us on ``org_restricted`` (host-adjusted medians
+of ten runs on a 2-core Xeon VM under Python 3.11, ``BENCH_13.json``).
 
 Nor does such an event free anything of the size of the policy.  A change
 only marks the session's snapshot stale; the next event that reaches a
 record drops the stale snapshot and builds the new one inside its own
 re-registration, and the final state is built only if the snapshot is
 still stale.  Freeing the snapshot on the first quiet event after a warned
-one made that event the slowest quiet event of a session: quiet p99 on
-``org_churn`` is now 11.8 us (``BENCH_13.json``), and was 45.7 us when that
-event freed it, against 21.3 us when it did not (``BENCH_11.json``).
+one would make that event the slowest quiet event of a session: quiet p99
+on ``org_churn`` is 11.8 us (``BENCH_13.json``).
 
 The shared part of a registration lives in one :class:`StateAnalysis` per
 snapshot: the initial registrations share one, and so do the records one
 event re-registers.  Under full trust, membership is evaluated only on the
 cone of the constraints the snapshot registers -- the roles of both sides
 closed under the rules heading them -- in one batch for all of them, by
-:func:`~rtmon.deps.evaluate_cone`, which finds the cone on a by-head map
-of the snapshot and builds a rule index only for the cone's statements;
-the support worklist still covers the whole snapshot.  Under restricted
-trust, the bounds and core of a monitor are whole-state passes.  Each
-record adds only its check, growth closure walk and support picks.
+one :func:`~rtmon.engine.evaluate` call with those roles as roots, which
+finds the cone as it evaluates, on a by-head map of the snapshot, and
+indexes only the cone's rules; the support worklist still covers the whole
+snapshot.  Under restricted trust, the bounds and core of a monitor are
+whole-state passes.  Each record adds only its check, growth closure walk
+and support picks.
 """
 
 from __future__ import annotations
@@ -76,11 +74,10 @@ from .deps import (
     _role_worklist,
     _Saturated,
     credential_support_for_constraint,
-    evaluate_cone,
     gamma_expr,
     support_for_constraint,
 )
-from .engine import SemanticsIndex, _by_head, _HeadIndex, check_constraint, eval_expr
+from .engine import SemanticsIndex, _by_head, _HeadIndex, check_constraint, eval_expr, evaluate
 from .model import (
     ChangeEvent,
     ChangeKind,
@@ -201,14 +198,14 @@ class StateAnalysis:
     """The work every record registered against ``p`` shares.
 
     Each part is computed on first use and then kept: the statements by
-    head, membership on the cone of ``demand``, the role-support worklist
-    per admissible set and cap, and per role monitor the bounds and the
-    trusted core.  ``demand`` holds the roles of both sides of every full-trust
-    constraint registered against it; reading membership outside their
-    cone raises ``LookupError``.  A record then runs only its own check,
-    growth closure walk and support picks.  Build one for a batch of
-    registrations against one state and drop it with the batch: it holds
-    results of the size of the state.
+    head, membership on the cone of ``demand`` (``evaluate(p, demand)``),
+    the role-support worklist per admissible set and cap, and per role
+    monitor the bounds and the trusted core.  ``demand`` holds the roles of
+    both sides of every full-trust constraint registered against it;
+    reading membership outside their cone raises ``LookupError``.  A
+    record then runs only its own check, growth closure walk and support
+    picks.  Build one for a batch of registrations against one state and
+    drop it with the batch: it holds results of the size of the state.
     """
 
     def __init__(self, p: PolicyState, demand: Iterable[Role] = ()):
@@ -229,7 +226,7 @@ class StateAnalysis:
     @cached_property
     def cone(self) -> SemanticsIndex:
         """Membership, exact on the cone of ``demand``."""
-        return evaluate_cone(self.p, self.demand, self.index)
+        return evaluate(self.p, self.demand, self.index)
 
     def worklist(
         self,

@@ -101,7 +101,7 @@ _STATEMENT = re.compile(
     re.VERBOSE,
 )
 _IDENT_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_SECTION = re.compile(r"\s*(growth-trusted|shrink-trusted)\s*:")
+_SECTION = re.compile(r"[ \t]*(growth-trusted|shrink-trusted)[ \t]*:")
 
 
 @dataclass(frozen=True)

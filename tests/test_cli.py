@@ -73,15 +73,14 @@ class TestCheck:
         assert "c1: violated [Burke]" in out
 
     def test_evaluates_once_for_every_constraint(self, in_fixtures, capsys, monkeypatch):
-        cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
         evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
         rc, out = run(capsys, "check", "multi.rt", "multi.cst")
         assert rc == 1
         assert out.count(": satisfied") == 3
-        # One cone for every constraint.  Its closure takes two rounds: the
-        # second walks Org.staff <- Org.dept.member to Sales and Labs.
-        assert len(cones) == 1
-        assert len(evaluations) == 2
+        # One cone for every constraint, found while it is evaluated: the
+        # walk of Org.staff <- Org.dept.member to Sales and Labs needs no
+        # second evaluation.
+        assert len(evaluations) == 1
 
     def test_empty_constraints_file(self, in_fixtures, capsys, tmp_path):
         empty = tmp_path / "none.cst"
@@ -117,16 +116,14 @@ class TestDeps:
 
     def test_all_supports_saturate_once_per_run(self, in_fixtures, capsys, monkeypatch):
         runs = count_calls(monkeypatch, rtmon.deps._worklist)
-        cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
         evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
         rc, out = run(capsys, "deps", "multi.rt", "multi.cst", "--all-supports")
         assert rc == 1
         assert out.count(": satisfied") == 3
         # One shared run for every support, one for every member's supports.
         assert len(runs) == 2
-        # One cone for every constraint, evaluated in two closure rounds.
-        assert len(cones) == 1
-        assert len(evaluations) == 2
+        # One evaluation of the cone of every constraint.
+        assert len(evaluations) == 1
 
     def test_all_supports_report_a_truncation_by_the_cap(self, capsys, tmp_path):
         # A width-4 intersection whose parts have two disjoint alternatives
@@ -353,7 +350,7 @@ class TestInternalErrors:
         def crash(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(rtmon.cli, "evaluate_cone", crash)
+        monkeypatch.setattr(rtmon.cli, "evaluate", crash)
         rc = main(["query", "hazmat.rt", "ATF.hazmatDB"])
         captured = capsys.readouterr()
         assert rc == 4

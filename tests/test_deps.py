@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rtmon.deps
+import rtmon.engine
 import rtmon.model
 from rtmon.deps import (
     DEFAULT_SUPPORT_CAP,
@@ -19,7 +20,6 @@ from rtmon.deps import (
     RoleSupport,
     _growth_roles,
     credential_support_for_constraint,
-    evaluate_cone,
     gamma,
     gamma_expr,
     justified_semantics,
@@ -30,7 +30,15 @@ from rtmon.deps import (
     _role_worklist,
     _worklist,
 )
-from rtmon.engine import _rule_index, check_constraint, eval_expr, evaluate, role_members
+from rtmon.engine import (
+    _reads,
+    _saturate,
+    _walk_expr,
+    check_constraint,
+    eval_expr,
+    evaluate,
+    role_members,
+)
 from rtmon.model import (
     EVERY_ROLE,
     ChangeKind,
@@ -38,12 +46,14 @@ from rtmon.model import (
     PolicyState,
     PrincipalSet,
     RoleRef,
+    TOP,
     UnionExpr,
     roles_of,
 )
 from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
 
 from helpers import (
+    SELF_LINK_POLICY_TEXT,
     count_calls,
     hazmat_policy,
     prin,
@@ -54,12 +64,13 @@ from helpers import (
     stmt,
     support_shift_policy,
 )
-from oracles import brute_minimal_supports, product_join, round_robin_worklist
+from oracles import brute_minimal_supports, dense_evaluate, product_join, round_robin_worklist
 from randgen import (
     biased_satisfied_constraint,
     random_constraint,
     random_expr,
     random_fan_state,
+    random_monitor,
     random_state,
     random_statement_for_state,
 )
@@ -164,42 +175,96 @@ def _random_cases(n):
         yield p, [make(rng, p, f"q{i}") for i in range(rng.randint(1, 3))]
 
 
+_NONE: frozenset = frozenset()
+
+# Self-linked rules, ``D.r <- D.r.r``: the rule walks the members it adds.
+_SELF_LINKED = [
+    ("D.r <- D.r.r\nD.r <- E\nE.r <- F\nF.r <- G\n", "D.r"),
+    ("D.r <- D.r.r\nD.r <- D.s\nD.s <- E\nE.r <- E.r.r\nE.r <- D\n", "D.r"),
+    (SELF_LINK_POLICY_TEXT, "A.r"),
+]
+
+
+def _self_linked_cases():
+    for text, root in _SELF_LINKED:
+        p = parse_policy(text)
+        yield p, [parse_constraint(f"constraint q owner D: {root} <= {root}")]
+
+
+def _linked_root_cases(n):
+    """Seeded states, each with the head of one of its linked rules as the
+    only root, so that the cone grows by walks more often."""
+    rng = random.Random(1616)
+    for _ in range(n):
+        p = random_state(rng, max_statements=rng.choice((16, 30)))
+        linked = sorted((s for s in p.statements if isinstance(s.body, LinkingInclusion)), key=str)
+        if linked:
+            yield p, frozenset({rng.choice(linked).head})
+
+
 class TestCone:
-    """Goal-directed membership against the whole-state evaluation."""
+    """Goal-directed membership against the dense whole-state oracle."""
 
     def test_cone_equals_the_whole_state_on_its_roles_and_growth_sets(self):
         seen: Counter = Counter()
-        cases = [*_fixture_cases(), *_random_cases(400)]
-        for p, constraints in cases:
-            index = _rule_index(p.statements)
-            full = evaluate(p, index)
-            roots = frozenset().union(*map(_constraint_roles, constraints))
-            cone = evaluate_cone(p, roots, index)
+        rng = random.Random(1617)
+        cases = [
+            (p, frozenset().union(*map(_constraint_roles, constraints)), constraints)
+            for p, constraints in (*_self_linked_cases(), *_fixture_cases(), *_random_cases(400))
+        ]
+        cases += [(p, roots, []) for p, roots in _linked_root_cases(500)]
+        for p, roots, constraints in cases:
+            index = rtmon.engine._by_head(p.statements)
+            dense = dense_evaluate(p)
+            cone = evaluate(p, roots, index)
             # The cone is the closure of the roots under the exact members.
-            assert cone.cone == _growth_roles(index.heads, roots, full.members)
+            assert cone.cone == _growth_roles(index.heads, roots, dense)
             for r in cone.cone:
-                assert role_members(cone, r) == role_members(full, r)
+                assert role_members(cone, r) == dense.get(r, _NONE)
             for q in constraints:
-                assert check_constraint(p, q, cone) == check_constraint(p, q, full)
+                lhs, rhs = (_walk_expr(e, lambda r: dense.get(r, _NONE)) for e in (q.lhs, q.rhs))
+                assert check_constraint(p, q, cone).violators == lhs - rhs
                 for side in (q.lhs, q.rhs):
-                    assert gamma_expr(p, side, cone, index) == gamma_expr(p, side, full, index)
+                    want = _growth_roles(index.heads, roles_of(side), dense)
+                    assert gamma_expr(p, side, cone, index).roles == want
+            # Held roles: the cone of an upper bound equals the whole-state
+            # bound on every role of the cone.
+            g = random_monitor(rng, p, 0.7, 0.7).growth_trusted
+
+            def fixed(r):
+                return r.owner == TOP or r not in g
+
+            universe = p.principals | {TOP}
+            bounded = _saturate(index, roots, fixed, universe)
+            whole = _saturate(index, fixed=fixed, universe=universe)
+            for r in bounded.cone:
+                assert bounded.members.get(r) == whole.members.get(r)
+            # A rule indexed once the rounds began heads a role that only a
+            # linked walk reached.  Count those with an input that entered
+            # the cone before the rounds began, holding its facts.
+            static = _growth_roles(index.heads, roots, {})
+            late = [s for s in p.statements if s.head in cone.cone - static]
+            seen["late"] += any(
+                r in static and index.facts.get(r) for s in late for r in _reads(s)
+            )
             heads = [s for s in p.statements if s.head in cone.cone]
             seen["cases"] += 1
             seen["outside"] += len(heads) < len(p.statements)
             seen.update(type(s.body).__name__ for s in heads)
             seen["walked"] += any(
-                isinstance(s.body, LinkingInclusion) and role_members(full, s.body.first)
+                isinstance(s.body, LinkingInclusion) and dense.get(s.body.first)
                 for s in heads
             )
-        assert seen["cases"] >= 300 + len(list(_fixture_cases()))
+        assert seen["cases"] >= 800
         assert seen["outside"] >= 100
         assert seen["walked"] >= 50
+        assert seen["late"] >= 50
         for form in ("SimpleMember", "SimpleInclusion", "LinkingInclusion", "IntersectionInclusion"):
             assert seen[form] >= 100, form
 
     def test_a_role_outside_the_cone_raises(self):
         p = parse_policy("A.r <- B.r\nB.r <- C\nD.s <- E\nD.t <- A.r\n")
-        cone = evaluate_cone(p, [role("A.r")])
+        cone = evaluate(p, [role("A.r")])
         assert cone.cone == {role("A.r"), role("B.r")}
         assert role_members(cone, role("A.r")) == {prin("C")}
         for outside in (role("D.s"), role("D.t"), role("Z.z")):
@@ -212,25 +277,26 @@ class TestCone:
         with pytest.raises(LookupError):
             check_constraint(p, parse_constraint("constraint q owner A: A.r <= D.s"), cone)
         # An empty role inside the cone reads as empty.
-        empty = evaluate_cone(p, [role("Z.z")])
+        empty = evaluate(p, [role("Z.z")])
         assert role_members(empty, role("Z.z")) == frozenset()
 
-    def test_200_nested_linked_roles(self):
-        # A{i}.r reads A{i+1}.r only through A{i}.l, so each closure round
-        # reaches one level deeper.
-        depth = 200
+    def test_1000_nested_linked_roles_take_one_evaluation(self, monkeypatch):
+        # A{i}.r reads A{i+1}.r only through A{i}.l, so the cone reaches one
+        # level deeper with each member the walk finds.  It is found inside
+        # one evaluation, whose rounds grow with the depth.
+        depth = 1000
         p = parse_policy(
             "".join(f"A{i}.r <- A{i}.l.r\nA{i}.l <- A{i + 1}\n" for i in range(depth))
             + f"A{depth}.r <- M\nA{depth}.r <- A{depth}.l.r\n"
         )
-        start = time.perf_counter()
-        cone = evaluate_cone(p, [role("A0.r")])
-        elapsed = time.perf_counter() - start
         full = evaluate(p)
+        calls = count_calls(monkeypatch, rtmon.engine._saturate)
+        cone = evaluate(p, [role("A0.r")])
+        assert len(calls) == 1
+        assert cone.iteration_count <= 2 * depth + 2
         assert len(cone.cone) == 2 * depth + 2
-        assert all(role_members(cone, r) == role_members(full, r) for r in cone.cone)
+        assert cone.members == full.members
         assert role_members(cone, role("A0.r")) == {prin("M")}
-        assert elapsed < 1.0
 
 
 class TestJustifiedSemantics:

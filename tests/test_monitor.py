@@ -427,16 +427,20 @@ def test_warning_violators_match_the_post_state():
 
 
 def _saturated_statements(monkeypatch) -> list:
-    """The statements indexed by each ``_saturate`` call, in call order."""
+    """The statements evaluated by each ``_saturate`` call, in call order:
+    those of its by-head map heading a role of the cone it returned, or all
+    of them when it had no roots."""
     seen = []
     real = rtmon.engine._saturate
 
-    def spy(p, fixed=None, universe=frozenset(), index=None):
-        if index is None:
-            index = rtmon.engine._rule_index(p.statements, fixed)
+    def spy(index, roots=None, fixed=None, universe=frozenset()):
+        got = real(index, roots, fixed, universe)
         facts = {Statement(r, SimpleMember(m)) for r, found in index.facts.items() for m in found}
-        seen.append(frozenset(facts).union(*index.heads.values()))
-        return real(p, fixed, universe, index)
+        given = frozenset(facts).union(*index.heads.values())
+        if got.cone is not None:
+            given = frozenset(s for s in given if s.head in got.cone)
+        seen.append(given)
+        return got
 
     for name, mod in list(sys.modules.items()):
         if name == "rtmon" or name.startswith("rtmon."):
@@ -451,7 +455,7 @@ def _cone_statements(p, constraints) -> frozenset:
     whole state."""
     roots = frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in constraints))
     cone = rtmon.deps._growth_roles(
-        rtmon.engine._rule_index(p.statements).heads, roots, evaluate(p).members
+        rtmon.engine._by_head(p.statements).heads, roots, evaluate(p).members
     )
     return frozenset(s for s in p.statements if s.head in cone)
 
@@ -466,16 +470,15 @@ def test_full_trust_register_evaluates_once(monkeypatch, mode):
     p = parse_policy(HAZMAT_POLICY_TEXT + _GUESTS)
     q = hazmat_constraint()
     cone = _cone_statements(p, [q])
-    cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
+    cones = count_calls(monkeypatch, rtmon.engine.evaluate)
     indexed = _saturated_statements(monkeypatch)
     rec = register(p, q, mode)
     assert rec.status is RecordStatus.HOLDING
-    # One cone batch.  Its closure takes two rounds, the second walking
-    # Emergency.dept to Fire and Police, and each round evaluates only the
-    # statements heading cone roles.
+    # One cone evaluation.  It walks Emergency.dept to Fire and Police as
+    # it goes, and evaluates only the statements heading cone roles.
     assert cones == [p]
-    assert indexed == [cone] * 2
-    assert not any(s.head == role("Guest.pass") for s in indexed[-1])
+    assert indexed == [cone]
+    assert not any(s.head == role("Guest.pass") for s in indexed[0])
     # The principals x role names cross product is never built.
     assert "roles" not in vars(p)
 
@@ -502,7 +505,7 @@ def test_unrelated_statements_leave_the_evaluated_statements_unchanged(monkeypat
         del indexed[:]
         assert register(big, q, mode) == want
         assert indexed == evaluated
-        assert len(evaluated) == 2 and evaluated[-1] == small.statements
+        assert evaluated == [small.statements]
         del indexed[:]
 
 
@@ -512,22 +515,21 @@ def test_full_trust_register_indexes_the_rules_of_cone_statements_only(monkeypat
     q = hazmat_constraint()
     cone = _cone_statements(p, [q])
     indexed = []
-    real = rtmon.engine._index_rules
+    real = rtmon.engine._reads
 
-    def spy(facts, heads):
-        found = {Statement(r, SimpleMember(m)) for r, members in facts.items() for m in members}
-        indexed.append(frozenset(found).union(*heads.values()))
-        return real(facts, heads)
+    def spy(stmt, walk=None):
+        # The evaluator reads a rule's inputs, with no walk, to index it.
+        if walk is None:
+            indexed.append(stmt)
+        return real(stmt, walk)
 
-    monkeypatch.setattr(rtmon.engine, "_index_rules", spy)
-    whole = count_calls(monkeypatch, rtmon.engine._rule_index)
+    monkeypatch.setattr(rtmon.engine, "_reads", spy)
     rec = register(p, q, mode)
     assert rec.status is RecordStatus.HOLDING
-    # Readers and linked rules are built for the cone's statements alone:
-    # the by-head map that finds the cone builds neither.
-    assert indexed and all(got <= cone for got in indexed)
-    assert indexed[-1] == cone
-    assert whole == []
+    # Each rule heading a cone role is indexed by the roles it reads once,
+    # and no other rule is: the by-head map that finds the cone reads none.
+    rules = [s for s in cone if not isinstance(s.body, SimpleMember)]
+    assert sorted(indexed, key=str) == sorted(rules, key=str)
 
 
 def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
@@ -549,17 +551,16 @@ def test_restricted_register_builds_one_index_per_bound_and_one_for_growth(monke
     monitor = RoleMonitor(
         growth_trusted=hazmat_policy().roles, shrink_trusted=frozenset({role("ATF.hazmatDB")})
     )
-    indexes = count_calls(monkeypatch, rtmon.engine._rule_index)
+    saturations = count_calls(monkeypatch, rtmon.engine._saturate)
     by_head = count_calls(monkeypatch, rtmon.engine._by_head)
     p = hazmat_policy()
     rec = register(p, hazmat_constraint(), RestrictedTrust(monitor))
     assert rec.status is RecordStatus.HOLDING
-    # A rule index for the lower bound and one for the upper bound, each
-    # built on its own by-head map; the restricted growth walk reads one
-    # more by-head map and no rule index.  The core is read off the upper
-    # bound and builds none.
-    assert len(indexes) == 2
-    assert len(by_head) == len(indexes) + 1
+    # One evaluation per bound, each over its own by-head map; the
+    # restricted growth walk reads a third map.  The core is read off the
+    # upper bound and builds none.
+    assert len(saturations) == 2
+    assert len(by_head) == 3
 
 
 def test_session_keeps_the_initial_records():
@@ -1199,18 +1200,17 @@ def test_full_trust_registrations_share_one_evaluation_and_one_worklist(monkeypa
     p = parse_policy((MULTI_FIXTURES / "multi.rt").read_text() + _GUESTS)
     held = _holding_multi_constraints()
     cone = _cone_statements(p, held)
-    cones = count_calls(monkeypatch, rtmon.deps.evaluate_cone)
+    cones = count_calls(monkeypatch, rtmon.engine.evaluate)
     indexed = _saturated_statements(monkeypatch)
     worklists = count_calls(monkeypatch, rtmon.deps._worklist)
     session = run_session(p, [(q, FullTrust()) for q in held], [])
     assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 4
-    # One cone batch for the four constraints, one worklist over the whole
-    # state.  The cone's second closure round adds Sales.member and
-    # Labs.member, which Org.dept's members name.
+    # One cone evaluation for the four constraints, one worklist over the
+    # whole state.  The cone takes in Sales.member and Labs.member once
+    # Org.dept's members name them.
     assert cones == [p]
     assert worklists == [p]
-    assert len(indexed) == 2
-    assert indexed[0] < indexed[1] == cone
+    assert indexed == [cone]
     assert cone == p.statements - parse_policy(_GUESTS).statements
 
 

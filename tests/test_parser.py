@@ -187,6 +187,26 @@ class TestLineEnds:
         assert err.value.kind is ParseErrorKind.SYNTAX
 
 
+    # Tokens are separated by spaces and tabs only, so other whitespace
+    # before a line's first token, or before a monitor section's colon, is
+    # a syntax error too.
+    @pytest.mark.parametrize("fmt", _DOCUMENTS)
+    @pytest.mark.parametrize("space", ["\xa0", "\u3000", "\x0b", "\x0c"])
+    def test_other_whitespace_does_not_separate_tokens(self, fmt, space):
+        parse, first, second = _DOCUMENTS[fmt]
+        texts = [
+            (space + first + "\n" + second + "\n", 1),
+            (first + "\n" + space + second + "\n", 2),
+        ]
+        if fmt == "monitor":
+            texts.append((first + "\n" + second.replace(":", space + ":") + "\n", 2))
+        for text, line in texts:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.span.line == line
+            assert err.value.kind is ParseErrorKind.SYNTAX
+
+
 def _token_statement(code: str, signed: bool):
     """Reference reader of one statement line: its sign and statement read
     off the tokenizer's tokens with plain string splits, or ``None`` where
