@@ -10,14 +10,17 @@ Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
 frontier, a closure over the rules by head of :func:`rtmon.engine._by_head`.
 Supports answer "which roles (or which exact statements) currently prove
-the memberships the constraint needs" -- the remove-side frontier.  The
-worklist here computes, per role and member, all minimal supports at once,
-re-firing a statement only when a role :func:`rtmon.engine._reads` names for
-it changed and pruning dominated entries.  An intersection joins its parts
-one at a time and keeps only the minimal unions, so its cost grows with the
-number of minimal unions, not with the product of the parts' entries.  A
-cap per (role, member) bounds pathological states at the cost of possibly
-non-minimal (still valid) supports.
+the memberships the constraint needs" -- the remove-side frontier.  A
+support is a bare token set, its membership's why-provenance (Green,
+Karvounarakis & Tannen, PODS 2007).  The worklist here computes, per role
+and member, all minimal supports at once,
+re-firing a statement only when a role :func:`rtmon.engine._reads` names
+for it changed and pruning dominated supports.  An intersection joins its
+parts one at a time and keeps only the minimal unions, so its cost grows
+with the number of minimal unions, not with the product of the parts'
+supports.  A cap per (role, member) bounds pathological states at the cost
+of possibly non-minimal (still valid) supports.  The cap and every pick
+read one order: fewest tokens first, ties broken by sorted token texts.
 """
 
 from __future__ import annotations
@@ -109,12 +112,10 @@ class CredentialSupport:
 @dataclass(frozen=True)
 class JustifiedEntry:
     """One membership justification: ``member`` is provable from the
-    statements of the roles in ``support`` alone.  ``size_index`` counts
-    derivation steps and is diagnostic only."""
+    statements of the roles in ``support`` alone."""
 
     member: Principal
     support: frozenset[Role]
-    size_index: int
 
 
 @dataclass(frozen=True)
@@ -194,27 +195,28 @@ def gamma_expr(
     roles, and ``index`` is ``_by_head(p.statements)``, when the caller
     already holds them; the walk reads only roles of the cone.
     """
-    if index is None:
-        index = _by_head(p.statements)
     roots = roles_of(expr)
     if idx is None:
-        idx = evaluate(p, roots, index)
+        # The cone of the expression's roles is their growth set.
+        return GrowthSet(expr, evaluate(p, roots, index).cone)
+    if index is None:
+        index = _by_head(p.statements)
     _require_cone(idx, roots)
     return GrowthSet(expr, _growth_roles(index.heads, roots, idx.members))
 
 
-# One justification of a membership: (support tokens, derivation size).
-_Entry = tuple[frozenset, int]
-# Worklist output: role -> member -> justifications.
-_Saturated = dict[Role, dict[Principal, list[_Entry]]]
+# Worklist output: role -> member -> supports, each a set of tokens.
+_Saturated = dict[Role, dict[Principal, list[frozenset]]]
 
 
-def _entry_key(e: _Entry):
-    return (len(e[0]), sorted(str(x) for x in e[0]), e[1])
+def _support_key(support: frozenset):
+    """The one support order: fewest tokens first, ties broken by the
+    sorted token texts."""
+    return (len(support), sorted(str(x) for x in support))
 
 
-def _join(tok: frozenset, parts: list[list[_Entry]]) -> list[_Entry]:
-    """The minimal unions of ``tok`` with one entry of every part.
+def _join(tok: frozenset, parts: list[list[frozenset]]) -> list[frozenset]:
+    """The minimal unions of ``tok`` with one support of every part.
 
     The parts are joined one at a time, and after each join only the unions
     with no other union as a subset are kept: an extension of a dominated
@@ -223,47 +225,44 @@ def _join(tok: frozenset, parts: list[list[_Entry]]) -> list[_Entry]:
     quadratic in the unions it forms, never exponential in the number of
     parts, unless the minimal unions themselves are that many.
     """
-    joined: list[_Entry] = [(tok, 0)]
-    for entries in parts:
-        joined = [(s | t, i + j) for s, i in joined for t, j in entries]
+    joined = [tok]
+    for supports in parts:
+        joined = [s | t for s in joined for t in supports]
         if len(joined) > 1:
-            # Smaller first, so every subset of a union is met before it.
-            joined.sort(key=_support_size)
+            # Smaller first, so every subset of a union is met before it; the
+            # sort is stable, since ``offer`` sees the unions in this order.
+            joined.sort(key=len)
             unions, joined = joined, []
             for union in unions:
-                for kept, _ in joined:
-                    if kept <= union[0]:
+                for kept in joined:
+                    if kept <= union:
                         break
                 else:
                     joined.append(union)
     return joined
 
 
-def _support_size(e: _Entry) -> int:
-    return len(e[0])
-
-
 def _worklist(
-    p: PolicyState,
+    statements: Iterable[Statement],
     token: Callable[[Statement], Hashable],
     cap: Optional[int],
 ) -> tuple[_Saturated, frozenset[Role]]:
-    """Saturate justifications per role and member, with subsumption pruning.
+    """Saturate supports per role and member, with subsumption pruning.
 
-    A candidate is dropped when an entry for the same member has a subset
-    support; inserting a candidate evicts the entries it dominates.
+    A candidate is dropped when a kept support for the same member is a
+    subset of it; inserting a candidate evicts the supports it dominates.
     ``token(stmt)`` is what a fired statement contributes to a support (its
     head role, or the statement itself).  When ``cap`` is hit for one
-    (role, member), the smallest supports are kept.  A role is returned as
-    truncated when some support cut there contains no support kept at the
-    end: otherwise every candidate the cap cut was dominated anyway, the
-    kept entries are closed under the rules up to dominance, and they are
-    exactly the minimal supports.  A role's entries are built from the
-    entries of the roles in its cone alone, so they are exact when no
-    truncated role lies in that cone.
+    (role, member), the first supports under :func:`_support_key` are kept.
+    A role is returned as truncated when some support cut there contains no
+    support kept at the end: otherwise every candidate the cap cut was
+    dominated anyway, the kept supports are closed under the rules up to
+    dominance, and they are exactly the minimal supports.  A role's
+    supports are built from the supports of the roles in its cone alone, so
+    they are exact when no truncated role lies in that cone.
 
     Statements fire in the order of their rendered text over
-    insertion-ordered entries, so the result does not depend on hash seeds
+    insertion-ordered supports, so the result does not depend on hash seeds
     even under the cap; each statement renders its text once and keeps it,
     so the sort reads cached text for every statement rendered before, on
     this snapshot or an earlier one.  ``cap`` is at least 1.  A statement
@@ -272,7 +271,7 @@ def _worklist(
     when a dominance eviction freed room under the cap in its head, which
     may admit a candidate the cap dropped before.
     """
-    rules = [(s, frozenset((token(s),)), _reads(s)) for s in sorted(p.statements, key=str)]
+    rules = [(s, frozenset((token(s),)), _reads(s)) for s in sorted(statements, key=str)]
     cur: _Saturated = defaultdict(dict)
     # Logical clock: a role's stamp is the tick of its last change; a rule
     # remembers the tick at which it last fired.
@@ -283,30 +282,29 @@ def _worklist(
     fired_at: list[int] = [-1] * len(rules)
     cut: list[tuple[Role, Principal, frozenset]] = []
 
-    def offer(head: Role, member: Principal, support: frozenset, size: int) -> None:
+    def offer(head: Role, member: Principal, support: frozenset) -> None:
         nonlocal clock
         by_member = cur[head]
-        entries = by_member.get(member)
-        if entries is None:
+        supports = by_member.get(member)
+        if supports is None:
             # Nothing to dominate, evict or cut: ``cap`` is at least 1.
-            by_member[member] = [(support, size)]
+            by_member[member] = [support]
             freed = False
         else:
-            for s, _ in entries:
+            for s in supports:
                 if s <= support:
                     return
-            cand = (support, size)
-            kept = [e for e in entries if not support <= e[0]]
-            freed = len(kept) < len(entries)
-            kept.append(cand)
+            kept = [s for s in supports if not support <= s]
+            freed = len(kept) < len(supports)
+            kept.append(support)
             if cap is not None and len(kept) > cap:
-                kept.sort(key=_entry_key)
+                kept.sort(key=_support_key)
                 dropped = kept[cap:]
                 del kept[cap:]
-                cut.extend((head, member, e[0]) for e in dropped)
+                cut.extend((head, member, s) for s in dropped)
                 # A cut candidate evicted nothing (it would sort before what
-                # it dominates), so the entries are unchanged.
-                if any(e is cand for e in dropped):
+                # it dominates), so the supports are unchanged.
+                if any(s is support for s in dropped):
                     return
             by_member[member] = kept
         clock += 1
@@ -328,33 +326,33 @@ def _worklist(
                     continue
             fired_at[n] = clock
             if isinstance(body, SimpleMember):
-                offer(head, body.member, tok, 1)
+                offer(head, body.member, tok)
             elif isinstance(body, SimpleInclusion):
-                for member, entries in list(cur[body.source].items()):
-                    for sup, i in entries:
-                        offer(head, member, sup | tok, i + 1)
+                for member, supports in list(cur[body.source].items()):
+                    for sup in supports:
+                        offer(head, member, sup | tok)
             elif isinstance(body, LinkingInclusion):
-                for via, entries1 in list(cur[body.first].items()):
+                for via, supports1 in list(cur[body.first].items()):
                     second = cur.get(Role(via, body.second))
                     if not second:
                         continue
-                    for sup1, i1 in entries1:
-                        for member, entries2 in list(second.items()):
-                            for sup2, i2 in entries2:
-                                offer(head, member, sup1 | sup2 | tok, i1 + i2)
+                    for sup1 in supports1:
+                        for member, supports2 in list(second.items()):
+                            for sup2 in supports2:
+                                offer(head, member, sup1 | sup2 | tok)
             else:
                 buckets = [cur[part] for part in inputs]
                 for member in list(buckets[0]):
                     if not all(member in b for b in buckets[1:]):
                         continue
-                    for support, size in _join(tok, [b[member] for b in buckets]):
-                        offer(head, member, support, size)
+                    for support in _join(tok, [b[member] for b in buckets]):
+                        offer(head, member, support)
         if clock == start:
             break
     truncated = frozenset(
         head
         for head, member, support in cut
-        if not any(s <= support for s, _ in cur[head][member])
+        if not any(s <= support for s in cur[head][member])
     )
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 
@@ -370,8 +368,8 @@ def _role_worklist(
 ) -> _Saturated:
     """Role supports per role and member, over the statements of ``p``
     heading a role in ``admissible`` (every statement when it is ``None``)."""
-    base = restrict(p, admissible) if admissible is not None else p
-    return _worklist(base, token=lambda s: s.head, cap=cap)[0]
+    statements = p if admissible is None else [s for s in p if s.head in admissible]
+    return _worklist(statements, lambda s: s.head, cap)[0]
 
 
 def justified_semantics(
@@ -385,11 +383,9 @@ def justified_semantics(
     Raises ``ValueError`` for a cap below 1.
     """
     _check_cap(max_entries_per_member)
-    raw, truncated = _worklist(p, token=lambda s: s.head, cap=max_entries_per_member)
+    raw, truncated = _worklist(p, lambda s: s.head, max_entries_per_member)
     entries = {
-        role: frozenset(
-            JustifiedEntry(m, sup, i) for m, found in by_member.items() for sup, i in found
-        )
+        role: frozenset(JustifiedEntry(m, sup) for m, found in by_member.items() for sup in found)
         for role, by_member in raw.items()
     }
     return JustifiedSemantics(entries, truncated)
@@ -406,18 +402,13 @@ def minimal_supports(
     Raises ``ValueError`` for a cap below 1."""
     _check_cap(max_entries_per_member)
     raw = _role_worklist(p, None, max_entries_per_member)
-    return frozenset(RoleSupport(sup) for sup in _supports(raw, target, member))
+    return frozenset(RoleSupport(sup) for sup in raw.get(target, {}).get(member, ()))
 
 
-def _supports(raw: _Saturated, role: Role, member: Principal) -> list[frozenset]:
-    """The supports ``_worklist`` kept for one role and member."""
-    return [sup for sup, _ in raw.get(role, {}).get(member, ())]
-
-
-def _best(candidates: list[frozenset]) -> Optional[frozenset]:
-    """Deterministic pick: smallest support, ties lexicographic; ``None``
-    when there is no candidate."""
-    return min(candidates, key=lambda s: (len(s), sorted(str(x) for x in s)), default=None)
+def _best(candidates: Iterable[frozenset]) -> Optional[frozenset]:
+    """The first candidate under :func:`_support_key`; ``None`` when there
+    is none."""
+    return min(candidates, key=_support_key, default=None)
 
 
 def _member_expr_support(
@@ -426,14 +417,14 @@ def _member_expr_support(
     """One support witnessing ``member``'s membership in ``expr``.
 
     Principal sets need no support; a union takes whichever branch admits
-    the member (preferring the smaller support); an intersection unions
+    the member (the first under :func:`_support_key`); an intersection unions
     the supports of both branches.  ``None`` means not witnessable.
     """
 
     def leaf(e: Union[PrincipalSet, RoleRef]) -> Optional[frozenset]:
         if isinstance(e, PrincipalSet):
             return frozenset() if member in e.members else None
-        return _best(_supports(raw, e.role, member))
+        return _best(raw.get(e.role, {}).get(member, ()))
 
     def either(left: Optional[frozenset], right: Optional[frozenset]) -> Optional[frozenset]:
         return _best([got for got in (left, right) if got is not None])
@@ -442,6 +433,18 @@ def _member_expr_support(
         return None if left is None or right is None else left | right
 
     return fold_expr(expr, leaf, either, both)
+
+
+def _member_supports(
+    members: Iterable[Principal], rhs: PositiveRoleExpr, raw: _Saturated
+) -> Iterator[tuple[Principal, frozenset]]:
+    """Each member, in name order, with the support :func:`_member_expr_support`
+    picks for it; raises :class:`NoSupport` at the first member without one."""
+    for member in sorted(set(members), key=str):
+        got = _member_expr_support(member, rhs, raw)
+        if got is None:
+            raise NoSupport(member)
+        yield member, got
 
 
 def support_for_constraint(
@@ -456,7 +459,7 @@ def support_for_constraint(
     """One role support proving every member's membership in ``rhs``.
 
     With ``admissible`` given, only supports inside it qualify (achieved by
-    running the worklist on the state restricted to admissible heads, which
+    running the worklist on the statements heading admissible roles, which
     yields exactly the supports contained in ``admissible``).  Raises
     :class:`NoSupport` when some member has no qualifying support, and
     ``ValueError`` for a cap below 1.
@@ -468,10 +471,7 @@ def support_for_constraint(
     if saturated is None:
         saturated = _role_worklist(p, admissible, max_entries_per_member)
     total: set[Role] = set()
-    for member in sorted(set(members), key=str):
-        got = _member_expr_support(member, rhs, saturated)
-        if got is None:
-            raise NoSupport(member)
+    for _, got in _member_supports(members, rhs, saturated):
         total |= got
     return RoleSupport(frozenset(total))
 
@@ -488,8 +488,8 @@ def credential_support_for_constraint(
 
     Per member, the role support is chosen exactly as in
     :func:`support_for_constraint`; the statements are then collected by
-    re-running the worklist over the state restricted to that role support,
-    so every collected statement's head lies inside the role support.  The
+    re-running the worklist over the statements heading a role of that role
+    support, so every collected statement's head lies inside it.  The
     worklist runs once per distinct role support, and the members sharing
     it pick their statements from that one run.  Raises ``ValueError`` for a
     cap below 1.
@@ -502,17 +502,10 @@ def credential_support_for_constraint(
         saturated = _role_worklist(p, None, max_entries_per_member)
     replays: dict[frozenset, _Saturated] = {}
     total: set[Statement] = set()
-    for member in sorted(set(members), key=str):
-        role_support = _member_expr_support(member, rhs, saturated)
-        if role_support is None:
-            raise NoSupport(member)
-        replay = replays.get(role_support)
-        if replay is None:
-            replay = replays[role_support] = _worklist(
-                restrict(p, role_support), token=lambda s: s, cap=max_entries_per_member
-            )[0]
-        got = _member_expr_support(member, rhs, replay)
-        if got is None:  # role support witnesses membership, so replay must too
-            raise NoSupport(member)
-        total |= got
+    for member, role_support in _member_supports(members, rhs, saturated):
+        if role_support not in replays:
+            statements = [s for s in p if s.head in role_support]
+            replays[role_support] = _worklist(statements, lambda s: s, max_entries_per_member)[0]
+        # The role support proves the membership, so the replay does too.
+        total |= _member_expr_support(member, rhs, replays[role_support])
     return CredentialSupport(frozenset(total))

@@ -71,6 +71,7 @@ from .deps import (
     CredentialSupport,
     GrowthSet,
     RoleSupport,
+    _check_cap,
     _role_worklist,
     _Saturated,
     credential_support_for_constraint,
@@ -234,7 +235,9 @@ class StateAnalysis:
         cap: Optional[int] = DEFAULT_SUPPORT_CAP,
     ) -> _Saturated:
         """The role supports over the statements heading admissible roles;
-        ``admissible`` is hashable, like either side of a monitor."""
+        ``admissible`` is hashable, like either side of a monitor.  Raises
+        ``ValueError`` for a cap below 1."""
+        _check_cap(cap)
         return self._once(
             ("worklist", admissible, cap), lambda: _role_worklist(self.p, admissible, cap)
         )

@@ -157,13 +157,10 @@ def dense_evaluate(p: PolicyState) -> dict[Role, frozenset[Principal]]:
 
 
 def product_join(tok: frozenset, parts: list) -> list:
-    """Every union of ``tok`` with one entry ``(support, size)`` of every
-    part, dominated ones included: the enumeration the worklist's
-    intersection join replaced."""
-    return [
-        (tok.union(*(e[0] for e in combo)), sum(e[1] for e in combo))
-        for combo in product(*parts)
-    ]
+    """Every union of ``tok`` with one support of every part, dominated
+    ones included: the enumeration the worklist's intersection join
+    replaced."""
+    return [tok.union(*combo) for combo in product(*parts)]
 
 
 def round_robin_worklist(p: PolicyState, token, cap=None):

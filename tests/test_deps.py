@@ -50,6 +50,7 @@ from rtmon.model import (
     UnionExpr,
     roles_of,
 )
+from rtmon.monitor import StateAnalysis
 from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
 
 from helpers import (
@@ -144,6 +145,16 @@ class TestGammaExpr:
         target = role("Emergency.hazmatPersonnel")
         assert gamma_expr(p, RoleRef(target)).roles == gamma(p, target).roles
 
+    def test_without_an_index_the_evaluated_cone_is_the_growth_set(self, monkeypatch):
+        p = hazmat_policy()
+        expr = UnionExpr(RoleRef(role("Emergency.hazmatPersonnel")), RoleRef(role("ATF.hazmatDB")))
+        want = gamma_expr(p, expr, evaluate(p)).roles
+        evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
+        walks = count_calls(monkeypatch, rtmon.deps._growth_roles)
+        assert gamma_expr(p, expr).roles == want
+        assert len(evaluations) == 1
+        assert walks == []
+
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -227,6 +238,7 @@ class TestCone:
                 for side in (q.lhs, q.rhs):
                     want = _growth_roles(index.heads, roles_of(side), dense)
                     assert gamma_expr(p, side, cone, index).roles == want
+                    assert gamma_expr(p, side).roles == want
             # Held roles: the cone of an upper bound equals the whole-state
             # bound on every role of the cone.
             g = random_monitor(rng, p, 0.7, 0.7).growth_trusted
@@ -307,7 +319,6 @@ class TestJustifiedSemantics:
         (entry,) = entries
         assert entry.member == prin("B")
         assert entry.support == frozenset({role("A.r")})
-        assert entry.size_index == 1
 
     def test_redundant_chains_give_two_minimal_supports(self):
         js = justified_semantics(redundant_support_policy())
@@ -393,6 +404,7 @@ class TestSupportCap:
             "credential_support_for_constraint": lambda: credential_support_for_constraint(
                 p, [member], rhs, max_entries_per_member=cap
             ),
+            "StateAnalysis.worklist": lambda: StateAnalysis(p).worklist(None, cap),
         }
 
     @pytest.mark.parametrize("cap", [0, -1])
@@ -413,6 +425,8 @@ class TestSupportCap:
         assert got["credential_support_for_constraint"]() == CredentialSupport(
             frozenset({stmt("A.r <- B")})
         )
+        saturated = got["StateAnalysis.worklist"]()
+        assert saturated[role("A.r")] == {prin("B"): [frozenset({role("A.r")})]}
 
 
 class TestMinimalSupports:
@@ -679,9 +693,9 @@ class TestWorklistAgainstRoundRobin:
             got, truncated = _worklist(p, token, None)
             want, _ = round_robin_worklist(p, token)
             assert not truncated
-            # size_index is diagnostic only, so pairs are compared.
+            # The oracle's derivation sizes are its own, so pairs are compared.
             assert {
-                r: {(m, s) for m, found in by_member.items() for s, _ in found}
+                r: {(m, s) for m, found in by_member.items() for s in found}
                 for r, by_member in got.items()
             } == {r: {(m, s) for m, s, _ in bucket} for r, bucket in want.items()}
 
@@ -776,13 +790,51 @@ for _ in range(150):
     for cap in (1, 2, 3, 8):
         js = justified_semantics(p, max_entries_per_member=cap)
         entries = sorted(
-            (str(r), e.member.name, sorted(map(str, e.support)), e.size_index)
+            (str(r), e.member.name, sorted(map(str, e.support)))
             for r, found in js.entries.items()
             for e in found
         )
         out.append([entries, js.truncated])
 print(json.dumps(out))
 """
+
+
+CAPPED_SUPPORTS = Path(__file__).resolve().parent / "golden" / "capped_supports.json"
+
+
+def _capped_support_cases():
+    """The worklist on 300 seeded random and fan states, at caps 1, 2, 3
+    and 8, with role and statement tokens: per case, the sorted token texts
+    of every support in insertion order (per role, per member, per support)
+    and the truncated roles.  The golden holds one case a line, as
+    ``json.dumps(case, separators=(",", ":"))``, in a JSON list."""
+    states = _random_support_states(random.Random(2028), 300)
+    for k, p in enumerate(states):
+        for name, token in (("role", _by_head), ("statement", _by_statement)):
+            for cap in (1, 2, 3, 8):
+                raw, truncated = _worklist(p, token, cap)
+                yield {
+                    "state": k,
+                    "token": name,
+                    "cap": cap,
+                    "entries": [
+                        [str(r), m.name, [sorted(map(str, s)) for s in found]]
+                        for r, by_member in raw.items()
+                        for m, found in by_member.items()
+                    ],
+                    "truncated": sorted(map(str, truncated)),
+                }
+
+
+def test_capped_supports_match_the_golden():
+    # Under the cap, which supports are kept depends on the order in which
+    # they are offered, so this pins the firing order and the cap's order.
+    want = json.loads(CAPPED_SUPPORTS.read_text())
+    got = list(_capped_support_cases())
+    assert len(got) == len(want) == 2400
+    assert sum(bool(case["truncated"]) for case in want) >= 500
+    for case, expected in zip(got, want):
+        assert case == expected
 
 
 def test_capped_supports_do_not_depend_on_the_hash_seed():
