@@ -3,12 +3,12 @@
 A role monitor splits the world into roles whose growth is observable and
 roles whose shrinkage is observable.  Everything else may drift silently,
 so exact membership is replaced by a pair of bounds, both seeded runs of
-the evaluator of :mod:`rtmon.engine`: the lower bound holds roles outside
-the shrink-trusted set at the empty set, so only shrink-trusted definitions
-count; the upper bound holds roles outside the growth-trusted set at the
-universe, current principals plus the reserved ``TOP`` for principals not
-seen yet.  Both are sparse, and :class:`BoundIndex` supplies the bound of
-every role they leave out.
+the evaluator of :mod:`rtmon.engine` on the state's one by-head map: the
+lower bound holds roles outside the shrink-trusted set at the empty set,
+so only shrink-trusted definitions count; the upper bound holds roles
+outside the growth-trusted set at the universe, current principals plus
+the reserved ``TOP`` for principals not seen yet.  Both are sparse, and
+:class:`BoundIndex` supplies the bound of every role they leave out.
 
 Every pass asks the monitor's trusted sets only ``role in ...``, so a set
 may be :data:`~rtmon.model.EVERY_ROLE` and is never expanded to the roles
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Container, Mapping, Optional
 
 from .deps import GrowthSet, _growth_roles
-from .engine import _by_head, _HeadIndex, _saturate, _walk_expr
+from .engine import _saturate, _walk_expr
 from .model import (
     Constraint,
     PolicyState,
@@ -106,11 +106,11 @@ def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     """Membership provable from shrink-trusted definitions alone.
 
     Statements heading an untrusted role may vanish unobserved, so the
-    evaluator reads only the statements heading a shrink-trusted role, and
-    every other role stays empty.
+    evaluator holds every role outside the shrink-trusted set at the empty
+    set: only the statements heading a shrink-trusted role count.
     """
     s = r.shrink_trusted
-    return _saturate(_by_head(st for st in p.statements if st.head in s)).members
+    return _saturate(p._by_head, fixed=lambda role: role not in s).members
 
 
 def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
@@ -128,7 +128,7 @@ def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     def fixed(role: Role) -> bool:
         return role.owner == TOP or role not in g
 
-    return _saturate(_by_head(p.statements), fixed=fixed, universe=p.principals | {TOP}).members
+    return _saturate(p._by_head, fixed=fixed, universe=p.principals | {TOP}).members
 
 
 def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
@@ -179,23 +179,19 @@ def gamma_restricted_expr(
     expr: PositiveRoleExpr,
     ub: Optional[Bound] = None,
     coreset: Optional[CoreSet] = None,
-    index: Optional[_HeadIndex] = None,
 ) -> GrowthSet:
     """Union of restricted growth sets over the expression's roles.
 
-    ``ub``, ``coreset`` and ``index`` are
-    ``upper_bound(p, RoleMonitor(growth_trusted=g))``, ``core(p, g, ub)`` and
-    ``_by_head(p.statements)`` when the caller already holds them.
+    ``ub`` and ``coreset`` are ``upper_bound(p, RoleMonitor(growth_trusted=g))``
+    and ``core(p, g, ub)`` when the caller already holds them.
     """
     if ub is None:
         ub = upper_bound(p, RoleMonitor(growth_trusted=g))
     if coreset is None:
         coreset = core(p, g, ub)
-    if index is None:
-        index = _by_head(p.statements)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return GrowthSet(expr, _growth_roles(index.heads, roles_of(expr), ub, coreset))
+    return GrowthSet(expr, _growth_roles(p._by_head.heads, roles_of(expr), ub, coreset))
 
 
 @dataclass(frozen=True)

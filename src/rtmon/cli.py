@@ -22,13 +22,7 @@ import sys
 from typing import Optional
 
 from .analysis import check_bounded_containment, gamma_restricted_expr
-from .deps import (
-    DEFAULT_SUPPORT_CAP,
-    NoSupport,
-    gamma_expr,
-    justified_semantics,
-    support_for_constraint,
-)
+from .deps import DEFAULT_SUPPORT_CAP, NoSupport, _justified, gamma_expr, support_for_constraint
 from .engine import check_constraint, eval_expr, evaluate
 from .model import EVERY_ROLE, roles_of
 from .monitor import (
@@ -162,7 +156,12 @@ def cmd_deps(args) -> dict:
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
     analysis = StateAnalysis(state, _constraint_roles(constraints))
     idx = analysis.cone
-    js = justified_semantics(state) if args.all_supports else None
+    # One whole-state worklist serves the supports and, when asked for, every
+    # member's supports.
+    if args.all_supports:
+        js, saturated = _justified(state, DEFAULT_SUPPORT_CAP)
+    else:
+        js, saturated = None, analysis.worklist()
     verdicts = []
     violated = False
     for q in constraints:
@@ -170,14 +169,12 @@ def cmd_deps(args) -> dict:
         entry: dict = {
             "id": q.id,
             "satisfied": got.satisfied,
-            "gamma": _role_names(gamma_expr(state, q.lhs, idx, analysis.index).roles),
+            "gamma": _role_names(gamma_expr(state, q.lhs, idx).roles),
         }
         if got.satisfied:
             members = eval_expr(idx, q.lhs)
             entry["support"] = _role_names(
-                support_for_constraint(
-                    state, members, q.rhs, saturated=analysis.worklist()
-                ).roles
+                support_for_constraint(state, members, q.rhs, saturated=saturated).roles
             )
             if js is not None:
                 found: dict = {}
@@ -188,7 +185,7 @@ def cmd_deps(args) -> dict:
                     m.name: sorted(found.get(m, ())) for m in sorted(members, key=str)
                 }
                 # The right side's supports are built from its cone alone.
-                rhs_cone = gamma_expr(state, q.rhs, idx, analysis.index).roles
+                rhs_cone = gamma_expr(state, q.rhs, idx).roles
                 entry["all_supports_truncated"] = not js.truncated_roles.isdisjoint(rhs_cone)
         else:
             violated = True
@@ -212,7 +209,7 @@ def cmd_analyze(args) -> dict:
     unestablished = False
     for q in constraints:
         chk = check_bounded_containment(state, monitor, q, idx)
-        growth = gamma_restricted_expr(state, g, q.lhs, idx.upper, coreset, analysis.index)
+        growth = gamma_restricted_expr(state, g, q.lhs, idx.upper, coreset)
         entry: dict = {
             "id": q.id,
             "holds": chk.holds,

@@ -8,7 +8,7 @@ evaluates, and the growth sets here walk inside it.
 
 Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
-frontier, a closure over the rules by head of :func:`rtmon.engine._by_head`.
+frontier, a closure over the rules by head of the state's one by-head map.
 Supports answer "which roles (or which exact statements) currently prove
 the memberships the constraint needs" -- the remove-side frontier.  A
 support is a bare token set, its membership's why-provenance (Green,
@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import SemanticsIndex, _by_head, _HeadIndex, _reads, _require_cone, evaluate
+from .engine import SemanticsIndex, _reads, _require_cone, evaluate
 from .model import (
     EVERY_ROLE,
     LinkingInclusion,
@@ -162,7 +162,7 @@ def _growth_roles(
 ) -> frozenset[Role]:
     """Close ``roots`` under the definitions reachable from them.
 
-    ``heads`` holds the rules by head, as in :func:`rtmon.engine._by_head`;
+    ``heads`` holds the rules by head, as in ``PolicyState._by_head``;
     ``members`` gives the members a linked role walks (absent roles are
     empty); with ``within`` given, only roles inside it are kept.
     """
@@ -184,25 +184,20 @@ def gamma(p: PolicyState, target: Role) -> GrowthSet:
 
 
 def gamma_expr(
-    p: PolicyState,
-    expr: PositiveRoleExpr,
-    idx: Optional[SemanticsIndex] = None,
-    index: Optional[_HeadIndex] = None,
+    p: PolicyState, expr: PositiveRoleExpr, idx: Optional[SemanticsIndex] = None
 ) -> GrowthSet:
     """Union of the growth sets of the expression's roles; empty when static.
 
     ``idx`` is ``evaluate(p)`` or a cone of ``p`` holding the expression's
-    roles, and ``index`` is ``_by_head(p.statements)``, when the caller
-    already holds them; the walk reads only roles of the cone.
+    roles when the caller already holds it; the walk reads only roles of
+    the cone.
     """
     roots = roles_of(expr)
     if idx is None:
         # The cone of the expression's roles is their growth set.
-        return GrowthSet(expr, evaluate(p, roots, index).cone)
-    if index is None:
-        index = _by_head(p.statements)
+        return GrowthSet(expr, evaluate(p, roots).cone)
     _require_cone(idx, roots)
-    return GrowthSet(expr, _growth_roles(index.heads, roots, idx.members))
+    return GrowthSet(expr, _growth_roles(p._by_head.heads, roots, idx.members))
 
 
 # Worklist output: role -> member -> supports, each a set of tokens.
@@ -383,12 +378,19 @@ def justified_semantics(
     Raises ``ValueError`` for a cap below 1.
     """
     _check_cap(max_entries_per_member)
-    raw, truncated = _worklist(p, lambda s: s.head, max_entries_per_member)
+    return _justified(p, max_entries_per_member)[0]
+
+
+def _justified(p: PolicyState, cap: Optional[int]) -> tuple[JustifiedSemantics, _Saturated]:
+    """:func:`justified_semantics` at ``cap``, with the worklist output it
+    is read from, which :func:`support_for_constraint` takes as
+    ``saturated``: one run serves both."""
+    raw, truncated = _worklist(p, lambda s: s.head, cap)
     entries = {
         role: frozenset(JustifiedEntry(m, sup) for m, found in by_member.items() for sup in found)
         for role, by_member in raw.items()
     }
-    return JustifiedSemantics(entries, truncated)
+    return JustifiedSemantics(entries, truncated), raw
 
 
 def minimal_supports(

@@ -2,16 +2,16 @@
 
 Membership is the least model of the clauses induced by the four statement
 forms.  :func:`_reads` is the one place that says which roles a statement
-reads, and :func:`_by_head` indexes statements by head, as member facts and
-rules: the one map every membership pass and growth walk reads.
-:func:`_saturate` is the one membership loop.  It indexes rules by the
-roles they read as it goes and runs semi-naive rounds: a rule fires only on
-the members its inputs gained in the previous round, joined with what the
-other inputs already hold.  :func:`evaluate` runs it on the whole state, or
-goal-directed on the cone of some roots, indexing a role's rules only when
-the role is found to matter.  Results are independent of statement order.
-Seeded with fixed roles, the same loop gives both bounds of restricted
-trust.
+reads, and a state's statements by head, as member facts and rules, are the
+one map every membership pass and growth walk reads: the state builds it
+once, on first use (``PolicyState._by_head``).  :func:`_saturate` is the
+one membership loop.  It indexes rules by the roles they read as it goes
+and runs semi-naive rounds: a rule fires only on the members its inputs
+gained in the previous round, joined with what the other inputs already
+hold.  :func:`evaluate` runs it on the whole state, or goal-directed on the
+cone of some roots, indexing a role's rules only when the role is found to
+matter.  Results are independent of statement order.  Seeded with fixed
+roles, the same loop on the same map gives both bounds of restricted trust.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .model import (
     RoleName,
     RoleRef,
     SimpleInclusion,
-    SimpleMember,
     Statement,
+    _HeadIndex,
     fold_expr,
 )
 
@@ -71,18 +71,11 @@ class SemanticsIndex:
 _EMPTY: frozenset[Principal] = frozenset()
 
 
-def evaluate(
-    p: PolicyState, roots: Optional[Iterable[Role]] = None, index: Optional[_HeadIndex] = None
-) -> SemanticsIndex:
+def evaluate(p: PolicyState, roots: Optional[Iterable[Role]] = None) -> SemanticsIndex:
     """Role membership in ``p``: of every role with members, or with
     ``roots`` given, of every role in their cone, whose result raises
-    ``LookupError`` on a role outside it (see :class:`SemanticsIndex`).
-
-    ``index`` is ``_by_head(p.statements)`` when the caller already holds it.
-    """
-    if index is None:
-        index = _by_head(p.statements)
-    return _saturate(index, roots)
+    ``LookupError`` on a role outside it (see :class:`SemanticsIndex`)."""
+    return _saturate(p._by_head, roots)
 
 
 def _reads(
@@ -101,28 +94,6 @@ def _reads(
     if isinstance(body, IntersectionInclusion):
         return tuple(sorted(body.part_set, key=str))
     return ()
-
-
-@dataclass(frozen=True)
-class _HeadIndex:
-    """Statements by head: member facts and rules (the other statements).
-    Every membership pass and growth walk reads this map."""
-
-    facts: Mapping[Role, list[Principal]]
-    heads: Mapping[Role, list[Statement]]
-
-
-def _by_head(statements: Iterable[Statement]) -> _HeadIndex:
-    """Index ``statements`` by head."""
-    facts: dict[Role, list[Principal]] = defaultdict(list)
-    heads: dict[Role, list[Statement]] = defaultdict(list)
-    for stmt in statements:
-        body = stmt.body
-        if isinstance(body, SimpleMember):
-            facts[stmt.head].append(body.member)
-        else:
-            heads[stmt.head].append(stmt)
-    return _HeadIndex(facts, heads)
 
 
 def _saturate(

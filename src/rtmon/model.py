@@ -5,15 +5,18 @@ principal-owned role either directly (simple membership) or by delegation
 (role inclusion, linked roles, intersections).  Containment constraints,
 role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
-beyond their own invariants, and are safe to share between threads.
+beyond their own invariants, and are safe to share between threads.  A
+state derives what every pass reads of it -- its principals and its
+statements by head -- on first use, once, and keeps it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Container, Iterator, TypeVar, Union
+from typing import Callable, Container, Iterator, Mapping, TypeVar, Union
 
 __all__ = [
     "RESERVED_PRINCIPAL",
@@ -277,6 +280,16 @@ def statement_role_names(stmt: Statement) -> frozenset[RoleName]:
 
 
 @dataclass(frozen=True)
+class _HeadIndex:
+    """Statements by head: member facts and rules (the other statements).
+    Every membership pass, growth walk and bound reads this map, and none
+    changes it."""
+
+    facts: Mapping[Role, list[Principal]]
+    heads: Mapping[Role, list[Statement]]
+
+
+@dataclass(frozen=True)
 class PolicyState:
     """A finite set of statements; all role semantics derive from it.
 
@@ -318,6 +331,21 @@ class PolicyState:
         for stmt in self.statements:
             out |= statement_principals(stmt)
         return frozenset(out)
+
+    @cached_property
+    def _by_head(self) -> _HeadIndex:
+        """The statements by head, the one map the passes over this state
+        read.  Two threads may both build it cold; that is benign, because
+        each stores an equal map."""
+        facts: dict[Role, list[Principal]] = defaultdict(list)
+        heads: dict[Role, list[Statement]] = defaultdict(list)
+        for stmt in self.statements:
+            body = stmt.body
+            if isinstance(body, SimpleMember):
+                facts[stmt.head].append(body.member)
+            else:
+                heads[stmt.head].append(stmt)
+        return _HeadIndex(facts, heads)
 
     @cached_property
     def role_names(self) -> frozenset[RoleName]:

@@ -26,29 +26,27 @@ same, whatever the policy size and the number of constraints:
 
 Every probe reads the hash its statement or role computed when it was
 built, so nothing on that path rehashes a statement or hashes a principal.
-Quiet p50 on the benchmark's workloads: 1.82 us on ``org_churn``, 1.57 us
-on ``chain_fan`` and 1.42 us on ``org_restricted`` (host-adjusted medians
-of ten runs on a 2-core Xeon VM under Python 3.11, ``BENCH_13.json``).
 
 Nor does such an event free anything of the size of the policy.  A change
 only marks the session's snapshot stale; the next event that reaches a
 record drops the stale snapshot and builds the new one inside its own
 re-registration, and the final state is built only if the snapshot is
 still stale.  Freeing the snapshot on the first quiet event after a warned
-one would make that event the slowest quiet event of a session: quiet p99
-on ``org_churn`` is 11.8 us (``BENCH_13.json``).
+one would make that event the slowest quiet event of a session.
 
 The shared part of a registration lives in one :class:`StateAnalysis` per
 snapshot: the initial registrations share one, and so do the records one
-event re-registers.  Under full trust, membership is evaluated only on the
-cone of the constraints the snapshot registers -- the roles of both sides
-closed under the rules heading them -- in one batch for all of them, by
-one :func:`~rtmon.engine.evaluate` call with those roles as roots, which
-finds the cone as it evaluates, on a by-head map of the snapshot, and
-indexes only the cone's rules; the support worklist still covers the whole
-snapshot.  Under restricted trust, the bounds and core of a monitor are
-whole-state passes.  Each record adds only its check, growth closure walk
-and support picks.
+event re-registers.  The snapshot itself holds its statements by head,
+built once on first use, and every pass below reads that one map.  Under
+full trust, membership is evaluated only on the cone of the constraints
+the snapshot registers -- the roles of both sides closed under the rules
+heading them -- in one batch for all of them, by one
+:func:`~rtmon.engine.evaluate` call with those roles as roots, which finds
+the cone as it evaluates and indexes only the cone's rules; the support
+worklist still covers the whole snapshot.  Under restricted trust, both
+bounds of a monitor are one evaluation each of every head of the map, with
+the untrusted roles held fixed, and the core is read off the upper bound.
+Each record adds only its check, growth closure walk and support picks.
 """
 
 from __future__ import annotations
@@ -71,14 +69,13 @@ from .deps import (
     CredentialSupport,
     GrowthSet,
     RoleSupport,
-    _check_cap,
     _role_worklist,
     _Saturated,
     credential_support_for_constraint,
     gamma_expr,
     support_for_constraint,
 )
-from .engine import SemanticsIndex, _by_head, _HeadIndex, check_constraint, eval_expr, evaluate
+from .engine import SemanticsIndex, check_constraint, eval_expr, evaluate
 from .model import (
     ChangeEvent,
     ChangeKind,
@@ -198,15 +195,16 @@ class MonitorWarning:
 class StateAnalysis:
     """The work every record registered against ``p`` shares.
 
-    Each part is computed on first use and then kept: the statements by
-    head, membership on the cone of ``demand`` (``evaluate(p, demand)``),
-    the role-support worklist per admissible set and cap, and per role
-    monitor the bounds and the trusted core.  ``demand`` holds the roles of
-    both sides of every full-trust constraint registered against it;
-    reading membership outside their cone raises ``LookupError``.  A
-    record then runs only its own check, growth closure walk and support
-    picks.  Build one for a batch of registrations against one state and
-    drop it with the batch: it holds results of the size of the state.
+    Each part is computed on first use and then kept: membership on the
+    cone of ``demand`` (``evaluate(p, demand)``), the role-support worklist
+    per admissible set, and per role monitor the bounds and the trusted
+    core.  All of them read the statements by head that ``p`` itself holds.
+    ``demand`` holds the roles of both sides of every full-trust constraint
+    registered against it; reading membership outside their cone raises
+    ``LookupError``.  A record then runs only its own check, growth closure
+    walk and support picks.  Build one for a batch of registrations against
+    one state and drop it with the batch: it holds results of the size of
+    the state.
     """
 
     def __init__(self, p: PolicyState, demand: Iterable[Role] = ()):
@@ -220,26 +218,17 @@ class StateAnalysis:
         return self._done[key]
 
     @cached_property
-    def index(self) -> _HeadIndex:
-        """The statements by head, which the cone and growth walks read."""
-        return _by_head(self.p.statements)
-
-    @cached_property
     def cone(self) -> SemanticsIndex:
         """Membership, exact on the cone of ``demand``."""
-        return evaluate(self.p, self.demand, self.index)
+        return evaluate(self.p, self.demand)
 
-    def worklist(
-        self,
-        admissible: Optional[Container[Role]] = None,
-        cap: Optional[int] = DEFAULT_SUPPORT_CAP,
-    ) -> _Saturated:
-        """The role supports over the statements heading admissible roles;
-        ``admissible`` is hashable, like either side of a monitor.  Raises
-        ``ValueError`` for a cap below 1."""
-        _check_cap(cap)
+    def worklist(self, admissible: Optional[Container[Role]] = None) -> _Saturated:
+        """The role supports over the statements heading admissible roles,
+        at the default cap; ``admissible`` is hashable, like either side of
+        a monitor."""
         return self._once(
-            ("worklist", admissible, cap), lambda: _role_worklist(self.p, admissible, cap)
+            ("worklist", admissible),
+            lambda: _role_worklist(self.p, admissible, DEFAULT_SUPPORT_CAP),
         )
 
     def bounds(self, monitor: RoleMonitor) -> BoundIndex:
@@ -274,7 +263,7 @@ def register(
     result = check_constraint(p, q, idx)
     if not result.satisfied:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
-    growth = gamma_expr(p, q.lhs, idx, analysis.index)
+    growth = gamma_expr(p, q.lhs, idx)
     members = eval_expr(idx, q.lhs)
     saturated = analysis.worklist()
     if isinstance(mode, FullTrustCredential):
@@ -304,9 +293,7 @@ def _register_restricted(
     if not chk.holds:
         return MonitorRecord(q, mode, None, None, RecordStatus.BOUND_VIOLATED, chk.witnesses)
     coreset = analysis.core(monitor)
-    growth = gamma_restricted_expr(
-        p, monitor.growth_trusted, q.lhs, idx.upper, coreset, analysis.index
-    )
+    growth = gamma_restricted_expr(p, monitor.growth_trusted, q.lhs, idx.upper, coreset)
     shrink = monitor.shrink_trusted
     support = support_for_constraint(
         p, chk.lhs_upper, q.rhs, shrink, saturated=analysis.worklist(shrink)
@@ -499,7 +486,8 @@ def run_session(
     the live set, built at most once per event and only when some record
     re-registers, and share one :class:`StateAnalysis` of it: its demand is
     the roles of the records reached, and it is dropped when the event is
-    done.
+    done.  The by-head map every pass reads is the snapshot's own, so it is
+    built once per snapshot and goes with it.
 
     A snapshot lives until the first event that reaches a record after the
     live set changed: that event drops it and builds the next one, so an
@@ -507,8 +495,8 @@ def run_session(
     size of the policy.  Such an event makes one set operation on the live
     statements (a probe before an addition), the ``TOP`` check of an
     addition that changes them, and one ``reached`` call, which probes the
-    index once per key and returns an empty list: quiet p50 on
-    ``org_churn`` 1.82 us and p99 11.8 us (``BENCH_13.json``).
+    index once per key and returns an empty list, so its cost does not
+    grow with the policy or the number of constraints.
     ``final_state`` is the last snapshot when no change followed it, and
     ``p`` itself when nothing changed.
     """
@@ -552,7 +540,8 @@ def run_session(
             if fresh is not records[i]:
                 records[i] = fresh
                 index.put(i, fresh)
-        # Freed within this event, so the next event does not pay for it.
+        # Freed within this event, so the next event does not pay for it.  The
+        # by-head map stays on the snapshot and is freed with it.
         del shared
     if stale:
         snapshot = None

@@ -111,19 +111,22 @@ class TestDeps:
         assert supports == {
             f"M{i}": [["A.r", "B.r"], ["A.r", "C.r"], ["B.r"]] for i in range(n_members)
         }
-        # One run for the support and one for every member's supports.
-        assert len(runs) == 2
+        # One run serves the support and every member's supports.
+        assert len(runs) == 1
 
     def test_all_supports_saturate_once_per_run(self, in_fixtures, capsys, monkeypatch):
         runs = count_calls(monkeypatch, rtmon.deps._worklist)
         evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
-        rc, out = run(capsys, "deps", "multi.rt", "multi.cst", "--all-supports")
-        assert rc == 1
-        assert out.count(": satisfied") == 3
-        # One shared run for every support, one for every member's supports.
-        assert len(runs) == 2
-        # One evaluation of the cone of every constraint.
-        assert len(evaluations) == 1
+        for flags in ([], ["--all-supports"]):
+            del runs[:], evaluations[:]
+            rc, out = run(capsys, "deps", "multi.rt", "multi.cst", *flags)
+            assert rc == 1
+            assert out.count(": satisfied") == 3
+            # One shared run for every support and, with the flag, for every
+            # member's supports.
+            assert len(runs) == 1, flags
+            # One evaluation of the cone of every constraint.
+            assert len(evaluations) == 1
 
     def test_all_supports_report_a_truncation_by_the_cap(self, capsys, tmp_path):
         # A width-4 intersection whose parts have two disjoint alternatives
@@ -468,6 +471,15 @@ GOLDEN_CASES = [
     ("check_multi.json", ["check", "multi.rt", "multi.cst"]),
     ("deps_multi.json", ["deps", "multi.rt", "multi.cst", "--all-supports"]),
     ("monitor_multi.json", ["monitor", "multi.rt", "multi.cst", "multi.changes"]),
+    (
+        "monitor_multi_restricted.json",
+        ["monitor", "multi.rt", "multi.cst", "multi.changes", "multi.mon"],
+    ),
+    ("analyze_multi.json", ["analyze", "multi.rt", "multi.cst", "multi.mon"]),
+    (
+        "monitor_hazmat_restricted.json",
+        ["monitor", "hazmat.rt", "hazmat.cst", "hazmat.changes", "hazmat.mon"],
+    ),
 ]
 
 

@@ -50,7 +50,6 @@ from rtmon.model import (
     UnionExpr,
     roles_of,
 )
-from rtmon.monitor import StateAnalysis
 from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
 
 from helpers import (
@@ -225,9 +224,9 @@ class TestCone:
         ]
         cases += [(p, roots, []) for p, roots in _linked_root_cases(500)]
         for p, roots, constraints in cases:
-            index = rtmon.engine._by_head(p.statements)
+            index = p._by_head
             dense = dense_evaluate(p)
-            cone = evaluate(p, roots, index)
+            cone = evaluate(p, roots)
             # The cone is the closure of the roots under the exact members.
             assert cone.cone == _growth_roles(index.heads, roots, dense)
             for r in cone.cone:
@@ -237,7 +236,7 @@ class TestCone:
                 assert check_constraint(p, q, cone).violators == lhs - rhs
                 for side in (q.lhs, q.rhs):
                     want = _growth_roles(index.heads, roles_of(side), dense)
-                    assert gamma_expr(p, side, cone, index).roles == want
+                    assert gamma_expr(p, side, cone).roles == want
                     assert gamma_expr(p, side).roles == want
             # Held roles: the cone of an upper bound equals the whole-state
             # bound on every role of the cone.
@@ -404,7 +403,6 @@ class TestSupportCap:
             "credential_support_for_constraint": lambda: credential_support_for_constraint(
                 p, [member], rhs, max_entries_per_member=cap
             ),
-            "StateAnalysis.worklist": lambda: StateAnalysis(p).worklist(None, cap),
         }
 
     @pytest.mark.parametrize("cap", [0, -1])
@@ -425,7 +423,7 @@ class TestSupportCap:
         assert got["credential_support_for_constraint"]() == CredentialSupport(
             frozenset({stmt("A.r <- B")})
         )
-        saturated = got["StateAnalysis.worklist"]()
+        saturated = _role_worklist(p, None, 1)
         assert saturated[role("A.r")] == {prin("B"): [frozenset({role("A.r")})]}
 
 

@@ -18,6 +18,7 @@ from rtmon.deps import (
     justified_semantics,
     restrict,
     support_for_constraint,
+    _role_worklist,
 )
 from rtmon.engine import check_constraint, eval_expr, evaluate
 from rtmon.model import (
@@ -454,9 +455,7 @@ def _cone_statements(p, constraints) -> frozenset:
     """The statements heading a role of the constraints' cone, found on the
     whole state."""
     roots = frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in constraints))
-    cone = rtmon.deps._growth_roles(
-        rtmon.engine._by_head(p.statements).heads, roots, evaluate(p).members
-    )
+    cone = rtmon.deps._growth_roles(p._by_head.heads, roots, evaluate(p).members)
     return frozenset(s for s in p.statements if s.head in cone)
 
 
@@ -547,20 +546,40 @@ def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
     assert "roles" not in vars(p)
 
 
-def test_restricted_register_builds_one_index_per_bound_and_one_for_growth(monkeypatch):
+def _built_maps(monkeypatch) -> list:
+    """Every by-head map a state builds, in build order."""
+    built = []
+    real = rtmon.model._HeadIndex
+
+    def spy(facts, heads):
+        built.append(real(facts, heads))
+        return built[-1]
+
+    monkeypatch.setattr(rtmon.model, "_HeadIndex", spy)
+    return built
+
+
+def test_each_state_builds_one_by_head_map(monkeypatch):
     monitor = RoleMonitor(
         growth_trusted=hazmat_policy().roles, shrink_trusted=frozenset({role("ATF.hazmatDB")})
     )
+    q = hazmat_constraint()
+    built = _built_maps(monkeypatch)
     saturations = count_calls(monkeypatch, rtmon.engine._saturate)
-    by_head = count_calls(monkeypatch, rtmon.engine._by_head)
     p = hazmat_policy()
-    rec = register(p, hazmat_constraint(), RestrictedTrust(monitor))
-    assert rec.status is RecordStatus.HOLDING
-    # One evaluation per bound, each over its own by-head map; the
-    # restricted growth walk reads a third map.  The core is read off the
-    # upper bound and builds none.
+    assert register(p, q, RestrictedTrust(monitor)).status is RecordStatus.HOLDING
+    # One map: both bound evaluations and the restricted growth walk read
+    # it, and the core is read off the upper bound.
+    assert len(built) == 1
     assert len(saturations) == 2
-    assert len(by_head) == 3
+    assert all(index is built[0] for index in saturations)
+    fresh = hazmat_policy()
+    assert register(fresh, q, FullTrust()).status is RecordStatus.HOLDING
+    assert len(built) == 2
+    # Registering again on a state reads the map it holds.
+    for state, mode in ((p, RestrictedTrust(monitor)), (fresh, FullTrust()), (p, FullTrust())):
+        register(state, q, mode)
+    assert len(built) == 2
 
 
 def test_session_keeps_the_initial_records():
@@ -1262,6 +1281,13 @@ def test_shared_analysis_equals_independent_registration(cap):
         shared = StateAnalysis(
             p, frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in queries))
         )
+
+        def saturated(admissible):
+            # The shared worklist runs at the default cap.
+            if cap == DEFAULT_SUPPORT_CAP:
+                return shared.worklist(admissible)
+            return _role_worklist(p, admissible, cap)
+
         for q, mode in zip(queries, modes):
             got = register(p, q, mode, shared)
             assert got == register(p, q, mode)
@@ -1279,14 +1305,14 @@ def test_shared_analysis_equals_independent_registration(cap):
                 )
                 assert alone == credential_support_for_constraint(
                     p, members, q.rhs, max_entries_per_member=cap,
-                    saturated=shared.worklist(None, cap),
+                    saturated=saturated(None),
                 )
             alone = support_for_constraint(
                 p, members, q.rhs, admissible, max_entries_per_member=cap
             )
             assert alone == support_for_constraint(
                 p, members, q.rhs, admissible, max_entries_per_member=cap,
-                saturated=shared.worklist(admissible, cap),
+                saturated=saturated(admissible),
             )
             seen["support"] += 1
     assert seen[RecordStatus.HOLDING] >= 500
