@@ -13,14 +13,16 @@ Supports answer "which roles (or which exact statements) currently prove
 the memberships the constraint needs" -- the remove-side frontier.  A
 support is a bare token set, its membership's why-provenance (Green,
 Karvounarakis & Tannen, PODS 2007).  The worklist here computes, per role
-and member, all minimal supports at once,
-re-firing a statement only when a role :func:`rtmon.engine._reads` names
-for it changed and pruning dominated supports.  An intersection joins its
-parts one at a time and keeps only the minimal unions, so its cost grows
-with the number of minimal unions, not with the product of the parts'
-supports.  A cap per (role, member) bounds pathological states at the cost
-of possibly non-minimal (still valid) supports.  The cap and every pick
-read one order: fewest tokens first, ties broken by sorted token texts.
+and member, all minimal supports at once, pruning dominated supports.  Its
+first pass fires every statement.  A member fact's singleton support is
+final, so later passes visit only the rules, and re-fire one only when a
+role :func:`rtmon.engine._reads` names for it changed.  An intersection
+joins its parts one at a time and keeps only the minimal unions, so its
+cost grows with the number of minimal unions, not with the product of the
+parts' supports.  A cap per (role, member) bounds pathological states at
+the cost of possibly non-minimal (still valid) supports.  The cap and every
+pick read one order: fewest tokens first, ties broken by sorted token
+texts.
 """
 
 from __future__ import annotations
@@ -256,15 +258,17 @@ def _worklist(
     supports are built from the supports of the roles in its cone alone, so
     they are exact when no truncated role lies in that cone.
 
-    Statements fire in the order of their rendered text over
+    Each pass fires statements in the order of their rendered text over
     insertion-ordered supports, so the result does not depend on hash seeds
     even under the cap; each statement renders its text once and keeps it,
     so the sort reads cached text for every statement rendered before, on
-    this snapshot or an earlier one.  ``cap`` is at least 1.  A statement
-    fires again only when a role it reads changed since it last fired (for
-    a linked rule: its first role or any role carrying its second name), or
-    when a dominance eviction freed room under the cap in its head, which
-    may admit a candidate the cap dropped before.
+    this snapshot or an earlier one.  ``cap`` is at least 1.  The first pass
+    fires every statement, and a member fact fires only there: it offers the
+    singleton of its token, which stays kept, so later passes visit the
+    rules alone.  A rule fires again only when a role it reads changed since
+    it last fired (for a linked rule: its first role or any role carrying
+    its second name), or when a dominance eviction freed room under the cap
+    in its head, which may admit a candidate the cap dropped before.
     """
     rules = [(s, frozenset((token(s),)), _reads(s)) for s in sorted(statements, key=str)]
     cur: _Saturated = defaultdict(dict)
@@ -308,6 +312,7 @@ def _worklist(
         if freed and cap is not None:
             freed_at[head] = clock
 
+    first = True
     while True:
         start = clock
         for n, (stmt, tok, inputs) in enumerate(rules):
@@ -344,6 +349,15 @@ def _worklist(
                         offer(head, member, support)
         if clock == start:
             break
+        if first:
+            # A fact's singleton stays kept: only the empty set is a proper
+            # subset of it, and every singleton candidate for its (role,
+            # member) equals it, so the cap, which keeps the smallest first,
+            # never cuts it.  Firing the fact again would offer it again.
+            first = False
+            kept = [n for n, rule in enumerate(rules) if not isinstance(rule[0].body, SimpleMember)]
+            rules = [rules[n] for n in kept]
+            fired_at = [fired_at[n] for n in kept]
     truncated = frozenset(
         head
         for head, member, support in cut

@@ -55,9 +55,10 @@ RESERVED_PRINCIPAL = "TOP"
 
 
 def _rebuilt(self) -> tuple:
-    """``__reduce__`` of a type that computes its hash once: copy and pickle
-    call the constructor, so the hash is recomputed where the object is
-    loaded (string hashes differ between processes)."""
+    """``__reduce__`` of a type that keeps values derived from its fields:
+    copy and pickle call the constructor, so a kept hash is recomputed where
+    the object is loaded (string hashes differ between processes), and a
+    cached map is built again only when it is read."""
     return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
@@ -313,6 +314,9 @@ class PolicyState:
 
     def __contains__(self, stmt: object) -> bool:
         return stmt in self.statements
+
+    # Copy and pickle carry the statements alone, none of the caches below.
+    __reduce__ = _rebuilt
 
     def add(self, stmt: Statement) -> "PolicyState":
         if stmt in self.statements:

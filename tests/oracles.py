@@ -5,9 +5,11 @@ are found by exhaustive restriction instead of the justification worklist,
 and reachable states are enumerated explicitly instead of being reasoned
 about through bounds.  ``dense_evaluate`` and ``round_robin_worklist`` keep
 the plain evaluator and support worklist the library used before its
-indexed, change-driven ones, ``round_robin_upper_bound`` and
-``reference_gamma_restricted`` the restricted-trust passes it used before
-they ran on that evaluator, as slow references for differential tests.
+indexed, change-driven ones, ``polling_worklist`` the change-driven
+worklist before member facts left its later passes, and
+``round_robin_upper_bound`` and ``reference_gamma_restricted`` the
+restricted-trust passes it used before they ran on that evaluator, as slow
+references for differential tests.
 ``dense_core`` and ``round_robin_core`` close the expulsions of untrusted
 dependencies statement by statement, against the dense and the library's
 upper bound; they are the references for the trusted core the library
@@ -19,8 +21,8 @@ from collections import defaultdict
 from itertools import combinations, product
 
 from rtmon.analysis import upper_bound
-from rtmon.deps import restrict
-from rtmon.engine import evaluate
+from rtmon.deps import _join, _support_key, restrict
+from rtmon.engine import _reads, evaluate
 from rtmon.model import (
     EVERY_ROLE,
     Constraint,
@@ -220,6 +222,96 @@ def round_robin_worklist(p: PolicyState, token, cap=None):
         if all(frozenset(cur[role]) == old.get(role, frozenset()) for role in cur):
             break
     return {role: bucket for role, bucket in cur.items() if bucket}, truncated
+
+
+def polling_worklist(statements, token, cap):
+    """The support worklist as it was before member facts left its rounds:
+    every pass polls the clock stamps of every statement, facts included.
+    Same signature and output as :func:`rtmon.deps._worklist`."""
+    rules = [(s, frozenset((token(s),)), _reads(s)) for s in sorted(statements, key=str)]
+    cur = defaultdict(dict)
+    # Logical clock: a role's stamp is the tick of its last change; a rule
+    # remembers the tick at which it last fired.
+    clock = 0
+    changed_at: dict[Role, int] = {}
+    name_changed_at: dict[RoleName, int] = {}
+    freed_at: dict[Role, int] = {}
+    fired_at: list[int] = [-1] * len(rules)
+    cut: list[tuple[Role, Principal, frozenset]] = []
+
+    def offer(head: Role, member: Principal, support: frozenset) -> None:
+        nonlocal clock
+        by_member = cur[head]
+        supports = by_member.get(member)
+        if supports is None:
+            # Nothing to dominate, evict or cut: ``cap`` is at least 1.
+            by_member[member] = [support]
+            freed = False
+        else:
+            for s in supports:
+                if s <= support:
+                    return
+            kept = [s for s in supports if not support <= s]
+            freed = len(kept) < len(supports)
+            kept.append(support)
+            if cap is not None and len(kept) > cap:
+                kept.sort(key=_support_key)
+                dropped = kept[cap:]
+                del kept[cap:]
+                cut.extend((head, member, s) for s in dropped)
+                # A cut candidate evicted nothing (it would sort before what
+                # it dominates), so the supports are unchanged.
+                if any(s is support for s in dropped):
+                    return
+            by_member[member] = kept
+        clock += 1
+        changed_at[head] = clock
+        name_changed_at[head.name] = clock
+        if freed and cap is not None:
+            freed_at[head] = clock
+
+    while True:
+        start = clock
+        for n, (stmt, tok, inputs) in enumerate(rules):
+            head, body = stmt.head, stmt.body
+            last = fired_at[n]
+            if last >= 0 and freed_at.get(head, 0) <= last:
+                stamp = max((changed_at.get(r, 0) for r in inputs), default=0)
+                if isinstance(body, LinkingInclusion):
+                    stamp = max(stamp, name_changed_at.get(body.second, 0))
+                if stamp <= last:
+                    continue
+            fired_at[n] = clock
+            if isinstance(body, SimpleMember):
+                offer(head, body.member, tok)
+            elif isinstance(body, SimpleInclusion):
+                for member, supports in list(cur[body.source].items()):
+                    for sup in supports:
+                        offer(head, member, sup | tok)
+            elif isinstance(body, LinkingInclusion):
+                for via, supports1 in list(cur[body.first].items()):
+                    second = cur.get(Role(via, body.second))
+                    if not second:
+                        continue
+                    for sup1 in supports1:
+                        for member, supports2 in list(second.items()):
+                            for sup2 in supports2:
+                                offer(head, member, sup1 | sup2 | tok)
+            else:
+                buckets = [cur[part] for part in inputs]
+                for member in list(buckets[0]):
+                    if not all(member in b for b in buckets[1:]):
+                        continue
+                    for support in _join(tok, [b[member] for b in buckets]):
+                        offer(head, member, support)
+        if clock == start:
+            break
+    truncated = frozenset(
+        head
+        for head, member, support in cut
+        if not any(s <= support for s in cur[head][member])
+    )
+    return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 
 
 def round_robin_upper_bound(p: PolicyState, monitor: RoleMonitor) -> dict[Role, frozenset[Principal]]:

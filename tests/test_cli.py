@@ -472,6 +472,10 @@ GOLDEN_CASES = [
     ("deps_multi.json", ["deps", "multi.rt", "multi.cst", "--all-supports"]),
     ("monitor_multi.json", ["monitor", "multi.rt", "multi.cst", "multi.changes"]),
     (
+        "monitor_multi_credential.json",
+        ["monitor", "multi.rt", "multi.cst", "multi.changes", "--credential-support"],
+    ),
+    (
         "monitor_multi_restricted.json",
         ["monitor", "multi.rt", "multi.cst", "multi.changes", "multi.mon"],
     ),

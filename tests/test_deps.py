@@ -64,7 +64,14 @@ from helpers import (
     stmt,
     support_shift_policy,
 )
-from oracles import brute_minimal_supports, dense_evaluate, product_join, round_robin_worklist
+import oracles
+from oracles import (
+    brute_minimal_supports,
+    dense_evaluate,
+    polling_worklist,
+    product_join,
+    round_robin_worklist,
+)
 from randgen import (
     biased_satisfied_constraint,
     random_constraint,
@@ -712,6 +719,91 @@ class TestWorklistAgainstRoundRobin:
                         assert e.member in role_members(evaluate(restrict(p, e.support)), target)
                     assert max(per_member.values()) <= cap
         assert truncated
+
+
+def _fact_heavy_chain(rng):
+    """An inclusion chain with member facts on its links and unrelated facts
+    around it.  The links take random names, so a link's facts sort before
+    some of the rules reading it and after others, and the unrelated facts'
+    heads sort before (``A``) and after (``Z``) every link.  Extra sources,
+    an intersection and a linked role give members several supports, so
+    small caps bind."""
+    d = rng.randint(3, 15)
+    chain = [f"N{k:02d}.r" for k in rng.sample(range(100), d + 1)]
+    members = [f"M{i}" for i in range(rng.randint(1, 4))]
+    lines = [f"{chain[k]} <- {chain[k + 1]}" for k in range(d)]
+    lines += [f"{rng.choice(chain)} <- {rng.choice(members)}" for _ in range(rng.randint(d, 3 * d))]
+    for k in range(rng.randint(0, 4)):
+        alt = f"{rng.choice('AZ')}{k}.s"
+        lines += [f"{rng.choice(chain)} <- {alt}", f"{alt} <- {rng.choice(members)}"]
+    if rng.random() < 0.5:
+        lines.append("X.r <- {} & {}".format(*rng.sample(chain, 2)))
+    if rng.random() < 0.5:
+        lines += [f"X.d <- {rng.choice(chain).split('.')[0]}", "X.l <- X.d.r"]
+    lines += [f"{rng.choice('AZ')}{k}.u <- {rng.choice(members)}" for k in range(rng.randint(0, 40))]
+    return parse_policy("".join(f"{line}\n" for line in dict.fromkeys(lines)))
+
+
+def _in_insertion_order(raw):
+    return [(r, [(m, list(found)) for m, found in by_member.items()]) for r, by_member in raw.items()]
+
+
+def _reversed_chain(links, facts):
+    """``L00.r <- L01.r`` up to ``L{links-1}.r <- L{links}.r`` and
+    ``L{links}.r <- M``: every rule sorts before the rule defining the role
+    it reads, so each pass carries ``M`` one link.  ``facts`` unrelated
+    member facts sort half before and half after the chain."""
+    lines = [f"L{k:02d}.r <- L{k + 1:02d}.r" for k in range(links)] + [f"L{links:02d}.r <- M"]
+    lines += [f"{'FZ'[k % 2]}{k:04d}.x <- M" for k in range(facts)]
+    return parse_policy("".join(f"{line}\n" for line in lines))
+
+
+class TestMemberFactsFireOnce:
+    """The worklist's later passes visit only rules: a member fact fires in
+    the first pass and never again."""
+
+    def test_entries_and_truncation_match_the_polling_worklist(self):
+        rng = random.Random(2029)
+        states = [random_state(rng, max_statements=12) for _ in range(200)]
+        states += [random_fan_state(rng) for _ in range(200)]
+        states += [_fact_heavy_chain(rng) for _ in range(200)]
+        cases, truncated = 0, Counter()
+        for k, p in enumerate(states):
+            for token in (_by_head, _by_statement):
+                for cap in (1, 2, 3, 8, None):
+                    got, got_truncated = _worklist(p, token, cap)
+                    want, want_truncated = polling_worklist(p, token, cap)
+                    assert _in_insertion_order(got) == _in_insertion_order(want), (k, cap)
+                    assert got_truncated == want_truncated, (k, cap)
+                    cases += 1
+                    truncated[k // 200] += bool(got_truncated)
+        assert cases == 6000
+        # Random, fan and chain states all reach the cap somewhere.
+        assert min(truncated[kind] for kind in range(3)) >= 20
+
+    @staticmethod
+    def _visits(monkeypatch, module, worklist, p):
+        """Statement visits after the first pass: each one polls the clock
+        stamps through one ``max`` call (a chain has no linked rule)."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return max(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "max", counted, raising=False)
+            worklist(p, _by_head, None)
+        return len(calls)
+
+    def test_visits_after_the_first_pass_do_not_grow_with_member_facts(self, monkeypatch):
+        bare = self._visits(monkeypatch, rtmon.deps, _worklist, _reversed_chain(30, 0))
+        padded = self._visits(monkeypatch, rtmon.deps, _worklist, _reversed_chain(30, 2000))
+        # 31 passes after the first, each over the 30 rules.
+        assert bare == padded == 31 * 30
+        # The polling worklist visits every fact in every one of those passes.
+        polled = self._visits(monkeypatch, oracles, polling_worklist, _reversed_chain(30, 2000))
+        assert polled == 31 * (30 + 1 + 2000)
 
 
 def _pairs(js):

@@ -182,6 +182,18 @@ def test_copy_and_pickle_keep_statement_equality_and_hash(text):
         assert str(twin) == rendered == text
 
 
+def test_copy_and_pickle_carry_a_state_without_its_caches():
+    p = hazmat_policy()
+    cold = len(pickle.dumps(p))
+    for cache in ("principals", "_by_head", "role_names", "roles"):
+        getattr(p, cache)
+    assert len(pickle.dumps(p)) == cold
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and twin is not p
+        assert vars(twin) == {"statements": p.statements}
+        assert twin.principals == p.principals and twin._by_head == p._by_head
+
+
 @pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
 def test_statements_render_their_text_once(text):
     a, b = parse_statement(text), parse_statement(text)
