@@ -38,12 +38,9 @@ from .engine import (
     role_members,
 )
 from .deps import (
-    CredentialSupport,
-    GrowthSet,
     JustifiedEntry,
     JustifiedSemantics,
     NoSupport,
-    RoleSupport,
     credential_support_for_constraint,
     gamma,
     gamma_expr,

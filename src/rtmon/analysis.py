@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container, Mapping, Optional
 
-from .deps import GrowthSet, _growth_roles
+from .deps import _growth_roles
 from .engine import _saturate, _walk_expr
 from .model import (
     Constraint,
@@ -164,13 +164,13 @@ def core(p: PolicyState, g: Container[Role], ub: Optional[Bound] = None) -> Core
     return CoreSet(g, frozenset(role for role, found in ub.items() if TOP in found))
 
 
-def gamma_restricted(p: PolicyState, g: Container[Role], target: Role) -> GrowthSet:
+def gamma_restricted(p: PolicyState, g: Container[Role], target: Role) -> frozenset[Role]:
     """Growth frontier of ``target`` kept inside the trusted core.
 
     A target outside the core gets the empty set: its upper bound is the
     full universe already, so no observable addition frontier exists.
     """
-    return GrowthSet(target, gamma_restricted_expr(p, g, RoleRef(target)).roles)
+    return gamma_restricted_expr(p, g, RoleRef(target))
 
 
 def gamma_restricted_expr(
@@ -179,7 +179,7 @@ def gamma_restricted_expr(
     expr: PositiveRoleExpr,
     ub: Optional[Bound] = None,
     coreset: Optional[CoreSet] = None,
-) -> GrowthSet:
+) -> frozenset[Role]:
     """Union of restricted growth sets over the expression's roles.
 
     ``ub`` and ``coreset`` are ``upper_bound(p, RoleMonitor(growth_trusted=g))``
@@ -191,7 +191,7 @@ def gamma_restricted_expr(
         coreset = core(p, g, ub)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return GrowthSet(expr, _growth_roles(p._by_head.heads, roles_of(expr), ub, coreset))
+    return _growth_roles(p._by_head.heads, roles_of(expr), ub, coreset)
 
 
 @dataclass(frozen=True)

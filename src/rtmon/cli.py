@@ -96,16 +96,9 @@ def _names(principals) -> list[str]:
     return sorted(p.name for p in principals)
 
 
-def _role_names(roles) -> list[str]:
-    return sorted(str(r) for r in roles)
-
-
-def _support_payload(support) -> Optional[list[str]]:
-    if support is None:
-        return None
-    if hasattr(support, "roles"):
-        return _role_names(support.roles)
-    return sorted(str(s) for s in support.statements)
+def _texts(items) -> list[str]:
+    """Roles or statements as sorted text."""
+    return sorted(str(x) for x in items)
 
 
 def _exit_code(violated: bool, unestablished: bool = False) -> int:
@@ -169,23 +162,23 @@ def cmd_deps(args) -> dict:
         entry: dict = {
             "id": q.id,
             "satisfied": got.satisfied,
-            "gamma": _role_names(gamma_expr(state, q.lhs, idx).roles),
+            "gamma": _texts(gamma_expr(state, q.lhs, idx)),
         }
         if got.satisfied:
             members = eval_expr(idx, q.lhs)
-            entry["support"] = _role_names(
-                support_for_constraint(state, members, q.rhs, saturated=saturated).roles
+            entry["support"] = _texts(
+                support_for_constraint(state, members, q.rhs, saturated=saturated)
             )
             if js is not None:
                 found: dict = {}
                 for role in roles_of(q.rhs):
                     for e in js.for_role(role):
-                        found.setdefault(e.member, set()).add(tuple(_role_names(e.support)))
+                        found.setdefault(e.member, set()).add(tuple(_texts(e.support)))
                 entry["all_supports"] = {
                     m.name: sorted(found.get(m, ())) for m in sorted(members, key=str)
                 }
                 # The right side's supports are built from its cone alone.
-                rhs_cone = gamma_expr(state, q.rhs, idx).roles
+                rhs_cone = gamma_expr(state, q.rhs, idx)
                 entry["all_supports_truncated"] = not js.truncated_roles.isdisjoint(rhs_cone)
         else:
             violated = True
@@ -214,14 +207,14 @@ def cmd_analyze(args) -> dict:
             "id": q.id,
             "holds": chk.holds,
             "witnesses": _names(chk.witnesses),
-            "gamma_restricted": _role_names(growth.roles),
+            "gamma_restricted": _texts(growth),
         }
         try:
             shrink = monitor.shrink_trusted
             support = support_for_constraint(
                 state, chk.lhs_upper, q.rhs, shrink, saturated=analysis.worklist(shrink)
             )
-            entry["support"] = _role_names(support.roles)
+            entry["support"] = _texts(support)
             entry["established"] = True
         except NoSupport as exc:
             entry["support"] = None
@@ -232,7 +225,7 @@ def cmd_analyze(args) -> dict:
             violated = True
         verdicts.append(entry)
     listed = state.roles if g is EVERY_ROLE else g
-    result = {"core": _role_names(listed - coreset.expelled), "constraints": verdicts}
+    result = {"core": _texts(listed - coreset.expelled), "constraints": verdicts}
     return _report("analyze", inputs, result, _exit_code(violated, unestablished))
 
 
@@ -299,10 +292,8 @@ def cmd_monitor(args) -> dict:
             {
                 "id": rec.constraint.id,
                 "status": rec.status.value,
-                "gamma": _role_names(rec.gamma_cache.roles)
-                if rec.gamma_cache is not None
-                else None,
-                "support": _support_payload(rec.support_cache),
+                "gamma": None if rec.gamma_cache is None else _texts(rec.gamma_cache),
+                "support": None if rec.support_cache is None else _texts(rec.support_cache),
             }
             for rec in session.records
         ],

@@ -10,9 +10,12 @@ Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
 frontier, a closure over the rules by head of the state's one by-head map.
 Supports answer "which roles (or which exact statements) currently prove
-the memberships the constraint needs" -- the remove-side frontier.  A
-support is a bare token set, its membership's why-provenance (Green,
-Karvounarakis & Tannen, PODS 2007).  The worklist here computes, per role
+the memberships the constraint needs" -- the remove-side frontier.  Both
+are plain sets in every layer: a growth set or a role support is a
+``frozenset`` of roles, a credential support a ``frozenset`` of statements.
+Inside the worklist a support is a bare token set, its membership's
+why-provenance (Green, Karvounarakis & Tannen, PODS 2007), whose tokens are
+roles or statements.  The worklist here computes, per role
 and member, all minimal supports at once, pruning dominated supports.  Its
 first pass fires every statement.  A member fact's singleton support is
 final, so later passes visit only the rules, and re-fire one only when a
@@ -52,9 +55,6 @@ from .model import (
 
 __all__ = [
     "DEFAULT_SUPPORT_CAP",
-    "GrowthSet",
-    "RoleSupport",
-    "CredentialSupport",
     "JustifiedEntry",
     "JustifiedSemantics",
     "NoSupport",
@@ -69,46 +69,6 @@ __all__ = [
 
 #: Per-(role, member) cap on retained support entries.
 DEFAULT_SUPPORT_CAP = 8
-
-
-class _RoleSet:
-    """Membership tests and iteration over a frontier's ``roles``."""
-
-    roles: frozenset[Role]
-
-    def __contains__(self, role: object) -> bool:
-        return role in self.roles
-
-    def __iter__(self) -> Iterator[Role]:
-        return iter(self.roles)
-
-
-@dataclass(frozen=True)
-class GrowthSet(_RoleSet):
-    """Roles whose new statements could enlarge the target's membership."""
-
-    target: Union[Role, PositiveRoleExpr]
-    roles: frozenset[Role]
-
-
-@dataclass(frozen=True)
-class RoleSupport(_RoleSet):
-    """A set of roles whose statements alone prove the needed memberships."""
-
-    roles: frozenset[Role]
-
-
-@dataclass(frozen=True)
-class CredentialSupport:
-    """A set of statements that alone prove the needed memberships."""
-
-    statements: frozenset[Statement]
-
-    def __contains__(self, stmt: object) -> bool:
-        return stmt in self.statements
-
-    def __iter__(self) -> Iterator[Statement]:
-        return iter(self.statements)
 
 
 @dataclass(frozen=True)
@@ -179,15 +139,15 @@ def _growth_roles(
     return frozenset(found)
 
 
-def gamma(p: PolicyState, target: Role) -> GrowthSet:
+def gamma(p: PolicyState, target: Role) -> frozenset[Role]:
     """Close ``{target}`` under the roles the statements heading each found
     role read, a linked role walking its first role's current members."""
-    return GrowthSet(target, gamma_expr(p, RoleRef(target)).roles)
+    return gamma_expr(p, RoleRef(target))
 
 
 def gamma_expr(
     p: PolicyState, expr: PositiveRoleExpr, idx: Optional[SemanticsIndex] = None
-) -> GrowthSet:
+) -> frozenset[Role]:
     """Union of the growth sets of the expression's roles; empty when static.
 
     ``idx`` is ``evaluate(p)`` or a cone of ``p`` holding the expression's
@@ -197,9 +157,9 @@ def gamma_expr(
     roots = roles_of(expr)
     if idx is None:
         # The cone of the expression's roles is their growth set.
-        return GrowthSet(expr, evaluate(p, roots).cone)
+        return evaluate(p, roots).cone
     _require_cone(idx, roots)
-    return GrowthSet(expr, _growth_roles(p._by_head.heads, roots, idx.members))
+    return _growth_roles(p._by_head.heads, roots, idx.members)
 
 
 # Worklist output: role -> member -> supports, each a set of tokens.
@@ -413,12 +373,12 @@ def minimal_supports(
     target: Role,
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
-) -> frozenset[RoleSupport]:
+) -> frozenset[frozenset[Role]]:
     """Minimal supports of ``member`` in ``target``; empty iff not a member.
     Raises ``ValueError`` for a cap below 1."""
     _check_cap(max_entries_per_member)
     raw = _role_worklist(p, None, max_entries_per_member)
-    return frozenset(RoleSupport(sup) for sup in raw.get(target, {}).get(member, ()))
+    return frozenset(raw.get(target, {}).get(member, ()))
 
 
 def _best(candidates: Iterable[frozenset]) -> Optional[frozenset]:
@@ -471,7 +431,7 @@ def support_for_constraint(
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
     saturated: Optional[_Saturated] = None,
-) -> RoleSupport:
+) -> frozenset[Role]:
     """One role support proving every member's membership in ``rhs``.
 
     With ``admissible`` given, only supports inside it qualify (achieved by
@@ -489,7 +449,7 @@ def support_for_constraint(
     total: set[Role] = set()
     for _, got in _member_supports(members, rhs, saturated):
         total |= got
-    return RoleSupport(frozenset(total))
+    return frozenset(total)
 
 
 def credential_support_for_constraint(
@@ -499,7 +459,7 @@ def credential_support_for_constraint(
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
     saturated: Optional[_Saturated] = None,
-) -> CredentialSupport:
+) -> frozenset[Statement]:
     """Statement-level support: the statements one derivation actually uses.
 
     Per member, the role support is chosen exactly as in
@@ -524,4 +484,4 @@ def credential_support_for_constraint(
             replays[role_support] = _worklist(statements, lambda s: s, max_entries_per_member)[0]
         # The role support proves the membership, so the replay does too.
         total |= _member_expr_support(member, rhs, replays[role_support])
-    return CredentialSupport(frozenset(total))
+    return frozenset(total)

@@ -7,7 +7,9 @@ either frontier -- an added statement heading a role outside the growth
 set, or a removed statement outside the support -- and in that case the
 constraint (or its conservative bound) provably still holds without
 re-evaluation.  A crossing change triggers a full re-check and a cache
-rebuild, and the owner is warned either way.
+rebuild, and the owner is warned either way.  Both frontiers are cached as
+plain sets: the growth set holds roles, and the support holds roles or,
+under credential supports, statements.
 
 ``_frontier`` is the one definition of crossing: ``classify`` reads it per
 record, and ``run_session`` indexes it by key, so a session routes each
@@ -66,9 +68,6 @@ from .analysis import (
 )
 from .deps import (
     DEFAULT_SUPPORT_CAP,
-    CredentialSupport,
-    GrowthSet,
-    RoleSupport,
     _role_worklist,
     _Saturated,
     credential_support_for_constraint,
@@ -112,6 +111,9 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
+# A frontier holds roles, or under credential supports its remove side
+# holds statements.
+_FrontierKey = Union[Role, Statement]
 
 
 @dataclass(frozen=True)
@@ -167,15 +169,19 @@ class MonitorRecord:
 
     While ``status`` is HOLDING the caches are valid for the current policy
     state: ignorable changes leave them correct without recomputation.
-    ``gamma_total`` is false only in restricted mode when some left-side
-    role fell outside the trusted core; additions are then never ignorable
-    because no observable growth frontier exists for that role.
+    ``gamma_cache`` is the left side's growth set, a set of roles.
+    ``support_cache`` is the right side's support: a set of roles, or under
+    :class:`FullTrustCredential` a set of statements.  Both are ``None``
+    when the record is not holding.  ``gamma_total`` is false only in
+    restricted mode when some left-side role fell outside the trusted core;
+    additions are then never ignorable because no observable growth
+    frontier exists for that role.
     """
 
     constraint: Constraint
     mode: MonitorMode
-    gamma_cache: Optional[GrowthSet]
-    support_cache: Optional[Union[RoleSupport, CredentialSupport]]
+    gamma_cache: Optional[frozenset[Role]]
+    support_cache: Optional[frozenset[_FrontierKey]]
     status: RecordStatus
     violators: frozenset[Principal] = frozenset()
     gamma_total: bool = True
@@ -267,7 +273,7 @@ def register(
     members = eval_expr(idx, q.lhs)
     saturated = analysis.worklist()
     if isinstance(mode, FullTrustCredential):
-        support: Union[RoleSupport, CredentialSupport] = (
+        support: frozenset[_FrontierKey] = (
             credential_support_for_constraint(p, members, q.rhs, saturated=saturated)
         )
     else:
@@ -304,7 +310,6 @@ def _register_restricted(
     )
 
 
-_FrontierKey = Union[Role, Statement]
 # Bound once: an enum member read off its class costs more than the rest
 # of a quiet event's kind test.
 _ADD = ChangeKind.ADD
@@ -313,21 +318,18 @@ _ADD = ChangeKind.ADD
 def _frontier(
     rec: MonitorRecord,
 ) -> Optional[tuple[frozenset[_FrontierKey], frozenset[_FrontierKey]]]:
-    """The keys an event must hit to trigger ``rec``: growth roles for an
-    addition, support roles (or, under credential supports, support
-    statements) for a removal.  None when every event reaches the record:
-    it is not holding, or it is restricted without a total growth set.
+    """The keys an event must hit to trigger ``rec``: its two caches, the
+    growth roles for an addition and the support roles (or, under credential
+    supports, the support statements) for a removal.  None when every event
+    reaches the record: it is not holding, or it is restricted without a
+    total growth set.
 
     An addition is looked up by its statement's head, a removal by its head
     and by the statement itself.  A role never equals a statement, so each
     removal key can only hit its own kind of support."""
-    if rec.status is not RecordStatus.HOLDING or (
-        isinstance(rec.mode, RestrictedTrust) and not rec.gamma_total
-    ):
+    if rec.status is not RecordStatus.HOLDING or not rec.gamma_total:
         return None
-    if isinstance(rec.mode, FullTrustCredential):
-        return rec.gamma_cache.roles, rec.support_cache.statements
-    return rec.gamma_cache.roles, rec.support_cache.roles
+    return rec.gamma_cache, rec.support_cache
 
 
 def classify(rec: MonitorRecord, ev: ChangeEvent) -> Classification:

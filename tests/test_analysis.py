@@ -138,7 +138,7 @@ class TestGammaRestricted:
         got = gamma_restricted(
             p, p.roles - {role("Emergency.dept")}, role("Emergency.hazmatPersonnel")
         )
-        assert role_strs(got.roles) == {
+        assert role_strs(got) == {
             "Emergency.hazmatPersonnel",
             "ATF.hazmatTraining",
         }
@@ -146,12 +146,12 @@ class TestGammaRestricted:
     def test_full_trust_collapses_to_gamma(self):
         p = self_link_policy()
         got = gamma_restricted(p, p.roles, role("A.r"))
-        assert got.roles == gamma(p, role("A.r")).roles
+        assert got == gamma(p, role("A.r"))
 
     def test_target_outside_core_has_empty_frontier(self):
         p = parse_policy("A.r <- B.r1\n")
         got = gamma_restricted(p, p.roles - {role("B.r1")}, role("A.r"))
-        assert got.roles == frozenset()
+        assert got == frozenset()
 
 
 class TestBoundedContainment:
@@ -205,6 +205,8 @@ class TestBoundDefaults:
                 if r not in monitor.growth_trusted:
                     assert r not in idx.upper
                     assert idx.upper_of(r) == universe_of(p)
+                # No monitor trusts a role of ``TOP``: it holds the universe.
+                assert idx.upper_of(Role(TOP, r.name)) == universe_of(p)
 
 
 class TestBoundSandwich:
@@ -262,7 +264,7 @@ class TestNonCoreUpperBounds:
             assert core_roles(coreset) <= g
             target = rng.choice(sorted(p.roles, key=str))
             gg = gamma_restricted(p, g, target)
-            assert gg.roles <= core_roles(coreset)
+            assert gg <= core_roles(coreset)
 
 
 class TestRestrictedGrowthStability:
@@ -281,7 +283,7 @@ class TestRestrictedGrowthStability:
             extra = None
             for _ in range(10):
                 cand = random_statement_for_state(rng, p, fresh_principal="E")
-                if cand.head not in gg.roles and cand not in p:
+                if cand.head not in gg and cand not in p:
                     extra = cand
                     break
             if extra is None:
@@ -289,7 +291,7 @@ class TestRestrictedGrowthStability:
             p2 = p.add(extra)
             idx2 = bounds(p2, RoleMonitor(growth_trusted=g))
             assert idx2.upper_of(target) == idx.upper_of(target)
-            assert gamma_restricted(p2, g, target).roles == gg.roles
+            assert gamma_restricted(p2, g, target) == gg
             done += 1
 
 
@@ -371,9 +373,9 @@ def test_gamma_restricted_expr_unions_roles():
     p = self_link_policy()
     q = parse_constraint("constraint q owner A: A.r | E.r <= {}")
     got = gamma_restricted_expr(p, p.roles, q.lhs)
-    assert got.roles == gamma_restricted(p, p.roles, role("A.r")).roles | gamma_restricted(
+    assert got == gamma_restricted(p, p.roles, role("A.r")) | gamma_restricted(
         p, p.roles, role("E.r")
-    ).roles
+    )
 
 
 def restricted_cases(seed, n):
@@ -438,14 +440,14 @@ class TestSharedEvaluatorMatchesReferences:
         for rng, p, monitor in restricted_cases(612, 200):
             g = monitor.growth_trusted
             for target in sorted(p.roles, key=str):
-                assert gamma_restricted(p, g, target).roles == reference_gamma_restricted(
+                assert gamma_restricted(p, g, target) == reference_gamma_restricted(
                     p, g, target
                 )
             expr = random_expr(rng, p)
             want = frozenset().union(
                 *(reference_gamma_restricted(p, g, r) for r in roles_of(expr))
             )
-            assert gamma_restricted_expr(p, g, expr).roles == want
+            assert gamma_restricted_expr(p, g, expr) == want
 
 
 class TestPropagatedCoreMatchesRoundRobin:

@@ -387,6 +387,60 @@ class TestUnwritableOut:
         assert captured.err.startswith(f"rtmon: error: {tmp_path}: ")
 
 
+_HAZMAT = {ext: str(FIXTURES / f"hazmat.{ext}") for ext in ("rt", "cst", "changes")}
+
+# Per loader: the file a verb reads with it, a malformed line for it, the
+# arguments naming that file, and the parser's position and message.
+_MALFORMED_INPUTS = {
+    "policy": (
+        "bad.rt", "A.r <- B\nA.r <- 9\n",
+        ["check", "bad.rt", _HAZMAT["cst"]],
+        "2:8: expected principal name",
+    ),
+    "constraints": (
+        "bad.cst", "constraint c1 owner A: A.r <= B.s\nconstraint c2 owner A: A.r <=\n",
+        ["check", _HAZMAT["rt"], "bad.cst"],
+        "2:30: expected role or principal set",
+    ),
+    "changelog": (
+        "bad.changes", "+ A.r <- B\n- A.r <- \n",
+        ["monitor", _HAZMAT["rt"], _HAZMAT["cst"], "bad.changes"],
+        "2:10: expected principal name",
+    ),
+    "monitor": (
+        "bad.mon", "growth-trusted: *\nshrink-trusted: A.\n",
+        ["analyze", _HAZMAT["rt"], _HAZMAT["cst"], "bad.mon"],
+        "2:19: expected role name",
+    ),
+}
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("loader", sorted(_MALFORMED_INPUTS))
+    def test_a_malformed_line_is_an_input_error_at_its_position(
+        self, capsys, tmp_path, monkeypatch, loader
+    ):
+        name, text, argv, where = _MALFORMED_INPUTS[loader]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"rtmon: error: {name}: {where}\n"
+
+    @pytest.mark.parametrize("loader", sorted(_MALFORMED_INPUTS))
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path, monkeypatch, loader):
+        name, _, argv, _ = _MALFORMED_INPUTS[loader]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_bytes(b"\xff\n")
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"rtmon: error: {name}: not valid UTF-8 (invalid start byte)\n"
+
+
 class TestLongExpressions:
     @pytest.mark.parametrize("verb", ["query", "check", "deps", "monitor"])
     def test_verbs_answer_on_a_1500_term_union(self, in_fixtures, capsys, tmp_path, verb):

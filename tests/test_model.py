@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -191,7 +192,16 @@ def test_copy_and_pickle_carry_a_state_without_its_caches():
     for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert twin == p and twin is not p
         assert vars(twin) == {"statements": p.statements}
-        assert twin.principals == p.principals and twin._by_head == p._by_head
+        assert twin.principals == p.principals
+        # Each role's lists follow its state's frozenset iteration order, which
+        # an equal frozenset rebuilt by a copy or by unpickling need not share.
+        assert _by_head_multisets(twin) == _by_head_multisets(p)
+
+
+def _by_head_multisets(p):
+    """Each role's facts and rules in the by-head map, as multisets."""
+    index = p._by_head
+    return [{r: Counter(got) for r, got in part.items()} for part in (index.facts, index.heads)]
 
 
 @pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
@@ -288,6 +298,30 @@ def test_top_cannot_enter_a_constraint():
         Constraint(prin("O"), PrincipalSet(frozenset({TOP})), RoleRef(role("A.r")), "q")
 
 
+@pytest.mark.parametrize("side", ["growth_trusted", "shrink_trusted"])
+def test_top_cannot_own_a_monitored_role(side):
+    roles = frozenset({role("A.r"), Role(TOP, RoleName("r"))})
+    with pytest.raises(ValueError, match="^reserved principal TOP cannot own a monitored role$"):
+        RoleMonitor(**{side: roles})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Principal(""), "principal name must be non-empty"),
+        (lambda: RoleName(""), "role name must be non-empty"),
+        (
+            lambda: Constraint(prin("O"), RoleRef(role("A.r")), RoleRef(role("B.r")), ""),
+            "constraint id must be non-empty",
+        ),
+    ],
+    ids=["principal", "role-name", "constraint-id"],
+)
+def test_empty_names_and_ids_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_expression_static_and_roles():
     static = PrincipalSet(frozenset({prin("A")}))
     assert roles_of(static) == frozenset()
@@ -326,13 +360,35 @@ def test_expression_walkers_fold_a_1500_deep_union(right):
     assert {p.name for p in principals_of_expr(expr)} == owners | {"Q"}
     p = PolicyState(frozenset({stmt("P7.r <- M")}))
     assert eval_expr(evaluate(p), expr) == {prin("M"), prin("Q")}
-    assert support_for_constraint(p, {prin("M"), prin("Q")}, expr).roles == {role("P7.r")}
+    assert support_for_constraint(p, {prin("M"), prin("Q")}, expr) == {role("P7.r")}
     text = serialize_expr(expr)
     if right:
         assert text.count("(") == 1498
     else:
         assert text == " | ".join([f"P{i}.r" for i in range(1499)] + ["{Q}"])
         assert serialize_expr(parse_expr(text)) == text
+
+
+class _SameHash:
+    """An expression leaf whose hash ignores its value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _SameHash) and other.value == self.value
+
+    def __hash__(self):
+        return 0
+
+
+def _deep_union(bottom, intersect_at=None):
+    """``P1499.r | (... | (P0.r | bottom))``, with the node at depth
+    ``intersect_at`` from the bottom an intersection instead."""
+    node = bottom
+    for i in range(1500):
+        node = (IntersectionExpr if i == intersect_at else UnionExpr)(RoleRef(role(f"P{i}.r")), node)
+    return node
 
 
 def test_deep_unions_compare_hash_and_print_without_recursion():
@@ -345,6 +401,15 @@ def test_deep_unions_compare_hash_and_print_without_recursion():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a != parse_expr(text + " | Q.r")
     assert a != parse_expr(text.replace("P700.r |", "P700.r &"))
+    # A union and an intersection of the same parts hash alike, and so do
+    # two ``_SameHash`` leaves, so every node above the one difference hashes
+    # alike and only the walk down to it tells the two expressions apart.
+    q = PrincipalSet(frozenset({prin("Q")}))
+    assert _deep_union(q) == _deep_union(q)
+    for x, y in [(_deep_union(q), _deep_union(q, intersect_at=0)),
+                 (_deep_union(_SameHash(1)), _deep_union(_SameHash(2)))]:
+        assert hash(x) == hash(y)
+        assert x != y and y != x
     assert repr(a).startswith("UnionExpr(left=UnionExpr(left=")
     assert repr(a).count("RoleRef(") == 1500
     line = f"constraint deep owner Q: {text} <= Q.r"

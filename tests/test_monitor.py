@@ -105,7 +105,7 @@ class TestRegister:
     def test_full_trust_holding_caches_both_frontiers(self):
         rec = register(hazmat_policy(), hazmat_constraint(), FullTrust())
         assert rec.status is RecordStatus.HOLDING
-        assert role_strs(rec.gamma_cache.roles) == {
+        assert role_strs(rec.gamma_cache) == {
             "Emergency.hazmatPersonnel",
             "Emergency.responsePersonnel",
             "ATF.hazmatTraining",
@@ -113,7 +113,7 @@ class TestRegister:
             "Fire.responsePersonnel",
             "Police.responsePersonnel",
         }
-        assert role_strs(rec.support_cache.roles) == set()  # lhs is empty here
+        assert role_strs(rec.support_cache) == set()  # lhs is empty here
 
     def test_violated_registration(self):
         rec = register(hazmat_policy_extended(), hazmat_constraint(), FullTrust())
@@ -129,7 +129,7 @@ class TestRegister:
         assert rec.mode == mode
         assert rec.gamma_total
         # empty upper bound on the left side means nothing needs support
-        assert rec.support_cache.roles == frozenset()
+        assert rec.support_cache == frozenset()
 
     def test_restricted_with_untrusted_dept_reports_bound_violation(self):
         p = hazmat_policy()
@@ -178,7 +178,7 @@ class TestClassify:
         q = parse_constraint("constraint q owner A: {F} <= A.r")
         rec = register(p, q, FullTrustCredential())
         assert rec.status is RecordStatus.HOLDING
-        chosen = rec.support_cache.statements
+        chosen = rec.support_cache
         inside = sorted(chosen, key=str)[0]
         assert classify(rec, ChangeEvent(ChangeKind.REMOVE, inside)) is Classification.TRIGGERING
         outside = stmt("C.r <- F") if stmt("B.r <- F") in chosen else stmt("B.r <- F")
@@ -214,11 +214,11 @@ class TestApplyChange:
         p = redundant_support_policy()
         q = parse_constraint("constraint q owner A: {F} <= A.r")
         rec = register(p, q, FullTrust())
-        assert role_strs(rec.support_cache.roles) == {"A.r", "B.r"}
+        assert role_strs(rec.support_cache) == {"A.r", "B.r"}
         got = apply_change(rec, p, remove("B.r <- F"))
         assert got.warning.cause is WarningCause.SUPPORT_SIDE_REMOVE
         assert got.warning.outcome is WarningOutcome.STILL_HOLDS
-        assert role_strs(got.record.support_cache.roles) == {"A.r", "C.r"}
+        assert role_strs(got.record.support_cache) == {"A.r", "C.r"}
 
     def test_noop_events_are_silent_for_holding_records(self):
         p = hazmat_policy()
@@ -279,7 +279,7 @@ class TestRunSession:
         (warning,) = session.warnings
         assert warning.cause is WarningCause.GROWTH_SIDE_ADD
         assert warning.outcome is WarningOutcome.STILL_HOLDS
-        assert role_strs(session.records[0].support_cache.roles) == {"B.r", "C.r", "D.r"}
+        assert role_strs(session.records[0].support_cache) == {"B.r", "C.r", "D.r"}
 
 
 def _ignorable_event(rng, rec, state):
@@ -369,10 +369,10 @@ def test_caches_stay_valid_without_warnings():
             continue
         fresh = register(state, q, FullTrust())
         assert fresh.status is RecordStatus.HOLDING
-        assert fresh.gamma_cache.roles <= rec.gamma_cache.roles
+        assert fresh.gamma_cache <= rec.gamma_cache
         # the cached support still proves every current lhs member
         members = eval_expr(evaluate(state), q.lhs)
-        pinned = evaluate(restrict(state, rec.support_cache.roles))
+        pinned = evaluate(restrict(state, rec.support_cache))
         assert members <= eval_expr(pinned, q.rhs)
         done += 1
     assert done >= 60, f"generator starved: only {done} runs"
@@ -1088,7 +1088,7 @@ def test_wildcard_trusts_a_role_the_policy_never_mentions():
     mode = _hazmat_wildcard_mode()
     rec = register(hazmat_policy(), q, mode)
     assert rec.status is RecordStatus.HOLDING
-    assert rec.gamma_total and role_strs(rec.gamma_cache.roles) == {"Zed.q"}
+    assert rec.gamma_total and role_strs(rec.gamma_cache) == {"Zed.q"}
 
 
 def test_wildcard_session_covers_principals_that_appear_later():

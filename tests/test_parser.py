@@ -436,6 +436,8 @@ class TestMonitors:
         m = parse_monitor("shrink-trusted: ATF.hazmatDB\n")
         assert m.shrink_trusted == frozenset({role("ATF.hazmatDB")})
         assert m.growth_trusted == frozenset()
+        # A section that lists no role trusts none.
+        assert parse_monitor("growth-trusted:\n") == RoleMonitor()
 
     def test_all_but_one_role_listing(self):
         p = hazmat_policy()
