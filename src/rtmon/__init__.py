@@ -73,7 +73,6 @@ from .monitor import (
     RestrictedTrust,
     SessionResult,
     StaleRecord,
-    StateAnalysis,
     WarningCause,
     WarningOutcome,
     apply_change,

@@ -21,12 +21,17 @@ through one gains the whole universe, so these are exactly the roles that
 no untrusted dependency forces to the universe.  Restricted growth sets
 stay inside the core, giving the monitor an add-side frontier it can
 actually observe.
+
+A state keeps what is derived from it here: its lower bound per
+shrink-trusted set, its upper bound and core per growth-trusted set, and
+both bounds per monitor.  Each is computed once per state, however many
+constraints read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Mapping, Optional
+from typing import Container, Mapping
 
 from .deps import _growth_roles
 from .engine import _saturate, _walk_expr
@@ -39,6 +44,7 @@ from .model import (
     RoleMonitor,
     RoleRef,
     TOP,
+    _frozen,
     roles_of,
 )
 
@@ -110,7 +116,9 @@ def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     set: only the statements heading a shrink-trusted role count.
     """
     s = r.shrink_trusted
-    return _saturate(p._by_head, fixed=lambda role: role not in s).members
+    return p._derived(
+        "lower", s, lambda: _saturate(p._by_head, fixed=lambda role: role not in s).members
+    )
 
 
 def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
@@ -123,21 +131,34 @@ def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     component.  The evaluator holds both at the universe without storing
     them.
     """
-    g = r.growth_trusted
+    return _upper(p, r.growth_trusted)
+
+
+def _upper(p: PolicyState, g: Container[Role]) -> Bound:
+    """:func:`upper_bound` for the growth-trusted set ``g``, a frozenset or
+    :data:`~rtmon.model.EVERY_ROLE`: the one entry of ``p`` that the
+    bounds, the core and the restricted growth walk read."""
 
     def fixed(role: Role) -> bool:
         return role.owner == TOP or role not in g
 
-    return _saturate(p._by_head, fixed=fixed, universe=p.principals | {TOP}).members
+    def compute() -> Bound:
+        return _saturate(p._by_head, fixed=fixed, universe=p.principals | {TOP}).members
+
+    return p._derived("upper", g, compute)
 
 
 def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
     """Both bounds for one state under one monitor."""
-    return BoundIndex(
-        lower=lower_bound(p, r),
-        upper=upper_bound(p, r),
-        universe=p.principals | {TOP},
-        monitor=r,
+    return p._derived(
+        "bounds",
+        r,
+        lambda: BoundIndex(
+            lower=lower_bound(p, r),
+            upper=upper_bound(p, r),
+            universe=p.principals | {TOP},
+            monitor=r,
+        ),
     )
 
 
@@ -149,19 +170,19 @@ def eval_upper(idx: BoundIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
     return _walk_expr(expr, idx.upper_of)
 
 
-def core(p: PolicyState, g: Container[Role], ub: Optional[Bound] = None) -> CoreSet:
+def core(p: PolicyState, g: Container[Role]) -> CoreSet:
     """The growth-trusted roles whose upper bounds stay informative.
 
     A role is expelled when its upper bound holds ``TOP``.  ``TOP`` enters
     the bound only through a role held at the universe, and a trusted role
     that gains ``TOP`` gains the whole universe with it.
-
-    ``ub`` is ``upper_bound(p, RoleMonitor(growth_trusted=g))`` when the
-    caller already holds it.
     """
-    if ub is None:
-        ub = upper_bound(p, RoleMonitor(growth_trusted=g))
-    return CoreSet(g, frozenset(role for role, found in ub.items() if TOP in found))
+    g = _frozen(g)
+    return p._derived(
+        "core",
+        g,
+        lambda: CoreSet(g, frozenset(role for role, found in _upper(p, g).items() if TOP in found)),
+    )
 
 
 def gamma_restricted(p: PolicyState, g: Container[Role], target: Role) -> frozenset[Role]:
@@ -174,24 +195,13 @@ def gamma_restricted(p: PolicyState, g: Container[Role], target: Role) -> frozen
 
 
 def gamma_restricted_expr(
-    p: PolicyState,
-    g: Container[Role],
-    expr: PositiveRoleExpr,
-    ub: Optional[Bound] = None,
-    coreset: Optional[CoreSet] = None,
+    p: PolicyState, g: Container[Role], expr: PositiveRoleExpr
 ) -> frozenset[Role]:
-    """Union of restricted growth sets over the expression's roles.
-
-    ``ub`` and ``coreset`` are ``upper_bound(p, RoleMonitor(growth_trusted=g))``
-    and ``core(p, g, ub)`` when the caller already holds them.
-    """
-    if ub is None:
-        ub = upper_bound(p, RoleMonitor(growth_trusted=g))
-    if coreset is None:
-        coreset = core(p, g, ub)
+    """Union of restricted growth sets over the expression's roles."""
+    g = _frozen(g)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return _growth_roles(p._by_head.heads, roles_of(expr), ub, coreset)
+    return _growth_roles(p._by_head.heads, roles_of(expr), _upper(p, g), core(p, g))
 
 
 @dataclass(frozen=True)
@@ -209,12 +219,8 @@ class BoundedCheck:
     rhs_lower: frozenset[Principal]
 
 
-def check_bounded_containment(
-    p: PolicyState, r: RoleMonitor, q: Constraint, idx: Optional[BoundIndex] = None
-) -> BoundedCheck:
-    """``idx`` is ``bounds(p, r)`` when the caller already holds it."""
-    if idx is None:
-        idx = bounds(p, r)
+def check_bounded_containment(p: PolicyState, r: RoleMonitor, q: Constraint) -> BoundedCheck:
+    idx = bounds(p, r)
     lhs_upper = eval_upper(idx, q.lhs)
     rhs_lower = eval_lower(idx, q.rhs)
     witnesses = lhs_upper - rhs_lower

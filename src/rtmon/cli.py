@@ -21,8 +21,14 @@ import json
 import sys
 from typing import Optional
 
-from .analysis import check_bounded_containment, gamma_restricted_expr
-from .deps import DEFAULT_SUPPORT_CAP, NoSupport, _justified, gamma_expr, support_for_constraint
+from .analysis import check_bounded_containment, core, gamma_restricted_expr
+from .deps import (
+    DEFAULT_SUPPORT_CAP,
+    NoSupport,
+    gamma_expr,
+    justified_semantics,
+    support_for_constraint,
+)
 from .engine import check_constraint, eval_expr, evaluate
 from .model import EVERY_ROLE, roles_of
 from .monitor import (
@@ -30,7 +36,6 @@ from .monitor import (
     FullTrustCredential,
     MonitorMode,
     RestrictedTrust,
-    StateAnalysis,
     WarningOutcome,
     run_session,
 )
@@ -147,14 +152,10 @@ def cmd_deps(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
-    analysis = StateAnalysis(state, _constraint_roles(constraints))
-    idx = analysis.cone
-    # One whole-state worklist serves the supports and, when asked for, every
-    # member's supports.
-    if args.all_supports:
-        js, saturated = _justified(state, DEFAULT_SUPPORT_CAP)
-    else:
-        js, saturated = None, analysis.worklist()
+    idx = evaluate(state, _constraint_roles(constraints))
+    # The state keeps its whole-state worklist, so one run serves the
+    # supports and, when asked for, every member's supports.
+    js = justified_semantics(state) if args.all_supports else None
     verdicts = []
     violated = False
     for q in constraints:
@@ -166,9 +167,7 @@ def cmd_deps(args) -> dict:
         }
         if got.satisfied:
             members = eval_expr(idx, q.lhs)
-            entry["support"] = _texts(
-                support_for_constraint(state, members, q.rhs, saturated=saturated)
-            )
+            entry["support"] = _texts(support_for_constraint(state, members, q.rhs))
             if js is not None:
                 found: dict = {}
                 for role in roles_of(q.rhs):
@@ -194,15 +193,12 @@ def cmd_analyze(args) -> dict:
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
     monitor = _load(args.monitor, parse_monitor, inputs, "monitor")
     g = monitor.growth_trusted
-    analysis = StateAnalysis(state)
-    idx = analysis.bounds(monitor)
-    coreset = analysis.core(monitor)
     verdicts = []
     violated = False
     unestablished = False
     for q in constraints:
-        chk = check_bounded_containment(state, monitor, q, idx)
-        growth = gamma_restricted_expr(state, g, q.lhs, idx.upper, coreset)
+        chk = check_bounded_containment(state, monitor, q)
+        growth = gamma_restricted_expr(state, g, q.lhs)
         entry: dict = {
             "id": q.id,
             "holds": chk.holds,
@@ -210,10 +206,7 @@ def cmd_analyze(args) -> dict:
             "gamma_restricted": _texts(growth),
         }
         try:
-            shrink = monitor.shrink_trusted
-            support = support_for_constraint(
-                state, chk.lhs_upper, q.rhs, shrink, saturated=analysis.worklist(shrink)
-            )
+            support = support_for_constraint(state, chk.lhs_upper, q.rhs, monitor.shrink_trusted)
             entry["support"] = _texts(support)
             entry["established"] = True
         except NoSupport as exc:
@@ -225,7 +218,7 @@ def cmd_analyze(args) -> dict:
             violated = True
         verdicts.append(entry)
     listed = state.roles if g is EVERY_ROLE else g
-    result = {"core": _texts(listed - coreset.expelled), "constraints": verdicts}
+    result = {"core": _texts(listed - core(state, g).expelled), "constraints": verdicts}
     return _report("analyze", inputs, result, _exit_code(violated, unestablished))
 
 

@@ -25,7 +25,8 @@ cost grows with the number of minimal unions, not with the product of the
 parts' supports.  A cap per (role, member) bounds pathological states at
 the cost of possibly non-minimal (still valid) supports.  The cap and every
 pick read one order: fewest tokens first, ties broken by sorted token
-texts.
+texts.  A state keeps the role-support worklist it ran per admissible set
+and cap, so every support read of one state at one cap shares one run.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
     SimpleMember,
     Statement,
     _checked_state,
+    _frozen,
     fold_expr,
     roles_of,
 )
@@ -334,11 +336,19 @@ def _check_cap(cap: Optional[int]) -> None:
 
 def _role_worklist(
     p: PolicyState, admissible: Optional[Container[Role]], cap: Optional[int]
-) -> _Saturated:
+) -> tuple[_Saturated, frozenset[Role]]:
     """Role supports per role and member, over the statements of ``p``
-    heading a role in ``admissible`` (every statement when it is ``None``)."""
-    statements = p if admissible is None else [s for s in p if s.head in admissible]
-    return _worklist(statements, lambda s: s.head, cap)[0]
+    heading a role in ``admissible`` (every statement when it is ``None``),
+    with the roles the cap truncated; run once per admissible set and cap,
+    and kept on ``p``."""
+    if admissible is not None:
+        admissible = _frozen(admissible)
+
+    def run() -> tuple[_Saturated, frozenset[Role]]:
+        statements = p if admissible is None else [s for s in p if s.head in admissible]
+        return _worklist(statements, lambda s: s.head, cap)
+
+    return p._derived("worklist", (admissible, cap), run)
 
 
 def justified_semantics(
@@ -352,19 +362,12 @@ def justified_semantics(
     Raises ``ValueError`` for a cap below 1.
     """
     _check_cap(max_entries_per_member)
-    return _justified(p, max_entries_per_member)[0]
-
-
-def _justified(p: PolicyState, cap: Optional[int]) -> tuple[JustifiedSemantics, _Saturated]:
-    """:func:`justified_semantics` at ``cap``, with the worklist output it
-    is read from, which :func:`support_for_constraint` takes as
-    ``saturated``: one run serves both."""
-    raw, truncated = _worklist(p, lambda s: s.head, cap)
+    raw, truncated = _role_worklist(p, None, max_entries_per_member)
     entries = {
         role: frozenset(JustifiedEntry(m, sup) for m, found in by_member.items() for sup in found)
         for role, by_member in raw.items()
     }
-    return JustifiedSemantics(entries, truncated), raw
+    return JustifiedSemantics(entries, truncated)
 
 
 def minimal_supports(
@@ -377,7 +380,7 @@ def minimal_supports(
     """Minimal supports of ``member`` in ``target``; empty iff not a member.
     Raises ``ValueError`` for a cap below 1."""
     _check_cap(max_entries_per_member)
-    raw = _role_worklist(p, None, max_entries_per_member)
+    raw = _role_worklist(p, None, max_entries_per_member)[0]
     return frozenset(raw.get(target, {}).get(member, ()))
 
 
@@ -430,7 +433,6 @@ def support_for_constraint(
     admissible: Optional[Container[Role]] = None,
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
-    saturated: Optional[_Saturated] = None,
 ) -> frozenset[Role]:
     """One role support proving every member's membership in ``rhs``.
 
@@ -439,13 +441,9 @@ def support_for_constraint(
     yields exactly the supports contained in ``admissible``).  Raises
     :class:`NoSupport` when some member has no qualifying support, and
     ``ValueError`` for a cap below 1.
-
-    ``saturated`` is ``_role_worklist(p, admissible, max_entries_per_member)``
-    when the caller already holds it.
     """
     _check_cap(max_entries_per_member)
-    if saturated is None:
-        saturated = _role_worklist(p, admissible, max_entries_per_member)
+    saturated = _role_worklist(p, admissible, max_entries_per_member)[0]
     total: set[Role] = set()
     for _, got in _member_supports(members, rhs, saturated):
         total |= got
@@ -458,7 +456,6 @@ def credential_support_for_constraint(
     rhs: PositiveRoleExpr,
     *,
     max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
-    saturated: Optional[_Saturated] = None,
 ) -> frozenset[Statement]:
     """Statement-level support: the statements one derivation actually uses.
 
@@ -469,13 +466,9 @@ def credential_support_for_constraint(
     worklist runs once per distinct role support, and the members sharing
     it pick their statements from that one run.  Raises ``ValueError`` for a
     cap below 1.
-
-    ``saturated`` is ``_role_worklist(p, None, max_entries_per_member)`` when
-    the caller already holds it.
     """
     _check_cap(max_entries_per_member)
-    if saturated is None:
-        saturated = _role_worklist(p, None, max_entries_per_member)
+    saturated = _role_worklist(p, None, max_entries_per_member)[0]
     replays: dict[frozenset, _Saturated] = {}
     total: set[Statement] = set()
     for member, role_support in _member_supports(members, rhs, saturated):

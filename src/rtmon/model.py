@@ -7,7 +7,10 @@ role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
 beyond their own invariants, and are safe to share between threads.  A
 state derives what every pass reads of it -- its principals and its
-statements by head -- on first use, once, and keeps it.
+statements by head -- on first use, once, and keeps it, and it keeps what
+the other modules derive from it (membership on a cone, the support
+worklist, the bounds and the trusted core) in one memo, also filled on
+first use.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Container, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Container, Hashable, Iterator, Mapping, TypeVar, Union
 
 __all__ = [
     "RESERVED_PRINCIPAL",
@@ -315,7 +318,8 @@ class PolicyState:
     def __contains__(self, stmt: object) -> bool:
         return stmt in self.statements
 
-    # Copy and pickle carry the statements alone, none of the caches below.
+    # Copy and pickle carry the statements alone, none of the caches below
+    # and not the memo.
     __reduce__ = _rebuilt
 
     def add(self, stmt: Statement) -> "PolicyState":
@@ -350,6 +354,22 @@ class PolicyState:
             else:
                 heads[stmt.head].append(stmt)
         return _HeadIndex(facts, heads)
+
+    @cached_property
+    def _memo(self) -> dict[tuple[str, Hashable], object]:
+        """What other modules derive from this state, keyed by a kind (a
+        plain string) and the argument it was derived for."""
+        return {}
+
+    def _derived(self, kind: str, arg: Hashable, compute: Callable[[], _T]) -> _T:
+        """The ``kind`` of this state derived for ``arg``: ``compute()`` on
+        first use, the kept result afterwards.  Two threads may both compute
+        a cold entry; that is benign, because each stores an equal value."""
+        memo = self._memo
+        key = (kind, arg)
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     @cached_property
     def role_names(self) -> frozenset[RoleName]:
@@ -587,6 +607,12 @@ class _EveryRole:
 EVERY_ROLE = _EveryRole()
 
 
+def _frozen(roles: Container[Role]) -> Container[Role]:
+    """A set of trusted or admissible roles as a hashable value:
+    :data:`EVERY_ROLE` itself, any finite set as a ``frozenset``."""
+    return roles if roles is EVERY_ROLE else frozenset(roles)
+
+
 @dataclass(frozen=True, slots=True)
 class RoleMonitor:
     """Trust declaration: which roles report growth, which report shrinkage.
@@ -603,12 +629,9 @@ class RoleMonitor:
 
     def __post_init__(self) -> None:
         for side in ("growth_trusted", "shrink_trusted"):
-            roles = getattr(self, side)
-            if roles is EVERY_ROLE:
-                continue
-            roles = frozenset(roles)
+            roles = _frozen(getattr(self, side))
             object.__setattr__(self, side, roles)
-            if any(role.owner.is_reserved for role in roles):
+            if roles is not EVERY_ROLE and any(role.owner.is_reserved for role in roles):
                 raise ValueError(
                     f"reserved principal {RESERVED_PRINCIPAL} cannot own a monitored role"
                 )

@@ -36,16 +36,16 @@ re-registration, and the final state is built only if the snapshot is
 still stale.  Freeing the snapshot on the first quiet event after a warned
 one would make that event the slowest quiet event of a session.
 
-The shared part of a registration lives in one :class:`StateAnalysis` per
-snapshot: the initial registrations share one, and so do the records one
-event re-registers.  The snapshot itself holds its statements by head,
-built once on first use, and every pass below reads that one map.  Under
-full trust, membership is evaluated only on the cone of the constraints
-the snapshot registers -- the roles of both sides closed under the rules
-heading them -- in one batch for all of them, by one
-:func:`~rtmon.engine.evaluate` call with those roles as roots, which finds
-the cone as it evaluates and indexes only the cone's rules; the support
-worklist still covers the whole snapshot.  Under restricted trust, both
+The shared part of a registration is kept on the snapshot it reads, next
+to the snapshot's statements by head: the initial registrations share the
+starting state's, and the records one event re-registers share that
+event's snapshot's.  Under full trust, membership is evaluated only on the
+cone of the constraints of one batch -- the roles of both sides closed
+under the rules heading them -- by one :func:`~rtmon.engine.evaluate` call
+with the batch's roles as roots, its ``demand``, which the first
+registration of the batch makes; it finds the cone as it evaluates and
+indexes only the cone's rules.  The support worklist still covers the
+whole snapshot, once per admissible set.  Under restricted trust, both
 bounds of a monitor are one evaluation each of every head of the map, with
 the untrusted roles held fixed, and the core is read off the upper bound.
 Each record adds only its check, growth closure walk and support picks.
@@ -55,26 +55,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Container, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .analysis import (
-    BoundIndex,
-    CoreSet,
-    bounds,
-    check_bounded_containment,
-    core,
-    gamma_restricted_expr,
-)
-from .deps import (
-    DEFAULT_SUPPORT_CAP,
-    _role_worklist,
-    _Saturated,
-    credential_support_for_constraint,
-    gamma_expr,
-    support_for_constraint,
-)
-from .engine import SemanticsIndex, check_constraint, eval_expr, evaluate
+from .analysis import check_bounded_containment, core, gamma_restricted_expr
+from .deps import credential_support_for_constraint, gamma_expr, support_for_constraint
+from .engine import check_constraint, eval_expr, evaluate
 from .model import (
     ChangeEvent,
     ChangeKind,
@@ -101,7 +86,6 @@ __all__ = [
     "MonitorWarning",
     "Classification",
     "StaleRecord",
-    "StateAnalysis",
     "register",
     "classify",
     "ChangeResult",
@@ -110,7 +94,6 @@ __all__ = [
     "run_session",
 ]
 
-_T = TypeVar("_T")
 # A frontier holds roles, or under credential supports its remove side
 # holds statements.
 _FrontierKey = Union[Role, Statement]
@@ -198,57 +181,8 @@ class MonitorWarning:
     noop: bool = False
 
 
-class StateAnalysis:
-    """The work every record registered against ``p`` shares.
-
-    Each part is computed on first use and then kept: membership on the
-    cone of ``demand`` (``evaluate(p, demand)``), the role-support worklist
-    per admissible set, and per role monitor the bounds and the trusted
-    core.  All of them read the statements by head that ``p`` itself holds.
-    ``demand`` holds the roles of both sides of every full-trust constraint
-    registered against it; reading membership outside their cone raises
-    ``LookupError``.  A record then runs only its own check, growth closure
-    walk and support picks.  Build one for a batch of registrations against
-    one state and drop it with the batch: it holds results of the size of
-    the state.
-    """
-
-    def __init__(self, p: PolicyState, demand: Iterable[Role] = ()):
-        self.p = p
-        self.demand = frozenset(demand)
-        self._done: dict[tuple, object] = {}
-
-    def _once(self, key: tuple, compute: Callable[[], _T]) -> _T:
-        if key not in self._done:
-            self._done[key] = compute()
-        return self._done[key]
-
-    @cached_property
-    def cone(self) -> SemanticsIndex:
-        """Membership, exact on the cone of ``demand``."""
-        return evaluate(self.p, self.demand)
-
-    def worklist(self, admissible: Optional[Container[Role]] = None) -> _Saturated:
-        """The role supports over the statements heading admissible roles,
-        at the default cap; ``admissible`` is hashable, like either side of
-        a monitor."""
-        return self._once(
-            ("worklist", admissible),
-            lambda: _role_worklist(self.p, admissible, DEFAULT_SUPPORT_CAP),
-        )
-
-    def bounds(self, monitor: RoleMonitor) -> BoundIndex:
-        return self._once(("bounds", monitor), lambda: bounds(self.p, monitor))
-
-    def core(self, monitor: RoleMonitor) -> CoreSet:
-        return self._once(
-            ("core", monitor),
-            lambda: core(self.p, monitor.growth_trusted, self.bounds(monitor).upper),
-        )
-
-
 def register(
-    p: PolicyState, q: Constraint, mode: MonitorMode, analysis: Optional[StateAnalysis] = None
+    p: PolicyState, q: Constraint, mode: MonitorMode, demand: Optional[frozenset[Role]] = None
 ) -> MonitorRecord:
     """Check the constraint and, if it holds, build the monitoring caches.
 
@@ -257,53 +191,46 @@ def register(
     lower bound is membership in the state restricted to the shrink-trusted
     heads, the state the support is sought in.
 
-    ``analysis`` is ``StateAnalysis(p, _demand(q, mode))``, or one whose
-    demand holds that one, when the caller already holds it.
+    ``demand`` is the set of roots whose cone membership is read (and kept
+    on ``p``): ``_demand(q, mode)`` when it is ``None``, or the roots of a
+    batch registered against ``p`` that holds them, so the batch shares one
+    evaluation.
     """
-    if analysis is None:
-        analysis = StateAnalysis(p, _demand(q, mode))
     if isinstance(mode, RestrictedTrust):
-        return _register_restricted(p, q, mode, analysis)
-
-    idx = analysis.cone
+        return _register_restricted(p, q, mode)
+    if demand is None:
+        demand = _demand(q, mode)
+    idx = p._derived("cone", demand, lambda: evaluate(p, demand))
     result = check_constraint(p, q, idx)
     if not result.satisfied:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
     growth = gamma_expr(p, q.lhs, idx)
     members = eval_expr(idx, q.lhs)
-    saturated = analysis.worklist()
     if isinstance(mode, FullTrustCredential):
-        support: frozenset[_FrontierKey] = (
-            credential_support_for_constraint(p, members, q.rhs, saturated=saturated)
-        )
+        support: frozenset[_FrontierKey] = credential_support_for_constraint(p, members, q.rhs)
     else:
-        support = support_for_constraint(p, members, q.rhs, saturated=saturated)
+        support = support_for_constraint(p, members, q.rhs)
     return MonitorRecord(q, mode, growth, support, RecordStatus.HOLDING)
 
 
 def _demand(q: Constraint, mode: MonitorMode) -> frozenset[Role]:
-    """The roles whose membership registering ``q`` under ``mode`` reads
-    off :attr:`StateAnalysis.cone`: both sides' under full trust, none
-    under restricted trust, which reads the bounds instead."""
+    """The roots of the cone whose membership registering ``q`` under
+    ``mode`` reads: both sides' roles under full trust, none under
+    restricted trust, which reads the bounds instead."""
     if isinstance(mode, RestrictedTrust):
         return frozenset()
     return roles_of(q.lhs) | roles_of(q.rhs)
 
 
-def _register_restricted(
-    p: PolicyState, q: Constraint, mode: RestrictedTrust, analysis: StateAnalysis
-) -> MonitorRecord:
+def _register_restricted(p: PolicyState, q: Constraint, mode: RestrictedTrust) -> MonitorRecord:
     monitor = mode.monitor
-    idx = analysis.bounds(monitor)
-    chk = check_bounded_containment(p, monitor, q, idx)
+    chk = check_bounded_containment(p, monitor, q)
     if not chk.holds:
         return MonitorRecord(q, mode, None, None, RecordStatus.BOUND_VIOLATED, chk.witnesses)
-    coreset = analysis.core(monitor)
-    growth = gamma_restricted_expr(p, monitor.growth_trusted, q.lhs, idx.upper, coreset)
-    shrink = monitor.shrink_trusted
-    support = support_for_constraint(
-        p, chk.lhs_upper, q.rhs, shrink, saturated=analysis.worklist(shrink)
-    )
+    g = monitor.growth_trusted
+    coreset = core(p, g)
+    growth = gamma_restricted_expr(p, g, q.lhs)
+    support = support_for_constraint(p, chk.lhs_upper, q.rhs, monitor.shrink_trusted)
     gamma_total = all(r in coreset for r in roles_of(q.lhs))
     return MonitorRecord(
         q, mode, growth, support, RecordStatus.HOLDING, gamma_total=gamma_total
@@ -359,11 +286,10 @@ def _react(
     new_state: PolicyState,
     ev: ChangeEvent,
     noop: bool,
-    analysis: Optional[StateAnalysis] = None,
+    demand: Optional[frozenset[Role]] = None,
 ) -> tuple[Optional[MonitorWarning], MonitorRecord]:
-    """One record's reaction to an already-applied event; ``analysis`` is
-    ``StateAnalysis(new_state, _demand(rec.constraint, rec.mode))``, or one
-    whose demand holds that one, when the caller already holds it."""
+    """One record's reaction to an already-applied event; a re-registration
+    reads the cone of ``demand``, as :func:`register` does."""
     if rec.status is RecordStatus.HOLDING:
         if noop or classify(rec, ev) is Classification.IGNORABLE:
             return None, rec
@@ -376,7 +302,7 @@ def _react(
         # Outside the holding regime nothing is provably ignorable; every
         # event forces a re-check, which doubles as recovery.
         cause = WarningCause.RECHECK
-    fresh = register(new_state, rec.constraint, rec.mode, analysis)
+    fresh = register(new_state, rec.constraint, rec.mode, demand)
     warning = MonitorWarning(
         constraint_id=rec.constraint.id,
         cause=cause,
@@ -486,10 +412,9 @@ def run_session(
     records without one; every other record provably ignores it and is not
     visited.  The records reached react to one ``PolicyState`` snapshot of
     the live set, built at most once per event and only when some record
-    re-registers, and share one :class:`StateAnalysis` of it: its demand is
-    the roles of the records reached, and it is dropped when the event is
-    done.  The by-head map every pass reads is the snapshot's own, so it is
-    built once per snapshot and goes with it.
+    re-registers, and share what is derived from it, which the snapshot
+    keeps: the records reached share one cone, whose demand is their roles.
+    The by-head map and everything derived from the snapshot go with it.
 
     A snapshot lives until the first event that reaches a record after the
     live set changed: that event drops it and builds the next one, so an
@@ -503,9 +428,8 @@ def run_session(
     ``p`` itself when nothing changed.
     """
     demands = [_demand(q, mode) for q, mode in registrations]
-    shared = StateAnalysis(p, frozenset().union(*demands))
-    initial = tuple(register(p, q, mode, shared) for q, mode in registrations)
-    del shared
+    demand = frozenset().union(*demands)
+    initial = tuple(register(p, q, mode, demand) for q, mode in registrations)
     records = list(initial)
     index = _FrontierIndex(records)
     warnings: list[MonitorWarning] = []
@@ -534,17 +458,14 @@ def run_session(
             snapshot = None
             snapshot = _checked_state(frozenset(live))
             stale = False
-        shared = StateAnalysis(snapshot, frozenset().union(*(demands[i] for i in due)))
+        demand = frozenset().union(*(demands[i] for i in due))
         for i in due:
-            warning, fresh = _react(records[i], snapshot, ev, noop, shared)
+            warning, fresh = _react(records[i], snapshot, ev, noop, demand)
             if warning is not None:
                 warnings.append(warning)
             if fresh is not records[i]:
                 records[i] = fresh
                 index.put(i, fresh)
-        # Freed within this event, so the next event does not pay for it.  The
-        # by-head map stays on the snapshot and is freed with it.
-        del shared
     if stale:
         snapshot = None
         snapshot = _checked_state(frozenset(live))

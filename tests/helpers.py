@@ -2,6 +2,7 @@
 
 import sys
 
+import rtmon.engine
 from rtmon.model import Principal, Role, RoleName
 from rtmon.parser import parse_constraint, parse_policy, parse_statement
 
@@ -111,6 +112,16 @@ def core_roles(coreset) -> frozenset:
     return coreset.trusted - coreset.expelled
 
 
+def patch_everywhere(monkeypatch, real, spy) -> None:
+    """Replace ``real`` by ``spy`` under every name the ``rtmon`` modules
+    look it up by."""
+    for name, mod in list(sys.modules.items()):
+        if name == "rtmon" or name.startswith("rtmon."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, spy)
+
+
 def count_calls(monkeypatch, real) -> list:
     """Record the first argument of every call to ``real``, under every
     name the ``rtmon`` modules look it up by."""
@@ -120,9 +131,24 @@ def count_calls(monkeypatch, real) -> list:
         calls.append(p)
         return real(p, *args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "rtmon" or name.startswith("rtmon."):
-            for attr, value in list(vars(mod).items()):
-                if value is real:
-                    monkeypatch.setattr(mod, attr, counted)
+    patch_everywhere(monkeypatch, real, counted)
+    return calls
+
+
+def count_saturations(monkeypatch) -> list:
+    """What each run of the one membership loop computes, in call order:
+    ``"cone"`` or ``"whole"`` membership, or the ``"lower"`` or ``"upper"``
+    bound, with the by-head map it reads."""
+    calls = []
+    real = rtmon.engine._saturate
+
+    def spy(index, roots=None, fixed=None, universe=frozenset()):
+        if fixed is not None:
+            kind = "upper" if universe else "lower"
+        else:
+            kind = "whole" if roots is None else "cone"
+        calls.append((kind, index))
+        return real(index, roots, fixed, universe)
+
+    patch_everywhere(monkeypatch, real, spy)
     return calls

@@ -246,7 +246,7 @@ class TestNonCoreUpperBounds:
             monitor = random_untrusted_link_monitor(rng, p)
             g = monitor.growth_trusted
             idx = bounds(p, RoleMonitor(growth_trusted=g))
-            coreset = core(p, g, idx.upper)
+            coreset = core(p, g)
             for r in coreset.expelled:
                 assert idx.upper_of(r) == universe_of(p)
             for r in p.roles:
@@ -465,17 +465,17 @@ class TestPropagatedCoreMatchesRoundRobin:
 
     def test_deep_chain_expelled_from_its_untrusted_end(self, monkeypatch):
         # R0 <- R1 <- ... <- R300 with R300 untrusted: every role of the
-        # chain goes.  The core is read off the upper bound the caller
-        # holds, so it reads no statement at all.
+        # chain goes.  The core is read off the upper bound the state
+        # already keeps, so it reads no statement at all.
         chain = [Role(Principal(f"P{i}"), RoleName("r")) for i in range(301)]
         p = PolicyState(
             frozenset(Statement(a, SimpleInclusion(b)) for a, b in zip(chain, chain[1:]))
             | {Statement(chain[-1], SimpleMember(Principal("M")))}
         )
         g = frozenset(chain[:-1]) | {role("Other.r")}
-        ub = upper_bound(p, RoleMonitor(growth_trusted=g))
+        upper_bound(p, RoleMonitor(growth_trusted=g))
         reads = count_calls(monkeypatch, rtmon.engine._reads)
-        got = core_roles(core(p, g, ub))
+        got = core_roles(core(p, g))
         assert reads == []
         assert got == {role("Other.r")} == round_robin_core(p, g)
 

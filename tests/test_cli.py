@@ -14,7 +14,7 @@ import rtmon.monitor
 import rtmon.parser
 from rtmon.cli import main
 
-from helpers import count_calls, role
+from helpers import count_calls, count_saturations, role
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,14 +73,14 @@ class TestCheck:
         assert "c1: violated [Burke]" in out
 
     def test_evaluates_once_for_every_constraint(self, in_fixtures, capsys, monkeypatch):
-        evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
+        saturations = count_saturations(monkeypatch)
         rc, out = run(capsys, "check", "multi.rt", "multi.cst")
         assert rc == 1
         assert out.count(": satisfied") == 3
         # One cone for every constraint, found while it is evaluated: the
         # walk of Org.staff <- Org.dept.member to Sales and Labs needs no
         # second evaluation.
-        assert len(evaluations) == 1
+        assert [kind for kind, _ in saturations] == ["cone"]
 
     def test_empty_constraints_file(self, in_fixtures, capsys, tmp_path):
         empty = tmp_path / "none.cst"
@@ -116,9 +116,9 @@ class TestDeps:
 
     def test_all_supports_saturate_once_per_run(self, in_fixtures, capsys, monkeypatch):
         runs = count_calls(monkeypatch, rtmon.deps._worklist)
-        evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
+        saturations = count_saturations(monkeypatch)
         for flags in ([], ["--all-supports"]):
-            del runs[:], evaluations[:]
+            del runs[:], saturations[:]
             rc, out = run(capsys, "deps", "multi.rt", "multi.cst", *flags)
             assert rc == 1
             assert out.count(": satisfied") == 3
@@ -126,7 +126,7 @@ class TestDeps:
             # member's supports.
             assert len(runs) == 1, flags
             # One evaluation of the cone of every constraint.
-            assert len(evaluations) == 1
+            assert [kind for kind, _ in saturations] == ["cone"]
 
     def test_all_supports_report_a_truncation_by_the_cap(self, capsys, tmp_path):
         # A width-4 intersection whose parts have two disjoint alternatives
@@ -227,12 +227,15 @@ class TestAnalyze:
             "constraint c1 owner Emergency: Emergency.hazmatPersonnel <= ATF.hazmatDB\n"
             "constraint c2 owner Emergency: Emergency.responsePersonnel <= ATF.hazmatTraining\n"
         )
-        upper = count_calls(monkeypatch, rtmon.analysis.upper_bound)
-        cores = count_calls(monkeypatch, rtmon.analysis.core)
+        saturations = count_saturations(monkeypatch)
+        cores = count_calls(monkeypatch, rtmon.analysis.CoreSet)
         rc, out = run(capsys, "analyze", "hazmat.rt", str(cst), "hazmat.mon")
         assert rc == 0
         assert "c1: bound holds" in out and "c2: bound holds" in out
-        assert len(upper) == 1 and len(cores) == 1
+        # One lower and one upper bound of the state, and one core read off
+        # the upper bound, for both constraints.
+        assert sorted(kind for kind, _ in saturations) == ["lower", "upper"]
+        assert len(cores) == 1
 
     def test_fully_trusted_monitor_collapses_to_check(self, in_fixtures, capsys, tmp_path):
         mon = tmp_path / "star.mon"

@@ -389,6 +389,34 @@ class TestJustifiedSemantics:
         assert seen >= 300 + len(list(_fixture_cases()))
 
 
+def _support_answers(p, members, rhs, admissible, cap) -> dict:
+    """Every support read of ``p`` at ``cap``: a result, or the member
+    :class:`NoSupport` names."""
+
+    def answer(call):
+        try:
+            return call()
+        except NoSupport as exc:
+            return ("no support", exc.member)
+
+    js = justified_semantics(p, max_entries_per_member=cap)
+    return {
+        "entries": js.entries,
+        "truncated": js.truncated_roles,
+        "roles": answer(
+            lambda: support_for_constraint(p, members, rhs, max_entries_per_member=cap)
+        ),
+        "admissible": answer(
+            lambda: support_for_constraint(
+                p, members, rhs, admissible, max_entries_per_member=cap
+            )
+        ),
+        "credential": answer(
+            lambda: credential_support_for_constraint(p, members, rhs, max_entries_per_member=cap)
+        ),
+    }
+
+
 class TestSupportCap:
     """A cap below 1 would keep no support at all."""
 
@@ -426,8 +454,31 @@ class TestSupportCap:
         assert got["minimal_supports"]() == {frozenset({role("A.r")})}
         assert got["support_for_constraint"]() == frozenset({role("A.r")})
         assert got["credential_support_for_constraint"]() == frozenset({stmt("A.r <- B")})
-        saturated = _role_worklist(p, None, 1)
+        saturated, truncated = _role_worklist(p, None, 1)
         assert saturated[role("A.r")] == {prin("B"): [frozenset({role("A.r")})]}
+        assert not truncated
+
+    @pytest.mark.parametrize(
+        "caps", [(1, DEFAULT_SUPPORT_CAP), (DEFAULT_SUPPORT_CAP, 1)], ids=["1-first", "8-first"]
+    )
+    def test_both_caps_on_one_state_answer_as_on_a_fresh_copy(self, caps):
+        # A state keeps one worklist per admissible set and cap, so asking
+        # at one cap never answers for the other, in either order; a plain
+        # set of admissible roles reads the entry of the equal frozenset.
+        rng = random.Random(431)
+        differ = 0
+        for n in range(200):
+            p = random_fan_state(rng) if n % 2 else random_state(rng)
+            rhs = random_expr(rng, p)
+            members = sorted(eval_expr(evaluate(p), rhs))
+            admissible = {r for r in p.roles if rng.random() < 0.8}
+            by_cap = {}
+            for cap in caps:
+                got = _support_answers(p, members, rhs, admissible, cap)
+                assert got == _support_answers(copy.copy(p), members, rhs, admissible, cap)
+                by_cap[cap] = got
+            differ += by_cap[1] != by_cap[DEFAULT_SUPPORT_CAP]
+        assert differ >= 20
 
 
 class TestMinimalSupports:
@@ -554,10 +605,11 @@ class TestCredentialSupport:
 
     def test_members_sharing_a_role_support_replay_once(self, monkeypatch):
         p = parse_policy("A.r <- B.r\nB.r <- C\nB.r <- D\nB.r <- E\n")
-        saturated = _role_worklist(p, None, DEFAULT_SUPPORT_CAP)
+        # The state keeps its role-support worklist, so only replays run.
+        _role_worklist(p, None, DEFAULT_SUPPORT_CAP)
         runs = count_calls(monkeypatch, rtmon.deps._worklist)
         got = credential_support_for_constraint(
-            p, {prin("C"), prin("D"), prin("E")}, RoleRef(role("A.r")), saturated=saturated
+            p, {prin("C"), prin("D"), prin("E")}, RoleRef(role("A.r"))
         )
         assert len(runs) == 1
         assert got == frozenset(

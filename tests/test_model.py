@@ -36,10 +36,19 @@ from rtmon.model import (
     principals_of_expr,
     roles_of,
 )
-from rtmon.monitor import FullTrust, run_session
+from rtmon.monitor import FullTrust, RestrictedTrust, register, run_session
 from rtmon.parser import parse_constraint, parse_expr, parse_statement, serialize_expr
 
-from helpers import HAZMAT_ADD_9, hazmat_policy, prin, role, role_strs, self_link_policy, stmt
+from helpers import (
+    HAZMAT_ADD_9,
+    hazmat_constraint,
+    hazmat_policy,
+    prin,
+    role,
+    role_strs,
+    self_link_policy,
+    stmt,
+)
 from randgen import random_state
 
 
@@ -188,6 +197,12 @@ def test_copy_and_pickle_carry_a_state_without_its_caches():
     cold = len(pickle.dumps(p))
     for cache in ("principals", "_by_head", "role_names", "roles"):
         getattr(p, cache)
+    # A registration under each kind of trust fills the memo: the cone, the
+    # support worklist, both bounds and the core.
+    q = hazmat_constraint()
+    register(p, q, FullTrust())
+    register(p, q, RestrictedTrust(RoleMonitor(EVERY_ROLE, EVERY_ROLE)))
+    assert {kind for kind, _ in p._memo} == {"cone", "worklist", "lower", "upper", "bounds", "core"}
     assert len(pickle.dumps(p)) == cold
     for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert twin == p and twin is not p
@@ -392,9 +407,6 @@ def _deep_union(bottom, intersect_at=None):
 
 
 def test_deep_unions_compare_hash_and_print_without_recursion():
-    from rtmon.monitor import FullTrust, register
-    from rtmon.parser import parse_constraint
-
     text = " | ".join(f"P{i}.r" for i in range(1500))
     a, b = parse_expr(text), parse_expr(text)
     assert a is not b

@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 import sys
@@ -18,7 +19,6 @@ from rtmon.deps import (
     justified_semantics,
     restrict,
     support_for_constraint,
-    _role_worklist,
 )
 from rtmon.engine import check_constraint, eval_expr, evaluate
 from rtmon.model import (
@@ -45,7 +45,6 @@ from rtmon.monitor import (
     RecordStatus,
     RestrictedTrust,
     StaleRecord,
-    StateAnalysis,
     WarningCause,
     WarningOutcome,
     apply_change,
@@ -60,6 +59,8 @@ from helpers import (
     HAZMAT_ADD_9,
     HAZMAT_POLICY_TEXT,
     count_calls,
+    count_saturations,
+    patch_everywhere,
     hazmat_constraint,
     hazmat_policy,
     hazmat_policy_extended,
@@ -499,10 +500,11 @@ def test_unrelated_statements_leave_the_evaluated_statements_unchanged(monkeypat
     q = hazmat_constraint()
     indexed = _saturated_statements(monkeypatch)
     for mode in (FullTrust(), FullTrustCredential()):
-        want = register(small, q, mode)
+        # Fresh copies: a state keeps the cone it evaluated.
+        want = register(copy.copy(small), q, mode)
         evaluated = list(indexed)
         del indexed[:]
-        assert register(big, q, mode) == want
+        assert register(copy.copy(big), q, mode) == want
         assert indexed == evaluated
         assert evaluated == [small.statements]
         del indexed[:]
@@ -535,13 +537,14 @@ def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
     monitor = RoleMonitor(
         growth_trusted=hazmat_policy().roles, shrink_trusted=frozenset({role("ATF.hazmatDB")})
     )
-    upper = count_calls(monkeypatch, rtmon.analysis.upper_bound)
-    cores = count_calls(monkeypatch, rtmon.analysis.core)
+    saturations = count_saturations(monkeypatch)
+    cores = count_calls(monkeypatch, rtmon.analysis.CoreSet)
     p = hazmat_policy()
     rec = register(p, hazmat_constraint(), RestrictedTrust(monitor))
     assert rec.status is RecordStatus.HOLDING
-    assert upper == [p]
-    assert cores == [p]
+    # One lower and one upper bound, and one core read off the upper bound.
+    assert sorted(kind for kind, _ in saturations) == ["lower", "upper"]
+    assert len(cores) == 1
     # The principals x role names cross product is never built.
     assert "roles" not in vars(p)
 
@@ -1219,15 +1222,32 @@ def test_full_trust_registrations_share_one_evaluation_and_one_worklist(monkeypa
     p = parse_policy((MULTI_FIXTURES / "multi.rt").read_text() + _GUESTS)
     held = _holding_multi_constraints()
     cone = _cone_statements(p, held)
-    cones = count_calls(monkeypatch, rtmon.engine.evaluate)
+    # Which registration, if any, each cone evaluation runs inside.
+    registering: list = [None]
+    cones = []
+    real_register, real_evaluate = rtmon.monitor.register, rtmon.engine.evaluate
+
+    def register_spy(state, q, *args):
+        registering.append(q.id)
+        try:
+            return real_register(state, q, *args)
+        finally:
+            registering.pop()
+
+    def evaluate_spy(state, *args):
+        cones.append((state, registering[-1]))
+        return real_evaluate(state, *args)
+
+    patch_everywhere(monkeypatch, real_register, register_spy)
+    patch_everywhere(monkeypatch, real_evaluate, evaluate_spy)
     indexed = _saturated_statements(monkeypatch)
     worklists = count_calls(monkeypatch, rtmon.deps._worklist)
     session = run_session(p, [(q, FullTrust()) for q in held], [])
     assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 4
-    # One cone evaluation for the four constraints, one worklist over the
-    # whole state.  The cone takes in Sales.member and Labs.member once
-    # Org.dept's members name them.
-    assert cones == [p]
+    # One cone evaluation for the four constraints, made inside the first
+    # registration, and one worklist over the whole state.  The cone takes
+    # in Sales.member and Labs.member once Org.dept's members name them.
+    assert cones == [(p, held[0].id)]
     assert worklists == [p]
     assert indexed == [cone]
     assert cone == p.statements - parse_policy(_GUESTS).statements
@@ -1239,14 +1259,15 @@ def test_restricted_registrations_under_one_monitor_share_bounds_and_core(monkey
         growth_trusted=EVERY_ROLE,
         shrink_trusted=frozenset({role("Org.badge"), role("Sec.vetted")}),
     )
-    lower = count_calls(monkeypatch, rtmon.analysis.lower_bound)
-    upper = count_calls(monkeypatch, rtmon.analysis.upper_bound)
-    cores = count_calls(monkeypatch, rtmon.analysis.core)
+    saturations = count_saturations(monkeypatch)
+    cores = count_calls(monkeypatch, rtmon.analysis.CoreSet)
     worklists = count_calls(monkeypatch, rtmon.deps._worklist)
     regs = [(q, RestrictedTrust(monitor)) for q in _multi_constraints()[:2]]
     session = run_session(p, regs, [])
     assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 2
-    assert lower == [p] and upper == [p] and cores == [p]
+    assert sorted(kind for kind, _ in saturations) == ["lower", "upper"]
+    assert all(index is p._by_head for _, index in saturations)
+    assert len(cores) == 1
     assert len(worklists) == 1
 
 
@@ -1258,11 +1279,33 @@ def _shared_modes(rng, p):
     return [FullTrust(), shared, FullTrustCredential(), shared, own, FullTrust()]
 
 
+def _support_reads(p, q, mode, cap):
+    """The supports of ``q`` that registering it under ``mode`` picks from,
+    read of ``p`` at ``cap``; ``None`` when its check fails."""
+    if isinstance(mode, RestrictedTrust):
+        chk = check_bounded_containment(p, mode.monitor, q)
+        if not chk.holds:
+            return None
+        return support_for_constraint(
+            p, chk.lhs_upper, q.rhs, mode.monitor.shrink_trusted, max_entries_per_member=cap
+        )
+    idx = evaluate(p)
+    if not check_constraint(p, q, idx).satisfied:
+        return None
+    members = eval_expr(idx, q.lhs)
+    return (
+        support_for_constraint(p, members, q.rhs, max_entries_per_member=cap),
+        credential_support_for_constraint(p, members, q.rhs, max_entries_per_member=cap),
+    )
+
+
 @pytest.mark.parametrize("cap", [DEFAULT_SUPPORT_CAP, 1])
-def test_shared_analysis_equals_independent_registration(cap):
-    # Records registered against one StateAnalysis equal records registered
-    # alone; at either cap, supports taken from the shared worklist equal
-    # supports computed from scratch.
+def test_batch_registration_equals_registration_on_a_fresh_copy(cap):
+    # Records registered as one batch on a state, which keeps what they
+    # share, equal records registered alone on a fresh copy of it.  Supports
+    # read of the state at ``cap`` before the batch (at the default cap the
+    # batch reuses them, at 1 it must not) and after it equal those read of
+    # a fresh copy.
     rng = random.Random(750 + cap)
     seen: Counter = Counter()
     for n in range(240):
@@ -1270,7 +1313,9 @@ def test_shared_analysis_equals_independent_registration(cap):
             p = random_fan_state(rng)
             top = RoleRef(role("Top.r"))
             make = lambda i: Constraint(prin("Top"), top, random_expr(rng, p), f"q{i}")  # noqa: E731
-            seen["truncated"] += justified_semantics(p, max_entries_per_member=cap).truncated
+            seen["truncated"] += justified_semantics(
+                copy.copy(p), max_entries_per_member=cap
+            ).truncated
         else:
             p = random_state(rng)
             make = lambda i: (  # noqa: E731
@@ -1278,43 +1323,14 @@ def test_shared_analysis_equals_independent_registration(cap):
             )(rng, p, f"q{i}")
         modes = _shared_modes(rng, p)
         queries = [make(i) for i in range(len(modes))]
-        shared = StateAnalysis(
-            p, frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in queries))
-        )
-
-        def saturated(admissible):
-            # The shared worklist runs at the default cap.
-            if cap == DEFAULT_SUPPORT_CAP:
-                return shared.worklist(admissible)
-            return _role_worklist(p, admissible, cap)
-
-        for q, mode in zip(queries, modes):
-            got = register(p, q, mode, shared)
-            assert got == register(p, q, mode)
+        demand = frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in queries))
+        before = [_support_reads(p, q, mode, cap) for q, mode in zip(queries, modes)]
+        batch = [register(p, q, mode, demand) for q, mode in zip(queries, modes)]
+        for q, mode, got, read in zip(queries, modes, batch, before):
+            assert got == register(copy.copy(p), q, mode)
+            assert read == _support_reads(p, q, mode, cap)
+            assert read == _support_reads(copy.copy(p), q, mode, cap)
             seen[got.status] += 1
-            if got.status is not RecordStatus.HOLDING:
-                continue
-            if isinstance(mode, RestrictedTrust):
-                admissible = mode.monitor.shrink_trusted
-                members = check_bounded_containment(p, mode.monitor, q).lhs_upper
-            else:
-                admissible = None
-                members = eval_expr(evaluate(p), q.lhs)
-                alone = credential_support_for_constraint(
-                    p, members, q.rhs, max_entries_per_member=cap
-                )
-                assert alone == credential_support_for_constraint(
-                    p, members, q.rhs, max_entries_per_member=cap,
-                    saturated=saturated(None),
-                )
-            alone = support_for_constraint(
-                p, members, q.rhs, admissible, max_entries_per_member=cap
-            )
-            assert alone == support_for_constraint(
-                p, members, q.rhs, admissible, max_entries_per_member=cap,
-                saturated=saturated(admissible),
-            )
-            seen["support"] += 1
     assert seen[RecordStatus.HOLDING] >= 500
     assert seen[RecordStatus.VIOLATED] >= 50 and seen[RecordStatus.BOUND_VIOLATED] >= 50
     if cap == 1:
@@ -1340,17 +1356,17 @@ def test_an_event_reregistering_several_records_matches_apply_change(monkeypatch
     p = _multi_policy()
     regs = [(q, mode) for q in _multi_constraints()]
     log = parse_changelog((MULTI_FIXTURES / "multi.changes").read_text())
-    built = []
-    real = rtmon.monitor.StateAnalysis.__init__
-    monkeypatch.setattr(
-        rtmon.monitor.StateAnalysis,
-        "__init__",
-        lambda self, state, demand: built.append(state) or real(self, state, demand),
-    )
+    saturations = count_saturations(monkeypatch)
     session = run_session(p, regs, log)
-    # One analysis for the initial registrations and one per warned event.
+    # The initial registrations and the records each warned event
+    # re-registers share one cone evaluation, or one lower and one upper
+    # bound, of the state they read.
     warned = {id(w.event) for w in session.warnings}
-    assert len(built) == 1 + len(warned)
+    kinds = Counter(kind for kind, _ in saturations)
+    if isinstance(mode, RestrictedTrust):
+        assert kinds == {"lower": 1 + len(warned), "upper": 1 + len(warned)}
+    else:
+        assert kinds == {"cone": 1 + len(warned)}
     assert max(Counter(id(w.event) for w in session.warnings).values()) >= 2
 
     records = [register(p, q, m) for q, m in regs]
