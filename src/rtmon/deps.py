@@ -19,7 +19,7 @@ roles or statements.  The worklist here computes, per role
 and member, all minimal supports at once, pruning dominated supports.  Its
 first pass fires every statement.  A member fact's singleton support is
 final, so later passes visit only the rules, and re-fire one only when a
-role :func:`rtmon.engine._reads` names for it changed.  An intersection
+role :func:`rtmon.model._reads` names for it changed.  An intersection
 joins its parts one at a time and keeps only the minimal unions, so its
 cost grows with the number of minimal unions, not with the product of the
 parts' supports.  A cap per (role, member) bounds pathological states at
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Container, Iterable, Iterator, Mapping, Optional, Union
 
-from .engine import SemanticsIndex, _reads, _require_cone, evaluate
+from .engine import SemanticsIndex, _require_cone, evaluate
 from .model import (
     EVERY_ROLE,
     LinkingInclusion,
@@ -51,6 +51,8 @@ from .model import (
     Statement,
     _checked_state,
     _frozen,
+    _reads,
+    _Rule,
     fold_expr,
     roles_of,
 )
@@ -202,37 +204,39 @@ def _join(tok: frozenset, parts: list[list[frozenset]]) -> list[frozenset]:
 
 
 def _worklist(
-    statements: Iterable[Statement],
-    token: Callable[[Statement], Hashable],
+    p: PolicyState,
     cap: Optional[int],
+    heads: Optional[Container[Role]] = None,
+    by_statement: bool = False,
 ) -> tuple[_Saturated, frozenset[Role]]:
     """Saturate supports per role and member, with subsumption pruning.
 
+    The statements fired are those of ``p`` heading a role in ``heads``
+    (every statement when it is ``None``), as :func:`_rules` lists them.
+    What a fired statement contributes to a support, its token, is its
+    head role, or with ``by_statement`` the statement itself.
     A candidate is dropped when a kept support for the same member is a
     subset of it; inserting a candidate evicts the supports it dominates.
-    ``token(stmt)`` is what a fired statement contributes to a support (its
-    head role, or the statement itself).  When ``cap`` is hit for one
-    (role, member), the first supports under :func:`_support_key` are kept.
-    A role is returned as truncated when some support cut there contains no
-    support kept at the end: otherwise every candidate the cap cut was
-    dominated anyway, the kept supports are closed under the rules up to
-    dominance, and they are exactly the minimal supports.  A role's
-    supports are built from the supports of the roles in its cone alone, so
-    they are exact when no truncated role lies in that cone.
+    When ``cap`` is hit for one (role, member), the first supports under
+    :func:`_support_key` are kept.  A role is returned as truncated when
+    some support cut there contains no support kept at the end: otherwise
+    every candidate the cap cut was dominated anyway, the kept supports are
+    closed under the rules up to dominance, and they are exactly the
+    minimal supports.  A role's supports are built from the supports of the
+    roles in its cone alone, so they are exact when no truncated role lies
+    in that cone.
 
     Each pass fires statements in the order of their rendered text over
     insertion-ordered supports, so the result does not depend on hash seeds
-    even under the cap; each statement renders its text once and keeps it,
-    so the sort reads cached text for every statement rendered before, on
-    this snapshot or an earlier one.  ``cap`` is at least 1.  The first pass
-    fires every statement, and a member fact fires only there: it offers the
-    singleton of its token, which stays kept, so later passes visit the
-    rules alone.  A rule fires again only when a role it reads changed since
-    it last fired (for a linked rule: its first role or any role carrying
-    its second name), or when a dominance eviction freed room under the cap
-    in its head, which may admit a candidate the cap dropped before.
+    even under the cap.  ``cap`` is at least 1.  The first pass fires every
+    statement, and a member fact fires only there: it offers the singleton
+    of its token, which stays kept, so later passes visit the rules alone.
+    A rule fires again only when a role it reads changed since it last
+    fired (for a linked rule: its first role or any role carrying its
+    second name), or when a dominance eviction freed room under the cap in
+    its head, which may admit a candidate the cap dropped before.
     """
-    rules = [(s, frozenset((token(s),)), _reads(s)) for s in sorted(statements, key=str)]
+    every, rules = _rules(p, heads, by_statement)
     cur: _Saturated = defaultdict(dict)
     # Logical clock: a role's stamp is the tick of its last change; a rule
     # remembers the tick at which it last fired.
@@ -240,7 +244,7 @@ def _worklist(
     changed_at: dict[Role, int] = {}
     name_changed_at: dict[RoleName, int] = {}
     freed_at: dict[Role, int] = {}
-    fired_at: list[int] = [-1] * len(rules)
+    fired_at: list[int] = [0] * len(rules)
     cut: list[tuple[Role, Principal, frozenset]] = []
 
     def offer(head: Role, member: Principal, support: frozenset) -> None:
@@ -274,58 +278,88 @@ def _worklist(
         if freed and cap is not None:
             freed_at[head] = clock
 
-    first = True
-    while True:
+    def fire(stmt: Statement, tok: frozenset, inputs: tuple[Role, ...]) -> None:
+        head, body = stmt.head, stmt.body
+        if isinstance(body, SimpleInclusion):
+            for member, supports in list(cur[body.source].items()):
+                for sup in supports:
+                    offer(head, member, sup | tok)
+        elif isinstance(body, LinkingInclusion):
+            for via, supports1 in list(cur[body.first].items()):
+                second = cur.get(Role(via, body.second))
+                if not second:
+                    continue
+                for sup1 in supports1:
+                    for member, supports2 in list(second.items()):
+                        for sup2 in supports2:
+                            offer(head, member, sup1 | sup2 | tok)
+        else:
+            buckets = [cur[part] for part in inputs]
+            for member in list(buckets[0]):
+                if not all(member in b for b in buckets[1:]):
+                    continue
+                for support in _join(tok, [b[member] for b in buckets]):
+                    offer(head, member, support)
+
+    # The first pass.  A rule's slot in ``fired_at`` is its position among
+    # the rules.  A fact's singleton stays kept: only the empty set is a
+    # proper subset of it, and every singleton candidate for its (role,
+    # member) equals it, so the cap, which keeps the smallest first, never
+    # cuts it.  Firing the fact again would offer it again.
+    n = 0
+    for stmt, tok, inputs in every:
+        body = stmt.body
+        if isinstance(body, SimpleMember):
+            offer(stmt.head, body.member, tok)
+        else:
+            fired_at[n] = clock
+            n += 1
+            fire(stmt, tok, inputs)
+    start = 0
+    while clock != start:
         start = clock
         for n, (stmt, tok, inputs) in enumerate(rules):
             head, body = stmt.head, stmt.body
             last = fired_at[n]
-            if last >= 0 and freed_at.get(head, 0) <= last:
+            if freed_at.get(head, 0) <= last:
                 stamp = max((changed_at.get(r, 0) for r in inputs), default=0)
                 if isinstance(body, LinkingInclusion):
                     stamp = max(stamp, name_changed_at.get(body.second, 0))
                 if stamp <= last:
                     continue
             fired_at[n] = clock
-            if isinstance(body, SimpleMember):
-                offer(head, body.member, tok)
-            elif isinstance(body, SimpleInclusion):
-                for member, supports in list(cur[body.source].items()):
-                    for sup in supports:
-                        offer(head, member, sup | tok)
-            elif isinstance(body, LinkingInclusion):
-                for via, supports1 in list(cur[body.first].items()):
-                    second = cur.get(Role(via, body.second))
-                    if not second:
-                        continue
-                    for sup1 in supports1:
-                        for member, supports2 in list(second.items()):
-                            for sup2 in supports2:
-                                offer(head, member, sup1 | sup2 | tok)
-            else:
-                buckets = [cur[part] for part in inputs]
-                for member in list(buckets[0]):
-                    if not all(member in b for b in buckets[1:]):
-                        continue
-                    for support in _join(tok, [b[member] for b in buckets]):
-                        offer(head, member, support)
-        if clock == start:
-            break
-        if first:
-            # A fact's singleton stays kept: only the empty set is a proper
-            # subset of it, and every singleton candidate for its (role,
-            # member) equals it, so the cap, which keeps the smallest first,
-            # never cuts it.  Firing the fact again would offer it again.
-            first = False
-            kept = [n for n, rule in enumerate(rules) if not isinstance(rule[0].body, SimpleMember)]
-            rules = [rules[n] for n in kept]
-            fired_at = [fired_at[n] for n in kept]
+            fire(stmt, tok, inputs)
     truncated = frozenset(
         head
         for head, member, support in cut
         if not any(s <= support for s in cur[head][member])
     )
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated
+
+
+def _rules(
+    p: PolicyState, heads: Optional[Container[Role]], by_statement: bool
+) -> tuple[list[_Rule], list[_Rule]]:
+    """What :func:`_worklist` fires on ``p``: the statements heading a role
+    in ``heads`` (every statement when it is ``None``) in text order, each
+    with its token as a singleton and the roles it reads, and the rules
+    among them, member facts left out.
+
+    Both are read off the state's rule list (``PolicyState._rule_list``),
+    built once per state or carried over from the state it was derived
+    from, so no run sorts the statements or builds their entries.  Only
+    statement tokens, which the credential replay alone uses on a role
+    support's few statements, are built per run.
+    """
+    listed = p._rule_list
+    every, rules = listed.every, listed.rules
+    if heads is not None:
+        every = [rule for rule in every if rule[0].head in heads]
+        rules = [rule for rule in rules if rule[0].head in heads]
+    if by_statement:
+        every = [(stmt, frozenset((stmt,)), reads) for stmt, _, reads in every]
+        rules = [rule for rule in every if not isinstance(rule[0].body, SimpleMember)]
+    return every, rules
 
 
 def _check_cap(cap: Optional[int]) -> None:
@@ -343,12 +377,7 @@ def _role_worklist(
     and kept on ``p``."""
     if admissible is not None:
         admissible = _frozen(admissible)
-
-    def run() -> tuple[_Saturated, frozenset[Role]]:
-        statements = p if admissible is None else [s for s in p if s.head in admissible]
-        return _worklist(statements, lambda s: s.head, cap)
-
-    return p._derived("worklist", (admissible, cap), run)
+    return p._derived("worklist", (admissible, cap), lambda: _worklist(p, cap, admissible))
 
 
 def justified_semantics(
@@ -473,8 +502,9 @@ def credential_support_for_constraint(
     total: set[Statement] = set()
     for member, role_support in _member_supports(members, rhs, saturated):
         if role_support not in replays:
-            statements = [s for s in p if s.head in role_support]
-            replays[role_support] = _worklist(statements, lambda s: s, max_entries_per_member)[0]
+            replays[role_support] = _worklist(
+                p, max_entries_per_member, role_support, by_statement=True
+            )[0]
         # The role support proves the membership, so the replay does too.
         total |= _member_expr_support(member, rhs, replays[role_support])
     return frozenset(total)

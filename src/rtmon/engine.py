@@ -1,10 +1,11 @@
 """Bottom-up fixpoint evaluation of policy states and constraint checking.
 
 Membership is the least model of the clauses induced by the four statement
-forms.  :func:`_reads` is the one place that says which roles a statement
-reads, and a state's statements by head, as member facts and rules, are the
-one map every membership pass and growth walk reads: the state builds it
-once, on first use (``PolicyState._by_head``).  :func:`_saturate` is the
+forms.  :func:`rtmon.model._reads` is the one place that says which roles
+a statement reads, and a state's statements by head, as member facts and
+rules, are the one map every membership pass and growth walk reads: the
+state builds it once, on first use, or carries it over from the state it
+was derived from (``PolicyState._by_head``).  :func:`_saturate` is the
 one membership loop.  It indexes rules by the roles they read as it goes
 and runs semi-naive rounds: a rule fires only on the members its inputs
 gained in the previous round, joined with what the other inputs already
@@ -23,7 +24,6 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .model import (
     Constraint,
-    IntersectionInclusion,
     LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
@@ -34,6 +34,7 @@ from .model import (
     SimpleInclusion,
     Statement,
     _HeadIndex,
+    _reads,
     fold_expr,
 )
 
@@ -76,24 +77,6 @@ def evaluate(p: PolicyState, roots: Optional[Iterable[Role]] = None) -> Semantic
     ``roots`` given, of every role in their cone, whose result raises
     ``LookupError`` on a role outside it (see :class:`SemanticsIndex`)."""
     return _saturate(p._by_head, roots)
-
-
-def _reads(
-    stmt: Statement, walk: Optional[Mapping[Role, Iterable[Principal]]] = None
-) -> tuple[Role, ...]:
-    """The roles ``stmt`` reads: the source of a simple inclusion, the first
-    role of a linked one, the parts of an intersection (in name order),
-    none for a member fact.  With ``walk`` given, ``A.r <- A.r1.r2`` also
-    reads ``Y.r2`` for every ``Y`` that ``walk`` holds for ``A.r1``."""
-    body = stmt.body
-    if isinstance(body, SimpleInclusion):
-        return (body.source,)
-    if isinstance(body, LinkingInclusion):
-        walked = walk.get(body.first, ()) if walk is not None else ()
-        return (body.first, *(Role(y, body.second) for y in walked))
-    if isinstance(body, IntersectionInclusion):
-        return tuple(sorted(body.part_set, key=str))
-    return ()
 
 
 def _saturate(

@@ -6,20 +6,27 @@ principal-owned role either directly (simple membership) or by delegation
 role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
 beyond their own invariants, and are safe to share between threads.  A
-state derives what every pass reads of it -- its principals and its
-statements by head -- on first use, once, and keeps it, and it keeps what
-the other modules derive from it (membership on a cone, the support
-worklist, the bounds and the trusted core) in one memo, also filled on
-first use.
+state derives what every pass reads of it -- its principals, its
+statements by head and its statements in text order -- on first use,
+once, and keeps it, and it keeps what the other modules derive from it
+(membership on a cone, the support worklist, the bounds and the trusted
+core) in one memo, also filled on first use.  A state derived from
+another -- by ``add`` or ``remove``, or as a session's next snapshot --
+carries over what the other built of its statements by head and in text
+order, updated by the statements the two differ in, and derives the rest
+afresh.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Container, Hashable, Iterator, Mapping, TypeVar, Union
+from typing import (
+    Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, TypeVar, Union,
+)
 
 __all__ = [
     "RESERVED_PRINCIPAL",
@@ -283,14 +290,59 @@ def statement_role_names(stmt: Statement) -> frozenset[RoleName]:
     return frozenset(found)
 
 
+def _reads(
+    stmt: Statement, walk: Optional[Mapping[Role, Iterable[Principal]]] = None
+) -> tuple[Role, ...]:
+    """The roles ``stmt`` reads: the source of a simple inclusion, the first
+    role of a linked one, the parts of an intersection (in name order),
+    none for a member fact.  With ``walk`` given, ``A.r <- A.r1.r2`` also
+    reads ``Y.r2`` for every ``Y`` that ``walk`` holds for ``A.r1``.  This
+    is the one place that says which roles a statement reads."""
+    body = stmt.body
+    if isinstance(body, SimpleInclusion):
+        return (body.source,)
+    if isinstance(body, LinkingInclusion):
+        walked = walk.get(body.first, ()) if walk is not None else ()
+        return (body.first, *(Role(y, body.second) for y in walked))
+    if isinstance(body, IntersectionInclusion):
+        return tuple(sorted(body.part_set, key=str))
+    return ()
+
+
 @dataclass(frozen=True)
 class _HeadIndex:
     """Statements by head: member facts and rules (the other statements).
     Every membership pass, growth walk and bound reads this map, and none
-    changes it."""
+    changes it.  A state that :func:`_successor` derives from another gets
+    a copy of the two dicts, which shares the list of every head the
+    change left alone.  A map built afresh lists each head's statements in
+    set iteration order; a carried one appends what the change added."""
 
     facts: Mapping[Role, list[Principal]]
     heads: Mapping[Role, list[Statement]]
+
+
+# A statement as the support worklist fires it: with the singleton of its
+# head, the token a role support collects, and the roles it reads.
+_Rule = tuple[Statement, frozenset[Role], tuple[Role, ...]]
+
+
+@dataclass(frozen=True)
+class _RuleList:
+    """The statements in the order of their rendered text, as the support
+    worklist fires them: ``every`` holds them all, for its first pass, and
+    ``rules`` all but the member facts, for the later passes."""
+
+    every: list[_Rule]
+    rules: list[_Rule]
+
+
+def _rule(stmt: Statement) -> _Rule:
+    return stmt, frozenset((stmt.head,)), _reads(stmt)
+
+
+def _text(rule: _Rule) -> str:
+    return str(rule[0])
 
 
 @dataclass(frozen=True)
@@ -326,12 +378,12 @@ class PolicyState:
         if stmt in self.statements:
             return self
         _check_unreserved(stmt)
-        return _checked_state(self.statements | {stmt})
+        return _successor(self, self.statements | {stmt})
 
     def remove(self, stmt: Statement) -> "PolicyState":
         if stmt not in self.statements:
             return self
-        return _checked_state(self.statements - {stmt})
+        return _successor(self, self.statements - {stmt})
 
     @cached_property
     def principals(self) -> frozenset[Principal]:
@@ -354,6 +406,17 @@ class PolicyState:
             else:
                 heads[stmt.head].append(stmt)
         return _HeadIndex(facts, heads)
+
+    @cached_property
+    def _rule_list(self) -> _RuleList:
+        """The statements in text order, as the support worklist fires
+        them.  Each statement renders its text once and keeps it, so the
+        sort reads cached text for every statement rendered before.  Two
+        threads may both build it cold; that is benign, because each stores
+        an equal list."""
+        every = [_rule(stmt) for stmt in sorted(self.statements, key=str)]
+        rules = [rule for rule in every if not isinstance(rule[0].body, SimpleMember)]
+        return _RuleList(every, rules)
 
     @cached_property
     def _memo(self) -> dict[tuple[str, Hashable], object]:
@@ -420,6 +483,76 @@ def _checked_state(statements: frozenset[Statement]) -> PolicyState:
     state = object.__new__(PolicyState)
     object.__setattr__(state, "statements", statements)
     return state
+
+
+#: The most statements a derived state may add and remove together and
+#: still carry its predecessor's rule list.  Each one moves the tail of two
+#: lists, so past a few hundred sorting afresh costs less.
+_CARRIED_RULE_CHANGES = 256
+
+
+def _successor(prev: PolicyState, statements: frozenset[Statement]) -> PolicyState:
+    """The state over ``statements``, already known to be free of ``TOP``,
+    that follows ``prev``.
+
+    It carries over what ``prev`` has built of its by-head map and of its
+    rule list, updated by the statements the two states differ in, which
+    two set differences find; nothing else, neither the principals nor the
+    memo.  The rule lists are copied, the removed statements found by
+    bisection and dropped, the added ones inserted in text order.  Nothing
+    ``prev`` holds is changed.  ``PolicyState.add`` and ``remove`` and
+    every snapshot of a session build their state here.
+    """
+    state = _checked_state(statements)
+    built = vars(prev)
+    index, listed = built.get("_by_head"), built.get("_rule_list")
+    if index is None and listed is None:
+        return state
+    added, removed = statements - prev.statements, prev.statements - statements
+    if index is not None:
+        object.__setattr__(state, "_by_head", _carried_index(index, added, removed))
+    if listed is not None and len(added) + len(removed) <= _CARRIED_RULE_CHANGES:
+        every, rules = list(listed.every), list(listed.rules)
+        for stmt in removed:
+            for kept in (every,) if isinstance(stmt.body, SimpleMember) else (every, rules):
+                at = bisect_left(kept, str(stmt), key=_text)
+                while kept[at][0] != stmt:
+                    at += 1
+                del kept[at]
+        for stmt in added:
+            rule = _rule(stmt)
+            insort(every, rule, key=_text)
+            if not isinstance(stmt.body, SimpleMember):
+                insort(rules, rule, key=_text)
+        object.__setattr__(state, "_rule_list", _RuleList(every, rules))
+    return state
+
+
+def _carried_index(
+    index: _HeadIndex, added: frozenset[Statement], removed: frozenset[Statement]
+) -> _HeadIndex:
+    """``index`` without the ``removed`` statements and with the ``added``
+    ones.  Its dicts are copied, and the list of each head a statement
+    changes before it changes; every other list is shared.  A head left
+    without statements leaves the map, as in a map built afresh."""
+    facts, heads = dict(index.facts), dict(index.heads)
+    copied: dict[tuple[bool, Role], list] = {}
+    for stmt in (*removed, *added):
+        body, head = stmt.body, stmt.head
+        is_fact = isinstance(body, SimpleMember)
+        table = facts if is_fact else heads
+        items = copied.get((is_fact, head))
+        if items is None:
+            items = copied[is_fact, head] = table[head] = list(table.get(head, ()))
+        item = body.member if is_fact else stmt
+        if stmt in removed:
+            items.remove(item)
+        else:
+            items.append(item)
+    for (is_fact, head), items in copied.items():
+        if not items:
+            del (facts if is_fact else heads)[head]
+    return _HeadIndex(facts, heads)
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,10 +31,16 @@ built, so nothing on that path rehashes a statement or hashes a principal.
 
 Nor does such an event free anything of the size of the policy.  A change
 only marks the session's snapshot stale; the next event that reaches a
-record drops the stale snapshot and builds the new one inside its own
-re-registration, and the final state is built only if the snapshot is
-still stale.  Freeing the snapshot on the first quiet event after a warned
-one would make that event the slowest quiet event of a session.
+record builds the new snapshot from the stale one, which it then drops,
+before its re-registrations, and the final state is built the same way
+only if the snapshot is still stale.  Freeing the snapshot on the first
+quiet event after a warned one would make that event the slowest quiet
+event of a session.  The new snapshot is derived by
+:func:`rtmon.model._successor`: two set differences find the statements
+the two snapshots differ in, and it carries over the stale one's by-head
+map and text-ordered rule list, updated by those statements alone, so no
+snapshot after the first indexes the whole policy again, and none sorts
+it unless hundreds of statements changed in between.
 
 The shared part of a registration is kept on the snapshot it reads, next
 to the snapshot's statements by head: the initial registrations share the
@@ -70,7 +76,7 @@ from .model import (
     RoleMonitor,
     Statement,
     _check_unreserved,
-    _checked_state,
+    _successor,
     roles_of,
 )
 
@@ -414,12 +420,14 @@ def run_session(
     the live set, built at most once per event and only when some record
     re-registers, and share what is derived from it, which the snapshot
     keeps: the records reached share one cone, whose demand is their roles.
-    The by-head map and everything derived from the snapshot go with it.
+    Everything derived from the snapshot goes with it, except what the next
+    snapshot carries over: its by-head map and rule list, updated by the
+    statements that changed in between (see :func:`rtmon.model._successor`).
 
     A snapshot lives until the first event that reaches a record after the
-    live set changed: that event drops it and builds the next one, so an
-    event that reaches no record neither builds nor frees anything of the
-    size of the policy.  Such an event makes one set operation on the live
+    live set changed: that event builds the next one from it and drops it,
+    so an event that reaches no record neither builds nor frees anything of
+    the size of the policy.  Such an event makes one set operation on the live
     statements (a probe before an addition), the ``TOP`` check of an
     addition that changes them, and one ``reached`` call, which probes the
     index once per key and returns an empty list, so its cost does not
@@ -434,7 +442,7 @@ def run_session(
     index = _FrontierIndex(records)
     warnings: list[MonitorWarning] = []
     live = set(p.statements)
-    snapshot: Optional[PolicyState] = p
+    snapshot = p
     stale = False
     reached = index.reached
     for ev in log:
@@ -454,9 +462,8 @@ def run_session(
         if not due:
             continue
         if stale:
-            # Freed before the rebuild, so the two never coexist.
-            snapshot = None
-            snapshot = _checked_state(frozenset(live))
+            # Built from the snapshot it replaces, which it then releases.
+            snapshot = _successor(snapshot, frozenset(live))
             stale = False
         demand = frozenset().union(*(demands[i] for i in due))
         for i in due:
@@ -467,6 +474,5 @@ def run_session(
                 records[i] = fresh
                 index.put(i, fresh)
     if stale:
-        snapshot = None
-        snapshot = _checked_state(frozenset(live))
+        snapshot = _successor(snapshot, frozenset(live))
     return SessionResult(snapshot, tuple(warnings), tuple(records), initial)

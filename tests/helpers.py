@@ -1,8 +1,10 @@
 """Shared builders and canonical scenario states used across the suite."""
 
 import sys
+from collections import Counter
 
 import rtmon.engine
+import rtmon.model
 from rtmon.model import Principal, Role, RoleName
 from rtmon.parser import parse_constraint, parse_policy, parse_statement
 
@@ -112,6 +114,14 @@ def core_roles(coreset) -> frozenset:
     return coreset.trusted - coreset.expelled
 
 
+def by_head_multisets(p):
+    """Each role's facts and rules in the by-head map of ``p``, as
+    multisets: a state built afresh lists them in set iteration order, a
+    derived one in the order they arrived."""
+    index = p._by_head
+    return [{r: Counter(got) for r, got in part.items()} for part in (index.facts, index.heads)]
+
+
 def patch_everywhere(monkeypatch, real, spy) -> None:
     """Replace ``real`` by ``spy`` under every name the ``rtmon`` modules
     look it up by."""
@@ -149,6 +159,24 @@ def count_saturations(monkeypatch) -> list:
             kind = "whole" if roots is None else "cone"
         calls.append((kind, index))
         return real(index, roots, fixed, universe)
+
+    patch_everywhere(monkeypatch, real, spy)
+    return calls
+
+
+def count_snapshots(monkeypatch, record=None) -> list:
+    """Every state ``rtmon.model._successor`` builds, in build order: each
+    snapshot of a session, its final state when it is built, and each state
+    ``PolicyState.add`` or ``remove`` derives.  With ``record`` given, what
+    ``record(state)`` returns is kept instead of the state, so the states
+    are not kept alive."""
+    calls = []
+    real = rtmon.model._successor
+
+    def spy(prev, statements):
+        state = real(prev, statements)
+        calls.append(state if record is None else record(state))
+        return state
 
     patch_everywhere(monkeypatch, real, spy)
     return calls

@@ -641,14 +641,14 @@ class TestCredentialSupport:
 def _credential_per_member(p, members, rhs, cap):
     """A worklist replay per member: the statements (or the first member
     without a support) and the role supports chosen."""
-    saturated = _worklist(p, token=lambda s: s.head, cap=cap)[0]
+    saturated = _worklist(p, cap)[0]
     total, supports = set(), set()
     for member in sorted(members, key=str):
         role_support = _member_expr_support(member, rhs, saturated)
         if role_support is None:
             return member, supports
         supports.add(role_support)
-        replay = _worklist(restrict(p, role_support), token=lambda s: s, cap=cap)[0]
+        replay = _worklist(restrict(p, role_support), cap, by_statement=True)[0]
         total |= _member_expr_support(member, rhs, replay)
     return frozenset(total), supports
 
@@ -735,6 +735,12 @@ def _by_statement(stmt):
     return stmt
 
 
+def _run_worklist(p, token, cap):
+    """``_worklist`` on every statement of ``p``, its tokens the heads or
+    the statements, as ``token`` gives them; the oracles' signature."""
+    return _worklist(p, cap, by_statement=token is _by_statement)
+
+
 class TestWorklistAgainstRoundRobin:
     """The change-driven worklist against the round-robin reference."""
 
@@ -743,7 +749,7 @@ class TestWorklistAgainstRoundRobin:
         rng = random.Random(2024)
         for k in range(240):
             p = random_fan_state(rng) if k % 3 == 0 else random_state(rng, max_statements=10)
-            got, truncated = _worklist(p, token, None)
+            got, truncated = _run_worklist(p, token, None)
             want, _ = round_robin_worklist(p, token)
             assert not truncated
             # The oracle's derivation sizes are its own, so pairs are compared.
@@ -819,7 +825,7 @@ class TestMemberFactsFireOnce:
         for k, p in enumerate(states):
             for token in (_by_head, _by_statement):
                 for cap in (1, 2, 3, 8, None):
-                    got, got_truncated = _worklist(p, token, cap)
+                    got, got_truncated = _run_worklist(p, token, cap)
                     want, want_truncated = polling_worklist(p, token, cap)
                     assert _in_insertion_order(got) == _in_insertion_order(want), (k, cap)
                     assert got_truncated == want_truncated, (k, cap)
@@ -845,8 +851,8 @@ class TestMemberFactsFireOnce:
         return len(calls)
 
     def test_visits_after_the_first_pass_do_not_grow_with_member_facts(self, monkeypatch):
-        bare = self._visits(monkeypatch, rtmon.deps, _worklist, _reversed_chain(30, 0))
-        padded = self._visits(monkeypatch, rtmon.deps, _worklist, _reversed_chain(30, 2000))
+        bare = self._visits(monkeypatch, rtmon.deps, _run_worklist, _reversed_chain(30, 0))
+        padded = self._visits(monkeypatch, rtmon.deps, _run_worklist, _reversed_chain(30, 2000))
         # 31 passes after the first, each over the 30 rules.
         assert bare == padded == 31 * 30
         # The polling worklist visits every fact in every one of those passes.
@@ -950,7 +956,7 @@ def _capped_support_cases():
     for k, p in enumerate(states):
         for name, token in (("role", _by_head), ("statement", _by_statement)):
             for cap in (1, 2, 3, 8):
-                raw, truncated = _worklist(p, token, cap)
+                raw, truncated = _run_worklist(p, token, cap)
                 yield {
                     "state": k,
                     "token": name,

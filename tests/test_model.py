@@ -4,7 +4,6 @@ import pickle
 import random
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import pytest
 from rtmon.deps import support_for_constraint
 from rtmon.engine import eval_expr, evaluate
 from rtmon.model import (
+    _CARRIED_RULE_CHANGES,
     ChangeEvent,
     ChangeKind,
     Constraint,
@@ -35,12 +35,14 @@ from rtmon.model import (
     fold_expr,
     principals_of_expr,
     roles_of,
+    _successor,
 )
 from rtmon.monitor import FullTrust, RestrictedTrust, register, run_session
 from rtmon.parser import parse_constraint, parse_expr, parse_statement, serialize_expr
 
 from helpers import (
     HAZMAT_ADD_9,
+    by_head_multisets,
     hazmat_constraint,
     hazmat_policy,
     prin,
@@ -49,7 +51,7 @@ from helpers import (
     self_link_policy,
     stmt,
 )
-from randgen import random_state
+from randgen import random_state, random_statement_for_state
 
 
 def test_value_equality_is_structural():
@@ -141,6 +143,70 @@ def test_add_and_remove_match_a_constructed_state():
     assert hash(shrunk) == hash(p)
 
 
+def _built(p):
+    """The by-head map and rule list of ``p`` as plain values: every list
+    copied, so a later change to one of them shows."""
+    index, listed = p._by_head, p._rule_list
+    return (
+        [{r: list(got) for r, got in part.items()} for part in (index.facts, index.heads)],
+        list(listed.every),
+        list(listed.rules),
+    )
+
+
+def test_add_and_remove_carry_the_by_head_map_and_rule_list():
+    # A state derived by ``add`` or ``remove`` from one whose by-head map and
+    # rule list are built carries both over, equal to a fresh build's; the
+    # state it came from keeps its own.
+    rng = random.Random(921)
+    steps = readded = 0
+    for _ in range(200):
+        p = random_state(rng, max_statements=12)
+        start = _built(p)
+        state = p
+        for _ in range(8):
+            if state.statements and rng.random() < 0.5:
+                gone = rng.choice(sorted(state.statements, key=str))
+                nxt = state.remove(gone)
+                if rng.random() < 0.3:
+                    # Removed and added again: the lists end as they began,
+                    # up to the order of the by-head lists.
+                    before = _built(state)
+                    nxt = nxt.add(gone)
+                    assert by_head_multisets(nxt) == by_head_multisets(state)
+                    assert _built(nxt)[1:] == before[1:]
+                    readded += 1
+            else:
+                nxt = state.add(random_statement_for_state(rng, state, "E"))
+            if nxt is state:
+                continue
+            assert {"_by_head", "_rule_list"} <= vars(nxt).keys()
+            fresh = PolicyState(nxt.statements)
+            assert by_head_multisets(nxt) == by_head_multisets(fresh)
+            assert nxt._rule_list == fresh._rule_list
+            state = nxt
+            steps += 1
+        assert _built(p) == start
+    assert steps >= 1000 and readded >= 100
+
+
+def test_a_change_past_the_limit_builds_the_rule_list_afresh():
+    p = hazmat_policy()
+    p._rule_list, p._by_head
+    extra = [stmt(f"X{i:03d}.r <- Y") for i in range(_CARRIED_RULE_CHANGES + 1)]
+    for grown, carried in (
+        (p.statements | set(extra[:-1]), True),
+        (p.statements | set(extra), False),
+    ):
+        state = _successor(p, grown)
+        # The map is always carried; the rule list only up to the limit.
+        assert "_by_head" in vars(state)
+        assert ("_rule_list" in vars(state)) is carried
+        fresh = PolicyState(grown)
+        assert by_head_multisets(state) == by_head_multisets(fresh)
+        assert state._rule_list == fresh._rule_list
+
+
 def test_names_hash_once_to_the_field_tuple_hash():
     a, r = Principal("A"), RoleName("r")
     assert hash(a) == hash(("A",))
@@ -195,7 +261,7 @@ def test_copy_and_pickle_keep_statement_equality_and_hash(text):
 def test_copy_and_pickle_carry_a_state_without_its_caches():
     p = hazmat_policy()
     cold = len(pickle.dumps(p))
-    for cache in ("principals", "_by_head", "role_names", "roles"):
+    for cache in ("principals", "_by_head", "_rule_list", "role_names", "roles"):
         getattr(p, cache)
     # A registration under each kind of trust fills the memo: the cone, the
     # support worklist, both bounds and the core.
@@ -210,13 +276,8 @@ def test_copy_and_pickle_carry_a_state_without_its_caches():
         assert twin.principals == p.principals
         # Each role's lists follow its state's frozenset iteration order, which
         # an equal frozenset rebuilt by a copy or by unpickling need not share.
-        assert _by_head_multisets(twin) == _by_head_multisets(p)
-
-
-def _by_head_multisets(p):
-    """Each role's facts and rules in the by-head map, as multisets."""
-    index = p._by_head
-    return [{r: Counter(got) for r, got in part.items()} for part in (index.facts, index.heads)]
+        assert by_head_multisets(twin) == by_head_multisets(p)
+        assert twin._rule_list == p._rule_list
 
 
 @pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])

@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import random
 import sys
@@ -60,6 +61,8 @@ from helpers import (
     HAZMAT_POLICY_TEXT,
     count_calls,
     count_saturations,
+    count_snapshots,
+    by_head_multisets,
     patch_everywhere,
     hazmat_constraint,
     hazmat_policy,
@@ -820,11 +823,7 @@ def test_final_state_is_the_start_state_when_nothing_changed():
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_an_event_shares_one_snapshot_among_its_records(monkeypatch, k):
     p = hazmat_policy()
-    snapshots = []
-    real = rtmon.monitor._checked_state
-    monkeypatch.setattr(
-        rtmon.monitor, "_checked_state", lambda stmts: snapshots.append(stmts) or real(stmts)
-    )
+    snapshots = count_snapshots(monkeypatch)
     session = run_session(p, _hazmat_registrations(k), [add(HAZMAT_ADD_9), add("Navy.fleet <- Kim")])
     assert [w.constraint_id for w in session.warnings] == [f"c{i}" for i in range(k)]
     assert all(w.event == add(HAZMAT_ADD_9) for w in session.warnings)
@@ -832,30 +831,152 @@ def test_an_event_shares_one_snapshot_among_its_records(monkeypatch, k):
     assert len(snapshots) == 2
 
 
+_MAKE_MODES = [
+    lambda rng, p: FullTrust(),
+    lambda rng, p: FullTrustCredential(),
+    lambda rng, p: RestrictedTrust(random_monitor(rng, p, 0.9, 0.9)),
+]
+
+
+def _with_readd(rng, p, log):
+    """``log`` with one statement live at a random point removed there and
+    added again by the next event, and the position of the removal."""
+    at = rng.randrange(len(log) + 1)
+    live = set(p.statements)
+    for ev in log[:at]:
+        (live.add if ev.kind is ChangeKind.ADD else live.discard)(ev.statement)
+    if not live:
+        return log, None
+    again = rng.choice(sorted(live, key=str))
+    pair = [ChangeEvent(ChangeKind.REMOVE, again), ChangeEvent(ChangeKind.ADD, again)]
+    return log[:at] + pair + log[at:], at
+
+
+@pytest.mark.parametrize("make_mode", _MAKE_MODES, ids=["full", "credential", "restricted"])
+def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
+    """Every snapshot of a session carries its predecessor's by-head map and
+    rule list over, and no memo, and they equal a fresh build of its
+    statements: the map per head as multisets, the rule lists in exact
+    order.  The caller's starting state keeps its own."""
+    rng = random.Random(733)
+    cases = []
+    for _ in range(300):
+        p = random_state(rng)
+        # The third constraint is often violated, so records also fail their
+        # check, and a failed check reads no support.
+        make = [biased_satisfied_constraint, biased_satisfied_constraint, random_constraint]
+        regs = [(make[i](rng, p, f"q{i}"), make_mode(rng, p)) for i in range(3)]
+        cases.append((p, regs, *_with_readd(rng, p, _random_log(rng, p, 12)[0])))
+    position = [None]
+
+    def replay(log):
+        for n, ev in enumerate(log):
+            position[0] = n
+            yield ev
+        position[0] = None
+
+    built = count_snapshots(monkeypatch, lambda state: (state, position[0], set(vars(state))))
+    lists, readded = Counter(), 0
+    for p, regs, log, at in cases:
+        index = p._by_head
+        start = by_head_multisets(p)
+        del built[:]
+        session = run_session(p, regs, replay(log))
+        for state, _, carried in built:
+            # Every snapshot reads its map before the next is built from it.
+            assert "_by_head" in carried and "_memo" not in carried
+            lists["_rule_list" in carried] += 1
+            fresh = PolicyState(state.statements)
+            assert by_head_multisets(state) == by_head_multisets(fresh)
+            assert state._rule_list == fresh._rule_list
+        assert p._by_head is index and by_head_multisets(p) == start
+        if "_rule_list" in vars(p):
+            assert p._rule_list == PolicyState(p.statements)._rule_list
+        assert session.final_state == PolicyState(_replayed(p, log))
+        # The pair fell between two snapshots when neither of its events
+        # built one and a later event, or the final state, did.
+        built_at = [n for _, n, _ in built]
+        readded += at is not None and not {at, at + 1} & set(built_at) and any(
+            n is None or n > at + 1 for n in built_at
+        )
+    # A snapshot carries the rule list once some registration has read a
+    # support; before that one is built without it, and reads it afresh.
+    assert lists[True] >= 2000
+    assert readded >= 40
+
+
+def _replayed(p, log):
+    live = set(p.statements)
+    for ev in log:
+        (live.add if ev.kind is ChangeKind.ADD else live.discard)(ev.statement)
+    return live
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
 @pytest.mark.parametrize(
-    "make_mode",
-    [
-        lambda rng, p: FullTrust(),
-        lambda rng, p: FullTrustCredential(),
-        lambda rng, p: RestrictedTrust(random_monitor(rng, p, 0.9, 0.9)),
-    ],
+    "mode",
+    [FullTrust(), FullTrustCredential(), RestrictedTrust(RoleMonitor(EVERY_ROLE, EVERY_ROLE))],
     ids=["full", "credential", "restricted"],
 )
+def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeypatch, mode, k):
+    """A session warning on ``k`` events builds the by-head map and sorts
+    the whole statement set once each, for the starting state: every
+    snapshot carries both over from the one before."""
+    builds = []
+    for name in ("_by_head", "_rule_list"):
+        real = vars(PolicyState)[name].func
+
+        def build(self, real=real, name=name):
+            builds.append((name, self))
+            return real(self)
+
+        prop = functools.cached_property(build)
+        prop.__set_name__(PolicyState, name)
+        monkeypatch.setattr(PolicyState, name, prop)
+    sorts = []
+
+    def sort_spy(items, **kwargs):
+        items = list(items)
+        if items and all(isinstance(x, Statement) for x in items):
+            sorts.append(len(items))
+        return sorted(items, **kwargs)
+
+    for module in (rtmon.model, rtmon.engine, rtmon.deps, rtmon.analysis, rtmon.monitor):
+        monkeypatch.setattr(module, "sorted", sort_spy, raising=False)
+    snapshots = count_snapshots(monkeypatch)
+    p = support_shift_policy()
+    # ``B.r`` gains X{i} quietly; ``A.r`` then gains it and warns, and the
+    # constraint still holds, so each warned event recomputes the support.
+    log = []
+    for i in range(k):
+        log += [add(f"B.r <- X{i}"), add(f"A.r <- X{i}")]
+    session = run_session(p, [(support_shift_constraint(), mode)], log)
+    assert [w.event for w in session.warnings] == log[1::2]
+    assert all(w.outcome is WarningOutcome.STILL_HOLDS for w in session.warnings)
+    assert len(snapshots) == k
+    assert sorted(name for name, _ in builds) == ["_by_head", "_rule_list"]
+    assert all(state is p for _, state in builds)
+    assert sorts == [len(p)]
+
+
+@pytest.mark.parametrize("make_mode", _MAKE_MODES, ids=["full", "credential", "restricted"])
 def test_quiet_events_free_no_snapshot(monkeypatch, make_mode):
     """Every snapshot the session builds is released during an event that
     reaches a record, or after the last event, never during a quiet one."""
     rng = random.Random(711)
+    cases = []
+    for _ in range(60):
+        p = random_state(rng)
+        regs = [
+            (biased_satisfied_constraint(rng, p, f"q{i}"), make_mode(rng, p)) for i in range(3)
+        ]
+        cases.append((p, regs, _random_log(rng, p, 20)[0]))
     position: list = [None]  # the event being replayed, None outside the log
     reached_at: set[int] = set()
     released: list = []
-    built: list = []
-    real_state = rtmon.monitor._checked_state
-
-    def tracked(stmts):
-        state = real_state(stmts)
-        built.append(weakref.finalize(state, lambda: released.append(position[0])))
-        return state
-
+    built = count_snapshots(
+        monkeypatch, lambda state: weakref.finalize(state, lambda: released.append(position[0]))
+    )
     real_reached = rtmon.monitor._FrontierIndex.reached
 
     def reached(self, ev, noop):
@@ -864,7 +985,6 @@ def test_quiet_events_free_no_snapshot(monkeypatch, make_mode):
             reached_at.add(position[0])
         return due
 
-    monkeypatch.setattr(rtmon.monitor, "_checked_state", tracked)
     monkeypatch.setattr(rtmon.monitor._FrontierIndex, "reached", reached)
 
     def replay(log):
@@ -873,18 +993,24 @@ def test_quiet_events_free_no_snapshot(monkeypatch, make_mode):
             yield ev
         position[0] = None
 
-    quiet_after_reached = 0
+    def expected_snapshots(p, log):
+        """One per event that reaches a record after the live statements
+        changed, and one for the final state if they changed after that."""
+        live, stale, count = set(p.statements), False, 0
+        for n, ev in enumerate(log):
+            size = len(live)
+            (live.add if ev.kind is ChangeKind.ADD else live.discard)(ev.statement)
+            stale = stale or len(live) != size
+            if stale and n in reached_at:
+                count, stale = count + 1, False
+        return count + stale
+
+    quiet_after_reached = snapshots = 0
     # A collector pass may run during any event; this pins the frees the
     # session itself makes.
     gc.disable()
     try:
-        for _ in range(60):
-            p = random_state(rng)
-            regs = [
-                (biased_satisfied_constraint(rng, p, f"q{i}"), make_mode(rng, p))
-                for i in range(3)
-            ]
-            log, _ = _random_log(rng, p, 20)
+        for p, regs, log in cases:
             reached_at.clear()
             released.clear()
             built.clear()
@@ -892,12 +1018,15 @@ def test_quiet_events_free_no_snapshot(monkeypatch, make_mode):
             quiet = set(range(len(log))) - reached_at
             assert not quiet & set(released)
             quiet_after_reached += sum(n in quiet and n - 1 in reached_at for n in range(len(log)))
+            assert len(built) == expected_snapshots(p, log)
+            snapshots += len(built)
             del session
             gc.collect()
             assert len(released) == len(built)
     finally:
         gc.enable()
     assert quiet_after_reached >= 100
+    assert snapshots >= 400
 
 
 #: The value types whose hash and equality a quiet event may call.
@@ -1144,19 +1273,14 @@ def test_wildcard_sessions_match_a_fresh_register_at_every_step():
 def test_wildcard_register_and_session_never_build_the_cross_product(monkeypatch):
     p = _big_policy()
     mode = RestrictedTrust(RoleMonitor(growth_trusted=EVERY_ROLE, shrink_trusted=EVERY_ROLE))
-    snapshots = [p]
-    real = rtmon.monitor._checked_state
-    monkeypatch.setattr(
-        rtmon.monitor,
-        "_checked_state",
-        lambda stmts: snapshots.append(real(stmts)) or snapshots[-1],
-    )
+    snapshots = count_snapshots(monkeypatch)
     assert register(p, hazmat_constraint(), mode).status is RecordStatus.HOLDING
     log = [add("Emergency.dept <- EMS"), add(HAZMAT_ADD_9)]
     session = run_session(p, [(hazmat_constraint(), mode)], log)
     assert [w.event for w in session.warnings] == log
-    assert len(snapshots) == 3
-    assert all("roles" not in vars(s) for s in snapshots)
+    # One snapshot per warned event; the second is the final state.
+    assert len(snapshots) == 2 and snapshots[-1] is session.final_state
+    assert all("roles" not in vars(s) for s in [p, *snapshots])
 
 
 @pytest.mark.parametrize("cap", [DEFAULT_SUPPORT_CAP, 1])
