@@ -307,7 +307,7 @@ def _worklist(
     # member) equals it, so the cap, which keeps the smallest first, never
     # cuts it.  Firing the fact again would offer it again.
     n = 0
-    for stmt, tok, inputs in every:
+    for stmt, tok, inputs, _ in every:
         body = stmt.body
         if isinstance(body, SimpleMember):
             offer(stmt.head, body.member, tok)
@@ -318,7 +318,7 @@ def _worklist(
     start = 0
     while clock != start:
         start = clock
-        for n, (stmt, tok, inputs) in enumerate(rules):
+        for n, (stmt, tok, inputs, _) in enumerate(rules):
             head, body = stmt.head, stmt.body
             last = fired_at[n]
             if freed_at.get(head, 0) <= last:
@@ -357,7 +357,7 @@ def _rules(
         every = [rule for rule in every if rule[0].head in heads]
         rules = [rule for rule in rules if rule[0].head in heads]
     if by_statement:
-        every = [(stmt, frozenset((stmt,)), reads) for stmt, _, reads in every]
+        every = [(stmt, frozenset((stmt,)), reads, text) for stmt, _, reads, text in every]
         rules = [rule for rule in every if not isinstance(rule[0].body, SimpleMember)]
     return every, rules
 

@@ -258,6 +258,15 @@ class Statement:
             return text
 
 
+def _statement_text(stmt: Statement) -> str:
+    """The text of ``stmt``, kept from an earlier ``str`` or rendered as
+    ``str`` renders it, without being kept."""
+    try:
+        return stmt._text
+    except AttributeError:
+        return f"{stmt.head} <- {stmt.body}"
+
+
 def _principal_positions(stmt: Statement) -> tuple[Principal, ...]:
     """The principal in each principal position of the statement, head
     owner first, repeats kept."""
@@ -323,8 +332,11 @@ class _HeadIndex:
 
 
 # A statement as the support worklist fires it: with the singleton of its
-# head, the token a role support collects, and the roles it reads.
-_Rule = tuple[Statement, frozenset[Role], tuple[Role, ...]]
+# head, the token a role support collects, the roles it reads, and its text,
+# which orders the rule list.  The entry keeps the text: a statement that a
+# carried rule list inserts renders it without keeping it, because the
+# statements of a change log outlive the states that list them.
+_Rule = tuple[Statement, frozenset[Role], tuple[Role, ...], str]
 
 
 @dataclass(frozen=True)
@@ -338,11 +350,11 @@ class _RuleList:
 
 
 def _rule(stmt: Statement) -> _Rule:
-    return stmt, frozenset((stmt.head,)), _reads(stmt)
+    return stmt, frozenset((stmt.head,)), _reads(stmt), _statement_text(stmt)
 
 
 def _text(rule: _Rule) -> str:
-    return str(rule[0])
+    return rule[3]
 
 
 @dataclass(frozen=True)
@@ -410,10 +422,10 @@ class PolicyState:
     @cached_property
     def _rule_list(self) -> _RuleList:
         """The statements in text order, as the support worklist fires
-        them.  Each statement renders its text once and keeps it, so the
-        sort reads cached text for every statement rendered before.  Two
-        threads may both build it cold; that is benign, because each stores
-        an equal list."""
+        them.  Each statement renders its text once and keeps it, as
+        ``str`` does, so the sort and whatever prints the state later read
+        cached text.  Two threads may both build it cold; that is benign,
+        because each stores an equal list."""
         every = [_rule(stmt) for stmt in sorted(self.statements, key=str)]
         rules = [rule for rule in every if not isinstance(rule[0].body, SimpleMember)]
         return _RuleList(every, rules)
@@ -485,13 +497,11 @@ def _checked_state(statements: frozenset[Statement]) -> PolicyState:
     return state
 
 
-#: The most statements a derived state may add and remove together and
-#: still carry its predecessor's rule list.  Each one moves the tail of two
-#: lists, so past a few hundred sorting afresh costs less.
-_CARRIED_RULE_CHANGES = 256
-
-
-def _successor(prev: PolicyState, statements: frozenset[Statement]) -> PolicyState:
+def _successor(
+    prev: PolicyState,
+    statements: frozenset[Statement],
+    added_since: Iterable[Statement] = (),
+) -> PolicyState:
     """The state over ``statements``, already known to be free of ``TOP``,
     that follows ``prev``.
 
@@ -502,6 +512,13 @@ def _successor(prev: PolicyState, statements: frozenset[Statement]) -> PolicySta
     bisection and dropped, the added ones inserted in text order.  Nothing
     ``prev`` holds is changed.  ``PolicyState.add`` and ``remove`` and
     every snapshot of a session build their state here.
+
+    ``added_since`` lists the statements added since ``prev`` in the order
+    they were added; a session passes them.  Only an intersection can be
+    written two ways, and two equal intersections written in different
+    orders print differently.  So one that ``prev`` holds, and that was
+    removed and added back as another object, replaces the one ``prev``
+    lists, as a removal and an addition.
     """
     state = _checked_state(statements)
     built = vars(prev)
@@ -509,13 +526,21 @@ def _successor(prev: PolicyState, statements: frozenset[Statement]) -> PolicySta
     if index is None and listed is None:
         return state
     added, removed = statements - prev.statements, prev.statements - statements
+    # The object last added is the live one, if the statement is live.
+    last = {s: s for s in added_since if isinstance(s.body, IntersectionInclusion)}
+    for stmt in last.values():
+        if stmt in statements and stmt in prev.statements:
+            # A session has read the map of every snapshot it derives from.
+            held = next(rule for rule in prev._by_head.heads[stmt.head] if rule == stmt)
+            if held is not stmt:
+                added, removed = added | {stmt}, removed | {held}
     if index is not None:
         object.__setattr__(state, "_by_head", _carried_index(index, added, removed))
-    if listed is not None and len(added) + len(removed) <= _CARRIED_RULE_CHANGES:
+    if listed is not None:
         every, rules = list(listed.every), list(listed.rules)
         for stmt in removed:
             for kept in (every,) if isinstance(stmt.body, SimpleMember) else (every, rules):
-                at = bisect_left(kept, str(stmt), key=_text)
+                at = bisect_left(kept, _statement_text(stmt), key=_text)
                 while kept[at][0] != stmt:
                     at += 1
                 del kept[at]
@@ -537,7 +562,9 @@ def _carried_index(
     without statements leaves the map, as in a map built afresh."""
     facts, heads = dict(index.facts), dict(index.heads)
     copied: dict[tuple[bool, Role], list] = {}
-    for stmt in (*removed, *added):
+    # A statement added back in another spelling is in both, as two objects.
+    changes = [(stmt, True) for stmt in removed] + [(stmt, False) for stmt in added]
+    for stmt, gone in changes:
         body, head = stmt.body, stmt.head
         is_fact = isinstance(body, SimpleMember)
         table = facts if is_fact else heads
@@ -545,7 +572,7 @@ def _carried_index(
         if items is None:
             items = copied[is_fact, head] = table[head] = list(table.get(head, ()))
         item = body.member if is_fact else stmt
-        if stmt in removed:
+        if gone:
             items.remove(item)
         else:
             items.append(item)

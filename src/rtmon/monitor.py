@@ -21,7 +21,8 @@ same, whatever the policy size and the number of constraints:
 * on the live set, a membership probe and then the insertion for an
   addition, or a discard and a size comparison for a removal;
 * for an addition of a statement not yet live, the ``TOP`` check, which
-  reads the statement's body in place;
+  reads the statement's body in place, and an append to the list of the
+  statements added since the snapshot;
 * one ``_FrontierIndex.reached`` call: one dictionary probe per key (the
   head of an addition; the head and the statement of a removal), and an
   empty list returned without a sort.
@@ -32,15 +33,15 @@ built, so nothing on that path rehashes a statement or hashes a principal.
 Nor does such an event free anything of the size of the policy.  A change
 only marks the session's snapshot stale; the next event that reaches a
 record builds the new snapshot from the stale one, which it then drops,
-before its re-registrations, and the final state is built the same way
-only if the snapshot is still stale.  Freeing the snapshot on the first
-quiet event after a warned one would make that event the slowest quiet
-event of a session.  The new snapshot is derived by
+before its re-registrations; the final state is built afresh from the
+live set only if the snapshot is still stale.  Freeing the snapshot on
+the first quiet event after a warned one would make that event the
+slowest quiet event of a session.  The new snapshot is derived by
 :func:`rtmon.model._successor`: two set differences find the statements
 the two snapshots differ in, and it carries over the stale one's by-head
-map and text-ordered rule list, updated by those statements alone, so no
-snapshot after the first indexes the whole policy again, and none sorts
-it unless hundreds of statements changed in between.
+map and text-ordered rule list, updated by those statements alone (and
+by an intersection added back written in another order), so no snapshot
+after the first indexes or sorts the whole policy again.
 
 The shared part of a registration is kept on the snapshot it reads, next
 to the snapshot's statements by head: the initial registrations share the
@@ -76,6 +77,7 @@ from .model import (
     RoleMonitor,
     Statement,
     _check_unreserved,
+    _checked_state,
     _successor,
     roles_of,
 )
@@ -423,17 +425,22 @@ def run_session(
     Everything derived from the snapshot goes with it, except what the next
     snapshot carries over: its by-head map and rule list, updated by the
     statements that changed in between (see :func:`rtmon.model._successor`).
+    The session lists the statements added since the snapshot, so an
+    intersection that comes back written in another order replaces the
+    carried one and prints as it was last written.
 
     A snapshot lives until the first event that reaches a record after the
     live set changed: that event builds the next one from it and drops it,
     so an event that reaches no record neither builds nor frees anything of
     the size of the policy.  Such an event makes one set operation on the live
-    statements (a probe before an addition), the ``TOP`` check of an
-    addition that changes them, and one ``reached`` call, which probes the
-    index once per key and returns an empty list, so its cost does not
-    grow with the policy or the number of constraints.
-    ``final_state`` is the last snapshot when no change followed it, and
-    ``p`` itself when nothing changed.
+    statements (a probe before an addition), the ``TOP`` check and an
+    append to a list for an addition that changes them, and one
+    ``reached`` call, which probes the index once per key and returns an
+    empty list, so its cost does not grow with the policy or the number
+    of constraints.
+    ``final_state`` is the last snapshot when no change followed it, a
+    state built from the live statements (carrying nothing) when one did,
+    and ``p`` itself when nothing changed.
     """
     demands = [_demand(q, mode) for q, mode in registrations]
     demand = frozenset().union(*demands)
@@ -444,6 +451,10 @@ def run_session(
     live = set(p.statements)
     snapshot = p
     stale = False
+    # The statements added since the snapshot, in order: an intersection
+    # removed and added back may come back written in another order.
+    added: list[Statement] = []
+    note = added.append
     reached = index.reached
     for ev in log:
         stmt = ev.statement
@@ -452,6 +463,7 @@ def run_session(
             if not noop:
                 _check_unreserved(stmt)
                 live.add(stmt)
+                note(stmt)
         else:
             size = len(live)
             live.discard(stmt)
@@ -463,8 +475,9 @@ def run_session(
             continue
         if stale:
             # Built from the snapshot it replaces, which it then releases.
-            snapshot = _successor(snapshot, frozenset(live))
+            snapshot = _successor(snapshot, frozenset(live), added)
             stale = False
+            added.clear()
         demand = frozenset().union(*(demands[i] for i in due))
         for i in due:
             warning, fresh = _react(records[i], snapshot, ev, noop, demand)
@@ -474,5 +487,6 @@ def run_session(
                 records[i] = fresh
                 index.put(i, fresh)
     if stale:
-        snapshot = _successor(snapshot, frozenset(live))
+        # Nothing reads the final state's map or rule list: none is carried.
+        snapshot = _checked_state(frozenset(live))
     return SessionResult(snapshot, tuple(warnings), tuple(records), initial)

@@ -116,10 +116,21 @@ def core_roles(coreset) -> frozenset:
 
 def by_head_multisets(p):
     """Each role's facts and rules in the by-head map of ``p``, as
-    multisets: a state built afresh lists them in set iteration order, a
-    derived one in the order they arrived."""
+    multisets of their texts: a state built afresh lists them in set
+    iteration order, a derived one in the order they arrived.  Texts, not
+    values, because two equal intersections may be written differently."""
     index = p._by_head
-    return [{r: Counter(got) for r, got in part.items()} for part in (index.facts, index.heads)]
+    return [
+        {r: Counter(map(str, got)) for r, got in part.items()}
+        for part in (index.facts, index.heads)
+    ]
+
+
+def rule_texts(p):
+    """The texts of the statements in the two rule lists of ``p``, in
+    order."""
+    listed = p._rule_list
+    return [[str(rule[0]) for rule in part] for part in (listed.every, listed.rules)]
 
 
 def patch_everywhere(monkeypatch, real, spy) -> None:
@@ -166,15 +177,16 @@ def count_saturations(monkeypatch) -> list:
 
 def count_snapshots(monkeypatch, record=None) -> list:
     """Every state ``rtmon.model._successor`` builds, in build order: each
-    snapshot of a session, its final state when it is built, and each state
-    ``PolicyState.add`` or ``remove`` derives.  With ``record`` given, what
+    snapshot of a session, and each state ``PolicyState.add`` or ``remove``
+    derives.  A session's final state, when it is not its last snapshot, is
+    built afresh and not counted.  With ``record`` given, what
     ``record(state)`` returns is kept instead of the state, so the states
     are not kept alive."""
     calls = []
     real = rtmon.model._successor
 
-    def spy(prev, statements):
-        state = real(prev, statements)
+    def spy(prev, statements, added_since=()):
+        state = real(prev, statements, added_since)
         calls.append(state if record is None else record(state))
         return state
 

@@ -12,7 +12,6 @@ import pytest
 from rtmon.deps import support_for_constraint
 from rtmon.engine import eval_expr, evaluate
 from rtmon.model import (
-    _CARRIED_RULE_CHANGES,
     ChangeEvent,
     ChangeKind,
     Constraint,
@@ -48,6 +47,7 @@ from helpers import (
     prin,
     role,
     role_strs,
+    rule_texts,
     self_link_policy,
     stmt,
 )
@@ -190,21 +190,59 @@ def test_add_and_remove_carry_the_by_head_map_and_rule_list():
     assert steps >= 1000 and readded >= 100
 
 
-def test_a_change_past_the_limit_builds_the_rule_list_afresh():
+def test_a_bulk_change_carries_the_rule_list():
+    # However many statements change at once, the map and the rule list are
+    # carried over, equal to a fresh build's.
     p = hazmat_policy()
     p._rule_list, p._by_head
-    extra = [stmt(f"X{i:03d}.r <- Y") for i in range(_CARRIED_RULE_CHANGES + 1)]
-    for grown, carried in (
-        (p.statements | set(extra[:-1]), True),
-        (p.statements | set(extra), False),
-    ):
-        state = _successor(p, grown)
-        # The map is always carried; the rule list only up to the limit.
-        assert "_by_head" in vars(state)
-        assert ("_rule_list" in vars(state)) is carried
-        fresh = PolicyState(grown)
-        assert by_head_multisets(state) == by_head_multisets(fresh)
-        assert state._rule_list == fresh._rule_list
+    extra = {stmt(f"X{i:03d}.r <- Y") for i in range(300)}
+    changed = (p.statements | extra) - set(sorted(p.statements, key=str)[::2])
+    state = _successor(p, changed)
+    assert {"_by_head", "_rule_list"} <= vars(state).keys()
+    fresh = PolicyState(changed)
+    assert by_head_multisets(state) == by_head_multisets(fresh)
+    assert state._rule_list == fresh._rule_list
+    assert rule_texts(state) == rule_texts(fresh)
+
+
+def test_a_carried_rule_list_keeps_no_text_on_the_statements_it_inserts():
+    # A change log's statements outlive the states that list them: the
+    # entry keeps the text, the statement does not.  A fresh build keeps
+    # each text on its statement, as ``str`` does.
+    p = hazmat_policy()
+    p._rule_list
+    assert all(hasattr(s, "_text") for s in p.statements)
+    cold = stmt("Police.responsePersonnel <- Kim")
+    grown = p.add(cold)
+    back = grown.remove(cold)
+    assert not hasattr(cold, "_text")
+    assert back._rule_list == p._rule_list
+    assert [rule[3] for rule in grown._rule_list.every] == rule_texts(grown)[0]
+
+
+@pytest.mark.parametrize("built", [["_by_head"], ["_rule_list"], ["_by_head", "_rule_list"]])
+def test_an_intersection_added_back_in_another_order_replaces_the_carried_one(built):
+    # ``A.r <- C.t & B.s`` equals ``A.r <- B.s & C.t`` but prints otherwise.
+    # Added back as the statement a derived state holds, it replaces the one
+    # its predecessor lists, whichever of the map and the rule list that
+    # predecessor has built.
+    p = PolicyState(
+        {stmt("A.r <- B.s & C.t"), stmt("B.s <- X"), stmt("C.t <- X"), stmt("Q.q <- A.r")}
+    )
+    for name in built:
+        getattr(p, name)
+    respelled = stmt("A.r <- C.t & B.s")
+    statements = (p.statements - {respelled}) | {respelled}
+    assert any(s is respelled for s in statements)
+    fresh = PolicyState(statements)
+
+    def texts(state):
+        return by_head_multisets(state), rule_texts(state)
+
+    # Set differences alone do not see the new text.
+    assert texts(_successor(p, statements)) != texts(fresh)
+    assert texts(_successor(p, statements, [respelled])) == texts(fresh)
+    assert texts(p) == texts(PolicyState(p.statements)) != texts(fresh)
 
 
 def test_names_hash_once_to_the_field_tuple_hash():
