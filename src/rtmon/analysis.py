@@ -3,7 +3,7 @@
 A role monitor splits the world into roles whose growth is observable and
 roles whose shrinkage is observable.  Everything else may drift silently,
 so exact membership is replaced by a pair of bounds, both seeded runs of
-the evaluator of :mod:`rtmon.engine` on the state's one by-head map: the
+the evaluator of :mod:`rtmon.engine` on the state's one index: the
 lower bound holds roles outside the shrink-trusted set at the empty set,
 so only shrink-trusted definitions count; the upper bound holds roles
 outside the growth-trusted set at the universe, current principals plus
@@ -117,7 +117,7 @@ def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     """
     s = r.shrink_trusted
     return p._derived(
-        "lower", s, lambda: _saturate(p._by_head, fixed=lambda role: role not in s).members
+        "lower", s, lambda: _saturate(p._index, fixed=lambda role: role not in s).members
     )
 
 
@@ -143,7 +143,7 @@ def _upper(p: PolicyState, g: Container[Role]) -> Bound:
         return role.owner == TOP or role not in g
 
     def compute() -> Bound:
-        return _saturate(p._by_head, fixed=fixed, universe=p.principals | {TOP}).members
+        return _saturate(p._index, fixed=fixed, universe=p.principals | {TOP}).members
 
     return p._derived("upper", g, compute)
 
@@ -201,7 +201,7 @@ def gamma_restricted_expr(
     g = _frozen(g)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return _growth_roles(p._by_head.heads, roles_of(expr), _upper(p, g), core(p, g))
+    return _growth_roles(p._index.heads, roles_of(expr), _upper(p, g), core(p, g))
 
 
 @dataclass(frozen=True)

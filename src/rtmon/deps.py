@@ -8,7 +8,7 @@ evaluates, and the growth sets here walk inside it.
 
 Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
-frontier, a closure over the rules by head of the state's one by-head map.
+frontier, a closure over the rules by head of the state's one index.
 Supports answer "which roles (or which exact statements) currently prove
 the memberships the constraint needs" -- the remove-side frontier.  Both
 are plain sets in every layer: a growth set or a role support is a
@@ -128,7 +128,7 @@ def _growth_roles(
 ) -> frozenset[Role]:
     """Close ``roots`` under the definitions reachable from them.
 
-    ``heads`` holds the rules by head, as in ``PolicyState._by_head``;
+    ``heads`` holds the rules by head, as in ``PolicyState._index``;
     ``members`` gives the members a linked role walks (absent roles are
     empty); with ``within`` given, only roles inside it are kept.
     """
@@ -163,7 +163,7 @@ def gamma_expr(
         # The cone of the expression's roles is their growth set.
         return evaluate(p, roots).cone
     _require_cone(idx, roots)
-    return _growth_roles(p._by_head.heads, roots, idx.members)
+    return _growth_roles(p._index.heads, roots, idx.members)
 
 
 # Worklist output: role -> member -> supports, each a set of tokens.
@@ -345,14 +345,14 @@ def _rules(
     with its token as a singleton and the roles it reads, and the rules
     among them, member facts left out.
 
-    Both are read off the state's rule list (``PolicyState._rule_list``),
-    built once per state or carried over from the state it was derived
-    from, so no run sorts the statements or builds their entries.  Only
-    statement tokens, which the credential replay alone uses on a role
-    support's few statements, are built per run.
+    Both are read off the state's index (``PolicyState._index``), built
+    once per state or carried over from the state it was derived from, so
+    no run sorts the statements or builds their entries.  Only statement
+    tokens, which the credential replay alone uses on a role support's few
+    statements, are built per run.
     """
-    listed = p._rule_list
-    every, rules = listed.every, listed.rules
+    index = p._index
+    every, rules = index.every, index.rules
     if heads is not None:
         every = [rule for rule in every if rule[0].head in heads]
         rules = [rule for rule in rules if rule[0].head in heads]

@@ -3,16 +3,17 @@
 Membership is the least model of the clauses induced by the four statement
 forms.  :func:`rtmon.model._reads` is the one place that says which roles
 a statement reads, and a state's statements by head, as member facts and
-rules, are the one map every membership pass and growth walk reads: the
-state builds it once, on first use, or carries it over from the state it
-was derived from (``PolicyState._by_head``).  :func:`_saturate` is the
-one membership loop.  It indexes rules by the roles they read as it goes
-and runs semi-naive rounds: a rule fires only on the members its inputs
-gained in the previous round, joined with what the other inputs already
-hold.  :func:`evaluate` runs it on the whole state, or goal-directed on the
-cone of some roots, indexing a role's rules only when the role is found to
-matter.  Results are independent of statement order.  Seeded with fixed
-roles, the same loop on the same map gives both bounds of restricted trust.
+rules, in its one index are what every membership pass and growth walk
+reads: the state builds the index once, on first use, or carries it over
+from the state it was derived from (``PolicyState._index``).
+:func:`_saturate` is the one membership loop.  It indexes rules by the
+roles they read as it goes and runs semi-naive rounds: a rule fires only
+on the members its inputs gained in the previous round, joined with what
+the other inputs already hold.  :func:`evaluate` runs it on the whole
+state, or goal-directed on the cone of some roots, indexing a role's
+rules only when the role is found to matter.  Results are independent of
+statement order.  Seeded with fixed roles, the same loop on the same
+index gives both bounds of restricted trust.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .model import (
     RoleRef,
     SimpleInclusion,
     Statement,
-    _HeadIndex,
+    _Index,
     _reads,
     fold_expr,
 )
@@ -76,11 +77,11 @@ def evaluate(p: PolicyState, roots: Optional[Iterable[Role]] = None) -> Semantic
     """Role membership in ``p``: of every role with members, or with
     ``roots`` given, of every role in their cone, whose result raises
     ``LookupError`` on a role outside it (see :class:`SemanticsIndex`)."""
-    return _saturate(p._by_head, roots)
+    return _saturate(p._index, roots)
 
 
 def _saturate(
-    index: _HeadIndex,
+    index: _Index,
     roots: Optional[Iterable[Role]] = None,
     fixed: Optional[Callable[[Role], bool]] = None,
     universe: frozenset[Principal] = _EMPTY,

@@ -6,15 +6,14 @@ principal-owned role either directly (simple membership) or by delegation
 role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
 beyond their own invariants, and are safe to share between threads.  A
-state derives what every pass reads of it -- its principals, its
-statements by head and its statements in text order -- on first use,
-once, and keeps it, and it keeps what the other modules derive from it
-(membership on a cone, the support worklist, the bounds and the trusted
-core) in one memo, also filled on first use.  A state derived from
-another -- by ``add`` or ``remove``, or as a session's next snapshot --
-carries over what the other built of its statements by head and in text
-order, updated by the statements the two differ in, and derives the rest
-afresh.
+state derives what every pass reads of it -- its principals, and its one
+index of statements by head and in text order -- on first use, once, and
+keeps it, and it keeps what the other modules derive from it (membership
+on a cone, the support worklist, the bounds and the trusted core) in one
+memo, also filled on first use.  A state derived from another -- by
+``add`` or ``remove``, or as a session's next snapshot -- carries over the
+other's index with the changes between them replayed onto a copy, and
+derives the rest afresh.
 """
 
 from __future__ import annotations
@@ -223,19 +222,13 @@ StatementBody = Union[SimpleMember, SimpleInclusion, LinkingInclusion, Intersect
 
 @dataclass(frozen=True, slots=True)
 class Statement:
-    """One policy statement ``head <- body``; a value object.
-
-    Its text is rendered lazily, once, and kept in ``_text``, which takes no
-    part in equality, hashing, ``repr``, copy or pickle: a copy renders its
-    own.  Two threads may both render a cold statement; that is benign,
-    because each stores an equal string.
-    """
+    """One policy statement ``head <- body``; a value object.  Its text
+    is rendered by every ``str``; a state's index keeps the text of each
+    of its statements."""
 
     head: Role
     body: StatementBody
     _hash: int = field(init=False, repr=False, compare=False)
-    # Unset until the first ``str``: building a statement stores nothing.
-    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.body, LinkingInclusion) and self.body.first.owner != self.head.owner:
@@ -250,21 +243,7 @@ class Statement:
     __reduce__ = _rebuilt
 
     def __str__(self) -> str:
-        try:
-            return self._text
-        except AttributeError:
-            text = f"{self.head} <- {self.body}"
-            object.__setattr__(self, "_text", text)
-            return text
-
-
-def _statement_text(stmt: Statement) -> str:
-    """The text of ``stmt``, kept from an earlier ``str`` or rendered as
-    ``str`` renders it, without being kept."""
-    try:
-        return stmt._text
-    except AttributeError:
-        return f"{stmt.head} <- {stmt.body}"
+        return f"{self.head} <- {self.body}"
 
 
 def _principal_positions(stmt: Statement) -> tuple[Principal, ...]:
@@ -318,39 +297,32 @@ def _reads(
     return ()
 
 
-@dataclass(frozen=True)
-class _HeadIndex:
-    """Statements by head: member facts and rules (the other statements).
-    Every membership pass, growth walk and bound reads this map, and none
-    changes it.  A state that :func:`_successor` derives from another gets
-    a copy of the two dicts, which shares the list of every head the
-    change left alone.  A map built afresh lists each head's statements in
-    set iteration order; a carried one appends what the change added."""
-
-    facts: Mapping[Role, list[Principal]]
-    heads: Mapping[Role, list[Statement]]
-
-
 # A statement as the support worklist fires it: with the singleton of its
 # head, the token a role support collects, the roles it reads, and its text,
-# which orders the rule list.  The entry keeps the text: a statement that a
-# carried rule list inserts renders it without keeping it, because the
-# statements of a change log outlive the states that list them.
+# which orders the index's text-ordered lists.
 _Rule = tuple[Statement, frozenset[Role], tuple[Role, ...], str]
 
 
 @dataclass(frozen=True)
-class _RuleList:
-    """The statements in the order of their rendered text, as the support
-    worklist fires them: ``every`` holds them all, for its first pass, and
-    ``rules`` all but the member facts, for the later passes."""
+class _Index:
+    """A state's statements as every pass reads them, and none changes.
 
+    ``facts`` maps each head to the members its member facts name, and
+    ``heads`` to its other statements, the rules; every membership pass,
+    growth walk and bound reads these two.  ``every`` holds an entry for each
+    statement in the order of its text, as the support worklist's first
+    pass fires them, and ``rules`` the rules' entries alone, for its later
+    passes.  A fresh index lists each head's statements in set iteration
+    order; one that :func:`_successor` carries appends what was added."""
+
+    facts: Mapping[Role, list[Principal]]
+    heads: Mapping[Role, list[Statement]]
     every: list[_Rule]
     rules: list[_Rule]
 
 
 def _rule(stmt: Statement) -> _Rule:
-    return stmt, frozenset((stmt.head,)), _reads(stmt), _statement_text(stmt)
+    return stmt, frozenset((stmt.head,)), _reads(stmt), str(stmt)
 
 
 def _text(rule: _Rule) -> str:
@@ -390,12 +362,12 @@ class PolicyState:
         if stmt in self.statements:
             return self
         _check_unreserved(stmt)
-        return _successor(self, self.statements | {stmt})
+        return _successor(self, self.statements | {stmt}, [ChangeEvent(ChangeKind.ADD, stmt)])
 
     def remove(self, stmt: Statement) -> "PolicyState":
         if stmt not in self.statements:
             return self
-        return _successor(self, self.statements - {stmt})
+        return _successor(self, self.statements - {stmt}, [ChangeEvent(ChangeKind.REMOVE, stmt)])
 
     @cached_property
     def principals(self) -> frozenset[Principal]:
@@ -405,10 +377,10 @@ class PolicyState:
         return frozenset(out)
 
     @cached_property
-    def _by_head(self) -> _HeadIndex:
-        """The statements by head, the one map the passes over this state
-        read.  Two threads may both build it cold; that is benign, because
-        each stores an equal map."""
+    def _index(self) -> _Index:
+        """The statements by head and in text order, the one index the
+        passes over this state read.  Two threads may both build it cold;
+        that is benign, because each stores an equal index."""
         facts: dict[Role, list[Principal]] = defaultdict(list)
         heads: dict[Role, list[Statement]] = defaultdict(list)
         for stmt in self.statements:
@@ -417,18 +389,9 @@ class PolicyState:
                 facts[stmt.head].append(body.member)
             else:
                 heads[stmt.head].append(stmt)
-        return _HeadIndex(facts, heads)
-
-    @cached_property
-    def _rule_list(self) -> _RuleList:
-        """The statements in text order, as the support worklist fires
-        them.  Each statement renders its text once and keeps it, as
-        ``str`` does, so the sort and whatever prints the state later read
-        cached text.  Two threads may both build it cold; that is benign,
-        because each stores an equal list."""
-        every = [_rule(stmt) for stmt in sorted(self.statements, key=str)]
+        every = sorted(map(_rule, self.statements), key=_text)
         rules = [rule for rule in every if not isinstance(rule[0].body, SimpleMember)]
-        return _RuleList(every, rules)
+        return _Index(facts, heads, every, rules)
 
     @cached_property
     def _memo(self) -> dict[tuple[str, Hashable], object]:
@@ -498,88 +461,56 @@ def _checked_state(statements: frozenset[Statement]) -> PolicyState:
 
 
 def _successor(
-    prev: PolicyState,
-    statements: frozenset[Statement],
-    added_since: Iterable[Statement] = (),
+    prev: PolicyState, statements: frozenset[Statement], events: Iterable[ChangeEvent]
 ) -> PolicyState:
     """The state over ``statements``, already known to be free of ``TOP``,
-    that follows ``prev``.
+    that ``events`` make of ``prev``, each changing the state it meets.
 
-    It carries over what ``prev`` has built of its by-head map and of its
-    rule list, updated by the statements the two states differ in, which
-    two set differences find; nothing else, neither the principals nor the
-    memo.  The rule lists are copied, the removed statements found by
-    bisection and dropped, the added ones inserted in text order.  Nothing
-    ``prev`` holds is changed.  ``PolicyState.add`` and ``remove`` and
-    every snapshot of a session build their state here.
-
-    ``added_since`` lists the statements added since ``prev`` in the order
-    they were added; a session passes them.  Only an intersection can be
-    written two ways, and two equal intersections written in different
-    orders print differently.  So one that ``prev`` holds, and that was
-    removed and added back as another object, replaces the one ``prev``
-    lists, as a removal and an addition.
+    When ``prev`` has built its index, the new state carries it over with
+    the events replayed, in order, onto a copy: the dicts are copied, and
+    the list of each head an event changes before it changes; the text
+    lists take an addition by ``insort`` and lose a removal by bisection.
+    A removal drops the object its head's list holds, found by equality,
+    whichever order an intersection was written in.  Nothing else is
+    carried, neither the principals nor the memo, and nothing ``prev``
+    holds is changed.  ``PolicyState.add`` and ``remove`` and every
+    snapshot of a session build their state here.
     """
     state = _checked_state(statements)
-    built = vars(prev)
-    index, listed = built.get("_by_head"), built.get("_rule_list")
-    if index is None and listed is None:
+    index = vars(prev).get("_index")
+    if index is None:
         return state
-    added, removed = statements - prev.statements, prev.statements - statements
-    # The object last added is the live one, if the statement is live.
-    last = {s: s for s in added_since if isinstance(s.body, IntersectionInclusion)}
-    for stmt in last.values():
-        if stmt in statements and stmt in prev.statements:
-            # A session has read the map of every snapshot it derives from.
-            held = next(rule for rule in prev._by_head.heads[stmt.head] if rule == stmt)
-            if held is not stmt:
-                added, removed = added | {stmt}, removed | {held}
-    if index is not None:
-        object.__setattr__(state, "_by_head", _carried_index(index, added, removed))
-    if listed is not None:
-        every, rules = list(listed.every), list(listed.rules)
-        for stmt in removed:
-            for kept in (every,) if isinstance(stmt.body, SimpleMember) else (every, rules):
-                at = bisect_left(kept, _statement_text(stmt), key=_text)
-                while kept[at][0] != stmt:
-                    at += 1
-                del kept[at]
-        for stmt in added:
-            rule = _rule(stmt)
-            insort(every, rule, key=_text)
-            if not isinstance(stmt.body, SimpleMember):
-                insort(rules, rule, key=_text)
-        object.__setattr__(state, "_rule_list", _RuleList(every, rules))
-    return state
-
-
-def _carried_index(
-    index: _HeadIndex, added: frozenset[Statement], removed: frozenset[Statement]
-) -> _HeadIndex:
-    """``index`` without the ``removed`` statements and with the ``added``
-    ones.  Its dicts are copied, and the list of each head a statement
-    changes before it changes; every other list is shared.  A head left
-    without statements leaves the map, as in a map built afresh."""
     facts, heads = dict(index.facts), dict(index.heads)
+    every, rules = list(index.every), list(index.rules)
     copied: dict[tuple[bool, Role], list] = {}
-    # A statement added back in another spelling is in both, as two objects.
-    changes = [(stmt, True) for stmt in removed] + [(stmt, False) for stmt in added]
-    for stmt, gone in changes:
-        body, head = stmt.body, stmt.head
+    for ev in events:
+        stmt = ev.statement
+        head, body = stmt.head, stmt.body
         is_fact = isinstance(body, SimpleMember)
         table = facts if is_fact else heads
         items = copied.get((is_fact, head))
         if items is None:
             items = copied[is_fact, head] = table[head] = list(table.get(head, ()))
-        item = body.member if is_fact else stmt
-        if gone:
-            items.remove(item)
+        ordered = (every,) if is_fact else (every, rules)
+        if ev.kind is ChangeKind.ADD:
+            items.append(body.member if is_fact else stmt)
+            rule = _rule(stmt)
+            for kept in ordered:
+                insort(kept, rule, key=_text)
         else:
-            items.append(item)
+            if is_fact:
+                items.remove(body.member)
+            else:
+                stmt = items.pop(items.index(stmt))
+            text = str(stmt)
+            for kept in ordered:
+                del kept[bisect_left(kept, text, key=_text)]
+    # A head left without statements leaves the map, as in a fresh index.
     for (is_fact, head), items in copied.items():
         if not items:
             del (facts if is_fact else heads)[head]
-    return _HeadIndex(facts, heads)
+    object.__setattr__(state, "_index", _Index(facts, heads, every, rules))
+    return state
 
 
 @dataclass(frozen=True, slots=True)

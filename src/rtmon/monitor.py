@@ -13,16 +13,18 @@ under credential supports, statements.
 
 ``_frontier`` is the one definition of crossing: ``classify`` reads it per
 record, and ``run_session`` indexes it by key, so a session routes each
-event straight to the records whose frontier it crosses.  The session keeps
-the live statements in one mutable set and builds a ``PolicyState`` only
-when some record re-registers.  An event outside every frontier costs the
-same, whatever the policy size and the number of constraints:
+event straight to the records whose frontier it crosses, and classifies
+nothing.  The session keeps the live statements in one mutable set and
+builds a ``PolicyState`` only when some record re-registers.  An event
+outside every frontier costs the same, whatever the policy size and the
+number of constraints:
 
 * on the live set, a membership probe and then the insertion for an
   addition, or a discard and a size comparison for a removal;
 * for an addition of a statement not yet live, the ``TOP`` check, which
-  reads the statement's body in place, and an append to the list of the
-  statements added since the snapshot;
+  reads the statement's body in place;
+* for an event that changes the live set, its append to the list of the
+  events since the snapshot;
 * one ``_FrontierIndex.reached`` call: one dictionary probe per key (the
   head of an addition; the head and the statement of a removal), and an
   empty list returned without a sort.
@@ -37,14 +39,12 @@ before its re-registrations; the final state is built afresh from the
 live set only if the snapshot is still stale.  Freeing the snapshot on
 the first quiet event after a warned one would make that event the
 slowest quiet event of a session.  The new snapshot is derived by
-:func:`rtmon.model._successor`: two set differences find the statements
-the two snapshots differ in, and it carries over the stale one's by-head
-map and text-ordered rule list, updated by those statements alone (and
-by an intersection added back written in another order), so no snapshot
-after the first indexes or sorts the whole policy again.
+:func:`rtmon.model._successor`, which replays the events since the stale
+snapshot onto a copy of its index, so no snapshot after the first indexes
+or sorts the whole policy again.
 
 The shared part of a registration is kept on the snapshot it reads, next
-to the snapshot's statements by head: the initial registrations share the
+to the snapshot's index: the initial registrations share the
 starting state's, and the records one event re-registers share that
 event's snapshot's.  Under full trust, membership is evaluated only on the
 cone of the constraints of one batch -- the roles of both sides closed
@@ -53,7 +53,7 @@ with the batch's roles as roots, its ``demand``, which the first
 registration of the batch makes; it finds the cone as it evaluates and
 indexes only the cone's rules.  The support worklist still covers the
 whole snapshot, once per admissible set.  Under restricted trust, both
-bounds of a monitor are one evaluation each of every head of the map, with
+bounds of a monitor are one evaluation each of every head of the index, with
 the untrusted roles held fixed, and the core is read off the upper bound.
 Each record adds only its check, growth closure walk and support picks.
 """
@@ -296,10 +296,12 @@ def _react(
     noop: bool,
     demand: Optional[frozenset[Role]] = None,
 ) -> tuple[Optional[MonitorWarning], MonitorRecord]:
-    """One record's reaction to an already-applied event; a re-registration
-    reads the cone of ``demand``, as :func:`register` does."""
+    """One record's reaction to an already-applied event that
+    :func:`classify` triggers on, or that reaches a record not holding; a
+    re-registration reads the cone of ``demand``, as :func:`register`
+    does."""
     if rec.status is RecordStatus.HOLDING:
-        if noop or classify(rec, ev) is Classification.IGNORABLE:
+        if noop:
             return None, rec
         cause = (
             WarningCause.GROWTH_SIDE_ADD
@@ -333,6 +335,8 @@ class ChangeResult:
 def apply_change(rec: MonitorRecord, p: PolicyState, ev: ChangeEvent) -> ChangeResult:
     """Apply one event for one record; no-ops are always ignorable."""
     new_state = p.add(ev.statement) if ev.kind is ChangeKind.ADD else p.remove(ev.statement)
+    if rec.status is RecordStatus.HOLDING and classify(rec, ev) is Classification.IGNORABLE:
+        return ChangeResult(new_state, None, rec)
     warning, fresh = _react(rec, new_state, ev, new_state is p)
     return ChangeResult(new_state, warning, fresh)
 
@@ -422,22 +426,19 @@ def run_session(
     the live set, built at most once per event and only when some record
     re-registers, and share what is derived from it, which the snapshot
     keeps: the records reached share one cone, whose demand is their roles.
-    Everything derived from the snapshot goes with it, except what the next
-    snapshot carries over: its by-head map and rule list, updated by the
-    statements that changed in between (see :func:`rtmon.model._successor`).
-    The session lists the statements added since the snapshot, so an
-    intersection that comes back written in another order replaces the
-    carried one and prints as it was last written.
+    Everything derived from the snapshot goes with it, except its index,
+    which the next snapshot carries over with the session's changes in
+    between replayed onto a copy (see :func:`rtmon.model._successor`).
 
     A snapshot lives until the first event that reaches a record after the
     live set changed: that event builds the next one from it and drops it,
     so an event that reaches no record neither builds nor frees anything of
-    the size of the policy.  Such an event makes one set operation on the live
-    statements (a probe before an addition), the ``TOP`` check and an
-    append to a list for an addition that changes them, and one
-    ``reached`` call, which probes the index once per key and returns an
-    empty list, so its cost does not grow with the policy or the number
-    of constraints.
+    the size of the policy.  Such an event makes one set operation on the
+    live statements (a probe before an addition), the ``TOP`` check for an
+    addition that changes them, an append to a list for any event that
+    does, and one ``reached`` call, which probes the frontier index once
+    per key and returns an empty list, so its cost does not grow with the
+    policy or the number of constraints.
     ``final_state`` is the last snapshot when no change followed it, a
     state built from the live statements (carrying nothing) when one did,
     and ``p`` itself when nothing changed.
@@ -450,11 +451,9 @@ def run_session(
     warnings: list[MonitorWarning] = []
     live = set(p.statements)
     snapshot = p
-    stale = False
-    # The statements added since the snapshot, in order: an intersection
-    # removed and added back may come back written in another order.
-    added: list[Statement] = []
-    note = added.append
+    # The events that changed the live set since the snapshot, in order.
+    changes: list[ChangeEvent] = []
+    note = changes.append
     reached = index.reached
     for ev in log:
         stmt = ev.statement
@@ -463,21 +462,19 @@ def run_session(
             if not noop:
                 _check_unreserved(stmt)
                 live.add(stmt)
-                note(stmt)
         else:
             size = len(live)
             live.discard(stmt)
             noop = len(live) == size
         if not noop:
-            stale = True
+            note(ev)
         due = reached(ev, noop)
         if not due:
             continue
-        if stale:
+        if changes:
             # Built from the snapshot it replaces, which it then releases.
-            snapshot = _successor(snapshot, frozenset(live), added)
-            stale = False
-            added.clear()
+            snapshot = _successor(snapshot, frozenset(live), changes)
+            changes.clear()
         demand = frozenset().union(*(demands[i] for i in due))
         for i in due:
             warning, fresh = _react(records[i], snapshot, ev, noop, demand)
@@ -486,7 +483,7 @@ def run_session(
             if fresh is not records[i]:
                 records[i] = fresh
                 index.put(i, fresh)
-    if stale:
-        # Nothing reads the final state's map or rule list: none is carried.
+    if changes:
+        # Nothing reads the final state's index: none is carried.
         snapshot = _checked_state(frozenset(live))
     return SessionResult(snapshot, tuple(warnings), tuple(records), initial)

@@ -1,11 +1,12 @@
 """Shared builders and canonical scenario states used across the suite."""
 
+import functools
 import sys
 from collections import Counter
 
 import rtmon.engine
 import rtmon.model
-from rtmon.model import Principal, Role, RoleName
+from rtmon.model import PolicyState, Principal, Role, RoleName
 from rtmon.parser import parse_constraint, parse_policy, parse_statement
 
 # Emergency-response scenario: a tightly-held database role, a personnel
@@ -115,11 +116,11 @@ def core_roles(coreset) -> frozenset:
 
 
 def by_head_multisets(p):
-    """Each role's facts and rules in the by-head map of ``p``, as
-    multisets of their texts: a state built afresh lists them in set
-    iteration order, a derived one in the order they arrived.  Texts, not
-    values, because two equal intersections may be written differently."""
-    index = p._by_head
+    """Each role's facts and rules in the index of ``p``, as multisets of
+    their texts: a state built afresh lists them in set iteration order, a
+    derived one in the order they arrived.  Texts, not values, because two
+    equal intersections may be written differently."""
+    index = p._index
     return [
         {r: Counter(map(str, got)) for r, got in part.items()}
         for part in (index.facts, index.heads)
@@ -127,10 +128,10 @@ def by_head_multisets(p):
 
 
 def rule_texts(p):
-    """The texts of the statements in the two rule lists of ``p``, in
-    order."""
-    listed = p._rule_list
-    return [[str(rule[0]) for rule in part] for part in (listed.every, listed.rules)]
+    """The texts of the statements in the two text-ordered lists of the
+    index of ``p``, in order."""
+    index = p._index
+    return [[str(rule[0]) for rule in part] for part in (index.every, index.rules)]
 
 
 def patch_everywhere(monkeypatch, real, spy) -> None:
@@ -159,7 +160,7 @@ def count_calls(monkeypatch, real) -> list:
 def count_saturations(monkeypatch) -> list:
     """What each run of the one membership loop computes, in call order:
     ``"cone"`` or ``"whole"`` membership, or the ``"lower"`` or ``"upper"``
-    bound, with the by-head map it reads."""
+    bound, with the index it reads."""
     calls = []
     real = rtmon.engine._saturate
 
@@ -185,10 +186,26 @@ def count_snapshots(monkeypatch, record=None) -> list:
     calls = []
     real = rtmon.model._successor
 
-    def spy(prev, statements, added_since=()):
-        state = real(prev, statements, added_since)
+    def spy(prev, statements, events):
+        state = real(prev, statements, events)
         calls.append(state if record is None else record(state))
         return state
 
     patch_everywhere(monkeypatch, real, spy)
     return calls
+
+
+def count_index_builds(monkeypatch) -> list:
+    """Every state that builds its index afresh, in build order; a state
+    that carries one over from the state it was derived from builds none."""
+    builds = []
+    real = vars(PolicyState)["_index"].func
+
+    def build(self):
+        builds.append(self)
+        return real(self)
+
+    prop = functools.cached_property(build)
+    prop.__set_name__(PolicyState, "_index")
+    monkeypatch.setattr(PolicyState, "_index", prop)
+    return builds

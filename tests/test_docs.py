@@ -74,7 +74,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in (ROOT / "src" / "rtmon").glob("*.py") if p.name != "__init__.py"),
+    sorted(p for p in (ROOT / "src" / "rtmon").glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "tests").glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_no_module_imports_a_name_it_never_uses(path):

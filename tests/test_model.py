@@ -144,20 +144,20 @@ def test_add_and_remove_match_a_constructed_state():
 
 
 def _built(p):
-    """The by-head map and rule list of ``p`` as plain values: every list
-    copied, so a later change to one of them shows."""
-    index, listed = p._by_head, p._rule_list
+    """The index of ``p`` as plain values: every list copied, so a later
+    change to one of them shows."""
+    index = p._index
     return (
         [{r: list(got) for r, got in part.items()} for part in (index.facts, index.heads)],
-        list(listed.every),
-        list(listed.rules),
+        list(index.every),
+        list(index.rules),
     )
 
 
 def test_add_and_remove_carry_the_by_head_map_and_rule_list():
-    # A state derived by ``add`` or ``remove`` from one whose by-head map and
-    # rule list are built carries both over, equal to a fresh build's; the
-    # state it came from keeps its own.
+    # A state derived by ``add`` or ``remove`` from one whose index is built
+    # carries it over, equal to a fresh build's; the state it came from
+    # keeps its own.
     rng = random.Random(921)
     steps = readded = 0
     for _ in range(200):
@@ -180,10 +180,10 @@ def test_add_and_remove_carry_the_by_head_map_and_rule_list():
                 nxt = state.add(random_statement_for_state(rng, state, "E"))
             if nxt is state:
                 continue
-            assert {"_by_head", "_rule_list"} <= vars(nxt).keys()
+            assert "_index" in vars(nxt)
             fresh = PolicyState(nxt.statements)
             assert by_head_multisets(nxt) == by_head_multisets(fresh)
-            assert nxt._rule_list == fresh._rule_list
+            assert _built(nxt)[1:] == _built(fresh)[1:]
             state = nxt
             steps += 1
         assert _built(p) == start
@@ -191,46 +191,42 @@ def test_add_and_remove_carry_the_by_head_map_and_rule_list():
 
 
 def test_a_bulk_change_carries_the_rule_list():
-    # However many statements change at once, the map and the rule list are
-    # carried over, equal to a fresh build's.
+    # However many statements change at once, the index is carried over,
+    # equal to a fresh build's.
     p = hazmat_policy()
-    p._rule_list, p._by_head
-    extra = {stmt(f"X{i:03d}.r <- Y") for i in range(300)}
-    changed = (p.statements | extra) - set(sorted(p.statements, key=str)[::2])
-    state = _successor(p, changed)
-    assert {"_by_head", "_rule_list"} <= vars(state).keys()
+    p._index
+    extra = [stmt(f"X{i:03d}.r <- Y") for i in range(300)]
+    gone = sorted(p.statements, key=str)[::2]
+    changed = (p.statements | set(extra)) - set(gone)
+    events = [ChangeEvent(ChangeKind.REMOVE, s) for s in gone]
+    state = _successor(p, changed, events + [ChangeEvent(ChangeKind.ADD, s) for s in extra])
+    assert "_index" in vars(state)
     fresh = PolicyState(changed)
     assert by_head_multisets(state) == by_head_multisets(fresh)
-    assert state._rule_list == fresh._rule_list
+    assert _built(state)[1:] == _built(fresh)[1:]
     assert rule_texts(state) == rule_texts(fresh)
 
 
 def test_a_carried_rule_list_keeps_no_text_on_the_statements_it_inserts():
     # A change log's statements outlive the states that list them: the
-    # entry keeps the text, the statement does not.  A fresh build keeps
-    # each text on its statement, as ``str`` does.
+    # entry keeps the text.
     p = hazmat_policy()
-    p._rule_list
-    assert all(hasattr(s, "_text") for s in p.statements)
+    p._index
     cold = stmt("Police.responsePersonnel <- Kim")
     grown = p.add(cold)
     back = grown.remove(cold)
-    assert not hasattr(cold, "_text")
-    assert back._rule_list == p._rule_list
-    assert [rule[3] for rule in grown._rule_list.every] == rule_texts(grown)[0]
+    assert _built(back)[1:] == _built(p)[1:]
+    assert [rule[3] for rule in grown._index.every] == rule_texts(grown)[0]
 
 
-@pytest.mark.parametrize("built", [["_by_head"], ["_rule_list"], ["_by_head", "_rule_list"]])
-def test_an_intersection_added_back_in_another_order_replaces_the_carried_one(built):
+def test_an_intersection_added_back_in_another_order_replaces_the_carried_one():
     # ``A.r <- C.t & B.s`` equals ``A.r <- B.s & C.t`` but prints otherwise.
-    # Added back as the statement a derived state holds, it replaces the one
-    # its predecessor lists, whichever of the map and the rule list that
-    # predecessor has built.
+    # Removed by its other spelling and added back as the statement a
+    # derived state holds, it replaces the one its predecessor lists.
     p = PolicyState(
         {stmt("A.r <- B.s & C.t"), stmt("B.s <- X"), stmt("C.t <- X"), stmt("Q.q <- A.r")}
     )
-    for name in built:
-        getattr(p, name)
+    p._index
     respelled = stmt("A.r <- C.t & B.s")
     statements = (p.statements - {respelled}) | {respelled}
     assert any(s is respelled for s in statements)
@@ -239,9 +235,8 @@ def test_an_intersection_added_back_in_another_order_replaces_the_carried_one(bu
     def texts(state):
         return by_head_multisets(state), rule_texts(state)
 
-    # Set differences alone do not see the new text.
-    assert texts(_successor(p, statements)) != texts(fresh)
-    assert texts(_successor(p, statements, [respelled])) == texts(fresh)
+    events = [ChangeEvent(ChangeKind.REMOVE, respelled), ChangeEvent(ChangeKind.ADD, respelled)]
+    assert texts(_successor(p, statements, events)) == texts(fresh)
     assert texts(p) == texts(PolicyState(p.statements)) != texts(fresh)
 
 
@@ -290,8 +285,6 @@ def test_copy_and_pickle_keep_statement_equality_and_hash(text):
     s = parse_statement(text)
     rendered = str(s)
     for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        # The kept text is not carried: the twin renders its own.
-        assert not hasattr(twin, "_text")
         assert twin == s and hash(twin) == hash(s) == hash(parse_statement(text))
         assert str(twin) == rendered == text
 
@@ -299,7 +292,7 @@ def test_copy_and_pickle_keep_statement_equality_and_hash(text):
 def test_copy_and_pickle_carry_a_state_without_its_caches():
     p = hazmat_policy()
     cold = len(pickle.dumps(p))
-    for cache in ("principals", "_by_head", "_rule_list", "role_names", "roles"):
+    for cache in ("principals", "_index", "role_names", "roles"):
         getattr(p, cache)
     # A registration under each kind of trust fills the memo: the cone, the
     # support worklist, both bounds and the core.
@@ -315,20 +308,17 @@ def test_copy_and_pickle_carry_a_state_without_its_caches():
         # Each role's lists follow its state's frozenset iteration order, which
         # an equal frozenset rebuilt by a copy or by unpickling need not share.
         assert by_head_multisets(twin) == by_head_multisets(p)
-        assert twin._rule_list == p._rule_list
+        assert _built(twin)[1:] == _built(p)[1:]
 
 
 @pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
 def test_statements_render_their_text_once(text):
     a, b = parse_statement(text), parse_statement(text)
-    assert not hasattr(a, "_text")
     assert str(a) == str(b) == text
-    # The second render reads the kept string.
-    assert str(a) is str(a) and a._text is str(a)
     # The text takes no part in equality, hashing, repr or rebuilding.
     c = parse_statement(text)
     assert a == c and hash(a) == hash(c) and repr(a) == repr(c)
-    assert "_text" not in repr(a) and text not in repr(a)
+    assert text not in repr(a)
     assert {f.name for f in fields(Statement) if f.init} == {"head", "body"}
     assert a.__reduce__() == (Statement, (a.head, a.body))
 
@@ -337,7 +327,6 @@ _LOAD_PICKLED = """
 import pickle, sys
 from rtmon.parser import parse_statement, parse_expr
 stmts, texts, expr = pickle.loads(bytes.fromhex(sys.stdin.read()))
-assert not any(hasattr(s, "_text") for s in stmts)
 assert [str(s) for s in stmts] == texts
 fresh = [parse_statement(str(s)) for s in stmts]
 assert stmts == fresh and set(stmts) == set(fresh)

@@ -1,5 +1,4 @@
 import copy
-import functools
 import gc
 import random
 import sys
@@ -61,6 +60,7 @@ from helpers import (
     HAZMAT_ADD_9,
     HAZMAT_POLICY_TEXT,
     count_calls,
+    count_index_builds,
     count_saturations,
     count_snapshots,
     by_head_multisets,
@@ -435,7 +435,7 @@ def test_warning_violators_match_the_post_state():
 
 def _saturated_statements(monkeypatch) -> list:
     """The statements evaluated by each ``_saturate`` call, in call order:
-    those of its by-head map heading a role of the cone it returned, or all
+    those of its index heading a role of the cone it returned, or all
     of them when it had no roots."""
     seen = []
     real = rtmon.engine._saturate
@@ -461,7 +461,7 @@ def _cone_statements(p, constraints) -> frozenset:
     """The statements heading a role of the constraints' cone, found on the
     whole state."""
     roots = frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in constraints))
-    cone = rtmon.deps._growth_roles(p._by_head.heads, roots, evaluate(p).members)
+    cone = rtmon.deps._growth_roles(p._index.heads, roots, evaluate(p).members)
     return frozenset(s for s in p.statements if s.head in cone)
 
 
@@ -533,7 +533,7 @@ def test_full_trust_register_indexes_the_rules_of_cone_statements_only(monkeypat
     rec = register(p, q, mode)
     assert rec.status is RecordStatus.HOLDING
     # Each rule heading a cone role is indexed by the roles it reads once,
-    # and no other rule is: the by-head map that finds the cone reads none.
+    # and no other rule is: the index that finds the cone reads none.
     rules = [s for s in cone if not isinstance(s.body, SimpleMember)]
     assert sorted(indexed, key=str) == sorted(rules, key=str)
 
@@ -554,37 +554,24 @@ def test_restricted_register_bounds_once_and_cores_once(monkeypatch):
     assert "roles" not in vars(p)
 
 
-def _built_maps(monkeypatch) -> list:
-    """Every by-head map a state builds, in build order."""
-    built = []
-    real = rtmon.model._HeadIndex
-
-    def spy(facts, heads):
-        built.append(real(facts, heads))
-        return built[-1]
-
-    monkeypatch.setattr(rtmon.model, "_HeadIndex", spy)
-    return built
-
-
 def test_each_state_builds_one_by_head_map(monkeypatch):
     monitor = RoleMonitor(
         growth_trusted=hazmat_policy().roles, shrink_trusted=frozenset({role("ATF.hazmatDB")})
     )
     q = hazmat_constraint()
-    built = _built_maps(monkeypatch)
+    built = count_index_builds(monkeypatch)
     saturations = count_calls(monkeypatch, rtmon.engine._saturate)
     p = hazmat_policy()
     assert register(p, q, RestrictedTrust(monitor)).status is RecordStatus.HOLDING
-    # One map: both bound evaluations and the restricted growth walk read
-    # it, and the core is read off the upper bound.
-    assert len(built) == 1
+    # One index: both bound evaluations, the restricted growth walk and the
+    # support worklist read it, and the core is read off the upper bound.
+    assert len(built) == 1 and built[0] is p
     assert len(saturations) == 2
-    assert all(index is built[0] for index in saturations)
+    assert all(index is p._index for index in saturations)
     fresh = hazmat_policy()
     assert register(fresh, q, FullTrust()).status is RecordStatus.HOLDING
-    assert len(built) == 2
-    # Registering again on a state reads the map it holds.
+    assert len(built) == 2 and built[1] is fresh
+    # Registering again on a state reads the index it holds.
     for state, mode in ((p, RestrictedTrust(monitor)), (fresh, FullTrust()), (p, FullTrust())):
         register(state, q, mode)
     assert len(built) == 2
@@ -780,6 +767,16 @@ def test_quiet_events_build_no_state_and_classify_nothing(monkeypatch):
     assert stmt("F1.r <- G1") not in session.final_state
 
 
+def test_a_session_classifies_no_event(monkeypatch):
+    # The frontier index routes each event to the records whose frontier it
+    # crosses, so nothing classifies a warned event again.
+    classified = count_calls(monkeypatch, rtmon.monitor.classify)
+    log = [add("Navy.fleet <- Kim"), add(HAZMAT_ADD_9), add(HAZMAT_ADD_10), remove(HAZMAT_ADD_10)]
+    session = run_session(hazmat_policy(), _hazmat_registrations(3), log)
+    assert {w.event for w in session.warnings} == set(log[1:])
+    assert classified == []
+
+
 def test_quiet_events_hash_no_principal_and_collect_no_principal_set(monkeypatch):
     """A quiet event reads statement hashes cached at parse time: neither
     the set lookups nor the ``TOP`` check of an addition reach a principal's
@@ -833,7 +830,7 @@ def test_an_event_shares_one_snapshot_among_its_records(monkeypatch, k):
     # built afresh and carries nothing.
     assert len(snapshots) == 1
     assert session.final_state is not snapshots[0]
-    assert not {"_by_head", "_rule_list"} & vars(session.final_state).keys()
+    assert "_index" not in vars(session.final_state)
 
 
 _MAKE_MODES = [
@@ -865,12 +862,11 @@ def _with_readd(rng, p, log):
 
 @pytest.mark.parametrize("make_mode", _MAKE_MODES, ids=["full", "credential", "restricted"])
 def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
-    """Every snapshot of a session carries its predecessor's by-head map and
-    rule list over, and no memo, and they equal a fresh build of its
-    statements: the map per head as multisets, the rule lists in exact
-    order, both also as texts, so an intersection added back written in
-    another order is carried as last written.  The caller's starting state
-    keeps its own."""
+    """Every snapshot of a session carries its predecessor's index over,
+    and no memo, and it equals a fresh build of its statements: the map per
+    head as multisets, the text-ordered lists in exact order, both also as
+    texts, so an intersection added back written in another order is
+    carried as last written.  The caller's starting state keeps its own."""
     rng = random.Random(733)
     cases = []
     for _ in range(500):
@@ -889,23 +885,24 @@ def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
         position[0] = None
 
     built = count_snapshots(monkeypatch, lambda state: (state, position[0], set(vars(state))))
-    lists, readded = Counter(), Counter()
+    snapshots, readded = 0, Counter()
     for p, regs, log, at in cases:
-        index = p._by_head
-        start = by_head_multisets(p)
+        index = p._index
+        start = by_head_multisets(p), list(index.every), list(index.rules)
         del built[:]
         session = run_session(p, regs, replay(log))
+        snapshots += len(built)
         for state, _, carried in built:
-            # Every snapshot reads its map before the next is built from it.
-            assert "_by_head" in carried and "_memo" not in carried
-            lists["_rule_list" in carried] += 1
+            # Every snapshot reads its index before the next is built from it.
+            assert "_index" in carried and "_memo" not in carried
             fresh = PolicyState(state.statements)
             assert by_head_multisets(state) == by_head_multisets(fresh)
-            assert state._rule_list == fresh._rule_list
+            assert state._index.every == fresh._index.every
+            assert state._index.rules == fresh._index.rules
             assert rule_texts(state) == rule_texts(fresh)
-        assert p._by_head is index and by_head_multisets(p) == start
-        if "_rule_list" in vars(p):
-            assert p._rule_list == PolicyState(p.statements)._rule_list
+        assert p._index is index
+        assert (by_head_multisets(p), index.every, index.rules) == start
+        assert rule_texts(p) == rule_texts(PolicyState(p.statements))
         assert session.final_state == PolicyState(_replayed(p, log))
         # The pair fell between two snapshots when neither of its events
         # built one and a later event did.
@@ -913,9 +910,7 @@ def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
         if at is not None and not {at, at + 1} & set(built_at):
             if any(n > at + 1 for n in built_at):
                 readded[log[at].statement is not log[at + 1].statement] += 1
-    # A snapshot carries the rule list once some registration has read a
-    # support; before that one is built without it, and reads it afresh.
-    assert lists[True] >= 3000
+    assert snapshots >= 3000
     # Added back as the same statement, and as an intersection respelled.
     assert readded[False] >= 15 and readded[True] >= 10
 
@@ -924,7 +919,7 @@ def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
 def test_an_intersection_added_back_in_another_order_prints_as_last_written(monkeypatch):
     """Removed and added back written in another order between two
     snapshots, an intersection is carried with its new text: in the next
-    snapshot's rule list and in the credential supports read off it, also
+    snapshot's index and in the credential supports read off it, also
     under a cap of 1."""
     p = parse_policy("A.r <- B.s & C.t\nB.s <- X\nC.t <- X\nQ.q <- X\nZ.z <- X\n")
     q = parse_constraint("constraint cz owner Z: Z.z <= Q.q")
@@ -959,6 +954,75 @@ def test_an_intersection_added_back_in_another_order_prints_as_last_written(monk
         assert supports[0] == supports[1] and "A.r <- C.t & B.s" in supports[0]
 
 
+# ``A.r <- B.s & C.t`` proves X in Q.q with 4 statements, and the chain
+# through W.w with 6, so every support of X in Q.q picks the intersection
+# while it is live, at any cap.
+_RESPELL_POLICY = """\
+A.r <- B.s & C.t
+B.s <- X
+C.t <- X
+Q.q <- A.r
+Q.q <- W.w
+W.w <- V.v
+V.v <- U.u
+U.u <- T.t
+T.t <- X
+Z.z <- X
+"""
+
+
+@pytest.mark.parametrize("through", ["remove", "session"])
+@pytest.mark.parametrize(
+    "back", [None, "A.r <- C.t & B.s", "A.r <- B.s & C.t"], ids=["gone", "respelled", "as-held"]
+)
+def test_an_intersection_removed_by_another_spelling_leaves_what_a_fresh_build_gives(
+    monkeypatch, through, back
+):
+    """An intersection removed by a line written in another order than the
+    one the state holds, and perhaps added back, by ``PolicyState.remove``
+    and ``add`` or in a session: the carried index equals a fresh build, and
+    the credential supports read off it print as on a fresh state, at caps 1
+    and 8."""
+    p = parse_policy(_RESPELL_POLICY)
+    q = parse_constraint("constraint cz owner Z: Z.z <= Q.q")
+    mode = FullTrustCredential()
+    held = register(p, q, mode)
+    assert "A.r <- B.s & C.t" in map(str, held.support_cache)
+    log = [remove("A.r <- C.t & B.s")]
+    if back is not None:
+        # Quiet, then warned: the support moves back to the intersection.
+        log += [add(back), remove("T.t <- X")]
+    if through == "remove":
+        state = p
+        for ev in log:
+            change = state.add if ev.kind is ChangeKind.ADD else state.remove
+            state = change(ev.statement)
+            # Something besides the statements was carried over.
+            assert vars(state).keys() > {"statements"}
+        record = register(state, q, mode)
+    else:
+        snapshots = count_snapshots(monkeypatch)
+        session = run_session(p, [(q, mode)], log)
+        assert [w.event for w in session.warnings] == log[::2]
+        state, record = snapshots[-1], session.records[0]
+        assert state is session.final_state
+    fresh = PolicyState(state.statements)
+    assert rule_texts(state) == rule_texts(fresh)
+    assert by_head_multisets(state) == by_head_multisets(fresh)
+    texts = sorted(map(str, record.support_cache))
+    assert texts == sorted(map(str, register(fresh, q, mode).support_cache))
+    assert (back in texts) if back else not any("&" in text for text in texts)
+    members = {prin("X")}
+    for cap in (1, DEFAULT_SUPPORT_CAP):
+        supports = [
+            sorted(map(str, credential_support_for_constraint(
+                at, members, q.rhs, max_entries_per_member=cap
+            )))
+            for at in (state, fresh)
+        ]
+        assert supports[0] == supports[1]
+        assert (back in supports[0]) if back else "T.t <- X" in supports[0]
+
 def _replayed(p, log):
     live = set(p.statements)
     for ev in log:
@@ -973,25 +1037,17 @@ def _replayed(p, log):
     ids=["full", "credential", "restricted"],
 )
 def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeypatch, mode, k):
-    """A session warning on ``k`` events builds the by-head map and sorts
-    the whole statement set once each, for the starting state: every
-    snapshot carries both over from the one before."""
-    builds = []
-    for name in ("_by_head", "_rule_list"):
-        real = vars(PolicyState)[name].func
-
-        def build(self, real=real, name=name):
-            builds.append((name, self))
-            return real(self)
-
-        prop = functools.cached_property(build)
-        prop.__set_name__(PolicyState, name)
-        monkeypatch.setattr(PolicyState, name, prop)
+    """A session warning on ``k`` events builds the index and sorts the
+    whole statement set once, for the starting state: every snapshot
+    carries the index over from the one before."""
+    builds = count_index_builds(monkeypatch)
     sorts = []
 
     def sort_spy(items, **kwargs):
         items = list(items)
-        if items and all(isinstance(x, Statement) for x in items):
+        # A sort of statements, or of index entries, which lead with theirs.
+        firsts = [x[0] if isinstance(x, tuple) else x for x in items]
+        if items and all(isinstance(x, Statement) for x in firsts):
             sorts.append(len(items))
         return sorted(items, **kwargs)
 
@@ -1008,8 +1064,7 @@ def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeyp
     assert [w.event for w in session.warnings] == log[1::2]
     assert all(w.outcome is WarningOutcome.STILL_HOLDS for w in session.warnings)
     assert len(snapshots) == k
-    assert sorted(name for name, _ in builds) == ["_by_head", "_rule_list"]
-    assert all(state is p for _, state in builds)
+    assert len(builds) == 1 and builds[0] is p
     assert sorts == [len(p)]
 
 
@@ -1445,7 +1500,7 @@ def test_restricted_registrations_under_one_monitor_share_bounds_and_core(monkey
     session = run_session(p, regs, [])
     assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 2
     assert sorted(kind for kind, _ in saturations) == ["lower", "upper"]
-    assert all(index is p._by_head for _, index in saturations)
+    assert all(index is p._index for _, index in saturations)
     assert len(cores) == 1
     assert len(worklists) == 1
 
