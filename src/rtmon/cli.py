@@ -72,7 +72,9 @@ def _read(path: str) -> tuple[str, str]:
     except OSError as exc:
         raise _InputError(path, exc.strerror or str(exc)) from exc
     try:
-        text = raw.decode("utf-8")
+        # A byte-order mark opening the file is dropped; the digest stays
+        # that of the raw bytes.
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _InputError(path, f"not valid UTF-8 ({exc.reason})") from exc
     return text, hashlib.sha256(raw).hexdigest()
@@ -312,15 +314,12 @@ def _render_human(report: dict) -> str:
     lines: list[str] = []
     if command == "query":
         lines.extend(result["members"])
-    elif command == "check":
+    elif command in ("check", "deps"):
         for v in result["constraints"]:
-            if v["satisfied"]:
-                lines.append(f"{v['id']}: satisfied")
-            else:
-                lines.append(f"{v['id']}: violated [{', '.join(v['violators'])}]")
-    elif command == "deps":
-        for v in result["constraints"]:
-            lines.append(f"{v['id']}: {'satisfied' if v['satisfied'] else 'violated'}")
+            verdict = "satisfied" if v["satisfied"] else f"violated [{', '.join(v['violators'])}]"
+            lines.append(f"{v['id']}: {verdict}")
+            if command == "check":
+                continue
             lines.append(f"  gamma: {', '.join(v['gamma']) or '(empty)'}")
             if v["support"] is not None:
                 lines.append(f"  support: {', '.join(v['support']) or '(empty)'}")

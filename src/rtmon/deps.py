@@ -17,8 +17,9 @@ Inside the worklist a support is a bare token set, its membership's
 why-provenance (Green, Karvounarakis & Tannen, PODS 2007), whose tokens are
 roles or statements.  The worklist here computes, per role
 and member, all minimal supports at once, pruning dominated supports.  Its
-first pass fires every statement.  A member fact's singleton support is
-final, so later passes visit only the rules, and re-fire one only when a
+first pass fires every statement, in the text order of the state's index,
+and sets the rules apart as it goes.  A member fact's singleton support is
+final, so later passes visit only those rules, and re-fire one only when a
 role :func:`rtmon.model._reads` names for it changed.  An intersection
 joins its parts one at a time and keeps only the minimal unions, so its
 cost grows with the number of minimal unions, not with the product of the
@@ -212,9 +213,11 @@ def _worklist(
     """Saturate supports per role and member, with subsumption pruning.
 
     The statements fired are those of ``p`` heading a role in ``heads``
-    (every statement when it is ``None``), as :func:`_rules` lists them.
-    What a fired statement contributes to a support, its token, is its
-    head role, or with ``by_statement`` the statement itself.
+    (every statement when it is ``None``), read off the text-ordered list
+    of the state's index, so no run sorts them.  What a fired statement
+    contributes to a support, its token, is its head role, or with
+    ``by_statement`` the statement itself, built per run (only the
+    credential replay asks for it, on a role support's few statements).
     A candidate is dropped when a kept support for the same member is a
     subset of it; inserting a candidate evicts the supports it dominates.
     When ``cap`` is hit for one (role, member), the first supports under
@@ -230,13 +233,19 @@ def _worklist(
     insertion-ordered supports, so the result does not depend on hash seeds
     even under the cap.  ``cap`` is at least 1.  The first pass fires every
     statement, and a member fact fires only there: it offers the singleton
-    of its token, which stays kept, so later passes visit the rules alone.
+    of its token, which stays kept.  That pass lists the rules as it fires
+    them, and later passes visit that list alone.
     A rule fires again only when a role it reads changed since it last
     fired (for a linked rule: its first role or any role carrying its
     second name), or when a dominance eviction freed room under the cap in
     its head, which may admit a candidate the cap dropped before.
     """
-    every, rules = _rules(p, heads, by_statement)
+    every = p._index.every
+    if heads is not None:
+        every = [rule for rule in every if rule[0].head in heads]
+    if by_statement:
+        every = [(stmt, frozenset((stmt,)), *rest) for stmt, _, *rest in every]
+    rules: list[_Rule] = []
     cur: _Saturated = defaultdict(dict)
     # Logical clock: a role's stamp is the tick of its last change; a rule
     # remembers the tick at which it last fired.
@@ -244,7 +253,7 @@ def _worklist(
     changed_at: dict[Role, int] = {}
     name_changed_at: dict[RoleName, int] = {}
     freed_at: dict[Role, int] = {}
-    fired_at: list[int] = [0] * len(rules)
+    fired_at: list[int] = []
     cut: list[tuple[Role, Principal, frozenset]] = []
 
     def offer(head: Role, member: Principal, support: frozenset) -> None:
@@ -301,19 +310,19 @@ def _worklist(
                 for support in _join(tok, [b[member] for b in buckets]):
                     offer(head, member, support)
 
-    # The first pass.  A rule's slot in ``fired_at`` is its position among
-    # the rules.  A fact's singleton stays kept: only the empty set is a
+    # The first pass.  A rule's slot in ``fired_at`` is its position in
+    # ``rules``.  A fact's singleton stays kept: only the empty set is a
     # proper subset of it, and every singleton candidate for its (role,
     # member) equals it, so the cap, which keeps the smallest first, never
     # cuts it.  Firing the fact again would offer it again.
-    n = 0
-    for stmt, tok, inputs, _ in every:
+    for rule in every:
+        stmt, tok, inputs, _ = rule
         body = stmt.body
         if isinstance(body, SimpleMember):
             offer(stmt.head, body.member, tok)
         else:
-            fired_at[n] = clock
-            n += 1
+            rules.append(rule)
+            fired_at.append(clock)
             fire(stmt, tok, inputs)
     start = 0
     while clock != start:
@@ -337,31 +346,6 @@ def _worklist(
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated
 
 
-def _rules(
-    p: PolicyState, heads: Optional[Container[Role]], by_statement: bool
-) -> tuple[list[_Rule], list[_Rule]]:
-    """What :func:`_worklist` fires on ``p``: the statements heading a role
-    in ``heads`` (every statement when it is ``None``) in text order, each
-    with its token as a singleton and the roles it reads, and the rules
-    among them, member facts left out.
-
-    Both are read off the state's index (``PolicyState._index``), built
-    once per state or carried over from the state it was derived from, so
-    no run sorts the statements or builds their entries.  Only statement
-    tokens, which the credential replay alone uses on a role support's few
-    statements, are built per run.
-    """
-    index = p._index
-    every, rules = index.every, index.rules
-    if heads is not None:
-        every = [rule for rule in every if rule[0].head in heads]
-        rules = [rule for rule in rules if rule[0].head in heads]
-    if by_statement:
-        every = [(stmt, frozenset((stmt,)), reads, text) for stmt, _, reads, text in every]
-        rules = [rule for rule in every if not isinstance(rule[0].body, SimpleMember)]
-    return every, rules
-
-
 def _check_cap(cap: Optional[int]) -> None:
     """Reject a support cap that would keep no support at all."""
     if cap is not None and cap < 1:
@@ -374,7 +358,8 @@ def _role_worklist(
     """Role supports per role and member, over the statements of ``p``
     heading a role in ``admissible`` (every statement when it is ``None``),
     with the roles the cap truncated; run once per admissible set and cap,
-    and kept on ``p``."""
+    and kept on ``p``.  Raises ``ValueError`` for a cap below 1."""
+    _check_cap(cap)
     if admissible is not None:
         admissible = _frozen(admissible)
     return p._derived("worklist", (admissible, cap), lambda: _worklist(p, cap, admissible))
@@ -390,7 +375,6 @@ def justified_semantics(
     with two disjoint alternatives each has ``2**w`` minimal supports.
     Raises ``ValueError`` for a cap below 1.
     """
-    _check_cap(max_entries_per_member)
     raw, truncated = _role_worklist(p, None, max_entries_per_member)
     entries = {
         role: frozenset(JustifiedEntry(m, sup) for m, found in by_member.items() for sup in found)
@@ -408,7 +392,6 @@ def minimal_supports(
 ) -> frozenset[frozenset[Role]]:
     """Minimal supports of ``member`` in ``target``; empty iff not a member.
     Raises ``ValueError`` for a cap below 1."""
-    _check_cap(max_entries_per_member)
     raw = _role_worklist(p, None, max_entries_per_member)[0]
     return frozenset(raw.get(target, {}).get(member, ()))
 
@@ -471,7 +454,6 @@ def support_for_constraint(
     :class:`NoSupport` when some member has no qualifying support, and
     ``ValueError`` for a cap below 1.
     """
-    _check_cap(max_entries_per_member)
     saturated = _role_worklist(p, admissible, max_entries_per_member)[0]
     total: set[Role] = set()
     for _, got in _member_supports(members, rhs, saturated):
@@ -496,7 +478,6 @@ def credential_support_for_constraint(
     it pick their statements from that one run.  Raises ``ValueError`` for a
     cap below 1.
     """
-    _check_cap(max_entries_per_member)
     saturated = _role_worklist(p, None, max_entries_per_member)[0]
     replays: dict[frozenset, _Saturated] = {}
     total: set[Statement] = set()

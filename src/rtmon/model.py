@@ -7,13 +7,13 @@ role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
 beyond their own invariants, and are safe to share between threads.  A
 state derives what every pass reads of it -- its principals, and its one
-index of statements by head and in text order -- on first use, once, and
-keeps it, and it keeps what the other modules derive from it (membership
-on a cone, the support worklist, the bounds and the trusted core) in one
-memo, also filled on first use.  A state derived from another -- by
-``add`` or ``remove``, or as a session's next snapshot -- carries over the
-other's index with the changes between them replayed onto a copy, and
-derives the rest afresh.
+index: its statements by head, and one list of them in text order -- on
+first use, once, and keeps it, and it keeps what the other modules derive
+from it (membership on a cone, the support worklist, the bounds and the
+trusted core) in one memo, also filled on first use.  A state derived
+from another -- by ``add`` or ``remove``, or as a session's next snapshot
+-- carries over the other's index with the changes between them replayed
+onto a copy, and derives the rest afresh.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def _reads(
 
 # A statement as the support worklist fires it: with the singleton of its
 # head, the token a role support collects, the roles it reads, and its text,
-# which orders the index's text-ordered lists.
+# which orders the index's one text-ordered list.
 _Rule = tuple[Statement, frozenset[Role], tuple[Role, ...], str]
 
 
@@ -311,14 +311,13 @@ class _Index:
     ``heads`` to its other statements, the rules; every membership pass,
     growth walk and bound reads these two.  ``every`` holds an entry for each
     statement in the order of its text, as the support worklist's first
-    pass fires them, and ``rules`` the rules' entries alone, for its later
-    passes.  A fresh index lists each head's statements in set iteration
-    order; one that :func:`_successor` carries appends what was added."""
+    pass fires them; that pass sets the rules apart for the later ones.  A
+    fresh index lists each head's statements in set iteration order; one
+    that :func:`_successor` carries appends what was added."""
 
     facts: Mapping[Role, list[Principal]]
     heads: Mapping[Role, list[Statement]]
     every: list[_Rule]
-    rules: list[_Rule]
 
 
 def _rule(stmt: Statement) -> _Rule:
@@ -389,9 +388,7 @@ class PolicyState:
                 facts[stmt.head].append(body.member)
             else:
                 heads[stmt.head].append(stmt)
-        every = sorted(map(_rule, self.statements), key=_text)
-        rules = [rule for rule in every if not isinstance(rule[0].body, SimpleMember)]
-        return _Index(facts, heads, every, rules)
+        return _Index(facts, heads, sorted(map(_rule, self.statements), key=_text))
 
     @cached_property
     def _memo(self) -> dict[tuple[str, Hashable], object]:
@@ -467,9 +464,10 @@ def _successor(
     that ``events`` make of ``prev``, each changing the state it meets.
 
     When ``prev`` has built its index, the new state carries it over with
-    the events replayed, in order, onto a copy: the dicts are copied, and
-    the list of each head an event changes before it changes; the text
-    lists take an addition by ``insort`` and lose a removal by bisection.
+    the events replayed, in order, onto a copy: the dicts and the text
+    list are copied, and the list of each head an event changes before it
+    changes; the text list takes an addition by ``insort`` and loses a
+    removal by bisection.
     A removal drops the object its head's list holds, found by equality,
     whichever order an intersection was written in.  Nothing else is
     carried, neither the principals nor the memo, and nothing ``prev``
@@ -480,8 +478,7 @@ def _successor(
     index = vars(prev).get("_index")
     if index is None:
         return state
-    facts, heads = dict(index.facts), dict(index.heads)
-    every, rules = list(index.every), list(index.rules)
+    facts, heads, every = dict(index.facts), dict(index.heads), list(index.every)
     copied: dict[tuple[bool, Role], list] = {}
     for ev in events:
         stmt = ev.statement
@@ -491,25 +488,20 @@ def _successor(
         items = copied.get((is_fact, head))
         if items is None:
             items = copied[is_fact, head] = table[head] = list(table.get(head, ()))
-        ordered = (every,) if is_fact else (every, rules)
         if ev.kind is ChangeKind.ADD:
             items.append(body.member if is_fact else stmt)
-            rule = _rule(stmt)
-            for kept in ordered:
-                insort(kept, rule, key=_text)
+            insort(every, _rule(stmt), key=_text)
         else:
             if is_fact:
                 items.remove(body.member)
             else:
                 stmt = items.pop(items.index(stmt))
-            text = str(stmt)
-            for kept in ordered:
-                del kept[bisect_left(kept, text, key=_text)]
+            del every[bisect_left(every, str(stmt), key=_text)]
     # A head left without statements leaves the map, as in a fresh index.
     for (is_fact, head), items in copied.items():
         if not items:
             del (facts if is_fact else heads)[head]
-    object.__setattr__(state, "_index", _Index(facts, heads, every, rules))
+    object.__setattr__(state, "_index", _Index(facts, heads, every))
     return state
 
 

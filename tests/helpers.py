@@ -128,10 +128,9 @@ def by_head_multisets(p):
 
 
 def rule_texts(p):
-    """The texts of the statements in the two text-ordered lists of the
-    index of ``p``, in order."""
-    index = p._index
-    return [[str(rule[0]) for rule in part] for part in (index.every, index.rules)]
+    """The texts of the statements in the text-ordered list of the index of
+    ``p``, in order."""
+    return [str(rule[0]) for rule in p._index.every]
 
 
 def patch_everywhere(monkeypatch, real, spy) -> None:

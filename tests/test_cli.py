@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,15 @@ class TestDeps:
         }
         # One run serves the support and every member's supports.
         assert len(runs) == 1
+
+    def test_verdicts_name_the_violators_as_check_does(self, in_fixtures, capsys):
+        outs = [run(capsys, verb, "multi.rt", "multi.cst") for verb in ("check", "deps")]
+        assert [rc for rc, _ in outs] == [1, 1]
+        checked, deps = (
+            [line for line in out.splitlines() if not line.startswith(" ")] for _, out in outs
+        )
+        assert deps == checked
+        assert "c4: violated [Bob]" in deps
 
     def test_all_supports_saturate_once_per_run(self, in_fixtures, capsys, monkeypatch):
         runs = count_calls(monkeypatch, rtmon.deps._worklist)
@@ -442,6 +452,55 @@ class TestUnreadableInputs:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == f"rtmon: error: {name}: not valid UTF-8 (invalid start byte)\n"
+
+
+_BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark opening a document is dropped; anywhere else
+    it is text the parser rejects."""
+
+    ARGS = ["--format", "machine", "monitor", "multi.rt", "multi.cst", "multi.changes", "multi.mon"]
+    LABELS = {"rt": "policy", "cst": "constraints", "changes": "changelog", "mon": "monitor"}
+
+    @pytest.mark.parametrize("ext", sorted(LABELS))
+    def test_a_leading_mark_leaves_the_report_but_the_digest(
+        self, capsys, tmp_path, monkeypatch, ext
+    ):
+        monkeypatch.chdir(tmp_path)
+        for fixture in FIXTURES.glob("multi.*"):
+            (tmp_path / fixture.name).write_bytes(fixture.read_bytes())
+        plain = json.loads(run(capsys, *self.ARGS)[1])
+        marked_bytes = _BOM + (FIXTURES / f"multi.{ext}").read_bytes()
+        (tmp_path / f"multi.{ext}").write_bytes(marked_bytes)
+        marked = json.loads(run(capsys, *self.ARGS)[1])
+        label = self.LABELS[ext]
+        assert marked["inputs"][label]["sha256"] == hashlib.sha256(marked_bytes).hexdigest()
+        assert marked["inputs"][label]["sha256"] != plain["inputs"][label]["sha256"]
+        for report in (plain, marked):
+            del report["inputs"][label]["sha256"]
+        assert marked == plain
+        assert marked["exit_code"] == 1 and marked["result"]["warnings"]
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("A.r <- B\ufeff\n", "1:9: unexpected trailing input"),
+            ("A.r <-\ufeff B\n", "1:7: expected principal name"),
+            ("A.r <- B\n\ufeffA.r <- C\n", "2:1: expected principal name"),
+            ("\ufeff\ufeffA.r <- B\n", "1:1: expected principal name"),
+        ],
+    )
+    def test_a_mark_after_the_first_byte_is_a_syntax_error(
+        self, capsys, tmp_path, monkeypatch, text, where
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "marked.rt").write_text(text, encoding="utf-8")
+        rc = main(["query", "marked.rt", "A.r"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"rtmon: error: marked.rt: {where}\n"
 
 
 class TestLongExpressions:

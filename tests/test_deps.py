@@ -44,6 +44,7 @@ from rtmon.model import (
     PolicyState,
     PrincipalSet,
     RoleRef,
+    SimpleMember,
     TOP,
     UnionExpr,
     roles_of,
@@ -436,11 +437,16 @@ class TestSupportCap:
         }
 
     @pytest.mark.parametrize("cap", [0, -1])
-    def test_a_cap_below_one_is_rejected_by_name(self, cap):
+    def test_a_cap_below_one_is_rejected_by_name(self, monkeypatch, cap):
+        # Each public function passes through the one check before any
+        # worklist runs.
+        ran = []
+        monkeypatch.setattr(rtmon.deps, "_worklist", lambda *args, **kw: ran.append(args))
         p = parse_policy(self.POLICY)
         for name, call in self._calls(p, cap).items():
             with pytest.raises(ValueError, match=f"max_entries_per_member .* got {cap}$"):
                 call()
+        assert ran == [] and not p._memo
 
     def test_a_cap_of_one_keeps_one_support(self):
         p = parse_policy(self.POLICY)
@@ -831,6 +837,38 @@ class TestMemberFactsFireOnce:
         assert cases == 6000
         # Random, fan and chain states all reach the cap somewhere.
         assert min(truncated[kind] for kind in range(3)) >= 20
+
+    def test_later_passes_visit_the_rules_of_every_in_text_order(self):
+        # Each link's fact sorts before its rule and a fact of another role
+        # after it, so facts and rules interleave in the text-ordered list.
+        links = 6
+        lines = [f"L{links}.r <- M"]
+        for k in range(links):
+            lines += [f"L{k}.r <- F{k}", f"L{k}.r <- L{k + 1}.r", f"L{k}.s <- M"]
+        p = parse_policy("".join(f"{line}\n" for line in lines))
+        every = p._index.every
+        facts = [isinstance(rule[0].body, SimpleMember) for rule in every]
+        assert facts[:4] == [True, False, True, True]
+        rules = [rule[0] for rule, fact in zip(every, facts) if not fact]
+        visited = []
+
+        class Reads(tuple):
+            """A rule's read roles, logging the rule whenever a pass polls
+            them (a simple inclusion reads them nowhere else)."""
+
+            def __iter__(self):
+                visited.append(self.stmt)
+                return super().__iter__()
+
+        for n, (stmt, tok, reads, text) in enumerate(every):
+            logged = Reads(reads)
+            logged.stmt = stmt
+            every[n] = stmt, tok, logged, text
+        _worklist(p, None)
+        # Each rule fires before the facts of the role it reads, so every
+        # later pass carries each member one link up the chain: six passes
+        # bring M to L0.r, and a seventh changes nothing.
+        assert visited == rules * (links + 1)
 
     @staticmethod
     def _visits(monkeypatch, module, worklist, p):
