@@ -201,7 +201,7 @@ def gamma_restricted_expr(
     g = _frozen(g)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return _growth_roles(p._index.heads, roles_of(expr), _upper(p, g), core(p, g))
+    return _growth_roles(p._index, roles_of(expr), _upper(p, g), core(p, g))
 
 
 @dataclass(frozen=True)

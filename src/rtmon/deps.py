@@ -8,19 +8,20 @@ evaluates, and the growth sets here walk inside it.
 
 Two dual questions drive the monitor.  Growth sets answer "which role
 definitions, if extended, could enlarge this membership" -- the add-side
-frontier, a closure over the rules by head of the state's one index.
+frontier, a closure over the statements by head of the state's one index.
 Supports answer "which roles (or which exact statements) currently prove
 the memberships the constraint needs" -- the remove-side frontier.  Both
 are plain sets in every layer: a growth set or a role support is a
 ``frozenset`` of roles, a credential support a ``frozenset`` of statements.
 Inside the worklist a support is a bare token set, its membership's
 why-provenance (Green, Karvounarakis & Tannen, PODS 2007), whose tokens are
-roles or statements.  The worklist here computes, per role
-and member, all minimal supports at once, pruning dominated supports.  Its
-first pass fires every statement, in the text order of the state's index,
-and sets the rules apart as it goes.  A member fact's singleton support is
-final, so later passes visit only those rules, and re-fire one only when a
-role :func:`rtmon.model._reads` names for it changed.  An intersection
+roles or statements.  The worklist here computes, per role and member,
+all minimal supports at once, pruning dominated supports.  Its first pass
+walks the heads of the state's index in text order and each head's list
+in order, so it fires every statement in the order of its text, and sets
+the rules apart as it goes.  A member fact's singleton support is final,
+so later passes visit only those rules, and re-fire one only when a role
+:func:`rtmon.model._reads` names for it changed.  An intersection
 joins its parts one at a time and keeps only the minimal unions, so its
 cost grows with the number of minimal unions, not with the product of the
 parts' supports.  A cap per (role, member) bounds pathological states at
@@ -53,7 +54,6 @@ from .model import (
     _checked_state,
     _frozen,
     _reads,
-    _Rule,
     fold_expr,
     roles_of,
 )
@@ -129,9 +129,10 @@ def _growth_roles(
 ) -> frozenset[Role]:
     """Close ``roots`` under the definitions reachable from them.
 
-    ``heads`` holds the rules by head, as in ``PolicyState._index``;
-    ``members`` gives the members a linked role walks (absent roles are
-    empty); with ``within`` given, only roles inside it are kept.
+    ``heads`` holds the statements by head, as ``PolicyState._index``
+    does; a member fact reads no role.  ``members`` gives the members a
+    linked role walks (absent roles are empty); with ``within`` given, only
+    roles inside it are kept.
     """
     found: set[Role] = {r for r in roots if within is None or r in within}
     work = list(found)
@@ -164,7 +165,7 @@ def gamma_expr(
         # The cone of the expression's roles is their growth set.
         return evaluate(p, roots).cone
     _require_cone(idx, roots)
-    return _growth_roles(p._index.heads, roots, idx.members)
+    return _growth_roles(p._index, roots, idx.members)
 
 
 # Worklist output: role -> member -> supports, each a set of tokens.
@@ -213,11 +214,12 @@ def _worklist(
     """Saturate supports per role and member, with subsumption pruning.
 
     The statements fired are those of ``p`` heading a role in ``heads``
-    (every statement when it is ``None``), read off the text-ordered list
-    of the state's index, so no run sorts them.  What a fired statement
-    contributes to a support, its token, is its head role, or with
-    ``by_statement`` the statement itself, built per run (only the
-    credential replay asks for it, on a role support's few statements).
+    (every statement when it is ``None``).  The first pass sorts those
+    heads by text and reads each one's list off the state's index, already
+    in text order, so no run sorts statements.  What a fired statement
+    contributes to a support, its token, is its head role, built once per
+    head, or with ``by_statement`` the statement itself (only the credential
+    replay asks for it, on a role support's few statements).
     A candidate is dropped when a kept support for the same member is a
     subset of it; inserting a candidate evicts the supports it dominates.
     When ``cap`` is hit for one (role, member), the first supports under
@@ -233,19 +235,16 @@ def _worklist(
     insertion-ordered supports, so the result does not depend on hash seeds
     even under the cap.  ``cap`` is at least 1.  The first pass fires every
     statement, and a member fact fires only there: it offers the singleton
-    of its token, which stays kept.  That pass lists the rules as it fires
-    them, and later passes visit that list alone.
+    of its token, which stays kept.  That pass lists the rules, with the
+    roles each reads, as it fires them, and later passes visit that list
+    alone.
     A rule fires again only when a role it reads changed since it last
     fired (for a linked rule: its first role or any role carrying its
     second name), or when a dominance eviction freed room under the cap in
     its head, which may admit a candidate the cap dropped before.
     """
-    every = p._index.every
-    if heads is not None:
-        every = [rule for rule in every if rule[0].head in heads]
-    if by_statement:
-        every = [(stmt, frozenset((stmt,)), *rest) for stmt, _, *rest in every]
-    rules: list[_Rule] = []
+    index = p._index
+    rules: list[tuple[Statement, frozenset, tuple[Role, ...]]] = []
     cur: _Saturated = defaultdict(dict)
     # Logical clock: a role's stamp is the tick of its last change; a rule
     # remembers the tick at which it last fired.
@@ -315,19 +314,22 @@ def _worklist(
     # proper subset of it, and every singleton candidate for its (role,
     # member) equals it, so the cap, which keeps the smallest first, never
     # cuts it.  Firing the fact again would offer it again.
-    for rule in every:
-        stmt, tok, inputs, _ = rule
-        body = stmt.body
-        if isinstance(body, SimpleMember):
-            offer(stmt.head, body.member, tok)
-        else:
-            rules.append(rule)
-            fired_at.append(clock)
-            fire(stmt, tok, inputs)
+    for head in sorted((h for h in index if heads is None or h in heads), key=str):
+        tok = frozenset((head,))
+        for stmt in index[head]:
+            if by_statement:
+                tok = frozenset((stmt,))
+            if isinstance(stmt.body, SimpleMember):
+                offer(head, stmt.body.member, tok)
+            else:
+                inputs = _reads(stmt)
+                rules.append((stmt, tok, inputs))
+                fired_at.append(clock)
+                fire(stmt, tok, inputs)
     start = 0
     while clock != start:
         start = clock
-        for n, (stmt, tok, inputs, _) in enumerate(rules):
+        for n, (stmt, tok, inputs) in enumerate(rules):
             head, body = stmt.head, stmt.body
             last = fired_at[n]
             if freed_at.get(head, 0) <= last:

@@ -2,18 +2,18 @@
 
 Membership is the least model of the clauses induced by the four statement
 forms.  :func:`rtmon.model._reads` is the one place that says which roles
-a statement reads, and a state's statements by head, as member facts and
-rules, in its one index are what every membership pass and growth walk
-reads: the state builds the index once, on first use, or carries it over
-from the state it was derived from (``PolicyState._index``).
-:func:`_saturate` is the one membership loop.  It indexes rules by the
-roles they read as it goes and runs semi-naive rounds: a rule fires only
-on the members its inputs gained in the previous round, joined with what
-the other inputs already hold.  :func:`evaluate` runs it on the whole
-state, or goal-directed on the cone of some roots, indexing a role's
-rules only when the role is found to matter.  Results are independent of
-statement order.  Seeded with fixed roles, the same loop on the same
-index gives both bounds of restricted trust.
+a statement reads, and a state's statements by head in its one index are
+what every membership pass and growth walk reads: the state builds the
+index once, on first use, or carries it over from the state it was
+derived from (``PolicyState._index``).  :func:`_saturate` is the one
+membership loop.  It indexes rules by the roles they read as it goes and
+runs semi-naive rounds: a rule fires only on the members its inputs gained
+in the previous round, joined with what the other inputs already hold.
+:func:`evaluate` runs it on the whole state, or goal-directed on the cone
+of some roots, indexing a role's rules only when the role is found to
+matter.  Results are independent of statement order.  Seeded with fixed
+roles, the same loop on the same index gives both bounds of restricted
+trust.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .model import (
     RoleName,
     RoleRef,
     SimpleInclusion,
+    SimpleMember,
     Statement,
-    _Index,
     _reads,
     fold_expr,
 )
@@ -81,7 +81,7 @@ def evaluate(p: PolicyState, roots: Optional[Iterable[Role]] = None) -> Semantic
 
 
 def _saturate(
-    index: _Index,
+    index: Mapping[Role, list[Statement]],
     roots: Optional[Iterable[Role]] = None,
     fixed: Optional[Callable[[Role], bool]] = None,
     universe: frozenset[Principal] = _EMPTY,
@@ -97,9 +97,10 @@ def _saturate(
 
     Rules are indexed by the roles they read, and linked rules also by the
     name of their second role; the facts are the first round's new members.
-    Without ``roots`` every head is indexed up front.  With ``roots``, a
-    role's facts are passed on and its rules indexed when the role enters
-    the cone: when it is a root, when a cone rule reads it, or, for
+    :func:`take` does both for one head, where the index's list of its
+    statements is split into facts and rules.  Without ``roots`` every head
+    is taken up front.  With ``roots``, a role is taken when it enters the
+    cone: when it is a root, when a cone rule reads it, or, for
     ``Y.r2``, once ``Y`` reaches ``A.r1`` under ``A.r <- A.r1.r2``.  A rule
     indexed after the rounds began has what its inputs already hold passed
     to it as new, so it fires on that once in the next round, and from then
@@ -107,12 +108,12 @@ def _saturate(
     returns.  This is the backward search of RT credential chain discovery
     (Li, Winsborough & Mitchell, JCS 2003) inside one semi-naive loop.
     """
-    facts, heads = index.facts, index.heads
     readers: dict[Role, list[Statement]] = defaultdict(list)
     linked: dict[RoleName, list[Statement]] = defaultdict(list)
     members: dict[Role, set[Principal]] = {}
     fresh: dict[Role, Iterable[Principal]] = {}
     cone: Optional[set[Role]] = None
+    rounds = 0
 
     def read(role: Role) -> frozenset[Principal]:
         if fixed is not None and fixed(role):
@@ -135,7 +136,7 @@ def _saturate(
         """Index ``stmt`` and pass it, as new, what the roles it reads by
         name already hold, so that it fires on them in the next round (the
         other rules reading those roles get them again and derive nothing
-        new)."""
+        new).  Before the rounds begin every member found is still new."""
         reads = _reads(stmt)
         for role in reads:
             readers[role].append(stmt)
@@ -143,7 +144,7 @@ def _saturate(
                 # The shared object: a fixed role never gains, so its entry
                 # is never updated in place.
                 fresh[role] = universe
-            elif role in members:
+            elif rounds and role in members:
                 fresh.setdefault(role, set()).update(members[role])
         if isinstance(stmt.body, LinkingInclusion):
             # A fixed second component ``Y.r2`` is read at ``universe``
@@ -151,39 +152,44 @@ def _saturate(
             linked[stmt.body.second].append(stmt)
         return reads
 
+    def take(head: Role) -> list[Role]:
+        """Pass on the members the facts heading ``head`` name and index
+        its rules; return the roles those rules read."""
+        found: list[Principal] = []
+        reads: list[Role] = []
+        for stmt in index.get(head, ()):
+            if isinstance(stmt.body, SimpleMember):
+                found.append(stmt.body.member)
+            else:
+                reads += put(stmt)
+        if found:
+            gain(head, found)
+        return reads
+
     def enter(root: Role) -> None:
         """Add ``root`` to the cone, and every role the rules heading a role
-        added read; pass on the facts of each and index its rules."""
+        added read, taking each."""
         cone.add(root)
         work = [root]
         while work:
             role = work.pop()
             if fixed is not None and fixed(role):
                 continue
-            found = facts.get(role)
-            if found:
-                gain(role, found)
-            for stmt in heads.get(role, ()):
-                for read_role in put(stmt):
-                    if read_role not in cone:
-                        cone.add(read_role)
-                        work.append(read_role)
+            for read_role in take(role):
+                if read_role not in cone:
+                    cone.add(read_role)
+                    work.append(read_role)
 
     if roots is None:
-        for head, rules in heads.items():
+        for head in index:
             if fixed is None or not fixed(head):
-                for stmt in rules:
-                    put(stmt)
-        for role, found in facts.items():
-            if fixed is None or not fixed(role):
-                gain(role, found)
+                take(head)
     else:
         cone = set()
         for root in roots:
             if root not in cone:
                 enter(root)
 
-    rounds = 0
     while fresh:
         rounds += 1
         delta, fresh = fresh, {}

@@ -7,10 +7,10 @@ role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
 beyond their own invariants, and are safe to share between threads.  A
 state derives what every pass reads of it -- its principals, and its one
-index: its statements by head, and one list of them in text order -- on
-first use, once, and keeps it, and it keeps what the other modules derive
-from it (membership on a cone, the support worklist, the bounds and the
-trusted core) in one memo, also filled on first use.  A state derived
+index: its statements by head, each head's in text order -- on first use,
+once, and keeps it, and it keeps what the other modules derive from it
+(membership on a cone, the support worklist, the bounds and the trusted
+core) in one memo, also filled on first use.  A state derived
 from another -- by ``add`` or ``remove``, or as a session's next snapshot
 -- carries over the other's index with the changes between them replayed
 onto a copy, and derives the rest afresh.
@@ -18,8 +18,8 @@ onto a copy, and derives the rest afresh.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from collections import defaultdict
+import re
+from bisect import insort
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -62,6 +62,15 @@ _T = TypeVar("_T")
 #: Name reserved for the "any principal" placeholder used by bound analysis.
 RESERVED_PRINCIPAL = "TOP"
 
+#: The names of principals and roles: the identifiers of the text formats,
+#: so every statement built here prints as a line the parser reads back.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_name(kind: str, name: str) -> None:
+    if not _IDENT.fullmatch(name):
+        raise ValueError(f"{kind} name must be an identifier {_IDENT.pattern}, got {name!r}")
+
 
 def _rebuilt(self) -> tuple:
     """``__reduce__`` of a type that keeps values derived from its fields:
@@ -88,8 +97,7 @@ class Principal:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("principal name must be non-empty")
+        _check_name("principal", self.name)
         object.__setattr__(self, "_hash", hash((self.name,)))
 
     def __hash__(self) -> int:
@@ -115,8 +123,7 @@ class RoleName:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("role name must be non-empty")
+        _check_name("role", self.name)
         object.__setattr__(self, "_hash", hash((self.name,)))
 
     def __hash__(self) -> int:
@@ -223,8 +230,8 @@ StatementBody = Union[SimpleMember, SimpleInclusion, LinkingInclusion, Intersect
 @dataclass(frozen=True, slots=True)
 class Statement:
     """One policy statement ``head <- body``; a value object.  Its text
-    is rendered by every ``str``; a state's index keeps the text of each
-    of its statements."""
+    is rendered by every ``str`` and orders each head's statements in a
+    state's index."""
 
     head: Role
     body: StatementBody
@@ -297,37 +304,6 @@ def _reads(
     return ()
 
 
-# A statement as the support worklist fires it: with the singleton of its
-# head, the token a role support collects, the roles it reads, and its text,
-# which orders the index's one text-ordered list.
-_Rule = tuple[Statement, frozenset[Role], tuple[Role, ...], str]
-
-
-@dataclass(frozen=True)
-class _Index:
-    """A state's statements as every pass reads them, and none changes.
-
-    ``facts`` maps each head to the members its member facts name, and
-    ``heads`` to its other statements, the rules; every membership pass,
-    growth walk and bound reads these two.  ``every`` holds an entry for each
-    statement in the order of its text, as the support worklist's first
-    pass fires them; that pass sets the rules apart for the later ones.  A
-    fresh index lists each head's statements in set iteration order; one
-    that :func:`_successor` carries appends what was added."""
-
-    facts: Mapping[Role, list[Principal]]
-    heads: Mapping[Role, list[Statement]]
-    every: list[_Rule]
-
-
-def _rule(stmt: Statement) -> _Rule:
-    return stmt, frozenset((stmt.head,)), _reads(stmt), str(stmt)
-
-
-def _text(rule: _Rule) -> str:
-    return rule[3]
-
-
 @dataclass(frozen=True)
 class PolicyState:
     """A finite set of statements; all role semantics derive from it.
@@ -376,19 +352,18 @@ class PolicyState:
         return frozenset(out)
 
     @cached_property
-    def _index(self) -> _Index:
-        """The statements by head and in text order, the one index the
-        passes over this state read.  Two threads may both build it cold;
-        that is benign, because each stores an equal index."""
-        facts: dict[Role, list[Principal]] = defaultdict(list)
-        heads: dict[Role, list[Statement]] = defaultdict(list)
+    def _index(self) -> dict[Role, list[Statement]]:
+        """Every statement by head, member facts and rules alike, each
+        head's list in text order: the one index the passes over this state
+        read.  The heads in text order, each followed by its list, are the
+        statements in text order: a head's text is a proper prefix of
+        another's only where a name character or ``.`` follows, and each
+        sorts after the space of `` <- ``.  Two threads may both build it
+        cold; that is benign, because each stores an equal index."""
+        index: dict[Role, list[Statement]] = {}
         for stmt in self.statements:
-            body = stmt.body
-            if isinstance(body, SimpleMember):
-                facts[stmt.head].append(body.member)
-            else:
-                heads[stmt.head].append(stmt)
-        return _Index(facts, heads, sorted(map(_rule, self.statements), key=_text))
+            index.setdefault(stmt.head, []).append(stmt)
+        return {head: sorted(items, key=str) for head, items in index.items()}
 
     @cached_property
     def _memo(self) -> dict[tuple[str, Hashable], object]:
@@ -464,12 +439,11 @@ def _successor(
     that ``events`` make of ``prev``, each changing the state it meets.
 
     When ``prev`` has built its index, the new state carries it over with
-    the events replayed, in order, onto a copy: the dicts and the text
-    list are copied, and the list of each head an event changes before it
-    changes; the text list takes an addition by ``insort`` and loses a
-    removal by bisection.
-    A removal drops the object its head's list holds, found by equality,
-    whichever order an intersection was written in.  Nothing else is
+    the events replayed, in order, onto a copy: the map is copied, and the
+    list of each head an event changes before it changes.  An addition
+    enters its head's list by ``insort`` on its text; a removal drops the
+    object the list holds, found by equality, whichever order an
+    intersection was written in.  Nothing else is
     carried, neither the principals nor the memo, and nothing ``prev``
     holds is changed.  ``PolicyState.add`` and ``remove`` and every
     snapshot of a session build their state here.
@@ -478,30 +452,22 @@ def _successor(
     index = vars(prev).get("_index")
     if index is None:
         return state
-    facts, heads, every = dict(index.facts), dict(index.heads), list(index.every)
-    copied: dict[tuple[bool, Role], list] = {}
+    index = dict(index)
+    copied: dict[Role, list[Statement]] = {}
     for ev in events:
         stmt = ev.statement
-        head, body = stmt.head, stmt.body
-        is_fact = isinstance(body, SimpleMember)
-        table = facts if is_fact else heads
-        items = copied.get((is_fact, head))
+        items = copied.get(stmt.head)
         if items is None:
-            items = copied[is_fact, head] = table[head] = list(table.get(head, ()))
+            items = copied[stmt.head] = index[stmt.head] = list(index.get(stmt.head, ()))
         if ev.kind is ChangeKind.ADD:
-            items.append(body.member if is_fact else stmt)
-            insort(every, _rule(stmt), key=_text)
+            insort(items, stmt, key=str)
         else:
-            if is_fact:
-                items.remove(body.member)
-            else:
-                stmt = items.pop(items.index(stmt))
-            del every[bisect_left(every, str(stmt), key=_text)]
+            items.remove(stmt)
     # A head left without statements leaves the map, as in a fresh index.
-    for (is_fact, head), items in copied.items():
+    for head, items in copied.items():
         if not items:
-            del (facts if is_fact else heads)[head]
-    object.__setattr__(state, "_index", _Index(facts, heads, every))
+            del index[head]
+    object.__setattr__(state, "_index", index)
     return state
 
 

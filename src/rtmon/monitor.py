@@ -40,8 +40,9 @@ live set only if the snapshot is still stale.  Freeing the snapshot on
 the first quiet event after a warned one would make that event the
 slowest quiet event of a session.  The new snapshot is derived by
 :func:`rtmon.model._successor`, which replays the events since the stale
-snapshot onto a copy of its index, so no snapshot after the first indexes
-or sorts the whole policy again.
+snapshot onto a copy of its by-head map, copying only the lists of the
+heads they change, so no snapshot after the first indexes or sorts the
+whole policy again.
 
 The shared part of a registration is kept on the snapshot it reads, next
 to the snapshot's index: the initial registrations share the

@@ -56,6 +56,7 @@ from .model import (
     SimpleMember,
     Statement,
     UnionExpr,
+    _IDENT,
     _checked_state,
     fold_expr,
 )
@@ -80,7 +81,6 @@ __all__ = [
     "lint_conventions",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One token: an identifier, an arrow, or any other single character.  Only
 # spaces and tabs separate tokens; any other character, whitespace or not,
 # is a token of its own that no grammar accepts.

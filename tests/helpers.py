@@ -2,7 +2,6 @@
 
 import functools
 import sys
-from collections import Counter
 
 import rtmon.engine
 import rtmon.model
@@ -115,22 +114,11 @@ def core_roles(coreset) -> frozenset:
     return coreset.trusted - coreset.expelled
 
 
-def by_head_multisets(p):
-    """Each role's facts and rules in the index of ``p``, as multisets of
-    their texts: a state built afresh lists them in set iteration order, a
-    derived one in the order they arrived.  Texts, not values, because two
-    equal intersections may be written differently."""
-    index = p._index
-    return [
-        {r: Counter(map(str, got)) for r, got in part.items()}
-        for part in (index.facts, index.heads)
-    ]
-
-
-def rule_texts(p):
-    """The texts of the statements in the text-ordered list of the index of
-    ``p``, in order."""
-    return [str(rule[0]) for rule in p._index.every]
+def index_texts(p):
+    """The index of ``p`` as texts: each head's statements in the order of
+    its list.  Texts, not values, because two equal intersections may be
+    written differently."""
+    return {head: [str(s) for s in items] for head, items in p._index.items()}
 
 
 def patch_everywhere(monkeypatch, real, spy) -> None:

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import random
@@ -39,14 +40,19 @@ from rtmon.engine import (
 )
 from rtmon.model import (
     EVERY_ROLE,
+    ChangeEvent,
     ChangeKind,
+    IntersectionInclusion,
     LinkingInclusion,
     PolicyState,
     PrincipalSet,
     RoleRef,
     SimpleMember,
+    Statement,
     TOP,
     UnionExpr,
+    _checked_state,
+    _successor,
     roles_of,
 )
 from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
@@ -55,6 +61,7 @@ from helpers import (
     SELF_LINK_POLICY_TEXT,
     count_calls,
     hazmat_policy,
+    index_texts,
     prin,
     redundant_support_policy,
     role,
@@ -162,6 +169,7 @@ class TestGammaExpr:
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _constraint_roles(q):
@@ -234,14 +242,14 @@ class TestCone:
             dense = dense_evaluate(p)
             cone = evaluate(p, roots)
             # The cone is the closure of the roots under the exact members.
-            assert cone.cone == _growth_roles(index.heads, roots, dense)
+            assert cone.cone == _growth_roles(index, roots, dense)
             for r in cone.cone:
                 assert role_members(cone, r) == dense.get(r, _NONE)
             for q in constraints:
                 lhs, rhs = (_walk_expr(e, lambda r: dense.get(r, _NONE)) for e in (q.lhs, q.rhs))
                 assert check_constraint(p, q, cone).violators == lhs - rhs
                 for side in (q.lhs, q.rhs):
-                    want = _growth_roles(index.heads, roles_of(side), dense)
+                    want = _growth_roles(index, roles_of(side), dense)
                     assert gamma_expr(p, side, cone) == want
                     assert gamma_expr(p, side) == want
             # Held roles: the cone of an upper bound equals the whole-state
@@ -259,10 +267,12 @@ class TestCone:
             # A rule indexed once the rounds began heads a role that only a
             # linked walk reached.  Count those with an input that entered
             # the cone before the rounds began, holding its facts.
-            static = _growth_roles(index.heads, roots, {})
+            static = _growth_roles(index, roots, {})
             late = [s for s in p.statements if s.head in cone.cone - static]
             seen["late"] += any(
-                r in static and index.facts.get(r) for s in late for r in _reads(s)
+                r in static and any(isinstance(f.body, SimpleMember) for f in index.get(r, ()))
+                for s in late
+                for r in _reads(s)
             )
             heads = [s for s in p.statements if s.head in cone.cone]
             seen["cases"] += 1
@@ -385,6 +395,125 @@ class TestJustifiedSemantics:
                 assert got.truncated_roles == want.truncated_roles
             seen += 1
         assert seen >= 300 + len(list(_fixture_cases()))
+
+
+def _benchmark_policies(monkeypatch):
+    """The policies of the three benchmark workloads, as perfbench generates
+    them at seeds 1 and 2."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCHMARK / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are built.
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    for name in ("org_churn", "chain_fan", "org_restricted"):
+        for seed in (1, 2):
+            yield parse_policy(gen.generate(name, seed).texts()["policy"])
+
+
+class _Logged(list):
+    """A head's list of statements that logs each one a pass reads."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __iter__(self):
+        for stmt in super().__iter__():
+            self.log.append(stmt)
+            yield stmt
+
+
+def _first_pass(p, heads=None, by_statement=False) -> list:
+    """The statements the worklist's first pass fires on the index of
+    ``p``, carried or fresh, in firing order: it reads each head's list as
+    it fires, and the later passes read only the rules it set apart."""
+    fired: list = []
+    probe = _checked_state(p.statements)
+    logged = {head: _Logged(items, fired) for head, items in p._index.items()}
+    object.__setattr__(probe, "_index", logged)
+    _worklist(probe, DEFAULT_SUPPORT_CAP, heads, by_statement)
+    return fired
+
+
+def _respelled(s):
+    """``s`` with its intersection's parts written in another order."""
+    parts = s.body.parts
+    return Statement(s.head, IntersectionInclusion(parts[1:] + parts[:1]))
+
+
+def _changed(rng, state):
+    """The next state of a seeded walk through ``_successor``: one to three
+    events at once, additions, removals, and intersections removed by
+    another spelling, often added back in it."""
+    live = set(state.statements)
+    events = []
+    for _ in range(rng.randint(1, 3)):
+        dice = rng.random()
+        ordered = sorted(live, key=str)
+        crossed = [s for s in ordered if isinstance(s.body, IntersectionInclusion)]
+        if crossed and dice < 0.3:
+            new = _respelled(rng.choice(crossed))
+            events.append(ChangeEvent(ChangeKind.REMOVE, new))
+            live.discard(new)
+            if rng.random() < 0.7:
+                events.append(ChangeEvent(ChangeKind.ADD, new))
+                live.add(new)
+        elif ordered and dice < 0.6:
+            gone = rng.choice(ordered)
+            events.append(ChangeEvent(ChangeKind.REMOVE, gone))
+            live.discard(gone)
+        else:
+            added = random_statement_for_state(rng, state, "E")
+            if added not in live:
+                events.append(ChangeEvent(ChangeKind.ADD, added))
+                live.add(added)
+    return _successor(state, frozenset(live), events)
+
+
+class TestTextOrder:
+    """The worklist's first pass walks the heads in text order and each
+    head's list in order, which is the order of the statements' texts, on a
+    fresh index and on one carried through any changes; a carried index
+    equals a fresh build list for list."""
+
+    def _check(self, rng, p, steps) -> int:
+        p._index
+        state, respelled = p, 0
+        for n in range(steps + 1):
+            if n:
+                state = _changed(rng, state)
+            assert "_index" in vars(state)
+            fresh = PolicyState(state.statements)
+            assert index_texts(state) == index_texts(fresh)
+            want = sorted(state.statements, key=str)
+            for at in (state, fresh):
+                assert list(map(str, _first_pass(at))) == list(map(str, want))
+            # The credential replay: the heads of a role support, with a
+            # token per statement.
+            heads = sorted({s.head for s in want}, key=str)
+            admitted = frozenset(rng.sample(heads, rng.randint(0, len(heads))))
+            narrowed = [s for s in want if s.head in admitted]
+            assert list(map(str, _first_pass(state, admitted, True))) == list(map(str, narrowed))
+            respelled += any(
+                s not in p or str(s) not in map(str, p._index[s.head])
+                for s in state
+                if isinstance(s.body, IntersectionInclusion)
+            )
+        return respelled
+
+    def test_random_and_fixture_states_and_their_changes(self):
+        rng = random.Random(2015)
+        states = [random_state(rng, max_statements=rng.choice((8, 16, 30))) for _ in range(300)]
+        states += [random_fan_state(rng) for _ in range(100)]
+        states += [p for p, _ in _fixture_cases()]
+        assert sum(self._check(rng, p, 6) for p in states) >= 300
+
+    def test_benchmark_policies_and_their_changes(self, monkeypatch):
+        rng = random.Random(2016)
+        policies = list(_benchmark_policies(monkeypatch))
+        assert len(policies) == 6 and min(map(len, policies)) >= 100
+        for p in policies:
+            self._check(rng, p, 8)
 
 
 def _support_answers(p, members, rhs, admissible, cap) -> dict:
@@ -838,19 +967,21 @@ class TestMemberFactsFireOnce:
         # Random, fan and chain states all reach the cap somewhere.
         assert min(truncated[kind] for kind in range(3)) >= 20
 
-    def test_later_passes_visit_the_rules_of_every_in_text_order(self):
+    def test_later_passes_visit_the_rules_the_first_pass_set_apart_in_its_order(
+        self, monkeypatch
+    ):
         # Each link's fact sorts before its rule and a fact of another role
-        # after it, so facts and rules interleave in the text-ordered list.
+        # after it, so facts and rules interleave in text order.
         links = 6
         lines = [f"L{links}.r <- M"]
         for k in range(links):
             lines += [f"L{k}.r <- F{k}", f"L{k}.r <- L{k + 1}.r", f"L{k}.s <- M"]
         p = parse_policy("".join(f"{line}\n" for line in lines))
-        every = p._index.every
-        facts = [isinstance(rule[0].body, SimpleMember) for rule in every]
+        in_text_order = sorted(p.statements, key=str)
+        facts = [isinstance(s.body, SimpleMember) for s in in_text_order]
         assert facts[:4] == [True, False, True, True]
-        rules = [rule[0] for rule, fact in zip(every, facts) if not fact]
-        visited = []
+        rules = [s for s, fact in zip(in_text_order, facts) if not fact]
+        set_apart, visited = [], []
 
         class Reads(tuple):
             """A rule's read roles, logging the rule whenever a pass polls
@@ -860,11 +991,16 @@ class TestMemberFactsFireOnce:
                 visited.append(self.stmt)
                 return super().__iter__()
 
-        for n, (stmt, tok, reads, text) in enumerate(every):
-            logged = Reads(reads)
+        def logged_reads(stmt):
+            # The first pass reads the roles of each rule as it sets it apart.
+            set_apart.append(stmt)
+            logged = Reads(_reads(stmt))
             logged.stmt = stmt
-            every[n] = stmt, tok, logged, text
+            return logged
+
+        monkeypatch.setattr(rtmon.deps, "_reads", logged_reads)
         _worklist(p, None)
+        assert set_apart == rules
         # Each rule fires before the facts of the role it reads, so every
         # later pass carries each member one link up the chain: six passes
         # bring M to L0.r, and a seventh changes nothing.

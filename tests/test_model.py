@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -41,13 +42,12 @@ from rtmon.parser import parse_constraint, parse_expr, parse_statement, serializ
 
 from helpers import (
     HAZMAT_ADD_9,
-    by_head_multisets,
     hazmat_constraint,
     hazmat_policy,
+    index_texts,
     prin,
     role,
     role_strs,
-    rule_texts,
     self_link_policy,
     stmt,
 )
@@ -143,53 +143,39 @@ def test_add_and_remove_match_a_constructed_state():
     assert hash(shrunk) == hash(p)
 
 
-def _built(p):
-    """The index of ``p`` as plain values: every list copied, so a later
-    change to one of them shows."""
-    index = p._index
-    return (
-        [{r: list(got) for r, got in part.items()} for part in (index.facts, index.heads)],
-        list(index.every),
-    )
-
-
-def test_add_and_remove_carry_the_by_head_map_and_rule_list():
+def test_add_and_remove_carry_the_by_head_map():
     # A state derived by ``add`` or ``remove`` from one whose index is built
-    # carries it over, equal to a fresh build's; the state it came from
-    # keeps its own.
+    # carries it over, equal to a fresh build's list for list; the state it
+    # came from keeps its own.
     rng = random.Random(921)
     steps = readded = 0
     for _ in range(200):
         p = random_state(rng, max_statements=12)
-        start = _built(p)
+        start = index_texts(p)
         state = p
         for _ in range(8):
             if state.statements and rng.random() < 0.5:
                 gone = rng.choice(sorted(state.statements, key=str))
                 nxt = state.remove(gone)
                 if rng.random() < 0.3:
-                    # Removed and added again: the lists end as they began,
-                    # up to the order of the by-head lists.
-                    before = _built(state)
+                    # Removed and added again: the map ends as it began.
+                    before = index_texts(state)
                     nxt = nxt.add(gone)
-                    assert by_head_multisets(nxt) == by_head_multisets(state)
-                    assert _built(nxt)[1] == before[1]
+                    assert index_texts(nxt) == before
                     readded += 1
             else:
                 nxt = state.add(random_statement_for_state(rng, state, "E"))
             if nxt is state:
                 continue
             assert "_index" in vars(nxt)
-            fresh = PolicyState(nxt.statements)
-            assert by_head_multisets(nxt) == by_head_multisets(fresh)
-            assert _built(nxt)[1] == _built(fresh)[1]
+            assert index_texts(nxt) == index_texts(PolicyState(nxt.statements))
             state = nxt
             steps += 1
-        assert _built(p) == start
+        assert index_texts(p) == start
     assert steps >= 1000 and readded >= 100
 
 
-def test_a_bulk_change_carries_the_rule_list():
+def test_a_bulk_change_carries_the_by_head_map():
     # However many statements change at once, the index is carried over,
     # equal to a fresh build's.
     p = hazmat_policy()
@@ -200,22 +186,21 @@ def test_a_bulk_change_carries_the_rule_list():
     events = [ChangeEvent(ChangeKind.REMOVE, s) for s in gone]
     state = _successor(p, changed, events + [ChangeEvent(ChangeKind.ADD, s) for s in extra])
     assert "_index" in vars(state)
-    fresh = PolicyState(changed)
-    assert by_head_multisets(state) == by_head_multisets(fresh)
-    assert _built(state)[1] == _built(fresh)[1]
-    assert rule_texts(state) == rule_texts(fresh)
+    assert index_texts(state) == index_texts(PolicyState(changed))
 
 
-def test_a_carried_rule_list_keeps_no_text_on_the_statements_it_inserts():
-    # A change log's statements outlive the states that list them: the
-    # entry keeps the text.
+def test_a_carried_map_lists_the_statement_it_inserts_at_its_text():
+    # A change log's statement enters its head's list itself, in text order
+    # among the statements already there.
     p = hazmat_policy()
     p._index
-    cold = stmt("Police.responsePersonnel <- Kim")
+    cold = stmt("ATF.hazmatTraining <- Kim")
     grown = p.add(cold)
+    items = grown._index[cold.head]
+    assert [s.body.member.name for s in items] == ["Burke", "Kim", "OConnel", "Rollins"]
+    assert items[1] is cold
     back = grown.remove(cold)
-    assert _built(back)[1] == _built(p)[1]
-    assert [rule[3] for rule in grown._index.every] == rule_texts(grown)
+    assert index_texts(back) == index_texts(p)
 
 
 def test_an_intersection_added_back_in_another_order_replaces_the_carried_one():
@@ -230,13 +215,9 @@ def test_an_intersection_added_back_in_another_order_replaces_the_carried_one():
     statements = (p.statements - {respelled}) | {respelled}
     assert any(s is respelled for s in statements)
     fresh = PolicyState(statements)
-
-    def texts(state):
-        return by_head_multisets(state), rule_texts(state)
-
     events = [ChangeEvent(ChangeKind.REMOVE, respelled), ChangeEvent(ChangeKind.ADD, respelled)]
-    assert texts(_successor(p, statements, events)) == texts(fresh)
-    assert texts(p) == texts(PolicyState(p.statements)) != texts(fresh)
+    assert index_texts(_successor(p, statements, events)) == index_texts(fresh)
+    assert index_texts(p) == index_texts(PolicyState(p.statements)) != index_texts(fresh)
 
 
 def test_names_hash_once_to_the_field_tuple_hash():
@@ -304,10 +285,9 @@ def test_copy_and_pickle_carry_a_state_without_its_caches():
         assert twin == p and twin is not p
         assert vars(twin) == {"statements": p.statements}
         assert twin.principals == p.principals
-        # Each role's lists follow its state's frozenset iteration order, which
-        # an equal frozenset rebuilt by a copy or by unpickling need not share.
-        assert by_head_multisets(twin) == by_head_multisets(p)
-        assert _built(twin)[1] == _built(p)[1]
+        # Each head's list is in text order, whatever order an equal
+        # frozenset rebuilt by a copy or by unpickling iterates in.
+        assert index_texts(twin) == index_texts(p)
 
 
 @pytest.mark.parametrize("text", ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.r <- B.s & C.t"])
@@ -410,8 +390,11 @@ def test_top_cannot_own_a_monitored_role(side):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Principal(""), "principal name must be non-empty"),
-        (lambda: RoleName(""), "role name must be non-empty"),
+        (
+            lambda: Principal(""),
+            "principal name must be an identifier [A-Za-z_][A-Za-z0-9_]*, got ''",
+        ),
+        (lambda: RoleName(""), "role name must be an identifier [A-Za-z_][A-Za-z0-9_]*, got ''"),
         (
             lambda: Constraint(prin("O"), RoleRef(role("A.r")), RoleRef(role("B.r")), ""),
             "constraint id must be non-empty",
@@ -420,8 +403,23 @@ def test_top_cannot_own_a_monitored_role(side):
     ids=["principal", "role-name", "constraint-id"],
 )
 def test_empty_names_and_ids_are_rejected(build, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("name", ["B.x", "1a", "a b", "x-y", "caf\u00e9", "a\n", "TOP.r"])
+@pytest.mark.parametrize("make", [Principal, RoleName])
+def test_names_outside_the_identifiers_are_rejected(make, name):
+    # A name the text formats cannot read back would print a statement that
+    # no policy line parses to, or two statements as one text.
+    with pytest.raises(ValueError, match="name must be an identifier"):
+        make(name)
+
+
+def test_every_statement_the_model_builds_reads_back_from_its_text():
+    with pytest.raises(ValueError, match="^principal name must be an identifier"):
+        Statement(role("A.r"), SimpleInclusion(Role(Principal("B.x"), RoleName("y"))))
+    assert Principal("TOP") == TOP and Principal("_a9").name == "_a9"
 
 
 def test_expression_static_and_roles():

@@ -63,17 +63,16 @@ from helpers import (
     count_index_builds,
     count_saturations,
     count_snapshots,
-    by_head_multisets,
     patch_everywhere,
     hazmat_constraint,
     hazmat_policy,
     hazmat_policy_extended,
+    index_texts,
     names,
     prin,
     redundant_support_policy,
     role,
     role_strs,
-    rule_texts,
     stmt,
     support_shift_constraint,
     support_shift_policy,
@@ -442,8 +441,7 @@ def _saturated_statements(monkeypatch) -> list:
 
     def spy(index, roots=None, fixed=None, universe=frozenset()):
         got = real(index, roots, fixed, universe)
-        facts = {Statement(r, SimpleMember(m)) for r, found in index.facts.items() for m in found}
-        given = frozenset(facts).union(*index.heads.values())
+        given = frozenset().union(*index.values())
         if got.cone is not None:
             given = frozenset(s for s in given if s.head in got.cone)
         seen.append(given)
@@ -461,7 +459,7 @@ def _cone_statements(p, constraints) -> frozenset:
     """The statements heading a role of the constraints' cone, found on the
     whole state."""
     roots = frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in constraints))
-    cone = rtmon.deps._growth_roles(p._index.heads, roots, evaluate(p).members)
+    cone = rtmon.deps._growth_roles(p._index, roots, evaluate(p).members)
     return frozenset(s for s in p.statements if s.head in cone)
 
 
@@ -863,10 +861,10 @@ def _with_readd(rng, p, log):
 @pytest.mark.parametrize("make_mode", _MAKE_MODES, ids=["full", "credential", "restricted"])
 def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
     """Every snapshot of a session carries its predecessor's index over,
-    and no memo, and it equals a fresh build of its statements: the map per
-    head as multisets, the text-ordered lists in exact order, both also as
-    texts, so an intersection added back written in another order is
-    carried as last written.  The caller's starting state keeps its own."""
+    and no memo, and it equals a fresh build of its statements list for
+    list, compared as texts, so an intersection added back written in
+    another order is carried as last written.  The caller's starting state
+    keeps its own."""
     rng = random.Random(733)
     cases = []
     for _ in range(500):
@@ -888,20 +886,16 @@ def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
     snapshots, readded = 0, Counter()
     for p, regs, log, at in cases:
         index = p._index
-        start = by_head_multisets(p), list(index.every)
+        start = index_texts(p)
         del built[:]
         session = run_session(p, regs, replay(log))
         snapshots += len(built)
         for state, _, carried in built:
             # Every snapshot reads its index before the next is built from it.
             assert "_index" in carried and "_memo" not in carried
-            fresh = PolicyState(state.statements)
-            assert by_head_multisets(state) == by_head_multisets(fresh)
-            assert state._index.every == fresh._index.every
-            assert rule_texts(state) == rule_texts(fresh)
+            assert index_texts(state) == index_texts(PolicyState(state.statements))
         assert p._index is index
-        assert (by_head_multisets(p), index.every) == start
-        assert rule_texts(p) == rule_texts(PolicyState(p.statements))
+        assert index_texts(p) == start == index_texts(PolicyState(p.statements))
         assert session.final_state == PolicyState(_replayed(p, log))
         # The pair fell between two snapshots when neither of its events
         # built one and a later event did.
@@ -937,8 +931,7 @@ def test_an_intersection_added_back_in_another_order_prints_as_last_written(monk
     assert len(snapshots) == 2 and snapshots[-1] is session.final_state
     last = snapshots[-1]
     fresh = PolicyState(last.statements)
-    assert rule_texts(last) == rule_texts(fresh)
-    assert by_head_multisets(last) == by_head_multisets(fresh)
+    assert index_texts(last) == index_texts(fresh)
     texts = sorted(map(str, session.records[0].support_cache))
     assert "A.r <- C.t & B.s" in texts
     assert texts == sorted(map(str, register(fresh, q, FullTrustCredential()).support_cache))
@@ -1006,8 +999,7 @@ def test_an_intersection_removed_by_another_spelling_leaves_what_a_fresh_build_g
         state, record = snapshots[-1], session.records[0]
         assert state is session.final_state
     fresh = PolicyState(state.statements)
-    assert rule_texts(state) == rule_texts(fresh)
-    assert by_head_multisets(state) == by_head_multisets(fresh)
+    assert index_texts(state) == index_texts(fresh)
     texts = sorted(map(str, record.support_cache))
     assert texts == sorted(map(str, register(fresh, q, mode).support_cache))
     assert (back in texts) if back else not any("&" in text for text in texts)
@@ -1036,23 +1028,31 @@ def _replayed(p, log):
     ids=["full", "credential", "restricted"],
 )
 def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeypatch, mode, k):
-    """A session warning on ``k`` events builds the index and sorts the
-    whole statement set once, for the starting state: every snapshot
-    carries the index over from the one before."""
+    """A session warning on ``k`` events builds the index once, for the
+    starting state, and sorts statements only there, each head's list
+    once: every snapshot carries the index over from the one before.  Each
+    run of the support worklist sorts the roles it admits, once, and no
+    statements."""
     builds = count_index_builds(monkeypatch)
+    snapshots = count_snapshots(monkeypatch)
     sorts = []
+    real_worklist = rtmon.deps._worklist
+
+    def worklist(*args, **kwargs):
+        sorts.append("run")
+        return real_worklist(*args, **kwargs)
 
     def sort_spy(items, **kwargs):
         items = list(items)
-        # A sort of statements, or of index entries, which lead with theirs.
-        firsts = [x[0] if isinstance(x, tuple) else x for x in items]
-        if items and all(isinstance(x, Statement) for x in firsts):
-            sorts.append(len(items))
+        if items and all(isinstance(x, Statement) for x in items):
+            sorts.append((frozenset(items), tuple(builds), len(snapshots)))
+        elif items and all(isinstance(x, Role) for x in items):
+            sorts.append("roles")
         return sorted(items, **kwargs)
 
     for module in (rtmon.model, rtmon.engine, rtmon.deps, rtmon.analysis, rtmon.monitor):
         monkeypatch.setattr(module, "sorted", sort_spy, raising=False)
-    snapshots = count_snapshots(monkeypatch)
+    patch_everywhere(monkeypatch, real_worklist, worklist)
     p = support_shift_policy()
     # ``B.r`` gains X{i} quietly; ``A.r`` then gains it and warns, and the
     # constraint still holds, so each warned event recomputes the support.
@@ -1064,7 +1064,17 @@ def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeyp
     assert all(w.outcome is WarningOutcome.STILL_HOLDS for w in session.warnings)
     assert len(snapshots) == k
     assert len(builds) == 1 and builds[0] is p
-    assert sorts == [len(p)]
+    # The statements sorted are those of each head of ``p``, once, while
+    # ``p`` is the only state that built its index, before any snapshot.
+    statement_sorts = [x for x in sorts if isinstance(x, tuple)]
+    assert Counter(group for group, _, _ in statement_sorts) == Counter(
+        frozenset(s for s in p if s.head == head) for head in {s.head for s in p}
+    )
+    assert sum(len(group) for group, _, _ in statement_sorts) == len(p)
+    assert all(built == (p,) and at == 0 for _, built, at in statement_sorts)
+    runs = sorts.count("run")
+    assert runs >= k
+    assert [x for x in sorts if not isinstance(x, tuple)] == ["run", "roles"] * runs
 
 
 @pytest.mark.parametrize("make_mode", _MAKE_MODES, ids=["full", "credential", "restricted"])

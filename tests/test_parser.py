@@ -2,7 +2,6 @@ import gc
 import json
 import random
 import re
-import string
 from pathlib import Path
 
 import pytest
@@ -45,6 +44,7 @@ from rtmon.parser import (
     serialize_expr,
     serialize_monitor,
     serialize_policy,
+    serialize_statement,
 )
 
 from helpers import (
@@ -615,7 +615,8 @@ class TestSerialization:
         assert parse_changelog(serialize_changelog(events)) == events
 
 
-_ident = st.text(alphabet=string.ascii_letters, min_size=1, max_size=3).filter(
+# Every name the model accepts, up to four characters (so no keyword).
+_ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
     lambda s: s != "TOP"
 )
 _principals = st.builds(Principal, _ident)
@@ -650,6 +651,13 @@ _exprs = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+@given(_statements())
+def test_round_trip_statements_built_from_the_model(s):
+    text = serialize_statement(s)
+    back = parse_statement(text)
+    assert back == s and serialize_statement(back) == text
 
 
 @given(st.frozensets(_statements(), max_size=8))
