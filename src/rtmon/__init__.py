@@ -45,8 +45,6 @@ from .deps import (
     gamma,
     gamma_expr,
     justified_semantics,
-    minimal_supports,
-    restrict,
     support_for_constraint,
 )
 from .analysis import (
@@ -58,7 +56,6 @@ from .analysis import (
     core,
     eval_lower,
     eval_upper,
-    gamma_restricted,
     gamma_restricted_expr,
     lower_bound,
     upper_bound,
@@ -75,7 +72,6 @@ from .monitor import (
     StaleRecord,
     WarningCause,
     WarningOutcome,
-    apply_change,
     classify,
     register,
     run_session,

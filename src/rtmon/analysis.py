@@ -42,7 +42,6 @@ from .model import (
     Principal,
     Role,
     RoleMonitor,
-    RoleRef,
     TOP,
     _frozen,
     roles_of,
@@ -58,7 +57,6 @@ __all__ = [
     "eval_lower",
     "eval_upper",
     "core",
-    "gamma_restricted",
     "gamma_restricted_expr",
     "check_bounded_containment",
 ]
@@ -183,15 +181,6 @@ def core(p: PolicyState, g: Container[Role]) -> CoreSet:
         g,
         lambda: CoreSet(g, frozenset(role for role, found in _upper(p, g).items() if TOP in found)),
     )
-
-
-def gamma_restricted(p: PolicyState, g: Container[Role], target: Role) -> frozenset[Role]:
-    """Growth frontier of ``target`` kept inside the trusted core.
-
-    A target outside the core gets the empty set: its upper bound is the
-    full universe already, so no observable addition frontier exists.
-    """
-    return gamma_restricted_expr(p, g, RoleRef(target))
 
 
 def gamma_restricted_expr(

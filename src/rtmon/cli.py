@@ -11,6 +11,8 @@ hold, 1 a check or constraint is violated, 2 input error (an input that
 cannot be read or parsed, or an ``--out`` file that cannot be written), 3
 (``analyze`` only) monitoring could not be established (no admissible
 support), 4 internal error (the tool failed; no verdict was reached).
+``analyze`` never exits 1: a violated bound always leaves some member
+without a support, so it exits 3.
 """
 
 from __future__ import annotations
@@ -108,14 +110,8 @@ def _texts(items) -> list[str]:
     return sorted(str(x) for x in items)
 
 
-def _exit_code(violated: bool, unestablished: bool = False) -> int:
-    # Unestablished monitoring outranks a plain violation: the former means
-    # the tool cannot even promise to notice future violations.
-    if unestablished:
-        return EXIT_UNESTABLISHED
-    if violated:
-        return EXIT_VIOLATED
-    return EXIT_OK
+def _exit_code(violated: bool) -> int:
+    return EXIT_VIOLATED if violated else EXIT_OK
 
 
 def _constraint_roles(constraints) -> frozenset:
@@ -196,7 +192,6 @@ def cmd_analyze(args) -> dict:
     monitor = _load(args.monitor, parse_monitor, inputs, "monitor")
     g = monitor.growth_trusted
     verdicts = []
-    violated = False
     unestablished = False
     for q in constraints:
         chk = check_bounded_containment(state, monitor, q)
@@ -216,12 +211,13 @@ def cmd_analyze(args) -> dict:
             entry["established"] = False
             entry["unsupported_member"] = exc.member.name
             unestablished = True
-        if not chk.holds:
-            violated = True
         verdicts.append(entry)
     listed = state.roles if g is EVERY_ROLE else g
     result = {"core": _texts(listed - core(state, g).expelled), "constraints": verdicts}
-    return _report("analyze", inputs, result, _exit_code(violated, unestablished))
+    # The support is sought over the shrink-trusted heads, so it exists
+    # exactly for the right side's lower-bound members: a witness has none.
+    exit_code = EXIT_UNESTABLISHED if unestablished else EXIT_OK
+    return _report("analyze", inputs, result, exit_code)
 
 
 def cmd_monitor(args) -> dict:

@@ -39,7 +39,6 @@ from typing import Container, Iterable, Iterator, Mapping, Optional, Union
 
 from .engine import SemanticsIndex, _require_cone, evaluate
 from .model import (
-    EVERY_ROLE,
     LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
@@ -51,7 +50,6 @@ from .model import (
     SimpleInclusion,
     SimpleMember,
     Statement,
-    _checked_state,
     _frozen,
     _reads,
     fold_expr,
@@ -63,11 +61,9 @@ __all__ = [
     "JustifiedEntry",
     "JustifiedSemantics",
     "NoSupport",
-    "restrict",
     "gamma",
     "gamma_expr",
     "justified_semantics",
-    "minimal_supports",
     "support_for_constraint",
     "credential_support_for_constraint",
 ]
@@ -111,14 +107,6 @@ class NoSupport(Exception):
     def __init__(self, member: Principal):
         super().__init__(f"no admissible support for member {member.name}")
         self.member = member
-
-
-def restrict(p: PolicyState, sigma: Container[Role]) -> PolicyState:
-    """Keep exactly the statements whose head lies in ``sigma``; ``p``
-    itself when ``sigma`` is :data:`~rtmon.model.EVERY_ROLE`."""
-    if sigma is EVERY_ROLE:
-        return p
-    return _checked_state(frozenset(s for s in p.statements if s.head in sigma))
 
 
 def _growth_roles(
@@ -383,19 +371,6 @@ def justified_semantics(
         for role, by_member in raw.items()
     }
     return JustifiedSemantics(entries, truncated)
-
-
-def minimal_supports(
-    p: PolicyState,
-    member: Principal,
-    target: Role,
-    *,
-    max_entries_per_member: Optional[int] = DEFAULT_SUPPORT_CAP,
-) -> frozenset[frozenset[Role]]:
-    """Minimal supports of ``member`` in ``target``; empty iff not a member.
-    Raises ``ValueError`` for a cap below 1."""
-    raw = _role_worklist(p, None, max_entries_per_member)[0]
-    return frozenset(raw.get(target, {}).get(member, ()))
 
 
 def _best(candidates: Iterable[frozenset]) -> Optional[frozenset]:

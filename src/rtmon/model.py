@@ -40,7 +40,6 @@ __all__ = [
     "StatementBody",
     "Statement",
     "statement_principals",
-    "statement_role_names",
     "PolicyState",
     "PrincipalSet",
     "RoleRef",
@@ -253,36 +252,16 @@ class Statement:
         return f"{self.head} <- {self.body}"
 
 
-def _principal_positions(stmt: Statement) -> tuple[Principal, ...]:
-    """The principal in each principal position of the statement, head
-    owner first, repeats kept."""
-    head_owner, body = stmt.head.owner, stmt.body
-    if isinstance(body, SimpleMember):
-        return head_owner, body.member
-    if isinstance(body, SimpleInclusion):
-        return head_owner, body.source.owner
-    if isinstance(body, LinkingInclusion):
-        return head_owner, body.first.owner
-    return (head_owner, *[part.owner for part in body.parts])
-
-
 def statement_principals(stmt: Statement) -> frozenset[Principal]:
     """Every principal occurring in the statement (head owner included)."""
-    return frozenset(_principal_positions(stmt))
-
-
-def statement_role_names(stmt: Statement) -> frozenset[RoleName]:
-    """Every role name occurring in the statement (head name included)."""
-    found = {stmt.head.name}
-    body = stmt.body
+    head_owner, body = stmt.head.owner, stmt.body
+    if isinstance(body, SimpleMember):
+        return frozenset((head_owner, body.member))
     if isinstance(body, SimpleInclusion):
-        found.add(body.source.name)
-    elif isinstance(body, LinkingInclusion):
-        found.add(body.first.name)
-        found.add(body.second)
-    elif isinstance(body, IntersectionInclusion):
-        found.update(part.name for part in body.parts)
-    return frozenset(found)
+        return frozenset((head_owner, body.source.owner))
+    if isinstance(body, LinkingInclusion):
+        return frozenset((head_owner, body.first.owner))
+    return frozenset((head_owner, *[part.owner for part in body.parts]))
 
 
 def _reads(
@@ -385,7 +364,10 @@ class PolicyState:
     def role_names(self) -> frozenset[RoleName]:
         out: set[RoleName] = set()
         for stmt in self.statements:
-            out |= statement_role_names(stmt)
+            out.add(stmt.head.name)
+            out.update(r.name for r in _reads(stmt))
+            if isinstance(stmt.body, LinkingInclusion):
+                out.add(stmt.body.second)
         return frozenset(out)
 
     @cached_property

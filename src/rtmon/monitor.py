@@ -97,8 +97,6 @@ __all__ = [
     "StaleRecord",
     "register",
     "classify",
-    "ChangeResult",
-    "apply_change",
     "SessionResult",
     "run_session",
 ]
@@ -324,22 +322,6 @@ def _react(
         noop=noop,
     )
     return warning, fresh
-
-
-@dataclass(frozen=True)
-class ChangeResult:
-    new_state: PolicyState
-    warning: Optional[MonitorWarning]
-    record: MonitorRecord
-
-
-def apply_change(rec: MonitorRecord, p: PolicyState, ev: ChangeEvent) -> ChangeResult:
-    """Apply one event for one record; no-ops are always ignorable."""
-    new_state = p.add(ev.statement) if ev.kind is ChangeKind.ADD else p.remove(ev.statement)
-    if rec.status is RecordStatus.HOLDING and classify(rec, ev) is Classification.IGNORABLE:
-        return ChangeResult(new_state, None, rec)
-    warning, fresh = _react(rec, new_state, ev, new_state is p)
-    return ChangeResult(new_state, warning, fresh)
 
 
 class _FrontierIndex:

@@ -78,7 +78,6 @@ __all__ = [
     "serialize_constraint",
     "serialize_monitor",
     "serialize_changelog",
-    "lint_conventions",
 ]
 
 # One token: an identifier, an arrow, or any other single character.  Only
@@ -540,16 +539,3 @@ def serialize_monitor(m: RoleMonitor) -> str:
 
 def serialize_changelog(events: list[ChangeEvent]) -> str:
     return "".join(f"{ev}\n" for ev in events)
-
-
-def lint_conventions(p: PolicyState) -> list[str]:
-    """Case-convention warnings (never errors): principals should start
-    uppercase, role names lowercase."""
-    warnings = []
-    for principal in sorted(p.principals, key=str):
-        if not principal.name[0].isupper():
-            warnings.append(f"principal '{principal.name}' should start with an uppercase letter")
-    for name in sorted(p.role_names, key=str):
-        if not name.name[0].islower():
-            warnings.append(f"role name '{name.name}' should start with a lowercase letter")
-    return warnings

@@ -5,6 +5,7 @@ import sys
 
 import rtmon.engine
 import rtmon.model
+from rtmon.deps import DEFAULT_SUPPORT_CAP, justified_semantics
 from rtmon.model import PolicyState, Principal, Role, RoleName
 from rtmon.parser import parse_constraint, parse_policy, parse_statement
 
@@ -112,6 +113,13 @@ def role_strs(roles) -> set[str]:
 def core_roles(coreset) -> frozenset:
     """The roles of a core over a finite trusted set."""
     return coreset.trusted - coreset.expelled
+
+
+def member_supports(p, member, target, cap=DEFAULT_SUPPORT_CAP) -> frozenset:
+    """The supports of ``member`` in ``target``: those of the entries of
+    ``justified_semantics`` at ``cap`` for ``target`` whose member it is."""
+    js = justified_semantics(p, max_entries_per_member=cap)
+    return frozenset(e.support for e in js.for_role(target) if e.member == member)
 
 
 def index_texts(p):

@@ -15,16 +15,22 @@ dependencies statement by statement, against the dense and the library's
 upper bound; they are the references for the trusted core the library
 reads off the upper bound.  ``expand_wildcards`` turns a monitor's
 symbolic ``*`` back into the finite role set it used to be expanded to.
+``restrict`` keeps the statements heading a given role set.
+``reference_step`` steps one record through one event by the public
+``PolicyState.add``/``remove``, ``classify`` and ``register``, and builds
+its warning itself, as the reference for a session's routed replay.
 """
 
 from collections import defaultdict
 from itertools import combinations, product
 
 from rtmon.analysis import upper_bound
-from rtmon.deps import _join, _support_key, restrict
+from rtmon.deps import _join, _support_key
 from rtmon.engine import _reads, evaluate
 from rtmon.model import (
     EVERY_ROLE,
+    ChangeEvent,
+    ChangeKind,
     Constraint,
     IntersectionInclusion,
     LinkingInclusion,
@@ -37,10 +43,70 @@ from rtmon.model import (
     SimpleMember,
     Statement,
     TOP,
+    _checked_state,
     roles_of,
+)
+from rtmon.monitor import (
+    Classification,
+    MonitorRecord,
+    MonitorWarning,
+    RecordStatus,
+    WarningCause,
+    WarningOutcome,
+    classify,
+    register,
 )
 
 FRESH_PRINCIPAL = Principal("Xfresh")
+
+
+def restrict(p: PolicyState, sigma) -> PolicyState:
+    """Keep exactly the statements whose head lies in ``sigma``; ``p``
+    itself when ``sigma`` is :data:`~rtmon.model.EVERY_ROLE`."""
+    if sigma is EVERY_ROLE:
+        return p
+    return _checked_state(frozenset(s for s in p.statements if s.head in sigma))
+
+
+def reference_step(
+    rec: MonitorRecord, state: PolicyState, ev: ChangeEvent
+) -> tuple[PolicyState, MonitorWarning | None, MonitorRecord]:
+    """One record's reaction to one event, applied to ``state`` alone.
+
+    A holding record stays silent and unchanged on a no-op (the new state
+    is ``state`` itself) and on an event ``classify`` calls ignorable;
+    otherwise the record is registered afresh on the new state, and the
+    warning names the frontier the event crossed, or a re-check for a
+    record that was not holding.
+    """
+    stmt = ev.statement
+    new_state = state.add(stmt) if ev.kind is ChangeKind.ADD else state.remove(stmt)
+    noop = new_state is state
+    if rec.status is RecordStatus.HOLDING:
+        if noop or classify(rec, ev) is Classification.IGNORABLE:
+            return new_state, None, rec
+        if ev.kind is ChangeKind.ADD:
+            cause = WarningCause.GROWTH_SIDE_ADD
+        else:
+            cause = WarningCause.SUPPORT_SIDE_REMOVE
+    else:
+        cause = WarningCause.RECHECK
+    fresh = register(new_state, rec.constraint, rec.mode)
+    outcome = {
+        RecordStatus.HOLDING: WarningOutcome.STILL_HOLDS,
+        RecordStatus.VIOLATED: WarningOutcome.NOW_VIOLATED,
+        RecordStatus.BOUND_VIOLATED: WarningOutcome.BOUND_NOW_VIOLATED,
+    }[fresh.status]
+    warning = MonitorWarning(
+        constraint_id=rec.constraint.id,
+        cause=cause,
+        event=ev,
+        outcome=outcome,
+        violators=fresh.violators,
+        recomputed=fresh.status is RecordStatus.HOLDING,
+        noop=noop,
+    )
+    return new_state, warning, fresh
 
 
 def brute_minimal_supports(p: PolicyState) -> dict[Role, set[tuple[Principal, frozenset[Role]]]]:

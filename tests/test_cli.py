@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,10 @@ import rtmon.engine
 import rtmon.monitor
 import rtmon.parser
 from rtmon.cli import main
+from rtmon.parser import serialize_constraint, serialize_monitor, serialize_policy
 
 from helpers import count_calls, count_saturations, role
+from randgen import biased_satisfied_constraint, random_constraint, random_monitor, random_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -264,6 +268,35 @@ class TestAnalyze:
         ):
             assert a["holds"] == c["satisfied"]
         assert rc == rc2 == 0
+
+    def test_an_entry_is_established_exactly_when_its_bound_holds(self, capsys, tmp_path):
+        # The support is sought over the shrink-trusted heads, so it exists
+        # exactly for the right side's lower-bound members, and a witness of
+        # a violated bound has none: analyze exits 3 or 0, never 1.
+        rng = random.Random(761)
+        policy, constraints, monitor = (tmp_path / name for name in ("p.rt", "q.cst", "m.mon"))
+        runs: Counter = Counter()
+        for _ in range(300):
+            p = random_state(rng)
+            queries = [
+                (biased_satisfied_constraint if rng.random() < 0.6 else random_constraint)(
+                    rng, p, f"q{i}"
+                )
+                for i in range(2)
+            ]
+            policy.write_text(serialize_policy(p))
+            constraints.write_text("".join(serialize_constraint(q) + "\n" for q in queries))
+            monitor.write_text(serialize_monitor(random_monitor(rng, p, 0.8, 0.6)))
+            rc, out = run(
+                capsys, "--format", "machine",
+                "analyze", str(policy), str(constraints), str(monitor),
+            )
+            entries = json.loads(out)["result"]["constraints"]
+            assert [e["established"] for e in entries] == [e["holds"] for e in entries]
+            violated = not all(e["holds"] for e in entries)
+            assert rc == (3 if violated else 0)
+            runs[violated] += 1
+        assert runs[True] >= 50 and runs[False] >= 50
 
 
 class TestMonitor:

@@ -22,8 +22,6 @@ from rtmon.deps import (
     gamma,
     gamma_expr,
     justified_semantics,
-    minimal_supports,
-    restrict,
     support_for_constraint,
     _member_expr_support,
     _role_worklist,
@@ -62,6 +60,7 @@ from helpers import (
     count_calls,
     hazmat_policy,
     index_texts,
+    member_supports,
     prin,
     redundant_support_policy,
     role,
@@ -76,6 +75,7 @@ from oracles import (
     dense_evaluate,
     polling_worklist,
     product_join,
+    restrict,
     round_robin_worklist,
 )
 from randgen import (
@@ -554,9 +554,7 @@ class TestSupportCap:
         member, rhs = prin("B"), RoleRef(role("A.r"))
         return {
             "justified_semantics": lambda: justified_semantics(p, max_entries_per_member=cap),
-            "minimal_supports": lambda: minimal_supports(
-                p, member, role("A.r"), max_entries_per_member=cap
-            ),
+            "member_supports": lambda: member_supports(p, member, role("A.r"), cap),
             "support_for_constraint": lambda: support_for_constraint(
                 p, [member], rhs, max_entries_per_member=cap
             ),
@@ -583,7 +581,7 @@ class TestSupportCap:
         js = got["justified_semantics"]()
         assert {e.support for e in js.for_role(role("A.r"))} == {frozenset({role("A.r")})}
         assert not js.truncated
-        assert got["minimal_supports"]() == {frozenset({role("A.r")})}
+        assert got["member_supports"]() == {frozenset({role("A.r")})}
         assert got["support_for_constraint"]() == frozenset({role("A.r")})
         assert got["credential_support_for_constraint"]() == frozenset({stmt("A.r <- B")})
         saturated, truncated = _role_worklist(p, None, 1)
@@ -615,18 +613,18 @@ class TestSupportCap:
 
 class TestMinimalSupports:
     def test_redundant_chains(self):
-        got = minimal_supports(redundant_support_policy(), prin("F"), role("A.r"))
+        got = member_supports(redundant_support_policy(), prin("F"), role("A.r"))
         assert {frozenset(str(r) for r in s) for s in got} == {
             frozenset({"A.r", "B.r"}),
             frozenset({"A.r", "C.r"}),
         }
 
     def test_direct_membership(self):
-        got = minimal_supports(self_link_policy(), prin("B"), role("A.r"))
+        got = member_supports(self_link_policy(), prin("B"), role("A.r"))
         assert {frozenset(str(r) for r in s) for s in got} == {frozenset({"A.r"})}
 
     def test_non_member_has_no_support(self):
-        assert minimal_supports(self_link_policy(), prin("F"), role("A.r")) == frozenset()
+        assert member_supports(self_link_policy(), prin("F"), role("A.r")) == frozenset()
 
 
 class TestSupportForConstraint:

@@ -1,8 +1,9 @@
-"""The README's examples run as written, and no module imports a name it
-never uses."""
+"""The README's examples run as written, no module imports a name it
+never uses, and every exported name exists where it is exported from."""
 
 import ast
 import copy
+import importlib
 import shlex
 from pathlib import Path
 
@@ -80,3 +81,27 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path) == []
+
+
+_MODULES = sorted(
+    p.stem for p in (ROOT / "src" / "rtmon").glob("*.py") if p.stem not in ("__init__", "__main__")
+)
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_name_a_module_exports_is_bound_there(name):
+    module = importlib.import_module(f"rtmon.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_the_package_imports_only_exported_names():
+    tree = ast.parse((ROOT / "src" / "rtmon" / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    stale = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"rtmon.{node.module}").__all__
+    ]
+    assert stale == []

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import random
 import sys
@@ -17,7 +18,6 @@ from rtmon.deps import (
     DEFAULT_SUPPORT_CAP,
     credential_support_for_constraint,
     justified_semantics,
-    restrict,
     support_for_constraint,
 )
 from rtmon.engine import check_constraint, eval_expr, evaluate
@@ -48,7 +48,6 @@ from rtmon.monitor import (
     StaleRecord,
     WarningCause,
     WarningOutcome,
-    apply_change,
     classify,
     register,
     run_session,
@@ -78,7 +77,7 @@ from helpers import (
     support_shift_policy,
 )
 from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
-from oracles import expand_wildcards
+from oracles import expand_wildcards, reference_step, restrict
 from randgen import (
     biased_satisfied_constraint,
     random_constraint,
@@ -195,54 +194,54 @@ class TestClassify:
             classify(rec, add("Navy.fleet <- Kim"))
 
 
-class TestApplyChange:
+class TestReferenceStep:
     def test_growth_side_add_still_holds(self):
         p = hazmat_policy()
         rec = register(p, hazmat_constraint(), FullTrust())
-        got = apply_change(rec, p, add(HAZMAT_ADD_9))
-        assert got.warning is not None
-        assert got.warning.cause is WarningCause.GROWTH_SIDE_ADD
-        assert got.warning.outcome is WarningOutcome.STILL_HOLDS
-        assert got.warning.recomputed
-        assert got.record.status is RecordStatus.HOLDING
+        _, warning, record = reference_step(rec, p, add(HAZMAT_ADD_9))
+        assert warning is not None
+        assert warning.cause is WarningCause.GROWTH_SIDE_ADD
+        assert warning.outcome is WarningOutcome.STILL_HOLDS
+        assert warning.recomputed
+        assert record.status is RecordStatus.HOLDING
 
     def test_second_add_violates(self):
         p = hazmat_policy()
         rec = register(p, hazmat_constraint(), FullTrust())
-        step1 = apply_change(rec, p, add(HAZMAT_ADD_9))
-        step2 = apply_change(step1.record, step1.new_state, add(HAZMAT_ADD_10))
-        assert step2.warning.outcome is WarningOutcome.NOW_VIOLATED
-        assert names(step2.warning.violators) == {"Burke"}
-        assert step2.record.status is RecordStatus.VIOLATED
+        state1, _, record1 = reference_step(rec, p, add(HAZMAT_ADD_9))
+        _, warning, record = reference_step(record1, state1, add(HAZMAT_ADD_10))
+        assert warning.outcome is WarningOutcome.NOW_VIOLATED
+        assert names(warning.violators) == {"Burke"}
+        assert record.status is RecordStatus.VIOLATED
 
     def test_support_side_remove_recomputes_sigma(self):
         p = redundant_support_policy()
         q = parse_constraint("constraint q owner A: {F} <= A.r")
         rec = register(p, q, FullTrust())
         assert role_strs(rec.support_cache) == {"A.r", "B.r"}
-        got = apply_change(rec, p, remove("B.r <- F"))
-        assert got.warning.cause is WarningCause.SUPPORT_SIDE_REMOVE
-        assert got.warning.outcome is WarningOutcome.STILL_HOLDS
-        assert role_strs(got.record.support_cache) == {"A.r", "C.r"}
+        _, warning, record = reference_step(rec, p, remove("B.r <- F"))
+        assert warning.cause is WarningCause.SUPPORT_SIDE_REMOVE
+        assert warning.outcome is WarningOutcome.STILL_HOLDS
+        assert role_strs(record.support_cache) == {"A.r", "C.r"}
 
     def test_noop_events_are_silent_for_holding_records(self):
         p = hazmat_policy()
         rec = register(p, hazmat_constraint(), FullTrust())
         # adding an existing statement, even one whose head is in gamma
-        got = apply_change(rec, p, add("ATF.hazmatTraining <- Burke"))
-        assert got.warning is None
-        assert got.new_state == p
-        assert got.record is rec
-        got = apply_change(rec, p, remove("Navy.fleet <- Kim"))
-        assert got.warning is None
+        state, warning, record = reference_step(rec, p, add("ATF.hazmatTraining <- Burke"))
+        assert warning is None
+        assert state == p
+        assert record is rec
+        _, warning, _ = reference_step(rec, p, remove("Navy.fleet <- Kim"))
+        assert warning is None
 
     def test_violated_records_recheck_every_event(self):
         p = hazmat_policy_extended()
         rec = register(p, hazmat_constraint(), FullTrust())
-        got = apply_change(rec, p, remove(HAZMAT_ADD_10))
-        assert got.warning.cause is WarningCause.RECHECK
-        assert got.warning.outcome is WarningOutcome.STILL_HOLDS
-        assert got.record.status is RecordStatus.HOLDING
+        _, warning, record = reference_step(rec, p, remove(HAZMAT_ADD_10))
+        assert warning.cause is WarningCause.RECHECK
+        assert warning.outcome is WarningOutcome.STILL_HOLDS
+        assert record.status is RecordStatus.HOLDING
 
 
 class TestRunSession:
@@ -339,10 +338,9 @@ def test_silence_is_sound(mode_factory):
             ev = _ignorable_event(rng, rec, state)
             if ev is None:
                 break
-            got = apply_change(rec, state, ev)
-            assert got.warning is None
-            assert got.record is rec
-            state = got.new_state
+            state, warning, record = reference_step(rec, state, ev)
+            assert warning is None
+            assert record is rec
             applied += 1
         if applied == 0:
             continue
@@ -368,7 +366,7 @@ def test_caches_stay_valid_without_warnings():
             ev = _ignorable_event(rng, rec, state)
             if ev is None:
                 break
-            state = apply_change(rec, state, ev).new_state
+            state = reference_step(rec, state, ev)[0]
             applied += 1
         if applied == 0:
             continue
@@ -422,12 +420,12 @@ def test_warning_violators_match_the_post_state():
         ev = ChangeEvent(
             ChangeKind.ADD, random_statement_for_state(rng, p, fresh_principal="E")
         )
-        got = apply_change(rec, p, ev)
-        if got.warning is None or got.warning.outcome is not WarningOutcome.NOW_VIOLATED:
+        state, warning, _ = reference_step(rec, p, ev)
+        if warning is None or warning.outcome is not WarningOutcome.NOW_VIOLATED:
             continue
-        exact = check_constraint(got.new_state, q)
-        assert got.warning.violators == exact.violators
-        assert got.warning.violators
+        exact = check_constraint(state, q)
+        assert warning.violators == exact.violators
+        assert warning.violators
         done += 1
     assert done >= 40, f"generator starved: only {done} violating cases"
 
@@ -619,10 +617,10 @@ def _assert_index_agrees(index, records, ev):
     assert index.reached(ev, noop=True) == sorted(index.every)
 
 
-def test_session_steps_each_record_like_apply_change():
+def test_session_steps_each_record_like_reference_step():
     # 300 seeded sessions of 5-6 constraints over 20+ events in mixed modes:
     # the session's routed replay equals stepping every record through
-    # apply_change, and the frontier index routes exactly what classify
+    # reference_step, and the frontier index routes exactly what classify
     # calls triggering, after every record replacement.
     rng = random.Random(705)
     modes = [
@@ -650,15 +648,15 @@ def test_session_steps_each_record_like_apply_change():
         for ev in log:
             _assert_index_agrees(index, records, ev)
             for i, rec in enumerate(records):
-                got = apply_change(rec, state, ev)
-                if got.warning is not None:
-                    warnings.append(got.warning)
-                moves[rec.status, got.record.status] += 1
+                new_state, warning, record = reference_step(rec, state, ev)
+                if warning is not None:
+                    warnings.append(warning)
+                moves[rec.status, record.status] += 1
                 blind += rec.status is RecordStatus.HOLDING and not rec.gamma_total
-                if got.record is not rec:
-                    index.put(i, got.record)
-                records[i] = got.record
-            state = got.new_state
+                if record is not rec:
+                    index.put(i, record)
+                records[i] = record
+            state = new_state
         assert session.final_state == state
         assert session.warnings == tuple(warnings)
         assert session.records == tuple(records)
@@ -1374,10 +1372,9 @@ def test_wildcard_sessions_match_a_fresh_register_at_every_step():
         state = p
         for ev in log:
             for i, rec in enumerate(records):
-                got = apply_change(rec, state, ev)
-                records[i] = got.record
-                moves[rec.status, got.record.status] += 1
-            state = got.new_state
+                new_state, _, records[i] = reference_step(rec, state, ev)
+                moves[rec.status, records[i].status] += 1
+            state = new_state
             for rec, (q, mode) in zip(records, regs):
                 fresh = register(state, q, mode)
                 assert rec.mode == mode
@@ -1594,8 +1591,23 @@ _MULTI_MODES = [
 ]
 
 
+def _reference_replay(p, regs, log):
+    """The warnings, final records and final state of stepping every
+    record through every event of ``log`` by :func:`reference_step`."""
+    records = [register(p, q, m) for q, m in regs]
+    warnings = []
+    state = p
+    for ev in log:
+        for i, rec in enumerate(records):
+            new_state, warning, records[i] = reference_step(rec, state, ev)
+            if warning is not None:
+                warnings.append(warning)
+        state = new_state
+    return tuple(warnings), tuple(records), state
+
+
 @pytest.mark.parametrize("mode", _MULTI_MODES, ids=["role", "credential", "restricted"])
-def test_an_event_reregistering_several_records_matches_apply_change(monkeypatch, mode):
+def test_an_event_reregistering_several_records_matches_reference_step(monkeypatch, mode):
     p = _multi_policy()
     regs = [(q, mode) for q in _multi_constraints()]
     log = parse_changelog((MULTI_FIXTURES / "multi.changes").read_text())
@@ -1612,16 +1624,38 @@ def test_an_event_reregistering_several_records_matches_apply_change(monkeypatch
         assert kinds == {"cone": 1 + len(warned)}
     assert max(Counter(id(w.event) for w in session.warnings).values()) >= 2
 
-    records = [register(p, q, m) for q, m in regs]
-    warnings = []
-    state = p
-    for ev in log:
-        for i, rec in enumerate(records):
-            got = apply_change(rec, state, ev)
-            if got.warning is not None:
-                warnings.append(got.warning)
-            records[i] = got.record
-        state = got.new_state
-    assert session.warnings == tuple(warnings)
-    assert session.records == tuple(records)
+    warnings, records, state = _reference_replay(p, regs, log)
+    assert session.warnings == warnings
+    assert session.records == records
     assert session.final_state == state
+
+
+# Each misreports one field of every warning it is given.
+_WRONG_WARNINGS = {
+    "recomputed": lambda w: dataclasses.replace(w, recomputed=not w.recomputed),
+    "cause": lambda w: dataclasses.replace(
+        w, cause=next(c for c in WarningCause if c is not w.cause)
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", _MULTI_MODES, ids=["role", "credential", "restricted"])
+@pytest.mark.parametrize("field", sorted(_WRONG_WARNINGS))
+def test_the_reference_replay_catches_a_wrong_reaction(monkeypatch, mode, field):
+    # reference_step builds its warnings without ``_react``, so a session
+    # whose ``_react`` misreports a warning differs from the reference.
+    real = rtmon.monitor._react
+
+    def wrong(*args):
+        warning, fresh = real(*args)
+        return (None if warning is None else _WRONG_WARNINGS[field](warning)), fresh
+
+    p = _multi_policy()
+    regs = [(q, mode) for q in _multi_constraints()]
+    log = parse_changelog((MULTI_FIXTURES / "multi.changes").read_text())
+    monkeypatch.setattr(rtmon.monitor, "_react", wrong)
+    session = run_session(p, regs, log)
+    assert session.warnings
+    warnings, records, _ = _reference_replay(p, regs, log)
+    assert session.records == records
+    assert session.warnings != warnings

@@ -31,7 +31,6 @@ from rtmon.parser import (
     ParseError,
     ParseErrorKind,
     SourceSpan,
-    lint_conventions,
     parse_changelog,
     parse_constraint,
     parse_constraints,
@@ -694,10 +693,3 @@ def test_parsing_arbitrary_text_is_total(text):
             assert err.span.line >= 1
             assert err.span.column >= 1
 
-
-def test_lint_flags_case_conventions():
-    p = parse_policy("alice.r <- Bob\nA.Big <- C\n")
-    warnings = lint_conventions(p)
-    assert any("alice" in w for w in warnings)
-    assert any("Big" in w for w in warnings)
-    assert lint_conventions(hazmat_policy()) == []
