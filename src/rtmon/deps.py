@@ -19,9 +19,10 @@ roles or statements.  The worklist here computes, per role and member,
 all minimal supports at once, pruning dominated supports.  Its first pass
 walks the heads of the state's index in text order and each head's list
 in order, so it fires every statement in the order of its text, and sets
-the rules apart as it goes.  A member fact's singleton support is final,
-so later passes visit only those rules, and re-fire one only when a role
-:func:`rtmon.model._reads` names for it changed.  An intersection
+the rules apart as it goes, each with its watched keys.  A member fact's
+singleton support is final, so later passes visit only the rules; one
+tick map covers roles and role names, and a visit stops at the first
+newer tick.  An intersection
 joins its parts one at a time and keeps only the minimal unions, so its
 cost grows with the number of minimal unions, not with the product of the
 parts' supports.  A cap per (role, member) bounds pathological states at
@@ -222,23 +223,22 @@ def _worklist(
     Each pass fires statements in the order of their rendered text over
     insertion-ordered supports, so the result does not depend on hash seeds
     even under the cap.  ``cap`` is at least 1.  The first pass fires every
-    statement, and a member fact fires only there: it offers the singleton
-    of its token, which stays kept.  That pass lists the rules, with the
-    roles each reads, as it fires them, and later passes visit that list
-    alone.
-    A rule fires again only when a role it reads changed since it last
-    fired (for a linked rule: its first role or any role carrying its
-    second name), or when a dominance eviction freed room under the cap in
-    its head, which may admit a candidate the cap dropped before.
+    statement; a member fact fires only there, offering the singleton of its
+    token, which stays kept.  That pass lists the rules with the keys each
+    watches, and later passes visit that list alone: one tick map stamps
+    roles and role names, and a linked rule watches its second name beside
+    the roles it reads.  A visit fires the rule again at the first watched
+    key ticked since its last firing, or when a dominance eviction freed
+    room under the cap in its head, which may admit a candidate the cap
+    dropped before.
     """
     index = p._index
-    rules: list[tuple[Statement, frozenset, tuple[Role, ...]]] = []
+    rules: list[tuple[Statement, frozenset, tuple]] = []
     cur: _Saturated = defaultdict(dict)
-    # Logical clock: a role's stamp is the tick of its last change; a rule
-    # remembers the tick at which it last fired.
+    # Logical clock: the stamp of a role, or of a role name, is the tick of
+    # its last change; a rule remembers the tick at which it last fired.
     clock = 0
-    changed_at: dict[Role, int] = {}
-    name_changed_at: dict[RoleName, int] = {}
+    changed_at: dict[Union[Role, RoleName], int] = {}
     freed_at: dict[Role, int] = {}
     fired_at: list[int] = []
     cut: list[tuple[Role, Principal, frozenset]] = []
@@ -269,12 +269,11 @@ def _worklist(
                     return
             by_member[member] = kept
         clock += 1
-        changed_at[head] = clock
-        name_changed_at[head.name] = clock
+        changed_at[head] = changed_at[head.name] = clock
         if freed and cap is not None:
             freed_at[head] = clock
 
-    def fire(stmt: Statement, tok: frozenset, inputs: tuple[Role, ...]) -> None:
+    def fire(stmt: Statement, tok: frozenset, watched: tuple) -> None:
         head, body = stmt.head, stmt.body
         if isinstance(body, SimpleInclusion):
             for member, supports in list(cur[body.source].items()):
@@ -290,7 +289,7 @@ def _worklist(
                         for sup2 in supports2:
                             offer(head, member, sup1 | sup2 | tok)
         else:
-            buckets = [cur[part] for part in inputs]
+            buckets = [cur[part] for part in watched]
             for member in list(buckets[0]):
                 if not all(member in b for b in buckets[1:]):
                     continue
@@ -310,24 +309,25 @@ def _worklist(
             if isinstance(stmt.body, SimpleMember):
                 offer(head, stmt.body.member, tok)
             else:
-                inputs = _reads(stmt)
-                rules.append((stmt, tok, inputs))
+                watched = _reads(stmt)
+                if isinstance(stmt.body, LinkingInclusion):
+                    watched += (stmt.body.second,)
+                rules.append((stmt, tok, watched))
                 fired_at.append(clock)
-                fire(stmt, tok, inputs)
+                fire(stmt, tok, watched)
     start = 0
     while clock != start:
         start = clock
-        for n, (stmt, tok, inputs) in enumerate(rules):
-            head, body = stmt.head, stmt.body
+        for n, (stmt, tok, watched) in enumerate(rules):
             last = fired_at[n]
-            if freed_at.get(head, 0) <= last:
-                stamp = max((changed_at.get(r, 0) for r in inputs), default=0)
-                if isinstance(body, LinkingInclusion):
-                    stamp = max(stamp, name_changed_at.get(body.second, 0))
-                if stamp <= last:
+            if freed_at.get(stmt.head, 0) <= last:
+                for key in watched:
+                    if changed_at.get(key, 0) > last:
+                        break
+                else:
                     continue
             fired_at[n] = clock
-            fire(stmt, tok, inputs)
+            fire(stmt, tok, watched)
     truncated = frozenset(
         head
         for head, member, support in cut

@@ -1005,9 +1005,27 @@ class TestMemberFactsFireOnce:
         assert visited == rules * (links + 1)
 
     @staticmethod
-    def _visits(monkeypatch, module, worklist, p):
-        """Statement visits after the first pass: each one polls the clock
-        stamps through one ``max`` call (a chain has no linked rule)."""
+    def _visits(monkeypatch, p):
+        """Rule visits after the first pass of ``_worklist``: each one walks
+        the rule's watched keys, a chain rule's being its ``_reads`` tuple,
+        which the first pass sets apart without walking."""
+        visits = []
+
+        class Reads(tuple):
+            def __iter__(self):
+                visits.append(self)
+                return super().__iter__()
+
+        with monkeypatch.context() as m:
+            m.setattr(rtmon.deps, "_reads", lambda stmt: Reads(_reads(stmt)))
+            _run_worklist(p, _by_head, None)
+        return len(visits)
+
+    @staticmethod
+    def _polls(monkeypatch, p):
+        """Statement visits of the polling worklist after its first pass:
+        each one polls the clock stamps through one ``max`` call (a chain
+        has no linked rule)."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -1015,18 +1033,82 @@ class TestMemberFactsFireOnce:
             return max(*args, **kwargs)
 
         with monkeypatch.context() as m:
-            m.setattr(module, "max", counted, raising=False)
-            worklist(p, _by_head, None)
+            m.setattr(oracles, "max", counted, raising=False)
+            polling_worklist(p, _by_head, None)
         return len(calls)
 
     def test_visits_after_the_first_pass_do_not_grow_with_member_facts(self, monkeypatch):
-        bare = self._visits(monkeypatch, rtmon.deps, _run_worklist, _reversed_chain(30, 0))
-        padded = self._visits(monkeypatch, rtmon.deps, _run_worklist, _reversed_chain(30, 2000))
+        bare = self._visits(monkeypatch, _reversed_chain(30, 0))
+        padded = self._visits(monkeypatch, _reversed_chain(30, 2000))
         # 31 passes after the first, each over the 30 rules.
         assert bare == padded == 31 * 30
         # The polling worklist visits every fact in every one of those passes.
-        polled = self._visits(monkeypatch, oracles, polling_worklist, _reversed_chain(30, 2000))
-        assert polled == 31 * (30 + 1 + 2000)
+        assert self._polls(monkeypatch, _reversed_chain(30, 2000)) == 31 * (30 + 1 + 2000)
+
+
+def _late_second_name_state(rng):
+    """Linked rules ``A.r <- A.r1.r2`` (owners ``A`` and ``B``) whose
+    ``Y.r2`` gain members only after the linked rule first fired: each
+    ``Y.r2`` is fed through an inclusion chain ``Y.r2 <- Y0.c <- Y1.c ...``
+    whose rules sort before the roles they read, so every pass carries the
+    members one link up, while ``A.r1`` may be complete after the first
+    pass.  Member facts on random links of each chain, a chain into
+    ``A.r1`` and a second link through a member's ``r2`` give members
+    several supports, so small caps bind."""
+    ys = rng.sample("PQRS", rng.randint(1, 3))
+    members = [f"M{i}" for i in range(rng.randint(1, 3))]
+    lines = []
+    owners = rng.sample("AB", rng.randint(1, 2))
+    for owner in owners:
+        lines.append(f"{owner}.r <- {owner}.r1.r2")
+        lines += [f"{owner}.r1 <- {y}" for y in rng.sample(ys, rng.randint(1, len(ys)))]
+    for y in ys:
+        chain = [f"{y}.r2"] + [f"{y}{k}.c" for k in range(rng.randint(1, 4))]
+        lines += [f"{chain[k]} <- {chain[k + 1]}" for k in range(len(chain) - 1)]
+        lines += [f"{rng.choice(chain)} <- {m}" for m in rng.sample(members, rng.randint(1, len(members)))]
+    if rng.random() < 0.5:
+        # A.r1 reached through a chain of its own, sorting after A.r.
+        lines += [f"{owners[0]}.r1 <- C0.c", "C0.c <- C1.c", f"C1.c <- {rng.choice(ys)}"]
+    if rng.random() < 0.5:
+        # Members of one linked role lead a second link through their r2.
+        lines += [f"D.r1 <- {owners[-1]}.r", "D.r <- D.r1.r2", f"{members[0]}.r2 <- {rng.choice(ys)}0.c"]
+    return parse_policy("".join(f"{line}\n" for line in dict.fromkeys(lines)))
+
+
+class TestOneTickMap:
+    """Later passes read one tick map for roles and role names: a linked
+    rule watches its second name beside the roles it reads, and stops
+    polling at the first watched key ticked since it last fired."""
+
+    @pytest.mark.parametrize("cap", [None, 8, 2, 1])
+    @pytest.mark.parametrize("token", [_by_head, _by_statement])
+    def test_linked_rules_match_the_polling_worklist(self, token, cap):
+        rng = random.Random(2031)
+        truncated = 0
+        for k in range(300):
+            p = _late_second_name_state(rng)
+            got, got_truncated = _run_worklist(p, token, cap)
+            want, want_truncated = polling_worklist(p, token, cap)
+            assert _in_insertion_order(got) == _in_insertion_order(want), k
+            assert got_truncated == want_truncated, k
+            truncated += bool(got_truncated)
+        if cap in (2, 1):
+            assert truncated >= 20
+
+    @pytest.mark.parametrize("cap", [None, 8, 2, 1])
+    @pytest.mark.parametrize("token", [_by_head, _by_statement])
+    def test_a_linked_rule_fires_again_when_only_its_second_name_ticks(self, token, cap):
+        # In text order the linked rule fires first, on an empty A.r1; the
+        # fact then puts Y in A.r1, and Z.s gets M last.  The second pass
+        # fires the linked rule on Y while Y.r2 is still empty, then carries
+        # M into Y.r2.  A.r1 never changes again, so only the tick of the
+        # name r2 makes the third pass fire the linked rule and reach M.
+        p = parse_policy("A.r <- A.r1.r2\nA.r1 <- Y\nY.r2 <- Z.s\nZ.s <- M\n")
+        got, truncated = _run_worklist(p, token, cap)
+        assert _in_insertion_order(got) == _in_insertion_order(polling_worklist(p, token, cap)[0])
+        assert not truncated
+        tokens = {token(s) for s in p.statements}
+        assert got[role("A.r")] == {prin("M"): [frozenset(tokens)]}
 
 
 def _pairs(js):
