@@ -19,10 +19,10 @@ roles or statements.  The worklist here computes, per role and member,
 all minimal supports at once, pruning dominated supports.  Its first pass
 walks the heads of the state's index in text order and each head's list
 in order, so it fires every statement in the order of its text, and sets
-the rules apart as it goes, each with its watched keys.  A member fact's
-singleton support is final, so later passes visit only the rules; one
-tick map covers roles and role names, and a visit stops at the first
-newer tick.  An intersection
+the rules apart as it goes, each under its watched keys.  A member fact's
+singleton support is final, so later passes fire only rules, and only
+those that a change of a watched role or role name made stale, in the
+first pass's order.  An intersection
 joins its parts one at a time and keeps only the minimal unions, so its
 cost grows with the number of minimal unions, not with the product of the
 parts' supports.  A cap per (role, member) bounds pathological states at
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Container, Iterable, Iterator, Mapping, Optional, Union
 
 from .engine import SemanticsIndex, _require_cone, evaluate
@@ -224,27 +225,34 @@ def _worklist(
     insertion-ordered supports, so the result does not depend on hash seeds
     even under the cap.  ``cap`` is at least 1.  The first pass fires every
     statement; a member fact fires only there, offering the singleton of its
-    token, which stays kept.  That pass lists the rules with the keys each
-    watches, and later passes visit that list alone: one tick map stamps
-    roles and role names, and a linked rule watches its second name beside
-    the roles it reads.  A visit fires the rule again at the first watched
-    key ticked since its last firing, or when a dominance eviction freed
-    room under the cap in its head, which may admit a candidate the cap
-    dropped before.
+    token, which stays kept.  That pass lists the rules, each under the
+    keys it watches: the roles it reads and, for a linked rule, its second
+    role name.  A firing that changes its head marks stale the rules
+    watching the head or its name and, when a dominance eviction freed room
+    under the cap, the rules heading it, which may now admit a candidate
+    the cap dropped before.  A stale rule after the one fired fires later
+    in the same pass, one at or before it in the next, so a rule fires
+    again exactly when something it watches changed since its last firing,
+    and later passes fire no other rule.
     """
     index = p._index
     rules: list[tuple[Statement, frozenset, tuple]] = []
     cur: _Saturated = defaultdict(dict)
-    # Logical clock: the stamp of a role, or of a role name, is the tick of
-    # its last change; a rule remembers the tick at which it last fired.
-    clock = 0
-    changed_at: dict[Union[Role, RoleName], int] = {}
-    freed_at: dict[Role, int] = {}
-    fired_at: list[int] = []
+    # The positions in ``rules`` of the rules watching each role or role
+    # name, and the range of those heading each role.
+    readers: dict[Union[Role, RoleName], list[int]] = defaultdict(list)
+    heading: dict[Role, range] = {}
+    # Stale rules: ``now`` (a heap) fire later in this pass, ``later`` in
+    # the next; ``queued`` flags the positions held in either.
+    now: list[int] = []
+    later: list[int] = []
+    queued: list[bool] = []
+    # Set by ``offer``, cleared after each statement fired: it changes one head.
+    changed = freed_room = False
     cut: list[tuple[Role, Principal, frozenset]] = []
 
     def offer(head: Role, member: Principal, support: frozenset) -> None:
-        nonlocal clock
+        nonlocal changed, freed_room
         by_member = cur[head]
         supports = by_member.get(member)
         if supports is None:
@@ -268,10 +276,23 @@ def _worklist(
                 if any(s is support for s in dropped):
                     return
             by_member[member] = kept
-        clock += 1
-        changed_at[head] = changed_at[head.name] = clock
+        changed = True
         if freed and cap is not None:
-            freed_at[head] = clock
+            freed_room = True
+
+    def mark(head: Role, pos: int, below: int, freed: Iterable[int]) -> None:
+        """Queue the rules before position ``below`` that a change of
+        ``head`` made stale: those watching ``head`` or its name, and those
+        in ``freed``, the rules heading it when an eviction freed room under
+        the cap.  A rule after ``pos`` fires later in this pass, one at or
+        before it in the next."""
+        for q in [*readers.get(head, ()), *readers.get(head.name, ()), *freed]:
+            if q < below and not queued[q]:
+                queued[q] = True
+                if q > pos:
+                    heappush(now, q)
+                else:
+                    later.append(q)
 
     def fire(stmt: Statement, tok: frozenset, watched: tuple) -> None:
         head, body = stmt.head, stmt.body
@@ -296,13 +317,16 @@ def _worklist(
                 for support in _join(tok, [b[member] for b in buckets]):
                     offer(head, member, support)
 
-    # The first pass.  A rule's slot in ``fired_at`` is its position in
-    # ``rules``.  A fact's singleton stays kept: only the empty set is a
-    # proper subset of it, and every singleton candidate for its (role,
+    # The first pass.  A fact's singleton stays kept: only the empty set is
+    # a proper subset of it, and every singleton candidate for its (role,
     # member) equals it, so the cap, which keeps the smallest first, never
-    # cuts it.  Firing the fact again would offer it again.
+    # cuts it.  Firing the fact again would offer it again.  A change makes
+    # stale only the rules listed before it, all at or before the statement
+    # fired, so this pass marks each head once, after its last statement,
+    # and every mark goes to the next pass.
     for head in sorted((h for h in index if heads is None or h in heads), key=str):
         tok = frozenset((head,))
+        first_rule, stale_below, freed_below = len(rules), 0, 0
         for stmt in index[head]:
             if by_statement:
                 tok = frozenset((stmt,))
@@ -312,22 +336,29 @@ def _worklist(
                 watched = _reads(stmt)
                 if isinstance(stmt.body, LinkingInclusion):
                     watched += (stmt.body.second,)
-                rules.append((stmt, tok, watched))
-                fired_at.append(clock)
-                fire(stmt, tok, watched)
-    start = 0
-    while clock != start:
-        start = clock
-        for n, (stmt, tok, watched) in enumerate(rules):
-            last = fired_at[n]
-            if freed_at.get(stmt.head, 0) <= last:
                 for key in watched:
-                    if changed_at.get(key, 0) > last:
-                        break
-                else:
-                    continue
-            fired_at[n] = clock
+                    readers[key].append(len(rules))
+                rules.append((stmt, tok, watched))
+                queued.append(False)
+                fire(stmt, tok, watched)
+            if changed:
+                stale_below = len(rules)
+                if freed_room:
+                    freed_below = len(rules)
+                changed = freed_room = False
+        heading[head] = range(first_rule, len(rules))
+        if stale_below:
+            mark(head, stale_below, stale_below, range(first_rule, freed_below))
+    while later:
+        now, later = sorted(later), []
+        while now:
+            pos = heappop(now)
+            queued[pos] = False
+            stmt, tok, watched = rules[pos]
             fire(stmt, tok, watched)
+            if changed:
+                mark(stmt.head, pos, len(rules), heading[stmt.head] if freed_room else ())
+                changed = freed_room = False
     truncated = frozenset(
         head
         for head, member, support in cut

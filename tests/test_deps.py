@@ -45,6 +45,7 @@ from rtmon.model import (
     PolicyState,
     PrincipalSet,
     RoleRef,
+    SimpleInclusion,
     SimpleMember,
     Statement,
     TOP,
@@ -943,7 +944,7 @@ def _reversed_chain(links, facts):
 
 
 class TestMemberFactsFireOnce:
-    """The worklist's later passes visit only rules: a member fact fires in
+    """The worklist's later passes fire only rules: a member fact fires in
     the first pass and never again."""
 
     def test_entries_and_truncation_match_the_polling_worklist(self):
@@ -965,7 +966,28 @@ class TestMemberFactsFireOnce:
         # Random, fan and chain states all reach the cap somewhere.
         assert min(truncated[kind] for kind in range(3)) >= 20
 
-    def test_later_passes_visit_the_rules_the_first_pass_set_apart_in_its_order(
+    @staticmethod
+    def _firings(monkeypatch, p, worklist):
+        """The rules ``worklist`` fires on ``p`` (a state of simple
+        inclusions and facts, each rule with a body of its own), in order.
+        A rule's body gives up its ``source`` to ``_reads`` as the rule is
+        set apart and to ``__str__`` as it is rendered; any other read is a
+        firing."""
+        by_body = {id(s.body): s for s in p.statements}
+        slot = SimpleInclusion.__dict__["source"]
+        fired = []
+
+        def logged(body):
+            if sys._getframe(1).f_code.co_name not in ("_reads", "__str__"):
+                fired.append(by_body[id(body)])
+            return slot.__get__(body)
+
+        with monkeypatch.context() as m:
+            m.setattr(SimpleInclusion, "source", property(logged))
+            worklist(p, _by_head, None)
+        return fired
+
+    def test_later_passes_fire_the_stale_rules_in_the_order_the_first_pass_set_them_apart(
         self, monkeypatch
     ):
         # Each link's fact sorts before its rule and a fact of another role
@@ -979,47 +1001,15 @@ class TestMemberFactsFireOnce:
         facts = [isinstance(s.body, SimpleMember) for s in in_text_order]
         assert facts[:4] == [True, False, True, True]
         rules = [s for s, fact in zip(in_text_order, facts) if not fact]
-        set_apart, visited = [], []
-
-        class Reads(tuple):
-            """A rule's read roles, logging the rule whenever a pass polls
-            them (a simple inclusion reads them nowhere else)."""
-
-            def __iter__(self):
-                visited.append(self.stmt)
-                return super().__iter__()
-
-        def logged_reads(stmt):
-            # The first pass reads the roles of each rule as it sets it apart.
-            set_apart.append(stmt)
-            logged = Reads(_reads(stmt))
-            logged.stmt = stmt
-            return logged
-
-        monkeypatch.setattr(rtmon.deps, "_reads", logged_reads)
-        _worklist(p, None)
-        assert set_apart == rules
+        fired = self._firings(monkeypatch, p, _run_worklist)
+        assert fired[:links] == rules
         # Each rule fires before the facts of the role it reads, so every
-        # later pass carries each member one link up the chain: six passes
-        # bring M to L0.r, and a seventh changes nothing.
-        assert visited == rules * (links + 1)
-
-    @staticmethod
-    def _visits(monkeypatch, p):
-        """Rule visits after the first pass of ``_worklist``: each one walks
-        the rule's watched keys, a chain rule's being its ``_reads`` tuple,
-        which the first pass sets apart without walking."""
-        visits = []
-
-        class Reads(tuple):
-            def __iter__(self):
-                visits.append(self)
-                return super().__iter__()
-
-        with monkeypatch.context() as m:
-            m.setattr(rtmon.deps, "_reads", lambda stmt: Reads(_reads(stmt)))
-            _run_worklist(p, _by_head, None)
-        return len(visits)
+        # later pass carries each member one link up the chain, firing the
+        # rules whose source changed in the pass before.  L6.r stops
+        # changing first, then L5.r, and so on, so each pass fires one rule
+        # fewer: six passes bring M to L0.r.
+        assert fired[links:] == [s for n in range(links, 0, -1) for s in rules[:n]]
+        assert fired == self._firings(monkeypatch, p, polling_worklist)
 
     @staticmethod
     def _polls(monkeypatch, p):
@@ -1037,12 +1027,16 @@ class TestMemberFactsFireOnce:
             polling_worklist(p, _by_head, None)
         return len(calls)
 
-    def test_visits_after_the_first_pass_do_not_grow_with_member_facts(self, monkeypatch):
-        bare = self._visits(monkeypatch, _reversed_chain(30, 0))
-        padded = self._visits(monkeypatch, _reversed_chain(30, 2000))
-        # 31 passes after the first, each over the 30 rules.
-        assert bare == padded == 31 * 30
-        # The polling worklist visits every fact in every one of those passes.
+    def test_firings_after_the_first_pass_track_the_roles_changed(self, monkeypatch):
+        bare = self._firings(monkeypatch, _reversed_chain(30, 0), _run_worklist)
+        padded = self._firings(monkeypatch, _reversed_chain(30, 2000), _run_worklist)
+        # The first pass fires the 30 rules on empty sources; then each
+        # later pass fires the one rule whose source gained M, from the last
+        # link to the first, and no other.
+        assert len(bare) == len(padded) == 30 + 30
+        assert bare[30:] == padded[30:] == bare[29::-1]
+        assert bare == self._firings(monkeypatch, _reversed_chain(30, 0), polling_worklist)
+        # The polling worklist visits every rule and fact in every pass.
         assert self._polls(monkeypatch, _reversed_chain(30, 2000)) == 31 * (30 + 1 + 2000)
 
 
@@ -1076,9 +1070,9 @@ def _late_second_name_state(rng):
 
 
 class TestOneTickMap:
-    """Later passes read one tick map for roles and role names: a linked
-    rule watches its second name beside the roles it reads, and stops
-    polling at the first watched key ticked since it last fired."""
+    """Roles and role names mark their readers alike: a linked rule
+    watches its second name beside the roles it reads, and fires again
+    when any of them changed since it last fired."""
 
     @pytest.mark.parametrize("cap", [None, 8, 2, 1])
     @pytest.mark.parametrize("token", [_by_head, _by_statement])
@@ -1101,7 +1095,7 @@ class TestOneTickMap:
         # In text order the linked rule fires first, on an empty A.r1; the
         # fact then puts Y in A.r1, and Z.s gets M last.  The second pass
         # fires the linked rule on Y while Y.r2 is still empty, then carries
-        # M into Y.r2.  A.r1 never changes again, so only the tick of the
+        # M into Y.r2.  A.r1 never changes again, so only the change of the
         # name r2 makes the third pass fire the linked rule and reach M.
         p = parse_policy("A.r <- A.r1.r2\nA.r1 <- Y\nY.r2 <- Z.s\nZ.s <- M\n")
         got, truncated = _run_worklist(p, token, cap)
@@ -1109,6 +1103,28 @@ class TestOneTickMap:
         assert not truncated
         tokens = {token(s) for s in p.statements}
         assert got[role("A.r")] == {prin("M"): [frozenset(tokens)]}
+
+
+def test_an_eviction_under_the_cap_fires_the_rules_heading_the_role_again():
+    # At cap 2, C.r's member N first keeps two supports through A.r's early
+    # ones.  When a smaller support of A.r evicts them, the rules heading
+    # C.r fire again although no role they read changed since, and so reach
+    # the second support, which the cap had cut while there was no room.
+    p = parse_policy(
+        "A.r <- A.r & F.r\nA.r <- E.r & F.r\nA.r <- E.r & G.r\nA.r <- F.r\n"
+        "C.r <- A.r & G.r\nC.r <- A.r & H.r\nC.r <- G.r\nD.r <- A.r\n"
+        "D.r <- N\nE.r <- A.r\nE.r <- N\nF.r <- D.r\n"
+        "G.r <- D.r\nH.r <- B.r\nH.r <- D.r\nH.r <- M\n"
+        "I.r <- M\n"
+    )
+    got, truncated = _run_worklist(p, _by_head, 2)
+    want, want_truncated = polling_worklist(p, _by_head, 2)
+    assert _in_insertion_order(got) == _in_insertion_order(want)
+    assert truncated == want_truncated == frozenset()
+    assert got[role("C.r")][prin("N")] == [
+        frozenset(map(role, ["C.r", "D.r", "G.r"])),
+        frozenset(map(role, ["A.r", "C.r", "D.r", "F.r", "H.r"])),
+    ]
 
 
 def _pairs(js):
