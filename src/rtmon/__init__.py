@@ -54,8 +54,6 @@ from .analysis import (
     bounds,
     check_bounded_containment,
     core,
-    eval_lower,
-    eval_upper,
     gamma_restricted_expr,
     lower_bound,
     upper_bound,

@@ -2,13 +2,14 @@
 
 A role monitor splits the world into roles whose growth is observable and
 roles whose shrinkage is observable.  Everything else may drift silently,
-so exact membership is replaced by a pair of bounds, both seeded runs of
-the evaluator of :mod:`rtmon.engine` on the state's one index: the
-lower bound holds roles outside the shrink-trusted set at the empty set,
-so only shrink-trusted definitions count; the upper bound holds roles
-outside the growth-trusted set at the universe, current principals plus
-the reserved ``TOP`` for principals not seen yet.  Both are sparse, and
-:class:`BoundIndex` supplies the bound of every role they leave out.
+so exact membership is replaced by a pair of bounds, both runs of the
+evaluator of :mod:`rtmon.engine` on the state's one index with each held
+role at a set of its own.  :func:`_below` holds roles outside the
+shrink-trusted set at the empty set, so only shrink-trusted definitions
+count; :func:`_above` holds roles of ``TOP`` and roles outside the
+growth-trusted set at the universe, current principals plus the reserved
+``TOP`` for principals not seen yet.  Both bounds are sparse, and
+:class:`BoundIndex` reads the roles they leave out by the same rules.
 
 Every pass asks the monitor's trusted sets only ``role in ...``, so a set
 may be :data:`~rtmon.model.EVERY_ROLE` and is never expanded to the roles
@@ -23,9 +24,9 @@ stay inside the core, giving the monitor an add-side frontier it can
 actually observe.
 
 A state keeps what is derived from it here: its lower bound per
-shrink-trusted set, its upper bound and core per growth-trusted set, and
-both bounds per monitor.  Each is computed once per state, however many
-constraints read it.
+shrink-trusted set, its upper bound with its held rule and its core per
+growth-trusted set, and both bounds per monitor.  Each is computed once
+per state, however many constraints read it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Container, Mapping
 
 from .deps import _growth_roles
-from .engine import _saturate, _walk_expr
+from .engine import _EMPTY, Held, _saturate, _walk_expr
 from .model import (
     Constraint,
     PolicyState,
@@ -54,8 +55,6 @@ __all__ = [
     "lower_bound",
     "upper_bound",
     "bounds",
-    "eval_lower",
-    "eval_upper",
     "core",
     "gamma_restricted_expr",
     "check_bounded_containment",
@@ -69,29 +68,23 @@ Bound = Mapping[Role, frozenset[Principal]]
 class BoundIndex:
     """Lower/upper membership bounds of one state, held sparsely.
 
-    ``lower`` holds the roles with a non-empty lower bound and ``upper`` the
-    growth-trusted roles with a non-empty upper bound.  Read any role
-    through :meth:`lower_of` and :meth:`upper_of`: an absent role takes the
-    bound its trust status dictates, empty below, and above either empty
-    (growth-trusted, so no unobserved statements can appear) or the full
-    universe.
+    ``lower`` and ``upper`` hold the computed roles with a non-empty bound,
+    and ``above`` is the upper bound's held rule.  Read any role through
+    :meth:`lower_of` and :meth:`upper_of`: an absent role is empty below;
+    above, it reads as its held set, the universe, or is empty
+    (growth-trusted, so no unobserved statements can appear).
     """
 
     lower: Bound
     upper: Bound
-    universe: frozenset[Principal]
-    monitor: RoleMonitor
+    above: Held
 
     def lower_of(self, role: Role) -> frozenset[Principal]:
-        return self.lower.get(role, frozenset())
+        return self.lower.get(role, _EMPTY)
 
     def upper_of(self, role: Role) -> frozenset[Principal]:
-        if role.owner == TOP:
-            return self.universe
-        got = self.upper.get(role)
-        if got is not None:
-            return got
-        return frozenset() if role in self.monitor.growth_trusted else self.universe
+        held = self.above(role)
+        return self.upper.get(role, _EMPTY) if held is None else held
 
 
 @dataclass(frozen=True)
@@ -114,34 +107,39 @@ def lower_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     set: only the statements heading a shrink-trusted role count.
     """
     s = r.shrink_trusted
-    return p._derived(
-        "lower", s, lambda: _saturate(p._index, fixed=lambda role: role not in s).members
-    )
+    return p._derived("lower", s, lambda: _saturate(p._index, held=_below(s)).members)
+
+
+def _below(s: Container[Role]) -> Held:
+    """The lower bound's held rule for the shrink-trusted set ``s``: the
+    empty set for a role outside ``s``."""
+    return lambda role: None if role in s else _EMPTY
 
 
 def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     """Largest membership reachable through unobserved additions, for the
-    growth-trusted roles that have members.
-
-    Roles outside the growth-trusted set hold the full universe (current
-    principals plus ``TOP``), and so does every role of the form ``TOP.x``,
-    which a linked role reaches when it walks through an untrusted first
-    component.  The evaluator holds both at the universe without storing
-    them.
-    """
-    return _upper(p, r.growth_trusted)
+    growth-trusted roles that have members; the roles :func:`_above` holds
+    at the universe are not stored."""
+    return _upper(p, r.growth_trusted)[1]
 
 
-def _upper(p: PolicyState, g: Container[Role]) -> Bound:
-    """:func:`upper_bound` for the growth-trusted set ``g``, a frozenset or
-    :data:`~rtmon.model.EVERY_ROLE`: the one entry of ``p`` that the
-    bounds, the core and the restricted growth walk read."""
+def _above(p: PolicyState, g: Container[Role]) -> Held:
+    """The upper bound's held rule for the growth-trusted set ``g``: the
+    universe (current principals plus ``TOP``) for a role outside ``g``,
+    and for every role of the form ``TOP.x``, which a linked role reaches
+    when it walks through an untrusted first component."""
+    universe = p.principals | {TOP}
+    return lambda role: universe if role.owner == TOP or role not in g else None
 
-    def fixed(role: Role) -> bool:
-        return role.owner == TOP or role not in g
 
-    def compute() -> Bound:
-        return _saturate(p._index, fixed=fixed, universe=p.principals | {TOP}).members
+def _upper(p: PolicyState, g: Container[Role]) -> tuple[Held, Bound]:
+    """The held rule and the upper bound for the growth-trusted set ``g``,
+    a frozenset or :data:`~rtmon.model.EVERY_ROLE`: the one entry of ``p``
+    that the bounds, the core and the restricted growth walk read."""
+
+    def compute() -> tuple[Held, Bound]:
+        above = _above(p, g)
+        return above, _saturate(p._index, held=above).members
 
     return p._derived("upper", g, compute)
 
@@ -151,21 +149,8 @@ def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
     return p._derived(
         "bounds",
         r,
-        lambda: BoundIndex(
-            lower=lower_bound(p, r),
-            upper=upper_bound(p, r),
-            universe=p.principals | {TOP},
-            monitor=r,
-        ),
+        lambda: BoundIndex(lower_bound(p, r), upper_bound(p, r), _upper(p, r.growth_trusted)[0]),
     )
-
-
-def eval_lower(idx: BoundIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
-    return _walk_expr(expr, idx.lower_of)
-
-
-def eval_upper(idx: BoundIndex, expr: PositiveRoleExpr) -> frozenset[Principal]:
-    return _walk_expr(expr, idx.upper_of)
 
 
 def core(p: PolicyState, g: Container[Role]) -> CoreSet:
@@ -179,7 +164,9 @@ def core(p: PolicyState, g: Container[Role]) -> CoreSet:
     return p._derived(
         "core",
         g,
-        lambda: CoreSet(g, frozenset(role for role, found in _upper(p, g).items() if TOP in found)),
+        lambda: CoreSet(
+            g, frozenset(role for role, found in _upper(p, g)[1].items() if TOP in found)
+        ),
     )
 
 
@@ -190,7 +177,7 @@ def gamma_restricted_expr(
     g = _frozen(g)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return _growth_roles(p._index, roles_of(expr), _upper(p, g), core(p, g))
+    return _growth_roles(p._index, roles_of(expr), _upper(p, g)[1], core(p, g))
 
 
 @dataclass(frozen=True)
@@ -198,24 +185,18 @@ class BoundedCheck:
     """Outcome of the conservative containment test.
 
     When it holds, no unobserved drift of the untrusted roles can break
-    the constraint; witnesses are the upper-bound members of the left side
-    that the lower bound of the right side cannot cover (possibly ``TOP``).
+    the constraint; witnesses are the members of ``lhs_upper``, the upper
+    bound of the left side, that the lower bound of the right side cannot
+    cover (possibly ``TOP``).
     """
 
     holds: bool
     witnesses: frozenset[Principal]
     lhs_upper: frozenset[Principal]
-    rhs_lower: frozenset[Principal]
 
 
 def check_bounded_containment(p: PolicyState, r: RoleMonitor, q: Constraint) -> BoundedCheck:
     idx = bounds(p, r)
-    lhs_upper = eval_upper(idx, q.lhs)
-    rhs_lower = eval_lower(idx, q.rhs)
-    witnesses = lhs_upper - rhs_lower
-    return BoundedCheck(
-        holds=not witnesses,
-        witnesses=frozenset(witnesses),
-        lhs_upper=lhs_upper,
-        rhs_lower=rhs_lower,
-    )
+    lhs_upper = _walk_expr(q.lhs, idx.upper_of)
+    witnesses = lhs_upper - _walk_expr(q.rhs, idx.lower_of)
+    return BoundedCheck(not witnesses, witnesses, lhs_upper)

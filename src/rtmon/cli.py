@@ -9,10 +9,9 @@ Every invocation produces one report; ``--format machine`` renders it as a
 single JSON document with stable field names.  Exit codes: 0 all checks
 hold, 1 a check or constraint is violated, 2 input error (an input that
 cannot be read or parsed, or an ``--out`` file that cannot be written), 3
-(``analyze`` only) monitoring could not be established (no admissible
-support), 4 internal error (the tool failed; no verdict was reached).
-``analyze`` never exits 1: a violated bound always leaves some member
-without a support, so it exits 3.
+(``analyze`` only) monitoring could not be established: the record
+``register`` makes under restricted trust is bound-violated, 4 internal
+error (the tool failed; no verdict was reached).  ``analyze`` never exits 1.
 """
 
 from __future__ import annotations
@@ -23,22 +22,18 @@ import json
 import sys
 from typing import Optional
 
-from .analysis import check_bounded_containment, core, gamma_restricted_expr
-from .deps import (
-    DEFAULT_SUPPORT_CAP,
-    NoSupport,
-    gamma_expr,
-    justified_semantics,
-    support_for_constraint,
-)
+from .analysis import core, gamma_restricted_expr
+from .deps import DEFAULT_SUPPORT_CAP, gamma_expr, justified_semantics, support_for_constraint
 from .engine import check_constraint, eval_expr, evaluate
 from .model import EVERY_ROLE, roles_of
 from .monitor import (
     FullTrust,
     FullTrustCredential,
     MonitorMode,
+    RecordStatus,
     RestrictedTrust,
     WarningOutcome,
+    register,
     run_session,
 )
 from .parser import (
@@ -191,33 +186,29 @@ def cmd_analyze(args) -> dict:
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
     monitor = _load(args.monitor, parse_monitor, inputs, "monitor")
     g = monitor.growth_trusted
+    mode = RestrictedTrust(monitor)
     verdicts = []
-    unestablished = False
     for q in constraints:
-        chk = check_bounded_containment(state, monitor, q)
-        growth = gamma_restricted_expr(state, g, q.lhs)
+        rec = register(state, q, mode)
+        holds = rec.status is RecordStatus.HOLDING
         entry: dict = {
             "id": q.id,
-            "holds": chk.holds,
-            "witnesses": _names(chk.witnesses),
-            "gamma_restricted": _texts(growth),
+            "holds": holds,
+            "witnesses": _names(rec.violators),
+            "gamma_restricted": _texts(
+                rec.gamma_cache if holds else gamma_restricted_expr(state, g, q.lhs)
+            ),
+            "support": _texts(rec.support_cache) if holds else None,
+            "established": holds,
         }
-        try:
-            support = support_for_constraint(state, chk.lhs_upper, q.rhs, monitor.shrink_trusted)
-            entry["support"] = _texts(support)
-            entry["established"] = True
-        except NoSupport as exc:
-            entry["support"] = None
-            entry["established"] = False
-            entry["unsupported_member"] = exc.member.name
-            unestablished = True
+        if not holds:
+            # The support search, in name order, stops at the least witness.
+            entry["unsupported_member"] = min(rec.violators, key=str).name
         verdicts.append(entry)
     listed = state.roles if g is EVERY_ROLE else g
     result = {"core": _texts(listed - core(state, g).expelled), "constraints": verdicts}
-    # The support is sought over the shrink-trusted heads, so it exists
-    # exactly for the right side's lower-bound members: a witness has none.
-    exit_code = EXIT_UNESTABLISHED if unestablished else EXIT_OK
-    return _report("analyze", inputs, result, exit_code)
+    held = all(v["holds"] for v in verdicts)
+    return _report("analyze", inputs, result, EXIT_OK if held else EXIT_UNESTABLISHED)
 
 
 def cmd_monitor(args) -> dict:

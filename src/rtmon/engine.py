@@ -11,9 +11,9 @@ runs semi-naive rounds: a rule fires only on the members its inputs gained
 in the previous round, joined with what the other inputs already hold.
 :func:`evaluate` runs it on the whole state, or goal-directed on the cone
 of some roots, indexing a role's rules only when the role is found to
-matter.  Results are independent of statement order.  Seeded with fixed
-roles, the same loop on the same index gives both bounds of restricted
-trust.
+matter.  Results are independent of statement order.  With some roles
+held, each at a set of its own, the same loop on the same index gives
+both bounds of restricted trust.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ class SemanticsIndex:
 
 _EMPTY: frozenset[Principal] = frozenset()
 
+#: The set a held role reads as, or ``None`` for a role the run computes.
+Held = Callable[[Role], Optional[frozenset[Principal]]]
+
 
 def evaluate(p: PolicyState, roots: Optional[Iterable[Role]] = None) -> SemanticsIndex:
     """Role membership in ``p``: of every role with members, or with
@@ -83,17 +86,16 @@ def evaluate(p: PolicyState, roots: Optional[Iterable[Role]] = None) -> Semantic
 def _saturate(
     index: Mapping[Role, list[Statement]],
     roots: Optional[Iterable[Role]] = None,
-    fixed: Optional[Callable[[Role], bool]] = None,
-    universe: frozenset[Principal] = _EMPTY,
+    held: Optional[Held] = None,
 ) -> SemanticsIndex:
-    """Least model of the statements of ``index`` with the roles ``fixed``
-    selects held at ``universe``, on every role or on the cone of ``roots``.
+    """Least model of the statements of ``index`` with each role that
+    ``held`` gives a set held at it, on every role or on the cone of ``roots``.
 
-    A fixed role is never stored and never gains: statements heading it are
-    skipped, reading it returns ``universe``, and it enters the next round
+    A held role is never stored and never gains: statements heading it are
+    skipped, reading it returns its held set, and it enters the next round
     as new members for every rule indexed as reading it by name.  Without
-    ``fixed`` this is exact membership; with an empty ``universe`` it is
-    membership in the state restricted to the heads ``fixed`` leaves out.
+    ``held`` this is exact membership; with every held set empty it is
+    membership in the state restricted to the heads it computes.
 
     Rules are indexed by the roles they read, and linked rules also by the
     name of their second role; the facts are the first round's new members.
@@ -116,8 +118,8 @@ def _saturate(
     rounds = 0
 
     def read(role: Role) -> frozenset[Principal]:
-        if fixed is not None and fixed(role):
-            return universe
+        if held is not None and (got := held(role)) is not None:
+            return got
         return members.get(role, _EMPTY)
 
     def gain(head: Role, found: Iterable[Principal]) -> None:
@@ -140,14 +142,14 @@ def _saturate(
         reads = _reads(stmt)
         for role in reads:
             readers[role].append(stmt)
-            if fixed is not None and fixed(role):
-                # The shared object: a fixed role never gains, so its entry
+            if held is not None and (got := held(role)) is not None:
+                # The shared object: a held role never gains, so its entry
                 # is never updated in place.
-                fresh[role] = universe
+                fresh[role] = got
             elif rounds and role in members:
                 fresh.setdefault(role, set()).update(members[role])
         if isinstance(stmt.body, LinkingInclusion):
-            # A fixed second component ``Y.r2`` is read at ``universe``
+            # A held second component ``Y.r2`` is read at its held set
             # when the walk from the first component reaches ``Y``.
             linked[stmt.body.second].append(stmt)
         return reads
@@ -173,7 +175,7 @@ def _saturate(
         work = [root]
         while work:
             role = work.pop()
-            if fixed is not None and fixed(role):
+            if held is not None and held(role) is not None:
                 continue
             for read_role in take(role):
                 if read_role not in cone:
@@ -182,7 +184,7 @@ def _saturate(
 
     if roots is None:
         for head in index:
-            if fixed is None or not fixed(head):
+            if held is None or held(head) is None:
                 take(head)
     else:
         cone = set()

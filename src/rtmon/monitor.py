@@ -54,9 +54,9 @@ with the batch's roles as roots, its ``demand``, which the first
 registration of the batch makes; it finds the cone as it evaluates and
 indexes only the cone's rules.  The support worklist still covers the
 whole snapshot, once per admissible set.  Under restricted trust, both
-bounds of a monitor are one evaluation each of every head of the index, with
-the untrusted roles held fixed, and the core is read off the upper bound.
-Each record adds only its check, growth closure walk and support picks.
+bounds of a monitor are one evaluation each of every head of the index, each
+untrusted role held at a set of its own, and the core is read off the upper
+bound.  Each record adds only its check, growth closure walk and support picks.
 """
 
 from __future__ import annotations

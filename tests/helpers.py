@@ -6,7 +6,7 @@ import sys
 import rtmon.engine
 import rtmon.model
 from rtmon.deps import DEFAULT_SUPPORT_CAP, justified_semantics
-from rtmon.model import PolicyState, Principal, Role, RoleName
+from rtmon.model import PolicyState, Principal, Role, RoleName, TOP
 from rtmon.parser import parse_constraint, parse_policy, parse_statement
 
 # Emergency-response scenario: a tightly-held database role, a personnel
@@ -152,20 +152,26 @@ def count_calls(monkeypatch, real) -> list:
     return calls
 
 
+# A role no monitor trusts: the lower bound holds it at the empty set, the
+# upper bound at the universe, which holds ``TOP``.
+_TOP_ROLE = Role(TOP, RoleName("r"))
+
+
 def count_saturations(monkeypatch) -> list:
     """What each run of the one membership loop computes, in call order:
     ``"cone"`` or ``"whole"`` membership, or the ``"lower"`` or ``"upper"``
-    bound, with the index it reads."""
+    bound, told apart by the set their held rule gives a role of ``TOP``,
+    with the index it reads."""
     calls = []
     real = rtmon.engine._saturate
 
-    def spy(index, roots=None, fixed=None, universe=frozenset()):
-        if fixed is not None:
-            kind = "upper" if universe else "lower"
+    def spy(index, roots=None, held=None):
+        if held is not None:
+            kind = "upper" if TOP in held(_TOP_ROLE) else "lower"
         else:
             kind = "whole" if roots is None else "cone"
         calls.append((kind, index))
-        return real(index, roots, fixed, universe)
+        return real(index, roots, held)
 
     patch_everywhere(monkeypatch, real, spy)
     return calls

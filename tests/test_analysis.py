@@ -7,14 +7,12 @@ from rtmon.analysis import (
     bounds,
     check_bounded_containment,
     core,
-    eval_lower,
-    eval_upper,
     gamma_restricted_expr,
     lower_bound,
     upper_bound,
 )
 from rtmon.deps import gamma, justified_semantics
-from rtmon.engine import check_constraint, evaluate, role_members
+from rtmon.engine import _walk_expr, check_constraint, evaluate, role_members
 from rtmon.model import (
     Constraint,
     PolicyState,
@@ -354,19 +352,22 @@ def test_expression_bounds_follow_the_structure():
     monitor = dept_excluded_monitor(p)
     idx = bounds(p, monitor)
     q = hazmat_constraint()
-    assert eval_upper(idx, q.lhs) == frozenset(
+    assert _walk_expr(q.lhs, idx.upper_of) == frozenset(
         {prin("Rollins"), prin("Burke"), prin("OConnel")}
     )
-    assert eval_lower(idx, q.rhs) == frozenset({prin("Rollins")})
+    assert _walk_expr(q.rhs, idx.lower_of) == frozenset({prin("Rollins")})
     static = PrincipalSet(frozenset({prin("Zoe")}))
-    assert eval_upper(idx, static) == eval_lower(idx, static) == static.members
+    assert _walk_expr(static, idx.upper_of) == _walk_expr(static, idx.lower_of) == static.members
+    chk = check_bounded_containment(p, monitor, q)
+    assert chk.lhs_upper == _walk_expr(q.lhs, idx.upper_of)
+    assert chk.witnesses == frozenset({prin("Burke"), prin("OConnel")})
 
 
 def test_bound_walkers_reject_unknown_nodes():
     idx = bounds(hazmat_policy(), RoleMonitor())
-    for walk in (eval_lower, eval_upper):
+    for read in (idx.lower_of, idx.upper_of):
         with pytest.raises(TypeError):
-            walk(idx, object())
+            _walk_expr(object(), read)
 
 
 def test_gamma_restricted_expr_unions_roles():

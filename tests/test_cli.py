@@ -15,8 +15,19 @@ import rtmon.deps
 import rtmon.engine
 import rtmon.monitor
 import rtmon.parser
+from rtmon.analysis import check_bounded_containment, core, gamma_restricted_expr
 from rtmon.cli import main
-from rtmon.parser import serialize_constraint, serialize_monitor, serialize_policy
+from rtmon.deps import NoSupport, support_for_constraint
+from rtmon.model import EVERY_ROLE, RoleMonitor
+from rtmon.monitor import RecordStatus, RestrictedTrust, register
+from rtmon.parser import (
+    parse_constraints,
+    parse_monitor,
+    parse_policy,
+    serialize_constraint,
+    serialize_monitor,
+    serialize_policy,
+)
 
 from helpers import count_calls, count_saturations, role
 from randgen import biased_satisfied_constraint, random_constraint, random_monitor, random_state
@@ -297,6 +308,85 @@ class TestAnalyze:
             assert rc == (3 if violated else 0)
             runs[violated] += 1
         assert runs[True] >= 50 and runs[False] >= 50
+
+
+def _entry_from_record(p, q, monitor) -> dict:
+    """The ``analyze`` entry of ``q``, read off what registering it under
+    restricted trust records, with the restricted growth set of a violated
+    bound, which no record keeps."""
+    rec = register(p, q, RestrictedTrust(monitor))
+    holds = rec.status is RecordStatus.HOLDING
+    growth = rec.gamma_cache if holds else gamma_restricted_expr(p, monitor.growth_trusted, q.lhs)
+    entry = {
+        "id": q.id,
+        "holds": holds,
+        "witnesses": sorted(m.name for m in rec.violators),
+        "gamma_restricted": sorted(str(r) for r in growth),
+        "support": sorted(str(r) for r in rec.support_cache) if holds else None,
+        "established": holds,
+    }
+    if not holds:
+        entry["unsupported_member"] = min(rec.violators, key=str).name
+    return entry
+
+
+def _analyze_cases(rng, n):
+    """Every fixture under its own monitor, when it has one, and under
+    growth-only, full and random monitors; then ``n`` random states, each
+    with two random constraints and a random monitor."""
+    for rt in sorted(FIXTURES.glob("*.rt")):
+        p = parse_policy(rt.read_text(encoding="utf-8"))
+        constraints = parse_constraints(rt.with_suffix(".cst").read_text(encoding="utf-8"))
+        monitors = [RoleMonitor(EVERY_ROLE), RoleMonitor(EVERY_ROLE, EVERY_ROLE)]
+        monitors += [random_monitor(rng, p, 0.8, 0.6) for _ in range(4)]
+        if rt.with_suffix(".mon").exists():
+            monitors.append(parse_monitor(rt.with_suffix(".mon").read_text(encoding="utf-8")))
+        for monitor in monitors:
+            yield p, constraints, monitor
+    for _ in range(n):
+        p = random_state(rng)
+        yield p, [random_constraint(rng, p, f"q{i}") for i in range(2)], random_monitor(rng, p)
+
+
+class TestAnalyzeReportsTheRecord:
+    def test_each_entry_is_what_register_records(self, capsys, tmp_path):
+        policy, constraints, monitor = (tmp_path / name for name in ("p.rt", "q.cst", "m.mon"))
+        runs: Counter = Counter()
+        for p, queries, mon in _analyze_cases(random.Random(2917), 500):
+            policy.write_text(serialize_policy(p))
+            constraints.write_text("".join(serialize_constraint(q) + "\n" for q in queries))
+            monitor.write_text(serialize_monitor(mon))
+            rc, out = run(
+                capsys, "--format", "machine",
+                "analyze", str(policy), str(constraints), str(monitor),
+            )
+            result = json.loads(out)["result"]
+            want = [_entry_from_record(p, q, mon) for q in queries]
+            assert result["constraints"] == want
+            g = mon.growth_trusted
+            listed = p.roles if g is EVERY_ROLE else g
+            assert result["core"] == sorted(str(r) for r in listed if r in core(p, g))
+            assert rc == (0 if all(e["holds"] for e in want) else 3)
+            runs.update(e["holds"] for e in want)
+        assert runs[True] >= 200 and runs[False] >= 200
+
+    def test_the_support_exists_exactly_when_the_bound_holds(self):
+        # The support is sought over the shrink-trusted heads, so it exists
+        # exactly for the right side's lower-bound members: the first
+        # member, in name order, without one is the least witness.
+        runs: Counter = Counter()
+        for p, queries, monitor in _analyze_cases(random.Random(2918), 500):
+            for q in queries:
+                chk = check_bounded_containment(p, monitor, q)
+                try:
+                    support_for_constraint(p, chk.lhs_upper, q.rhs, monitor.shrink_trusted)
+                except NoSupport as exc:
+                    assert not chk.holds
+                    assert exc.member == min(chk.witnesses, key=str)
+                else:
+                    assert chk.holds
+                runs[chk.holds] += 1
+        assert runs[True] >= 200 and runs[False] >= 200
 
 
 class TestMonitor:

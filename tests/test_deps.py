@@ -14,6 +14,7 @@ import pytest
 import rtmon.deps
 import rtmon.engine
 import rtmon.model
+from rtmon.analysis import _above, _below
 from rtmon.deps import (
     DEFAULT_SUPPORT_CAP,
     NoSupport,
@@ -48,7 +49,6 @@ from rtmon.model import (
     SimpleInclusion,
     SimpleMember,
     Statement,
-    TOP,
     UnionExpr,
     _checked_state,
     _successor,
@@ -253,18 +253,21 @@ class TestCone:
                     want = _growth_roles(index, roles_of(side), dense)
                     assert gamma_expr(p, side, cone) == want
                     assert gamma_expr(p, side) == want
-            # Held roles: the cone of an upper bound equals the whole-state
-            # bound on every role of the cone.
-            g = random_monitor(rng, p, 0.7, 0.7).growth_trusted
-
-            def fixed(r):
-                return r.owner == TOP or r not in g
-
-            universe = p.principals | {TOP}
-            bounded = _saturate(index, roots, fixed, universe)
-            whole = _saturate(index, fixed=fixed, universe=universe)
-            for r in bounded.cone:
-                assert bounded.members.get(r) == whole.members.get(r)
+            # Held roles: the cone of a bound equals the whole-state bound on
+            # every role of the cone, under the upper bound's rule (the
+            # universe for a role of TOP or outside growth-trusted) and the
+            # lower bound's (the empty set outside shrink-trusted).
+            monitor = random_monitor(rng, p, 0.7, 0.7)
+            for kind, held in (
+                ("upper", _above(p, monitor.growth_trusted)),
+                ("lower", _below(monitor.shrink_trusted)),
+            ):
+                bounded = _saturate(index, roots, held)
+                whole = _saturate(index, held=held)
+                for r in bounded.cone:
+                    assert bounded.members.get(r) == whole.members.get(r)
+                seen[f"{kind} held"] += any(held(r) is not None for r in bounded.cone)
+                seen[f"{kind} found"] += bool(bounded.members)
             # A rule indexed once the rounds began heads a role that only a
             # linked walk reached.  Count those with an input that entered
             # the cone before the rounds began, holding its facts.
@@ -287,6 +290,8 @@ class TestCone:
         assert seen["outside"] >= 100
         assert seen["walked"] >= 50
         assert seen["late"] >= 50
+        for kind in ("upper", "lower"):
+            assert seen[f"{kind} held"] >= 300 and seen[f"{kind} found"] >= 300, kind
         for form in ("SimpleMember", "SimpleInclusion", "LinkingInclusion", "IntersectionInclusion"):
             assert seen[form] >= 100, form
 

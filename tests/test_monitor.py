@@ -437,8 +437,8 @@ def _saturated_statements(monkeypatch) -> list:
     seen = []
     real = rtmon.engine._saturate
 
-    def spy(index, roots=None, fixed=None, universe=frozenset()):
-        got = real(index, roots, fixed, universe)
+    def spy(index, roots=None, held=None):
+        got = real(index, roots, held)
         given = frozenset().union(*index.values())
         if got.cone is not None:
             given = frozenset(s for s in given if s.head in got.cone)
