@@ -59,7 +59,6 @@ from .analysis import (
     upper_bound,
 )
 from .monitor import (
-    Classification,
     FullTrust,
     FullTrustCredential,
     MonitorRecord,
@@ -67,7 +66,6 @@ from .monitor import (
     RecordStatus,
     RestrictedTrust,
     SessionResult,
-    StaleRecord,
     WarningCause,
     WarningOutcome,
     classify,

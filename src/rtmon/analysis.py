@@ -24,9 +24,9 @@ stay inside the core, giving the monitor an add-side frontier it can
 actually observe.
 
 A state keeps what is derived from it here: its lower bound per
-shrink-trusted set, its upper bound with its held rule and its core per
-growth-trusted set, and both bounds per monitor.  Each is computed once
-per state, however many constraints read it.
+shrink-trusted set, and its upper bound with its held rule and its core per
+growth-trusted set.  Each is computed once per state, however many
+constraints read it.
 """
 
 from __future__ import annotations
@@ -145,12 +145,9 @@ def _upper(p: PolicyState, g: Container[Role]) -> tuple[Held, Bound]:
 
 
 def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
-    """Both bounds for one state under one monitor."""
-    return p._derived(
-        "bounds",
-        r,
-        lambda: BoundIndex(lower_bound(p, r), upper_bound(p, r), _upper(p, r.growth_trusted)[0]),
-    )
+    """Both bounds for one state under one monitor, each read from its own
+    entry of ``p``."""
+    return BoundIndex(lower_bound(p, r), upper_bound(p, r), _upper(p, r.growth_trusted)[0])
 
 
 def core(p: PolicyState, g: Container[Role]) -> CoreSet:

@@ -48,12 +48,12 @@ The shared part of a registration is kept on the snapshot it reads, next
 to the snapshot's index: the initial registrations share the
 starting state's, and the records one event re-registers share that
 event's snapshot's.  Under full trust, membership is evaluated only on the
-cone of the constraints of one batch -- the roles of both sides closed
-under the rules heading them -- by one :func:`~rtmon.engine.evaluate` call
-with the batch's roles as roots, its ``demand``, which the first
-registration of the batch makes; it finds the cone as it evaluates and
-indexes only the cone's rules.  The support worklist still covers the
-whole snapshot, once per admissible set.  Under restricted trust, both
+cone of the constraint -- the roles of both sides closed under the rules
+heading them -- by one :func:`~rtmon.engine.evaluate` call with those roles
+as roots, kept on the snapshot under them, so constraints with the same
+roles share one evaluation; it finds the cone as it evaluates and indexes
+only the cone's rules.  The support worklist still covers the whole
+snapshot, once per admissible set.  Under restricted trust, both
 bounds of a monitor are one evaluation each of every head of the index, each
 untrusted role held at a set of its own, and the core is read off the upper
 bound.  Each record adds only its check, growth closure walk and support picks.
@@ -93,8 +93,6 @@ __all__ = [
     "WarningCause",
     "WarningOutcome",
     "MonitorWarning",
-    "Classification",
-    "StaleRecord",
     "register",
     "classify",
     "SessionResult",
@@ -144,15 +142,6 @@ class WarningOutcome(Enum):
     BOUND_NOW_VIOLATED = "bound-now-violated"
 
 
-class Classification(Enum):
-    IGNORABLE = "ignorable"
-    TRIGGERING = "triggering"
-
-
-class StaleRecord(Exception):
-    """Classification was asked of a record that is not currently holding."""
-
-
 @dataclass(frozen=True)
 class MonitorRecord:
     """Per-constraint monitoring state.
@@ -188,9 +177,7 @@ class MonitorWarning:
     noop: bool = False
 
 
-def register(
-    p: PolicyState, q: Constraint, mode: MonitorMode, demand: Optional[frozenset[Role]] = None
-) -> MonitorRecord:
+def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
     """Check the constraint and, if it holds, build the monitoring caches.
 
     A check that passes always has a support: under full trust every
@@ -198,16 +185,13 @@ def register(
     lower bound is membership in the state restricted to the shrink-trusted
     heads, the state the support is sought in.
 
-    ``demand`` is the set of roots whose cone membership is read (and kept
-    on ``p``): ``_demand(q, mode)`` when it is ``None``, or the roots of a
-    batch registered against ``p`` that holds them, so the batch shares one
-    evaluation.
+    Under full trust the membership read is that of the cone of both sides'
+    roles, kept on ``p`` under those roots.
     """
     if isinstance(mode, RestrictedTrust):
         return _register_restricted(p, q, mode)
-    if demand is None:
-        demand = _demand(q, mode)
-    idx = p._derived("cone", demand, lambda: evaluate(p, demand))
+    roots = roles_of(q.lhs) | roles_of(q.rhs)
+    idx = p._derived("cone", roots, lambda: evaluate(p, roots))
     result = check_constraint(p, q, idx)
     if not result.satisfied:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
@@ -218,15 +202,6 @@ def register(
     else:
         support = support_for_constraint(p, members, q.rhs)
     return MonitorRecord(q, mode, growth, support, RecordStatus.HOLDING)
-
-
-def _demand(q: Constraint, mode: MonitorMode) -> frozenset[Role]:
-    """The roots of the cone whose membership registering ``q`` under
-    ``mode`` reads: both sides' roles under full trust, none under
-    restricted trust, which reads the bounds instead."""
-    if isinstance(mode, RestrictedTrust):
-        return frozenset()
-    return roles_of(q.lhs) | roles_of(q.rhs)
 
 
 def _register_restricted(p: PolicyState, q: Constraint, mode: RestrictedTrust) -> MonitorRecord:
@@ -266,19 +241,17 @@ def _frontier(
     return rec.gamma_cache, rec.support_cache
 
 
-def classify(rec: MonitorRecord, ev: ChangeEvent) -> Classification:
-    """Is the event provably harmless for this holding record?"""
-    if rec.status is not RecordStatus.HOLDING:
-        raise StaleRecord(f"record for {rec.constraint.id} is {rec.status.value}")
+def classify(rec: MonitorRecord, ev: ChangeEvent) -> bool:
+    """Does the event reach the record?  False only when the record holds
+    and the event crosses neither of its frontiers, so the record provably
+    still holds; a record without a frontier is reached by every event."""
     front = _frontier(rec)
     if front is None:
-        return Classification.TRIGGERING
+        return True
     stmt = ev.statement
-    if ev.kind is ChangeKind.ADD:
-        crossed = stmt.head in front[0]
-    else:
-        crossed = stmt.head in front[1] or stmt in front[1]
-    return Classification.TRIGGERING if crossed else Classification.IGNORABLE
+    if ev.kind is _ADD:
+        return stmt.head in front[0]
+    return stmt.head in front[1] or stmt in front[1]
 
 
 _OUTCOME_BY_STATUS = {
@@ -289,16 +262,10 @@ _OUTCOME_BY_STATUS = {
 
 
 def _react(
-    rec: MonitorRecord,
-    new_state: PolicyState,
-    ev: ChangeEvent,
-    noop: bool,
-    demand: Optional[frozenset[Role]] = None,
+    rec: MonitorRecord, new_state: PolicyState, ev: ChangeEvent, noop: bool
 ) -> tuple[Optional[MonitorWarning], MonitorRecord]:
-    """One record's reaction to an already-applied event that
-    :func:`classify` triggers on, or that reaches a record not holding; a
-    re-registration reads the cone of ``demand``, as :func:`register`
-    does."""
+    """One record's reaction to an already-applied event that reaches it
+    (see :func:`classify`)."""
     if rec.status is RecordStatus.HOLDING:
         if noop:
             return None, rec
@@ -311,7 +278,7 @@ def _react(
         # Outside the holding regime nothing is provably ignorable; every
         # event forces a re-check, which doubles as recovery.
         cause = WarningCause.RECHECK
-    fresh = register(new_state, rec.constraint, rec.mode, demand)
+    fresh = register(new_state, rec.constraint, rec.mode)
     warning = MonitorWarning(
         constraint_id=rec.constraint.id,
         cause=cause,
@@ -408,7 +375,7 @@ def run_session(
     visited.  The records reached react to one ``PolicyState`` snapshot of
     the live set, built at most once per event and only when some record
     re-registers, and share what is derived from it, which the snapshot
-    keeps: the records reached share one cone, whose demand is their roles.
+    keeps: records whose constraints have the same roles share one cone.
     Everything derived from the snapshot goes with it, except its index,
     which the next snapshot carries over with the session's changes in
     between replayed onto a copy (see :func:`rtmon.model._successor`).
@@ -426,9 +393,7 @@ def run_session(
     state built from the live statements (carrying nothing) when one did,
     and ``p`` itself when nothing changed.
     """
-    demands = [_demand(q, mode) for q, mode in registrations]
-    demand = frozenset().union(*demands)
-    initial = tuple(register(p, q, mode, demand) for q, mode in registrations)
+    initial = tuple(register(p, q, mode) for q, mode in registrations)
     records = list(initial)
     index = _FrontierIndex(records)
     warnings: list[MonitorWarning] = []
@@ -458,9 +423,8 @@ def run_session(
             # Built from the snapshot it replaces, which it then releases.
             snapshot = _successor(snapshot, frozenset(live), changes)
             changes.clear()
-        demand = frozenset().union(*(demands[i] for i in due))
         for i in due:
-            warning, fresh = _react(records[i], snapshot, ev, noop, demand)
+            warning, fresh = _react(records[i], snapshot, ev, noop)
             if warning is not None:
                 warnings.append(warning)
             if fresh is not records[i]:

@@ -332,9 +332,9 @@ def _one_line(text: str) -> str:
     return text.removesuffix("\n").removesuffix("\r").split("#", 1)[0]
 
 
-def parse_statement(text: str, line: int = 1) -> Statement:
+def parse_statement(text: str) -> Statement:
     """Parse one statement line (comments allowed)."""
-    return _statement(_one_line(text), line, _Names(), False)[1]
+    return _statement(_one_line(text), 1, _Names(), False)[1]
 
 
 def parse_policy(text: str) -> PolicyState:
@@ -397,17 +397,17 @@ def _operand(tk: _Tokens) -> PositiveRoleExpr:
         tk.need(",")
 
 
-def parse_expr(text: str, line: int = 1) -> PositiveRoleExpr:
+def parse_expr(text: str) -> PositiveRoleExpr:
     """Parse a positive role expression on its own (used by query)."""
-    tk = _Tokens(_one_line(text), line, _Names())
+    tk = _Tokens(_one_line(text), 1, _Names())
     node = _expr(tk)
     tk.done()
     return node
 
 
-def parse_constraint(text: str, line: int = 1) -> Constraint:
+def parse_constraint(text: str) -> Constraint:
     """Parse one constraint line."""
-    return _constraint(_Tokens(_one_line(text), line, _Names()))
+    return _constraint(_Tokens(_one_line(text), 1, _Names()))
 
 
 def _keyword(tk: _Tokens, word: str) -> None:

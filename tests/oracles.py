@@ -47,7 +47,6 @@ from rtmon.model import (
     roles_of,
 )
 from rtmon.monitor import (
-    Classification,
     MonitorRecord,
     MonitorWarning,
     RecordStatus,
@@ -74,7 +73,8 @@ def reference_step(
     """One record's reaction to one event, applied to ``state`` alone.
 
     A holding record stays silent and unchanged on a no-op (the new state
-    is ``state`` itself) and on an event ``classify`` calls ignorable;
+    is ``state`` itself) and on an event that ``classify`` says does not
+    reach it;
     otherwise the record is registered afresh on the new state, and the
     warning names the frontier the event crossed, or a re-check for a
     record that was not holding.
@@ -83,7 +83,7 @@ def reference_step(
     new_state = state.add(stmt) if ev.kind is ChangeKind.ADD else state.remove(stmt)
     noop = new_state is state
     if rec.status is RecordStatus.HOLDING:
-        if noop or classify(rec, ev) is Classification.IGNORABLE:
+        if noop or not classify(rec, ev):
             return new_state, None, rec
         if ev.kind is ChangeKind.ADD:
             cause = WarningCause.GROWTH_SIDE_ADD

@@ -30,7 +30,6 @@ from rtmon.model import (
     TOP,
 )
 from rtmon.monitor import (
-    Classification,
     FullTrust,
     FullTrustCredential,
     RecordStatus,
@@ -418,7 +417,7 @@ def _ignorable_event(rng, rec, state):
                 continue
             cand = ChangeEvent(ChangeKind.REMOVE, rng.choice(pool))
             noop = cand.statement not in state
-        if noop or classify(rec, cand) is Classification.IGNORABLE:
+        if noop or not classify(rec, cand):
             return cand
     return None
 

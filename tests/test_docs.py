@@ -53,7 +53,7 @@ def test_readme_library_block_runs_from_the_fixtures(monkeypatch):
     monkeypatch.chdir(FIXTURES)
     scope: dict = {}
     exec(compile(block, "README.md", "exec"), scope)
-    # The batch registered against one state equals each constraint
+    # The records registered against one state equal each constraint
     # registered alone on a fresh copy, and the session's initial records.
     alone = [register(copy.copy(scope["state"]), c, FullTrust()) for c in scope["constraints"]]
     assert scope["records"] == alone == list(scope["session"].initial)

@@ -275,11 +275,11 @@ def test_copy_and_pickle_carry_a_state_without_its_caches():
     for cache in ("principals", "_index", "role_names", "roles"):
         getattr(p, cache)
     # A registration under each kind of trust fills the memo: the cone, the
-    # support worklist, both bounds and the core.
+    # support worklist, each bound and the core.
     q = hazmat_constraint()
     register(p, q, FullTrust())
     register(p, q, RestrictedTrust(RoleMonitor(EVERY_ROLE, EVERY_ROLE)))
-    assert {kind for kind, _ in p._memo} == {"cone", "worklist", "lower", "upper", "bounds", "core"}
+    assert {kind for kind, _ in p._memo} == {"cone", "worklist", "lower", "upper", "core"}
     assert len(pickle.dumps(p)) == cold
     for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert twin == p and twin is not p

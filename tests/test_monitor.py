@@ -40,12 +40,10 @@ from rtmon.model import (
     roles_of,
 )
 from rtmon.monitor import (
-    Classification,
     FullTrust,
     FullTrustCredential,
     RecordStatus,
     RestrictedTrust,
-    StaleRecord,
     WarningCause,
     WarningOutcome,
     classify,
@@ -161,7 +159,7 @@ class TestRegister:
 class TestClassify:
     def test_add_inside_gamma_triggers(self):
         rec = register(hazmat_policy(), hazmat_constraint(), FullTrust())
-        assert classify(rec, add(HAZMAT_ADD_9)) is Classification.TRIGGERING
+        assert classify(rec, add(HAZMAT_ADD_9)) is True
 
     def test_remove_outside_support_is_ignorable(self):
         p = hazmat_policy_extended()
@@ -171,11 +169,11 @@ class TestClassify:
         p2 = p.remove(stmt(HAZMAT_ADD_10))
         rec = register(p2, hazmat_constraint(), FullTrust())
         assert rec.status is RecordStatus.HOLDING
-        assert classify(rec, remove(HAZMAT_ADD_9)) is Classification.IGNORABLE
+        assert classify(rec, remove(HAZMAT_ADD_9)) is False
 
     def test_add_outside_gamma_is_ignorable(self):
         rec = register(hazmat_policy(), hazmat_constraint(), FullTrust())
-        assert classify(rec, add("Navy.fleet <- Kim")) is Classification.IGNORABLE
+        assert classify(rec, add("Navy.fleet <- Kim")) is False
 
     def test_credential_mode_tracks_statements_not_heads(self):
         p = redundant_support_policy()
@@ -184,14 +182,16 @@ class TestClassify:
         assert rec.status is RecordStatus.HOLDING
         chosen = rec.support_cache
         inside = sorted(chosen, key=str)[0]
-        assert classify(rec, ChangeEvent(ChangeKind.REMOVE, inside)) is Classification.TRIGGERING
+        assert classify(rec, ChangeEvent(ChangeKind.REMOVE, inside)) is True
         outside = stmt("C.r <- F") if stmt("B.r <- F") in chosen else stmt("B.r <- F")
-        assert classify(rec, ChangeEvent(ChangeKind.REMOVE, outside)) is Classification.IGNORABLE
+        assert classify(rec, ChangeEvent(ChangeKind.REMOVE, outside)) is False
 
-    def test_non_holding_record_is_stale(self):
+    def test_non_holding_record_is_reached_by_every_event(self):
         rec = register(hazmat_policy_extended(), hazmat_constraint(), FullTrust())
-        with pytest.raises(StaleRecord):
-            classify(rec, add("Navy.fleet <- Kim"))
+        assert rec.status is RecordStatus.VIOLATED
+        # Events that a holding record of this constraint ignores.
+        assert classify(rec, add("Navy.fleet <- Kim")) is True
+        assert classify(rec, remove(HAZMAT_ADD_9)) is True
 
 
 class TestReferenceStep:
@@ -299,7 +299,7 @@ def _ignorable_event(rng, rec, state):
                 continue
             cand = ChangeEvent(ChangeKind.REMOVE, rng.choice(pool))
             noop = cand.statement not in state
-        if noop or classify(rec, cand) is Classification.IGNORABLE:
+        if noop or not classify(rec, cand):
             return cand
     return None
 
@@ -398,8 +398,8 @@ def test_credential_triggers_are_a_subset_of_role_triggers():
             continue
         for victim in sorted(p.statements, key=str):
             ev = ChangeEvent(ChangeKind.REMOVE, victim)
-            if classify(cred_rec, ev) is Classification.TRIGGERING:
-                assert classify(role_rec, ev) is Classification.TRIGGERING
+            if classify(cred_rec, ev):
+                assert classify(role_rec, ev)
         done += 1
     assert done >= 60, f"generator starved: only {done} holding pairs"
 
@@ -608,12 +608,9 @@ def _assert_index_agrees(index, records, ev):
             isinstance(rec.mode, RestrictedTrust) and not rec.gamma_total
         )
         assert (i in index.every) == blind
-        if rec.status is RecordStatus.HOLDING:
-            triggering = classify(rec, ev) is Classification.TRIGGERING
-            assert (i in routed) == triggering
-            assert triggering or not blind
-        else:
-            assert i in routed
+        reached = classify(rec, ev)
+        assert (i in routed) == reached
+        assert reached or not blind
     assert index.reached(ev, noop=True) == sorted(index.every)
 
 
@@ -1458,10 +1455,10 @@ def _holding_multi_constraints():
     return held
 
 
-def test_full_trust_registrations_share_one_evaluation_and_one_worklist(monkeypatch):
+def test_full_trust_registrations_evaluate_their_own_cones_and_share_one_worklist(monkeypatch):
     p = parse_policy((MULTI_FIXTURES / "multi.rt").read_text() + _GUESTS)
     held = _holding_multi_constraints()
-    cone = _cone_statements(p, held)
+    own = [_cone_statements(p, [q]) for q in held]
     # Which registration, if any, each cone evaluation runs inside.
     registering: list = [None]
     cones = []
@@ -1484,13 +1481,32 @@ def test_full_trust_registrations_share_one_evaluation_and_one_worklist(monkeypa
     worklists = count_calls(monkeypatch, rtmon.deps._worklist)
     session = run_session(p, [(q, FullTrust()) for q in held], [])
     assert [rec.status for rec in session.initial] == [RecordStatus.HOLDING] * 4
-    # One cone evaluation for the four constraints, made inside the first
-    # registration, and one worklist over the whole state.  The cone takes
-    # in Sales.member and Labs.member once Org.dept's members name them.
-    assert cones == [(p, held[0].id)]
+    # The four constraints' roles differ: each registration evaluates its
+    # own cone, and all share one worklist over the whole state.  Together
+    # the cones take in Sales.member and Labs.member once Org.dept's
+    # members name them.
+    assert cones == [(p, q.id) for q in held]
     assert worklists == [p]
-    assert indexed == [cone]
-    assert cone == p.statements - parse_policy(_GUESTS).statements
+    assert indexed == own
+    assert frozenset().union(*own) == p.statements - parse_policy(_GUESTS).statements
+
+
+@pytest.mark.parametrize("mode", [FullTrust(), FullTrustCredential()], ids=["role", "credential"])
+def test_constraints_with_equal_roles_share_one_cone_evaluation(monkeypatch, mode):
+    same = [
+        parse_constraint("constraint a owner Org: Org.staff <= Org.badge"),
+        parse_constraint("constraint b owner Org: Org.badge & Org.staff <= Org.staff | Org.badge"),
+    ]
+    other = parse_constraint("constraint c owner Org: Org.cleared <= Org.badge")
+    evaluations = count_calls(monkeypatch, rtmon.engine.evaluate)
+    p = _multi_policy()
+    for q in same:
+        register(p, q, mode)
+    assert len(evaluations) == 1 and evaluations[0] is p
+    fresh = _multi_policy()
+    for q in (same[0], other):
+        register(fresh, q, mode)
+    assert len(evaluations) == 3 and evaluations[1] is evaluations[2] is fresh
 
 
 def test_restricted_registrations_under_one_monitor_share_bounds_and_core(monkeypatch):
@@ -1563,9 +1579,8 @@ def test_batch_registration_equals_registration_on_a_fresh_copy(cap):
             )(rng, p, f"q{i}")
         modes = _shared_modes(rng, p)
         queries = [make(i) for i in range(len(modes))]
-        demand = frozenset().union(*(roles_of(q.lhs) | roles_of(q.rhs) for q in queries))
         before = [_support_reads(p, q, mode, cap) for q, mode in zip(queries, modes)]
-        batch = [register(p, q, mode, demand) for q, mode in zip(queries, modes)]
+        batch = [register(p, q, mode) for q, mode in zip(queries, modes)]
         for q, mode, got, read in zip(queries, modes, batch, before):
             assert got == register(copy.copy(p), q, mode)
             assert read == _support_reads(p, q, mode, cap)
@@ -1612,16 +1627,26 @@ def test_an_event_reregistering_several_records_matches_reference_step(monkeypat
     regs = [(q, mode) for q in _multi_constraints()]
     log = parse_changelog((MULTI_FIXTURES / "multi.changes").read_text())
     saturations = count_saturations(monkeypatch)
+    # The state and the constraint roles of every registration; the list
+    # keeps the states alive, so their ids stay distinct.
+    registered = []
+    real_register = rtmon.monitor.register
+
+    def register_spy(state, q, *args):
+        registered.append((state, roles_of(q.lhs) | roles_of(q.rhs)))
+        return real_register(state, q, *args)
+
+    patch_everywhere(monkeypatch, real_register, register_spy)
     session = run_session(p, regs, log)
     # The initial registrations and the records each warned event
-    # re-registers share one cone evaluation, or one lower and one upper
-    # bound, of the state they read.
+    # re-registers evaluate one cone per state they read and constraint
+    # roles, or share one lower and one upper bound of that state.
     warned = {id(w.event) for w in session.warnings}
     kinds = Counter(kind for kind, _ in saturations)
     if isinstance(mode, RestrictedTrust):
         assert kinds == {"lower": 1 + len(warned), "upper": 1 + len(warned)}
     else:
-        assert kinds == {"cone": 1 + len(warned)}
+        assert kinds == {"cone": len({(id(state), roots) for state, roots in registered})}
     assert max(Counter(id(w.event) for w in session.warnings).values()) >= 2
 
     warnings, records, state = _reference_replay(p, regs, log)
