@@ -23,7 +23,7 @@ import sys
 from typing import Optional
 
 from .analysis import core, gamma_restricted_expr
-from .deps import DEFAULT_SUPPORT_CAP, gamma_expr, justified_semantics, support_for_constraint
+from .deps import DEFAULT_SUPPORT_CAP, gamma_expr, justified_semantics
 from .engine import check_constraint, eval_expr, evaluate
 from .model import EVERY_ROLE, roles_of
 from .monitor import (
@@ -33,6 +33,7 @@ from .monitor import (
     RecordStatus,
     RestrictedTrust,
     WarningOutcome,
+    _cone,
     register,
     run_session,
 )
@@ -145,23 +146,27 @@ def cmd_deps(args) -> dict:
     inputs: dict = {}
     state = _load(args.policy, parse_policy, inputs, "policy")
     constraints = _load(args.constraints, parse_constraints, inputs, "constraints")
-    idx = evaluate(state, _constraint_roles(constraints))
     # The state keeps its whole-state worklist, so one run serves the
     # supports and, when asked for, every member's supports.
     js = justified_semantics(state) if args.all_supports else None
+    mode = FullTrust()
     verdicts = []
     violated = False
     for q in constraints:
-        got = check_constraint(state, q, idx)
+        # What the monitor would watch: the frontiers of the record that
+        # ``register`` builds, on the cone it keeps on the state.
+        rec = register(state, q, mode)
+        idx = _cone(state, q)
+        holds = rec.status is RecordStatus.HOLDING
         entry: dict = {
             "id": q.id,
-            "satisfied": got.satisfied,
-            "gamma": _texts(gamma_expr(state, q.lhs, idx)),
+            "satisfied": holds,
+            "gamma": _texts(rec.gamma_cache if holds else gamma_expr(state, q.lhs, idx)),
         }
-        if got.satisfied:
-            members = eval_expr(idx, q.lhs)
-            entry["support"] = _texts(support_for_constraint(state, members, q.rhs))
+        if holds:
+            entry["support"] = _texts(rec.support_cache)
             if js is not None:
+                members = eval_expr(idx, q.lhs)
                 found: dict = {}
                 for role in roles_of(q.rhs):
                     for e in js.for_role(role):
@@ -175,7 +180,7 @@ def cmd_deps(args) -> dict:
         else:
             violated = True
             entry["support"] = None
-            entry["violators"] = _names(got.violators)
+            entry["violators"] = _names(rec.violators)
         verdicts.append(entry)
     return _report("deps", inputs, {"constraints": verdicts}, _exit_code(violated))
 

@@ -19,7 +19,10 @@ roles or statements.  The worklist here computes, per role and member,
 all minimal supports at once, pruning dominated supports.  Its first pass
 walks the heads of the state's index in text order and each head's list
 in order, so it fires every statement in the order of its text, and sets
-the rules apart as it goes, each under its watched keys.  A member fact's
+the rules apart as it goes, each under its watched keys.  A run confined
+to admitted roles, the credential replay or a restricted support, walks
+only the admitted heads and sets apart only the rules whose read roles are
+all admitted heads; no other rule could ever offer.  A member fact's
 singleton support is final, so later passes fire only rules, and only
 those that a change of a watched role or role name made stale, in the
 first pass's order.  An intersection
@@ -27,9 +30,12 @@ joins its parts one at a time and keeps only the minimal unions, so its
 cost grows with the number of minimal unions, not with the product of the
 parts' supports.  A cap per (role, member) bounds pathological states at
 the cost of possibly non-minimal (still valid) supports.  The cap and every
-pick read one order: fewest tokens first, ties broken by sorted token
-texts.  A state keeps the role-support worklist it ran per admissible set
-and cap, so every support read of one state at one cap shares one run.
+pick read one order: fewest tokens first, ties broken by the sorted
+positions of the tokens in the first pass, a head for a role token and a
+statement for a statement token.  That pass walks both in text order, so
+this is the order of the sorted token texts, and no ranking renders text.
+A state keeps the role-support worklist it ran per admissible set and cap,
+so every support read of one state at one cap shares one run.
 """
 
 from __future__ import annotations
@@ -37,10 +43,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Container, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Union
 
 from .engine import SemanticsIndex, _require_cone, evaluate
 from .model import (
+    EVERY_ROLE,
     LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
@@ -160,12 +167,21 @@ def gamma_expr(
 
 # Worklist output: role -> member -> supports, each a set of tokens.
 _Saturated = dict[Role, dict[Principal, list[frozenset]]]
+# The support order of one worklist run: a sort key on its supports.
+_Order = Callable[[frozenset], tuple]
 
 
-def _support_key(support: frozenset):
-    """The one support order: fewest tokens first, ties broken by the
-    sorted token texts."""
-    return (len(support), sorted(str(x) for x in support))
+def _ranked(rank: Mapping[object, int]) -> _Order:
+    """The one support order of a run whose first pass gave each token its
+    position ``rank``: fewest tokens first, ties broken by the sorted
+    positions.  That pass walks heads and statements in text order, so on
+    distinct tokens this is the order of the sorted token texts."""
+    position = rank.__getitem__
+
+    def key(support: frozenset) -> tuple:
+        return len(support), sorted(map(position, support))
+
+    return key
 
 
 def _join(tok: frozenset, parts: list[list[frozenset]]) -> list[frozenset]:
@@ -200,20 +216,29 @@ def _worklist(
     cap: Optional[int],
     heads: Optional[Container[Role]] = None,
     by_statement: bool = False,
-) -> tuple[_Saturated, frozenset[Role]]:
-    """Saturate supports per role and member, with subsumption pruning.
+) -> tuple[_Saturated, frozenset[Role], _Order]:
+    """Saturate supports per role and member, with subsumption pruning;
+    returns the supports, the truncated roles and the run's support order.
 
     The statements fired are those of ``p`` heading a role in ``heads``
-    (every statement when it is ``None``).  The first pass sorts those
-    heads by text and reads each one's list off the state's index, already
-    in text order, so no run sorts statements.  What a fired statement
+    (every statement when it is ``None``).  A finite ``heads``, the roles
+    a run is confined to, is walked itself, not the whole index, and only
+    the rules whose read roles all head statements in it are set apart:
+    any other rule reads a role no statement fires for, so it could never
+    offer.
+    :data:`~rtmon.model.EVERY_ROLE` cannot be walked and filters the index.
+    The first pass sorts the walked heads by text and reads each one's list
+    off the state's index, already in text order, so no run sorts
+    statements.  What a fired statement
     contributes to a support, its token, is its head role, built once per
     head, or with ``by_statement`` the statement itself (only the credential
-    replay asks for it, on a role support's few statements).
+    replay asks for it, on a role support's few statements).  Each token's
+    position in that pass ranks it, and the run's order is
+    :func:`_ranked` on those positions.
     A candidate is dropped when a kept support for the same member is a
     subset of it; inserting a candidate evicts the supports it dominates.
-    When ``cap`` is hit for one (role, member), the first supports under
-    :func:`_support_key` are kept.  A role is returned as truncated when
+    When ``cap`` is hit for one (role, member), the first supports in the
+    run's order are kept.  A role is returned as truncated when
     some support cut there contains no support kept at the end: otherwise
     every candidate the cap cut was dominated anyway, the kept supports are
     closed under the rules up to dominance, and they are exactly the
@@ -236,6 +261,21 @@ def _worklist(
     and later passes fire no other rule.
     """
     index = p._index
+    # Every role a legal state holds lies in ``EVERY_ROLE``, so only a
+    # finite ``heads`` confines the rules.
+    confined: Optional[frozenset[Role]] = None
+    if heads is None:
+        walked: Iterable[Role] = index
+    elif heads is EVERY_ROLE:
+        walked = (h for h in index if h in heads)
+    else:
+        # The admitted heads as the state's own roles: one parsed apart, as
+        # a monitor's are, is equal but not the same object, and each
+        # lookup of it would compare fields.
+        confined = frozenset(stmts[0].head for stmts in map(index.get, heads) if stmts)
+        walked = confined
+    rank: dict[Union[Role, Statement], int] = {}
+    order = _ranked(rank)
     rules: list[tuple[Statement, frozenset, tuple]] = []
     cur: _Saturated = defaultdict(dict)
     # The positions in ``rules`` of the rules watching each role or role
@@ -267,7 +307,7 @@ def _worklist(
             freed = len(kept) < len(supports)
             kept.append(support)
             if cap is not None and len(kept) > cap:
-                kept.sort(key=_support_key)
+                kept.sort(key=order)
                 dropped = kept[cap:]
                 del kept[cap:]
                 cut.extend((head, member, s) for s in dropped)
@@ -324,16 +364,23 @@ def _worklist(
     # stale only the rules listed before it, all at or before the statement
     # fired, so this pass marks each head once, after its last statement,
     # and every mark goes to the next pass.
-    for head in sorted((h for h in index if heads is None or h in heads), key=str):
+    for head in sorted(walked, key=str):
         tok = frozenset((head,))
+        if not by_statement:
+            rank[head] = len(rank)
         first_rule, stale_below, freed_below = len(rules), 0, 0
         for stmt in index[head]:
+            fact = isinstance(stmt.body, SimpleMember)
+            if not fact:
+                watched = _reads(stmt)
+                if confined is not None and not confined.issuperset(watched):
+                    continue
             if by_statement:
                 tok = frozenset((stmt,))
-            if isinstance(stmt.body, SimpleMember):
+                rank[stmt] = len(rank)
+            if fact:
                 offer(head, stmt.body.member, tok)
             else:
-                watched = _reads(stmt)
                 if isinstance(stmt.body, LinkingInclusion):
                     watched += (stmt.body.second,)
                 for key in watched:
@@ -364,7 +411,7 @@ def _worklist(
         for head, member, support in cut
         if not any(s <= support for s in cur[head][member])
     )
-    return {role: by_member for role, by_member in cur.items() if by_member}, truncated
+    return {role: by_member for role, by_member in cur.items() if by_member}, truncated, order
 
 
 def _check_cap(cap: Optional[int]) -> None:
@@ -375,11 +422,12 @@ def _check_cap(cap: Optional[int]) -> None:
 
 def _role_worklist(
     p: PolicyState, admissible: Optional[Container[Role]], cap: Optional[int]
-) -> tuple[_Saturated, frozenset[Role]]:
+) -> tuple[_Saturated, frozenset[Role], _Order]:
     """Role supports per role and member, over the statements of ``p``
     heading a role in ``admissible`` (every statement when it is ``None``),
-    with the roles the cap truncated; run once per admissible set and cap,
-    and kept on ``p``.  Raises ``ValueError`` for a cap below 1."""
+    with the roles the cap truncated and the run's support order; run once
+    per admissible set and cap, and kept on ``p``.  Raises ``ValueError``
+    for a cap below 1."""
     _check_cap(cap)
     if admissible is not None:
         admissible = _frozen(admissible)
@@ -396,7 +444,7 @@ def justified_semantics(
     with two disjoint alternatives each has ``2**w`` minimal supports.
     Raises ``ValueError`` for a cap below 1.
     """
-    raw, truncated = _role_worklist(p, None, max_entries_per_member)
+    raw, truncated, _ = _role_worklist(p, None, max_entries_per_member)
     entries = {
         role: frozenset(JustifiedEntry(m, sup) for m, found in by_member.items() for sup in found)
         for role, by_member in raw.items()
@@ -404,29 +452,29 @@ def justified_semantics(
     return JustifiedSemantics(entries, truncated)
 
 
-def _best(candidates: Iterable[frozenset]) -> Optional[frozenset]:
-    """The first candidate under :func:`_support_key`; ``None`` when there
-    is none."""
-    return min(candidates, key=_support_key, default=None)
+def _best(candidates: Iterable[frozenset], order: _Order) -> Optional[frozenset]:
+    """The first candidate in ``order``; ``None`` when there is none."""
+    return min(candidates, key=order, default=None)
 
 
 def _member_expr_support(
-    member: Principal, expr: PositiveRoleExpr, raw: _Saturated
+    member: Principal, expr: PositiveRoleExpr, raw: _Saturated, order: _Order
 ) -> Optional[frozenset]:
-    """One support witnessing ``member``'s membership in ``expr``.
+    """One support witnessing ``member``'s membership in ``expr``, picked
+    from the supports ``raw`` of a worklist run in that run's ``order``.
 
     Principal sets need no support; a union takes whichever branch admits
-    the member (the first under :func:`_support_key`); an intersection unions
-    the supports of both branches.  ``None`` means not witnessable.
+    the member (the first in ``order``); an intersection unions the
+    supports of both branches.  ``None`` means not witnessable.
     """
 
     def leaf(e: Union[PrincipalSet, RoleRef]) -> Optional[frozenset]:
         if isinstance(e, PrincipalSet):
             return frozenset() if member in e.members else None
-        return _best(raw.get(e.role, {}).get(member, ()))
+        return _best(raw.get(e.role, {}).get(member, ()), order)
 
     def either(left: Optional[frozenset], right: Optional[frozenset]) -> Optional[frozenset]:
-        return _best([got for got in (left, right) if got is not None])
+        return _best([got for got in (left, right) if got is not None], order)
 
     def both(left: Optional[frozenset], right: Optional[frozenset]) -> Optional[frozenset]:
         return None if left is None or right is None else left | right
@@ -435,12 +483,12 @@ def _member_expr_support(
 
 
 def _member_supports(
-    members: Iterable[Principal], rhs: PositiveRoleExpr, raw: _Saturated
+    members: Iterable[Principal], rhs: PositiveRoleExpr, raw: _Saturated, order: _Order
 ) -> Iterator[tuple[Principal, frozenset]]:
     """Each member, in name order, with the support :func:`_member_expr_support`
     picks for it; raises :class:`NoSupport` at the first member without one."""
     for member in sorted(set(members), key=str):
-        got = _member_expr_support(member, rhs, raw)
+        got = _member_expr_support(member, rhs, raw, order)
         if got is None:
             raise NoSupport(member)
         yield member, got
@@ -462,9 +510,9 @@ def support_for_constraint(
     :class:`NoSupport` when some member has no qualifying support, and
     ``ValueError`` for a cap below 1.
     """
-    saturated = _role_worklist(p, admissible, max_entries_per_member)[0]
+    saturated, _, order = _role_worklist(p, admissible, max_entries_per_member)
     total: set[Role] = set()
-    for _, got in _member_supports(members, rhs, saturated):
+    for _, got in _member_supports(members, rhs, saturated, order):
         total |= got
     return frozenset(total)
 
@@ -480,20 +528,23 @@ def credential_support_for_constraint(
 
     Per member, the role support is chosen exactly as in
     :func:`support_for_constraint`; the statements are then collected by
-    re-running the worklist over the statements heading a role of that role
-    support, so every collected statement's head lies inside it.  The
+    re-running the worklist confined to that role support, so every
+    collected statement's head lies inside it.  A replay walks only the
+    role support's heads and fires only the rules whose read roles are all
+    heads in it, so its cost follows the role support, not the state.  The
     worklist runs once per distinct role support, and the members sharing
     it pick their statements from that one run.  Raises ``ValueError`` for a
     cap below 1.
     """
-    saturated = _role_worklist(p, None, max_entries_per_member)[0]
-    replays: dict[frozenset, _Saturated] = {}
+    saturated, _, order = _role_worklist(p, None, max_entries_per_member)
+    replays: dict[frozenset, tuple[_Saturated, frozenset[Role], _Order]] = {}
     total: set[Statement] = set()
-    for member, role_support in _member_supports(members, rhs, saturated):
+    for member, role_support in _member_supports(members, rhs, saturated, order):
         if role_support not in replays:
             replays[role_support] = _worklist(
                 p, max_entries_per_member, role_support, by_statement=True
-            )[0]
+            )
+        replay, _, replay_order = replays[role_support]
         # The role support proves the membership, so the replay does too.
-        total |= _member_expr_support(member, rhs, replays[role_support])
+        total |= _member_expr_support(member, rhs, replay, replay_order)
     return frozenset(total)

@@ -67,7 +67,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .analysis import check_bounded_containment, core, gamma_restricted_expr
 from .deps import credential_support_for_constraint, gamma_expr, support_for_constraint
-from .engine import check_constraint, eval_expr, evaluate
+from .engine import SemanticsIndex, check_constraint, eval_expr, evaluate
 from .model import (
     ChangeEvent,
     ChangeKind,
@@ -185,13 +185,11 @@ def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
     lower bound is membership in the state restricted to the shrink-trusted
     heads, the state the support is sought in.
 
-    Under full trust the membership read is that of the cone of both sides'
-    roles, kept on ``p`` under those roots.
+    Under full trust the membership read is :func:`_cone`.
     """
     if isinstance(mode, RestrictedTrust):
         return _register_restricted(p, q, mode)
-    roots = roles_of(q.lhs) | roles_of(q.rhs)
-    idx = p._derived("cone", roots, lambda: evaluate(p, roots))
+    idx = _cone(p, q)
     result = check_constraint(p, q, idx)
     if not result.satisfied:
         return MonitorRecord(q, mode, None, None, RecordStatus.VIOLATED, result.violators)
@@ -202,6 +200,13 @@ def register(p: PolicyState, q: Constraint, mode: MonitorMode) -> MonitorRecord:
     else:
         support = support_for_constraint(p, members, q.rhs)
     return MonitorRecord(q, mode, growth, support, RecordStatus.HOLDING)
+
+
+def _cone(p: PolicyState, q: Constraint) -> SemanticsIndex:
+    """Membership on the cone of the roles of both sides of ``q``, kept on
+    ``p`` under those roots, so constraints with the same roles share it."""
+    roots = roles_of(q.lhs) | roles_of(q.rhs)
+    return p._derived("cone", roots, lambda: evaluate(p, roots))
 
 
 def _register_restricted(p: PolicyState, q: Constraint, mode: RestrictedTrust) -> MonitorRecord:

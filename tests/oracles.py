@@ -16,6 +16,8 @@ upper bound; they are the references for the trusted core the library
 reads off the upper bound.  ``expand_wildcards`` turns a monitor's
 symbolic ``*`` back into the finite role set it used to be expanded to.
 ``restrict`` keeps the statements heading a given role set.
+``support_key`` is the support order the worklist ranked by rendered text
+before it ranked by first-pass positions, the reference for that order.
 ``reference_step`` steps one record through one event by the public
 ``PolicyState.add``/``remove``, ``classify`` and ``register``, and builds
 its warning itself, as the reference for a session's routed replay.
@@ -25,7 +27,7 @@ from collections import defaultdict
 from itertools import combinations, product
 
 from rtmon.analysis import upper_bound
-from rtmon.deps import _join, _support_key
+from rtmon.deps import _join
 from rtmon.engine import _reads, evaluate
 from rtmon.model import (
     EVERY_ROLE,
@@ -57,6 +59,12 @@ from rtmon.monitor import (
 )
 
 FRESH_PRINCIPAL = Principal("Xfresh")
+
+
+def support_key(support: frozenset):
+    """The one support order by text: fewest tokens first, ties broken by
+    the sorted token texts."""
+    return (len(support), sorted(str(x) for x in support))
 
 
 def restrict(p: PolicyState, sigma) -> PolicyState:
@@ -321,7 +329,7 @@ def polling_worklist(statements, token, cap):
             freed = len(kept) < len(supports)
             kept.append(support)
             if cap is not None and len(kept) > cap:
-                kept.sort(key=_support_key)
+                kept.sort(key=support_key)
                 dropped = kept[cap:]
                 del kept[cap:]
                 cut.extend((head, member, s) for s in dropped)

@@ -19,7 +19,7 @@ from rtmon.analysis import check_bounded_containment, core, gamma_restricted_exp
 from rtmon.cli import main
 from rtmon.deps import NoSupport, support_for_constraint
 from rtmon.model import EVERY_ROLE, RoleMonitor
-from rtmon.monitor import RecordStatus, RestrictedTrust, register
+from rtmon.monitor import FullTrust, RecordStatus, RestrictedTrust, register
 from rtmon.parser import (
     parse_constraints,
     parse_monitor,
@@ -150,8 +150,33 @@ class TestDeps:
             # One shared run for every support and, with the flag, for every
             # member's supports.
             assert len(runs) == 1, flags
-            # One evaluation of the cone of every constraint.
-            assert [kind for kind, _ in saturations] == ["cone"]
+            # One evaluation of each constraint's cone, the one its record
+            # reads; the four constraints have four sets of roles.
+            assert [kind for kind, _ in saturations] == ["cone"] * 4
+
+    def test_each_entry_is_what_register_records(self, capsys, tmp_path):
+        # What ``deps`` prints is what a full-trust monitor would watch.
+        policy, constraints = tmp_path / "p.rt", tmp_path / "q.cst"
+        runs: Counter = Counter()
+        for p, queries, _ in _analyze_cases(random.Random(3101), 300):
+            policy.write_text(serialize_policy(p))
+            constraints.write_text("".join(serialize_constraint(q) + "\n" for q in queries))
+            rc, out = run(capsys, "--format", "machine", "deps", str(policy), str(constraints))
+            got = json.loads(out)["result"]["constraints"]
+            assert [e["id"] for e in got] == [q.id for q in queries]
+            for entry, q in zip(got, queries):
+                rec = register(p, q, FullTrust())
+                holds = rec.status is RecordStatus.HOLDING
+                assert entry["satisfied"] == holds
+                if holds:
+                    assert entry["gamma"] == sorted(str(r) for r in rec.gamma_cache)
+                    assert entry["support"] == sorted(str(r) for r in rec.support_cache)
+                else:
+                    assert entry["support"] is None
+                    assert entry["violators"] == sorted(m.name for m in rec.violators)
+                runs[holds] += 1
+            assert rc == (0 if all(e["satisfied"] for e in got) else 1)
+        assert runs[True] >= 200 and runs[False] >= 50
 
     def test_all_supports_report_a_truncation_by_the_cap(self, capsys, tmp_path):
         # A width-4 intersection whose parts have two disjoint alternatives

@@ -78,6 +78,7 @@ from oracles import (
     product_join,
     restrict,
     round_robin_worklist,
+    support_key,
 )
 from randgen import (
     biased_satisfied_constraint,
@@ -590,7 +591,7 @@ class TestSupportCap:
         assert got["member_supports"]() == {frozenset({role("A.r")})}
         assert got["support_for_constraint"]() == frozenset({role("A.r")})
         assert got["credential_support_for_constraint"]() == frozenset({stmt("A.r <- B")})
-        saturated, truncated = _role_worklist(p, None, 1)
+        saturated, truncated, _ = _role_worklist(p, None, 1)
         assert saturated[role("A.r")] == {prin("B"): [frozenset({role("A.r")})]}
         assert not truncated
 
@@ -777,15 +778,15 @@ class TestCredentialSupport:
 def _credential_per_member(p, members, rhs, cap):
     """A worklist replay per member: the statements (or the first member
     without a support) and the role supports chosen."""
-    saturated = _worklist(p, cap)[0]
+    saturated, _, order = _worklist(p, cap)
     total, supports = set(), set()
     for member in sorted(members, key=str):
-        role_support = _member_expr_support(member, rhs, saturated)
+        role_support = _member_expr_support(member, rhs, saturated, order)
         if role_support is None:
             return member, supports
         supports.add(role_support)
-        replay = _worklist(restrict(p, role_support), cap, by_statement=True)[0]
-        total |= _member_expr_support(member, rhs, replay)
+        replay, _, replay_order = _worklist(restrict(p, role_support), cap, by_statement=True)
+        total |= _member_expr_support(member, rhs, replay, replay_order)
     return frozenset(total), supports
 
 
@@ -873,8 +874,9 @@ def _by_statement(stmt):
 
 def _run_worklist(p, token, cap):
     """``_worklist`` on every statement of ``p``, its tokens the heads or
-    the statements, as ``token`` gives them; the oracles' signature."""
-    return _worklist(p, cap, by_statement=token is _by_statement)
+    the statements, as ``token`` gives them; the oracles' signature, which
+    leaves out the run's support order."""
+    return _worklist(p, cap, by_statement=token is _by_statement)[:2]
 
 
 class TestWorklistAgainstRoundRobin:
@@ -1267,3 +1269,143 @@ def test_capped_supports_do_not_depend_on_the_hash_seed():
         runs.append(json.loads(proc.stdout))
     assert any(truncated for _, truncated in runs[0])
     assert all(run == runs[0] for run in runs[1:])
+
+
+class TestRankOrder:
+    """The worklist ranks supports by the positions its first pass gave
+    their tokens.  On distinct tokens that is the order of the sorted token
+    texts, by which it ranked them before, in the cap cut and in every
+    pick, confined runs included."""
+
+    @staticmethod
+    def _supports(raw) -> list:
+        """Every distinct support a run kept, in the order first met."""
+        kept = (s for by_member in raw.values() for found in by_member.values() for s in found)
+        return list(dict.fromkeys(kept))
+
+    def test_positions_order_supports_as_their_texts_do(self, monkeypatch):
+        rng = random.Random(3100)
+        states = _random_support_states(rng, 3000)
+        cases, truncated, ties = 0, 0, 0
+        for k, p in enumerate(states):
+            # Half of the random and half of the fan states run confined to
+            # a random set of heads.
+            heads = sorted(p._index, key=str)
+            admitted = frozenset(rng.sample(heads, rng.randint(1, len(heads))))
+            confined = admitted if k % 4 in (1, 2) else None
+            for by_statement in (False, True):
+                for cap in (None, 1, 2, 8):
+                    raw, cut, order = _worklist(p, cap, confined, by_statement)
+                    with monkeypatch.context() as m:
+                        m.setattr(rtmon.deps, "_ranked", lambda rank: support_key)
+                        want, want_cut, _ = _worklist(p, cap, confined, by_statement)
+                    assert _in_insertion_order(raw) == _in_insertion_order(want), (k, cap)
+                    assert cut == want_cut, (k, cap)
+                    supports = self._supports(raw)
+                    assert sorted(supports, key=order) == sorted(supports, key=support_key)
+                    cases += 1
+                    truncated += bool(cut)
+                    ties += len(supports) > len({len(s) for s in supports})
+        assert cases == 24000
+        # The cap cuts often, and supports of one size, which only the
+        # tokens order, are common.
+        assert truncated >= 1000 and ties >= 5000
+
+
+class _LookUps(dict):
+    """A state's index that logs every head a pass looks up, and ``None``
+    for a walk of every head."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __iter__(self):
+        self.log.append(None)
+        return super().__iter__()
+
+    def __getitem__(self, head):
+        self.log.append(head)
+        return super().__getitem__(head)
+
+    def __contains__(self, head):
+        self.log.append(head)
+        return super().__contains__(head)
+
+    def get(self, head, default=None):
+        self.log.append(head)
+        return super().get(head, default)
+
+
+def _traced_replays(p, members, rhs):
+    """``credential_support_for_constraint`` on ``p`` once its role
+    worklist ran: the support, the heads the replays looked up on the index,
+    and per replay the rules it set apart and the rules it fired, in
+    order."""
+    _role_worklist(p, None, DEFAULT_SUPPORT_CAP)
+    looked_up: list = []
+    runs: list = []
+    object.__setattr__(p, "_index", _LookUps(p._index, looked_up))
+    worklist = _worklist.__code__
+
+    def profile(frame, event, arg):
+        if frame.f_code is worklist:
+            if event == "call":
+                runs.append(([], []))
+            elif event == "return":
+                runs[-1][0].extend(stmt for stmt, _, _ in frame.f_locals["rules"])
+        elif event == "call" and frame.f_code.co_name == "fire" and frame.f_back.f_code is worklist:
+            runs[-1][1].append(frame.f_locals["stmt"])
+
+    sys.setprofile(profile)
+    try:
+        got = credential_support_for_constraint(p, members, rhs)
+    finally:
+        sys.setprofile(None)
+    return got, looked_up, runs
+
+
+class TestConfinedReplays:
+    """A credential replay walks only the heads of its role support and
+    sets apart only the rules whose read roles all lie in it."""
+
+    BASE = [
+        "Reg.ok <- O1.c", "Reg.ok <- O2.c", "Reg.ok <- O1.c & O1.d",
+        "O1.c <- E1", "O1.d <- E1", "O2.c <- E2", "O2.c <- O2.d", "O2.d <- E3",
+    ]
+
+    @staticmethod
+    def _padding(n):
+        """``n`` rules heading ``Reg.ok`` that each read a role outside every
+        role support: simple, linked and intersection rules, a few of whose
+        roles hold a principal no constraint needs."""
+        lines = []
+        for k in range(n):
+            lines.append(
+                (f"Reg.ok <- U{k}.x", f"Reg.ok <- Reg.u{k}.x", f"Reg.ok <- O1.c & U{k}.x")[k % 3]
+            )
+            if k % 100 == 0:
+                lines += [f"U{k}.x <- Z", f"Reg.u{k} <- U{k}"]
+        return lines
+
+    def test_padding_changes_no_replay(self):
+        members, rhs = [prin("E1"), prin("E2"), prin("E3")], RoleRef(role("Reg.ok"))
+        traced = {}
+        for n in (0, 10**4):
+            p = parse_policy("".join(f"{line}\n" for line in self.BASE + self._padding(n)))
+            traced[n] = _traced_replays(p, members, rhs)
+        bare, padded = traced[0], traced[10**4]
+        assert padded[0] == bare[0] == frozenset(
+            stmt(t) for t in ("Reg.ok <- O1.c", "O1.c <- E1", "Reg.ok <- O2.c",
+                              "O2.c <- E2", "O2.c <- O2.d", "O2.d <- E3")
+        )
+        # Three role supports, so three replays, which set apart and fire the
+        # same rules with and without the padding: E1's replay leaves out
+        # the intersection, which reads O1.d, outside its role support.
+        assert len(padded[2]) == 3 and padded[2] == bare[2]
+        assert padded[2][0] == ([stmt("Reg.ok <- O1.c")], [stmt("Reg.ok <- O1.c")])
+        # Every look-up names a head of some role support; none walks the
+        # whole index.
+        admitted = {role(r) for r in ("Reg.ok", "O1.c", "O2.c", "O2.d")}
+        assert padded[1] and set(padded[1]) <= admitted
+        assert padded[1] == bare[1]
