@@ -8,7 +8,10 @@ role at a set of its own.  :func:`_below` holds roles outside the
 shrink-trusted set at the empty set, so only shrink-trusted definitions
 count; :func:`_above` holds roles of ``TOP`` and roles outside the
 growth-trusted set at the universe, current principals plus the reserved
-``TOP`` for principals not seen yet.  Both bounds are sparse, and
+``TOP`` for principals not seen yet.  The current principals are the
+keys of the state's principal counts, which a session's snapshot carries
+over from the one before, so reading them does not walk the policy.
+Both bounds are sparse, and
 :class:`BoundIndex` reads the roles they leave out by the same rules.
 
 Every pass asks the monitor's trusted sets only ``role in ...``, so a set

@@ -149,12 +149,13 @@ def cmd_deps(args) -> dict:
     # The state keeps its whole-state worklist, so one run serves the
     # supports and, when asked for, every member's supports.
     js = justified_semantics(state) if args.all_supports else None
-    mode = FullTrust()
+    mode = FullTrustCredential() if args.credential_support else FullTrust()
     verdicts = []
     violated = False
     for q in constraints:
         # What the monitor would watch: the frontiers of the record that
-        # ``register`` builds, on the cone it keeps on the state.
+        # ``register`` builds, on the cone it keeps on the state; under
+        # credential supports the support is statements.
         rec = register(state, q, mode)
         idx = _cone(state, q)
         holds = rec.status is RecordStatus.HOLDING
@@ -385,6 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy")
     p.add_argument("constraints")
     p.add_argument("--all-supports", action="store_true", dest="all_supports")
+    p.add_argument(
+        "--credential-support", action="store_true", dest="credential_support",
+        help="print the statements a credential-support record watches",
+    )
     p.set_defaults(func=cmd_deps)
 
     p = sub.add_parser("analyze", help="conservative containment under a role monitor")

@@ -6,14 +6,15 @@ principal-owned role either directly (simple membership) or by delegation
 role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
 beyond their own invariants, and are safe to share between threads.  A
-state derives what every pass reads of it -- its principals, and its one
-index: its statements by head, each head's in text order -- on first use,
-once, and keeps it, and it keeps what the other modules derive from it
-(membership on a cone, the support worklist, the bounds and the trusted
-core) in one memo, also filled on first use.  A state derived
-from another -- by ``add`` or ``remove``, or as a session's next snapshot
--- carries over the other's index with the changes between them replayed
-onto a copy, and derives the rest afresh.
+state derives what every pass reads of it -- its principals, each with
+the number of statements naming it, and its one index: its statements by
+head, each head's in text order -- on first use, once, and keeps it, and
+it keeps what the other modules derive from it (membership on a cone, the
+support worklist, the bounds and the trusted core) in one memo, also
+filled on first use.  A state derived from another -- by ``add`` or
+``remove``, or as a session's next snapshot -- carries over whichever of
+the other's index and principal counts it built, with the changes between
+them replayed onto a copy, and derives the rest afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import (
-    Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, TypeVar, Union,
+    Callable, Container, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar,
+    Union,
 )
 
 __all__ = [
@@ -325,10 +327,18 @@ class PolicyState:
 
     @cached_property
     def principals(self) -> frozenset[Principal]:
-        out: set[Principal] = set()
+        return frozenset(self._uses)
+
+    @cached_property
+    def _uses(self) -> dict[Principal, int]:
+        """Each principal of the state with the number of its statements
+        that name it: a statement naming one principal twice counts once.
+        ``principals`` reads the keys."""
+        uses: dict[Principal, int] = {}
         for stmt in self.statements:
-            out |= statement_principals(stmt)
-        return frozenset(out)
+            for principal in statement_principals(stmt):
+                uses[principal] = uses.get(principal, 0) + 1
+        return uses
 
     @cached_property
     def _index(self) -> dict[Role, list[Statement]]:
@@ -415,41 +425,55 @@ def _checked_state(statements: frozenset[Statement]) -> PolicyState:
 
 
 def _successor(
-    prev: PolicyState, statements: frozenset[Statement], events: Iterable[ChangeEvent]
+    prev: PolicyState, statements: frozenset[Statement], events: Sequence[ChangeEvent]
 ) -> PolicyState:
     """The state over ``statements``, already known to be free of ``TOP``,
     that ``events`` make of ``prev``, each changing the state it meets.
 
-    When ``prev`` has built its index, the new state carries it over with
-    the events replayed, in order, onto a copy: the map is copied, and the
-    list of each head an event changes before it changes.  An addition
-    enters its head's list by ``insort`` on its text; a removal drops the
-    object the list holds, found by equality, whichever order an
-    intersection was written in.  Nothing else is
-    carried, neither the principals nor the memo, and nothing ``prev``
-    holds is changed.  ``PolicyState.add`` and ``remove`` and every
-    snapshot of a session build their state here.
+    What ``prev`` has built of its index and its principal counts, the new
+    state carries over with the events replayed, in order, onto a copy.
+    Of the index the map is copied, and the list of each head an event
+    changes before it changes.  An addition enters its head's list by
+    ``insort`` on its text; a removal drops the object the list holds,
+    found by equality, whichever order an intersection was written in.  Of
+    the counts, each principal of an event's statement gains one for an
+    addition and loses one for a removal, and leaves at zero.  Nothing
+    else is carried, neither the principal set, built from the counts when
+    read, nor the memo, and nothing ``prev`` holds is changed.
+    ``PolicyState.add`` and ``remove`` and every snapshot of a session
+    build their state here.
     """
     state = _checked_state(statements)
     index = vars(prev).get("_index")
-    if index is None:
-        return state
-    index = dict(index)
-    copied: dict[Role, list[Statement]] = {}
-    for ev in events:
-        stmt = ev.statement
-        items = copied.get(stmt.head)
-        if items is None:
-            items = copied[stmt.head] = index[stmt.head] = list(index.get(stmt.head, ()))
-        if ev.kind is ChangeKind.ADD:
-            insort(items, stmt, key=str)
-        else:
-            items.remove(stmt)
-    # A head left without statements leaves the map, as in a fresh index.
-    for head, items in copied.items():
-        if not items:
-            del index[head]
-    object.__setattr__(state, "_index", index)
+    if index is not None:
+        index = dict(index)
+        copied: dict[Role, list[Statement]] = {}
+        for ev in events:
+            stmt = ev.statement
+            items = copied.get(stmt.head)
+            if items is None:
+                items = copied[stmt.head] = index[stmt.head] = list(index.get(stmt.head, ()))
+            if ev.kind is ChangeKind.ADD:
+                insort(items, stmt, key=str)
+            else:
+                items.remove(stmt)
+        # A head left without statements leaves the map, as in a fresh index.
+        for head, items in copied.items():
+            if not items:
+                del index[head]
+        object.__setattr__(state, "_index", index)
+    uses = vars(prev).get("_uses")
+    if uses is not None:
+        uses = dict(uses)
+        for ev in events:
+            step = 1 if ev.kind is ChangeKind.ADD else -1
+            for principal in statement_principals(ev.statement):
+                left = uses.get(principal, 0) + step
+                if left:
+                    uses[principal] = left
+                else:
+                    del uses[principal]
+        object.__setattr__(state, "_uses", uses)
     return state
 
 

@@ -23,9 +23,10 @@ builds nothing.
 
 Every parse either returns a value or raises :class:`ParseError` with a
 position; serializers are exact inverses (``parse(serialize(x)) == x``).
-Within one parse call each principal, role name, role and statement is one
-object (a statement per sequence of identifiers, so a reordered
-intersection keeps its written order); separate calls share nothing.
+Within one parse call each principal, role name, role, member fact body
+and statement is one object (a statement per sequence of identifiers, so a
+reordered intersection keeps its written order); separate calls share
+nothing.
 """
 
 from __future__ import annotations
@@ -144,14 +145,16 @@ class _Table(dict):
 class _Names:
     """What one parse call has built, each made once and keyed by its
     source text: principals and role names by name, roles by their
-    ``(owner, name)`` strings, statements by their identifiers."""
+    ``(owner, name)`` strings, member fact bodies by the member's name,
+    statements by their identifiers."""
 
     def __init__(self) -> None:
-        # The role maker closes over the two tables, not over ``self``, so
-        # the tables form no reference cycle and are freed with the call.
+        # The makers close over the tables, not over ``self``, so the
+        # tables form no reference cycle and are freed with the call.
         principals = self.principals = _Table(Principal)
         role_names = self.role_names = _Table(RoleName)
         self.roles = _Table(lambda key: Role(principals[key[0]], role_names[key[1]]))
+        self.members = _Table(lambda name: SimpleMember(principals[name]))
         self.statements: dict[tuple[str | None, ...], Statement] = {}
 
 
@@ -271,7 +274,7 @@ def _new_statement(names: _Names, key: tuple[str | None, ...]) -> Statement | No
             (roles[source, first], *map(roles.__getitem__, zip(owners, key[5::2])))
         )
     elif first is None:
-        body = SimpleMember(names.principals[source])
+        body = names.members[source]
     elif key[4] is None:
         body = SimpleInclusion(roles[source, first])
     elif source != owner:

@@ -19,7 +19,7 @@ from rtmon.analysis import check_bounded_containment, core, gamma_restricted_exp
 from rtmon.cli import main
 from rtmon.deps import NoSupport, support_for_constraint
 from rtmon.model import EVERY_ROLE, RoleMonitor
-from rtmon.monitor import FullTrust, RecordStatus, RestrictedTrust, register
+from rtmon.monitor import FullTrust, FullTrustCredential, RecordStatus, RestrictedTrust, register
 from rtmon.parser import (
     parse_constraints,
     parse_monitor,
@@ -156,16 +156,29 @@ class TestDeps:
 
     def test_each_entry_is_what_register_records(self, capsys, tmp_path):
         # What ``deps`` prints is what a full-trust monitor would watch.
+        self._check_entries(capsys, tmp_path, [], FullTrust())
+
+    def test_each_credential_entry_is_what_register_records(self, capsys, tmp_path):
+        # With ``--credential-support``, what a credential-support monitor
+        # would watch: the support is the record's statements.
+        self._check_entries(capsys, tmp_path, ["--credential-support"], FullTrustCredential())
+
+    @staticmethod
+    def _check_entries(capsys, tmp_path, flags, mode):
+        """On every fixture and 300 random states, each entry of ``deps``
+        with ``flags`` is the record ``register`` builds under ``mode``."""
         policy, constraints = tmp_path / "p.rt", tmp_path / "q.cst"
         runs: Counter = Counter()
         for p, queries, _ in _analyze_cases(random.Random(3101), 300):
             policy.write_text(serialize_policy(p))
             constraints.write_text("".join(serialize_constraint(q) + "\n" for q in queries))
-            rc, out = run(capsys, "--format", "machine", "deps", str(policy), str(constraints))
+            rc, out = run(
+                capsys, "--format", "machine", "deps", str(policy), str(constraints), *flags
+            )
             got = json.loads(out)["result"]["constraints"]
             assert [e["id"] for e in got] == [q.id for q in queries]
             for entry, q in zip(got, queries):
-                rec = register(p, q, FullTrust())
+                rec = register(p, q, mode)
                 holds = rec.status is RecordStatus.HOLDING
                 assert entry["satisfied"] == holds
                 if holds:
@@ -734,6 +747,7 @@ GOLDEN_CASES = [
     ),
     ("check_multi.json", ["check", "multi.rt", "multi.cst"]),
     ("deps_multi.json", ["deps", "multi.rt", "multi.cst", "--all-supports"]),
+    ("deps_multi_credential.json", ["deps", "multi.rt", "multi.cst", "--credential-support"]),
     ("monitor_multi.json", ["monitor", "multi.rt", "multi.cst", "multi.changes"]),
     (
         "monitor_multi_credential.json",

@@ -904,6 +904,84 @@ def test_snapshots_carry_what_a_fresh_build_gives(monkeypatch, make_mode):
 
 
 
+def test_restricted_snapshots_carry_the_principal_counts(monkeypatch):
+    """Every restricted registration reads its state's principals, so each
+    snapshot of a session carries the counts of the one before it, and
+    they equal a fresh build's, through principals that leave with their
+    last statement and come back, and statements naming one principal
+    twice."""
+    rng = random.Random(3202)
+    built = count_snapshots(monkeypatch, lambda state: (state, set(vars(state))))
+    snapshots, seen = 0, Counter()
+    for n in range(3000):
+        p = random_state(rng)
+        if n % 4:
+            monitor = random_monitor(rng, p, rng.random(), rng.random())
+        else:
+            monitor = _wildcard_monitor(rng, p)
+        make = [biased_satisfied_constraint, random_constraint]
+        regs = [(make[i](rng, p, f"q{i}"), RestrictedTrust(monitor)) for i in range(2)]
+        log = _random_log(rng, p, 10)[0]
+        del built[:]
+        run_session(p, regs, log)
+        before, gone = p.principals, set()
+        for state, carried in built:
+            assert "_uses" in carried and "principals" not in carried
+            fresh = PolicyState(state.statements)
+            assert state._uses == fresh._uses
+            assert state.principals == fresh.principals
+            seen["dropped"] += bool(before - state.principals)
+            seen["returned"] += bool(gone & (state.principals - before))
+            gone |= before - state.principals
+            before = state.principals
+        seen["twice"] += any(
+            isinstance(ev.statement.body, SimpleMember)
+            and ev.statement.body.member == ev.statement.head.owner
+            for ev in log
+        )
+        snapshots += len(built)
+    assert snapshots >= 10_000
+    assert seen["dropped"] >= 300 and seen["returned"] >= 50 and seen["twice"] >= 300
+
+
+def test_a_warned_restricted_event_collects_the_principals_of_changed_statements_alone(
+    monkeypatch,
+):
+    """No snapshot after the first collects the principals of a statement
+    that did not change: each replays the events since the last one onto
+    its counts, so 10^4 statements no constraint reads add no call to a
+    warned event."""
+    log = parse_changelog(
+        "+ Zed.r <- Yan\n"  # quiet, with two fresh principals
+        f"+ {HAZMAT_ADD_9}\n"  # warned, still holds
+        "- Zed.r <- Yan\n"  # quiet, and the last statement naming Zed and Yan
+        f"+ {HAZMAT_ADD_10}\n"  # warned, the bound breaks
+        "+ Zed.r <- Yan\n"  # reaches the violated record
+    )
+    per_event = {}
+    for name, p in (("hazmat", hazmat_policy()), ("big", _big_policy())):
+        regs = _hazmat_registrations(3)[2:]
+        collected = count_calls(monkeypatch, rtmon.model.statement_principals)
+        marks = []
+
+        def marked(log):
+            for ev in log:
+                marks.append(len(collected))
+                yield ev
+            marks.append(len(collected))
+
+        session = run_session(p, regs, marked(log))
+        assert [w.event for w in session.warnings] == log[1:2] + log[3:]
+        assert marks[0] >= len(p)  # the starting state builds its counts
+        # Each snapshot collects the statements changed since the last one.
+        assert collected[marks[0]:] == [ev.statement for ev in log]
+        per_event[name] = [b - a for a, b in zip(marks, marks[1:])]
+        final = session.final_state
+        assert final.principals == PolicyState(final.statements).principals
+        monkeypatch.undo()
+    assert per_event["hazmat"] == per_event["big"] == [0, 2, 0, 2, 1]
+
+
 def test_an_intersection_added_back_in_another_order_prints_as_last_written(monkeypatch):
     """Removed and added back written in another order between two
     snapshots, an intersection is carried with its new text: in the next

@@ -478,6 +478,14 @@ class TestInterning:
         assert first.body.member is third.head.owner
         assert first.head.name is second.head.name
 
+    def test_one_member_body_per_principal_within_a_parse(self):
+        p = parse_policy("A.r <- M\nB.s <- M\nC.t <- N\n")
+        by_head = {str(s.head): s for s in p}
+        assert by_head["A.r"].body is by_head["B.s"].body
+        assert by_head["A.r"].body is not by_head["C.t"].body
+        events = parse_changelog("+ A.r <- M\n- B.s <- M\n")
+        assert events[0].statement.body is events[1].statement.body
+
     def test_policy_parse_shares_names_across_lines(self):
         p = parse_policy("A.r <- B\nC.r <- A.r\n")
         by_head = {str(s.head): s for s in p}
