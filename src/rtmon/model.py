@@ -81,6 +81,36 @@ def _rebuilt(self) -> tuple:
     return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
+def _unchecked(cls: type[_T]) -> Callable[..., _T]:
+    """The parser's constructor of ``cls``, a type that keeps its hash: the
+    grammar has already made the checks of ``__post_init__``, so this one
+    only writes the fields, and ``_hash`` as the hash of their tuple, the
+    formula ``__post_init__`` uses, straight into their slots, past the
+    frozen ``__setattr__``."""
+    slots = [vars(cls)[f.name].__set__ for f in fields(cls) if f.init]
+    set_hash = vars(cls)["_hash"].__set__
+    new = object.__new__
+    if len(slots) == 1:
+        [set_a] = slots
+
+        def make(a):
+            self = new(cls)
+            set_a(self, a)
+            set_hash(self, hash((a,)))
+            return self
+    else:
+        set_a, set_b = slots
+
+        def make(a, b):
+            self = new(cls)
+            set_a(self, a)
+            set_b(self, b)
+            set_hash(self, hash((a, b)))
+            return self
+
+    return make
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Principal:
     """A participant, identified by name (exact string equality).
@@ -114,6 +144,8 @@ class Principal:
         return self.name
 
 
+_unchecked_principal = _unchecked(Principal)
+
 #: The reserved "any principal" marker.  Appears only in analysis results.
 TOP = Principal(RESERVED_PRINCIPAL)
 
@@ -136,6 +168,9 @@ class RoleName:
         return self.name
 
 
+_unchecked_role_name = _unchecked(RoleName)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Role:
     """A named set of principals administered by its owner, written ``A.r``."""
@@ -154,6 +189,9 @@ class Role:
 
     def __str__(self) -> str:
         return f"{self.owner.name}.{self.name.name}"
+
+
+_unchecked_role = _unchecked(Role)
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,6 +290,9 @@ class Statement:
 
     def __str__(self) -> str:
         return f"{self.head} <- {self.body}"
+
+
+_unchecked_statement = _unchecked(Statement)
 
 
 def statement_principals(stmt: Statement) -> frozenset[Principal]:

@@ -17,17 +17,17 @@ event straight to the records whose frontier it crosses, and classifies
 nothing.  The session keeps the live statements in one mutable set and
 builds a ``PolicyState`` only when some record re-registers.  An event
 outside every frontier costs the same, whatever the policy size and the
-number of constraints:
+number of constraints, and calls no router and builds no list:
 
-* on the live set, a membership probe and then the insertion for an
-  addition, or a discard and a size comparison for a removal;
+* one operation on the live set and a size comparison: an insertion for
+  an addition, which hashes its statement once, or a discard for a
+  removal;
 * for an addition of a statement not yet live, the ``TOP`` check, which
   reads the statement's body in place;
 * for an event that changes the live set, its append to the list of the
-  events since the snapshot;
-* one ``_FrontierIndex.reached`` call: one dictionary probe per key (the
-  head of an addition; the head and the statement of a removal), and an
-  empty list returned without a sort.
+  events since the snapshot, and one dictionary probe per key of the
+  frontier tables, made inline: the head of an addition; the head and the
+  statement of a removal.
 
 Every probe reads the hash its statement or role computed when it was
 built, so nothing on that path rehashes a statement or hashes a principal.
@@ -306,8 +306,9 @@ class _FrontierIndex:
 
     Records are named by their registration position.  ``added`` and
     ``removed`` map the keys of each side of a frontier to the records
-    watching them; ``every`` holds the records without a frontier, which
-    every event reaches.
+    watching them, a key watched by none leaving its table; ``every``
+    holds the records without a frontier, which every event reaches.
+    ``run_session`` probes the tables itself.
     """
 
     def __init__(self, records: Sequence[MonitorRecord]):
@@ -337,27 +338,6 @@ class _FrontierIndex:
         for table, keys in zip((self.added, self.removed), front):
             for key in keys:
                 table.setdefault(key, set()).add(i)
-
-    def reached(self, ev: ChangeEvent, noop: bool) -> list[int]:
-        """The records ``ev`` reaches, in registration order.  A no-op
-        crosses no frontier, so it reaches only the records in ``every``.
-        An event that reaches no record probes each of its keys once and
-        builds nothing but the empty list."""
-        due = self.every
-        if not noop:
-            stmt = ev.statement
-            if ev.kind is _ADD:
-                hit = self.added.get(stmt.head)
-                if hit:
-                    due = due | hit
-            else:
-                hit = self.removed.get(stmt.head)
-                if hit:
-                    due = due | hit
-                hit = self.removed.get(stmt)
-                if hit:
-                    due = due | hit
-        return sorted(due) if due else []
 
 
 @dataclass(frozen=True)
@@ -395,11 +375,12 @@ def run_session(
     live set changed: that event builds the next one from it and drops it,
     so an event that reaches no record neither builds nor frees anything of
     the size of the policy.  Such an event makes one set operation on the
-    live statements (a probe before an addition), the ``TOP`` check for an
-    addition that changes them, an append to a list for any event that
-    does, and one ``reached`` call, which probes the frontier index once
-    per key and returns an empty list, so its cost does not grow with the
-    policy or the number of constraints.
+    live statements and a size comparison (an addition hashes its
+    statement once), the ``TOP`` check for an addition that changes them,
+    and, for any event that does, an append to a list and one probe of the
+    frontier tables per key.  It calls no router and builds no list of
+    due records, so its cost does not grow with the policy or the number
+    of constraints.
     ``final_state`` is the last snapshot when no change followed it, a
     state built from the live statements (carrying nothing) when one did,
     and ``p`` itself when nothing changed.
@@ -407,29 +388,42 @@ def run_session(
     initial = tuple(register(p, q, mode) for q, mode in registrations)
     records = list(initial)
     index = _FrontierIndex(records)
+    # ``put`` changes the tables in place, so they are bound once.
+    watch_added, watch_removed, every = index.added.get, index.removed.get, index.every
     warnings: list[MonitorWarning] = []
     live = set(p.statements)
     snapshot = p
     # The events that changed the live set since the snapshot, in order.
     changes: list[ChangeEvent] = []
     note = changes.append
-    reached = index.reached
     for ev in log:
         stmt = ev.statement
+        size = len(live)
+        # An addition is inserted and the size compared, so its statement
+        # is hashed once.  A no-op crosses no frontier.
         if ev.kind is _ADD:
-            noop = stmt in live
-            if not noop:
+            live.add(stmt)
+            noop = len(live) == size
+            if noop:
+                hit = None
+            else:
                 _check_unreserved(stmt)
-                live.add(stmt)
+                note(ev)
+                hit = watch_added(stmt.head)
         else:
-            size = len(live)
             live.discard(stmt)
             noop = len(live) == size
-        if not noop:
-            note(ev)
-        due = reached(ev, noop)
-        if not due:
+            if noop:
+                hit = None
+            else:
+                note(ev)
+                hit = watch_removed(stmt.head)
+                more = watch_removed(stmt)
+                if more:
+                    hit = hit | more if hit else more
+        if not (hit or every):
             continue
+        due = sorted(every | hit if hit else every)
         if changes:
             # Built from the snapshot it replaces, which it then releases.
             snapshot = _successor(snapshot, frozenset(live), changes)

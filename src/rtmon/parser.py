@@ -25,8 +25,10 @@ Every parse either returns a value or raises :class:`ParseError` with a
 position; serializers are exact inverses (``parse(serialize(x)) == x``).
 Within one parse call each principal, role name, role, member fact body
 and statement is one object (a statement per sequence of identifiers, so a
-reordered intersection keeps its written order); separate calls share
-nothing.
+reordered intersection keeps its written order), built once by the model's
+unchecked constructors, since the grammar has made their checks; a
+change-log line repeated verbatim is matched once per call, though each
+line still gets an event of its own.  Separate calls share nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .model import (
     RESERVED_PRINCIPAL,
     Role,
     RoleMonitor,
-    RoleName,
     RoleRef,
     SimpleInclusion,
     SimpleMember,
@@ -59,6 +60,10 @@ from .model import (
     UnionExpr,
     _IDENT,
     _checked_state,
+    _unchecked_principal,
+    _unchecked_role,
+    _unchecked_role_name,
+    _unchecked_statement,
     fold_expr,
 )
 
@@ -146,14 +151,16 @@ class _Names:
     """What one parse call has built, each made once and keyed by its
     source text: principals and role names by name, roles by their
     ``(owner, name)`` strings, member fact bodies by the member's name,
-    statements by their identifiers."""
+    statements by their identifiers.  Every name has passed the grammar,
+    so principals, role names, roles and statements are built by the
+    model's unchecked constructors."""
 
     def __init__(self) -> None:
         # The makers close over the tables, not over ``self``, so the
         # tables form no reference cycle and are freed with the call.
-        principals = self.principals = _Table(Principal)
-        role_names = self.role_names = _Table(RoleName)
-        self.roles = _Table(lambda key: Role(principals[key[0]], role_names[key[1]]))
+        principals = self.principals = _Table(_unchecked_principal)
+        role_names = self.role_names = _Table(_unchecked_role_name)
+        self.roles = _Table(lambda key: _unchecked_role(principals[key[0]], role_names[key[1]]))
         self.members = _Table(lambda name: SimpleMember(principals[name]))
         self.statements: dict[tuple[str | None, ...], Statement] = {}
 
@@ -281,7 +288,7 @@ def _new_statement(names: _Names, key: tuple[str | None, ...]) -> Statement | No
         return None
     else:
         body = LinkingInclusion(roles[source, first], names.role_names[key[4]])
-    stmt = names.statements[key] = Statement(roles[owner, name], body)
+    stmt = names.statements[key] = _unchecked_statement(roles[owner, name], body)
     return stmt
 
 
@@ -488,13 +495,19 @@ def parse_monitor(text: str) -> RoleMonitor:
 
 
 def parse_changelog(text: str) -> list[ChangeEvent]:
-    """Parse a change log into an ordered event list."""
+    """Parse a change log into an ordered event list, one event per line.
+    A line repeated verbatim is matched once per call."""
     names = _Names()
-    add, remove = ChangeKind.ADD, ChangeKind.REMOVE
+    kinds = {"+": ChangeKind.ADD, "-": ChangeKind.REMOVE}
+    # Each distinct line's code, with the kind and statement it gives.
+    parsed: dict[str, tuple[ChangeKind, Statement]] = {}
     events: list[ChangeEvent] = []
     for line, code in _lines(text):
-        sign, stmt = _statement(code, line, names, True)
-        events.append(ChangeEvent(add if sign == "+" else remove, stmt))
+        got = parsed.get(code)
+        if got is None:
+            sign, stmt = _statement(code, line, names, True)
+            got = parsed[code] = (kinds[sign], stmt)
+        events.append(ChangeEvent(*got))
     return events
 
 

@@ -599,10 +599,25 @@ def _random_log(rng, p, n_events, repeat=0.3):
     return log, noops
 
 
+def _routed(index, ev):
+    """The records the index's tables route ``ev`` to when it changes the
+    live statements: those in ``every``, and those watching a key of the
+    event in the table of its kind (the head of an addition; the head and
+    the statement of a removal)."""
+    stmt = ev.statement
+    if ev.kind is ChangeKind.ADD:
+        table, keys = index.added, (stmt.head,)
+    else:
+        table, keys = index.removed, (stmt.head, stmt)
+    return set(index.every).union(*(table.get(key, ()) for key in keys))
+
+
 def _assert_index_agrees(index, records, ev):
-    """Every record the index routes ``ev`` to is one ``classify`` calls
-    triggering, or one without a frontier, and no other."""
-    routed = set(index.reached(ev, noop=False))
+    """Every record the index's tables route ``ev`` to is one ``classify``
+    calls triggering, or one without a frontier, and no other; and the
+    tables, however often ``put`` replaced a record, are those of an index
+    built afresh from the records, so no key is left watched by none."""
+    routed = _routed(index, ev)
     for i, rec in enumerate(records):
         blind = rec.status is not RecordStatus.HOLDING or (
             isinstance(rec.mode, RestrictedTrust) and not rec.gamma_total
@@ -611,7 +626,8 @@ def _assert_index_agrees(index, records, ev):
         reached = classify(rec, ev)
         assert (i in routed) == reached
         assert reached or not blind
-    assert index.reached(ev, noop=True) == sorted(index.every)
+    fresh = rtmon.monitor._FrontierIndex(records)
+    assert (index.added, index.removed, index.every) == (fresh.added, fresh.removed, fresh.every)
 
 
 def test_session_steps_each_record_like_reference_step():
@@ -1168,15 +1184,13 @@ def test_quiet_events_free_no_snapshot(monkeypatch, make_mode):
     built = count_snapshots(
         monkeypatch, lambda state: weakref.finalize(state, lambda: released.append(position[0]))
     )
-    real_reached = rtmon.monitor._FrontierIndex.reached
+    real_react = rtmon.monitor._react
 
-    def reached(self, ev, noop):
-        due = real_reached(self, ev, noop)
-        if due:
-            reached_at.add(position[0])
-        return due
+    def react(rec, new_state, ev, noop):
+        reached_at.add(position[0])
+        return real_react(rec, new_state, ev, noop)
 
-    monkeypatch.setattr(rtmon.monitor._FrontierIndex, "reached", reached)
+    monkeypatch.setattr(rtmon.monitor, "_react", react)
 
     def replay(log):
         for n, ev in enumerate(log):
@@ -1245,7 +1259,7 @@ def _quiet_log(rng, p, index, n_events):
     rng.shuffle(candidates)
     log, changes, live = [], [], set(p.statements)
     for ev in candidates:
-        if index.reached(ev, False):
+        if _routed(index, ev):
             continue
         ev = ChangeEvent(ev.kind, stmt(str(ev.statement)))
         if ev.kind is ChangeKind.ADD:
@@ -1267,20 +1281,27 @@ def _quiet_log(rng, p, index, n_events):
     ],
     ids=["full", "credential", "restricted"],
 )
-def test_quiet_events_call_only_value_hashes_the_top_check_and_the_router(make_mode):
+def test_quiet_events_call_only_value_hashes_and_the_top_check(make_mode):
     """During an event that reaches no record, the only Python-level calls
-    into ``rtmon`` are the hash and equality of value types, the ``TOP``
-    check of an addition that changes the live statements, and one
-    ``_FrontierIndex.reached``."""
+    into ``rtmon`` are the hash and equality of value types, and the ``TOP``
+    check of an addition that changes the live statements: no router call.
+    The live set hashes the statement once, and each frontier table probe
+    hashes its key once: an addition hashes its statement once and, when it
+    changes the live set, its head once; a removal that changes the live
+    set hashes its head once and its statement twice.  Those are the
+    hashes ``run_session`` itself calls for; an equality test may hash more
+    (an intersection compares its parts as sets)."""
     rng = random.Random(713)
     position: list = [None]  # the event being replayed, None outside the log
     calls: list = []
+    session_code = run_session.__code__
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_globals.get("__name__", "").startswith("rtmon"):
             name = frame.f_code.co_name
             owner = type(frame.f_locals["self"]) if name in ("__hash__", "__eq__") else None
-            calls.append((position[0], name, owner))
+            direct = frame.f_back is not None and frame.f_back.f_code is session_code
+            calls.append((position[0], name, owner, direct))
 
     def replay(log):
         for n, ev in enumerate(log):
@@ -1308,17 +1329,25 @@ def test_quiet_events_call_only_value_hashes_the_top_check_and_the_router(make_m
             sys.setprofile(None)
         assert session.warnings == () and session.records == session.initial
         per_event: dict = {n: Counter() for n in range(len(log))}
-        for n, name, owner in calls:
+        for n, name, owner, direct in calls:
             if n is not None:
-                per_event[n][name] += 1
-                assert name in ("__hash__", "__eq__", "_check_unreserved", "reached"), name
+                per_event[n][name, owner, direct] += 1
+                assert name in ("__hash__", "__eq__", "_check_unreserved"), name
                 assert owner is None or owner in _VALUE_TYPES, owner
         for n, ev in enumerate(log):
             adding = ev.kind is ChangeKind.ADD
-            assert per_event[n]["reached"] == 1
-            assert per_event[n]["_check_unreserved"] == (adding and changes[n])
+            hashes = {
+                owner: k for (name, owner, direct), k in per_event[n].items()
+                if name == "__hash__" and direct
+            }
+            if adding:
+                want = {Statement: 1, Role: 1} if changes[n] else {Statement: 1}
+            else:
+                want = {Statement: 2, Role: 1} if changes[n] else {Statement: 1}
+            assert hashes == want, (ev, changes[n], hashes)
+            assert per_event[n]["_check_unreserved", None, True] == (adding and changes[n])
             seen[ev.kind, changes[n]] += 1
-            seen["__eq__"] += per_event[n]["__eq__"] > 0
+            seen["__eq__"] += any(name == "__eq__" for name, _, _ in per_event[n])
     for kind in ChangeKind:
         for changed in (True, False):
             assert seen[kind, changed] >= 50, (kind, changed)

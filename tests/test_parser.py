@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import gc
 import json
+import pickle
 import random
 import re
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -54,7 +58,7 @@ from helpers import (
     role,
     stmt,
 )
-from randgen import random_fan_state, random_state
+from randgen import random_constraint, random_fan_state, random_monitor, random_state
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -534,6 +538,90 @@ class TestInterning:
         assert first.head.name is not second.head.name
         assert first.body.member is not second.body.member
 
+
+
+def _built(value):
+    """``value`` built afresh by the checking constructors, all the way
+    down: what the parser's unchecked constructors must equal."""
+    if isinstance(value, (tuple, frozenset)):
+        return type(value)(map(_built, value))
+    if isinstance(value, (str, Enum)) or value is EVERY_ROLE:
+        return value
+    fields = [f for f in dataclasses.fields(value) if f.init]
+    return type(value)(**{f.name: _built(getattr(value, f.name)) for f in fields})
+
+
+def _assert_built_alike(got, want) -> int:
+    """``got`` equals ``want`` with the same type and hash, and so does each
+    part of it, down to the names; returns the number of values compared."""
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want), (got, want)
+    if isinstance(got, tuple):
+        return 1 + sum(_assert_built_alike(g, w) for g, w in zip(got, want))
+    if isinstance(got, frozenset):
+        mine = {w: w for w in want}
+        return 1 + sum(_assert_built_alike(g, mine[g]) for g in got)
+    if not dataclasses.is_dataclass(got):
+        return 1
+    fields = [f.name for f in dataclasses.fields(got) if f.init]
+    return 1 + sum(_assert_built_alike(getattr(got, f), getattr(want, f)) for f in fields)
+
+
+def _parsed_values(fmt: str, text: str) -> list:
+    """What the parse of a document yields, as a list of values."""
+    if fmt == "policy":
+        return sorted(parse_policy(text), key=str)
+    if fmt == "constraints":
+        return parse_constraints(text)
+    if fmt == "monitor":
+        return [parse_monitor(text)]
+    return parse_changelog(text)
+
+
+_FORMAT_BY_SUFFIX = {".rt": "policy", ".cst": "constraints", ".mon": "monitor", ".changes": "changelog"}
+
+
+class TestUncheckedConstructors:
+    """The parser builds principals, role names, roles and statements past
+    their checks; each must equal, and hash as, the checked one."""
+
+    def test_fixture_values_equal_the_checking_constructors(self):
+        compared = 0
+        for path in sorted(FIXTURES.iterdir()):
+            values = _parsed_values(_FORMAT_BY_SUFFIX[path.suffix], path.read_text(encoding="utf-8"))
+            for value in values:
+                compared += _assert_built_alike(value, _built(value))
+        assert compared >= 500
+
+    def test_random_documents_equal_the_checking_constructors(self):
+        rng = random.Random(3301)
+        texts = 0
+        for n in range(260):
+            p = random_fan_state(rng) if n % 3 == 0 else random_state(rng, 4, 2, 12)
+            statements = sorted(p, key=str)
+            log = [ChangeEvent(rng.choice(list(ChangeKind)), rng.choice(statements)) for _ in range(12)]
+            documents = {
+                "policy": serialize_policy(p),
+                "changelog": serialize_changelog(log),
+                "constraints": "".join(
+                    serialize_constraint(random_constraint(rng, p, f"q{i}")) + "\n" for i in range(3)
+                ),
+                "monitor": serialize_monitor(random_monitor(rng, p, 0.5, 0.5)),
+            }
+            for fmt, text in documents.items():
+                for value in _parsed_values(fmt, text):
+                    _assert_built_alike(value, _built(value))
+                texts += 1
+        assert texts >= 1000
+
+    def test_parsed_values_copy_and_pickle_as_checked_ones(self):
+        [ev] = parse_changelog("+ A.r <- A.s.t\n")
+        policy = parse_policy("A.r <- B\nA.r <- B.s & C.t\nA.r <- B.s\nA.r <- A.s.t\n")
+        for value in [ev, *sorted(policy, key=str)]:
+            want = _built(value)
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                _assert_built_alike(twin, want)
+        assert pickle.loads(pickle.dumps(policy)) == policy
 
 _PARSERS = {
     "statement": parse_statement,
