@@ -7,12 +7,13 @@ evaluator of :mod:`rtmon.engine` on the state's one index with each held
 role at a set of its own.  :func:`_below` holds roles outside the
 shrink-trusted set at the empty set, so only shrink-trusted definitions
 count; :func:`_above` holds roles of ``TOP`` and roles outside the
-growth-trusted set at the universe, current principals plus the reserved
-``TOP`` for principals not seen yet.  The current principals are the
-keys of the state's principal counts, which a session's snapshot carries
-over from the one before, so reading them does not walk the policy.
-Both bounds are sparse, and
-:class:`BoundIndex` reads the roles they leave out by the same rules.
+growth-trusted set at ``{TOP}``, where the reserved ``TOP`` stands for
+every principal, including principals not seen yet.  A bound set holding
+``TOP`` reads as every principal, whatever else it lists: an intersection
+part holding it filters nothing, in the evaluator and in the walk of a
+constraint's left side alike (:mod:`rtmon.engine`).  So no bound reads the principals of the state.  Both
+bounds are sparse, and :class:`BoundIndex` reads the roles they leave out
+by the same rules.
 
 Every pass asks the monitor's trusted sets only ``role in ...``, so a set
 may be :data:`~rtmon.model.EVERY_ROLE` and is never expanded to the roles
@@ -20,16 +21,13 @@ of a state.
 
 The trusted core is read off the upper bound: it is the growth-trusted
 roles whose bound lacks ``TOP``.  ``TOP`` enters the upper bound only
-through a role held at the universe, and a trusted role that gains ``TOP``
-through one gains the whole universe, so these are exactly the roles that
-no untrusted dependency forces to the universe.  Restricted growth sets
-stay inside the core, giving the monitor an add-side frontier it can
-actually observe.
+through a held role, so these are exactly the roles that no untrusted
+dependency opens to every principal.  Restricted growth sets stay inside
+the core, giving the monitor an add-side frontier it can actually observe.
 
 A state keeps what is derived from it here: its lower bound per
-shrink-trusted set, and its upper bound with its held rule and its core per
-growth-trusted set.  Each is computed once per state, however many
-constraints read it.
+shrink-trusted set, and its upper bound and its core per growth-trusted
+set.  Each is computed once per state, however many constraints read it.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ class BoundIndex:
     ``lower`` and ``upper`` hold the computed roles with a non-empty bound,
     and ``above`` is the upper bound's held rule.  Read any role through
     :meth:`lower_of` and :meth:`upper_of`: an absent role is empty below;
-    above, it reads as its held set, the universe, or is empty
+    above, it reads as its held set, ``{TOP}``, or is empty
     (growth-trusted, so no unobserved statements can appear).
     """
 
@@ -119,53 +117,50 @@ def _below(s: Container[Role]) -> Held:
     return lambda role: None if role in s else _EMPTY
 
 
+#: The upper bound's held set: every principal, including ones not seen yet.
+_EVERY = frozenset({TOP})
+
+
 def upper_bound(p: PolicyState, r: RoleMonitor) -> Bound:
     """Largest membership reachable through unobserved additions, for the
     growth-trusted roles that have members; the roles :func:`_above` holds
-    at the universe are not stored."""
-    return _upper(p, r.growth_trusted)[1]
+    at ``{TOP}`` are not stored."""
+    return _upper(p, r.growth_trusted)
 
 
-def _above(p: PolicyState, g: Container[Role]) -> Held:
-    """The upper bound's held rule for the growth-trusted set ``g``: the
-    universe (current principals plus ``TOP``) for a role outside ``g``,
-    and for every role of the form ``TOP.x``, which a linked role reaches
-    when it walks through an untrusted first component."""
-    universe = p.principals | {TOP}
-    return lambda role: universe if role.owner == TOP or role not in g else None
+def _above(g: Container[Role]) -> Held:
+    """The upper bound's held rule for the growth-trusted set ``g``:
+    ``{TOP}`` for a role outside ``g``, and for every role of the form
+    ``TOP.x``, which a linked role reaches when it walks through a first
+    component holding ``TOP``."""
+    return lambda role: _EVERY if role.owner == TOP or role not in g else None
 
 
-def _upper(p: PolicyState, g: Container[Role]) -> tuple[Held, Bound]:
-    """The held rule and the upper bound for the growth-trusted set ``g``,
-    a frozenset or :data:`~rtmon.model.EVERY_ROLE`: the one entry of ``p``
-    that the bounds, the core and the restricted growth walk read."""
-
-    def compute() -> tuple[Held, Bound]:
-        above = _above(p, g)
-        return above, _saturate(p._index, held=above).members
-
-    return p._derived("upper", g, compute)
+def _upper(p: PolicyState, g: Container[Role]) -> Bound:
+    """The upper bound for the growth-trusted set ``g``, a frozenset or
+    :data:`~rtmon.model.EVERY_ROLE`: the one entry of ``p`` that the
+    bounds, the core and the restricted growth walk read."""
+    return p._derived("upper", g, lambda: _saturate(p._index, held=_above(g)).members)
 
 
 def bounds(p: PolicyState, r: RoleMonitor) -> BoundIndex:
     """Both bounds for one state under one monitor, each read from its own
     entry of ``p``."""
-    return BoundIndex(lower_bound(p, r), upper_bound(p, r), _upper(p, r.growth_trusted)[0])
+    return BoundIndex(lower_bound(p, r), upper_bound(p, r), _above(r.growth_trusted))
 
 
 def core(p: PolicyState, g: Container[Role]) -> CoreSet:
     """The growth-trusted roles whose upper bounds stay informative.
 
-    A role is expelled when its upper bound holds ``TOP``.  ``TOP`` enters
-    the bound only through a role held at the universe, and a trusted role
-    that gains ``TOP`` gains the whole universe with it.
+    A role is expelled when its upper bound holds ``TOP``, which enters
+    the bound only through a held role.
     """
     g = _frozen(g)
     return p._derived(
         "core",
         g,
         lambda: CoreSet(
-            g, frozenset(role for role, found in _upper(p, g)[1].items() if TOP in found)
+            g, frozenset(role for role, found in _upper(p, g).items() if TOP in found)
         ),
     )
 
@@ -177,7 +172,7 @@ def gamma_restricted_expr(
     g = _frozen(g)
     # A core role's simple and linked inputs lie in the core themselves, so
     # staying inside it drops only intersection parts.
-    return _growth_roles(p._index, roles_of(expr), _upper(p, g)[1], core(p, g))
+    return _growth_roles(p._index, roles_of(expr), _upper(p, g), core(p, g))
 
 
 @dataclass(frozen=True)
@@ -187,7 +182,8 @@ class BoundedCheck:
     When it holds, no unobserved drift of the untrusted roles can break
     the constraint; witnesses are the members of ``lhs_upper``, the upper
     bound of the left side, that the lower bound of the right side cannot
-    cover (possibly ``TOP``).
+    cover.  When ``lhs_upper`` holds ``TOP`` the witnesses hold it too:
+    every principal the right side's lower bound lacks.
     """
 
     holds: bool

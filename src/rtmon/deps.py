@@ -59,7 +59,6 @@ from .model import (
     SimpleInclusion,
     SimpleMember,
     Statement,
-    _frozen,
     _reads,
     fold_expr,
     roles_of,
@@ -214,19 +213,18 @@ def _join(tok: frozenset, parts: list[list[frozenset]]) -> list[frozenset]:
 def _worklist(
     p: PolicyState,
     cap: Optional[int],
-    heads: Optional[Container[Role]] = None,
+    heads: Optional[frozenset[Role]] = None,
     by_statement: bool = False,
 ) -> tuple[_Saturated, frozenset[Role], _Order]:
     """Saturate supports per role and member, with subsumption pruning;
     returns the supports, the truncated roles and the run's support order.
 
     The statements fired are those of ``p`` heading a role in ``heads``
-    (every statement when it is ``None``).  A finite ``heads``, the roles
-    a run is confined to, is walked itself, not the whole index, and only
-    the rules whose read roles all head statements in it are set apart:
-    any other rule reads a role no statement fires for, so it could never
-    offer.
-    :data:`~rtmon.model.EVERY_ROLE` cannot be walked and filters the index.
+    (every statement when it is ``None``).  A ``heads``, the finite set of
+    roles a run is confined to, is walked itself, not the whole index, and
+    only the rules whose read roles all head statements in it are set
+    apart: any other rule reads a role no statement fires for, so it could
+    never offer.
     The first pass sorts the walked heads by text and reads each one's list
     off the state's index, already in text order, so no run sorts
     statements.  What a fired statement
@@ -261,13 +259,9 @@ def _worklist(
     and later passes fire no other rule.
     """
     index = p._index
-    # Every role a legal state holds lies in ``EVERY_ROLE``, so only a
-    # finite ``heads`` confines the rules.
     confined: Optional[frozenset[Role]] = None
     if heads is None:
         walked: Iterable[Role] = index
-    elif heads is EVERY_ROLE:
-        walked = (h for h in index if h in heads)
     else:
         # The admitted heads as the state's own roles: one parsed apart, as
         # a monitor's are, is equal but not the same object, and each
@@ -427,10 +421,12 @@ def _role_worklist(
     heading a role in ``admissible`` (every statement when it is ``None``),
     with the roles the cap truncated and the run's support order; run once
     per admissible set and cap, and kept on ``p``.  Raises ``ValueError``
-    for a cap below 1."""
+    for a cap below 1.  Every head of a legal state lies in
+    :data:`~rtmon.model.EVERY_ROLE`, so it admits what ``None`` does and
+    shares its run."""
     _check_cap(cap)
     if admissible is not None:
-        admissible = _frozen(admissible)
+        admissible = None if admissible is EVERY_ROLE else frozenset(admissible)
     return p._derived("worklist", (admissible, cap), lambda: _worklist(p, cap, admissible))
 
 

@@ -13,7 +13,9 @@ in the previous round, joined with what the other inputs already hold.
 of some roots, indexing a role's rules only when the role is found to
 matter.  Results are independent of statement order.  With some roles
 held, each at a set of its own, the same loop on the same index gives
-both bounds of restricted trust.
+both bounds of restricted trust.  A held set may hold the reserved
+``TOP``, which reads as every principal: an intersection part holding it
+filters nothing, in the loop and in an expression's walk alike.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .model import (
     SimpleInclusion,
     SimpleMember,
     Statement,
+    TOP,
     _reads,
     fold_expr,
 )
@@ -95,7 +98,10 @@ def _saturate(
     skipped, reading it returns its held set, and it enters the next round
     as new members for every rule indexed as reading it by name.  Without
     ``held`` this is exact membership; with every held set empty it is
-    membership in the state restricted to the heads it computes.
+    membership in the state restricted to the heads it computes.  Only a
+    held set brings in ``TOP``, every principal, and so only with ``held``
+    does an intersection read it so: a part holding it filters nothing,
+    and a part that gains it offers again what the other parts hold.
 
     Rules are indexed by the roles they read, and linked rules also by the
     name of their second role; the facts are the first round's new members.
@@ -209,7 +215,12 @@ def _saturate(
                         gain(stmt.head, read(second))
                 else:
                     others = [read(part) for part in body.parts if part != role]
-                    gain(stmt.head, (x for x in added if all(x in o for o in others)))
+                    offered = added
+                    if held is not None:
+                        if TOP in added:
+                            offered = set(added).union(*others)
+                        others = [o for o in others if TOP not in o]
+                    gain(stmt.head, (x for x in offered if all(x in o for o in others)))
             for stmt in linked.get(role.name, ()):
                 # ``role`` may be the second component, reached through its owner.
                 if role.owner in read(stmt.body.first):
@@ -254,8 +265,16 @@ def _walk_expr(
         expr,
         lambda e: members_of(e.role) if isinstance(e, RoleRef) else e.members,
         operator.or_,
-        operator.and_,
+        _meet,
     )
+
+
+def _meet(a: frozenset[Principal], b: frozenset[Principal]) -> frozenset[Principal]:
+    """The intersection of two sides, where a side holding ``TOP``, which
+    only an upper bound does, reads as every principal: it filters nothing."""
+    if TOP in a:
+        return a | b if TOP in b else b
+    return a if TOP in b else a & b
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,16 @@ principal-owned role either directly (simple membership) or by delegation
 role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
 beyond their own invariants, and are safe to share between threads.  A
-state derives what every pass reads of it -- its principals, each with
-the number of statements naming it, and its one index: its statements by
-head, each head's in text order -- on first use, once, and keeps it, and
-it keeps what the other modules derive from it (membership on a cone, the
-support worklist, the bounds and the trusted core) in one memo, also
-filled on first use.  A state derived from another -- by ``add`` or
-``remove``, or as a session's next snapshot -- carries over whichever of
-the other's index and principal counts it built, with the changes between
-them replayed onto a copy, and derives the rest afresh.
+state derives what every pass reads of it -- its one index: its
+statements by head, each head's in text order -- on first use, once, and
+keeps it, and it keeps what the other modules derive from it (membership
+on a cone, the support worklist, the bounds and the trusted core) in one
+memo, also filled on first use.  A state derived from another -- by
+``add`` or ``remove``, or as a session's next snapshot -- carries over the
+other's index, if it was built, with the changes between them replayed
+onto a copy, and derives the rest afresh.  No pass reads a state's
+principals: the upper bound reads ``TOP`` as every principal, so only the
+listing of a state's roles collects them.
 """
 
 from __future__ import annotations
@@ -235,29 +236,27 @@ class IntersectionInclusion:
 
     Parts keep their written order for display, but two intersections
     compare equal when they name the same set of roles (duplicates are
-    ignored by comparison).
+    ignored by comparison).  The part set is built once, when the body
+    is, and keeps its hash once computed, so comparing or hashing an
+    intersection hashes no role again.
     """
 
     parts: tuple[Role, ...]
+    part_set: frozenset[Role] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         if len(self.parts) < 2:
             raise ValueError("intersection inclusion needs at least two roles")
+        object.__setattr__(self, "part_set", frozenset(self.parts))
 
-    @property
-    def part_set(self) -> frozenset[Role]:
-        return frozenset(self.parts)
-
-    # Equality and hash build the part sets in place, not through
-    # ``part_set``: comparing statements calls nothing but ``__eq__``.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntersectionInclusion):
             return NotImplemented
-        return frozenset(self.parts) == frozenset(other.parts)
+        return self.part_set == other.part_set
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.parts))
+        return hash(self.part_set)
 
     def __str__(self) -> str:
         return " & ".join(str(p) for p in self.parts)
@@ -368,18 +367,11 @@ class PolicyState:
 
     @cached_property
     def principals(self) -> frozenset[Principal]:
-        return frozenset(self._uses)
-
-    @cached_property
-    def _uses(self) -> dict[Principal, int]:
-        """Each principal of the state with the number of its statements
-        that name it: a statement naming one principal twice counts once.
-        ``principals`` reads the keys."""
-        uses: dict[Principal, int] = {}
+        """Every principal a statement names.  Only :attr:`roles` reads it."""
+        out: set[Principal] = set()
         for stmt in self.statements:
-            for principal in statement_principals(stmt):
-                uses[principal] = uses.get(principal, 0) + 1
-        return uses
+            out |= statement_principals(stmt)
+        return frozenset(out)
 
     @cached_property
     def _index(self) -> dict[Role, list[Statement]]:
@@ -471,18 +463,14 @@ def _successor(
     """The state over ``statements``, already known to be free of ``TOP``,
     that ``events`` make of ``prev``, each changing the state it meets.
 
-    What ``prev`` has built of its index and its principal counts, the new
-    state carries over with the events replayed, in order, onto a copy.
-    Of the index the map is copied, and the list of each head an event
-    changes before it changes.  An addition enters its head's list by
-    ``insort`` on its text; a removal drops the object the list holds,
-    found by equality, whichever order an intersection was written in.  Of
-    the counts, each principal of an event's statement gains one for an
-    addition and loses one for a removal, and leaves at zero.  Nothing
-    else is carried, neither the principal set, built from the counts when
-    read, nor the memo, and nothing ``prev`` holds is changed.
-    ``PolicyState.add`` and ``remove`` and every snapshot of a session
-    build their state here.
+    When ``prev`` has built its index, the new state carries it over with
+    the events replayed, in order, onto a copy: the map is copied, and the
+    list of each head an event changes before it changes.  An addition
+    enters its head's list by ``insort`` on its text; a removal drops the
+    object the list holds, found by equality, whichever order an
+    intersection was written in.  Nothing else is carried, not the memo,
+    and nothing ``prev`` holds is changed.  ``PolicyState.add`` and
+    ``remove`` and every snapshot of a session build their state here.
     """
     state = _checked_state(statements)
     index = vars(prev).get("_index")
@@ -503,18 +491,6 @@ def _successor(
             if not items:
                 del index[head]
         object.__setattr__(state, "_index", index)
-    uses = vars(prev).get("_uses")
-    if uses is not None:
-        uses = dict(uses)
-        for ev in events:
-            step = 1 if ev.kind is ChangeKind.ADD else -1
-            for principal in statement_principals(ev.statement):
-                left = uses.get(principal, 0) + step
-                if left:
-                    uses[principal] = left
-                else:
-                    del uses[principal]
-        object.__setattr__(state, "_uses", uses)
     return state
 
 

@@ -41,8 +41,7 @@ the first quiet event after a warned one would make that event the
 slowest quiet event of a session.  The new snapshot is derived by
 :func:`rtmon.model._successor`, which replays the events since the stale
 snapshot onto a copy of its by-head map, copying only the lists of the
-heads they change, and onto a copy of its principal counts, so no
-snapshot after the first indexes, sorts or collects the principals of the
+heads they change, so no snapshot after the first indexes or sorts the
 whole policy again.
 
 The shared part of a registration is kept on the snapshot it reads, next
@@ -57,11 +56,10 @@ only the cone's rules.  The support worklist still covers the whole
 snapshot, once per admissible set.  Under restricted trust, both
 bounds of a monitor are one evaluation each of every head of the index, each
 untrusted role held at a set of its own, and the core is read off the upper
-bound.  The upper bound holds a role outside growth trust at the universe,
-the snapshot's principals plus ``TOP``; the principals are read off the
-counts the snapshot carried over, so a warned event collects the
-principals of the statements changed since the last snapshot and of no
-other.  Each record adds only its check, growth closure walk and support picks.
+bound.  The upper bound holds a role outside growth trust at ``{TOP}``,
+which reads as every principal, so no registration reads the snapshot's
+principals, and a warned restricted event collects no statement's.  Each
+record adds only its check, growth closure walk and support picks.
 """
 
 from __future__ import annotations
@@ -366,10 +364,9 @@ def run_session(
     the live set, built at most once per event and only when some record
     re-registers, and share what is derived from it, which the snapshot
     keeps: records whose constraints have the same roles share one cone.
-    Everything derived from the snapshot goes with it, except its index
-    and its principal counts, which the next snapshot carries over with
-    the session's changes in between replayed onto a copy (see
-    :func:`rtmon.model._successor`).
+    Everything derived from the snapshot goes with it, except its index,
+    which the next snapshot carries over with the session's changes in
+    between replayed onto a copy (see :func:`rtmon.model._successor`).
 
     A snapshot lives until the first event that reaches a record after the
     live set changed: that event builds the next one from it and drops it,
@@ -436,6 +433,6 @@ def run_session(
                 records[i] = fresh
                 index.put(i, fresh)
     if changes:
-        # Nothing reads the final state's index or counts: neither is carried.
+        # Nothing reads the final state's index: it is not carried.
         snapshot = _checked_state(frozenset(live))
     return SessionResult(snapshot, tuple(warnings), tuple(records), initial)

@@ -102,6 +102,13 @@ def support_shift_constraint():
     return parse_constraint(SUPPORT_SHIFT_CONSTRAINT_TEXT)
 
 
+def expanded(p, found) -> frozenset:
+    """An upper bound set as the dense references write it: a set holding
+    ``TOP`` reads as every principal, so it is every principal of ``p``
+    and ``TOP``."""
+    return frozenset(p.principals) | {TOP} if TOP in found else found
+
+
 def names(principals) -> set[str]:
     return {p.name for p in principals}
 
@@ -153,7 +160,7 @@ def count_calls(monkeypatch, real) -> list:
 
 
 # A role no monitor trusts: the lower bound holds it at the empty set, the
-# upper bound at the universe, which holds ``TOP``.
+# upper bound at ``{TOP}``.
 _TOP_ROLE = Role(TOP, RoleName("r"))
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from rtmon.deps import gamma, justified_semantics
 from rtmon.engine import _walk_expr, check_constraint, evaluate, role_members
 from rtmon.model import (
     Constraint,
+    IntersectionExpr,
     PolicyState,
     Principal,
     PrincipalSet,
@@ -34,6 +36,7 @@ from rtmon.parser import parse_constraint, parse_policy
 from helpers import (
     core_roles,
     count_calls,
+    expanded,
     hazmat_constraint,
     hazmat_policy,
     hazmat_policy_extended,
@@ -66,8 +69,9 @@ def dept_excluded_monitor(p):
     )
 
 
-def universe_of(p):
-    return frozenset(p.principals) | {TOP}
+#: The upper bound of a role no untrusted growth can leave out: every
+#: principal, including ones not seen yet.
+EVERY = frozenset({TOP})
 
 
 class TestLowerBound:
@@ -101,13 +105,55 @@ class TestUpperBound:
     def test_untrusted_link_target_floods_to_the_universe(self):
         p = hazmat_policy()
         idx = bounds(p, dept_excluded_monitor(p))
-        assert idx.upper_of(role("Emergency.responsePersonnel")) == universe_of(p)
+        assert idx.upper_of(role("Emergency.responsePersonnel")) == EVERY
 
     def test_untrusted_role_is_the_universe(self):
         p = hazmat_policy()
         idx = bounds(p, dept_excluded_monitor(p))
         assert role("Emergency.dept") not in idx.upper
-        assert idx.upper_of(role("Emergency.dept")) == universe_of(p)
+        assert idx.upper_of(role("Emergency.dept")) == EVERY
+
+
+class TestIntersectionOfEveryPrincipal:
+    """A part holding ``TOP`` reads as every principal, so it filters
+    nothing; an intersection holds ``TOP`` only when every part does."""
+
+    def test_an_untrusted_part_filters_nothing(self):
+        p = parse_policy("A.r <- U.r & B.r\nB.r <- X\n")
+        idx = bounds(p, RoleMonitor(growth_trusted=frozenset({role("A.r"), role("B.r")})))
+        assert idx.upper_of(role("A.r")) == {prin("X")}
+
+    def test_two_untrusted_parts_give_every_principal(self):
+        p = parse_policy("A.r <- U.r & B.r\nB.r <- X\n")
+        idx = bounds(p, RoleMonitor(growth_trusted=frozenset({role("A.r")})))
+        assert idx.upper_of(role("A.r")) == EVERY
+
+    def test_a_part_that_gains_top_lets_the_other_parts_through(self):
+        # B.r gains TOP only in a later round, through C.r, after A.r met
+        # X in D.r and found it missing from B.r.
+        p = parse_policy("A.r <- D.r & B.r\nB.r <- C.r\nC.r <- U.r\nD.r <- X\n")
+        g = frozenset({role("A.r"), role("B.r"), role("C.r"), role("D.r")})
+        idx = bounds(p, RoleMonitor(growth_trusted=g))
+        assert idx.upper_of(role("B.r")) == EVERY
+        assert idx.upper_of(role("A.r")) == {prin("X")}
+        assert core_roles(core(p, g)) == {role("A.r"), role("D.r")}
+
+    def test_the_left_side_of_a_constraint_reads_top_alike(self):
+        p = parse_policy("B.r <- X\nB.r <- Y\nR.r <- X\n")
+        monitor = RoleMonitor(frozenset({role("B.r")}), frozenset({role("R.r")}))
+        narrowed = parse_constraint("constraint q owner O: U.r & B.r <= R.r")
+        got = check_bounded_containment(p, monitor, narrowed)
+        assert got.lhs_upper == {prin("X"), prin("Y")} and got.witnesses == {prin("Y")}
+        both = parse_constraint("constraint q owner O: U.r & V.r <= R.r")
+        got = check_bounded_containment(p, monitor, both)
+        assert TOP in got.lhs_upper and got.witnesses == got.lhs_upper - {prin("X")}
+
+    def test_a_constant_outside_the_state_stays_beside_an_untrusted_part(self):
+        # Z names no statement, yet U.r may gain it unobserved.
+        p = parse_policy("R.r <- X\n")
+        q = parse_constraint("constraint q owner O: U.r & {Z} <= R.r")
+        got = check_bounded_containment(p, RoleMonitor(shrink_trusted=EVERY_ROLE), q)
+        assert not got.holds and got.witnesses == {prin("Z")}
 
 
 class TestCore:
@@ -166,7 +212,7 @@ class TestBoundedContainment:
         q = Constraint(prin("O"), RoleRef(role("A.r")), PrincipalSet(frozenset()), "q")
         got = check_bounded_containment(p, RoleMonitor(), q)
         assert not got.holds
-        assert got.witnesses == universe_of(p)
+        assert got.witnesses == EVERY
 
     def test_full_trust_collapses_to_exact_check(self):
         rng = random.Random(601)
@@ -202,9 +248,9 @@ class TestBoundDefaults:
                     assert idx.lower_of(r) == frozenset()
                 if r not in monitor.growth_trusted:
                     assert r not in idx.upper
-                    assert idx.upper_of(r) == universe_of(p)
-                # No monitor trusts a role of ``TOP``: it holds the universe.
-                assert idx.upper_of(Role(TOP, r.name)) == universe_of(p)
+                    assert idx.upper_of(r) == EVERY
+                # No monitor trusts a role of ``TOP``: it holds every principal.
+                assert idx.upper_of(Role(TOP, r.name)) == EVERY
 
 
 class TestBoundSandwich:
@@ -218,7 +264,7 @@ class TestBoundSandwich:
             for r in p.roles:
                 got = exact.get(r, frozenset())
                 assert idx.lower_of(r) <= got
-                assert got <= idx.upper_of(r) - {TOP}
+                assert got <= expanded(p, idx.upper_of(r)) - {TOP}
 
 
 class TestNonCoreUpperBounds:
@@ -231,12 +277,12 @@ class TestNonCoreUpperBounds:
             coreset = core(p, g)
             for r in p.roles:
                 if r not in coreset:
-                    assert idx.upper_of(r) == universe_of(p)
+                    assert TOP in idx.upper_of(r)
 
     def test_expelled_roles_hold_the_universe_and_core_roles_lack_top(self):
         # The core is read off the upper bound; this pins the argument
-        # behind it: an expelled role is forced to the whole universe, and
-        # no core role's bound holds TOP.
+        # behind it: an expelled role is opened to every principal, and no
+        # core role's bound holds TOP.
         rng = random.Random(618)
         expelled = 0
         for n in range(300):
@@ -246,7 +292,7 @@ class TestNonCoreUpperBounds:
             idx = bounds(p, RoleMonitor(growth_trusted=g))
             coreset = core(p, g)
             for r in coreset.expelled:
-                assert idx.upper_of(r) == universe_of(p)
+                assert TOP in idx.upper_of(r)
             for r in p.roles:
                 if r in coreset:
                     assert TOP not in idx.upper_of(r)
@@ -326,8 +372,8 @@ class TestLowerBoundSupportStability:
 def test_bounds_hold_across_enumerated_reachable_states():
     """The real claim behind the bounds: for every state reachable without
     touching trusted definitions, the lower bound survives and nothing
-    escapes the upper bound (TOP covering principals the base state never
-    saw)."""
+    escapes the upper bound (TOP covering every principal, the base
+    state's and those it never saw)."""
     from oracles import reachable_states
 
     rng = random.Random(608)
@@ -343,7 +389,7 @@ def test_bounds_hold_across_enumerated_reachable_states():
                 assert idx.lower_of(r) <= actual
                 upper = idx.upper_of(r)
                 for m in actual:
-                    assert m in upper or (m not in p.principals and TOP in upper)
+                    assert m in upper or TOP in upper
         instances += 1
 
 
@@ -394,7 +440,7 @@ class TestSharedEvaluatorMatchesReferences:
         for _, p, monitor in restricted_cases(610, 400):
             ref = round_robin_upper_bound(p, monitor)
             idx = bounds(p, monitor)
-            assert {r: idx.upper_of(r) for r in p.roles} == ref
+            assert {r: expanded(p, idx.upper_of(r)) for r in p.roles} == ref
             flowed += any(TOP in ref[r] for r in p.roles & monitor.growth_trusted)
         # TOP reached a growth-trusted role in enough cases to matter.
         assert flowed >= 100
@@ -448,6 +494,59 @@ class TestSharedEvaluatorMatchesReferences:
                 *(reference_gamma_restricted(p, g, r) for r in roles_of(expr))
             )
             assert gamma_restricted_expr(p, g, expr) == want
+
+
+def _dense_verdict(p, monitor, q):
+    """Does ``q`` hold on the dense bounds: the left side's upper bound
+    from the round-robin reference, every untrusted role at the universe,
+    against the lower bound, membership in the shrink-trusted restriction?"""
+    upper = round_robin_upper_bound(p, monitor)
+    universe = frozenset(p.principals) | {TOP}
+
+    def above(r):
+        held = universe if r.owner == TOP or r not in monitor.growth_trusted else frozenset()
+        return upper.get(r, held)
+
+    below = evaluate(restrict(p, monitor.shrink_trusted)).members
+    lhs = _walk_expr(q.lhs, above)
+    return not lhs - _walk_expr(q.rhs, lambda r: below.get(r, frozenset()))
+
+
+def test_top_alone_matches_the_dense_references():
+    """Across 3,000 seeded cases the symbolic ``{TOP}`` gives what the dense
+    references, which hold untrusted roles at the universe, give: each
+    upper bound read with ``TOP`` as every principal, the core, the
+    restricted growth sets and the verdict, including constraints whose
+    left side meets an untrusted role."""
+    rng = random.Random(3401)
+    seen = Counter()
+    for n in range(3000):
+        p = random_fan_state(rng) if n % 5 == 0 else random_state(rng, max_statements=12)
+        make = random_untrusted_link_monitor if n % 2 else random_monitor
+        monitor = make(rng, p)
+        g = monitor.growth_trusted
+        roles = sorted(p.roles, key=str)
+        upper = round_robin_upper_bound(p, monitor)
+        idx = bounds(p, monitor)
+        assert {r: expanded(p, idx.upper_of(r)) for r in roles} == upper
+        assert core_roles(core(p, g)) == dense_core(p, g)
+        target = rng.choice(roles)
+        assert gamma_restricted_expr(p, g, RoleRef(target)) == (
+            reference_gamma_restricted(p, g, target)
+        )
+        lhs = random_expr(rng, p)
+        untrusted = [r for r in roles if r not in g]
+        if untrusted and n % 3:
+            lhs = IntersectionExpr(RoleRef(rng.choice(untrusted)), lhs)
+            seen["untrusted part"] += 1
+        q = Constraint(prin("O"), lhs, random_expr(rng, p), "q")
+        got = check_bounded_containment(p, monitor, q)
+        assert got.holds == _dense_verdict(p, monitor, q)
+        seen["holds"] += got.holds
+        seen["top"] += TOP in got.witnesses
+        seen["flooded"] += any(TOP in upper[r] for r in roles if r in g)
+    assert seen["untrusted part"] >= 1000 and seen["flooded"] >= 1000
+    assert 1000 <= seen["holds"] <= 2000 and seen["top"] >= 500
 
 
 class TestPropagatedCoreMatchesRoundRobin:

@@ -255,12 +255,12 @@ class TestCone:
                     assert gamma_expr(p, side, cone) == want
                     assert gamma_expr(p, side) == want
             # Held roles: the cone of a bound equals the whole-state bound on
-            # every role of the cone, under the upper bound's rule (the
-            # universe for a role of TOP or outside growth-trusted) and the
-            # lower bound's (the empty set outside shrink-trusted).
+            # every role of the cone, under the upper bound's rule ({TOP}
+            # for a role of TOP or outside growth-trusted) and the lower
+            # bound's (the empty set outside shrink-trusted).
             monitor = random_monitor(rng, p, 0.7, 0.7)
             for kind, held in (
-                ("upper", _above(p, monitor.growth_trusted)),
+                ("upper", _above(monitor.growth_trusted)),
                 ("lower", _below(monitor.shrink_trusted)),
             ):
                 bounded = _saturate(index, roots, held)

@@ -175,57 +175,6 @@ def test_add_and_remove_carry_the_by_head_map():
     assert steps >= 1000 and readded >= 100
 
 
-def _fresh_uses(state):
-    return PolicyState(state.statements)._uses
-
-
-def test_add_and_remove_carry_the_principal_counts():
-    # A state derived by ``add`` or ``remove`` from one whose principals
-    # were read carries its counts over, equal to a fresh build's; the
-    # state it came from keeps its own.
-    rng = random.Random(3201)
-    steps = dropped = returned = 0
-    for _ in range(300):
-        p = random_state(rng, max_statements=10)
-        start = dict(p._uses)
-        state, gone_before = p, set()
-        for _ in range(8):
-            if state.statements and rng.random() < 0.5:
-                nxt = state.remove(rng.choice(sorted(state.statements, key=str)))
-            else:
-                nxt = state.add(random_statement_for_state(rng, state, "E"))
-            if nxt is state:
-                continue
-            assert "_uses" in vars(nxt) and "principals" not in vars(nxt)
-            assert nxt._uses == _fresh_uses(nxt)
-            assert nxt.principals == PolicyState(nxt.statements).principals
-            gone = state.principals - nxt.principals
-            dropped += bool(gone)
-            returned += bool(gone_before & (nxt.principals - state.principals))
-            gone_before |= gone
-            state = nxt
-            steps += 1
-        assert p._uses == start == _fresh_uses(p)
-    assert steps >= 1500 and dropped >= 100 and returned >= 20
-
-
-def test_a_statement_naming_one_principal_twice_counts_it_once():
-    p = PolicyState({stmt("A.r <- A"), stmt("B.s <- A.r & B.t")})
-    assert p._uses == {prin("A"): 2, prin("B"): 1}
-    self_only = p.remove(stmt("B.s <- A.r & B.t"))
-    assert self_only._uses == {prin("A"): 1}
-    # The last statement naming A goes, and A with it; added back, it returns.
-    empty = self_only.remove(stmt("A.r <- A"))
-    assert empty._uses == {} and empty.principals == frozenset()
-    back = empty.add(stmt("A.r <- A"))
-    assert back._uses == {prin("A"): 1} and back.principals == {prin("A")}
-    # A state derived from one that never read its principals carries no
-    # counts and builds them from its statements when read.
-    cold = PolicyState({stmt("A.r <- A")}).add(stmt("C.r <- D"))
-    assert "_uses" not in vars(cold)
-    assert cold._uses == {prin("A"): 1, prin("C"): 1, prin("D"): 1}
-
-
 def test_a_bulk_change_carries_the_by_head_map():
     # However many statements change at once, the index is carried over,
     # equal to a fresh build's.
@@ -323,7 +272,7 @@ def test_copy_and_pickle_keep_statement_equality_and_hash(text):
 def test_copy_and_pickle_carry_a_state_without_its_caches():
     p = hazmat_policy()
     cold = len(pickle.dumps(p))
-    for cache in ("principals", "_uses", "_index", "role_names", "roles"):
+    for cache in ("principals", "_index", "role_names", "roles"):
         getattr(p, cache)
     # A registration under each kind of trust fills the memo: the cone, the
     # support worklist, each bound and the core.
@@ -336,7 +285,6 @@ def test_copy_and_pickle_carry_a_state_without_its_caches():
         assert twin == p and twin is not p
         assert vars(twin) == {"statements": p.statements}
         assert twin.principals == p.principals
-        assert twin._uses == p._uses
         # Each head's list is in text order, whatever order an equal
         # frozenset rebuilt by a copy or by unpickling iterates in.
         assert index_texts(twin) == index_texts(p)
