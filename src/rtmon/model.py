@@ -83,13 +83,13 @@ def _rebuilt(self) -> tuple:
 
 
 def _unchecked(cls: type[_T]) -> Callable[..., _T]:
-    """The parser's constructor of ``cls``, a type that keeps its hash: the
-    grammar has already made the checks of ``__post_init__``, so this one
-    only writes the fields, and ``_hash`` as the hash of their tuple, the
-    formula ``__post_init__`` uses, straight into their slots, past the
-    frozen ``__setattr__``."""
+    """The parser's constructor of ``cls``, a slotted type of one or two
+    fields: the grammar has already made the checks of ``__post_init__``,
+    so this one only writes the fields, and ``_hash``, where the type keeps
+    one, as the hash of their tuple, the formula ``__post_init__`` uses,
+    straight into their slots, past the frozen ``__setattr__``."""
     slots = [vars(cls)[f.name].__set__ for f in fields(cls) if f.init]
-    set_hash = vars(cls)["_hash"].__set__
+    set_hash = vars(cls)["_hash"].__set__ if "_hash" in vars(cls) else None
     new = object.__new__
     if len(slots) == 1:
         [set_a] = slots
@@ -97,7 +97,8 @@ def _unchecked(cls: type[_T]) -> Callable[..., _T]:
         def make(a):
             self = new(cls)
             set_a(self, a)
-            set_hash(self, hash((a,)))
+            if set_hash is not None:
+                set_hash(self, hash((a,)))
             return self
     else:
         set_a, set_b = slots
@@ -106,7 +107,8 @@ def _unchecked(cls: type[_T]) -> Callable[..., _T]:
             self = new(cls)
             set_a(self, a)
             set_b(self, b)
-            set_hash(self, hash((a, b)))
+            if set_hash is not None:
+                set_hash(self, hash((a, b)))
             return self
 
     return make
@@ -205,6 +207,9 @@ class SimpleMember:
         return self.member.name
 
 
+_unchecked_member = _unchecked(SimpleMember)
+
+
 @dataclass(frozen=True, slots=True)
 class SimpleInclusion:
     """Body of ``A.r <- B.r1``: every member of B.r1 is a member of A.r."""
@@ -213,6 +218,9 @@ class SimpleInclusion:
 
     def __str__(self) -> str:
         return str(self.source)
+
+
+_unchecked_inclusion = _unchecked(SimpleInclusion)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,6 +236,9 @@ class LinkingInclusion:
 
     def __str__(self) -> str:
         return f"{self.first}.{self.second.name}"
+
+
+_unchecked_linking = _unchecked(LinkingInclusion)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -380,12 +391,13 @@ class PolicyState:
         read.  The heads in text order, each followed by its list, are the
         statements in text order: a head's text is a proper prefix of
         another's only where a name character or ``.`` follows, and each
-        sorts after the space of `` <- ``.  Two threads may both build it
-        cold; that is benign, because each stores an equal index."""
+        sorts after the space of `` <- ``.  A parsed state arrives with it
+        (see :func:`_indexed_state`).  Two threads may both build it cold;
+        that is benign, because each stores an equal index."""
         index: dict[Role, list[Statement]] = {}
         for stmt in self.statements:
             index.setdefault(stmt.head, []).append(stmt)
-        return {head: sorted(items, key=str) for head, items in index.items()}
+        return _in_text_order(index)
 
     @cached_property
     def _memo(self) -> dict[tuple[str, Hashable], object]:
@@ -454,6 +466,28 @@ def _checked_state(statements: frozenset[Statement]) -> PolicyState:
     """
     state = object.__new__(PolicyState)
     object.__setattr__(state, "statements", statements)
+    return state
+
+
+def _in_text_order(index: dict[Role, list[Statement]]) -> dict[Role, list[Statement]]:
+    """``index``, each head's statements grouped in any order, with every
+    list of two or more sorted in place by text: a head with one statement
+    is neither rendered nor sorted.  Every index built afresh, lazily or by
+    the parser, is ordered here."""
+    for items in index.values():
+        if len(items) > 1:
+            items.sort(key=str)
+    return index
+
+
+def _indexed_state(
+    statements: frozenset[Statement], index: dict[Role, list[Statement]]
+) -> PolicyState:
+    """The state over ``statements``, already known to be free of ``TOP``,
+    with ``index`` as its index: the same statements grouped by head, each
+    head's in any order, which is put in text order here."""
+    state = _checked_state(statements)
+    object.__setattr__(state, "_index", _in_text_order(index))
     return state
 
 
@@ -724,3 +758,6 @@ class ChangeEvent:
     def __str__(self) -> str:
         sign = "+" if self.kind is ChangeKind.ADD else "-"
         return f"{sign} {self.statement}"
+
+
+_unchecked_event = _unchecked(ChangeEvent)

@@ -45,7 +45,6 @@ from .model import (
     Constraint,
     IntersectionExpr,
     IntersectionInclusion,
-    LinkingInclusion,
     PolicyState,
     PositiveRoleExpr,
     Principal,
@@ -53,13 +52,17 @@ from .model import (
     RESERVED_PRINCIPAL,
     Role,
     RoleMonitor,
+    RoleName,
     RoleRef,
-    SimpleInclusion,
-    SimpleMember,
     Statement,
+    StatementBody,
     UnionExpr,
     _IDENT,
-    _checked_state,
+    _indexed_state,
+    _unchecked_event,
+    _unchecked_inclusion,
+    _unchecked_linking,
+    _unchecked_member,
     _unchecked_principal,
     _unchecked_role,
     _unchecked_role_name,
@@ -133,36 +136,26 @@ class ParseError(Exception):
         self.kind = kind
 
 
-class _Table(dict):
-    """A dict that makes a missing value once, as ``make(key)``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        got = self[key] = self.make(key)
-        return got
+def _principal(made: dict, name: str) -> Principal:
+    got = made.get(name)
+    if got is None:
+        got = made[name] = _unchecked_principal(name)
+    return got
 
 
-class _Names:
-    """What one parse call has built, each made once and keyed by its
-    source text: principals and role names by name, roles by their
-    ``(owner, name)`` strings, member fact bodies by the member's name,
-    statements by their identifiers.  Every name has passed the grammar,
-    so principals, role names, roles and statements are built by the
-    model's unchecked constructors."""
+def _role_name(made: dict, name: str) -> RoleName:
+    got = made.get((name,))
+    if got is None:
+        got = made[name,] = _unchecked_role_name(name)
+    return got
 
-    def __init__(self) -> None:
-        # The makers close over the tables, not over ``self``, so the
-        # tables form no reference cycle and are freed with the call.
-        principals = self.principals = _Table(_unchecked_principal)
-        role_names = self.role_names = _Table(_unchecked_role_name)
-        self.roles = _Table(lambda key: _unchecked_role(principals[key[0]], role_names[key[1]]))
-        self.members = _Table(lambda name: SimpleMember(principals[name]))
-        self.statements: dict[tuple[str | None, ...], Statement] = {}
+
+def _role_of(made: dict, owner: str, name: str) -> Role:
+    key = (owner, name)
+    got = made.get(key)
+    if got is None:
+        got = made[key] = _unchecked_role(_principal(made, owner), _role_name(made, name))
+    return got
 
 
 class _Tokens:
@@ -172,10 +165,10 @@ class _Tokens:
     there.  Token columns are recovered only to report an error.
     """
 
-    __slots__ = ("code", "line", "toks", "i", "names")
+    __slots__ = ("code", "line", "toks", "i", "made")
 
-    def __init__(self, code: str, line: int, names: _Names):
-        self.code, self.line, self.names = code, line, names
+    def __init__(self, code: str, line: int, made: dict):
+        self.code, self.line, self.made = code, line, made
         self.toks = _TOKEN.findall(code)
         self.toks.append("")
         self.i = 0
@@ -228,7 +221,7 @@ class _Tokens:
 def _role(tk: _Tokens, what: str = "principal name") -> Role:
     owner = tk.principal_name(what)
     tk.need(".")
-    return tk.names.roles[owner, tk.name("role name")]
+    return _role_of(tk.made, owner, tk.name("role name"))
 
 
 def _dotted(tk: _Tokens) -> list[int]:
@@ -243,8 +236,7 @@ def _dotted(tk: _Tokens) -> list[int]:
     return parts
 
 
-def _statement(code: str, line: int, names: _Names,
-               signed: bool) -> tuple[str | None, Statement]:
+def _read(code: str, line: int, made: dict, signed: bool) -> tuple[str | None, Statement]:
     """The sign (``None`` unless ``signed``) and the statement of one line,
     one statement object per sequence of identifiers.  A line that the
     pattern rejects, or whose statement is refused, is diagnosed on its
@@ -258,38 +250,48 @@ def _statement(code: str, line: int, names: _Names,
             if more is None:
                 key: tuple[str | None, ...] = (owner, name, source, first, second)
             else:
-                key = (owner, name, source, first, *_IDENT.findall(more))
-            stmt = names.statements.get(key) or _new_statement(names, key)
+                key = (owner, name, source, first, *more.replace("&", " ").replace(".", " ").split())
+            if signed:
+                # A change log may repeat a statement, spaced or signed
+                # otherwise, so it keeps each by its identifiers.  In a
+                # policy a repeat is a duplicate: nothing is kept.
+                stmt = made.get(key)
+                if stmt is None:
+                    stmt = made[key] = _built(made, key)
+            else:
+                stmt = _built(made, key)
             if stmt is not None:
                 return sign, stmt
-    _diagnose(_Tokens(code, line, names), signed)
+    _diagnose(_Tokens(code, line, made), signed)
 
 
-def _new_statement(names: _Names, key: tuple[str | None, ...]) -> Statement | None:
-    """Build and keep the statement of ``key``; ``None`` when a principal
-    position holds ``TOP`` or a linked role starts from a role of another
-    owner."""
-    owner, name, source, first = key[:4]
-    if owner == RESERVED_PRINCIPAL or source == RESERVED_PRINCIPAL:
-        return None
-    roles = names.roles
+def _built(made: dict, key: tuple[str | None, ...]) -> Statement | None:
+    """The statement of ``key``, built of what ``made`` holds, and of what
+    it lacks, built and kept there; ``None`` when a principal position
+    holds ``TOP`` or a linked role starts from a role of another owner."""
+    owner, name, source, first, second = key[:5]
     if len(key) > 5:
-        owners = key[4::2]
-        if RESERVED_PRINCIPAL in owners:
+        # The head's owner and each part's owner.
+        if RESERVED_PRINCIPAL in key[::2]:
             return None
-        body = IntersectionInclusion(
-            (roles[source, first], *map(roles.__getitem__, zip(owners, key[5::2])))
+        body: StatementBody = IntersectionInclusion(
+            tuple(_role_of(made, *part) for part in zip(key[2::2], key[3::2]))
         )
-    elif first is None:
-        body = names.members[source]
-    elif key[4] is None:
-        body = SimpleInclusion(roles[source, first])
-    elif source != owner:
+    elif RESERVED_PRINCIPAL in (owner, source) or (second is not None and source != owner):
         return None
     else:
-        body = LinkingInclusion(roles[source, first], names.role_names[key[4]])
-    stmt = names.statements[key] = _unchecked_statement(roles[owner, name], body)
-    return stmt
+        body_key = key[2:]
+        body = made.get(body_key)
+        if body is None:
+            if first is None:
+                body = _unchecked_member(_principal(made, source))
+            elif second is None:
+                body = _unchecked_inclusion(_role_of(made, source, first))
+            else:
+                body = _unchecked_linking(_role_of(made, source, first), _role_name(made, second))
+            made[body_key] = body
+    head = made.get((owner, name)) or _role_of(made, owner, name)
+    return _unchecked_statement(head, body)
 
 
 def _diagnose(tk: _Tokens, signed: bool) -> NoReturn:
@@ -324,10 +326,14 @@ def _diagnose(tk: _Tokens, signed: bool) -> NoReturn:
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """The number and the code (the text before any ``#``) of each line
     that holds more than a comment.  Lines end at LF, CR LF or CR only; a
-    line of spaces and tabs only is blank."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, raw in enumerate(lines, 1):
-        code = raw.split("#", 1)[0]
+    line of spaces and tabs only is blank.  A document without CR or
+    without ``#`` skips the rewrite or the split that it would need."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for line_no, code in enumerate(lines, 1):
         if code.strip(" \t"):
             yield line_no, code
 
@@ -344,24 +350,32 @@ def _one_line(text: str) -> str:
 
 def parse_statement(text: str) -> Statement:
     """Parse one statement line (comments allowed)."""
-    return _statement(_one_line(text), 1, _Names(), False)[1]
+    return _read(_one_line(text), 1, {}, False)[1]
 
 
 def parse_policy(text: str) -> PolicyState:
-    """Parse a policy document; duplicate statements are an error."""
-    names = _Names()
+    """Parse a policy document; duplicate statements are an error.  The
+    state comes with its index, the statements grouped by head as the
+    lines are read."""
+    made: dict = {}
     seen: dict[Statement, int] = {}
+    index: dict[Role, list[Statement]] = {}
     for line, code in _lines(text):
-        stmt = _statement(code, line, names, False)[1]
-        if stmt in seen:
+        stmt = _read(code, line, made, False)[1]
+        first = seen.setdefault(stmt, line)
+        if first != line:
             raise ParseError(
                 _whole_line(line, code),
-                f"duplicate statement (first occurrence at line {seen[stmt]})",
+                f"duplicate statement (first occurrence at line {first})",
                 ParseErrorKind.DUPLICATE_STATEMENT,
             )
-        seen[stmt] = line
+        items = index.get(stmt.head)
+        if items is None:
+            index[stmt.head] = [stmt]
+        else:
+            items.append(stmt)
     # The grammar has rejected ``TOP``: skip the constructor's rescan.
-    return _checked_state(frozenset(seen))
+    return _indexed_state(frozenset(seen), index)
 
 
 def _expr(tk: _Tokens) -> PositiveRoleExpr:
@@ -401,7 +415,7 @@ def _operand(tk: _Tokens) -> PositiveRoleExpr:
     if tk.take("}"):
         return PrincipalSet(frozenset())
     while True:
-        members.append(tk.names.principals[tk.principal_name()])
+        members.append(_principal(tk.made, tk.principal_name()))
         if tk.take("}"):
             return PrincipalSet(frozenset(members))
         tk.need(",")
@@ -409,7 +423,7 @@ def _operand(tk: _Tokens) -> PositiveRoleExpr:
 
 def parse_expr(text: str) -> PositiveRoleExpr:
     """Parse a positive role expression on its own (used by query)."""
-    tk = _Tokens(_one_line(text), 1, _Names())
+    tk = _Tokens(_one_line(text), 1, {})
     node = _expr(tk)
     tk.done()
     return node
@@ -417,7 +431,7 @@ def parse_expr(text: str) -> PositiveRoleExpr:
 
 def parse_constraint(text: str) -> Constraint:
     """Parse one constraint line."""
-    return _constraint(_Tokens(_one_line(text), 1, _Names()))
+    return _constraint(_Tokens(_one_line(text), 1, {}))
 
 
 def _keyword(tk: _Tokens, word: str) -> None:
@@ -430,7 +444,7 @@ def _constraint(tk: _Tokens) -> Constraint:
     _keyword(tk, "constraint")
     cid = tk.name("constraint id")
     _keyword(tk, "owner")
-    owner = tk.names.principals[tk.principal_name()]
+    owner = _principal(tk.made, tk.principal_name())
     tk.need(":")
     lhs = _expr(tk)
     tk.need("<=")
@@ -441,11 +455,11 @@ def _constraint(tk: _Tokens) -> Constraint:
 
 def parse_constraints(text: str) -> list[Constraint]:
     """Parse a constraints document, one constraint per line."""
-    names = _Names()
+    made: dict = {}
     out: list[Constraint] = []
     seen: dict[str, int] = {}
     for line, code in _lines(text):
-        q = _constraint(_Tokens(code, line, names))
+        q = _constraint(_Tokens(code, line, made))
         if q.id in seen:
             raise ParseError(
                 _whole_line(line, code),
@@ -462,7 +476,7 @@ def parse_monitor(text: str) -> RoleMonitor:
     :data:`~rtmon.model.EVERY_ROLE`, which stays symbolic: it is never
     expanded against a state, so it covers roles of principals that appear
     later."""
-    names = _Names()
+    made: dict = {}
     sections: dict[str, Container[Role]] = {}
     for line, code in _lines(text):
         m = _SECTION.match(code)
@@ -470,7 +484,7 @@ def parse_monitor(text: str) -> RoleMonitor:
             raise ParseError(
                 _whole_line(line, code), "expected 'growth-trusted:' or 'shrink-trusted:'"
             )
-        tk = _Tokens(code, line, names)
+        tk = _Tokens(code, line, made)
         tk.i = len(_TOKEN.findall(code, 0, m.end()))  # the tokens after the colon
         value: Container[Role]
         if tk.take("*"):
@@ -497,7 +511,7 @@ def parse_monitor(text: str) -> RoleMonitor:
 def parse_changelog(text: str) -> list[ChangeEvent]:
     """Parse a change log into an ordered event list, one event per line.
     A line repeated verbatim is matched once per call."""
-    names = _Names()
+    made: dict = {}
     kinds = {"+": ChangeKind.ADD, "-": ChangeKind.REMOVE}
     # Each distinct line's code, with the kind and statement it gives.
     parsed: dict[str, tuple[ChangeKind, Statement]] = {}
@@ -505,9 +519,9 @@ def parse_changelog(text: str) -> list[ChangeEvent]:
     for line, code in _lines(text):
         got = parsed.get(code)
         if got is None:
-            sign, stmt = _statement(code, line, names, True)
+            sign, stmt = _read(code, line, made, True)
             got = parsed[code] = (kinds[sign], stmt)
-        events.append(ChangeEvent(*got))
+        events.append(_unchecked_event(*got))
     return events
 
 

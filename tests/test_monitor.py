@@ -557,19 +557,28 @@ def test_each_state_builds_one_by_head_map(monkeypatch):
     q = hazmat_constraint()
     built = count_index_builds(monkeypatch)
     saturations = count_calls(monkeypatch, rtmon.engine._saturate)
-    p = hazmat_policy()
+    # A state built by the constructor builds its index on first use.
+    p = PolicyState(hazmat_policy().statements)
     assert register(p, q, RestrictedTrust(monitor)).status is RecordStatus.HOLDING
     # One index: both bound evaluations, the restricted growth walk and the
     # support worklist read it, and the core is read off the upper bound.
     assert len(built) == 1 and built[0] is p
     assert len(saturations) == 2
     assert all(index is p._index for index in saturations)
-    fresh = hazmat_policy()
+    fresh = PolicyState(hazmat_policy().statements)
     assert register(fresh, q, FullTrust()).status is RecordStatus.HOLDING
     assert len(built) == 2 and built[1] is fresh
+    # A parsed state arrives with its index and builds none.
+    parsed = hazmat_policy()
+    index = parsed._index
+    del saturations[:]
+    assert register(parsed, q, RestrictedTrust(monitor)).status is RecordStatus.HOLDING
+    assert len(saturations) == 2
+    assert all(seen is index for seen in saturations) and parsed._index is index
     # Registering again on a state reads the index it holds.
     for state, mode in ((p, RestrictedTrust(monitor)), (fresh, FullTrust()), (p, FullTrust())):
         register(state, q, mode)
+    register(parsed, q, FullTrust())
     assert len(built) == 2
 
 
@@ -1078,20 +1087,36 @@ def _replayed(p, log):
     return live
 
 
+@pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "constructed"])
 @pytest.mark.parametrize("k", [1, 4, 12])
 @pytest.mark.parametrize(
     "mode",
     [FullTrust(), FullTrustCredential(), RestrictedTrust(RoleMonitor(EVERY_ROLE, EVERY_ROLE))],
     ids=["full", "credential", "restricted"],
 )
-def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeypatch, mode, k):
-    """A session warning on ``k`` events builds the index once, for the
-    starting state, and sorts statements only there, each head's list
-    once: every snapshot carries the index over from the one before.  Each
+def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(
+    monkeypatch, mode, k, parsed
+):
+    """A session warning on ``k`` events orders an index once, the
+    starting state's, each head's list of two or more statements, as the
+    parser hands the state over or as the state builds its index on first
+    use: every snapshot carries the index over from the one before.  Each
     run of the support worklist sorts the roles it admits, once, and no
     statements."""
+    p = support_shift_policy()
+    if not parsed:
+        p = PolicyState(p.statements)
     builds = count_index_builds(monkeypatch)
     snapshots = count_snapshots(monkeypatch)
+    orders = []
+    real_order = rtmon.model._in_text_order
+
+    def order(index):
+        lists = {head: frozenset(items) for head, items in index.items() if len(items) > 1}
+        orders.append((lists, tuple(builds), len(snapshots)))
+        return real_order(index)
+
+    monkeypatch.setattr(rtmon.model, "_in_text_order", order)
     sorts = []
     real_worklist = rtmon.deps._worklist
 
@@ -1102,7 +1127,7 @@ def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeyp
     def sort_spy(items, **kwargs):
         items = list(items)
         if items and all(isinstance(x, Statement) for x in items):
-            sorts.append((frozenset(items), tuple(builds), len(snapshots)))
+            sorts.append("statements")
         elif items and all(isinstance(x, Role) for x in items):
             sorts.append("roles")
         return sorted(items, **kwargs)
@@ -1110,7 +1135,6 @@ def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeyp
     for module in (rtmon.model, rtmon.engine, rtmon.deps, rtmon.analysis, rtmon.monitor):
         monkeypatch.setattr(module, "sorted", sort_spy, raising=False)
     patch_everywhere(monkeypatch, real_worklist, worklist)
-    p = support_shift_policy()
     # ``B.r`` gains X{i} quietly; ``A.r`` then gains it and warns, and the
     # constraint still holds, so each warned event recomputes the support.
     log = []
@@ -1120,18 +1144,17 @@ def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeyp
     assert [w.event for w in session.warnings] == log[1::2]
     assert all(w.outcome is WarningOutcome.STILL_HOLDS for w in session.warnings)
     assert len(snapshots) == k
-    assert len(builds) == 1 and builds[0] is p
-    # The statements sorted are those of each head of ``p``, once, while
-    # ``p`` is the only state that built its index, before any snapshot.
-    statement_sorts = [x for x in sorts if isinstance(x, tuple)]
-    assert Counter(group for group, _, _ in statement_sorts) == Counter(
-        frozenset(s for s in p if s.head == head) for head in {s.head for s in p}
-    )
-    assert sum(len(group) for group, _, _ in statement_sorts) == len(p)
-    assert all(built == (p,) and at == 0 for _, built, at in statement_sorts)
+    # A parsed state arrives with its index; a constructed one builds it.
+    assert builds == ([] if parsed else [p])
+    # A constructed state orders its index, before any snapshot, and each
+    # of its heads with two or more statements is sorted there; a parsed
+    # one was ordered by the parse.
+    heads = Counter(s.head for s in p)
+    lists = {h: frozenset(s for s in p if s.head == h) for h, n in heads.items() if n > 1}
+    assert orders == ([] if parsed else [(lists, (p,), 0)])
     runs = sorts.count("run")
     assert runs >= k
-    assert [x for x in sorts if not isinstance(x, tuple)] == ["run", "roles"] * runs
+    assert sorts == ["run", "roles"] * runs
 
 
 @pytest.mark.parametrize("make_mode", _MAKE_MODES, ids=["full", "credential", "restricted"])

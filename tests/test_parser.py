@@ -30,7 +30,7 @@ from rtmon.model import (
     Statement,
     UnionExpr,
 )
-from rtmon import parser
+from rtmon import model, parser
 from rtmon.parser import (
     ParseError,
     ParseErrorKind,
@@ -54,11 +54,18 @@ from helpers import (
     HAZMAT_CONSTRAINT_TEXT,
     HAZMAT_POLICY_TEXT,
     hazmat_policy,
+    index_texts,
     prin,
     role,
     stmt,
 )
-from randgen import random_constraint, random_fan_state, random_monitor, random_state
+from randgen import (
+    random_constraint,
+    random_fan_state,
+    random_monitor,
+    random_state,
+    random_statement_for_state,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -622,6 +629,165 @@ class TestUncheckedConstructors:
             for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
                 _assert_built_alike(twin, want)
         assert pickle.loads(pickle.dumps(policy)) == policy
+
+    def test_bodies_and_events_equal_the_checked_ones(self):
+        """The unchecked constructors of member, inclusion and linked bodies
+        and of events: each value equals, and hashes as, the checked one,
+        and its copies and pickles do too."""
+        a, b = Principal("A"), Principal("B")
+        r, s = Role(a, RoleName("r")), RoleName("s")
+        st = Statement(r, SimpleMember(b))
+        pairs = [
+            (model._unchecked_member(b), SimpleMember(b)),
+            (model._unchecked_inclusion(r), SimpleInclusion(r)),
+            (model._unchecked_linking(r, s), LinkingInclusion(r, s)),
+            (model._unchecked_event(ChangeKind.ADD, st), ChangeEvent(ChangeKind.ADD, st)),
+            (model._unchecked_event(ChangeKind.REMOVE, st), ChangeEvent(ChangeKind.REMOVE, st)),
+        ]
+        for got, want in pairs:
+            _assert_built_alike(got, want)
+            for twin in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+                _assert_built_alike(twin, want)
+
+    def test_a_parse_calls_no_checked_constructor_but_the_intersections(self, monkeypatch):
+        checked = []
+        for cls in (Principal, RoleName, Role, SimpleMember, SimpleInclusion, LinkingInclusion,
+                    Statement, ChangeEvent):
+            def init(self, *args, _real=cls.__init__, **kwargs):
+                checked.append(type(self).__name__)
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        lines = ["A.r <- B", "A.r <- B.s", "A.r <- A.s.t", "A.u <- B.s & C.t"]
+        policy = parse_policy("".join(line + "\n" for line in lines))
+        events = parse_changelog("".join(f"{sign} {line}\n" for line in lines for sign in "+-"))
+        assert len(policy) == 4 and len(events) == 8
+        assert {type(s.body) for s in policy} == {
+            SimpleMember, SimpleInclusion, LinkingInclusion, IntersectionInclusion
+        }
+        assert checked == []
+
+
+def _written(rng: random.Random, p: PolicyState) -> str:
+    """A document of ``p``: its statements in a random order, respaced, at
+    times with a comment or a blank line after, all ending in one of LF,
+    CR LF and CR."""
+    lines = sorted(str(s) for s in p)
+    rng.shuffle(lines)
+    end = rng.choice(["\n", "\r\n", "\r"])
+    padding = ["", " \t", "# note"]
+    return "".join(
+        _respaced(rng, line) + end + (rng.choice(padding) + end if rng.random() < 0.2 else "")
+        for line in lines
+    )
+
+
+def _assert_indexed_as_built(p: PolicyState) -> None:
+    """``p`` holds its index, and it has the heads of a fresh build of its
+    statements, each with the same objects in the same order."""
+    assert "_index" in vars(p)
+    got, want = p._index, PolicyState(p.statements)._index
+    assert got.keys() == want.keys()
+    for head, items in want.items():
+        assert [id(s) for s in got[head]] == [id(s) for s in items]
+
+
+class TestParsedIndex:
+    """``parse_policy`` hands over the state with its index, which must be
+    the index the state would build on first use."""
+
+    def test_fixture_policies_arrive_indexed_as_built(self):
+        rng = random.Random(3501)
+        multi = 0
+        for path in sorted(FIXTURES.glob("*.rt")):
+            text = path.read_text(encoding="utf-8")
+            for document in (text, _written(rng, parse_policy(text))):
+                p = parse_policy(document)
+                _assert_indexed_as_built(p)
+                multi += sum(len(items) > 1 for items in p._index.values())
+        assert multi > 0
+
+    def test_random_policies_arrive_indexed_as_built(self):
+        rng = random.Random(3502)
+        multi = 0
+        for n in range(3000):
+            p = random_fan_state(rng) if n % 3 == 0 else random_state(rng, 4, 2, 12)
+            parsed = parse_policy(_written(rng, p))
+            assert parsed == p
+            _assert_indexed_as_built(parsed)
+            multi += any(len(items) > 1 for items in parsed._index.values())
+            # A state derived by ``add`` and ``remove`` carries the index
+            # over, as a fresh build of its statements would give it.
+            state = parsed
+            for _ in range(3):
+                change = random_statement_for_state(rng, parsed)
+                state = state.remove(change) if change in state else state.add(change)
+                assert "_index" in vars(state) or state is parsed
+                assert index_texts(state) == index_texts(PolicyState(state.statements))
+            # Copy and pickle carry the statements alone.
+            for twin in (copy.copy(parsed), copy.deepcopy(parsed),
+                         pickle.loads(pickle.dumps(parsed))):
+                assert twin == parsed and "_index" not in vars(twin)
+        assert multi >= 1000
+
+
+def _rendered(monkeypatch) -> list:
+    """The statements whose text is rendered from now on, one entry per
+    rendering."""
+    rendered = []
+    real = Statement.__str__
+
+    def counted(self):
+        rendered.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Statement, "__str__", counted)
+    return rendered
+
+
+class TestRendering:
+    """Loading orders each head's statements by text, which renders only
+    the statements of heads with two or more."""
+
+    def test_loading_renders_no_single_statement_head(self, monkeypatch):
+        rng = random.Random(3503)
+        documents = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.rt"))]
+        for n in range(300):
+            p = random_fan_state(rng) if n % 3 == 0 else random_state(rng, 4, 2, 12)
+            documents.append(_written(rng, p))
+        rendered = _rendered(monkeypatch)
+        for document in documents:
+            del rendered[:]
+            p = parse_policy(document)
+            multi = {id(s) for items in p._index.values() if len(items) > 1 for s in items}
+            assert {id(s) for s in rendered} <= multi
+            assert len(rendered) == len({id(s) for s in rendered})
+
+    def test_set_up_renders_each_statement_of_a_shared_head_at_most_once(self, monkeypatch):
+        from rtmon.monitor import FullTrust, FullTrustCredential, RestrictedTrust, run_session
+
+        rendered = _rendered(monkeypatch)
+        families = sorted({path.stem for path in FIXTURES.glob("*.rt")})
+        multi_total = 0
+        for family in families:
+            read = lambda suffix: (FIXTURES / f"{family}{suffix}").read_text(encoding="utf-8")
+            modes = [FullTrust(), FullTrustCredential()]
+            if (FIXTURES / f"{family}.mon").exists():
+                modes.append(RestrictedTrust(parse_monitor(read(".mon"))))
+            for mode in modes:
+                del rendered[:]
+                p = parse_policy(read(".rt"))
+                constraints = parse_constraints(read(".cst"))
+                log = parse_changelog(read(".changes"))
+                # Set-up: the loads and each constraint's registration,
+                # which ``run_session`` makes before it asks for an event.
+                run_session(p, [(q, mode) for q in constraints], iter(()))
+                multi = {id(s) for items in p._index.values() if len(items) > 1 for s in items}
+                multi_total += len(multi)
+                assert {id(s) for s in rendered} <= multi, family
+                assert len(rendered) == len({id(s) for s in rendered}), family
+                assert log
+        assert multi_total > 0
 
 _PARSERS = {
     "statement": parse_statement,
