@@ -5,15 +5,16 @@ principal-owned role either directly (simple membership) or by delegation
 (role inclusion, linked roles, intersections).  Containment constraints,
 role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
-beyond their own invariants, and are safe to share between threads.  A
-state derives what every pass reads of it -- its one index: its
-statements by head, each head's in text order -- on first use, once, and
-keeps it, and it keeps what the other modules derive from it (membership
-on a cone, the support worklist, the bounds and the trusted core) in one
-memo, also filled on first use.  A state derived from another -- by
-``add`` or ``remove``, or as a session's next snapshot -- carries over the
-other's index, if it was built, with the changes between them replayed
-onto a copy, and derives the rest afresh.  No pass reads a state's
+beyond their own invariants, and are safe to share between threads.  What
+every pass reads of a state is its one index: its statements by head,
+each head's in text order.  A parsed state arrives with it; any other
+state derives it on first use, once, and keeps it.  A state also keeps
+what the other modules derive from it (membership on a cone, the support
+worklist, the bounds and the trusted core) in one memo, filled on first
+use.  A state derived from another -- by ``add`` or ``remove``, or as a
+session's next snapshot -- carries over the other's index, if it has
+one, with the changes between them replayed onto a copy, and derives the
+rest afresh.  No pass reads a state's
 principals: the upper bound reads ``TOP`` as every principal, so only the
 listing of a state's roles collects them.
 """

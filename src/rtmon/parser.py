@@ -23,12 +23,15 @@ builds nothing.
 
 Every parse either returns a value or raises :class:`ParseError` with a
 position; serializers are exact inverses (``parse(serialize(x)) == x``).
-Within one parse call each principal, role name, role, member fact body
-and statement is one object (a statement per sequence of identifiers, so a
-reordered intersection keeps its written order), built once by the model's
-unchecked constructors, since the grammar has made their checks; a
-change-log line repeated verbatim is matched once per call, though each
-line still gets an event of its own.  Separate calls share nothing.
+:func:`parse_policy` hands over the state with its index, the statements
+grouped by head as the lines are read.  Within one parse call each
+principal, role name, role, member, inclusion and linked body, and
+statement is one object (a statement per sequence of identifiers, so a
+reordered intersection keeps its written order), built once from one
+table of the call by the model's unchecked constructors, since the
+grammar has made their checks; so is each event.  A change-log line
+repeated verbatim is matched once per call, though each line still gets
+an event of its own.  Separate calls share nothing.
 """
 
 from __future__ import annotations
@@ -134,6 +137,14 @@ class ParseError(Exception):
         self.span = span
         self.message = message
         self.kind = kind
+
+
+# Each parse call builds its values from one table, a dict keyed by source
+# text: a principal by its name, a role name by its name in a 1-tuple, a
+# role by its owner and name, a member, inclusion or linked body by the
+# three identifiers after the arrow (``None`` where a shorter body ends),
+# and, in a change log, a statement by all its identifiers.  No two kinds
+# share a key length.
 
 
 def _principal(made: dict, name: str) -> Principal:
@@ -246,11 +257,13 @@ def _read(code: str, line: int, made: dict, signed: bool) -> tuple[str | None, S
         sign, owner, name, source, first, second, more = m.groups()
         if (sign is not None) is signed:
             # Five slots, ``None`` where a shorter body ends; an
-            # intersection lists the identifiers of every part instead.
+            # intersection lists the identifiers of every part instead,
+            # split off without a second match.
             if more is None:
                 key: tuple[str | None, ...] = (owner, name, source, first, second)
             else:
-                key = (owner, name, source, first, *more.replace("&", " ").replace(".", " ").split())
+                parts = more.replace("&", " ").replace(".", " ").split()
+                key = (owner, name, source, first, *parts)
             if signed:
                 # A change log may repeat a statement, spaced or signed
                 # otherwise, so it keeps each by its identifiers.  In a
