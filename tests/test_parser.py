@@ -789,6 +789,7 @@ class TestRendering:
                 assert log
         assert multi_total > 0
 
+
 _PARSERS = {
     "statement": parse_statement,
     "policy": parse_policy,
