@@ -5,16 +5,15 @@ principal-owned role either directly (simple membership) or by delegation
 (role inclusion, linked roles, intersections).  Containment constraints,
 role monitors, and change events round out the vocabulary shared by every
 other module.  All types here compare structurally, carry no behaviour
-beyond their own invariants, and are safe to share between threads.  What
-every pass reads of a state is its one index: its statements by head,
-each head's in text order.  A parsed state arrives with it; any other
-state derives it on first use, once, and keeps it.  A state also keeps
-what the other modules derive from it (membership on a cone, the support
-worklist, the bounds and the trusted core) in one memo, filled on first
-use.  A state derived from another -- by ``add`` or ``remove``, or as a
-session's next snapshot -- carries over the other's index, if it has
-one, with the changes between them replayed onto a copy, and derives the
-rest afresh.  No pass reads a state's
+beyond their own invariants, and are safe to share between threads.  A
+state derives what every pass reads of it -- its one index: its
+statements by head, each head's in text order -- on first use, once, and
+keeps it, and it keeps what the other modules derive from it (membership
+on a cone, the support worklist, the bounds and the trusted core) in one
+memo, also filled on first use.  A state derived from another -- by
+``add`` or ``remove``, or as a session's next snapshot -- carries over the
+other's index, if it was built, with the changes between them replayed
+onto a copy, and derives the rest afresh.  No pass reads a state's
 principals: the upper bound reads ``TOP`` as every principal, so only the
 listing of a state's roles collects them.
 """
@@ -92,14 +91,20 @@ def _unchecked(cls: type[_T]) -> Callable[..., _T]:
     slots = [vars(cls)[f.name].__set__ for f in fields(cls) if f.init]
     set_hash = vars(cls)["_hash"].__set__ if "_hash" in vars(cls) else None
     new = object.__new__
+    # One closure per field count, with or without a hash, chosen here so
+    # that no call tests which it is.
     if len(slots) == 1:
         [set_a] = slots
 
         def make(a):
             self = new(cls)
             set_a(self, a)
-            if set_hash is not None:
-                set_hash(self, hash((a,)))
+            return self
+
+        def make_hashed(a):
+            self = new(cls)
+            set_a(self, a)
+            set_hash(self, hash((a,)))
             return self
     else:
         set_a, set_b = slots
@@ -108,11 +113,16 @@ def _unchecked(cls: type[_T]) -> Callable[..., _T]:
             self = new(cls)
             set_a(self, a)
             set_b(self, b)
-            if set_hash is not None:
-                set_hash(self, hash((a, b)))
             return self
 
-    return make
+        def make_hashed(a, b):
+            self = new(cls)
+            set_a(self, a)
+            set_b(self, b)
+            set_hash(self, hash((a, b)))
+            return self
+
+    return make if set_hash is None else make_hashed
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -392,9 +402,8 @@ class PolicyState:
         read.  The heads in text order, each followed by its list, are the
         statements in text order: a head's text is a proper prefix of
         another's only where a name character or ``.`` follows, and each
-        sorts after the space of `` <- ``.  A parsed state arrives with it
-        (see :func:`_indexed_state`).  Two threads may both build it cold;
-        that is benign, because each stores an equal index."""
+        sorts after the space of `` <- ``.  Two threads may both build it
+        cold; that is benign, because each stores an equal index."""
         index: dict[Role, list[Statement]] = {}
         for stmt in self.statements:
             index.setdefault(stmt.head, []).append(stmt)
@@ -473,23 +482,12 @@ def _checked_state(statements: frozenset[Statement]) -> PolicyState:
 def _in_text_order(index: dict[Role, list[Statement]]) -> dict[Role, list[Statement]]:
     """``index``, each head's statements grouped in any order, with every
     list of two or more sorted in place by text: a head with one statement
-    is neither rendered nor sorted.  Every index built afresh, lazily or by
-    the parser, is ordered here."""
+    is neither rendered nor sorted.  Every index built afresh is ordered
+    here, however its state was made."""
     for items in index.values():
         if len(items) > 1:
             items.sort(key=str)
     return index
-
-
-def _indexed_state(
-    statements: frozenset[Statement], index: dict[Role, list[Statement]]
-) -> PolicyState:
-    """The state over ``statements``, already known to be free of ``TOP``,
-    with ``index`` as its index: the same statements grouped by head, each
-    head's in any order, which is put in text order here."""
-    state = _checked_state(statements)
-    object.__setattr__(state, "_index", _in_text_order(index))
-    return state
 
 
 def _successor(

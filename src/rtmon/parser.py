@@ -23,15 +23,13 @@ builds nothing.
 
 Every parse either returns a value or raises :class:`ParseError` with a
 position; serializers are exact inverses (``parse(serialize(x)) == x``).
-:func:`parse_policy` hands over the state with its index, the statements
-grouped by head as the lines are read.  Within one parse call each
-principal, role name, role, member, inclusion and linked body, and
-statement is one object (a statement per sequence of identifiers, so a
-reordered intersection keeps its written order), built once from one
-table of the call by the model's unchecked constructors, since the
-grammar has made their checks; so is each event.  A change-log line
-repeated verbatim is matched once per call, though each line still gets
-an event of its own.  Separate calls share nothing.
+Within one parse call each principal, role name, role, member,
+inclusion and linked body, and statement is one object (a statement per
+sequence of identifiers, so a reordered intersection keeps its written
+order), built once from one table of the call by the model's unchecked
+constructors, since the grammar has made their checks; so is each event.
+A change-log line repeated verbatim is matched once per call, though each
+line still gets an event of its own.  Separate calls share nothing.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from .model import (
     StatementBody,
     UnionExpr,
     _IDENT,
-    _indexed_state,
+    _checked_state,
     _unchecked_event,
     _unchecked_inclusion,
     _unchecked_linking,
@@ -303,8 +301,7 @@ def _built(made: dict, key: tuple[str | None, ...]) -> Statement | None:
             else:
                 body = _unchecked_linking(_role_of(made, source, first), _role_name(made, second))
             made[body_key] = body
-    head = made.get((owner, name)) or _role_of(made, owner, name)
-    return _unchecked_statement(head, body)
+    return _unchecked_statement(_role_of(made, owner, name), body)
 
 
 def _diagnose(tk: _Tokens, signed: bool) -> NoReturn:
@@ -367,12 +364,9 @@ def parse_statement(text: str) -> Statement:
 
 
 def parse_policy(text: str) -> PolicyState:
-    """Parse a policy document; duplicate statements are an error.  The
-    state comes with its index, the statements grouped by head as the
-    lines are read."""
+    """Parse a policy document; duplicate statements are an error."""
     made: dict = {}
     seen: dict[Statement, int] = {}
-    index: dict[Role, list[Statement]] = {}
     for line, code in _lines(text):
         stmt = _read(code, line, made, False)[1]
         first = seen.setdefault(stmt, line)
@@ -382,13 +376,8 @@ def parse_policy(text: str) -> PolicyState:
                 f"duplicate statement (first occurrence at line {first})",
                 ParseErrorKind.DUPLICATE_STATEMENT,
             )
-        items = index.get(stmt.head)
-        if items is None:
-            index[stmt.head] = [stmt]
-        else:
-            items.append(stmt)
     # The grammar has rejected ``TOP``: skip the constructor's rescan.
-    return _indexed_state(frozenset(seen), index)
+    return _checked_state(frozenset(seen))
 
 
 def _expr(tk: _Tokens) -> PositiveRoleExpr:

@@ -557,28 +557,19 @@ def test_each_state_builds_one_by_head_map(monkeypatch):
     q = hazmat_constraint()
     built = count_index_builds(monkeypatch)
     saturations = count_calls(monkeypatch, rtmon.engine._saturate)
-    # A state built by the constructor builds its index on first use.
-    p = PolicyState(hazmat_policy().statements)
+    p = hazmat_policy()
     assert register(p, q, RestrictedTrust(monitor)).status is RecordStatus.HOLDING
     # One index: both bound evaluations, the restricted growth walk and the
     # support worklist read it, and the core is read off the upper bound.
     assert len(built) == 1 and built[0] is p
     assert len(saturations) == 2
     assert all(index is p._index for index in saturations)
-    fresh = PolicyState(hazmat_policy().statements)
+    fresh = hazmat_policy()
     assert register(fresh, q, FullTrust()).status is RecordStatus.HOLDING
     assert len(built) == 2 and built[1] is fresh
-    # A parsed state arrives with its index and builds none.
-    parsed = hazmat_policy()
-    index = parsed._index
-    del saturations[:]
-    assert register(parsed, q, RestrictedTrust(monitor)).status is RecordStatus.HOLDING
-    assert len(saturations) == 2
-    assert all(seen is index for seen in saturations) and parsed._index is index
     # Registering again on a state reads the index it holds.
     for state, mode in ((p, RestrictedTrust(monitor)), (fresh, FullTrust()), (p, FullTrust())):
         register(state, q, mode)
-    register(parsed, q, FullTrust())
     assert len(built) == 2
 
 
@@ -1087,25 +1078,18 @@ def _replayed(p, log):
     return live
 
 
-@pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "constructed"])
 @pytest.mark.parametrize("k", [1, 4, 12])
 @pytest.mark.parametrize(
     "mode",
     [FullTrust(), FullTrustCredential(), RestrictedTrust(RoleMonitor(EVERY_ROLE, EVERY_ROLE))],
     ids=["full", "credential", "restricted"],
 )
-def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(
-    monkeypatch, mode, k, parsed
-):
-    """A session warning on ``k`` events orders an index once, the
-    starting state's, each head's list of two or more statements, as the
-    parser hands the state over or as the state builds its index on first
-    use: every snapshot carries the index over from the one before.  Each
-    run of the support worklist sorts the roles it admits, once, and no
-    statements."""
-    p = support_shift_policy()
-    if not parsed:
-        p = PolicyState(p.statements)
+def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(monkeypatch, mode, k):
+    """A session warning on ``k`` events builds the index once, for the
+    starting state, and sorts statements only there, each list of two or
+    more statements once: every snapshot carries the index over from the
+    one before.  Each run of the support worklist sorts the roles it
+    admits, once, and no statements."""
     builds = count_index_builds(monkeypatch)
     snapshots = count_snapshots(monkeypatch)
     orders = []
@@ -1135,6 +1119,7 @@ def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(
     for module in (rtmon.model, rtmon.engine, rtmon.deps, rtmon.analysis, rtmon.monitor):
         monkeypatch.setattr(module, "sorted", sort_spy, raising=False)
     patch_everywhere(monkeypatch, real_worklist, worklist)
+    p = support_shift_policy()
     # ``B.r`` gains X{i} quietly; ``A.r`` then gains it and warns, and the
     # constraint still holds, so each warned event recomputes the support.
     log = []
@@ -1144,14 +1129,13 @@ def test_only_the_starting_state_builds_its_map_and_sorts_its_statements(
     assert [w.event for w in session.warnings] == log[1::2]
     assert all(w.outcome is WarningOutcome.STILL_HOLDS for w in session.warnings)
     assert len(snapshots) == k
-    # A parsed state arrives with its index; a constructed one builds it.
-    assert builds == ([] if parsed else [p])
-    # A constructed state orders its index, before any snapshot, and each
-    # of its heads with two or more statements is sorted there; a parsed
-    # one was ordered by the parse.
+    assert len(builds) == 1 and builds[0] is p
+    # The lists sorted are those of each head of ``p`` with two or more
+    # statements, once, while ``p`` is the only state that built its
+    # index, before any snapshot.
     heads = Counter(s.head for s in p)
     lists = {h: frozenset(s for s in p if s.head == h) for h, n in heads.items() if n > 1}
-    assert orders == ([] if parsed else [(lists, (p,), 0)])
+    assert lists and orders == [(lists, (p,), 0)]
     runs = sorts.count("run")
     assert runs >= k
     assert sorts == ["run", "roles"] * runs

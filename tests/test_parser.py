@@ -54,7 +54,6 @@ from helpers import (
     HAZMAT_CONSTRAINT_TEXT,
     HAZMAT_POLICY_TEXT,
     hazmat_policy,
-    index_texts,
     prin,
     role,
     stmt,
@@ -682,39 +681,42 @@ def _written(rng: random.Random, p: PolicyState) -> str:
     )
 
 
-def _assert_indexed_as_built(p: PolicyState) -> None:
-    """``p`` holds its index, and it has the heads of a fresh build of its
-    statements, each with the same objects in the same order."""
-    assert "_index" in vars(p)
-    got, want = p._index, PolicyState(p.statements)._index
+def _assert_indexed_in_text_order(p: PolicyState) -> None:
+    """``p``'s index holds its statements by head, each head's list in
+    the order of their text, whether or not it has been read before."""
+    want: dict = {}
+    for s in sorted(p.statements, key=str):
+        want.setdefault(s.head, []).append(s)
+    got = p._index
     assert got.keys() == want.keys()
     for head, items in want.items():
         assert [id(s) for s in got[head]] == [id(s) for s in items]
 
 
-class TestParsedIndex:
-    """``parse_policy`` hands over the state with its index, which must be
-    the index the state would build on first use."""
+class TestIndex:
+    """A state's index, parsed or derived, holds each head's statements in
+    text order, however the document was written."""
 
-    def test_fixture_policies_arrive_indexed_as_built(self):
+    def test_fixture_policies_index_in_text_order(self):
         rng = random.Random(3501)
         multi = 0
         for path in sorted(FIXTURES.glob("*.rt")):
             text = path.read_text(encoding="utf-8")
             for document in (text, _written(rng, parse_policy(text))):
                 p = parse_policy(document)
-                _assert_indexed_as_built(p)
+                assert "_index" not in vars(p)
+                _assert_indexed_in_text_order(p)
                 multi += sum(len(items) > 1 for items in p._index.values())
         assert multi > 0
 
-    def test_random_policies_arrive_indexed_as_built(self):
+    def test_random_policies_index_in_text_order(self):
         rng = random.Random(3502)
         multi = 0
         for n in range(3000):
             p = random_fan_state(rng) if n % 3 == 0 else random_state(rng, 4, 2, 12)
             parsed = parse_policy(_written(rng, p))
             assert parsed == p
-            _assert_indexed_as_built(parsed)
+            _assert_indexed_in_text_order(parsed)
             multi += any(len(items) > 1 for items in parsed._index.values())
             # A state derived by ``add`` and ``remove`` carries the index
             # over, as a fresh build of its statements would give it.
@@ -723,7 +725,7 @@ class TestParsedIndex:
                 change = random_statement_for_state(rng, parsed)
                 state = state.remove(change) if change in state else state.add(change)
                 assert "_index" in vars(state) or state is parsed
-                assert index_texts(state) == index_texts(PolicyState(state.statements))
+                _assert_indexed_in_text_order(state)
             # Copy and pickle carry the statements alone.
             for twin in (copy.copy(parsed), copy.deepcopy(parsed),
                          pickle.loads(pickle.dumps(parsed))):
@@ -746,8 +748,8 @@ def _rendered(monkeypatch) -> list:
 
 
 class TestRendering:
-    """Loading orders each head's statements by text, which renders only
-    the statements of heads with two or more."""
+    """Building an index orders each head's statements by text, which
+    renders only the statements of heads with two or more."""
 
     def test_loading_renders_no_single_statement_head(self, monkeypatch):
         rng = random.Random(3503)
@@ -758,10 +760,14 @@ class TestRendering:
         rendered = _rendered(monkeypatch)
         for document in documents:
             del rendered[:]
+            # Loading: the parse and the first read of the index, on the
+            # parsed state and on one built by the constructor.
             p = parse_policy(document)
-            multi = {id(s) for items in p._index.values() if len(items) > 1 for s in items}
-            assert {id(s) for s in rendered} <= multi
-            assert len(rendered) == len({id(s) for s in rendered})
+            for state in (p, PolicyState(p.statements)):
+                multi = {id(s) for items in state._index.values() if len(items) > 1 for s in items}
+                assert {id(s) for s in rendered} <= multi
+                assert len(rendered) == len({id(s) for s in rendered})
+                del rendered[:]
 
     def test_set_up_renders_each_statement_of_a_shared_head_at_most_once(self, monkeypatch):
         from rtmon.monitor import FullTrust, FullTrustCredential, RestrictedTrust, run_session
