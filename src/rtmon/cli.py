@@ -97,12 +97,9 @@ def _load(path: str, parse, inputs: dict, label: str):
         raise _InputError(path, str(exc)) from exc
 
 
-def _names(principals) -> list[str]:
-    return sorted(p.name for p in principals)
-
-
 def _texts(items) -> list[str]:
-    """Roles or statements as sorted text."""
+    """Principals, roles or statements as sorted text; a principal's text
+    is its name."""
     return sorted(str(x) for x in items)
 
 
@@ -123,7 +120,7 @@ def cmd_query(args) -> dict:
     except ParseError as exc:
         raise _InputError("<expr>", str(exc)) from exc
     members = eval_expr(evaluate(state, roles_of(expr)), expr)
-    result = {"expr": serialize_expr(expr), "members": _names(members)}
+    result = {"expr": serialize_expr(expr), "members": _texts(members)}
     return _report("query", inputs, result, EXIT_OK)
 
 
@@ -136,7 +133,7 @@ def cmd_check(args) -> dict:
     for q in constraints:
         got = check_constraint(state, q, idx)
         verdicts.append(
-            {"id": q.id, "satisfied": got.satisfied, "violators": _names(got.violators)}
+            {"id": q.id, "satisfied": got.satisfied, "violators": _texts(got.violators)}
         )
     violated = any(not v["satisfied"] for v in verdicts)
     return _report("check", inputs, {"constraints": verdicts}, _exit_code(violated))
@@ -181,7 +178,7 @@ def cmd_deps(args) -> dict:
         else:
             violated = True
             entry["support"] = None
-            entry["violators"] = _names(rec.violators)
+            entry["violators"] = _texts(rec.violators)
         verdicts.append(entry)
     return _report("deps", inputs, {"constraints": verdicts}, _exit_code(violated))
 
@@ -200,7 +197,7 @@ def cmd_analyze(args) -> dict:
         entry: dict = {
             "id": q.id,
             "holds": holds,
-            "witnesses": _names(rec.violators),
+            "witnesses": _texts(rec.violators),
             "gamma_restricted": _texts(
                 rec.gamma_cache if holds else gamma_restricted_expr(state, g, q.lhs)
             ),
@@ -245,7 +242,7 @@ def cmd_monitor(args) -> dict:
         {
             "id": rec.constraint.id,
             "status": rec.status.value,
-            "violators": _names(rec.violators),
+            "violators": _texts(rec.violators),
         }
         for rec in session.initial
     ]
@@ -260,7 +257,7 @@ def cmd_monitor(args) -> dict:
                 "cause": w.cause.value,
                 "event": str(w.event),
                 "outcome": w.outcome.value,
-                "violators": _names(w.violators),
+                "violators": _texts(w.violators),
                 "recomputed": w.recomputed,
                 "noop": w.noop,
             }

@@ -34,8 +34,9 @@ pick read one order: fewest tokens first, ties broken by the sorted
 positions of the tokens in the first pass, a head for a role token and a
 statement for a statement token.  That pass walks both in text order, so
 this is the order of the sorted token texts, and no ranking renders text.
-A state keeps the role-support worklist it ran per admissible set and cap,
-so every support read of one state at one cap shares one run.
+A state keeps the worklist it ran per admissible set, cap and token kind:
+every support read of one state at one cap shares one role-support run,
+and every credential support read of it one replay per role support.
 """
 
 from __future__ import annotations
@@ -408,26 +409,24 @@ def _worklist(
     return {role: by_member for role, by_member in cur.items() if by_member}, truncated, order
 
 
-def _check_cap(cap: Optional[int]) -> None:
-    """Reject a support cap that would keep no support at all."""
+def _role_worklist(
+    p: PolicyState, admissible: Optional[Container[Role]], cap: Optional[int],
+    by_statement: bool = False,
+) -> tuple[_Saturated, frozenset[Role], _Order]:
+    """Supports per role and member, over the statements of ``p`` heading a
+    role in ``admissible`` (every statement when it is ``None``), with the
+    roles the cap truncated and the run's support order; run once per
+    admissible set, cap and token kind, and kept on ``p``.  The supports
+    are role supports, or with ``by_statement`` statement supports, as the
+    credential replay asks for.  Raises ``ValueError`` for a cap below 1.
+    Every head of a legal state lies in :data:`~rtmon.model.EVERY_ROLE`,
+    so it admits what ``None`` does and shares its run."""
     if cap is not None and cap < 1:
         raise ValueError(f"max_entries_per_member must be None or at least 1, got {cap}")
-
-
-def _role_worklist(
-    p: PolicyState, admissible: Optional[Container[Role]], cap: Optional[int]
-) -> tuple[_Saturated, frozenset[Role], _Order]:
-    """Role supports per role and member, over the statements of ``p``
-    heading a role in ``admissible`` (every statement when it is ``None``),
-    with the roles the cap truncated and the run's support order; run once
-    per admissible set and cap, and kept on ``p``.  Raises ``ValueError``
-    for a cap below 1.  Every head of a legal state lies in
-    :data:`~rtmon.model.EVERY_ROLE`, so it admits what ``None`` does and
-    shares its run."""
-    _check_cap(cap)
     if admissible is not None:
         admissible = None if admissible is EVERY_ROLE else frozenset(admissible)
-    return p._derived("worklist", (admissible, cap), lambda: _worklist(p, cap, admissible))
+    key = (admissible, cap, by_statement)
+    return p._derived("worklist", key, lambda: _worklist(p, cap, admissible, by_statement))
 
 
 def justified_semantics(
@@ -528,19 +527,16 @@ def credential_support_for_constraint(
     collected statement's head lies inside it.  A replay walks only the
     role support's heads and fires only the rules whose read roles are all
     heads in it, so its cost follows the role support, not the state.  The
-    worklist runs once per distinct role support, and the members sharing
-    it pick their statements from that one run.  Raises ``ValueError`` for a
-    cap below 1.
+    state keeps each replay, so the worklist runs once per distinct role
+    support and cap, and every member and every constraint of the state
+    sharing that support pick their statements from that one run.  Raises
+    ``ValueError`` for a cap below 1.
     """
-    saturated, _, order = _role_worklist(p, None, max_entries_per_member)
-    replays: dict[frozenset, tuple[_Saturated, frozenset[Role], _Order]] = {}
+    cap = max_entries_per_member
+    saturated, _, order = _role_worklist(p, None, cap)
     total: set[Statement] = set()
     for member, role_support in _member_supports(members, rhs, saturated, order):
-        if role_support not in replays:
-            replays[role_support] = _worklist(
-                p, max_entries_per_member, role_support, by_statement=True
-            )
-        replay, _, replay_order = replays[role_support]
+        replay, _, replay_order = _role_worklist(p, role_support, cap, by_statement=True)
         # The role support proves the membership, so the replay does too.
         total |= _member_expr_support(member, rhs, replay, replay_order)
     return frozenset(total)

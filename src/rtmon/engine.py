@@ -15,7 +15,8 @@ matter.  Results are independent of statement order.  With some roles
 held, each at a set of its own, the same loop on the same index gives
 both bounds of restricted trust.  A held set may hold the reserved
 ``TOP``, which reads as every principal: an intersection part holding it
-filters nothing, in the loop and in an expression's walk alike.
+filters nothing.  :func:`_meet` is the one rule for that, and the loop
+and an expression's walk both meet an intersection's parts through it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Optional
 
 from .model import (
@@ -99,9 +101,9 @@ def _saturate(
     as new members for every rule indexed as reading it by name.  Without
     ``held`` this is exact membership; with every held set empty it is
     membership in the state restricted to the heads it computes.  Only a
-    held set brings in ``TOP``, every principal, and so only with ``held``
-    does an intersection read it so: a part holding it filters nothing,
-    and a part that gains it offers again what the other parts hold.
+    held set brings in ``TOP``, every principal, so only with ``held``
+    does an intersection meet the new members of one part with the other
+    parts through :func:`_meet`; without, the meet is a plain ``&``.
 
     Rules are indexed by the roles they read, and linked rules also by the
     name of their second role; the facts are the first round's new members.
@@ -122,6 +124,7 @@ def _saturate(
     fresh: dict[Role, Iterable[Principal]] = {}
     cone: Optional[set[Role]] = None
     rounds = 0
+    meet = operator.and_ if held is None else _meet
 
     def read(role: Role) -> frozenset[Principal]:
         if held is not None and (got := held(role)) is not None:
@@ -214,13 +217,8 @@ def _saturate(
                             enter(second)
                         gain(stmt.head, read(second))
                 else:
-                    others = [read(part) for part in body.parts if part != role]
-                    offered = added
-                    if held is not None:
-                        if TOP in added:
-                            offered = set(added).union(*others)
-                        others = [o for o in others if TOP not in o]
-                    gain(stmt.head, (x for x in offered if all(x in o for o in others)))
+                    others = [read(part) for part in body.reads if part != role]
+                    gain(stmt.head, reduce(meet, others, added))
             for stmt in linked.get(role.name, ()):
                 # ``role`` may be the second component, reached through its owner.
                 if role.owner in read(stmt.body.first):

@@ -256,29 +256,29 @@ _unchecked_linking = _unchecked(LinkingInclusion)
 class IntersectionInclusion:
     """Body of ``A.r <- B1.r1 & ... & Bn.rn``: members common to every part.
 
-    Parts keep their written order for display, but two intersections
-    compare equal when they name the same set of roles (duplicates are
-    ignored by comparison).  The part set is built once, when the body
-    is, and keeps its hash once computed, so comparing or hashing an
-    intersection hashes no role again.
+    Parts keep their written order for display.  ``reads`` holds the
+    distinct parts once each in text order, the one read order of the
+    body, built once, when the body is.  Two intersections compare and
+    hash by it, so they are equal when they name the same set of roles,
+    whatever the order or repeats of their parts.
     """
 
     parts: tuple[Role, ...]
-    part_set: frozenset[Role] = field(init=False, repr=False, compare=False)
+    reads: tuple[Role, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         if len(self.parts) < 2:
             raise ValueError("intersection inclusion needs at least two roles")
-        object.__setattr__(self, "part_set", frozenset(self.parts))
+        object.__setattr__(self, "reads", tuple(sorted(set(self.parts), key=str)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntersectionInclusion):
             return NotImplemented
-        return self.part_set == other.part_set
+        return self.reads == other.reads
 
     def __hash__(self) -> int:
-        return hash(self.part_set)
+        return hash(self.reads)
 
     def __str__(self) -> str:
         return " & ".join(str(p) for p in self.parts)
@@ -332,10 +332,11 @@ def _reads(
     stmt: Statement, walk: Optional[Mapping[Role, Iterable[Principal]]] = None
 ) -> tuple[Role, ...]:
     """The roles ``stmt`` reads: the source of a simple inclusion, the first
-    role of a linked one, the parts of an intersection (in name order),
-    none for a member fact.  With ``walk`` given, ``A.r <- A.r1.r2`` also
-    reads ``Y.r2`` for every ``Y`` that ``walk`` holds for ``A.r1``.  This
-    is the one place that says which roles a statement reads."""
+    role of a linked one, an intersection's ``reads`` (its distinct parts
+    in text order, kept on the body, so nothing is sorted here), none for
+    a member fact.  With ``walk`` given, ``A.r <- A.r1.r2`` also reads
+    ``Y.r2`` for every ``Y`` that ``walk`` holds for ``A.r1``.  This is
+    the one place that says which roles a statement reads."""
     body = stmt.body
     if isinstance(body, SimpleInclusion):
         return (body.source,)
@@ -343,7 +344,7 @@ def _reads(
         walked = walk.get(body.first, ()) if walk is not None else ()
         return (body.first, *(Role(y, body.second) for y in walked))
     if isinstance(body, IntersectionInclusion):
-        return tuple(sorted(body.part_set, key=str))
+        return body.reads
     return ()
 
 

@@ -313,26 +313,25 @@ class _FrontierIndex:
         self.added: dict[_FrontierKey, set[int]] = {}
         self.removed: dict[_FrontierKey, set[int]] = {}
         self.every: set[int] = set()
-        self.fronts: dict[int, tuple[frozenset[_FrontierKey], frozenset[_FrontierKey]]] = {}
         for i, rec in enumerate(records):
             self.put(i, rec)
 
-    def put(self, i: int, rec: MonitorRecord) -> None:
-        """Index record ``i`` as ``rec``, replacing its earlier entries."""
-        old = self.fronts.pop(i, None)
+    def put(self, i: int, rec: MonitorRecord, old: Optional[MonitorRecord] = None) -> None:
+        """Index record ``i`` as ``rec``, replacing ``old``, the record it
+        was indexed as before, if any."""
+        self.every.discard(i)
         if old is not None:
-            for table, keys in zip((self.added, self.removed), old):
+            # A record without a frontier has no keys to remove.
+            for table, keys in zip((self.added, self.removed), _frontier(old) or ()):
                 for key in keys:
                     watchers = table[key]
                     watchers.discard(i)
                     if not watchers:
                         del table[key]
-        self.every.discard(i)
         front = _frontier(rec)
         if front is None:
             self.every.add(i)
             return
-        self.fronts[i] = front
         for table, keys in zip((self.added, self.removed), front):
             for key in keys:
                 table.setdefault(key, set()).add(i)
@@ -430,8 +429,8 @@ def run_session(
             if warning is not None:
                 warnings.append(warning)
             if fresh is not records[i]:
+                index.put(i, fresh, records[i])
                 records[i] = fresh
-                index.put(i, fresh)
     if changes:
         # Nothing reads the final state's index: it is not carried.
         snapshot = _checked_state(frozenset(live))

@@ -28,8 +28,10 @@ inclusion and linked body, and statement is one object (a statement per
 sequence of identifiers, so a reordered intersection keeps its written
 order), built once from one table of the call by the model's unchecked
 constructors, since the grammar has made their checks; so is each event.
-A change-log line repeated verbatim is matched once per call, though each
-line still gets an event of its own.  Separate calls share nothing.
+The table keeps a statement by its identifiers in a policy and in a
+change log alike.  A change-log line repeated verbatim is matched once
+per call, though each line still gets an event of its own.  Separate
+calls share nothing.
 """
 
 from __future__ import annotations
@@ -141,8 +143,7 @@ class ParseError(Exception):
 # text: a principal by its name, a role name by its name in a 1-tuple, a
 # role by its owner and name, a member, inclusion or linked body by the
 # three identifiers after the arrow (``None`` where a shorter body ends),
-# and, in a change log, a statement by all its identifiers.  No two kinds
-# share a key length.
+# and a statement by all its identifiers.  No two kinds share a key length.
 
 
 def _principal(made: dict, name: str) -> Principal:
@@ -247,9 +248,9 @@ def _dotted(tk: _Tokens) -> list[int]:
 
 def _read(code: str, line: int, made: dict, signed: bool) -> tuple[str | None, Statement]:
     """The sign (``None`` unless ``signed``) and the statement of one line,
-    one statement object per sequence of identifiers.  A line that the
-    pattern rejects, or whose statement is refused, is diagnosed on its
-    tokens."""
+    one statement object per sequence of identifiers, kept in ``made`` by
+    them.  A line that the pattern rejects, or whose statement is refused,
+    is diagnosed on its tokens."""
     m = _STATEMENT.fullmatch(code)
     if m is not None:
         sign, owner, name, source, first, second, more = m.groups()
@@ -262,15 +263,12 @@ def _read(code: str, line: int, made: dict, signed: bool) -> tuple[str | None, S
             else:
                 parts = more.replace("&", " ").replace(".", " ").split()
                 key = (owner, name, source, first, *parts)
-            if signed:
-                # A change log may repeat a statement, spaced or signed
-                # otherwise, so it keeps each by its identifiers.  In a
-                # policy a repeat is a duplicate: nothing is kept.
-                stmt = made.get(key)
-                if stmt is None:
-                    stmt = made[key] = _built(made, key)
-            else:
-                stmt = _built(made, key)
+            # A change log may repeat a statement, spaced or signed
+            # otherwise; in a policy a repeat is a duplicate, which
+            # ``parse_policy`` reports.
+            stmt = made.get(key)
+            if stmt is None:
+                stmt = made[key] = _built(made, key)
             if stmt is not None:
                 return sign, stmt
     _diagnose(_Tokens(code, line, made), signed)

@@ -3,6 +3,7 @@
 import functools
 import sys
 
+import rtmon.deps
 import rtmon.engine
 import rtmon.model
 from rtmon.deps import DEFAULT_SUPPORT_CAP, justified_semantics
@@ -157,6 +158,21 @@ def count_calls(monkeypatch, real) -> list:
 
     patch_everywhere(monkeypatch, real, counted)
     return calls
+
+
+def count_replays(monkeypatch) -> list:
+    """The admitted heads of every credential replay, in call order: each
+    support worklist run that takes statements as its tokens."""
+    replays = []
+    real = rtmon.deps._worklist
+
+    def spy(p, cap, heads=None, by_statement=False):
+        if by_statement:
+            replays.append(heads)
+        return real(p, cap, heads, by_statement)
+
+    patch_everywhere(monkeypatch, real, spy)
+    return replays
 
 
 # A role no monitor trusts: the lower bound holds it at the empty set, the

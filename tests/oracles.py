@@ -21,14 +21,18 @@ before it ranked by first-pass positions, the reference for that order.
 ``reference_step`` steps one record through one event by the public
 ``PolicyState.add``/``remove``, ``classify`` and ``register``, and builds
 its warning itself, as the reference for a session's routed replay.
+``reference_saturate`` is the membership loop with the intersection
+branch it had before that branch met its parts through ``_meet``, with a
+``TOP`` test of its own, as the reference for the one meet.
 """
 
 from collections import defaultdict
 from itertools import combinations, product
+from typing import Iterable, Optional
 
 from rtmon.analysis import upper_bound
 from rtmon.deps import _join
-from rtmon.engine import _reads, evaluate
+from rtmon.engine import _EMPTY, SemanticsIndex, _reads, evaluate
 from rtmon.model import (
     EVERY_ROLE,
     ChangeEvent,
@@ -115,6 +119,130 @@ def reference_step(
         noop=noop,
     )
     return new_state, warning, fresh
+
+
+def reference_saturate(index, roots=None, held=None) -> SemanticsIndex:
+    """``rtmon.engine._saturate`` as it was before its intersection branch
+    met the parts through ``_meet``: with ``held`` given, a part whose new
+    members hold ``TOP`` offers the union of every part, and the parts
+    holding ``TOP`` are left out of the filter.  The reference for that
+    branch; the rest of the loop is the library's.
+    """
+    readers: dict[Role, list[Statement]] = defaultdict(list)
+    linked: dict[RoleName, list[Statement]] = defaultdict(list)
+    members: dict[Role, set[Principal]] = {}
+    fresh: dict[Role, Iterable[Principal]] = {}
+    cone: Optional[set[Role]] = None
+    rounds = 0
+
+    def read(role: Role) -> frozenset[Principal]:
+        if held is not None and (got := held(role)) is not None:
+            return got
+        return members.get(role, _EMPTY)
+
+    def gain(head: Role, found: Iterable[Principal]) -> None:
+        # Set operations reuse the hashes a set holds: a candidate is hashed
+        # at most once, and not at all when ``found`` is a set.
+        new = set(found)
+        have = members.get(head)
+        if have is None:
+            have = members[head] = set()
+        new -= have
+        if new:
+            have |= new
+            fresh.setdefault(head, set()).update(new)
+
+    def put(stmt: Statement) -> tuple[Role, ...]:
+        """Index ``stmt`` and pass it, as new, what the roles it reads by
+        name already hold, so that it fires on them in the next round (the
+        other rules reading those roles get them again and derive nothing
+        new).  Before the rounds begin every member found is still new."""
+        reads = _reads(stmt)
+        for role in reads:
+            readers[role].append(stmt)
+            if held is not None and (got := held(role)) is not None:
+                # The shared object: a held role never gains, so its entry
+                # is never updated in place.
+                fresh[role] = got
+            elif rounds and role in members:
+                fresh.setdefault(role, set()).update(members[role])
+        if isinstance(stmt.body, LinkingInclusion):
+            # A held second component ``Y.r2`` is read at its held set
+            # when the walk from the first component reaches ``Y``.
+            linked[stmt.body.second].append(stmt)
+        return reads
+
+    def take(head: Role) -> list[Role]:
+        """Pass on the members the facts heading ``head`` name and index
+        its rules; return the roles those rules read."""
+        found: list[Principal] = []
+        reads: list[Role] = []
+        for stmt in index.get(head, ()):
+            if isinstance(stmt.body, SimpleMember):
+                found.append(stmt.body.member)
+            else:
+                reads += put(stmt)
+        if found:
+            gain(head, found)
+        return reads
+
+    def enter(root: Role) -> None:
+        """Add ``root`` to the cone, and every role the rules heading a role
+        added read, taking each."""
+        cone.add(root)
+        work = [root]
+        while work:
+            role = work.pop()
+            if held is not None and held(role) is not None:
+                continue
+            for read_role in take(role):
+                if read_role not in cone:
+                    cone.add(read_role)
+                    work.append(read_role)
+
+    if roots is None:
+        for head in index:
+            if held is None or held(head) is None:
+                take(head)
+    else:
+        cone = set()
+        for root in roots:
+            if root not in cone:
+                enter(root)
+
+    while fresh:
+        rounds += 1
+        delta, fresh = fresh, {}
+        for role, added in delta.items():
+            for stmt in readers.get(role, ()):
+                body = stmt.body
+                if isinstance(body, SimpleInclusion):
+                    gain(stmt.head, added)
+                elif isinstance(body, LinkingInclusion):
+                    # ``role`` is the first component: walk the new members.
+                    for y in added:
+                        second = Role(y, body.second)
+                        if cone is not None and second not in cone:
+                            enter(second)
+                        gain(stmt.head, read(second))
+                else:
+                    others = [read(part) for part in body.parts if part != role]
+                    offered = added
+                    if held is not None:
+                        if TOP in added:
+                            offered = set(added).union(*others)
+                        others = [o for o in others if TOP not in o]
+                    gain(stmt.head, (x for x in offered if all(x in o for o in others)))
+            for stmt in linked.get(role.name, ()):
+                # ``role`` may be the second component, reached through its owner.
+                if role.owner in read(stmt.body.first):
+                    gain(stmt.head, added)
+
+    return SemanticsIndex(
+        {role: frozenset(found) for role, found in members.items() if found},
+        rounds,
+        None if cone is None else frozenset(cone),
+    )
 
 
 def brute_minimal_supports(p: PolicyState) -> dict[Role, set[tuple[Principal, frozenset[Role]]]]:
@@ -286,7 +414,7 @@ def round_robin_worklist(p: PolicyState, token, cap=None):
                     for member, sup2, i2 in list(cur[Role(via, body.second)]):
                         offer(head, (member, sup1 | sup2 | {tok}, i1 + i2))
             else:
-                buckets = [list(cur[part]) for part in sorted(body.part_set, key=str)]
+                buckets = [list(cur[part]) for part in sorted(set(body.parts), key=str)]
                 shared = set.intersection(*(set(t[0] for t in b) for b in buckets))
                 for member in shared:
                     pools = [[t for t in b if t[0] == member] for b in buckets]

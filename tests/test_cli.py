@@ -29,7 +29,7 @@ from rtmon.parser import (
     serialize_policy,
 )
 
-from helpers import count_calls, count_saturations, role
+from helpers import count_calls, count_replays, count_saturations, role
 from randgen import biased_satisfied_constraint, random_constraint, random_monitor, random_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,6 +129,27 @@ class TestDeps:
         }
         # One run serves the support and every member's supports.
         assert len(runs) == 1
+
+    def test_credential_supports_share_one_replay_per_role_support(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Both constraints' members pick the role support {A.r, B.r}, so
+        # the state's one replay serves both.
+        policy = tmp_path / "shared.rt"
+        policy.write_text("A.r <- B.r\nB.r <- C\nB.r <- D\nX.r <- C\nY.r <- D\n")
+        constraints = tmp_path / "shared.cst"
+        constraints.write_text(
+            "constraint x owner X: X.r <= A.r\nconstraint y owner Y: Y.r <= A.r\n"
+        )
+        replays = count_replays(monkeypatch)
+        rc, out = run(
+            capsys, "--format", "machine", "deps", str(policy), str(constraints),
+            "--credential-support",
+        )
+        assert rc == 0
+        supports = [c["support"] for c in json.loads(out)["result"]["constraints"]]
+        assert supports == [["A.r <- B.r", "B.r <- C"], ["A.r <- B.r", "B.r <- D"]]
+        assert replays == [frozenset({role("A.r"), role("B.r")})]
 
     def test_verdicts_name_the_violators_as_check_does(self, in_fixtures, capsys):
         outs = [run(capsys, verb, "multi.rt", "multi.cst") for verb in ("check", "deps")]

@@ -54,11 +54,13 @@ from rtmon.model import (
     _successor,
     roles_of,
 )
+from rtmon.monitor import FullTrustCredential, register
 from rtmon.parser import parse_changelog, parse_constraint, parse_constraints, parse_policy
 
 from helpers import (
     SELF_LINK_POLICY_TEXT,
     count_calls,
+    count_replays,
     hazmat_policy,
     index_texts,
     member_supports,
@@ -752,6 +754,27 @@ class TestCredentialSupport:
         assert got == frozenset(
             stmt(t) for t in ("A.r <- B.r", "B.r <- C", "B.r <- D", "B.r <- E")
         )
+
+    def test_constraints_sharing_a_role_support_replay_once(self, monkeypatch):
+        # C and D each pick the role support {A.r, B.r}: the state keeps the
+        # first constraint's replay, and the second reads it, under
+        # credential_support_for_constraint and under register alike.
+        p = parse_policy("A.r <- B.r\nB.r <- C\nB.r <- D\nX.r <- C\nY.r <- D\n")
+        replays = count_replays(monkeypatch)
+        rhs = RoleRef(role("A.r"))
+        got = [credential_support_for_constraint(p, {prin(m)}, rhs) for m in "CD"]
+        assert replays == [frozenset({role("A.r"), role("B.r")})]
+        assert got == [
+            frozenset(stmt(t) for t in ("A.r <- B.r", f"B.r <- {m}")) for m in "CD"
+        ]
+        q = parse_constraints(
+            "constraint x owner X: X.r <= A.r\nconstraint y owner Y: Y.r <= A.r\n"
+        )
+        fresh = parse_policy("A.r <- B.r\nB.r <- C\nB.r <- D\nX.r <- C\nY.r <- D\n")
+        del replays[:]
+        records = [register(fresh, c, FullTrustCredential()) for c in q]
+        assert len(replays) == 1
+        assert [r.support_cache for r in records] == got
 
     @pytest.mark.parametrize("cap", [DEFAULT_SUPPORT_CAP, 1])
     def test_one_replay_per_role_support_matches_a_replay_per_member(self, cap):

@@ -1,15 +1,23 @@
 import random
+from collections import Counter
 
+from rtmon.analysis import _above, _below
 from rtmon.engine import (
+    _saturate,
     check_constraint,
     eval_expr,
     evaluate,
     role_members,
 )
 from rtmon.model import (
+    EVERY_ROLE,
+    TOP,
+    IntersectionInclusion,
     PolicyState,
     PrincipalSet,
+    RoleMonitor,
     RoleRef,
+    Statement,
     UnionExpr,
     IntersectionExpr,
 )
@@ -26,8 +34,14 @@ from helpers import (
     self_link_policy,
     stmt,
 )
-from oracles import dense_evaluate
-from randgen import random_fan_state, random_state, random_statement_for_state
+from oracles import dense_evaluate, reference_saturate
+from randgen import (
+    random_fan_state,
+    random_monitor,
+    random_state,
+    random_statement_for_state,
+    random_untrusted_link_monitor,
+)
 
 
 def members(idx, role_text):
@@ -186,3 +200,97 @@ class TestIndexedEvaluator:
         assert role("Fire.responsePersonnel") not in idx.members
         # The principals x role names cross product is never built.
         assert "roles" not in vars(p)
+
+
+class TestOneMeet:
+    """``_saturate`` meets an intersection's parts through ``_meet`` when
+    roles are held and with a plain ``&`` when none are; the reference is
+    the loop whose intersection branch tested ``TOP`` itself."""
+
+    @staticmethod
+    def with_duplicate_parts(rng, p):
+        """``p`` with one more intersection naming a part twice, as in
+        ``A.r <- B.s & B.s``, sometimes beside a second part."""
+        roles = sorted(p.roles, key=str)
+        twice = rng.choice(roles)
+        parts = (twice, twice) if rng.random() < 0.5 else (twice, rng.choice(roles), twice)
+        return p.add(Statement(rng.choice(roles), IntersectionInclusion(parts)))
+
+    @staticmethod
+    def assert_agrees(index, roots, held):
+        got = _saturate(index, roots, held)
+        assert got == reference_saturate(index, roots, held)
+        return got
+
+    def test_saturate_gives_the_reference_members_rounds_and_cone(self):
+        rng = random.Random(3701)
+        seen: Counter = Counter()
+        for n in range(3000):
+            p = random_fan_state(rng) if n % 5 == 4 else random_state(rng, max_statements=10)
+            if n % 3 == 0:
+                p = self.with_duplicate_parts(rng, p)
+            index = p._index
+            roles = sorted(p.roles, key=str)
+            roots = rng.sample(roles, rng.randint(1, min(3, len(roles))))
+            monitors = [
+                random_monitor(rng, p, 0.6, 0.6),
+                random_untrusted_link_monitor(rng, p, 0.7, 0.7),
+                RoleMonitor(EVERY_ROLE, EVERY_ROLE),
+            ]
+            helds = [None]
+            for m in monitors:
+                helds += [_below(m.shrink_trusted), _above(m.growth_trusted)]
+            for k, held in enumerate(helds):
+                whole = self.assert_agrees(index, None, held)
+                self.assert_agrees(index, roots, held)
+                if k % 2 == 0 and k:
+                    self.count_top(index, whole, held, seen)
+            seen["duplicate"] += any(
+                isinstance(s.body, IntersectionInclusion) and len(s.body.reads) < len(s.body.parts)
+                for s in p
+            )
+        assert seen["duplicate"] >= 900
+        assert seen["gains TOP"] >= 1000
+        assert seen["every part TOP"] >= 900
+
+    @staticmethod
+    def count_top(index, whole, held, seen):
+        """Count the upper-bound runs where an intersection computed has a
+        part that gained ``TOP``, and where every part holds it."""
+        gained = every = False
+        for head, stmts in index.items():
+            if held(head) is not None:
+                continue
+            for s in stmts:
+                if not isinstance(s.body, IntersectionInclusion):
+                    continue
+                tops = [
+                    TOP in (held(r) or whole.members.get(r, frozenset())) for r in s.body.reads
+                ]
+                gained |= any(
+                    held(r) is None and TOP in whole.members.get(r, ()) for r in s.body.reads
+                )
+                every |= all(tops)
+        seen["gains TOP"] += gained
+        seen["every part TOP"] += every
+
+    def test_named_intersections_meet_as_the_reference_does(self):
+        # Duplicate parts, a part that gains TOP through an untrusted
+        # source, and an intersection whose every part holds TOP.
+        p = parse_policy(
+            "A.r <- B.s & B.s\nB.s <- C\nB.s <- U.t\n"
+            "D.r <- B.s & E.s\nE.s <- C\nE.s <- F\n"
+            "G.r <- U.t & V.t\nH.r <- U.t & B.s & U.t\n"
+        )
+        untrusted = {role("U.t"), role("V.t")}
+        g = frozenset(r for r in p.roles if r not in untrusted)
+        upper = self.assert_agrees(p._index, None, _above(g)).members
+        assert upper[role("B.s")] == {prin("C"), TOP}
+        assert upper[role("A.r")] == {prin("C"), TOP}
+        assert upper[role("D.r")] == {prin("C"), prin("F")}
+        assert upper[role("G.r")] == {TOP}
+        assert upper[role("H.r")] == {prin("C"), TOP}
+        for held in (None, _below(g), _above(g)):
+            for roots in (None, [role("D.r")], [role("H.r"), role("A.r")]):
+                self.assert_agrees(p._index, roots, held)
+        assert evaluate(p).members[role("A.r")] == {prin("C")}

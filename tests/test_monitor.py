@@ -667,7 +667,7 @@ def test_session_steps_each_record_like_reference_step():
                 moves[rec.status, record.status] += 1
                 blind += rec.status is RecordStatus.HOLDING and not rec.gamma_total
                 if record is not rec:
-                    index.put(i, record)
+                    index.put(i, record, rec)
                 records[i] = record
             state = new_state
         assert session.final_state == state

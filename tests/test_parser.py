@@ -80,9 +80,10 @@ class TestStatements:
             "Emergency.hazmatPersonnel <- Emergency.responsePersonnel & ATF.hazmatTraining"
         )
         assert isinstance(s.body, IntersectionInclusion)
-        assert s.body.part_set == frozenset(
-            {role("Emergency.responsePersonnel"), role("ATF.hazmatTraining")}
-        )
+        assert set(s.body.parts) == {
+            role("Emergency.responsePersonnel"), role("ATF.hazmatTraining")
+        }
+        assert s.body.reads == (role("ATF.hazmatTraining"), role("Emergency.responsePersonnel"))
 
     def test_linked_role(self):
         s = parse_statement("A.r <- A.r1.r2")
