@@ -759,7 +759,8 @@ class TestCredentialSupport:
         # C and D each pick the role support {A.r, B.r}: the state keeps the
         # first constraint's replay, and the second reads it, under
         # credential_support_for_constraint and under register alike.
-        p = parse_policy("A.r <- B.r\nB.r <- C\nB.r <- D\nX.r <- C\nY.r <- D\n")
+        text = "A.r <- B.r\nB.r <- C\nB.r <- D\nX.r <- C\nY.r <- D\n"
+        p = parse_policy(text)
         replays = count_replays(monkeypatch)
         rhs = RoleRef(role("A.r"))
         got = [credential_support_for_constraint(p, {prin(m)}, rhs) for m in "CD"]
@@ -770,7 +771,8 @@ class TestCredentialSupport:
         q = parse_constraints(
             "constraint x owner X: X.r <= A.r\nconstraint y owner Y: Y.r <= A.r\n"
         )
-        fresh = parse_policy("A.r <- B.r\nB.r <- C\nB.r <- D\nX.r <- C\nY.r <- D\n")
+        # A state of its own, whose memo holds no replay yet.
+        fresh = parse_policy(text)
         del replays[:]
         records = [register(fresh, c, FullTrustCredential()) for c in q]
         assert len(replays) == 1

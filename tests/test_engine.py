@@ -237,13 +237,11 @@ class TestOneMeet:
                 random_untrusted_link_monitor(rng, p, 0.7, 0.7),
                 RoleMonitor(EVERY_ROLE, EVERY_ROLE),
             ]
-            helds = [None]
-            for m in monitors:
-                helds += [_below(m.shrink_trusted), _above(m.growth_trusted)]
-            for k, held in enumerate(helds):
+            uppers = [_above(m.growth_trusted) for m in monitors]
+            for held in [None, *(_below(m.shrink_trusted) for m in monitors), *uppers]:
                 whole = self.assert_agrees(index, None, held)
                 self.assert_agrees(index, roots, held)
-                if k % 2 == 0 and k:
+                if held in uppers:
                     self.count_top(index, whole, held, seen)
             seen["duplicate"] += any(
                 isinstance(s.body, IntersectionInclusion) and len(s.body.reads) < len(s.body.parts)
@@ -262,15 +260,10 @@ class TestOneMeet:
             if held(head) is not None:
                 continue
             for s in stmts:
-                if not isinstance(s.body, IntersectionInclusion):
-                    continue
-                tops = [
-                    TOP in (held(r) or whole.members.get(r, frozenset())) for r in s.body.reads
-                ]
-                gained |= any(
-                    held(r) is None and TOP in whole.members.get(r, ()) for r in s.body.reads
-                )
-                every |= all(tops)
+                if isinstance(s.body, IntersectionInclusion):
+                    reads = s.body.reads
+                    gained |= any(held(r) is None and TOP in whole.members.get(r, ()) for r in reads)
+                    every |= all(TOP in (held(r) or whole.members.get(r, ())) for r in reads)
         seen["gains TOP"] += gained
         seen["every part TOP"] += every
 
